@@ -89,7 +89,6 @@ class ExperimentConfig:
     net_budget: int | None = None
     degree_cap: int | None = None
     out: str | None = None
-    jobs: int = 1  # reserved; every implemented path runs single-process
 
     ALGORITHMS = ("highfid", "cover", "estimate-opt", "discrete", "mps",
                   "polyopt", "hardness")
@@ -117,8 +116,6 @@ class ExperimentConfig:
             raise UsageError("noise must be nonnegative")
         if self.rank < 1:
             raise UsageError("rank must be a positive integer")
-        if self.jobs < 1:
-            raise UsageError("jobs must be a positive integer")
 
 
 def _exact_fidelity(state: QuantumState, vec: np.ndarray) -> float:
@@ -375,7 +372,6 @@ def _add_common(p: argparse.ArgumentParser, *, instance: bool = True):
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--net-budget", type=int, default=None)
     p.add_argument("--degree-cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
 
 
@@ -418,7 +414,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--eps", type=float, default=0.1)
     solve.add_argument("--net-budget", type=int, default=None)
-    solve.add_argument("--jobs", type=int, default=1)
     solve.add_argument("--out", default=None)
 
     hardness = sub.add_parser("hardness", help="clique-tensor benchmark family")
@@ -481,7 +476,6 @@ def _dispatch(args: argparse.Namespace) -> dict | None:
         net_budget=getattr(args, "net_budget", None),
         degree_cap=getattr(args, "degree_cap", None),
         out=args.out,
-        jobs=getattr(args, "jobs", 1),
     )
     return run(config)
 

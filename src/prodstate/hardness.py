@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ResourceBudgetError
 from .instances import Graph
-from .states import QuantumState
+from .states import QuantumState, haar_isometry
 
 __all__ = [
     "Tensor4",
@@ -97,14 +97,6 @@ def tensor_to_state(t: Tensor4) -> QuantumState:
     return QuantumState.pure(vec)
 
 
-def _haar_isometry(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """Haar-random n x m isometry: QR of a complex Gaussian, phases fixed."""
-    gauss = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-    q, r = np.linalg.qr(gauss)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
-
-
 def random_isometry_embed(t: Tensor4, n: int, seed: int = 0) -> Tensor4:
     """Push the tensor through a Haar-random n x m isometry on every leg.
 
@@ -114,7 +106,7 @@ def random_isometry_embed(t: Tensor4, n: int, seed: int = 0) -> Tensor4:
     m = t.side
     if n < m:
         raise ValueError("the embedding dimension cannot shrink the tensor")
-    u = _haar_isometry(np.random.default_rng(seed), n, m)
+    u = haar_isometry(n, m, np.random.default_rng(seed))
     out = np.einsum("ai,bj,ck,dl,ijkl->abcd", u, u, u, u, t.entries, optimize=True)
     return Tensor4(out)
 

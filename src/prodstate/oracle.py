@@ -10,7 +10,13 @@ backends share identical signatures and copy accounting:
   counts are still charged using the sampling formulas, so resource reports
   are backend-independent.
 * ``sampling`` — simulates single-copy randomized measurements (Haar-basis
-  shadows on a compressed register) with explicit copy consumption.
+  shadows on a compressed register) with explicit copy consumption.  Each
+  shot records the basis state u its outcome projects onto; u follows the
+  Haar law reweighted by dim <u|sigma|u>, which is sampled directly from the
+  eigenpairs of the compressed state sigma with O(dim) random draws per shot
+  and no per-shot unitary, in chunks of SHADOW_CHUNK shots whose shadows
+  stream into per-group sums, so memory is O(SHADOW_CHUNK * dim) whatever
+  the shot count.
 
 Copy-cost formulas are exported as plain functions so tests can assert the
 counter matches them exactly.
@@ -27,7 +33,6 @@ from .errors import ResourceBudgetError
 from .states import (
     ProductParams,
     QuantumState,
-    batched_haar_unitaries,
     partial_trace,
     product_state_vector,
     product_unitary,
@@ -36,6 +41,9 @@ from .states import (
 # Hard cap on simulated measurement shots per oracle call; beyond this a
 # sampling run is not a desk-scale experiment and is refused.
 DEFAULT_SHOT_BUDGET = 50_000_000
+# Shots the sampler draws at a time; bounds its working memory at
+# O(SHADOW_CHUNK * dim) whatever the shot count.
+SHADOW_CHUNK = 20_000
 
 
 def _check_unit_interval(value: float, name: str) -> None:
@@ -203,13 +211,7 @@ def _compressed_z_register(rho: np.ndarray, u: np.ndarray | None, n: int) -> np.
     sigma = np.zeros((dim, dim), dtype=complex)
     sigma[: n + 1, : n + 1] = _rotated_block(rho, u, idx)
     sigma[n + 1, n + 1] = max(0.0, 1.0 - float(np.real(np.trace(sigma))))
-    return (sigma + sigma.conj().T) / 2.0
-
-
-def exact_z(state: QuantumState, basis: list[np.ndarray] | None = None) -> np.ndarray:
-    """Ground-truth amplitude vector z_i = <e_i| U rho U* |0^n> (test helper)."""
-    u = product_unitary(list(basis)) if basis is not None else None
-    return _z_from_column(_rotated_zero_column(state.density(), u), state.n)
+    return sigma
 
 
 def _geometric_median(points: np.ndarray) -> np.ndarray:
@@ -227,37 +229,60 @@ def _geometric_median(points: np.ndarray) -> np.ndarray:
     return points[int(np.argmin(med))]
 
 
-def _sample_shadow_rows(rng: np.random.Generator, sigma: np.ndarray, shots: int,
-                        chunk_size: int = 20_000) -> np.ndarray:
-    """Post-measurement basis rows u = V*|b> from Haar-basis measurements of sigma.
+def _shadow_row_chunks(rng: np.random.Generator, sigma: np.ndarray, shots: int):
+    """Post-measurement basis rows u from random-basis measurements of sigma.
 
-    Each shot draws an independent Haar unitary V on the compressed register,
-    measures sigma in the rotated computational basis, and records the state
-    row the outcome projects onto.  Shape (shots, dim).
+    Measuring sigma in a Haar-random basis and recording the basis state u
+    the outcome projects onto gives u the Haar law reweighted by
+    dim <u|sigma|u>.  With sigma = sum_k lam_k |e_k><e_k|, that law is the
+    mixture: pick k with probability lam_k, draw |<e_k|u>|^2 ~ Beta(2, dim-1)
+    with a uniform phase, and fill the rest Haar-uniformly on e_k's
+    orthogonal complement.  Each shot takes O(dim) random draws in the
+    eigenbasis (one eigh per call; negative eigenvalues are clipped and the
+    spectrum renormalized), and one matrix product per chunk rotates the rows
+    back.  Yields arrays of shape (<= SHADOW_CHUNK, dim) that together hold
+    `shots` rows.
     """
     dim = sigma.shape[0]
-    out = np.empty((shots, dim), dtype=complex)
+    vals, vecs = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
+    cdf = np.cumsum(np.clip(vals, 0.0, None))
+    cdf /= cdf[-1]
     done = 0
     while done < shots:
-        b = min(chunk_size, shots - done)
-        vs = batched_haar_unitaries(dim, b, rng)
-        probs = ((vs @ sigma) * vs.conj()).sum(axis=2).real
-        np.clip(probs, 0.0, None, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
-        cum = np.cumsum(probs, axis=1)
-        picks = (rng.random((b, 1)) > cum).sum(axis=1)
-        np.clip(picks, 0, dim - 1, out=picks)
-        out[done:done + b] = vs[np.arange(b), picks, :].conj()
+        b = min(SHADOW_CHUNK, shots - done)
+        picks = cdf.searchsorted(rng.random(b), side="right")
+        weight = rng.beta(2.0, dim - 1.0, b)
+        phase = np.exp(2j * math.pi * rng.random(b))
+        coords = rng.standard_normal((b, 2 * dim)).view(complex)
+        hit = (np.arange(b), picks)
+        coords[hit] = 0.0
+        coords *= (np.sqrt(1.0 - weight) / np.linalg.norm(coords, axis=1))[:, None]
+        coords[hit] = np.sqrt(weight) * phase
+        yield coords @ vecs.T
         done += b
-    return out
 
 
-def _shadow_block_means(rows: np.ndarray, groups: int) -> np.ndarray:
-    """Per-group means of the shadow matrices (dim+1)|u><u| - I, shape (groups, dim, dim)."""
-    shots, dim = rows.shape
-    per = shots // groups
-    ug = rows[: groups * per].reshape(groups, per, dim)
-    means = (dim + 1) * np.einsum("kni,knj->kij", ug, ug.conj()) / per
+def _shadow_group_means(rng: np.random.Generator, sigma: np.ndarray, groups: int,
+                        per: int) -> np.ndarray:
+    """Per-group means of the shadow matrices (dim+1)|u><u| - I, shape (groups, dim, dim).
+
+    Draws groups * per rows of sigma and adds each chunk's slice of a group
+    into that group's sum, so memory stays O(SHADOW_CHUNK * dim) beyond the
+    (groups, dim, dim) result, whatever the shot count.
+    """
+    dim = sigma.shape[0]
+    sums = np.zeros((groups, dim, dim), dtype=complex)
+    shot = 0
+    for rows in _shadow_row_chunks(rng, sigma, groups * per):
+        start = 0
+        while start < len(rows):
+            group, offset = divmod(shot + start, per)
+            stop = min(len(rows), start + per - offset)
+            part = rows[start:stop]
+            sums[group] += part.T @ part.conj()
+            start = stop
+        shot += len(rows)
+    means = sums * ((dim + 1) / per)
     means -= np.eye(dim)
     return means
 
@@ -322,32 +347,10 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
     o._check_shots(copies)
     groups = median_group_count(delta)
     per = z_group_size(n, eps)
-    sigma = _compressed_z_register(o._rho, u, n)
-    dim = sigma.shape[0]
-
-    rows = _sample_shadow_rows(o._rng, sigma, groups * per)
-    shots_z = (dim + 1) * rows[:, 1: n + 1] * rows[:, [0]].conj()
-    group_means = shots_z.reshape(groups, per, n).mean(axis=1)
+    # z_i = <e_i| sigma |0^n> is entry (i, 0) of each group's shadow mean.
+    means = _shadow_group_means(o._rng, _compressed_z_register(o._rho, u, n), groups, per)
     o._charge(copies)
-    return _geometric_median(group_means)
-
-
-def raw_z_shadows(o: StateOracle, basis: list[np.ndarray], shots: int) -> np.ndarray:
-    """Single-shot amplitude-vector estimates before any averaging (test hook).
-
-    Returns a (shots, n) array whose rows are unbiased one-copy estimates of
-    the amplitude vector z in the rotated frame.  Sampling backend only;
-    charges `shots` copies.
-    """
-    if o.backend != "sampling":
-        raise ValueError("raw shadows exist only on the sampling backend")
-    n = o.n
-    o._check_shots(shots)
-    sigma = _compressed_z_register(o._rho, _basis_unitary(o, basis), n)
-    dim = sigma.shape[0]
-    rows = _sample_shadow_rows(o._rng, sigma, shots)
-    o._charge(shots)
-    return (dim + 1) * rows[:, 1: n + 1] * rows[:, [0]].conj()
+    return _geometric_median(means[:, 1: n + 1, 0])
 
 
 def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
@@ -392,11 +395,7 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
     sigma = np.zeros((dim, dim), dtype=complex)
     sigma[:w, :w] = block
     sigma[w, w] = max(0.0, 1.0 - float(np.real(np.trace(sigma))))
-    sigma = (sigma + sigma.conj().T) / 2.0
-
-    rows = _sample_shadow_rows(o._rng, sigma, groups * per)
-    means = _shadow_block_means(rows, groups)
-    est = _geometric_median(means)[:w, :w]
+    est = _geometric_median(_shadow_group_means(o._rng, sigma, groups, per))[:w, :w]
     o._charge(copies)
     full[np.ix_(idx, idx)] = _project_psd(est)
     return full
@@ -453,11 +452,8 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     shots = min(wanted, successes)
     if shots == 0 or mu == 0.0:
         return np.zeros((dim_s, dim_s), dtype=complex)
-    tau = block / mu
-    tau = (tau + tau.conj().T) / 2.0
-    rows = _sample_shadow_rows(o._rng, tau, shots)
     k = min(groups, shots)
-    tau_hat = _geometric_median(_shadow_block_means(rows, k))
+    tau_hat = _geometric_median(_shadow_group_means(o._rng, block / mu, k, shots // k))
     return _project_psd(mu_hat * tau_hat)
 
 

@@ -355,30 +355,17 @@ def weight_tail_bound(mu: float, d: float) -> float:
     return math.exp(-d * math.log(d / mu) + (d - mu))
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A Haar-distributed unitary (QR of a complex Gaussian, phases fixed)."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random rows x cols isometry (QR of a complex Gaussian, phases fixed)."""
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
 
 
-def batched_haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count independent Haar unitaries, shape (count, dim, dim).
-
-    Orthonormalizes Gaussian columns by batched modified Gram-Schmidt, which
-    fixes the triangular factor's diagonal real positive, so the result is
-    exactly Haar-distributed.  Vectorizing over the batch beats per-matrix
-    factorizations by a wide margin at the small dimensions used here.
-    """
-    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    for j in range(dim):
-        col = g[:, :, j]
-        for k in range(j):
-            done = g[:, :, k]
-            col -= np.einsum("bi,bi->b", done.conj(), col)[:, None] * done
-        col /= np.linalg.norm(col, axis=1, keepdims=True)
-    return g
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-distributed unitary: the square case of haar_isometry."""
+    return haar_isometry(dim, dim, rng)
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:

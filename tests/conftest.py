@@ -1,4 +1,38 @@
-"""Shared pytest hooks: acceptance-criteria summary lines."""
+"""Shared pytest hooks (acceptance-criteria summary lines) and oracle test helpers."""
+
+import numpy as np
+
+from prodstate.oracle import (
+    _basis_unitary,
+    _compressed_z_register,
+    _rotated_zero_column,
+    _shadow_row_chunks,
+    _z_from_column,
+)
+from prodstate.states import product_unitary
+
+
+def exact_z(state, basis=None):
+    """Ground-truth amplitude vector z_i = <e_i| U rho U* |0^n>."""
+    u = product_unitary(list(basis)) if basis is not None else None
+    return _z_from_column(_rotated_zero_column(state.density(), u), state.n)
+
+
+def raw_z_shadows(o, basis, shots):
+    """Single-shot amplitude-vector estimates before any averaging.
+
+    Returns a (shots, n) array whose rows are unbiased one-copy estimates of
+    the amplitude vector z in the rotated frame.  Sampling backend only;
+    charges `shots` copies.
+    """
+    if o.backend != "sampling":
+        raise ValueError("raw shadows exist only on the sampling backend")
+    n = o.n
+    o._check_shots(shots)
+    sigma = _compressed_z_register(o._rho, _basis_unitary(o, basis), n)
+    rows = np.concatenate(list(_shadow_row_chunks(o._rng, sigma, shots)))
+    o._charge(shots)
+    return (sigma.shape[0] + 1) * rows[:, 1: n + 1] * rows[:, [0]].conj()
 
 CRITERIA = {
     1: "geometry",

@@ -9,7 +9,6 @@ from prodstate.bruteforce import best_product_fidelity
 from prodstate.errors import ResourceBudgetError
 from prodstate.hardness import (
     Tensor4,
-    _haar_isometry,
     clique_tensor,
     opt_sandwich_check,
     random_isometry_embed,
@@ -19,6 +18,7 @@ from prodstate.hardness import (
     tuple_overlap,
 )
 from prodstate.instances import Graph, clique_number, graphs_up_to_4_vertices
+from prodstate.states import haar_isometry
 
 
 def k_n(n):
@@ -147,7 +147,7 @@ def test_embed_at_equal_size_is_unitary():
     t = random_unit_tensor(rng, 2)
     out = random_isometry_embed(t, 2, seed=7)
     assert abs(out.fro - t.fro) <= 1e-10
-    u = _haar_isometry(np.random.default_rng(7), 2, 2)
+    u = haar_isometry(2, 2, np.random.default_rng(7))
     assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-10)
 
 
@@ -155,7 +155,7 @@ def test_embed_preserves_tuple_overlaps():
     rng = np.random.default_rng(2)
     t = random_unit_tensor(rng, 3)
     out = random_isometry_embed(t, 8, seed=5)
-    u = _haar_isometry(np.random.default_rng(5), 8, 3)
+    u = haar_isometry(8, 3, np.random.default_rng(5))
     for _ in range(10):
         x, y, w, v = unit_vectors(rng, 3)
         before = tuple_overlap(t, x, y, w, v)

@@ -15,7 +15,7 @@ from prodstate.localopt import (
     local_optimize,
     single_site_estimate,
 )
-from prodstate.oracle import StateOracle, exact_z
+from prodstate.oracle import StateOracle
 from prodstate.states import (
     ProductParams,
     QuantumState,
@@ -27,6 +27,8 @@ from prodstate.states import (
     transform_params,
     weight_distribution,
 )
+
+from conftest import exact_z
 
 
 def perturbed_start(rng, target: ProductParams, overlap: float) -> ProductParams:

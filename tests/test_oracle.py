@@ -1,6 +1,7 @@
 """Oracle backends: ground-truth values, sampling accuracy, copy accounting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ import pytest
 from prodstate.errors import ResourceBudgetError
 from prodstate.instances import bell_state, maximally_mixed, random_mixed
 from prodstate.oracle import (
+    SHADOW_CHUNK,
     StateOracle,
+    _shadow_group_means,
+    _shadow_row_chunks,
     estimate_fidelity,
     estimate_z,
-    exact_z,
     fidelity_copy_cost,
     median_group_count,
-    raw_z_shadows,
     subnormalized_attempts,
     subnormalized_budget,
     subspace_tomography,
@@ -26,12 +28,15 @@ from prodstate.oracle import (
 from prodstate.states import (
     ProductParams,
     QuantumState,
+    haar_unitary,
     partial_trace,
     product_state_vector,
     product_unitary,
     random_product_params,
     recenter_unitaries,
 )
+
+from conftest import exact_z, raw_z_shadows
 
 
 def identity_basis(n):
@@ -130,6 +135,87 @@ def test_raw_shadow_variance_dimension_free():
     shots = raw_z_shadows(o, identity_basis(2), 10_000)
     mse = float(np.mean(np.abs(shots - z) ** 2) * shots.shape[1])
     assert mse <= 3 * 2 * 1.1
+
+
+# --- shadow sampler ----------------------------------------------------------
+
+
+def haar_reference_rows(rng, sigma, shots):
+    """The per-shot definition of the sampler: measure in a Haar basis, record the row."""
+    dim = sigma.shape[0]
+    rows = np.empty((shots, dim), dtype=complex)
+    for s in range(shots):
+        v = haar_unitary(dim, rng)
+        probs = np.clip(np.einsum("bi,ij,bj->b", v, sigma, v.conj()).real, 0.0, None)
+        rows[s] = v[rng.choice(dim, p=probs / probs.sum())].conj()
+    return rows
+
+
+def random_density(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def within_5_sigma(samples, target):
+    """Every entry's sample mean lies within 5 standard errors of the target."""
+    for part in (np.real, np.imag):
+        mean = part(samples).mean(axis=0)
+        sem = part(samples).std(axis=0) / math.sqrt(samples.shape[0])
+        if not np.all(np.abs(mean - part(target)) <= 5 * sem + 1e-12):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("dim", [3, 5, 10])
+def test_shadow_sampler_matches_haar_law(dim):
+    rng = np.random.default_rng(100 + dim)
+    sigma = random_density(rng, dim)
+    a = haar_unitary(dim, rng)[0]
+    s = float(np.real(a.conj() @ sigma @ a))
+    second = (np.eye(dim) + sigma) / (dim + 1)
+    # E|<a|u>|^4 = dim * E_Haar[|<a|u>|^4 <u|sigma|u>] from the third Haar moment.
+    fourth = (2.0 + 4.0 * s) / ((dim + 1) * (dim + 2))
+
+    fast = np.concatenate(list(_shadow_row_chunks(rng, sigma, 100_000)))
+    ref = haar_reference_rows(rng, sigma, 20_000)
+    stats = []
+    for rows in (fast, ref):
+        outer = rows[:, :, None] * rows[:, None, :].conj()
+        assert within_5_sigma(outer.reshape(len(rows), -1), second.reshape(-1))
+        quartic = np.abs(rows.conj() @ a) ** 4
+        sem = quartic.std() / math.sqrt(len(rows))
+        assert abs(quartic.mean() - fourth) <= 5 * sem
+        stats.append((quartic.mean(), sem))
+    (m1, e1), (m2, e2) = stats
+    assert abs(m1 - m2) <= 5 * math.hypot(e1, e2)
+
+
+def test_shadow_group_means_stream_equals_one_block():
+    rng = np.random.default_rng(3)
+    sigma = random_density(rng, 4)
+    # Group 2 straddles the first chunk boundary and group 3 follows it in
+    # the same chunk.
+    groups, per = 4, 7_001
+    assert 2 * per < SHADOW_CHUNK < 3 * per
+    streamed = _shadow_group_means(np.random.default_rng(8), sigma, groups, per)
+    rows = np.concatenate(list(_shadow_row_chunks(np.random.default_rng(8), sigma,
+                                                  groups * per)))
+    ug = rows.reshape(groups, per, 4)
+    block = 5 * np.einsum("kni,knj->kij", ug, ug.conj()) / per - np.eye(4)
+    assert np.max(np.abs(streamed - block)) <= 1e-12
+
+
+def test_shadow_group_means_memory_stays_chunked():
+    # 2M materialized rows at dim 5 would take 160 MB; the stream holds a few chunks.
+    sigma = random_density(np.random.default_rng(4), 5)
+    tracemalloc.start()
+    try:
+        _shadow_group_means(np.random.default_rng(0), sigma, 20, 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 # --- subspace tomography ---------------------------------------------------
