@@ -43,10 +43,10 @@ from .states import (
     ProductParams,
     QuantumState,
     Z_MAX,
+    apply_sites,
     fidelity,
     hamming_weights,
     haar_product_params,
-    product_unitary,
     recenter_unitaries,
     tangent_distance,
     transform_params,
@@ -313,14 +313,10 @@ def _flat_poly_system(rho: np.ndarray, m: int, s_mask: np.ndarray,
         raise ResourceBudgetError(
             f"flat completion on {mbar} free sites needs more than "
             f"{_FLAT_TENSOR_BUDGET} dense coefficient entries")
-    contractor = np.ones((1, 1), dtype=complex)
-    for i in range(m):
-        if s_mask[i]:
-            block = np.array([[1.0], [v_point[i]]], dtype=complex)
-        else:
-            block = np.eye(2, dtype=complex)
-        contractor = np.kron(contractor, block)
-    sigma = contractor.conj().T @ rho @ contractor
+    # sigma = K* rho K with K = (x)_i (|0> + v_i|1> on support sites, I elsewhere).
+    ops = [np.array([[1.0, np.conj(v_point[i])]], dtype=complex) if s_mask[i]
+           else np.eye(2, dtype=complex) for i in range(m)]
+    sigma = apply_sites(ops, apply_sites(ops, rho).conj().T).conj().T
 
     norm_s = float(np.prod(1.0 + np.abs(v_point[s_mask]) ** 2))
     scale = math.exp(-nu * nu) / (10.0 * norm_s)
@@ -363,9 +359,8 @@ def extend_candidate(truncation: np.ndarray, constraints, root: ProductParams,
         raise ValueError("the search root must have at least one site")
     d = params.degree(m)
     units = recenter_unitaries(root)
-    frame = product_unitary(units)
-    rho = _truncate_weight(frame @ np.asarray(truncation, dtype=complex)
-                           @ frame.conj().T, m, d)
+    rotated = apply_sites(units, apply_sites(units, truncation).conj().T).conj().T
+    rho = _truncate_weight(rotated, m, d)
     rho = 0.5 * (rho + rho.conj().T)
     thresh = params.eta - 0.5 * params.eps
 

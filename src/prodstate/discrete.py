@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PromiseViolationError, ResourceBudgetError
 from .oracle import StateOracle, estimate_fidelity
-from .states import ProductParams, QuantumState, Z_MAX, cap_param, partial_trace
+from .states import ProductParams, QuantumState, _ratio_param
 
 __all__ = [
     "DiscreteClass",
@@ -112,16 +112,9 @@ def member_vector(cls: DiscreteClass, member: tuple[int, ...]) -> np.ndarray:
     return vec
 
 
-def _qubit_param(phi: np.ndarray) -> complex:
-    """Amplitude-ratio parameter of a single-qubit unit vector."""
-    if abs(phi[0]) * Z_MAX <= abs(phi[1]):
-        return cap_param(complex(Z_MAX))
-    return cap_param(phi[1] / phi[0])
-
-
 def _member_params(cls: DiscreteClass, member: tuple[int, ...]) -> ProductParams:
     return ProductParams(tuple(
-        _qubit_param(cls.site_states[site][idx])
+        _ratio_param(*cls.site_states[site][idx])
         for site, idx in enumerate(member)))
 
 
@@ -146,15 +139,6 @@ def class_fidelity_census(rho: QuantumState, cls: DiscreteClass,
         if fid >= threshold:
             out.add(member)
     return out
-
-
-def exact_prefix_fidelity(rho: QuantumState, cls: DiscreteClass,
-                          member: tuple[int, ...]) -> float:
-    """Exact fidelity of a prefix member against the matching marginal."""
-    m = len(member)
-    vec = member_vector(cls, member)
-    reduced = partial_trace(rho.density(), rho.n, range(m), rho.local_dim)
-    return float(np.real(np.vdot(vec, reduced @ vec)))
 
 
 def discrete_learn(o: StateOracle, cls: DiscreteClass, eta: float, eps: float,

@@ -2,9 +2,14 @@
 
 The learner sweeps the register once: at each step it estimates the
 postselected few-site marginal, rotates the heavy eigenspace onto a zeroed
-leading site with a disentangling unitary, and projects that site away.  One
-final small-register tomography plus the stored rotations reconstructs a
-matrix product state whose fidelity tracks the best bond-r state.
+leading site with a disentangling unitary, and projects that site away.
+Only the rows of the composed rotation that survive the projection are ever
+needed, so the sweep carries that row block, d^(n-i) x d^n after step i,
+and extends it by the disentangler's first-site-|0> rows (the kept
+eigenvectors' adjoints) acting on the block's leading kappa sites; no full
+frame is formed.  One final small-register tomography, mapped back through
+the adjoint of the row block, reconstructs a matrix product state whose
+fidelity tracks the best bond-r state.
 """
 
 from __future__ import annotations
@@ -158,18 +163,6 @@ def disentangling_unitary(basis: np.ndarray) -> np.ndarray:
     return np.hstack([basis, complement]).conj().T
 
 
-def _embed_unitary(u: np.ndarray, left_sites: int, total: int, d: int) -> np.ndarray:
-    """Extend a unitary on consecutive sites to the full register."""
-    span = round(math.log(u.shape[0], d))
-    right = total - left_sites - span
-    full = u
-    if left_sites:
-        full = np.kron(np.eye(d**left_sites), full)
-    if right:
-        full = np.kron(full, np.eye(d**right))
-    return full
-
-
 def _top_eigenvector(mat: np.ndarray) -> np.ndarray:
     """Unit top eigenvector with the largest-magnitude amplitude made real positive."""
     vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
@@ -204,11 +197,13 @@ def _learn(o: StateOracle, r: int, eps: float, delta: float,
     block = d ** (kappa - 1)
     delta_call = delta / n
 
-    frame: np.ndarray | None = None
+    # rows holds the |0^i>-prefix rows of the composed disentangling frame,
+    # shape (d^(n-i), d^n); None is the identity before the first step.
+    rows: np.ndarray | None = None
     frames: list[np.ndarray] = []
     masses: list[float] = []
     for i in range(1, n - kappa + 1):
-        suffix = subnormalized_tomography(o, frame, i - 1, tau, delta_call)
+        suffix = subnormalized_tomography(o, rows, i - 1, tau, delta_call)
         masses.append(float(np.real(np.trace(suffix))))
         sigma = partial_trace(suffix, n - i + 1, range(kappa), d)
         vals, vecs = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
@@ -219,20 +214,19 @@ def _learn(o: StateOracle, r: int, eps: float, delta: float,
                 f"step {i} kept {heavy} eigenvalues above {tau}, beyond the "
                 f"{block}-dimensional window; the estimate's trace must have "
                 "failed")
-        u = disentangling_unitary(vecs[:, order[:block]])
-        step = _embed_unitary(u, i - 1, n, d)
-        frame = step if frame is None else step @ frame
+        # The disentangler's first-site-|0> rows are the kept eigenvectors'
+        # adjoints; they act on the leading kappa sites of the current rows.
+        heavy = vecs[:, order[:block]]
+        prev = np.eye(d**n, dtype=complex) if rows is None else rows
+        rows = (heavy.conj().T @ prev.reshape(d**kappa, -1)).reshape(-1, d**n)
         if keep_trace:
-            frames.append(frame.copy())
+            frames.append(rows)
 
-    final = subnormalized_tomography(o, frame, n - kappa, tau, delta_call)
+    final = subnormalized_tomography(o, rows, n - kappa, tau, delta_call)
     masses.append(float(np.real(np.trace(final))))
     psi = _top_eigenvector(final)
 
-    vec = np.zeros(d**n, dtype=complex)
-    vec[: psi.shape[0]] = psi
-    if frame is not None:
-        vec = frame.conj().T @ vec
+    vec = psi if rows is None else rows.conj().T @ psi
     state = QuantumState.pure(vec / np.linalg.norm(vec), local_dim=d)
     result = state_to_mps(state, max_bond=block)
     info = {"kappa": kappa, "tau": tau, "frames": frames, "masses": masses}

@@ -33,9 +33,9 @@ from .errors import ResourceBudgetError
 from .states import (
     ProductParams,
     QuantumState,
+    apply_sites,
     partial_trace,
     product_state_vector,
-    product_unitary,
 )
 
 # Hard cap on simulated measurement shots per oracle call; beyond this a
@@ -163,54 +163,33 @@ class StateOracle:
 # --- shared internals ------------------------------------------------------
 
 
-def _basis_unitary(o: StateOracle, basis: list[np.ndarray] | None) -> np.ndarray | None:
-    if basis is None:
-        return None
-    if len(basis) != o.n:
+def _z_columns(o: StateOracle, basis: list[np.ndarray]) -> np.ndarray:
+    """The n+1 columns U*|b> for b in {0^n, e_1, .., e_n}, with U the product of `basis`.
+
+    <b| U rho U* |b'> is then cols[:, b]* rho cols[:, b'], so no rotation of
+    the full register is formed.
+    """
+    n = o.n
+    if len(basis) != n:
         raise ValueError("need one single-site unitary per site")
-    return product_unitary(list(basis))
+    picks = np.zeros((2**n, n + 1), dtype=complex)
+    picks[[0] + [1 << (n - 1 - i) for i in range(n)], range(n + 1)] = 1.0
+    return apply_sites([np.asarray(u).conj().T for u in basis], picks)
 
 
-def _rotated_block(rho: np.ndarray, u: np.ndarray | None, idx: list[int]) -> np.ndarray:
-    """The [idx, idx] block of u rho u* without forming the full rotation."""
-    if u is None:
-        return rho[np.ix_(idx, idx)]
-    rows = u[idx, :]
-    return rows @ rho @ rows.conj().T
-
-
-def _rotated_zero_column(rho: np.ndarray, u: np.ndarray | None) -> np.ndarray:
-    """Column 0 of u rho u* without forming the full rotation."""
-    if u is None:
-        return rho[:, 0]
-    return u @ (rho @ u[0, :].conj())
-
-
-def _framed_density(o: StateOracle, frame: np.ndarray | None) -> np.ndarray:
-    if frame is None:
-        return o._rho
-    frame = np.asarray(frame)
-    if frame.shape != (o.hidden.dim, o.hidden.dim):
-        raise ValueError("frame must be a unitary on the full register")
-    return frame @ o._rho @ frame.conj().T
-
-
-def _z_from_column(col: np.ndarray, n: int) -> np.ndarray:
-    return np.array([col[1 << (n - 1 - i)] for i in range(n)])
-
-
-def _compressed_z_register(rho: np.ndarray, u: np.ndarray | None, n: int) -> np.ndarray:
+def _compressed_z_register(rho: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """State on span{|0^n>, |e_1>..|e_n>} plus one junk slot for leftover population.
 
     The compression is the channel that first checks membership in the
     low-excitation span and dumps everything else into a fixed extra basis
     state; the matrix elements the amplitude estimator reads are unchanged.
+    `cols` are the span's basis vectors pulled back to the original frame
+    (see _z_columns).
     """
-    idx = [0] + [1 << (n - 1 - i) for i in range(n)]
-    dim = n + 2
+    dim = cols.shape[1] + 1
     sigma = np.zeros((dim, dim), dtype=complex)
-    sigma[: n + 1, : n + 1] = _rotated_block(rho, u, idx)
-    sigma[n + 1, n + 1] = max(0.0, 1.0 - float(np.real(np.trace(sigma))))
+    sigma[:-1, :-1] = cols.conj().T @ rho @ cols
+    sigma[-1, -1] = max(0.0, 1.0 - float(np.real(np.trace(sigma))))
     return sigma
 
 
@@ -223,9 +202,15 @@ def _geometric_median(points: np.ndarray) -> np.ndarray:
     k = points.shape[0]
     if k == 1:
         return points[0]
+    # Squared distances from the k x k Gram matrix: O(k^2 + k dim^2) memory
+    # instead of the (k, k, dim^2) array of pairwise differences.
     flat = points.reshape(k, -1)
-    dists = np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=2)
-    med = np.median(dists, axis=1)
+    gram = np.real(flat.conj() @ flat.T)
+    norms = np.diagonal(gram)
+    sq = norms[:, None] + norms[None, :] - 2.0 * gram
+    sq = np.clip((sq + sq.T) / 2.0, 0.0, None)
+    np.fill_diagonal(sq, 0.0)
+    med = np.median(np.sqrt(sq), axis=1)
     return points[int(np.argmin(med))]
 
 
@@ -334,11 +319,11 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
     _check_unit_interval(delta, "delta")
     n = o.n
     copies = z_copy_cost(n, eps, delta)
-    u = _basis_unitary(o, basis)
+    cols = _z_columns(o, basis)
 
     if o.backend == "exact":
         o._charge(copies)
-        z = _z_from_column(_rotated_zero_column(o._rho, u), n)
+        z = cols[:, 1:].conj().T @ (o._rho @ cols[:, 0])
         scale = o._noise_scale(eps)
         if scale == 0.0:
             return z
@@ -348,7 +333,7 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
     groups = median_group_count(delta)
     per = z_group_size(n, eps)
     # z_i = <e_i| sigma |0^n> is entry (i, 0) of each group's shadow mean.
-    means = _shadow_group_means(o._rng, _compressed_z_register(o._rho, u, n), groups, per)
+    means = _shadow_group_means(o._rng, _compressed_z_register(o._rho, cols), groups, per)
     o._charge(copies)
     return _geometric_median(means[:, 1: n + 1, 0])
 
@@ -410,6 +395,12 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     remaining n - i sites with trace mu <= 1.  The estimate is within
     trace-norm eps with probability >= 1 - delta.
 
+    Frame contract: `frame` is None (no rotation) or a matrix with 2^n
+    columns and at least 2^(n-i) rows.  Only its leading 2^(n-i) rows, the
+    |0^i>-prefix rows of the rotation, are read, as rows rho rows*; so a
+    full 2^n x 2^n unitary and its leading row block give identical results.
+    Any other shape raises ValueError.
+
     Copies: n_mu + attempts with (n_mu, wanted, groups) =
     subnormalized_budget(2^(n-i), eps, delta) and attempts =
     subnormalized_attempts(wanted, mu_hat); the reported success rate mu_hat
@@ -423,8 +414,15 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
         raise ValueError("zeroed_prefix out of range")
     dim_s = 2 ** (n - zeroed_prefix)
     n_mu, wanted, groups = subnormalized_budget(dim_s, eps, delta)
-    rho_rot = _framed_density(o, frame)
-    block = rho_rot[:dim_s, :dim_s]
+    if frame is None:
+        block = o._rho[:dim_s, :dim_s]
+    else:
+        frame = np.asarray(frame)
+        if frame.ndim != 2 or frame.shape[0] < dim_s or frame.shape[1] != o.hidden.dim:
+            raise ValueError(f"frame needs {o.hidden.dim} columns and at least {dim_s} "
+                             f"rows, got shape {frame.shape}")
+        rows = frame[:dim_s]
+        block = rows @ o._rho @ rows.conj().T
     mu = float(np.real(np.trace(block)))
 
     if o.backend == "exact":

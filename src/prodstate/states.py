@@ -4,7 +4,8 @@ A pure product state on n qubits is parametrized by a complex vector z, one
 entry per site, as the tensor product of (|0> + z_i |1>)/sqrt(1 + |z_i|^2).
 This module provides that parametrization, the tangent distance between two
 such states, Hamming-weight projectors, the single-site unitaries that rotate
-a product state onto |0...0>, fidelity evaluation, and the small closed-form
+a product state onto |0...0> (applied sitewise by `apply_sites`, without a
+dense Kronecker frame), fidelity evaluation, and the small closed-form
 bounds (fidelity sandwiches, weight-tail bounds) that the learners rely on.
 
 Basis convention: index b encodes the string x via b = sum_i x_i * d^(n-i),
@@ -177,7 +178,7 @@ def _site_vector(z: complex) -> np.ndarray:
     return v / math.sqrt(1.0 + abs(z) ** 2)
 
 
-def _fix_global_phase(vector: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
+def _fix_global_phase(vector: np.ndarray) -> np.ndarray:
     mags = np.abs(vector)
     top = mags.max()
     if top == 0.0:
@@ -263,11 +264,27 @@ def product_unitary(unitaries) -> np.ndarray:
     return full
 
 
-def apply_product_unitary(state: QuantumState, unitaries) -> QuantumState:
-    full = product_unitary(unitaries)
-    if state.kind == "pure":
-        return QuantumState.pure(full @ state.data, state.local_dim, state.normalized)
-    return QuantumState.mixed(full @ state.data @ full.conj().T, state.local_dim, state.normalized)
+def apply_sites(ops, x) -> np.ndarray:
+    """(op_1 ⊗ ... ⊗ op_n) applied to the leading axis of a vector or matrix x.
+
+    ops[k] is an (r_k, d_k) matrix acting on site k+1 (site 1 most
+    significant); it need not be square.  The leading axis of x must have
+    length prod d_k; the result's has length prod r_k and any trailing axis
+    is kept.  One contraction per site, so the dense Kronecker product is
+    never formed.  K rho K* is apply_sites(ops, apply_sites(ops, rho).conj().T)
+    conjugate-transposed.
+    """
+    x = np.asarray(x)
+    ops = [np.asarray(op) for op in ops]
+    if math.prod(op.shape[1] for op in ops) != x.shape[0]:
+        raise ValueError("site operators do not match the leading axis")
+    left, right = 1, x.size
+    out = x
+    for op in ops:
+        right //= op.shape[1]
+        out = np.matmul(op, out.reshape(left, op.shape[1], right))
+        left *= op.shape[0]
+    return out.reshape((left,) + x.shape[1:])
 
 
 def transform_params(unitaries, p: ProductParams, inverse: bool = False) -> ProductParams:
@@ -383,14 +400,7 @@ def random_product_params(rng: np.random.Generator, n: int, scale: float = 1.0) 
 
 def haar_product_params(rng: np.random.Generator, n: int) -> ProductParams:
     """Parameters of a product of independent Haar-random qubit states."""
-    out = []
-    for _ in range(n):
-        v = haar_state(2, rng)
-        if abs(v[0]) * Z_MAX <= abs(v[1]):
-            out.append(cap_param(complex(Z_MAX)))
-        else:
-            out.append(cap_param(v[1] / v[0]))
-    return ProductParams(tuple(out))
+    return ProductParams(tuple(_ratio_param(*haar_state(2, rng)) for _ in range(n)))
 
 
 def vector_to_params(vector: np.ndarray) -> ProductParams:

@@ -1,21 +1,39 @@
-"""Shared pytest hooks (acceptance-criteria summary lines) and oracle test helpers."""
+"""Shared pytest hooks (acceptance-criteria summary lines) and dense test references."""
 
 import numpy as np
 
-from prodstate.oracle import (
-    _basis_unitary,
-    _compressed_z_register,
-    _rotated_zero_column,
-    _shadow_row_chunks,
-    _z_from_column,
-)
-from prodstate.states import product_unitary
+from prodstate.discrete import member_vector
+from prodstate.oracle import _compressed_z_register, _shadow_row_chunks, _z_columns
+from prodstate.states import QuantumState, partial_trace, product_unitary
+
+
+def apply_product_unitary(state, unitaries):
+    """The state rotated by the dense Kronecker product of `unitaries`."""
+    full = product_unitary(unitaries)
+    if state.kind == "pure":
+        return QuantumState.pure(full @ state.data, state.local_dim, state.normalized)
+    return QuantumState.mixed(full @ state.data @ full.conj().T, state.local_dim,
+                              state.normalized)
 
 
 def exact_z(state, basis=None):
-    """Ground-truth amplitude vector z_i = <e_i| U rho U* |0^n>."""
-    u = product_unitary(list(basis)) if basis is not None else None
-    return _z_from_column(_rotated_zero_column(state.density(), u), state.n)
+    """Ground-truth amplitude vector z_i = <e_i| U rho U* |0^n>, from the dense U."""
+    n = state.n
+    rho = state.density()
+    if basis is None:
+        col = rho[:, 0]
+    else:
+        u = product_unitary(list(basis))
+        col = u @ (rho @ u[0, :].conj())
+    return np.array([col[1 << (n - 1 - i)] for i in range(n)])
+
+
+def exact_prefix_fidelity(rho, cls, member):
+    """Exact fidelity of a prefix member against the matching marginal."""
+    m = len(member)
+    vec = member_vector(cls, member)
+    reduced = partial_trace(rho.density(), rho.n, range(m), rho.local_dim)
+    return float(np.real(np.vdot(vec, reduced @ vec)))
 
 
 def raw_z_shadows(o, basis, shots):
@@ -29,7 +47,7 @@ def raw_z_shadows(o, basis, shots):
         raise ValueError("raw shadows exist only on the sampling backend")
     n = o.n
     o._check_shots(shots)
-    sigma = _compressed_z_register(o._rho, _basis_unitary(o, basis), n)
+    sigma = _compressed_z_register(o._rho, _z_columns(o, basis))
     rows = np.concatenate(list(_shadow_row_chunks(o._rng, sigma, shots)))
     o._charge(shots)
     return (sigma.shape[0] + 1) * rows[:, 1: n + 1] * rows[:, [0]].conj()

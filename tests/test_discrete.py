@@ -9,13 +9,14 @@ from prodstate.discrete import (
     DiscreteClass,
     class_fidelity_census,
     discrete_learn,
-    exact_prefix_fidelity,
     member_vector,
 )
 from prodstate.errors import PromiseViolationError, ResourceBudgetError
 from prodstate.instances import maximally_mixed, random_mixed
 from prodstate.oracle import StateOracle
 from prodstate.states import QuantumState
+
+from conftest import exact_prefix_fidelity
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])

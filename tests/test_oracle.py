@@ -11,6 +11,7 @@ from prodstate.instances import bell_state, maximally_mixed, random_mixed
 from prodstate.oracle import (
     SHADOW_CHUNK,
     StateOracle,
+    _geometric_median,
     _shadow_group_means,
     _shadow_row_chunks,
     estimate_fidelity,
@@ -28,6 +29,7 @@ from prodstate.oracle import (
 from prodstate.states import (
     ProductParams,
     QuantumState,
+    haar_state,
     haar_unitary,
     partial_trace,
     product_state_vector,
@@ -218,6 +220,40 @@ def test_shadow_group_means_memory_stays_chunked():
     assert peak <= 16e6
 
 
+def _pairwise_median_index(points):
+    """Reference selection from the full array of pairwise differences."""
+    flat = points.reshape(points.shape[0], -1)
+    dists = np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=2)
+    return int(np.argmin(np.median(dists, axis=1)))
+
+
+def test_geometric_median_matches_pairwise_reference():
+    rng = np.random.default_rng(31)
+    for k, shape in ((2, (3,)), (3, (4, 4)), (7, (5,)), (42, (6, 6)), (43, (2, 3))):
+        for _ in range(20):
+            points = rng.standard_normal((k,) + shape) + 1j * rng.standard_normal((k,) + shape)
+            assert np.array_equal(_geometric_median(points),
+                                  points[_pairwise_median_index(points)])
+    # A tie between two groups resolves to the lower index.
+    pair = np.array([[1.0 + 2.0j, -0.5j], [0.25, 3.0 - 1.0j]])
+    assert np.array_equal(_geometric_median(pair), pair[0])
+
+
+def test_geometric_median_memory_without_pairwise_array():
+    # The (k, k, dim^2) difference array is 58 MB at k = 42, dim 32.
+    rng = np.random.default_rng(37)
+    k = median_group_count(0.1)
+    assert k == 42
+    points = rng.standard_normal((k, 32, 32)) + 1j * rng.standard_normal((k, 32, 32))
+    tracemalloc.start()
+    try:
+        _geometric_median(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
 # --- subspace tomography ---------------------------------------------------
 
 
@@ -320,6 +356,50 @@ def test_subnormalized_respects_frame():
     est = subnormalized_tomography(o, frame, zeroed_prefix=1, eps=0.4, delta=0.3)
     rot = frame @ state.density() @ frame.conj().T
     assert np.allclose(est, rot[:2, :2], atol=1e-12)
+
+
+def test_subnormalized_reads_leading_frame_rows_only():
+    rng = np.random.default_rng(41)
+    state = random_mixed(4, rng)
+    frame = product_unitary(recenter_unitaries(random_product_params(rng, 4)))
+    for backend, noise, prefixes in (("exact", 0.0, (1, 2, 3)), ("exact", 0.05, (1, 2, 3)),
+                                     ("sampling", 0.0, (3,))):
+        for i in prefixes:
+            outs = []
+            for f in (frame, frame[: 2 ** (4 - i)], frame[: 2 ** (4 - i) + 3]):
+                o = StateOracle(state, backend=backend, seed=5, noise_opnorm=noise,
+                                shot_budget=10**10)
+                outs.append((subnormalized_tomography(o, f, i, 0.6, 0.5), o.copies_consumed))
+            for est, copies in outs[1:]:
+                assert np.array_equal(est, outs[0][0])
+                assert copies == outs[0][1]
+
+
+def test_subnormalized_rejects_bad_frame_shapes():
+    o = StateOracle(maximally_mixed(3), backend="exact")
+    frame = np.eye(8, dtype=complex)
+    for bad in (frame[:3], frame[:, :4], frame[:4, :7], frame[0]):
+        with pytest.raises(ValueError, match="frame needs 8 columns"):
+            subnormalized_tomography(o, bad, zeroed_prefix=1, eps=0.4, delta=0.3)
+    assert o.copies_consumed == 0
+
+
+def test_z_exact_allocates_no_dense_frame():
+    # One dense 2^10 x 2^10 complex frame is 16.8 MB; the sitewise path
+    # builds n+1 columns of the register instead.
+    n = 10
+    rng = np.random.default_rng(43)
+    basis = recenter_unitaries(random_product_params(rng, n))
+    state = QuantumState.pure(haar_state(2**n, rng))
+    o = StateOracle(state, backend="exact")
+    tracemalloc.start()
+    try:
+        z = estimate_z(o, basis, eps=0.3, delta=0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+    assert np.allclose(z, exact_z(state, basis), atol=1e-12)
 
 
 def test_subnormalized_sampling_accuracy():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from prodstate.states import (
+    apply_sites,
     ProductParams,
     QuantumState,
     Z_MAX,
-    apply_product_unitary,
     excitation_probs,
     fidelity,
     haar_product_params,
@@ -31,6 +31,8 @@ from prodstate.states import (
     weight_distribution,
     weight_tail_bound,
 )
+
+from conftest import apply_product_unitary
 
 
 def test_params_validation():
@@ -348,3 +350,25 @@ def test_unitary_helpers():
     full = product_unitary([u1, u2])
     assert np.allclose(full, np.kron(u1, u2))
     assert np.allclose(full @ full.conj().T, np.eye(4), atol=1e-12)
+
+
+def test_apply_sites_matches_dense_kronecker():
+    rng = np.random.default_rng(83)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for n in range(1, 7):
+        square = [haar_unitary(2, rng) for _ in range(n)]
+        narrow = [gauss(int(r), 2) for r in rng.integers(1, 4, n)]
+        for ops in (square, narrow):
+            dense = product_unitary(ops)
+            for x in (gauss(2**n), gauss(2**n, 3), gauss(2**n, 2**n)):
+                got = apply_sites(ops, x)
+                assert got.shape == (dense.shape[0],) + x.shape[1:]
+                assert np.allclose(got, dense @ x, atol=1e-12)
+            rho = gauss(2**n, 2**n)
+            sandwich = apply_sites(ops, apply_sites(ops, rho).conj().T).conj().T
+            assert np.allclose(sandwich, dense @ rho @ dense.conj().T, atol=1e-10)
+    with pytest.raises(ValueError):
+        apply_sites([np.eye(2)] * 3, np.zeros(4))
