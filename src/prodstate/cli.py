@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bruteforce import best_product_fidelity
-from .cover import CoverParams, DESK_OVERRIDES, build_cover, estimate_opt
+from .cover import CoverOverrides, CoverParams, DESK_OVERRIDES, build_cover, estimate_opt
 from .discrete import DiscreteClass, discrete_learn, member_vector
 from .errors import ResourceBudgetError
 from .hardness import (
@@ -58,6 +58,7 @@ from .states import (
     fidelity,
     haar_product_params,
     product_state_vector,
+    vector_fidelity,
 )
 
 __all__ = ["ExperimentConfig", "app", "generate", "main", "run"]
@@ -118,11 +119,14 @@ class ExperimentConfig:
             raise UsageError("rank must be a positive integer")
 
 
-def _exact_fidelity(state: QuantumState, vec: np.ndarray) -> float:
-    """<v|rho|v> for the hidden state, exact because we hold its description."""
-    if state.kind == "pure":
-        return float(abs(np.vdot(vec, state.data)) ** 2)
-    return float(np.real(np.vdot(vec, state.data @ vec)))
+def _cover_overrides(config: ExperimentConfig) -> CoverOverrides:
+    """DESK_OVERRIDES with the run's --net-budget and --degree-cap applied."""
+    overrides = DESK_OVERRIDES
+    if config.net_budget is not None:
+        overrides = dataclasses.replace(overrides, net_budget=config.net_budget)
+    if config.degree_cap is not None:
+        overrides = dataclasses.replace(overrides, degree_cap=config.degree_cap)
+    return overrides
 
 
 def _polyopt_instance(seed: int, n: int):
@@ -291,20 +295,15 @@ def run(config: ExperimentConfig) -> dict:
             fid = fidelity(state, params)
             result = {"params": params_to_json(params)}
         elif config.algorithm == "cover":
-            overrides = DESK_OVERRIDES
-            if config.net_budget is not None:
-                overrides = dataclasses.replace(overrides, net_budget=config.net_budget)
-            if config.degree_cap is not None:
-                overrides = dataclasses.replace(overrides, degree_cap=config.degree_cap)
             cover = build_cover(o, CoverParams(config.eta, config.eps,
-                                               config.delta, overrides))
+                                               config.delta, _cover_overrides(config)))
             member_fids = [fidelity(state, p) for p in cover.members]
             fid = max(member_fids, default=None)
             result = {"cover": cover_to_json(cover),
                       "member_fidelities": member_fids}
         elif config.algorithm == "estimate-opt":
             est, witness = estimate_opt(o, config.eps, config.delta,
-                                        overrides=DESK_OVERRIDES)
+                                        overrides=_cover_overrides(config))
             if witness is not None:
                 fid = fidelity(state, witness)
             result = {"estimate": est,
@@ -314,14 +313,14 @@ def run(config: ExperimentConfig) -> dict:
                 raise UsageError("discrete learning needs an instance with a class")
             cls = class_from_json(data["class"])
             members = discrete_learn(o, cls, config.eta, config.eps, config.delta)
-            fids = {m: _exact_fidelity(state, member_vector(cls, m))
+            fids = {m: vector_fidelity(state, member_vector(cls, m))
                     for m in members}
             fid = max(fids.values(), default=None)
             result = {"members": [list(m) for m in sorted(members)],
                       "count": len(members)}
         elif config.algorithm == "mps":
             train = mps_learn(o, config.rank, config.eps, config.delta)
-            fid = _exact_fidelity(state, mps_to_state(train).data)
+            fid = vector_fidelity(state, mps_to_state(train).data)
             result = {"mps": mps_to_json(train),
                       "bond_dims": list(train.bond_dims)}
         copies = o.copies_consumed

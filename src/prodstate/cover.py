@@ -11,12 +11,15 @@ maintaining a cover of each prefix.  At a new site every previous member is
 branched over a fixed six-state local net; each branch (a "root") is
 recentered to the origin by single-site rotations, and new members far from
 the already-accepted ones are located on a weight-truncated estimate of the
-prefix marginal.  Candidates close to the root are read straight off a grid
-net over a small subspace; candidates whose remaining coordinates carry a
+prefix marginal.  Candidates close to the root are read straight off the
+grid nets that `polyopt.support_nets` lays over span(constraint members,
+axes of a small support); candidates whose remaining coordinates carry a
 spread-out norm are completed through the constrained polynomial maximizer
-(`polyopt`).  `verify_cover` audits the three properties against the exact
-state, and `estimate_opt` wraps the builder in a bisection over eta to
-estimate the best product-state fidelity with a witness.
+(`polyopt.solve_constrained`).  Both kinds are scored by one rule: clear
+every separation bound, then keep the best truncated overlap that reaches
+the threshold.  `verify_cover` audits the three properties against the
+exact state, and `estimate_opt` wraps the builder in a bisection over eta
+to estimate the best product-state fidelity with a witness.
 """
 
 from __future__ import annotations
@@ -33,11 +36,9 @@ from .polyopt import (
     DEFAULT_NET_BUDGET,
     OptDomain,
     PolySystem,
-    _grid_point_count,
-    _iter_ball_grid,
     _orthonormal_columns,
-    _support_sets,
     solve_constrained,
+    support_nets,
 )
 from .states import (
     ProductParams,
@@ -374,50 +375,40 @@ def extend_candidate(truncation: np.ndarray, constraints, root: ProductParams,
     cons_arrays = [member.asarray() for member, _ in cons]
     bounds = np.array([bound for _, bound in cons])
 
-    tol = params.tol(m)
-    radius = params.net_radius()
     gamma_po = params.polyopt_gamma(m)
     rungs = [j * gamma_po for j in range(1, params.flat_steps(m) + 1)
              if j * gamma_po <= params.b_root]
     flat_calls_left = (math.inf if params.overrides.flat_candidate_cap is None
                        else int(params.overrides.flat_candidate_cap))
     budget = params.net_budget
-    used = 0
 
     best_val = -math.inf
     best_z: np.ndarray | None = None
 
-    def consider(z_vec: np.ndarray) -> None:
+    def consider(points: np.ndarray) -> None:
+        """Keep the best-scoring row that clears every bound and the threshold."""
         nonlocal best_val, best_z
         for a, bound in zip(cons_arrays, bounds):
-            if math.sqrt(float(_batched_tangent_sq(z_vec[None, :], a)[0])) \
-                    < bound - 1e-12:
-                return
-        val = float(_batch_overlap(rho, z_vec[None, :])[0])
-        if val >= thresh - 1e-12 and val > best_val:
-            best_val = val
-            best_z = z_vec.copy()
+            if len(points):
+                points = points[_batched_tangent_sq(points, a) >= (bound - 1e-12) ** 2]
+        if not len(points):
+            return
+        vals = _batch_overlap(rho, points)
+        top = int(np.argmax(vals))
+        if vals[top] >= thresh - 1e-12 and vals[top] > best_val:
+            best_val = float(vals[top])
+            best_z = points[top].copy()
 
-    for support in _support_sets(m, params.support_limit(m)):
+    base = (np.stack(cons_arrays, axis=1) if cons_arrays
+            else np.zeros((m, 0), dtype=complex))
+    nets = support_nets(base, params.support_limit(m), params.net_radius(),
+                        2.0 * params.tol(m), budget)
+    for support, chunks in nets:
         s_mask = np.zeros(m, dtype=bool)
         s_mask[list(support)] = True
         sbar = ~s_mask
 
-        cols = list(cons_arrays) + [np.eye(m, dtype=complex)[:, i] for i in support]
-        stacked = (np.stack(cols, axis=1) if cols
-                   else np.zeros((m, 0), dtype=complex))
-        basis = _orthonormal_columns(stacked)
-        q = basis.shape[1]
-        pitch = 2.0 * tol / math.sqrt(2.0 * max(q, 1))
-
-        used += _grid_point_count(q, radius, pitch)
-        if used > budget:
-            raise ResourceBudgetError(
-                f"candidate nets need {used} grid points, above the "
-                f"{budget} budget")
-
-        for coords, _ in _iter_ball_grid(q, radius, pitch):
-            points = coords @ basis.T
+        for points in chunks:
             count = points.shape[0]
             vbar2 = (np.abs(points[:, sbar]) ** 2).sum(axis=1)
             vs2 = (np.abs(points[:, s_mask]) ** 2).sum(axis=1)
@@ -440,20 +431,7 @@ def extend_candidate(truncation: np.ndarray, constraints, root: ProductParams,
                 return keep
 
             # Direct candidates: the net point itself (remainder included).
-            mask0 = rung_mask(0.0)
-            if mask0.any():
-                sel = np.nonzero(mask0)[0]
-                good = np.ones(len(sel), dtype=bool)
-                for a, bound in zip(cons_arrays, bounds):
-                    good &= _batched_tangent_sq(points[sel], a) \
-                        >= (bound - 1e-12) ** 2
-                sel = sel[good]
-                if len(sel):
-                    vals = _batch_overlap(rho, points[sel])
-                    top = int(np.argmax(vals))
-                    if vals[top] >= thresh - 1e-12 and vals[top] > best_val:
-                        best_val = float(vals[top])
-                        best_z = points[sel[top]].copy()
+            consider(points[rung_mask(0.0)])
 
             # Flat completions: pin the support to the net point, hand the
             # remainder (at each norm rung) to the polynomial maximizer.
@@ -483,7 +461,7 @@ def extend_candidate(truncation: np.ndarray, constraints, root: ProductParams,
                         continue
                     z_vec = np.array(point, dtype=complex)
                     z_vec[sbar] = nu * found
-                    consider(z_vec)
+                    consider(z_vec[None, :])
 
         if best_val >= ceiling - 1e-9:
             break

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PromiseViolationError, ResourceBudgetError
 from .oracle import StateOracle, estimate_fidelity
-from .states import ProductParams, QuantumState, _ratio_param
+from .states import ProductParams, QuantumState, _ratio_param, vector_fidelity
 
 __all__ = [
     "DiscreteClass",
@@ -127,16 +127,9 @@ def class_fidelity_census(rho: QuantumState, cls: DiscreteClass,
     if cls.size > budget:
         raise ResourceBudgetError(
             f"census over {cls.size} members exceeds the {budget} budget")
-    density = rho.kind == "mixed"
-    mat_or_vec = rho.data
     out = set()
     for member in itertools.product(*(range(len(m)) for m in cls.site_states)):
-        vec = member_vector(cls, member)
-        if density:
-            fid = float(np.real(np.vdot(vec, mat_or_vec @ vec)))
-        else:
-            fid = float(abs(np.vdot(vec, mat_or_vec)) ** 2)
-        if fid >= threshold:
+        if vector_fidelity(rho, member_vector(cls, member)) >= threshold:
             out.add(member)
     return out
 

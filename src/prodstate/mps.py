@@ -198,7 +198,8 @@ def _learn(o: StateOracle, r: int, eps: float, delta: float,
     delta_call = delta / n
 
     # rows holds the |0^i>-prefix rows of the composed disentangling frame,
-    # shape (d^(n-i), d^n); None is the identity before the first step.
+    # shape (d^(n-i), d^n); None is the identity before the first step, and
+    # the first step's rows are heavy† ⊗ I without forming that identity.
     rows: np.ndarray | None = None
     frames: list[np.ndarray] = []
     masses: list[float] = []
@@ -206,6 +207,7 @@ def _learn(o: StateOracle, r: int, eps: float, delta: float,
         suffix = subnormalized_tomography(o, rows, i - 1, tau, delta_call)
         masses.append(float(np.real(np.trace(suffix))))
         sigma = partial_trace(suffix, n - i + 1, range(kappa), d)
+        del suffix
         vals, vecs = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
         order = np.argsort(vals)[::-1]
         heavy = int(np.sum(vals > tau))
@@ -217,8 +219,10 @@ def _learn(o: StateOracle, r: int, eps: float, delta: float,
         # The disentangler's first-site-|0> rows are the kept eigenvectors'
         # adjoints; they act on the leading kappa sites of the current rows.
         heavy = vecs[:, order[:block]]
-        prev = np.eye(d**n, dtype=complex) if rows is None else rows
-        rows = (heavy.conj().T @ prev.reshape(d**kappa, -1)).reshape(-1, d**n)
+        if rows is None:
+            rows = np.kron(heavy.conj().T, np.eye(d ** (n - kappa)))
+        else:
+            rows = (heavy.conj().T @ rows.reshape(d**kappa, -1)).reshape(-1, d**n)
         if keep_trace:
             frames.append(rows)
 

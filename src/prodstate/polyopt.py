@@ -10,6 +10,8 @@ feasible flat vector can be rerouted onto a small coordinate support.  That
 reduces the search to deterministic grids over small subspaces, which is
 exact enough at desk scale and refuses (with a resource error) when the
 requested resolution would need more than a configured number of grid points.
+`support_nets` enumerates those grids under one budget for the solver, the
+witness search and the cover learner's candidate search.
 """
 
 from __future__ import annotations
@@ -88,14 +90,7 @@ class OptDomain:
         return self.a.shape[1]
 
     def contains(self, x: np.ndarray, factor: float = 1.0) -> bool:
-        g = factor * self.gamma
-        if abs(np.linalg.norm(x) - self.nu) > g:
-            return False
-        if x.size and np.max(np.abs(x)) > self.mu + g:
-            return False
-        if self.a.shape[0] and np.linalg.norm(self.a @ x - self.v) > g:
-            return False
-        return True
+        return bool(self.membership_mask(x[None, :], factor)[0])
 
     def membership_mask(self, points: np.ndarray, factor: float = 1.0) -> np.ndarray:
         g = factor * self.gamma
@@ -158,22 +153,20 @@ def effective_subspace(sys: PolySystem, eps: float) -> np.ndarray:
     return _orthonormal_columns(np.concatenate(blocks, axis=1))
 
 
-def _grid_axis(radius: float, pitch: float) -> np.ndarray:
-    steps = math.floor(radius / pitch)
-    return np.arange(-steps, steps + 1) * pitch
+def _iter_ball_grid(basis: np.ndarray, radius: float, pitch: float):
+    """Chunked lattice points of the radius ball in the span of `basis`.
 
-
-def _iter_ball_grid(dim_c: int, radius: float, pitch: float):
-    """Chunked complex grid points of the radius ball in C^dim_c.
-
-    Yields (coords, raw_count) pairs where raw_count is the number of raw
-    grid points processed for the chunk (before the ball filter); the grid is
-    the integer lattice of the given pitch over real and imaginary parts.
+    `basis` holds q orthonormal columns; the lattice has the given pitch over
+    the real and imaginary parts of the q coordinates, and each chunk covers
+    at most _EVAL_CHUNK raw lattice points before the ball filter.  Yields
+    (p, n) arrays of points in the ambient space.
     """
+    dim_c = basis.shape[1]
     if dim_c == 0:
-        yield np.zeros((1, 0), dtype=complex), 1
+        yield np.zeros((1, 0), dtype=complex) @ basis.T
         return
-    axis = _grid_axis(radius, pitch)
+    steps = math.floor(radius / pitch)
+    axis = np.arange(-steps, steps + 1) * pitch
     g = len(axis)
     total = g ** (2 * dim_c)
     shape = (g,) * (2 * dim_c)
@@ -183,24 +176,45 @@ def _iter_ball_grid(dim_c: int, radius: float, pitch: float):
         reals = axis[np.stack(multi, axis=1)]
         keep = (reals**2).sum(axis=1) <= radius**2
         reals = reals[keep]
-        yield reals[:, :dim_c] + 1j * reals[:, dim_c:], stop - start
+        yield (reals[:, :dim_c] + 1j * reals[:, dim_c:]) @ basis.T
 
 
-def _grid_point_count(dim_c: int, radius: float, pitch: float) -> int:
-    if dim_c == 0:
-        return 1
-    return len(_grid_axis(radius, pitch)) ** (2 * dim_c)
+def support_nets(base: np.ndarray, max_support: int, radius: float,
+                 spacing: float, budget: int):
+    """Lattice nets over span(base, axes of S) for every small support S.
+
+    `base` is an (n, k) array of columns kept in every span (k may be 0; the
+    columns need not be orthonormal).  Supports S of at most `max_support`
+    coordinates come in size-then-lex order.  For each, the net is the
+    lattice of pitch spacing / sqrt(2 max(q, 1)) over the real and imaginary
+    parts of the q coordinates of an orthonormal basis of the span, cut to
+    the ball of the given radius; the lattice's covering radius is
+    spacing / 2.  Yields (S, chunks) where chunks iterates
+    over (p, n) arrays of net points.  Before a support is enumerated, the
+    raw lattice points of every net so far are counted against `budget`;
+    exceeding it raises ResourceBudgetError.
+    """
+    n = base.shape[0]
+    eye = np.eye(n, dtype=complex)
+    used = 0
+    for size in range(min(n, max_support) + 1):
+        for support in combinations(range(n), size):
+            basis = _orthonormal_columns(
+                np.concatenate([base, eye[:, list(support)]], axis=1))
+            q = basis.shape[1]
+            pitch = spacing / math.sqrt(2.0 * max(q, 1))
+            used += (2 * math.floor(radius / pitch) + 1) ** (2 * q)
+            if used > budget:
+                raise ResourceBudgetError(
+                    f"support nets need {used} grid points, above the "
+                    f"{budget} budget; coarsen the spacing or restrict supports")
+            yield support, _iter_ball_grid(basis, radius, pitch)
 
 
 def _certainly_empty(dom: OptDomain, factor: float) -> bool:
     """True when the flatness cap alone keeps every candidate below the norm shell."""
     g = factor * dom.gamma
     return (dom.mu + g) * math.sqrt(dom.n) < dom.nu - g
-
-
-def _support_sets(n: int, max_size: int):
-    for size in range(max_size + 1):
-        yield from combinations(range(n), size)
 
 
 def solve_constrained(sys: PolySystem, dom: OptDomain, eps: float,
@@ -213,10 +227,10 @@ def solve_constrained(sys: PolySystem, dom: OptDomain, eps: float,
     for each coordinate support S of size at most min(n, 1/mu^2 + 1), a grid
     of pitch gamma / sqrt(2 q) over the ball of radius nu + 2 gamma in
     span(effective subspace, rows of A, axes of S) with q complex
-    coordinates.  Enumerating more than `net_budget` raw grid points raises
-    ResourceBudgetError.  Deterministic: supports in size-then-lex order,
-    first-found argmax, early exit once the value is provably within eps of
-    the global ceiling.
+    coordinates, as enumerated by `support_nets`.  Enumerating more than
+    `net_budget` raw grid points raises ResourceBudgetError.  Deterministic:
+    supports in size-then-lex order, first-found argmax, early exit once the
+    value is provably within eps of the global ceiling.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
@@ -231,21 +245,9 @@ def solve_constrained(sys: PolySystem, dom: OptDomain, eps: float,
     ceiling = abs(sys.constant) + sum(
         float(np.linalg.norm(t)) * (1.0 + 2.0 * dom.gamma) ** (2 * k)
         for k, t in enumerate(sys.tensors, start=1))
-    eye = np.eye(sys.n, dtype=complex)
     best_val, best_x = -1.0, None
-    used = 0
-    for support in _support_sets(sys.n, max_support):
-        basis = _orthonormal_columns(
-            np.concatenate([wide, eye[:, list(support)]], axis=1))
-        q = basis.shape[1]
-        pitch = dom.gamma / math.sqrt(2.0 * max(q, 1))
-        used += _grid_point_count(q, radius, pitch)
-        if used > net_budget:
-            raise ResourceBudgetError(
-                f"net enumeration needs more than {net_budget} grid points; "
-                "coarsen gamma or restrict supports")
-        for coords, _ in _iter_ball_grid(q, radius, pitch):
-            points = coords @ basis.T
+    for _, chunks in support_nets(wide, max_support, radius, dom.gamma, net_budget):
+        for points in chunks:
             mask = dom.membership_mask(points, factor=2.0)
             if not mask.any():
                 continue
@@ -263,7 +265,8 @@ def sparse_witness_exists(dom: OptDomain, support_budget: int,
                           net_budget: int = DEFAULT_NET_BUDGET):
     """Search for a feasible point of the form (subspace part) + (sparse part).
 
-    Nets over span(rows of A, axes of S) for every support S of size at most
+    `support_nets` of spacing gamma over the ball of radius nu + gamma in
+    span(rows of A, axes of S) for every support S of size at most
     support_budget, testing factor-1 membership.  Returns
     (found, witness or None); the same net budget applies.
     """
@@ -271,22 +274,11 @@ def sparse_witness_exists(dom: OptDomain, support_budget: int,
         raise ValueError("support budget must be >= 0")
     if _certainly_empty(dom, 1.0):
         return False, None
-    n = dom.n
     rowspace = _orthonormal_columns(dom.a.conj().T)
-    radius = dom.nu + dom.gamma
-    eye = np.eye(n, dtype=complex)
-    used = 0
-    for support in _support_sets(n, min(n, support_budget)):
-        basis = _orthonormal_columns(
-            np.concatenate([rowspace, eye[:, list(support)]], axis=1))
-        q = basis.shape[1]
-        pitch = dom.gamma / math.sqrt(2.0 * max(q, 1))
-        used += _grid_point_count(q, radius, pitch)
-        if used > net_budget:
-            raise ResourceBudgetError(
-                f"witness search needs more than {net_budget} grid points")
-        for coords, _ in _iter_ball_grid(q, radius, pitch):
-            points = coords @ basis.T
+    nets = support_nets(rowspace, support_budget, dom.nu + dom.gamma, dom.gamma,
+                        net_budget)
+    for _, chunks in nets:
+        for points in chunks:
             mask = dom.membership_mask(points, factor=1.0)
             if mask.any():
                 return True, points[mask][0]

@@ -315,17 +315,20 @@ def _ratio_param(v0: complex, v1: complex) -> complex:
     return cap_param(v1 / v0)
 
 
+def vector_fidelity(s: QuantumState, vec: np.ndarray) -> float:
+    """⟨v|ρ|v⟩ for mixed s, |⟨v|ψ⟩|² for pure s, without clamping to [0, 1]."""
+    if s.kind == "pure":
+        return float(abs(np.vdot(vec, s.data)) ** 2)
+    return float(np.real(np.vdot(vec, s.data @ vec)))
+
+
 def fidelity(s: QuantumState, p: ProductParams) -> float:
-    """⟨π_p|ρ|π_p⟩ for mixed s, |⟨π_p|ψ⟩|² for pure s."""
+    """⟨π_p|ρ|π_p⟩ for mixed s, |⟨π_p|ψ⟩|² for pure s, clamped to [0, 1]."""
     if s.local_dim != 2:
         raise ValueError("product-state fidelity is defined for qubit states")
     if p.n != s.n:
         raise ValueError("site-count mismatch between state and parameters")
-    pi = product_state_vector(p).data
-    if s.kind == "pure":
-        val = abs(np.vdot(pi, s.data)) ** 2
-    else:
-        val = float(np.real(np.vdot(pi, s.data @ pi)))
+    val = vector_fidelity(s, product_state_vector(p).data)
     return float(min(max(val, 0.0), 1.0))
 
 

@@ -247,6 +247,12 @@ def test_polyopt_tiny_budget_exits_two(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_estimate_opt_applies_net_budget(tmp_path, capsys):
+    inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "2")
+    assert main(["cover", "estimate-opt", inst, "--net-budget", "10"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_missing_instance_exits_one(tmp_path, capsys):
     assert main(["highfid", str(tmp_path / "absent.json")]) == 1
     capsys.readouterr()

@@ -1,5 +1,7 @@
 """Tensor trains, disentangling rotations, and the sweep learner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -340,3 +342,18 @@ def test_sweep_step_loss_within_budget():
             assert previous - current <= eps / (2 * n) + 1e-6
             assert current <= previous + 1e-9
             previous = current
+
+
+def test_sweep_first_step_allocates_no_dense_identity():
+    # At n=10 one 2^n x 2^n complex matrix is 16.8 MB.  A dense identity to
+    # start the row block plus a suffix estimate kept through the multiply
+    # would put the sweep near 63 MB; the rows heavy† ⊗ I and one live
+    # estimate stay near 30 MB.
+    o = StateOracle(ghz_state(10), backend="exact")
+    tracemalloc.start()
+    try:
+        mps_learn(o, 2, 0.1, 0.1, kappa_override=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6

@@ -1,5 +1,6 @@
 """Constrained polynomial optimization: examples, invariants, oracle checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,11 +11,13 @@ from prodstate.errors import ResourceBudgetError
 from prodstate.polyopt import (
     OptDomain,
     PolySystem,
+    _orthonormal_columns,
     effective_subspace,
     evaluate_poly,
     evaluate_poly_batch,
     solve_constrained,
     sparse_witness_exists,
+    support_nets,
 )
 
 
@@ -209,6 +212,105 @@ def test_net_budget_guard():
     dom = OptDomain(np.zeros((0, n)), np.zeros(0), nu=0.9, mu=0.45, gamma=0.05)
     with pytest.raises(ResourceBudgetError):
         solve_constrained(sys, dom, eps=0.1)
+
+
+# --- support nets ---------------------------------------------------------------
+
+
+def brute_force_ball(basis, radius, pitch):
+    """Every lattice point of the ball, one integer coordinate tuple at a time."""
+    q = basis.shape[1]
+    steps = math.floor(radius / pitch)
+    points = []
+    for ks in itertools.product(range(-steps, steps + 1), repeat=2 * q):
+        reals = np.array(ks) * pitch
+        if (reals**2).sum() <= radius**2:
+            points.append((reals[:q] + 1j * reals[q:]) @ basis.T)
+    return np.array(points).reshape(-1, basis.shape[0])
+
+
+def test_support_nets_match_brute_force_lattice():
+    rng = np.random.default_rng(7)
+    n, radius, spacing = 3, 1.1, 0.6
+    pinned = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    for base, max_support in ((np.zeros((n, 0), dtype=complex), 2), (pinned, 1)):
+        seen = 0
+        for support, chunks in support_nets(base, max_support, radius, spacing, 10**6):
+            basis = _orthonormal_columns(
+                np.concatenate([base, np.eye(n, dtype=complex)[:, list(support)]], axis=1))
+            q = basis.shape[1]
+            assert q <= 2
+            got = np.concatenate(list(chunks))
+            want = brute_force_ball(basis, radius, spacing / math.sqrt(2.0 * max(q, 1)))
+            assert got.shape == want.shape
+            dists = np.linalg.norm(got[:, None, :] - want[None, :, :], axis=2)
+            assert np.all(dists.min(axis=0) <= 1e-12)
+            assert np.all(dists.min(axis=1) <= 1e-12)
+            seen += 1
+        assert seen == sum(math.comb(n, k) for k in range(max_support + 1))
+
+
+def test_support_nets_size_then_lex_order():
+    supports = [s for s, _ in support_nets(np.zeros((4, 0)), 2, 1.0, 1.0, 10**6)]
+    assert supports == [(), (0,), (1,), (2,), (3,),
+                        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    # Supports never exceed the dimension.
+    assert len([s for s, _ in support_nets(np.zeros((2, 0)), 5, 1.0, 1.0, 10**6)]) == 4
+
+
+def test_support_nets_budget_raises_before_support_yields():
+    # Raw lattice counts: 1 for the empty support, then 3^2 = 9 per axis.
+    for budget, reached in ((15, [(), (0,)]), (19, [(), (0,), (1,)])):
+        reached_here = []
+        with pytest.raises(ResourceBudgetError, match="budget"):
+            for support, chunks in support_nets(np.zeros((3, 0)), 1, 1.0, 1.0, budget):
+                reached_here.append(support)
+                for _ in chunks:
+                    pass
+        assert reached_here == reached
+
+
+# --- domain membership -----------------------------------------------------------
+
+
+def test_contains_agrees_with_membership_mask():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    a /= 1.5 * np.linalg.norm(a, 2)
+    domains = [
+        OptDomain(a, np.array([0.2, -0.1j]), nu=0.8, mu=0.6, gamma=0.3),
+        OptDomain(np.zeros((0, 4)), np.zeros(0), nu=0.7, mu=0.4, gamma=0.2),
+    ]
+    for dom in domains:
+        points = 0.5 * (rng.standard_normal((400, 4)) + 1j * rng.standard_normal((400, 4)))
+        for factor in (1.0, 2.0):
+            mask = dom.membership_mask(points, factor)
+            assert 0 < mask.sum() < len(points)
+            assert [dom.contains(x, factor) for x in points] == mask.tolist()
+
+
+def test_contains_agrees_with_membership_mask_on_boundaries():
+    # Dyadic values make every boundary distance exact: g = 0.125 at factor 1.
+    # Each case lists points on one boundary and the same points moved just
+    # past it, well inside the other two constraints.
+    free = (np.zeros((0, 2)), np.zeros(0))
+    cases = [
+        # Norm shell: |x| = nu + g and |x| = nu - g.
+        (OptDomain(*free, nu=0.5, mu=1.0, gamma=0.125),
+         [[0.375, 0.5], [0.375j, 0.0]], [[0.375, 0.5000001], [0.3749999j, 0.0]]),
+        # Flatness cap: |x_i| = mu + g.
+        (OptDomain(*free, nu=0.5, mu=0.25, gamma=0.125),
+         [[0.375j, 0.25], [0.25, -0.375]], [[0.3750001j, 0.25], [0.25, -0.3750001]]),
+        # Subspace pin: |A x - v| = g.
+        (OptDomain(np.array([[1.0, 0.0]]), np.array([0.25]), nu=0.5, mu=1.0, gamma=0.125),
+         [[0.375, 0.25], [0.125, 0.375]], [[0.3750001, 0.25], [0.1249999, 0.375]]),
+    ]
+    for dom, on, past in cases:
+        for rows, member in ((on, True), (past, False)):
+            points = np.array(rows, dtype=complex)
+            mask = dom.membership_mask(points, 1.0)
+            assert mask.tolist() == [member] * len(points)
+            assert [dom.contains(x, 1.0) for x in points] == mask.tolist()
 
 
 def test_sparse_witness_axis():
