@@ -403,7 +403,7 @@ def extend_candidate(truncation: np.ndarray, constraints, root: ProductParams,
             else np.zeros((m, 0), dtype=complex))
     nets = support_nets(base, params.support_limit(m), params.net_radius(),
                         2.0 * params.tol(m), budget)
-    for support, chunks in nets:
+    for support, _, chunks in nets:
         s_mask = np.zeros(m, dtype=bool)
         s_mask[list(support)] = True
         sbar = ~s_mask

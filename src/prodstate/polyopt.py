@@ -11,7 +11,11 @@ reduces the search to deterministic grids over small subspaces, which is
 exact enough at desk scale and refuses (with a resource error) when the
 requested resolution would need more than a configured number of grid points.
 `support_nets` enumerates those grids under one budget for the solver, the
-witness search and the cover learner's candidate search.
+witness search and the cover learner's candidate search, and hands out each
+grid's orthonormal span basis B.  The solver evaluates the objective in the
+q coordinates of that span: `PolySystem.restricted(B)` is f(B c) as a
+polynomial on C^q, so the degree-k terms cost q^k x q^k products rather
+than n^k x n^k ones.
 """
 
 from __future__ import annotations
@@ -35,12 +39,13 @@ class PolySystem:
     the last k with the plain copies, so the term value is
     <x^(x)k| reshape(T, (n^k, n^k)) |x^(x)k>.  The total Frobenius mass
     |constant| + sum_k |T_k|_F must stay at most 1 (small slack), the scale
-    on which the solver's accuracy guarantees are quoted.
+    on which the solver's accuracy guarantees are quoted.  n = 0 is allowed:
+    the polynomial is then the constant.
     """
 
     def __init__(self, n: int, constant: complex = 0.0, tensors: tuple = ()):
-        if n < 1:
-            raise ValueError("ambient dimension must be >= 1")
+        if n < 0:
+            raise ValueError("ambient dimension must be >= 0")
         self.n = int(n)
         self.constant = complex(constant)
         self.tensors = tuple(np.asarray(t, dtype=complex) for t in tensors)
@@ -57,6 +62,23 @@ class PolySystem:
     @property
     def degree(self) -> int:
         return len(self.tensors)
+
+    def restricted(self, basis: np.ndarray) -> "PolySystem":
+        """The polynomial c -> f(basis @ c) on C^q, for an n x q isometry `basis`.
+
+        The degree-k tensor becomes (B^(x)k)^dagger M_k B^(x)k, reshaped to
+        (q,) * 2k.  An isometry does not raise the Frobenius mass, so the
+        result passes the same mass check; at q = 0 only the constant is left.
+        """
+        basis = np.asarray(basis, dtype=complex)
+        tensors = []
+        for k, t in enumerate(self.tensors, start=1):
+            # Contracting the leading axis appends the new one, so 2k passes
+            # replace every axis in place: conjugated side first, then plain.
+            for axis in range(2 * k):
+                t = np.tensordot(t, basis.conj() if axis < k else basis, axes=(0, 0))
+            tensors.append(t)
+        return PolySystem(basis.shape[1], self.constant, tuple(tensors))
 
 
 class OptDomain:
@@ -189,8 +211,9 @@ def support_nets(base: np.ndarray, max_support: int, radius: float,
     lattice of pitch spacing / sqrt(2 max(q, 1)) over the real and imaginary
     parts of the q coordinates of an orthonormal basis of the span, cut to
     the ball of the given radius; the lattice's covering radius is
-    spacing / 2.  Yields (S, chunks) where chunks iterates
-    over (p, n) arrays of net points.  Before a support is enumerated, the
+    spacing / 2.  Yields (S, basis, chunks): the n x q orthonormal basis of
+    the span, and an iterator over (p, n) arrays of net points, all of which
+    lie in span(basis).  Before a support is enumerated, the
     raw lattice points of every net so far are counted against `budget`;
     exceeding it raises ResourceBudgetError.
     """
@@ -208,7 +231,7 @@ def support_nets(base: np.ndarray, max_support: int, radius: float,
                 raise ResourceBudgetError(
                     f"support nets need {used} grid points, above the "
                     f"{budget} budget; coarsen the spacing or restrict supports")
-            yield support, _iter_ball_grid(basis, radius, pitch)
+            yield support, basis, _iter_ball_grid(basis, radius, pitch)
 
 
 def _certainly_empty(dom: OptDomain, factor: float) -> bool:
@@ -227,8 +250,9 @@ def solve_constrained(sys: PolySystem, dom: OptDomain, eps: float,
     for each coordinate support S of size at most min(n, 1/mu^2 + 1), a grid
     of pitch gamma / sqrt(2 q) over the ball of radius nu + 2 gamma in
     span(effective subspace, rows of A, axes of S) with q complex
-    coordinates, as enumerated by `support_nets`.  Enumerating more than
-    `net_budget` raw grid points raises ResourceBudgetError.  Deterministic:
+    coordinates, as enumerated by `support_nets`; the objective is evaluated
+    in those q coordinates through `PolySystem.restricted`.  Enumerating more
+    than `net_budget` raw grid points raises ResourceBudgetError.  Deterministic:
     supports in size-then-lex order, first-found argmax, early exit once the
     value is provably within eps of the global ceiling.
     """
@@ -246,13 +270,14 @@ def solve_constrained(sys: PolySystem, dom: OptDomain, eps: float,
         float(np.linalg.norm(t)) * (1.0 + 2.0 * dom.gamma) ** (2 * k)
         for k, t in enumerate(sys.tensors, start=1))
     best_val, best_x = -1.0, None
-    for _, chunks in support_nets(wide, max_support, radius, dom.gamma, net_budget):
+    for _, basis, chunks in support_nets(wide, max_support, radius, dom.gamma, net_budget):
+        local = sys.restricted(basis)
         for points in chunks:
             mask = dom.membership_mask(points, factor=2.0)
             if not mask.any():
                 continue
             feasible = points[mask]
-            vals = np.abs(evaluate_poly_batch(sys, feasible))
+            vals = np.abs(evaluate_poly_batch(local, feasible @ basis.conj()))
             top = int(np.argmax(vals))
             if vals[top] > best_val:
                 best_val, best_x = float(vals[top]), feasible[top]
@@ -277,7 +302,7 @@ def sparse_witness_exists(dom: OptDomain, support_budget: int,
     rowspace = _orthonormal_columns(dom.a.conj().T)
     nets = support_nets(rowspace, support_budget, dom.nu + dom.gamma, dom.gamma,
                         net_budget)
-    for _, chunks in nets:
+    for _, _, chunks in nets:
         for points in chunks:
             mask = dom.membership_mask(points, factor=1.0)
             if mask.any():

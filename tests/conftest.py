@@ -4,6 +4,13 @@ import numpy as np
 
 from prodstate.discrete import member_vector
 from prodstate.oracle import _compressed_z_register, _shadow_row_chunks, _z_columns
+from prodstate.polyopt import (
+    _certainly_empty,
+    _orthonormal_columns,
+    effective_subspace,
+    evaluate_poly_batch,
+    support_nets,
+)
 from prodstate.states import QuantumState, partial_trace, product_unitary
 
 
@@ -34,6 +41,57 @@ def exact_prefix_fidelity(rho, cls, member):
     vec = member_vector(cls, member)
     reduced = partial_trace(rho.density(), rho.n, range(m), rho.local_dim)
     return float(np.real(np.vdot(vec, reduced @ vec)))
+
+
+def reference_spectral_norm(t, restarts, seed):
+    """The spectral-norm oracle with one restart at a time and einsum half-steps."""
+    rng = np.random.default_rng(seed)
+    entries = t.entries
+    best = 0.0
+    for _ in range(restarts):
+        vecs = rng.normal(size=(4, t.side)) + 1j * rng.normal(size=(4, t.side))
+        x, y, u, v = (w / np.linalg.norm(w) for w in vecs)
+        value = 0.0
+        for _ in range(200):
+            front = np.einsum("ijkl,k,l->ij", entries, np.conj(u), np.conj(v))
+            left, sing, right = np.linalg.svd(front)
+            x, y = left[:, 0], right[0]
+            back = np.einsum("ijkl,i,j->kl", entries, np.conj(x), np.conj(y))
+            left, sing, right = np.linalg.svd(back)
+            u, v = left[:, 0], right[0]
+            if sing[0] - value <= 1e-12 * max(1.0, value):
+                value = float(sing[0])
+                break
+            value = float(sing[0])
+        best = max(best, value)
+    return best
+
+
+def ambient_solve_constrained(sys, dom, eps, net_budget):
+    """`solve_constrained` with the objective evaluated on the ambient points."""
+    if _certainly_empty(dom, 2.0):
+        return None
+    wide = _orthonormal_columns(
+        np.concatenate([effective_subspace(sys, eps), dom.a.conj().T], axis=1))
+    max_support = min(sys.n, int(1.0 / dom.mu**2) + 1)
+    radius = dom.nu + 2.0 * dom.gamma
+    ceiling = abs(sys.constant) + sum(
+        float(np.linalg.norm(t)) * (1.0 + 2.0 * dom.gamma) ** (2 * k)
+        for k, t in enumerate(sys.tensors, start=1))
+    best_val, best_x = -1.0, None
+    for _, _, chunks in support_nets(wide, max_support, radius, dom.gamma, net_budget):
+        for points in chunks:
+            mask = dom.membership_mask(points, factor=2.0)
+            if not mask.any():
+                continue
+            feasible = points[mask]
+            vals = np.abs(evaluate_poly_batch(sys, feasible))
+            top = int(np.argmax(vals))
+            if vals[top] > best_val:
+                best_val, best_x = float(vals[top]), feasible[top]
+        if best_val >= ceiling - eps:
+            break
+    return best_x
 
 
 def raw_z_shadows(o, basis, shots):

@@ -1,10 +1,12 @@
 """Clique tensors, their state embeddings, and the norm-sandwich report."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from prodstate import hardness
 from prodstate.bruteforce import best_product_fidelity
 from prodstate.errors import ResourceBudgetError
 from prodstate.hardness import (
@@ -19,6 +21,8 @@ from prodstate.hardness import (
 )
 from prodstate.instances import Graph, clique_number, graphs_up_to_4_vertices
 from prodstate.states import haar_isometry
+
+from conftest import reference_spectral_norm
 
 
 def k_n(n):
@@ -86,6 +90,48 @@ def test_spectral_norm_of_zero_tensor():
 def test_spectral_norm_budget():
     with pytest.raises(ResourceBudgetError):
         spectral_norm_oracle(Tensor4(np.zeros((49, 49, 49, 49))))
+
+
+def test_spectral_norm_rejects_fewer_than_one_restart():
+    t = clique_tensor(k_n(3))
+    for restarts in (0, -1, -50):
+        with pytest.raises(ValueError, match="restart"):
+            spectral_norm_oracle(t, restarts=restarts)
+    assert spectral_norm_oracle(t, restarts=1) > 0.0
+    assert spectral_norm_oracle(Tensor4(np.zeros((3, 3, 3, 3))), restarts=1) == 0.0
+
+
+def test_batched_oracle_matches_per_restart_reference():
+    cases = [(clique_tensor(g), 40, seed)
+             for seed, (_, g) in enumerate(graphs_up_to_4_vertices())]
+    cases.append((random_isometry_embed(clique_tensor(k_n(4)), 6, seed=1), 150, 7))
+    # Clique tensors are symmetric under swapping legs; a generic tensor is
+    # not, so it also pins which draws start which legs.
+    cases.append((random_unit_tensor(np.random.default_rng(5), 3), 2, 0))
+    for t, restarts, seed in cases:
+        got = spectral_norm_oracle(t, restarts=restarts, seed=seed)
+        want = reference_spectral_norm(t, restarts, seed)
+        assert abs(got - want) <= 1e-10
+
+
+def test_batched_oracle_blocks_keep_memory_bounded(monkeypatch):
+    # A smaller block keeps the run short; the working set of a block is a
+    # handful of (restarts, m, m) arrays, so the peak must not grow with the
+    # restart count.  One unblocked (restarts, m, m) array would be 4x the bound.
+    monkeypatch.setattr(hardness, "_RESTART_ELEMENTS", 1 << 12)
+    m, restarts = 16, 768
+    bound = 12 * hardness._RESTART_ELEMENTS * 16
+    assert restarts * m * m * 16 >= 4 * bound
+    x, y, u, v = unit_vectors(np.random.default_rng(12), m)
+    t = Tensor4(np.einsum("i,j,k,l->ijkl", x, y, u, v))
+    tracemalloc.start()
+    try:
+        value = spectral_norm_oracle(t, restarts=restarts, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(1.0, abs=1e-9)
+    assert peak <= bound
 
 
 def test_clique_recovery_across_graph_catalog():

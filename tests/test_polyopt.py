@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from prodstate.bruteforce import reference_constrained_max
+from prodstate.cli import _polyopt_instance
 from prodstate.errors import ResourceBudgetError
 from prodstate.polyopt import (
+    DEFAULT_NET_BUDGET,
     OptDomain,
     PolySystem,
     _orthonormal_columns,
@@ -19,6 +21,8 @@ from prodstate.polyopt import (
     sparse_witness_exists,
     support_nets,
 )
+
+from conftest import ambient_solve_constrained
 
 
 def rank_one_system(n, constant, weights, u):
@@ -109,6 +113,52 @@ def test_batch_matches_single_evaluation():
     batch = evaluate_poly_batch(sys, pts)
     singles = np.array([evaluate_poly(sys, p) for p in pts])
     assert np.allclose(batch, singles, atol=1e-12)
+
+
+def random_system(rng, n, degree):
+    """Dense complex tensors of degrees 1..degree, total mass below 0.9."""
+    raw = [rng.standard_normal((n,) * (2 * k)) + 1j * rng.standard_normal((n,) * (2 * k))
+           for k in range(1, degree + 1)]
+    scale = 0.9 / (0.5 + sum(float(np.linalg.norm(t)) for t in raw))
+    return PolySystem(n, 0.5 * scale * (1 - 1j), tuple(scale * t for t in raw))
+
+
+def complex_isometry(rng, n, q):
+    raw = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+    return np.linalg.qr(raw)[0] if q else np.zeros((n, 0), dtype=complex)
+
+
+def test_restricted_matches_ambient_evaluation():
+    rng = np.random.default_rng(31)
+    n = 3
+    for degree in (1, 2, 3):
+        sys = random_system(rng, n, degree)
+        for q in range(n + 1):
+            basis = complex_isometry(rng, n, q)
+            assert np.abs(basis.imag).max(initial=0.0) > 0.1 or q == 0
+            local = sys.restricted(basis)
+            assert local.n == q and local.degree == degree
+            coords = rng.standard_normal((40, q)) + 1j * rng.standard_normal((40, q))
+            got = evaluate_poly_batch(local, coords)
+            want = evaluate_poly_batch(sys, coords @ basis.T)
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_restricted_system_passes_mass_check():
+    rng = np.random.default_rng(32)
+    for degree in (1, 2, 3):
+        sys = random_system(rng, 3, degree)
+        mass = abs(sys.constant) + sum(float(np.linalg.norm(t)) for t in sys.tensors)
+        for q in range(4):
+            local = sys.restricted(complex_isometry(rng, 3, q))
+            local_mass = abs(local.constant) + sum(
+                float(np.linalg.norm(t)) for t in local.tensors)
+            assert local_mass <= mass + 1e-12
+    # q = 0 leaves the constant.
+    local = random_system(rng, 3, 2).restricted(np.zeros((3, 0), dtype=complex))
+    assert local.n == 0 and all(t.size == 0 for t in local.tensors)
+    assert np.array_equal(evaluate_poly_batch(local, np.zeros((2, 0), dtype=complex)),
+                          np.full(2, local.constant))
 
 
 def test_effective_subspace_zero_tensors():
@@ -206,6 +256,31 @@ def test_solve_monotone_under_gamma_doubling():
     assert vals[0.4] >= vals[0.2] - eps - 1e-9
 
 
+def test_solve_matches_ambient_reference_on_cli_systems():
+    for n in range(3, 8):
+        sys, dom = _polyopt_instance(0, n)
+        got = solve_constrained(sys, dom, eps=0.1)
+        want = ambient_solve_constrained(sys, dom, 0.1, DEFAULT_NET_BUDGET)
+        assert got is not None and want is not None
+        assert got.tobytes() == want.tobytes(), n
+
+
+def test_solve_with_subspace_pin_matches_ambient_reference():
+    rng = np.random.default_rng(33)
+    n = 4
+    for theta in (0.3, 0.9, 1.4):
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        sys = rank_one_system(n, 0.2, [0.35, 0.35], u)
+        a = 0.8 * np.exp(1j * theta) * u[None, :]
+        dom = OptDomain(a, np.array([0.6 * np.cos(theta)]), nu=0.8, mu=1.2, gamma=0.25)
+        got = solve_constrained(sys, dom, eps=0.1)
+        want = ambient_solve_constrained(sys, dom, 0.1, DEFAULT_NET_BUDGET)
+        assert got is not None and want is not None
+        assert dom.contains(got, factor=2.0)
+        assert abs(abs(evaluate_poly(sys, got)) - abs(evaluate_poly(sys, want))) <= 1e-12
+
+
 def test_net_budget_guard():
     n = 4
     sys = PolySystem(n, constant=0.3)
@@ -235,12 +310,17 @@ def test_support_nets_match_brute_force_lattice():
     pinned = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     for base, max_support in ((np.zeros((n, 0), dtype=complex), 2), (pinned, 1)):
         seen = 0
-        for support, chunks in support_nets(base, max_support, radius, spacing, 10**6):
-            basis = _orthonormal_columns(
+        for support, basis, chunks in support_nets(base, max_support, radius, spacing,
+                                                   10**6):
+            want_basis = _orthonormal_columns(
                 np.concatenate([base, np.eye(n, dtype=complex)[:, list(support)]], axis=1))
+            assert np.array_equal(basis, want_basis)
             q = basis.shape[1]
             assert q <= 2
+            assert np.abs(basis.conj().T @ basis - np.eye(q)).max(initial=0.0) <= 1e-12
             got = np.concatenate(list(chunks))
+            # Every point lies in span(basis): projecting onto it moves nothing.
+            assert np.abs(got @ basis.conj() @ basis.T - got).max(initial=0.0) <= 1e-12
             want = brute_force_ball(basis, radius, spacing / math.sqrt(2.0 * max(q, 1)))
             assert got.shape == want.shape
             dists = np.linalg.norm(got[:, None, :] - want[None, :, :], axis=2)
@@ -251,11 +331,11 @@ def test_support_nets_match_brute_force_lattice():
 
 
 def test_support_nets_size_then_lex_order():
-    supports = [s for s, _ in support_nets(np.zeros((4, 0)), 2, 1.0, 1.0, 10**6)]
+    supports = [s for s, _, _ in support_nets(np.zeros((4, 0)), 2, 1.0, 1.0, 10**6)]
     assert supports == [(), (0,), (1,), (2,), (3,),
                         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     # Supports never exceed the dimension.
-    assert len([s for s, _ in support_nets(np.zeros((2, 0)), 5, 1.0, 1.0, 10**6)]) == 4
+    assert len([s for s, _, _ in support_nets(np.zeros((2, 0)), 5, 1.0, 1.0, 10**6)]) == 4
 
 
 def test_support_nets_budget_raises_before_support_yields():
@@ -263,7 +343,7 @@ def test_support_nets_budget_raises_before_support_yields():
     for budget, reached in ((15, [(), (0,)]), (19, [(), (0,), (1,)])):
         reached_here = []
         with pytest.raises(ResourceBudgetError, match="budget"):
-            for support, chunks in support_nets(np.zeros((3, 0)), 1, 1.0, 1.0, budget):
+            for support, _, chunks in support_nets(np.zeros((3, 0)), 1, 1.0, 1.0, budget):
                 reached_here.append(support)
                 for _ in chunks:
                     pass
