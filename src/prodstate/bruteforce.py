@@ -48,7 +48,9 @@ def best_product_fidelity(state: QuantumState, restarts: int = 12, sweeps: int =
     Each sweep fixes all sites but one and replaces that site with the top
     eigenvector of its effective 2x2 operator, which can only increase the
     fidelity; multistart guards against local maxima.  Reliable at desk scale
-    (n <= 8, verified against closed forms); this is a reference oracle.
+    (n <= 8, verified against closed forms); this is a reference oracle.  It
+    reads the dense density matrix, so it raises ResourceBudgetError above
+    states.DENSE_BUDGET.
     """
     rng = np.random.default_rng(seed)
     rho = state.density()

@@ -53,13 +53,7 @@ from .serialize import (
     tensor_from_json,
     tensor_to_json,
 )
-from .states import (
-    QuantumState,
-    fidelity,
-    haar_product_params,
-    product_state_vector,
-    vector_fidelity,
-)
+from .states import QuantumState, fidelity, haar_product_params, vector_fidelity
 
 __all__ = ["ExperimentConfig", "app", "generate", "main", "run"]
 
@@ -165,9 +159,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> dict:
             raise UsageError("need n >= 1, weight w in [0, 1], noise in [0, 1]")
         w *= 1.0 - noise  # depolarizing noise shrinks the planted weight
         planted = haar_product_params(rng, n)
-        state = (product_state_vector(planted) if w == 1.0
-                 else planted_mixture(planted, w))
-        payload["state"] = state_to_json(state)
+        payload["state"] = state_to_json(planted_mixture(planted, w))
         payload["ground_truth"] = {"opt": planted_opt(w, n),
                                    "planted": params_to_json(planted)}
     elif kind == "planted-mps":
@@ -178,14 +170,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> dict:
         vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         vec /= np.linalg.norm(vec)
         train = state_to_mps(QuantumState.pure(vec), max_bond=rank)
-        psi = mps_to_state(train)
-        if w == 1.0:
-            state = psi
-        else:
-            dim = 2**n
-            rho = w * np.outer(psi.data, psi.data.conj()) + (1 - w) * np.eye(dim) / dim
-            state = QuantumState.mixed(rho)
-        payload["state"] = state_to_json(state)
+        payload["state"] = state_to_json(planted_mixture(mps_to_state(train).data, w))
         payload["ground_truth"] = {"opt": planted_opt(w, n),
                                    "planted_mps": mps_to_json(train)}
     elif kind == "planted-discrete":
@@ -199,14 +184,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> dict:
             menus.append([phi / np.linalg.norm(phi) for phi in menu])
         cls = DiscreteClass(menus)
         member = tuple(int(rng.integers(0, s)) for _ in range(n))
-        vec = member_vector(cls, member)
-        if w == 1.0:
-            state = QuantumState.pure(vec)
-        else:
-            dim = 2**n
-            rho = w * np.outer(vec, vec.conj()) + (1 - w) * np.eye(dim) / dim
-            state = QuantumState.mixed(rho)
-        payload["state"] = state_to_json(state)
+        payload["state"] = state_to_json(planted_mixture(member_vector(cls, member), w))
         payload["class"] = class_to_json(cls)
         payload["ground_truth"] = {"opt": planted_opt(w, n),
                                    "member": list(member)}

@@ -12,7 +12,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import ProductParams, QuantumState, product_state_vector
+from .states import (
+    FactoredDensity,
+    ProductParams,
+    QuantumState,
+    check_dense_budget,
+    product_state_vector,
+)
 
 
 def ghz_state(n: int) -> QuantumState:
@@ -44,14 +50,21 @@ def maximally_mixed(n: int, local_dim: int = 2) -> QuantumState:
     return QuantumState.mixed(np.eye(dim) / dim, local_dim=local_dim)
 
 
-def planted_mixture(params: ProductParams, w: float) -> QuantumState:
-    """w |π*><π*| + (1−w) I/2^n — a mixture whose best product state is π* itself."""
+def planted_mixture(planted: ProductParams | np.ndarray, w: float) -> QuantumState:
+    """w |ψ><ψ| + (1−w) I/dim, in factored form (√w·ψ, (1−w)/dim).
+
+    `planted` is a unit qubit vector ψ or the parameters of a product state
+    π*, whose best product state is then π* itself.  w = 1 gives the pure ψ.
+    """
     if not 0.0 <= w <= 1.0:
         raise ValueError("mixture weight must lie in [0, 1]")
-    pi = product_state_vector(params).data
-    dim = pi.shape[0]
-    rho = w * np.outer(pi, pi.conj()) + (1.0 - w) * np.eye(dim) / dim
-    return QuantumState.mixed(rho)
+    if isinstance(planted, ProductParams):
+        planted = product_state_vector(planted).data
+    psi = np.asarray(planted, dtype=complex)
+    if w == 1.0:
+        return QuantumState.pure(psi)
+    return QuantumState.mixed(FactoredDensity(math.sqrt(w) * psi[:, None],
+                                              (1.0 - w) / psi.shape[0]))
 
 
 def planted_opt(w: float, n: int) -> float:
@@ -61,10 +74,17 @@ def planted_opt(w: float, n: int) -> float:
 
 def random_mixed(n: int, rng: np.random.Generator, rank: int | None = None,
                  local_dim: int = 2) -> QuantumState:
-    """A random density matrix (Gaussian square root, optionally low rank)."""
+    """A random density matrix G G*/||G||_F^2 with G a complex Gaussian (dim, rank).
+
+    With a rank the state is the factor G/||G||_F; without one, G is square
+    and the state is dense.
+    """
     dim = local_dim**n
-    rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    if rank is not None:
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        return QuantumState.mixed(FactoredDensity(g / np.linalg.norm(g)), local_dim=local_dim)
+    check_dense_budget(dim)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return QuantumState.mixed(rho, local_dim=local_dim)

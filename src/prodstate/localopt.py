@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PromiseViolationError
-from .oracle import StateOracle, estimate_z
+from .oracle import StateOracle, _marginal, _operator, _sandwich, estimate_z
 from .states import (
     ProductParams,
     QuantumState,
-    partial_trace,
     recenter_unitaries,
     transform_params,
     vector_to_params,
@@ -149,7 +148,7 @@ def fidelity_upper_bound(alpha2: float, norm_z: float, c: float) -> float:
 
 
 def _reduced_oracle(o: StateOracle, sites: list[int]) -> StateOracle:
-    hidden = QuantumState.mixed(partial_trace(o._rho, o.n, sites))
+    hidden = QuantumState.mixed(_marginal(_operator(o.hidden), o.n, sites))
     return StateOracle(hidden, backend=o.backend, seed=int(o._rng.integers(2**63)),
                        noise_opnorm=o.noise_opnorm, shot_budget=o.shot_budget)
 
@@ -168,8 +167,8 @@ def single_site_estimate(o: StateOracle, delta: float) -> ProductParams:
         raise ValueError("delta must lie in (0, 1)")
     shots = math.ceil(50.0 * math.log(2.0 / delta))
     o._charge(3 * shots)
+    rho = _sandwich(_operator(o.hidden), slice(None))
     if o.backend == "exact":
-        rho = o._rho
         scale = o._noise_scale(1.0)
         if scale != 0.0:
             g = o._rng.standard_normal((2, 2)) + 1j * o._rng.standard_normal((2, 2))
@@ -178,7 +177,7 @@ def single_site_estimate(o: StateOracle, delta: float) -> ProductParams:
     else:
         bloch = []
         for pauli in _PAULIS:
-            up = (1.0 + float(np.real(np.trace(o._rho @ pauli)))) / 2.0
+            up = (1.0 + float(np.real(np.trace(rho @ pauli)))) / 2.0
             up = min(max(up, 0.0), 1.0)
             bloch.append(2.0 * o._rng.binomial(shots, up) / shots - 1.0)
         rho = (np.eye(2, dtype=complex)

@@ -21,7 +21,7 @@ from scipy.linalg import null_space
 
 from .errors import PromiseViolationError, ResourceBudgetError
 from .oracle import StateOracle, subnormalized_tomography
-from .states import QuantumState, partial_trace
+from .states import DENSE_BUDGET, QuantumState, partial_trace
 
 __all__ = [
     "MatrixProductState",
@@ -31,10 +31,6 @@ __all__ = [
     "schmidt_rank",
     "state_to_mps",
 ]
-
-# Largest dense dimension mps_to_state will materialize.
-DENSE_BUDGET = 4_194_304
-
 
 class MatrixProductState:
     """Open-boundary tensor train; tensors[i] has shape (r_{i-1}, d, r_i).
@@ -92,11 +88,16 @@ class MatrixProductState:
 
 
 def mps_to_state(m: MatrixProductState, budget: int = DENSE_BUDGET) -> QuantumState:
-    """Contract the train into a dense normalized pure state."""
+    """Contract the train into a dense normalized pure state.
+
+    Raises ResourceBudgetError when the amplitude vector's 16 dim bytes
+    exceed `budget`.
+    """
     dim = m.local_dim**m.n
-    if dim > budget:
+    if 16 * dim > budget:
         raise ResourceBudgetError(
-            f"dense contraction of dimension {dim} exceeds the {budget} budget")
+            f"dense contraction of dimension {dim} needs {16 * dim} bytes, above the "
+            f"{budget}-byte budget")
     amps = np.ones((1, 1), dtype=complex)
     for t in m.tensors:
         # amps: (prefix_dim, r_left) -> (prefix_dim * d, r_right)

@@ -18,6 +18,13 @@ backends share identical signatures and copy accounting:
   stream into per-group sums, so memory is O(SHADOW_CHUNK * dim) whatever
   the shot count.
 
+The estimators read the hidden state only through `_operator`, `_marginal`
+and `_sandwich`: rho @ block, the marginal on a site set, and rows rho rows*.
+A pure state is the factor (psi, 0) and a factored state its
+rho = W W* + c I, so each read costs O(dim r k) and no 2^n x 2^n matrix is
+formed; a dense matrix, for arbitrary mixed input, is the only other branch
+and lives in those helpers alone.
+
 Copy-cost formulas are exported as plain functions so tests can assert the
 counter matches them exactly.
 """
@@ -31,9 +38,11 @@ import numpy as np
 
 from .errors import ResourceBudgetError
 from .states import (
+    FactoredDensity,
     ProductParams,
     QuantumState,
     apply_sites,
+    check_dense_budget,
     partial_trace,
     product_state_vector,
 )
@@ -139,7 +148,6 @@ class StateOracle:
         self.shot_budget = int(shot_budget)
         self.copies_consumed = 0
         self._rng = np.random.default_rng(self.seed)
-        self._rho = hidden.density()
 
     @property
     def n(self) -> int:
@@ -160,6 +168,55 @@ class StateOracle:
         return min(eps, self.noise_opnorm) * float(self._rng.uniform())
 
 
+# --- reading the hidden state ----------------------------------------------
+
+
+def _operator(s: QuantumState) -> FactoredDensity | np.ndarray:
+    """The state's rho: a FactoredDensity (a pure psi is the factor (psi, 0)) or a dense matrix.
+
+    Either way rho @ block is one product, at O(dim r k) for a factor.
+    """
+    if s.kind == "pure":
+        return FactoredDensity(s.data[:, None])
+    if isinstance(s.data, FactoredDensity):
+        return s.data
+    check_dense_budget(s.dim)
+    return s.data
+
+
+def _marginal(rho: FactoredDensity | np.ndarray, n: int, sites) -> FactoredDensity | np.ndarray:
+    """rho on n qubits reduced to `sites` (0-based, increasing).
+
+    A factor stays a factor: W with the kept sites' axes moved to the front,
+    regrouped as (2^|S|, 2^(n-|S|) r), and the shift c 2^(n-|S|).
+    """
+    sites = list(sites)
+    if len(sites) == n:
+        return rho
+    if not isinstance(rho, FactoredDensity):
+        return partial_trace(rho, n, sites)
+    w = np.moveaxis(rho.factor.reshape((2,) * n + (-1,)), sites, range(len(sites)))
+    return FactoredDensity(w.reshape(2 ** len(sites), -1), rho.shift * 2 ** (n - len(sites)))
+
+
+def _sandwich(rho: FactoredDensity | np.ndarray, rows) -> np.ndarray:
+    """rows rho rows* for a (k, dim) matrix of rows; the block rho[rows, rows] for an index.
+
+    An index is a slice or a list of basis indices.  On a factor this is
+    y y* + c rows rows* with y = rows W, at O(k dim r + k^2 dim).
+    """
+    matrix = isinstance(rows, np.ndarray) and rows.ndim == 2
+    if not isinstance(rho, FactoredDensity):
+        return rows @ rho @ rows.conj().T if matrix else rho[rows][:, rows]
+    y = rows @ rho.factor if matrix else rho.factor[rows]
+    out = y @ y.conj().T
+    if not matrix:
+        out[np.diag_indices_from(out)] += rho.shift
+    elif rho.shift:
+        out += rho.shift * (rows @ rows.conj().T)
+    return out
+
+
 # --- shared internals ------------------------------------------------------
 
 
@@ -177,7 +234,7 @@ def _z_columns(o: StateOracle, basis: list[np.ndarray]) -> np.ndarray:
     return apply_sites([np.asarray(u).conj().T for u in basis], picks)
 
 
-def _compressed_z_register(rho: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _compressed_z_register(rho: FactoredDensity | np.ndarray, cols: np.ndarray) -> np.ndarray:
     """State on span{|0^n>, |e_1>..|e_n>} plus one junk slot for leftover population.
 
     The compression is the channel that first checks membership in the
@@ -188,7 +245,7 @@ def _compressed_z_register(rho: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """
     dim = cols.shape[1] + 1
     sigma = np.zeros((dim, dim), dtype=complex)
-    sigma[:-1, :-1] = cols.conj().T @ rho @ cols
+    sigma[:-1, :-1] = _sandwich(rho, cols.conj().T)
     sigma[-1, -1] = max(0.0, 1.0 - float(np.real(np.trace(sigma))))
     return sigma
 
@@ -320,10 +377,11 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
     n = o.n
     copies = z_copy_cost(n, eps, delta)
     cols = _z_columns(o, basis)
+    rho = _operator(o.hidden)
 
     if o.backend == "exact":
         o._charge(copies)
-        z = cols[:, 1:].conj().T @ (o._rho @ cols[:, 0])
+        z = cols[:, 1:].conj().T @ (rho @ cols[:, 0])
         scale = o._noise_scale(eps)
         if scale == 0.0:
             return z
@@ -333,7 +391,7 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
     groups = median_group_count(delta)
     per = z_group_size(n, eps)
     # z_i = <e_i| sigma |0^n> is entry (i, 0) of each group's shadow mean.
-    means = _shadow_group_means(o._rng, _compressed_z_register(o._rho, cols), groups, per)
+    means = _shadow_group_means(o._rng, _compressed_z_register(rho, cols), groups, per)
     o._charge(copies)
     return _geometric_median(means[:, 1: n + 1, 0])
 
@@ -361,8 +419,7 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
     dim = w + 1
     copies = tomography_copy_cost(dim, eps, delta)
 
-    rho_m = o._rho if prefix_m == n else partial_trace(o._rho, n, list(range(prefix_m)))
-    block = rho_m[np.ix_(idx, idx)]
+    block = _sandwich(_marginal(_operator(o.hidden), n, range(prefix_m)), idx)
     full = np.zeros((2**prefix_m, 2**prefix_m), dtype=complex)
 
     if o.backend == "exact":
@@ -414,15 +471,15 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
         raise ValueError("zeroed_prefix out of range")
     dim_s = 2 ** (n - zeroed_prefix)
     n_mu, wanted, groups = subnormalized_budget(dim_s, eps, delta)
+    rho = _operator(o.hidden)
     if frame is None:
-        block = o._rho[:dim_s, :dim_s]
+        block = _sandwich(rho, slice(dim_s))
     else:
         frame = np.asarray(frame)
         if frame.ndim != 2 or frame.shape[0] < dim_s or frame.shape[1] != o.hidden.dim:
             raise ValueError(f"frame needs {o.hidden.dim} columns and at least {dim_s} "
                              f"rows, got shape {frame.shape}")
-        rows = frame[:dim_s]
-        block = rows @ o._rho @ rows.conj().T
+        block = _sandwich(rho, frame[:dim_s])
     mu = float(np.real(np.trace(block)))
 
     if o.backend == "exact":
@@ -473,7 +530,7 @@ def estimate_fidelity(o: StateOracle, prefix_m: int, p: ProductParams, eps: floa
     if p.n != prefix_m:
         raise ValueError("product parameters must cover exactly the measured prefix")
     copies = fidelity_copy_cost(eps, delta)
-    rho_m = o._rho if prefix_m == n else partial_trace(o._rho, n, list(range(prefix_m)))
+    rho_m = _marginal(_operator(o.hidden), n, range(prefix_m))
     vec = product_state_vector(p).data
     f = float(np.real(vec.conj() @ rho_m @ vec))
     f = min(max(f, 0.0), 1.0)

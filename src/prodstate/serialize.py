@@ -4,6 +4,11 @@ All files are JSON with complex numbers stored as [re, im] pairs; floats go
 through Python's shortest-round-trip repr, so save/load is exact.  Every
 payload carries an "object" tag and the top-level file a format_version,
 which keeps the formats auditable at desk scale.
+
+A state stores its amplitudes ("data", kind "pure") or its density matrix
+("data", kind "mixed") as flat pairs, except a factored mixed state
+rho = W W* + c I, which stores "factor": {"shape": [dim, r], "data": pairs
+of W} and "shift": c in place of the 4^n pairs of rho.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .discrete import DiscreteClass
 from .hardness import Tensor4
 from .instances import Graph
 from .mps import MatrixProductState
-from .states import ProductParams, QuantumState
+from .states import FactoredDensity, ProductParams, QuantumState
 
 __all__ = [
     "FORMAT_VERSION",
@@ -37,31 +42,38 @@ FORMAT_VERSION = 1
 
 def _pairs(values: np.ndarray) -> list:
     flat = np.asarray(values, dtype=complex).reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in flat]
+    return np.stack([flat.real, flat.imag], -1).tolist()
 
 
 def _unpairs(pairs, shape) -> np.ndarray:
-    arr = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    return arr.reshape(shape)
+    return np.asarray(pairs, dtype=float).reshape(-1, 2).view(complex).reshape(shape)
 
 
 def state_to_json(s: QuantumState) -> dict:
-    return {
+    d = {
         "object": "state",
         "n": s.n,
         "local_dim": s.local_dim,
         "kind": s.kind,
         "normalized": s.normalized,
         "basis": "site1-most-significant",
-        "data": _pairs(s.data),
     }
+    if isinstance(s.data, FactoredDensity):
+        d["factor"] = {"shape": list(s.data.factor.shape), "data": _pairs(s.data.factor)}
+        d["shift"] = s.data.shift
+    else:
+        d["data"] = _pairs(s.data)
+    return d
 
 
 def state_from_json(d: dict) -> QuantumState:
     dim = d["local_dim"] ** d["n"]
-    shape = (dim,) if d["kind"] == "pure" else (dim, dim)
-    return QuantumState(n=d["n"], local_dim=d["local_dim"], kind=d["kind"],
-                        data=_unpairs(d["data"], shape),
+    if "factor" in d:
+        data = FactoredDensity(_unpairs(d["factor"]["data"], tuple(d["factor"]["shape"])),
+                               d["shift"])
+    else:
+        data = _unpairs(d["data"], (dim,) if d["kind"] == "pure" else (dim, dim))
+    return QuantumState(n=d["n"], local_dim=d["local_dim"], kind=d["kind"], data=data,
                         normalized=d.get("normalized", True))
 
 

@@ -1,4 +1,13 @@
-"""Product-state geometry: parametrization, tangent distance, weight projections.
+"""States, and product-state geometry: parametrization, tangent distance, weight projections.
+
+A `QuantumState` is a pure amplitude vector or a density matrix.  A mixed
+state is held either densely, for arbitrary input, or in factored form
+rho = W W* + c I (`FactoredDensity`, W of shape (dim, r), c >= 0), which is
+PSD by construction: validation checks finiteness and the trace
+||W||_F^2 + c dim at O(dim r), with no eigendecomposition, and `density()`
+materializes the matrix only on request.  Every dense dim x dim path checks
+its 16 dim^2 bytes against DENSE_BUDGET and raises ResourceBudgetError above
+it.
 
 A pure product state on n qubits is parametrized by a complex vector z, one
 entry per site, as the tensor product of (|0> + z_i |1>)/sqrt(1 + |z_i|^2).
@@ -21,8 +30,23 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ResourceBudgetError
+
 Z_MAX = 1e12
 DEFAULT_ATOL = 1e-9
+# Largest dense array, in bytes, any path materializes (64 MiB): a dim x dim
+# complex matrix takes 16 dim^2 of them, so dense qubit matrices stop at
+# n = 11.  mps.mps_to_state checks its amplitude vector against it too.
+DENSE_BUDGET = 1 << 26
+
+
+def check_dense_budget(dim: int) -> None:
+    """Raise ResourceBudgetError if a dense dim x dim complex matrix exceeds DENSE_BUDGET."""
+    need = 16 * dim * dim
+    if need > DENSE_BUDGET:
+        raise ResourceBudgetError(
+            f"a dense {dim} x {dim} matrix needs {need} bytes, above the "
+            f"{DENSE_BUDGET}-byte budget")
 
 
 @dataclass(frozen=True)
@@ -69,20 +93,67 @@ def cap_param(value: complex) -> complex:
     return value
 
 
+@dataclass(frozen=True, eq=False)
+class FactoredDensity:
+    """The PSD operator W W* + c I, kept as its factor W (dim x r) and shift c >= 0.
+
+    It answers rho @ x and x @ rho at O(dim r) per column without forming
+    rho; `dense()` (and numpy conversion) materializes the dim x dim matrix
+    within DENSE_BUDGET.
+    """
+
+    factor: np.ndarray
+    shift: float = 0.0
+
+    # numpy defers ndarray @ FactoredDensity to __rmatmul__ instead of
+    # converting the operator to a dense array first.
+    __array_ufunc__ = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        dim = self.factor.shape[0]
+        return (dim, dim)
+
+    def trace(self) -> float:
+        """||W||_F^2 + c dim."""
+        w = self.factor
+        return float(np.vdot(w, w).real + self.shift * w.shape[0])
+
+    def __matmul__(self, x):
+        w = self.factor
+        return w @ (w.conj().T @ x) + self.shift * x
+
+    def __rmatmul__(self, x):
+        w = self.factor
+        return (x @ w) @ w.conj().T + self.shift * x
+
+    def dense(self) -> np.ndarray:
+        """The dim x dim matrix; ResourceBudgetError above DENSE_BUDGET."""
+        check_dense_budget(self.shape[0])
+        w = self.factor
+        out = w @ w.conj().T
+        out[np.diag_indices_from(out)] += self.shift
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self.dense() if dtype is None else self.dense().astype(dtype)
+
+
 @dataclass(frozen=True)
 class QuantumState:
-    """Dense pure state vector or density matrix on n sites of dimension local_dim.
+    """Pure state vector or density matrix on n sites of dimension local_dim.
 
     kind is "pure" (data: amplitude vector of length local_dim**n) or "mixed"
-    (data: Hermitian PSD matrix of that side).  Normalized states are the
-    default; pass normalized=False for deliberately sub-normalized objects
-    (weight projections, post-selected states).
+    (data: a Hermitian PSD matrix of that side, or a FactoredDensity whose
+    factor has local_dim**n rows).  Normalized states are the default; pass
+    normalized=False for deliberately sub-normalized objects (weight
+    projections, post-selected states).
     """
 
     n: int
     local_dim: int
     kind: str
-    data: np.ndarray
+    data: np.ndarray | FactoredDensity
     normalized: bool = True
 
     def __post_init__(self):
@@ -91,15 +162,19 @@ class QuantumState:
         if self.n < 1 or self.local_dim < 2:
             raise ValueError("need n >= 1 sites of local dimension >= 2")
         dim = self.local_dim**self.n
-        data = np.array(self.data, dtype=complex)
-        if self.kind == "pure":
+        if isinstance(self.data, FactoredDensity):
+            data = self._checked_factor(dim)
+        elif self.kind == "pure":
+            data = np.array(self.data, dtype=complex)
             if data.shape != (dim,):
                 raise ValueError(f"pure state needs shape ({dim},), got {data.shape}")
             if self.normalized and abs(np.linalg.norm(data) - 1.0) > DEFAULT_ATOL:
                 raise ValueError("pure state vector is not normalized")
         else:
-            if data.shape != (dim, dim):
+            if np.shape(self.data) != (dim, dim):
                 raise ValueError(f"density matrix needs shape ({dim},{dim})")
+            check_dense_budget(dim)
+            data = np.array(self.data, dtype=complex)
             if np.max(np.abs(data - data.conj().T)) > DEFAULT_ATOL:
                 raise ValueError("density matrix is not Hermitian")
             eigs = np.linalg.eigvalsh((data + data.conj().T) / 2)
@@ -107,8 +182,27 @@ class QuantumState:
                 raise ValueError("density matrix has a negative eigenvalue")
             if self.normalized and abs(np.trace(data).real - 1.0) > DEFAULT_ATOL:
                 raise ValueError("density matrix trace differs from 1")
-        data.setflags(write=False)
+        if isinstance(data, np.ndarray):
+            data.setflags(write=False)
         object.__setattr__(self, "data", data)
+
+    def _checked_factor(self, dim: int) -> FactoredDensity:
+        """A read-only copy of the factored data, validated at O(dim r)."""
+        if self.kind != "mixed":
+            raise ValueError("a factored density needs kind 'mixed'")
+        w = np.array(self.data.factor, dtype=complex)
+        shift = float(self.data.shift)
+        if w.ndim != 2 or w.shape[0] != dim:
+            raise ValueError(f"density factor needs shape ({dim}, r), got {w.shape}")
+        if not (np.isfinite(w).all() and math.isfinite(shift)):
+            raise ValueError("density factor must be finite")
+        if shift < 0.0:
+            raise ValueError("density shift must be >= 0")
+        w.setflags(write=False)
+        data = FactoredDensity(w, shift)
+        if self.normalized and abs(data.trace() - 1.0) > DEFAULT_ATOL:
+            raise ValueError("density matrix trace differs from 1")
+        return data
 
     @classmethod
     def pure(cls, vector, local_dim: int = 2, normalized: bool = True) -> "QuantumState":
@@ -118,7 +212,9 @@ class QuantumState:
 
     @classmethod
     def mixed(cls, matrix, local_dim: int = 2, normalized: bool = True) -> "QuantumState":
-        matrix = np.asarray(matrix, dtype=complex)
+        """A mixed state from a dense matrix or a FactoredDensity."""
+        if not isinstance(matrix, FactoredDensity):
+            matrix = np.asarray(matrix, dtype=complex)
         n = _infer_sites(matrix.shape[0], local_dim)
         return cls(n=n, local_dim=local_dim, kind="mixed", data=matrix, normalized=normalized)
 
@@ -129,10 +225,16 @@ class QuantumState:
     def norm(self) -> float:
         if self.kind == "pure":
             return float(np.linalg.norm(self.data))
+        if isinstance(self.data, FactoredDensity):
+            return self.data.trace()
         return float(np.trace(self.data).real)
 
     def density(self) -> np.ndarray:
-        """The state as a density matrix (outer product for pure states)."""
+        """The state as a dense density matrix (outer product for pure states).
+
+        Raises ResourceBudgetError when the matrix exceeds DENSE_BUDGET.
+        """
+        check_dense_budget(self.dim)
         if self.kind == "pure":
             return np.outer(self.data, self.data.conj())
         return np.asarray(self.data)
@@ -242,7 +344,7 @@ def project_hamming(s: QuantumState, mode: str, d: int) -> QuantumState:
     keep = weights <= d if mode == "leq" else weights >= d
     if s.kind == "pure":
         return QuantumState.pure(np.where(keep, s.data, 0.0), normalized=False)
-    mat = np.where(np.outer(keep, keep), s.data, 0.0)
+    mat = np.where(np.outer(keep, keep), s.density(), 0.0)
     return QuantumState.mixed(mat, normalized=False)
 
 
@@ -316,9 +418,15 @@ def _ratio_param(v0: complex, v1: complex) -> complex:
 
 
 def vector_fidelity(s: QuantumState, vec: np.ndarray) -> float:
-    """⟨v|ρ|v⟩ for mixed s, |⟨v|ψ⟩|² for pure s, without clamping to [0, 1]."""
+    """⟨v|ρ|v⟩ for mixed s, |⟨v|ψ⟩|² for pure s, without clamping to [0, 1].
+
+    A factored ρ = W W† + c·I gives ‖W†v‖² + c‖v‖² at O(dim·r).
+    """
     if s.kind == "pure":
         return float(abs(np.vdot(vec, s.data)) ** 2)
+    if isinstance(s.data, FactoredDensity):
+        proj = s.data.factor.conj().T @ vec
+        return float(np.vdot(proj, proj).real + s.data.shift * np.vdot(vec, vec).real)
     return float(np.real(np.vdot(vec, s.data @ vec)))
 
 

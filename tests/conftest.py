@@ -1,9 +1,10 @@
-"""Shared pytest hooks (acceptance-criteria summary lines) and dense test references."""
+"""Shared pytest hooks (acceptance-criteria summary lines), dense test references and the
+reference JSON pair codec."""
 
 import numpy as np
 
 from prodstate.discrete import member_vector
-from prodstate.oracle import _compressed_z_register, _shadow_row_chunks, _z_columns
+from prodstate.oracle import _compressed_z_register, _operator, _shadow_row_chunks, _z_columns
 from prodstate.polyopt import (
     _certainly_empty,
     _orthonormal_columns,
@@ -94,6 +95,18 @@ def ambient_solve_constrained(sys, dom, eps, net_budget):
     return best_x
 
 
+def reference_pairs(values):
+    """The list-comprehension [re, im] pair encoder the vectorized codec must match."""
+    flat = np.asarray(values, dtype=complex).reshape(-1)
+    return [[float(v.real), float(v.imag)] for v in flat]
+
+
+def reference_unpairs(pairs, shape):
+    """The element-by-element pair decoder the vectorized codec must match."""
+    arr = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    return arr.reshape(shape)
+
+
 def raw_z_shadows(o, basis, shots):
     """Single-shot amplitude-vector estimates before any averaging.
 
@@ -105,7 +118,7 @@ def raw_z_shadows(o, basis, shots):
         raise ValueError("raw shadows exist only on the sampling backend")
     n = o.n
     o._check_shots(shots)
-    sigma = _compressed_z_register(o._rho, _z_columns(o, basis))
+    sigma = _compressed_z_register(_operator(o.hidden), _z_columns(o, basis))
     rows = np.concatenate(list(_shadow_row_chunks(o._rng, sigma, shots)))
     o._charge(shots)
     return (sigma.shape[0] + 1) * rows[:, 1: n + 1] * rows[:, [0]].conj()

@@ -1,15 +1,17 @@
 """Command-line runner, instance generators, and JSON serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from prodstate import serialize
 from prodstate.bruteforce import best_product_fidelity
 from prodstate.cli import ExperimentConfig, UsageError, generate, main, run
 from prodstate.discrete import DiscreteClass
 from prodstate.hardness import clique_tensor
-from prodstate.instances import Graph, ghz_state, random_mixed
+from prodstate.instances import Graph, ghz_state, planted_mixture, random_mixed
 from prodstate.mps import mps_to_state, state_to_mps
 from prodstate.serialize import (
     canonical_dumps,
@@ -33,7 +35,9 @@ from prodstate.serialize import (
     tensor_to_json,
     to_json,
 )
-from prodstate.states import QuantumState, fidelity, haar_product_params
+from prodstate.states import QuantumState, fidelity, haar_product_params, vector_fidelity
+
+from conftest import reference_pairs, reference_unpairs
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +55,39 @@ def test_state_round_trip_pure_and_mixed():
     back = state_from_json(state_to_json(mixed))
     assert back.kind == "mixed"
     assert np.allclose(back.data, mixed.data, atol=1e-12)
+
+
+def test_factored_state_round_trip_is_exact():
+    rng = np.random.default_rng(5)
+    for state in (random_mixed(3, rng, rank=2),
+                  planted_mixture(haar_product_params(rng, 4), 0.9)):
+        d = state_to_json(state)
+        assert d["kind"] == "mixed" and "data" not in d
+        assert d["factor"]["shape"] == list(state.data.factor.shape)
+        back = state_from_json(json.loads(canonical_dumps(d)))
+        assert back.kind == "mixed"
+        assert np.array_equal(back.data.factor, state.data.factor)
+        assert back.data.shift == state.data.shift
+
+
+def test_pair_codec_matches_reference_bytes(monkeypatch):
+    rng = np.random.default_rng(6)
+    special = np.array([-0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324,
+                        complex(-5e-324, 2.2e-309), complex(1e-310, -0.0)])
+    values = np.concatenate([special, rng.standard_normal(18) + 1j * rng.standard_normal(18)])
+    for arr in (values, values.reshape(4, 6), values.reshape(2, 3, 4)):
+        text = canonical_dumps(serialize._pairs(arr))
+        assert text == canonical_dumps(reference_pairs(arr))
+        pairs = json.loads(text)
+        assert serialize._unpairs(pairs, arr.shape).tobytes() == arr.tobytes()
+        assert reference_unpairs(pairs, arr.shape).tobytes() == arr.tobytes()
+    menus = [[np.array([1, -0.0], dtype=complex), np.array([0.6, 0.8j])]] * 2
+    objects = [random_mixed(2, rng), random_mixed(2, rng, rank=1), ghz_state(3),
+               state_to_mps(ghz_state(3)), clique_tensor(Graph(3, frozenset({(0, 1)}))),
+               DiscreteClass(menus), haar_product_params(rng, 3)]
+    texts = [canonical_dumps(to_json(x)) for x in objects]
+    monkeypatch.setattr(serialize, "_pairs", reference_pairs)
+    assert [canonical_dumps(to_json(x)) for x in objects] == texts
 
 
 def test_params_round_trip_exact():
@@ -163,6 +200,34 @@ def test_planted_mps_ground_truth_reachable():
     assert overlap == pytest.approx(payload["ground_truth"]["opt"], abs=1e-9)
 
 
+def test_planted_product_set_up_stays_factored():
+    tracemalloc.start()
+    try:
+        payload = generate("planted-product", {"n": 10, "w": 0.95, "noise": 0.05}, seed=1)
+        state = state_from_json(payload["state"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # a dense 2^10 x 2^10 rho alone takes 16 MiB
+    assert state.kind == "mixed" and state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_planted_mixtures_are_stored_factored():
+    cases = (("planted-product", {"n": 3, "w": 0.9}, 1),
+             ("planted-mps", {"n": 4, "rank": 2, "w": 0.8}, 1),
+             ("planted-discrete", {"n": 3, "s": 2, "w": 0.7}, 1),
+             ("random-mixed", {"n": 3, "rank": 2}, 2))
+    for kind, params, rank in cases:
+        payload = generate(kind, params, seed=5)
+        d = payload["state"]
+        assert d["kind"] == "mixed" and "data" not in d
+        assert d["factor"]["shape"] == [2 ** params["n"], rank]
+        if kind == "planted-mps":
+            train = mps_from_json(payload["ground_truth"]["planted_mps"])
+            fid = vector_fidelity(state_from_json(d), mps_to_state(train).data)
+            assert fid == pytest.approx(payload["ground_truth"]["opt"], abs=1e-12)
+
+
 def test_planted_discrete_member_is_optimal():
     payload = generate("planted-discrete", {"n": 2, "s": 3, "w": 0.9}, seed=8)
     from prodstate.discrete import member_vector
@@ -234,6 +299,38 @@ def test_highfid_on_noisy_planted_product(tmp_path):
     assert report["copies_consumed"] > 0
     assert report["input_digest"]
     assert "wall_seconds" in report["timing"]
+
+
+def test_highfid_end_to_end_at_sixteen_qubits(tmp_path):
+    inst = _gen(tmp_path, "pp16.json", "planted-product", "--n", "16", "--w", "0.95",
+                "--noise", "0.05")
+    out = tmp_path / "report.json"
+    assert main(["highfid", inst, "--out", str(out)]) == 0
+    report = load_json(out)
+    assert report["fidelity"] >= report["result"]["opt"] - 0.1
+    assert report["result"]["meets_opt_minus_eps"] is True
+
+
+def test_dense_instance_files_still_load_and_agree(tmp_path):
+    inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "4", "--noise", "0.05",
+                "--seed", "3")
+    data = load_json(inst)
+    state = state_from_json(data.pop("state"))
+    dense = tmp_path / "dense.json"
+    save_json(dense, {**data, "state": state_to_json(QuantumState.mixed(state.density()))})
+    assert "data" in load_json(dense)["state"]
+    reports = []
+    for path in (inst, dense):
+        out = tmp_path / "report.json"
+        assert main(["highfid", str(path), "--out", str(out)]) == 0
+        reports.append(load_json(out))
+    assert reports[0]["copies_consumed"] == reports[1]["copies_consumed"]
+    assert reports[0]["fidelity"] == pytest.approx(reports[1]["fidelity"], abs=1e-12)
+
+
+def test_dense_state_above_budget_exits_two(tmp_path, capsys):
+    assert main(["gen", "random-mixed", "--n", "12", "--out", str(tmp_path / "x.json")]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_invalid_eta_exits_one(tmp_path, capsys):

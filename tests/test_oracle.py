@@ -8,6 +8,7 @@ import pytest
 
 from prodstate.errors import ResourceBudgetError
 from prodstate.instances import bell_state, maximally_mixed, random_mixed
+from prodstate.localopt import _reduced_oracle, single_site_estimate
 from prodstate.oracle import (
     SHADOW_CHUNK,
     StateOracle,
@@ -27,6 +28,7 @@ from prodstate.oracle import (
     z_copy_cost,
 )
 from prodstate.states import (
+    FactoredDensity,
     ProductParams,
     QuantumState,
     haar_state,
@@ -535,3 +537,63 @@ def test_parameter_validation():
         subnormalized_tomography(o, None, zeroed_prefix=2, eps=0.3, delta=0.3)
     with pytest.raises(ValueError):
         StateOracle(maximally_mixed(2), backend="approximate")
+
+
+def factored_cases(n, rng):
+    """A pure state and factors of rank 1 and 3, with c = 0 and c > 0, on n qubits."""
+    dim = 2**n
+    cases = [QuantumState.pure(haar_state(dim, rng))]
+    for rank, shift in ((1, 0.0), (3, 0.0), (1, 0.2 / dim), (3, 0.2 / dim)):
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        w = g * math.sqrt(1.0 - shift * dim) / np.linalg.norm(g)
+        cases.append(QuantumState.mixed(FactoredDensity(w, shift)))
+    return cases
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_factored_reads_match_dense(n):
+    rng = np.random.default_rng(200 + n)
+    basis = recenter_unitaries(random_product_params(rng, n))
+    frame = haar_unitary(2**n, rng)[: 2 ** (n - 2)]
+    params = random_product_params(rng, n)
+
+    def single_site(o, site):
+        child = _reduced_oracle(o, [site])
+        return single_site_estimate(child, 0.1), child.copies_consumed
+
+    for state in factored_cases(n, rng):
+        dense = QuantumState.mixed(state.density())
+
+        def both(call, noise=0.0):
+            outs = []
+            for s in (state, dense):
+                o = StateOracle(s, backend="exact", seed=7, noise_opnorm=noise)
+                outs.append((call(o), o.copies_consumed))
+            return outs
+
+        for noise in (0.0, 0.05):
+            (zf, cf), (zd, cd) = both(lambda o: estimate_z(o, basis, 0.2, 0.1), noise)
+            assert np.max(np.abs(zf - zd)) <= 1e-12 and cf == cd
+        for m, d in ((n, 1), (2, 2), (n - 1, 1)):
+            (tf, cf), (td, cd) = both(lambda o: subspace_tomography(o, m, d, 0.3, 0.1))
+            assert np.max(np.abs(tf - td)) <= 1e-12 and cf == cd
+        for rows, i in ((None, 1), (frame, 2)):
+            (bf, cf), (bd, cd) = both(lambda o: subnormalized_tomography(o, rows, i, 0.3, 0.1))
+            assert np.max(np.abs(bf - bd)) <= 1e-12
+            n_mu, wanted, _ = subnormalized_budget(2 ** (n - i), 0.3, 0.1)
+            for block, copies in ((bf, cf), (bd, cd)):
+                mu = float(np.real(np.trace(block)))
+                assert copies == n_mu + subnormalized_attempts(wanted, mu)
+        for m in (n, 2):
+            p = ProductParams(params.z[:m])
+            (ff, cf), (fd, cd) = both(lambda o: estimate_fidelity(o, m, p, 0.1, 0.1))
+            assert abs(ff - fd) <= 1e-12 and cf == cd
+        for sites in (list(range(n // 2)), list(range(n // 2, n))):
+            (rf, _), (rd, _) = both(lambda o: _reduced_oracle(o, sites))
+            assert isinstance(rf.hidden.data, FactoredDensity)
+            assert rf.seed == rd.seed
+            assert np.max(np.abs(rf.hidden.density() - rd.hidden.density())) <= 1e-12
+        for site in (0, n - 1):
+            for noise in (0.0, 0.05):
+                ((pf, cf), _), ((pd, cd), _) = both(lambda o: single_site(o, site), noise)
+                assert abs(pf.z[0] - pd.z[0]) <= 1e-12 * max(1.0, abs(pd.z[0])) and cf == cd

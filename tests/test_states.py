@@ -1,12 +1,16 @@
 """Geometry tests: parametrization, tangent distance, projections, closed-form bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from prodstate.errors import ResourceBudgetError
 from prodstate.states import (
+    DENSE_BUDGET,
     apply_sites,
+    FactoredDensity,
     ProductParams,
     QuantumState,
     Z_MAX,
@@ -335,6 +339,74 @@ def test_quantum_state_validation():
         QuantumState.mixed(np.diag([1.5, -0.5]))
     st = QuantumState.pure(np.array([1.0, 0.0]))
     assert st.density()[0, 0] == pytest.approx(1.0)
+
+
+def test_factored_state_matches_its_dense_matrix():
+    rng = np.random.default_rng(89)
+    for n, rank, shift in ((1, 1, 0.0), (3, 1, 0.05), (4, 3, 0.0), (5, 2, 0.01)):
+        dim = 2**n
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        w = g * math.sqrt(1.0 - shift * dim) / np.linalg.norm(g)
+        state = QuantumState.mixed(FactoredDensity(w, shift))
+        rho = w @ w.conj().T + shift * np.eye(dim)
+        assert state.kind == "mixed" and state.n == n
+        assert np.allclose(state.density(), rho, atol=1e-14)
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        x = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+        assert np.allclose(state.data @ x, rho @ x, atol=1e-14)
+        assert np.allclose(x.conj().T @ state.data, x.conj().T @ rho, atol=1e-14)
+        for _ in range(3):
+            p = random_product_params(rng, n, scale=2.0)
+            vec = product_state_vector(p).data
+            want = float(np.real(np.vdot(vec, rho @ vec)))
+            assert fidelity(state, p) == pytest.approx(want, abs=1e-14)
+        proj = project_hamming(state, "leq", 1)
+        light = hamming_weights(n) <= 1
+        assert np.allclose(proj.data, np.where(np.outer(light, light), rho, 0.0), atol=1e-14)
+
+
+def test_factored_state_validation():
+    psi = np.array([1.0, 0.0])
+    QuantumState.mixed(FactoredDensity(math.sqrt(0.5) * psi[:, None], 0.25))
+    with pytest.raises(ValueError):  # trace 0.5 + 0.5 * 2
+        QuantumState.mixed(FactoredDensity(math.sqrt(0.5) * psi[:, None], 0.5))
+    with pytest.raises(ValueError):
+        QuantumState.mixed(FactoredDensity(psi[:, None], -0.0001))
+    with pytest.raises(ValueError):
+        QuantumState.mixed(FactoredDensity(np.array([[1.0], [np.nan]])))
+    with pytest.raises(ValueError):  # three rows on a qubit register
+        QuantumState(1, 2, "mixed", FactoredDensity(np.ones((3, 1)) / math.sqrt(3)))
+    with pytest.raises(ValueError):
+        QuantumState(1, 2, "pure", FactoredDensity(psi[:, None]))
+    w = np.array([[0.6], [0.8j]])
+    state = QuantumState.mixed(FactoredDensity(w))
+    w[0, 0] = 0.0
+    assert state.data.factor[0, 0] == 0.6  # validation keeps a read-only copy
+    assert not state.data.factor.flags.writeable
+
+
+def test_dense_paths_refuse_matrices_above_the_budget():
+    n = 16
+    dim = 2**n
+    assert 16 * dim * dim > DENSE_BUDGET
+    psi = np.zeros(dim, dtype=complex)
+    psi[0] = 1.0
+    factored = QuantumState.mixed(FactoredDensity(math.sqrt(0.9) * psi[:, None], 0.1 / dim))
+    pure = QuantumState.pure(psi)
+    tracemalloc.start()
+    try:
+        for attempt in (factored.density, pure.density, lambda: np.asarray(factored.data)):
+            with pytest.raises(ResourceBudgetError):
+                attempt()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert fidelity(factored, ProductParams((0j,) * n)) == pytest.approx(0.9 + 0.1 / dim)
+    # A dense input is refused by its shape, before it is copied or decomposed.
+    big = np.broadcast_to(np.complex128(0.0), (4096, 4096))
+    with pytest.raises(ResourceBudgetError):
+        QuantumState.mixed(big)
 
 
 def test_haar_product_params_overlap_is_uniform():
