@@ -11,15 +11,19 @@ maintaining a cover of each prefix.  At a new site every previous member is
 branched over a fixed six-state local net; each branch (a "root") is
 recentered to the origin by single-site rotations, and new members far from
 the already-accepted ones are located on a weight-truncated estimate of the
-prefix marginal.  Candidates close to the root are read straight off the
-grid nets that `polyopt.support_nets` lays over span(constraint members,
-axes of a small support); candidates whose remaining coordinates carry a
-spread-out norm are completed through the constrained polynomial maximizer
-(`polyopt.solve_constrained`).  Both kinds are scored by one rule: clear
-every separation bound, then keep the best truncated overlap that reaches
-the threshold.  `verify_cover` audits the three properties against the
-exact state, and `estimate_opt` wraps the builder in a bisection over eta
-to estimate the best product-state fidelity with a witness.
+prefix marginal.  The recentered estimate and its top eigenvalue, an upper
+bound on every candidate's score, are prepared once per root and reused for
+each further member that root yields.  Candidates close to the root are
+read straight off the grid nets that `polyopt.support_nets` lays over
+span(constraint members, axes of a small support); candidates whose
+remaining coordinates carry a spread-out norm are completed through the
+constrained polynomial maximizer (`polyopt.solve_constrained`).  Both kinds
+are scored by one rule: clear every separation bound, then keep the best
+truncated overlap that reaches the threshold; a batch of candidates is
+scored by one matrix product with the estimate and a row-wise dot.
+`verify_cover` audits the three properties against the exact state, and
+`estimate_opt` wraps the builder in a bisection over eta to estimate the
+best product-state fidelity with a witness.
 """
 
 from __future__ import annotations
@@ -276,8 +280,7 @@ def _batch_overlap(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
     rows = max(256, _OVERLAP_ELEMENTS // (1 << max(m, 1)))
     for start in range(0, count, rows):
         amps = _batch_amplitudes(points[start:start + rows])
-        out[start:start + rows] = np.real(
-            np.einsum("pi,ij,pj->p", amps.conj(), rho, amps))
+        out[start:start + rows] = np.real(((amps @ rho.T) * amps.conj()).sum(axis=1))
     return out
 
 
@@ -344,6 +347,23 @@ def _flat_poly_system(rho: np.ndarray, m: int, s_mask: np.ndarray,
     return PolySystem(mbar, constant, tuple(tensors))
 
 
+def _prepare_root(truncation: np.ndarray, root: ProductParams, params: CoverParams):
+    """(units, rho, ceiling) of one branch: the search's constraint-free part.
+
+    `units` recenter `root` to the origin, `rho` is `truncation` in that
+    frame, cut to excitation weight params.degree(m) and hermitised, and
+    `ceiling` is its top eigenvalue, which no candidate's overlap exceeds.
+    """
+    m = root.n
+    if m == 0:
+        raise ValueError("the search root must have at least one site")
+    units = recenter_unitaries(root)
+    rotated = apply_sites(units, apply_sites(units, truncation).conj().T).conj().T
+    rho = _truncate_weight(rotated, m, params.degree(m))
+    rho = 0.5 * (rho + rho.conj().T)
+    return units, rho, float(np.linalg.eigvalsh(rho)[-1])
+
+
 def extend_candidate(truncation: np.ndarray, constraints, root: ProductParams,
                      params: CoverParams) -> ProductParams | None:
     """Search one recentered branch for a new admissible cover member.
@@ -355,18 +375,16 @@ def extend_candidate(truncation: np.ndarray, constraints, root: ProductParams,
     found (original frame) whose truncated overlap reaches eta - eps/2 and
     whose exact tangent distance clears every bound, or None.
     """
-    m = root.n
-    if m == 0:
-        raise ValueError("the search root must have at least one site")
-    d = params.degree(m)
-    units = recenter_unitaries(root)
-    rotated = apply_sites(units, apply_sites(units, truncation).conj().T).conj().T
-    rho = _truncate_weight(rotated, m, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    thresh = params.eta - 0.5 * params.eps
+    return _extend(_prepare_root(truncation, root, params), constraints, params)
 
+
+def _extend(prepared, constraints, params: CoverParams) -> ProductParams | None:
+    """`extend_candidate` on a branch already prepared by `_prepare_root`."""
+    units, rho, ceiling = prepared
+    m = len(units)
+    d = params.degree(m)
+    thresh = params.eta - 0.5 * params.eps
     # No unit vector beats the top eigenvalue, so neither will any candidate.
-    ceiling = float(np.linalg.eigvalsh(rho)[-1])
     if ceiling < thresh - 1e-12:
         return None
 
@@ -489,10 +507,12 @@ def _build(o: StateOracle, params: CoverParams, keep_trace: bool):
         new: list[ProductParams] = []
         for prev in members:
             for branch in LOCAL_NET:
-                root = ProductParams(prev.z + (branch,))
+                # Only the constraints change between searches of one root.
+                prepared = _prepare_root(truncation, ProductParams(prev.z + (branch,)),
+                                         params)
                 while True:
                     cons = [(mem, params.b) for mem in new]
-                    cand = extend_candidate(truncation, cons, root, params)
+                    cand = _extend(prepared, cons, params)
                     if cand is None:
                         break
                     est = estimate_fidelity(o, m, cand, params.eps / 4.0,

@@ -41,7 +41,6 @@ from .states import (
     FactoredDensity,
     ProductParams,
     QuantumState,
-    apply_sites,
     check_dense_budget,
     partial_trace,
     product_state_vector,
@@ -229,9 +228,16 @@ def _z_columns(o: StateOracle, basis: list[np.ndarray]) -> np.ndarray:
     n = o.n
     if len(basis) != n:
         raise ValueError("need one single-site unitary per site")
-    picks = np.zeros((2**n, n + 1), dtype=complex)
-    picks[[0] + [1 << (n - 1 - i) for i in range(n)], range(n + 1)] = 1.0
-    return apply_sites([np.asarray(u).conj().T for u in basis], picks)
+    # Every column is a product vector: column b takes U_k*|1> at site k when
+    # b = e_k and U_k*|0> elsewhere, so the columns grow one site at a time
+    # at O(n 2^n) in total.
+    cols = np.ones((1, n + 1), dtype=complex)
+    for k, u in enumerate(basis):
+        v = np.asarray(u).conj().T
+        site = np.repeat(v[:, :1], n + 1, axis=1)
+        site[:, k + 1] = v[:, 1]
+        cols = (cols[:, None, :] * site[None, :, :]).reshape(-1, n + 1)
+    return cols
 
 
 def _compressed_z_register(rho: FactoredDensity | np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -12,10 +12,12 @@ exact enough at desk scale and refuses (with a resource error) when the
 requested resolution would need more than a configured number of grid points.
 `support_nets` enumerates those grids under one budget for the solver, the
 witness search and the cover learner's candidate search, and hands out each
-grid's orthonormal span basis B.  The solver evaluates the objective in the
-q coordinates of that span: `PolySystem.restricted(B)` is f(B c) as a
-polynomial on C^q, so the degree-k terms cost q^k x q^k products rather
-than n^k x n^k ones.
+grid's orthonormal span basis B.  A grid's lattice coordinates depend only
+on its dimension q, so one call enumerates and ball-filters the lattice once
+per q and maps it through the basis of every support of that q.  The solver
+evaluates the objective in the q coordinates of that span:
+`PolySystem.restricted(B)` is f(B c) as a polynomial on C^q, so the degree-k
+terms cost q^k x q^k products rather than n^k x n^k ones.
 """
 
 from __future__ import annotations
@@ -175,13 +177,16 @@ def effective_subspace(sys: PolySystem, eps: float) -> np.ndarray:
     return _orthonormal_columns(np.concatenate(blocks, axis=1))
 
 
-def _iter_ball_grid(basis: np.ndarray, radius: float, pitch: float):
+def _iter_ball_grid(basis: np.ndarray, radius: float, pitch: float, lattice: list):
     """Chunked lattice points of the radius ball in the span of `basis`.
 
     `basis` holds q orthonormal columns; the lattice has the given pitch over
     the real and imaginary parts of the q coordinates, and each chunk covers
     at most _EVAL_CHUNK raw lattice points before the ball filter.  Yields
-    (p, n) arrays of points in the ambient space.
+    (p, n) arrays of points in the ambient space.  `lattice` holds, per raw
+    chunk, the axis indices of the points that survive the ball filter; it
+    depends only on (q, pitch), so chunks already in it are replayed and
+    only the missing ones are enumerated from the 2q-cube and appended.
     """
     dim_c = basis.shape[1]
     if dim_c == 0:
@@ -191,13 +196,14 @@ def _iter_ball_grid(basis: np.ndarray, radius: float, pitch: float):
     axis = np.arange(-steps, steps + 1) * pitch
     g = len(axis)
     total = g ** (2 * dim_c)
-    shape = (g,) * (2 * dim_c)
-    for start in range(0, total, _EVAL_CHUNK):
-        stop = min(start + _EVAL_CHUNK, total)
-        multi = np.unravel_index(np.arange(start, stop), shape)
-        reals = axis[np.stack(multi, axis=1)]
-        keep = (reals**2).sum(axis=1) <= radius**2
-        reals = reals[keep]
+    for k, start in enumerate(range(0, total, _EVAL_CHUNK)):
+        if k == len(lattice):
+            stop = min(start + _EVAL_CHUNK, total)
+            multi = np.stack(np.unravel_index(np.arange(start, stop), (g,) * (2 * dim_c)),
+                             axis=1)
+            keep = (axis[multi] ** 2).sum(axis=1) <= radius**2
+            lattice.append(multi[keep].astype(np.min_scalar_type(g - 1)))
+        reals = axis[lattice[k]]
         yield (reals[:, :dim_c] + 1j * reals[:, dim_c:]) @ basis.T
 
 
@@ -213,13 +219,17 @@ def support_nets(base: np.ndarray, max_support: int, radius: float,
     the ball of the given radius; the lattice's covering radius is
     spacing / 2.  Yields (S, basis, chunks): the n x q orthonormal basis of
     the span, and an iterator over (p, n) arrays of net points, all of which
-    lie in span(basis).  Before a support is enumerated, the
-    raw lattice points of every net so far are counted against `budget`;
-    exceeding it raises ResourceBudgetError.
+    lie in span(basis).  The ball's lattice coordinates depend only on q, so
+    one call enumerates and filters the 2q-cube once per q; every later
+    support of that q only maps the kept coordinates through its basis.
+    Before a support is enumerated, the raw lattice points of every net so
+    far are counted against `budget`; exceeding it raises
+    ResourceBudgetError.
     """
     n = base.shape[0]
     eye = np.eye(n, dtype=complex)
     used = 0
+    lattices: dict[tuple[int, float], list] = {}
     for size in range(min(n, max_support) + 1):
         for support in combinations(range(n), size):
             basis = _orthonormal_columns(
@@ -231,7 +241,8 @@ def support_nets(base: np.ndarray, max_support: int, radius: float,
                 raise ResourceBudgetError(
                     f"support nets need {used} grid points, above the "
                     f"{budget} budget; coarsen the spacing or restrict supports")
-            yield support, basis, _iter_ball_grid(basis, radius, pitch)
+            lattice = lattices.setdefault((q, pitch), [])
+            yield support, basis, _iter_ball_grid(basis, radius, pitch, lattice)
 
 
 def _certainly_empty(dom: OptDomain, factor: float) -> bool:

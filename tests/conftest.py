@@ -1,18 +1,30 @@
-"""Shared pytest hooks (acceptance-criteria summary lines), dense test references and the
-reference JSON pair codec."""
+"""Shared pytest hooks (acceptance-criteria summary lines), dense test references, the
+brute-force grid and multistart oracles, and the reference JSON pair codec."""
+
+import math
 
 import numpy as np
+from scipy.optimize import minimize
 
+from prodstate import polyopt
 from prodstate.discrete import member_vector
 from prodstate.oracle import _compressed_z_register, _operator, _shadow_row_chunks, _z_columns
 from prodstate.polyopt import (
     _certainly_empty,
     _orthonormal_columns,
     effective_subspace,
+    evaluate_poly,
     evaluate_poly_batch,
     support_nets,
 )
-from prodstate.states import QuantumState, partial_trace, product_unitary
+from prodstate.states import (
+    ProductParams,
+    QuantumState,
+    apply_sites,
+    partial_trace,
+    product_state_vector,
+    product_unitary,
+)
 
 
 def apply_product_unitary(state, unitaries):
@@ -93,6 +105,150 @@ def ambient_solve_constrained(sys, dom, eps, net_budget):
         if best_val >= ceiling - eps:
             break
     return best_x
+
+
+def reference_ball_grid(basis, radius, pitch):
+    """The ball lattice enumerated and filtered from the whole 2q-cube for every call.
+
+    Same chunks, in the same order and with the same raw-chunk boundaries
+    (polyopt._EVAL_CHUNK raw points each), as `support_nets` must yield.
+    """
+    dim_c = basis.shape[1]
+    if dim_c == 0:
+        yield np.zeros((1, 0), dtype=complex) @ basis.T
+        return
+    steps = math.floor(radius / pitch)
+    axis = np.arange(-steps, steps + 1) * pitch
+    g = len(axis)
+    total = g ** (2 * dim_c)
+    shape = (g,) * (2 * dim_c)
+    for start in range(0, total, polyopt._EVAL_CHUNK):
+        stop = min(start + polyopt._EVAL_CHUNK, total)
+        multi = np.unravel_index(np.arange(start, stop), shape)
+        reals = axis[np.stack(multi, axis=1)]
+        keep = (reals**2).sum(axis=1) <= radius**2
+        reals = reals[keep]
+        yield (reals[:, :dim_c] + 1j * reals[:, dim_c:]) @ basis.T
+
+
+def reference_z_columns(basis):
+    """The n+1 columns U*|b>, b in {0^n, e_1, .., e_n}, by `apply_sites` on a pick matrix."""
+    n = len(basis)
+    picks = np.zeros((2**n, n + 1), dtype=complex)
+    picks[[0] + [1 << (n - 1 - i) for i in range(n)], range(n + 1)] = 1.0
+    return apply_sites([np.asarray(u).conj().T for u in basis], picks)
+
+
+def bloch_grid(pitch: float) -> np.ndarray:
+    """Single-qubit grid states (g, 2) covering the sphere at the given angular pitch."""
+    n_theta = int(math.ceil(math.pi / pitch)) + 1
+    n_phi = int(math.ceil(2.0 * math.pi / pitch))
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    tt, pp = tt.ravel(), pp.ravel()
+    return np.stack([np.cos(tt / 2.0), np.exp(1j * pp) * np.sin(tt / 2.0)], axis=1)
+
+
+def grid_product_opt(state, pitch: float = 0.3) -> float:
+    """Dense product-state grid maximum of <pi|rho|pi> (n <= 3 only).
+
+    Never overestimates the true optimum; the per-site undershoot is
+    O(pitch^2).  Vectorized site-by-site contraction.
+    """
+    n = state.n
+    if n > 3:
+        raise ValueError("the dense grid oracle is limited to n <= 3")
+    grid = bloch_grid(pitch)
+    g = grid.shape[0]
+    # K[a, (i,l)] = conj(g_a)_i (g_a)_l : the per-site sandwich factors.
+    k = (grid.conj()[:, :, None] * grid[:, None, :]).reshape(g, 4)
+    rho = state.density()
+    t = rho.reshape((2,) * (2 * n))
+    # Regroup to pair each site's row/col indices: (i1 l1)(i2 l2)...
+    order = [axis for i in range(n) for axis in (i, n + i)]
+    t = np.transpose(t, order).reshape((4,) * n)
+    for _ in range(n):
+        t = np.tensordot(k, t, axes=([1], [0]))
+        t = np.moveaxis(t, 0, -1)
+    return float(np.max(t.real))
+
+
+def planted_grid_opt(params_star: ProductParams, w: float, pitch: float = 0.05) -> float:
+    """Grid-oracle optimum for the planted mixture, via its per-site factorization.
+
+    For rho = w|π*><π*| + (1−w) I/2^n the fidelity of any product state is
+    w·Π_i |<v_i|π*_i>|² + (1−w)/2^n, so the grid maximum factorizes exactly
+    into independent per-site grid maxima.
+    """
+    n = params_star.n
+    grid = bloch_grid(pitch)
+    prod = 1.0
+    for z in params_star.z:
+        site = product_state_vector(ProductParams((z,))).data
+        overlaps = np.abs(grid @ site.conj()) ** 2
+        prod *= float(np.max(overlaps))
+    return w * prod + (1.0 - w) / 2.0**n
+
+
+def _realify(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([x.real, x.imag])
+
+
+def _complexify(r: np.ndarray) -> np.ndarray:
+    half = r.shape[0] // 2
+    return r[:half] + 1j * r[half:]
+
+
+def reference_constrained_max(sys, dom, restarts: int = 60, seed: int = 0,
+                              gamma_factor: float = 1.0) -> float:
+    """Multistart smooth maximization of |f| over the constrained domain.
+
+    Reference oracle for the net-search solver: maximizes |f(x)| subject to
+    | ||x||−ν | <= γ', ||Ax−v|| <= γ', ||x||_inf <= μ+γ' with γ' = γ·gamma_factor,
+    using SLSQP from many seeded starts.  Returns the best value found (a
+    lower bound on the true constrained maximum; with generous restarts it is
+    tight at desk scale on smooth low-degree objectives).
+    """
+    rng = np.random.default_rng(seed)
+    n = sys.n
+    gamma = dom.gamma * gamma_factor
+    a_mat, v_vec, nu, mu = dom.a, dom.v, dom.nu, dom.mu
+
+    def value(r):
+        return abs(evaluate_poly(sys, _complexify(r)))
+
+    def neg_value(r):
+        return -value(r)
+
+    cons = [
+        {"type": "ineq", "fun": lambda r: gamma - abs(np.linalg.norm(_complexify(r)) - nu)},
+        {"type": "ineq",
+         "fun": lambda r: (mu + gamma) - np.max(np.abs(_complexify(r))) if n else 1.0},
+    ]
+    if a_mat.shape[0] > 0:
+        cons.append({"type": "ineq",
+                     "fun": lambda r: gamma - np.linalg.norm(a_mat @ _complexify(r) - v_vec)})
+
+    best = -1.0
+    feasible_seen = False
+    for _ in range(restarts):
+        x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        norm0 = np.linalg.norm(x0)
+        if norm0 > 0:
+            x0 *= min(nu, mu * math.sqrt(n)) / norm0
+        res = minimize(neg_value, _realify(x0), method="SLSQP", constraints=cons,
+                       options={"maxiter": 300, "ftol": 1e-12})
+        x = _complexify(res.x)
+        ok = (
+            abs(np.linalg.norm(x) - nu) <= gamma + 1e-8
+            and np.max(np.abs(x), initial=0.0) <= mu + gamma + 1e-8
+            and (a_mat.shape[0] == 0 or np.linalg.norm(a_mat @ x - v_vec) <= gamma + 1e-8)
+        )
+        if ok:
+            feasible_seen = True
+            best = max(best, value(res.x))
+    return best if feasible_seen else float("nan")
 
 
 def reference_pairs(values):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import test_polyopt
-from prodstate.bruteforce import planted_grid_opt, reference_constrained_max
 from prodstate.cli import ExperimentConfig, generate, run
 from prodstate.cover import CoverParams, DESK_OVERRIDES, build_cover, estimate_opt, verify_cover
 from prodstate.discrete import DiscreteClass, class_fidelity_census, discrete_learn, member_vector
@@ -53,6 +52,8 @@ from prodstate.states import (
     weight_distribution,
     weight_tail_bound,
 )
+
+from conftest import planted_grid_opt, reference_constrained_max
 
 
 def elapsed_under(started: float, budget_seconds: float) -> bool:

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from prodstate import cover as cover_module
 from prodstate.cover import (
     Cover,
     CoverOverrides,
     CoverParams,
     DESK_OVERRIDES,
     LOCAL_NET,
+    _batch_amplitudes,
+    _batch_overlap,
     _build,
     build_cover,
     estimate_opt,
@@ -130,6 +133,20 @@ def test_extend_net_budget_guard():
         extend_candidate(rho, [], ProductParams((0.0, 0.0)), params)
 
 
+def test_batch_overlap_matches_three_operand_einsum(monkeypatch):
+    # A small element budget splits the 700 rows into several row blocks.
+    monkeypatch.setattr(cover_module, "_OVERLAP_ELEMENTS", 2**10)
+    rng = np.random.default_rng(17)
+    for m, count in ((1, 5), (3, 700), (6, 40)):
+        a = rng.standard_normal((2**m, 2**m)) + 1j * rng.standard_normal((2**m, 2**m))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        points = 1.5 * (rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m)))
+        amps = _batch_amplitudes(points)
+        want = np.real(np.einsum("pi,ij,pj->p", amps.conj(), rho, amps))
+        assert np.abs(_batch_overlap(rho, points) - want).max() <= 1e-13
+
+
 # --- build_cover ----------------------------------------------------------------
 
 
@@ -144,6 +161,27 @@ def test_build_cover_pure_origin():
             if fidelity(o.hidden, m) >= 0.7
             and tangent_distance(m, origin) <= 3.0 / 0.9]
     assert hits
+
+
+def test_build_prepares_each_root_once(monkeypatch):
+    # The Bell cover accepts members, so some roots are searched more than once.
+    prepared = []
+    recenter = cover_module.recenter_unitaries
+
+    def counting_recenter(root):
+        prepared.append(root)
+        return recenter(root)
+
+    monkeypatch.setattr(cover_module, "recenter_unitaries", counting_recenter)
+    bell = np.zeros(4)
+    bell[0] = bell[3] = 2**-0.5
+    params = CoverParams(0.5, 0.12, 0.05, DESK_OVERRIDES)
+    cover, trace = _build(StateOracle(QuantumState.pure(bell, local_dim=2), seed=3), params,
+                          keep_trace=True)
+    assert len(cover) == 2
+    roots = len(LOCAL_NET) * (1 + sum(len(level) for level in trace[:-1]))
+    assert len(prepared) == roots
+    assert len(set(prepared)) == roots
 
 
 def test_build_cover_mixed_is_empty():

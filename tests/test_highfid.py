@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from prodstate.bruteforce import grid_product_opt, planted_grid_opt
 from prodstate.errors import PromiseViolationError
 from prodstate.instances import maximally_mixed, planted_mixture, planted_opt, random_mixed
 from prodstate.localopt import (
@@ -28,7 +27,7 @@ from prodstate.states import (
     weight_distribution,
 )
 
-from conftest import exact_z
+from conftest import exact_z, grid_product_opt, planted_grid_opt
 
 
 def perturbed_start(rng, target: ProductParams, overlap: float) -> ProductParams:

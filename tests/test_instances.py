@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from prodstate.bruteforce import best_product_fidelity, bloch_grid, grid_product_opt, planted_grid_opt
+from prodstate.bruteforce import best_product_fidelity
 from prodstate.instances import (
     Graph,
     bell_state,
@@ -19,6 +19,8 @@ from prodstate.instances import (
     w_state,
 )
 from prodstate.states import ProductParams, fidelity, random_product_params
+
+from conftest import bloch_grid, grid_product_opt, planted_grid_opt
 
 
 def test_ghz_amplitudes():

@@ -15,6 +15,7 @@ from prodstate.oracle import (
     _geometric_median,
     _shadow_group_means,
     _shadow_row_chunks,
+    _z_columns,
     estimate_fidelity,
     estimate_z,
     fidelity_copy_cost,
@@ -40,7 +41,7 @@ from prodstate.states import (
     recenter_unitaries,
 )
 
-from conftest import exact_z, raw_z_shadows
+from conftest import exact_z, raw_z_shadows, reference_z_columns
 
 
 def identity_basis(n):
@@ -102,6 +103,17 @@ def test_z_respects_rotated_frame():
     o = StateOracle(state, backend="exact")
     a = estimate_z(o, basis, eps=0.4, delta=0.3)
     assert np.linalg.norm(a) < 1e-9
+
+
+def test_z_columns_match_pick_matrix_reference():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 5, 9):
+        o = StateOracle(product_state_vector(random_product_params(rng, n)), backend="exact")
+        basis = [haar_unitary(2, rng) for _ in range(n)]
+        got = _z_columns(o, basis)
+        want = reference_z_columns(basis)
+        assert got.shape == want.shape == (2**n, n + 1)
+        assert np.abs(got - want).max() <= 1e-14
 
 
 def test_z_norm_at_most_half():

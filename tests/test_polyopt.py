@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from prodstate.bruteforce import reference_constrained_max
+from prodstate import polyopt
 from prodstate.cli import _polyopt_instance
 from prodstate.errors import ResourceBudgetError
 from prodstate.polyopt import (
@@ -22,7 +23,7 @@ from prodstate.polyopt import (
     support_nets,
 )
 
-from conftest import ambient_solve_constrained
+from conftest import ambient_solve_constrained, reference_ball_grid, reference_constrained_max
 
 
 def rank_one_system(n, constant, weights, u):
@@ -348,6 +349,80 @@ def test_support_nets_budget_raises_before_support_yields():
                 for _ in chunks:
                     pass
         assert reached_here == reached
+
+
+def _net_cases(rng):
+    """(base, max_support) pairs whose supports span q = 0..3, with and without a base column."""
+    pinned = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    return ((np.zeros((3, 0), dtype=complex), 3), (pinned, 2))
+
+
+def test_support_nets_chunks_match_cube_reference(monkeypatch):
+    # A small raw chunk puts many chunk boundaries inside every ball.
+    monkeypatch.setattr(polyopt, "_EVAL_CHUNK", 97)
+    radius, spacing = 1.1, 1.0
+    qs = set()
+    for base, max_support in _net_cases(np.random.default_rng(3)):
+        for _, basis, chunks in support_nets(base, max_support, radius, spacing, 10**6):
+            q = basis.shape[1]
+            qs.add(q)
+            got = list(chunks)
+            want = list(reference_ball_grid(basis, radius, spacing / math.sqrt(2.0 * max(q, 1))))
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert qs == {0, 1, 2, 3}
+
+
+def test_support_nets_replays_a_partly_consumed_lattice(monkeypatch):
+    # Abandoning a support's chunks early must not cut short later supports of the same q.
+    monkeypatch.setattr(polyopt, "_EVAL_CHUNK", 50)
+    radius, spacing = 1.0, 1.0
+    for step, (_, basis, chunks) in enumerate(
+            support_nets(np.zeros((3, 0)), 2, radius, spacing, 10**6)):
+        q = basis.shape[1]
+        want = list(reference_ball_grid(basis, radius, spacing / math.sqrt(2.0 * max(q, 1))))
+        got = [next(chunks)] if step % 2 else list(chunks)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert step % 2 or len(got) == len(want)
+
+
+def test_support_nets_enumerate_each_ball_once_per_q(monkeypatch):
+    chunk = 50
+    monkeypatch.setattr(polyopt, "_EVAL_CHUNK", chunk)
+    cube_chunks = []
+    unravel = np.unravel_index
+
+    def counting_unravel(indices, shape):
+        cube_chunks.append(len(shape) // 2)
+        return unravel(indices, shape)
+
+    monkeypatch.setattr(np, "unravel_index", counting_unravel)
+    radius, spacing = 1.0, 1.0
+    for base, max_support in _net_cases(np.random.default_rng(4)):
+        cube_chunks.clear()
+        qs = []
+        for _, basis, chunks in support_nets(base, max_support, radius, spacing, 10**6):
+            qs.append(basis.shape[1])
+            for _ in chunks:
+                pass
+        assert len(qs) > len(set(qs))
+        want = {}
+        for q in set(qs) - {0}:
+            g = 2 * math.floor(radius / (spacing / math.sqrt(2.0 * q))) + 1
+            want[q] = math.ceil(g ** (2 * q) / chunk)
+        assert {q: cube_chunks.count(q) for q in set(cube_chunks)} == want
+
+
+def test_solve_constrained_peak_memory_on_cli_system():
+    sys_, dom = _polyopt_instance(0, 6)
+    tracemalloc.start()
+    try:
+        assert solve_constrained(sys_, dom, 0.1) is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 # --- domain membership -----------------------------------------------------------
