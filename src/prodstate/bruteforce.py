@@ -73,5 +73,4 @@ def best_product_fidelity(state: QuantumState, restarts: int = 12, sweeps: int =
                 break
         if val > best_val:
             best_val, best_sites = val, [s.copy() for s in sites]
-    params = ProductParams(tuple(vector_to_params(s).z[0] for s in best_sites))
-    return min(max(best_val, 0.0), 1.0), params
+    return min(max(best_val, 0.0), 1.0), vector_to_params(best_sites)

@@ -53,7 +53,7 @@ from .serialize import (
     tensor_from_json,
     tensor_to_json,
 )
-from .states import QuantumState, fidelity, haar_product_params, vector_fidelity
+from .states import QuantumState, fidelity, haar_product_params, haar_state, vector_fidelity
 
 __all__ = ["ExperimentConfig", "app", "generate", "main", "run"]
 
@@ -167,9 +167,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> dict:
         if n < 2 or rank < 1 or not 0.0 <= w <= 1.0:
             raise UsageError("need n >= 2, rank >= 1, and w in [0, 1]")
         w *= 1.0 - float(params.get("noise", 0.0))
-        vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        vec /= np.linalg.norm(vec)
-        train = state_to_mps(QuantumState.pure(vec), max_bond=rank)
+        train = state_to_mps(QuantumState.pure(haar_state(2**n, rng)), max_bond=rank)
         payload["state"] = state_to_json(planted_mixture(mps_to_state(train).data, w))
         payload["ground_truth"] = {"opt": planted_opt(w, n),
                                    "planted_mps": mps_to_json(train)}

@@ -52,6 +52,7 @@ from .states import (
     fidelity,
     hamming_weights,
     haar_product_params,
+    product_vectors,
     recenter_unitaries,
     tangent_distance,
     transform_params,
@@ -263,14 +264,8 @@ def _truncate_weight(mat: np.ndarray, m: int, d: int) -> np.ndarray:
 
 def _batch_amplitudes(points: np.ndarray) -> np.ndarray:
     """Normalized product-state amplitude rows for bounded parameter rows."""
-    count, m = points.shape
-    amps = np.ones((count, 1), dtype=complex)
-    for i in range(m):
-        z = points[:, i]
-        scale = 1.0 / np.sqrt(1.0 + np.abs(z) ** 2)
-        site = np.stack([scale, scale * z], axis=1)
-        amps = (amps[:, :, None] * site[:, None, :]).reshape(count, -1)
-    return amps
+    scale = 1.0 / np.sqrt(1.0 + np.abs(points) ** 2)
+    return product_vectors(np.stack([scale, scale * points], axis=-1))
 
 
 def _batch_overlap(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -425,6 +420,13 @@ def _extend(prepared, constraints, params: CoverParams) -> ProductParams | None:
         s_mask = np.zeros(m, dtype=bool)
         s_mask[list(support)] = True
         sbar = ~s_mask
+        mbar = m - len(support)
+        # The flat completions' linear pin depends only on the support.
+        if mbar and rungs and flat_calls_left > 0 and cons_arrays:
+            a_mat = _orthonormal_columns(
+                np.stack([a[sbar] for a in cons_arrays], axis=1)).conj().T
+        else:
+            a_mat = np.zeros((0, mbar), dtype=complex)
 
         for points in chunks:
             count = points.shape[0]
@@ -453,7 +455,6 @@ def _extend(prepared, constraints, params: CoverParams) -> ProductParams | None:
 
             # Flat completions: pin the support to the net point, hand the
             # remainder (at each norm rung) to the polynomial maximizer.
-            mbar = m - len(support)
             if mbar == 0 or not rungs or flat_calls_left <= 0:
                 continue
             for nu in rungs:
@@ -464,12 +465,6 @@ def _extend(prepared, constraints, params: CoverParams) -> ProductParams | None:
                     flat_calls_left -= 1
                     point = points[idx]
                     system = _flat_poly_system(rho, m, s_mask, point, nu, d)
-                    if cons_arrays:
-                        pin = _orthonormal_columns(
-                            np.stack([a[sbar] for a in cons_arrays], axis=1))
-                        a_mat = pin.conj().T
-                    else:
-                        a_mat = np.zeros((0, mbar), dtype=complex)
                     target = a_mat @ (point[sbar] / nu)
                     dom = OptDomain(a_mat, target, 1.0, params.mu / nu,
                                     min(gamma_po / nu, 1.0))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PromiseViolationError, ResourceBudgetError
 from .oracle import StateOracle, estimate_fidelity
-from .states import ProductParams, QuantumState, _ratio_param, vector_fidelity
+from .states import QuantumState, product_vectors, vector_fidelity, vector_to_params
 
 __all__ = [
     "DiscreteClass",
@@ -106,27 +106,21 @@ def member_vector(cls: DiscreteClass, member: tuple[int, ...]) -> np.ndarray:
     """Dense amplitudes of the class member picked by per-site indices."""
     if len(member) == 0 or len(member) > cls.n:
         raise ValueError("member needs between 1 and n site indices")
-    vec = np.array([1.0 + 0.0j])
-    for site, idx in enumerate(member):
-        vec = np.kron(vec, cls.site_states[site][idx])
-    return vec
-
-
-def _member_params(cls: DiscreteClass, member: tuple[int, ...]) -> ProductParams:
-    return ProductParams(tuple(
-        _ratio_param(*cls.site_states[site][idx])
-        for site, idx in enumerate(member)))
+    sites = np.stack([cls.site_states[site][idx] for site, idx in enumerate(member)])
+    return product_vectors(sites[None])[0]
 
 
 def class_fidelity_census(rho: QuantumState, cls: DiscreteClass,
-                          threshold: float,
-                          budget: int = CENSUS_BUDGET) -> set[tuple[int, ...]]:
-    """Every class member with exact fidelity >= threshold, by enumeration."""
+                          threshold: float) -> set[tuple[int, ...]]:
+    """Every class member with exact fidelity >= threshold, by enumeration.
+
+    Raises ResourceBudgetError for classes above CENSUS_BUDGET members.
+    """
     if rho.local_dim != cls.local_dim or rho.n != cls.n:
         raise ValueError("state and class shapes do not match")
-    if cls.size > budget:
+    if cls.size > CENSUS_BUDGET:
         raise ResourceBudgetError(
-            f"census over {cls.size} members exceeds the {budget} budget")
+            f"census over {cls.size} members exceeds the {CENSUS_BUDGET} budget")
     out = set()
     for member in itertools.product(*(range(len(m)) for m in cls.site_states)):
         if vector_fidelity(rho, member_vector(cls, member)) >= threshold:
@@ -175,8 +169,9 @@ def discrete_learn(o: StateOracle, cls: DiscreteClass, eta: float, eps: float,
         for prefix in survivors:
             for idx in range(len(cls.site_states[m - 1])):
                 member = prefix + (idx,)
-                est = estimate_fidelity(o, m, _member_params(cls, member),
-                                        eps / 2.0, delta_call)
+                sites = [cls.site_states[k][i] for k, i in enumerate(member)]
+                est = estimate_fidelity(o, m, vector_to_params(sites), eps / 2.0,
+                                        delta_call)
                 if est >= eta - eps / 2.0:
                     if math.log(len(new) + 1.0) > log_guard:
                         raise PromiseViolationError(

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PromiseViolationError
-from .oracle import StateOracle, _marginal, _operator, _sandwich, estimate_z
+from .oracle import (
+    StateOracle,
+    _marginal,
+    _operator,
+    _random_hermitian_unit,
+    _sandwich,
+    estimate_z,
+)
 from .states import (
     ProductParams,
     QuantumState,
@@ -171,9 +178,7 @@ def single_site_estimate(o: StateOracle, delta: float) -> ProductParams:
     if o.backend == "exact":
         scale = o._noise_scale(1.0)
         if scale != 0.0:
-            g = o._rng.standard_normal((2, 2)) + 1j * o._rng.standard_normal((2, 2))
-            h = (g + g.conj().T) / 2.0
-            rho = rho + scale * h / np.linalg.norm(h, 2)
+            rho = rho + scale * _random_hermitian_unit(o._rng, 2, "op")
     else:
         bloch = []
         for pauli in _PAULIS:

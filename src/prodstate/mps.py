@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import PromiseViolationError, ResourceBudgetError
 from .oracle import StateOracle, subnormalized_tomography
@@ -87,17 +86,17 @@ class MatrixProductState:
         return max(self.bond_dims)
 
 
-def mps_to_state(m: MatrixProductState, budget: int = DENSE_BUDGET) -> QuantumState:
+def mps_to_state(m: MatrixProductState) -> QuantumState:
     """Contract the train into a dense normalized pure state.
 
     Raises ResourceBudgetError when the amplitude vector's 16 dim bytes
-    exceed `budget`.
+    exceed DENSE_BUDGET.
     """
     dim = m.local_dim**m.n
-    if 16 * dim > budget:
+    if 16 * dim > DENSE_BUDGET:
         raise ResourceBudgetError(
             f"dense contraction of dimension {dim} needs {16 * dim} bytes, above the "
-            f"{budget}-byte budget")
+            f"{DENSE_BUDGET}-byte budget")
     amps = np.ones((1, 1), dtype=complex)
     for t in m.tensors:
         # amps: (prefix_dim, r_left) -> (prefix_dim * d, r_right)
@@ -160,7 +159,7 @@ def disentangling_unitary(basis: np.ndarray) -> np.ndarray:
     gram = basis.conj().T @ basis
     if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-9):
         raise ValueError("basis columns must be orthonormal")
-    complement = null_space(basis.conj().T)
+    complement = np.linalg.svd(basis)[0][:, basis.shape[1]:]
     return np.hstack([basis, complement]).conj().T
 
 

@@ -18,6 +18,10 @@ backends share identical signatures and copy accounting:
   stream into per-group sums, so memory is O(SHADOW_CHUNK * dim) whatever
   the shot count.
 
+Sampling measures a compressed register, the block read plus one junk slot
+(`_with_junk_slot`): on the product columns U*|0^n>, U*|e_i> for amplitudes
+(`_z_columns`), on the weight-<= d strings for subspace tomography.
+
 The estimators read the hidden state only through `_operator`, `_marginal`
 and `_sandwich`: rho @ block, the marginal on a site set, and rows rho rows*.
 A pure state is the factor (psi, 0) and a factored state its
@@ -32,7 +36,6 @@ counter matches them exactly.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -42,8 +45,11 @@ from .states import (
     ProductParams,
     QuantumState,
     check_dense_budget,
+    hamming_weights,
+    haar_state,
     partial_trace,
     product_state_vector,
+    product_vectors,
 )
 
 # Hard cap on simulated measurement shots per oracle call; beyond this a
@@ -113,11 +119,7 @@ def weight_leq_indices(m: int, d: int) -> list[int]:
     """Basis indices (ascending) of m-qubit strings with Hamming weight <= d."""
     if not (0 <= d <= m):
         raise ValueError("need 0 <= d <= m")
-    idx = []
-    for k in range(d + 1):
-        for ones in combinations(range(m), k):
-            idx.append(sum(1 << (m - 1 - i) for i in ones))
-    return sorted(idx)
+    return np.flatnonzero(hamming_weights(m) <= d).tolist()
 
 
 # --- oracle handle ---------------------------------------------------------
@@ -229,29 +231,25 @@ def _z_columns(o: StateOracle, basis: list[np.ndarray]) -> np.ndarray:
     if len(basis) != n:
         raise ValueError("need one single-site unitary per site")
     # Every column is a product vector: column b takes U_k*|1> at site k when
-    # b = e_k and U_k*|0> elsewhere, so the columns grow one site at a time
-    # at O(n 2^n) in total.
-    cols = np.ones((1, n + 1), dtype=complex)
-    for k, u in enumerate(basis):
-        v = np.asarray(u).conj().T
-        site = np.repeat(v[:, :1], n + 1, axis=1)
-        site[:, k + 1] = v[:, 1]
-        cols = (cols[:, None, :] * site[None, :, :]).reshape(-1, n + 1)
-    return cols
+    # b = e_k and U_k*|0> elsewhere.
+    adj = np.stack([np.asarray(u, dtype=complex).conj().T for u in basis])
+    sites = np.repeat(adj[None, :, :, 0], n + 1, axis=0)
+    sites[np.arange(1, n + 1), np.arange(n)] = adj[:, :, 1]
+    # C order matters: a Fortran-ordered result takes another BLAS path in
+    # _sandwich, which can rotate a degenerate eigenbasis of the sampled sigma.
+    return np.ascontiguousarray(product_vectors(sites).T)
 
 
-def _compressed_z_register(rho: FactoredDensity | np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """State on span{|0^n>, |e_1>..|e_n>} plus one junk slot for leftover population.
+def _with_junk_slot(block: np.ndarray) -> np.ndarray:
+    """A compressed register: `block` plus one junk slot for the leftover population.
 
     The compression is the channel that first checks membership in the
-    low-excitation span and dumps everything else into a fixed extra basis
-    state; the matrix elements the amplitude estimator reads are unchanged.
-    `cols` are the span's basis vectors pulled back to the original frame
-    (see _z_columns).
+    span `block` is written in and dumps everything else into a fixed extra
+    basis state; the block's matrix elements are unchanged.
     """
-    dim = cols.shape[1] + 1
+    dim = block.shape[0] + 1
     sigma = np.zeros((dim, dim), dtype=complex)
-    sigma[:-1, :-1] = _sandwich(rho, cols.conj().T)
+    sigma[:-1, :-1] = block
     sigma[-1, -1] = max(0.0, 1.0 - float(np.real(np.trace(sigma))))
     return sigma
 
@@ -347,11 +345,6 @@ def _project_psd(mat: np.ndarray, trace_cap: float = 1.0) -> np.ndarray:
     return out
 
 
-def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
 def _random_hermitian_unit(rng: np.random.Generator, dim: int, norm: str) -> np.ndarray:
     """Random Hermitian matrix normalized to unit operator/trace/Frobenius norm."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -391,13 +384,14 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
         scale = o._noise_scale(eps)
         if scale == 0.0:
             return z
-        return z + scale * _random_direction(o._rng, n)
+        return z + scale * haar_state(n, o._rng)
 
     o._check_shots(copies)
     groups = median_group_count(delta)
     per = z_group_size(n, eps)
     # z_i = <e_i| sigma |0^n> is entry (i, 0) of each group's shadow mean.
-    means = _shadow_group_means(o._rng, _compressed_z_register(rho, cols), groups, per)
+    sigma = _with_junk_slot(_sandwich(rho, cols.conj().T))
+    means = _shadow_group_means(o._rng, sigma, groups, per)
     o._charge(copies)
     return _geometric_median(means[:, 1: n + 1, 0])
 
@@ -440,9 +434,7 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
     o._check_shots(copies)
     groups = median_group_count(delta)
     per = tomography_group_size(dim, eps)
-    sigma = np.zeros((dim, dim), dtype=complex)
-    sigma[:w, :w] = block
-    sigma[w, w] = max(0.0, 1.0 - float(np.real(np.trace(sigma))))
+    sigma = _with_junk_slot(block)
     est = _geometric_median(_shadow_group_means(o._rng, sigma, groups, per))[:w, :w]
     o._charge(copies)
     full[np.ix_(idx, idx)] = _project_psd(est)

@@ -17,6 +17,10 @@ a product state onto |0...0> (applied sitewise by `apply_sites`, without a
 dense Kronecker frame), fidelity evaluation, and the small closed-form
 bounds (fidelity sandwiches, weight-tail bounds) that the learners rely on.
 
+Every module builds product amplitudes with `product_vectors`, reads
+parameters off site vectors with `vector_to_params`, enumerates string
+weights with `hamming_weights`, and draws Haar states with `haar_state`.
+
 Basis convention: index b encodes the string x via b = sum_i x_i * d^(n-i),
 i.e. site 1 is the most significant digit.
 """
@@ -299,10 +303,22 @@ def product_state_vector(p: ProductParams) -> QuantumState:
     """
     if p.n == 0:
         raise ValueError("cannot build a state on zero sites")
-    vec = np.array([1.0 + 0.0j])
-    for z in p.z:
-        vec = np.kron(vec, _site_vector(z))
+    vec = product_vectors(np.stack([_site_vector(z) for z in p.z])[None])[0]
     return QuantumState.pure(_fix_global_phase(vec), local_dim=2)
+
+
+def product_vectors(sites) -> np.ndarray:
+    """Amplitude rows of product vectors: (batch, n, d) site vectors to (batch, d^n).
+
+    Row j is sites[j, 0] ⊗ ... ⊗ sites[j, n-1] (site 1 most significant),
+    grown one site at a time at O(batch d^n) in total.
+    """
+    sites = np.asarray(sites)
+    batch, n, _ = sites.shape
+    out = np.ones((batch, 1), dtype=sites.dtype)
+    for k in range(n):
+        out = (out[:, :, None] * sites[:, None, k, :]).reshape(batch, -1)
+    return out
 
 
 def tangent_distance(p: ProductParams, q: ProductParams) -> float:
@@ -511,15 +527,15 @@ def random_product_params(rng: np.random.Generator, n: int, scale: float = 1.0) 
 
 def haar_product_params(rng: np.random.Generator, n: int) -> ProductParams:
     """Parameters of a product of independent Haar-random qubit states."""
-    return ProductParams(tuple(_ratio_param(*haar_state(2, rng)) for _ in range(n)))
+    return vector_to_params([haar_state(2, rng) for _ in range(n)])
 
 
-def vector_to_params(vector: np.ndarray) -> ProductParams:
-    """Parameters of a single-qubit state vector (ratio amp1/amp0, capped)."""
+def vector_to_params(vector) -> ProductParams:
+    """Parameters (ratio amp1/amp0, capped) of a qubit vector or an (n, 2) stack, one per site."""
     v = np.asarray(vector, dtype=complex)
-    if v.shape != (2,):
-        raise ValueError("expected a single-qubit state vector")
-    return ProductParams((_ratio_param(v[0], v[1]),))
+    if v.ndim not in (1, 2) or v.shape[-1:] != (2,):
+        raise ValueError("expected a single-qubit state vector or an (n, 2) stack of them")
+    return ProductParams(tuple(_ratio_param(a, b) for a, b in v.reshape(-1, 2)))
 
 
 def partial_trace(matrix: np.ndarray, n: int, keep, local_dim: int = 2) -> np.ndarray:

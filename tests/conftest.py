@@ -2,13 +2,20 @@
 brute-force grid and multistart oracles, and the reference JSON pair codec."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
 
 from prodstate import polyopt
 from prodstate.discrete import member_vector
-from prodstate.oracle import _compressed_z_register, _operator, _shadow_row_chunks, _z_columns
+from prodstate.oracle import (
+    _operator,
+    _sandwich,
+    _shadow_row_chunks,
+    _with_junk_slot,
+    _z_columns,
+)
 from prodstate.polyopt import (
     _certainly_empty,
     _orthonormal_columns,
@@ -21,6 +28,8 @@ from prodstate.states import (
     ProductParams,
     QuantumState,
     apply_sites,
+    _fix_global_phase,
+    _site_vector,
     partial_trace,
     product_state_vector,
     product_unitary,
@@ -129,6 +138,33 @@ def reference_ball_grid(basis, radius, pitch):
         keep = (reals**2).sum(axis=1) <= radius**2
         reals = reals[keep]
         yield (reals[:, :dim_c] + 1j * reals[:, dim_c:]) @ basis.T
+
+
+def reference_kron(vectors):
+    """The Kronecker product of site vectors, grown by one np.kron per site."""
+    vec = np.array([1.0 + 0.0j])
+    for v in vectors:
+        vec = np.kron(vec, v)
+    return vec
+
+
+def reference_product_state_vector(p):
+    """`product_state_vector` by the np.kron loop it replaced."""
+    return QuantumState.pure(_fix_global_phase(reference_kron(_site_vector(z) for z in p.z)))
+
+
+def reference_member_vector(cls, member):
+    """`discrete.member_vector` by the np.kron loop it replaced."""
+    return reference_kron(cls.site_states[site][idx] for site, idx in enumerate(member))
+
+
+def reference_weight_leq_indices(m, d):
+    """Basis indices of weight-<= d strings, enumerated by placing the ones."""
+    idx = []
+    for k in range(d + 1):
+        for ones in combinations(range(m), k):
+            idx.append(sum(1 << (m - 1 - i) for i in ones))
+    return sorted(idx)
 
 
 def reference_z_columns(basis):
@@ -274,7 +310,7 @@ def raw_z_shadows(o, basis, shots):
         raise ValueError("raw shadows exist only on the sampling backend")
     n = o.n
     o._check_shots(shots)
-    sigma = _compressed_z_register(_operator(o.hidden), _z_columns(o, basis))
+    sigma = _with_junk_slot(_sandwich(_operator(o.hidden), _z_columns(o, basis).conj().T))
     rows = np.concatenate(list(_shadow_row_chunks(o._rng, sigma, shots)))
     o._charge(shots)
     return (sigma.shape[0] + 1) * rows[:, 1: n + 1] * rows[:, [0]].conj()

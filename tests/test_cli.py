@@ -1,11 +1,16 @@
 """Command-line runner, instance generators, and JSON serialization."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prodstate
 from prodstate import serialize
 from prodstate.bruteforce import best_product_fidelity
 from prodstate.cli import ExperimentConfig, UsageError, generate, main, run
@@ -476,3 +481,15 @@ def test_log_env_variable_sets_level(tmp_path, monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="prodstate.cli"):
         assert main(["highfid", inst, "--out", str(tmp_path / "r.json")]) == 0
     assert any("running highfid" in m for m in caplog.messages)
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    src = str(Path(prodstate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, prodstate, prodstate.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

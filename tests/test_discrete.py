@@ -16,7 +16,7 @@ from prodstate.instances import maximally_mixed, random_mixed
 from prodstate.oracle import StateOracle
 from prodstate.states import QuantumState
 
-from conftest import exact_prefix_fidelity
+from conftest import exact_prefix_fidelity, reference_member_vector
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -87,6 +87,18 @@ def test_member_vector_ordering():
         member_vector(cls, (0, 0, 0))
 
 
+def test_member_vector_matches_kron_reference():
+    rng = np.random.default_rng(5)
+    for d in (2, 3):
+        for n in range(1, 6):
+            cls = random_class(rng, n, 3, d)
+            for _ in range(3):
+                member = tuple(int(i) for i in rng.integers(0, 3, size=n))
+                for k in range(1, n + 1):
+                    want = reference_member_vector(cls, member[:k])
+                    assert np.array_equal(member_vector(cls, member[:k]), want)
+
+
 # --- census ---------------------------------------------------------------------
 
 
@@ -104,9 +116,10 @@ def test_census_threshold_extremes():
 
 
 def test_census_budget_guard():
-    rho = basis_state(2)
+    # 2^18 = 262,144 members, above CENSUS_BUDGET.
+    cls = DiscreteClass([[KET0, PLUS]] * 18)
     with pytest.raises(ResourceBudgetError):
-        class_fidelity_census(rho, axes_class(2), 0.5, budget=10)
+        class_fidelity_census(basis_state(18), cls, 0.5)
 
 
 def test_census_supports_qudits():

@@ -90,8 +90,10 @@ def test_contraction_of_hand_built_ghz_train():
 
 
 def test_contraction_budget_guard():
+    # 2^23 amplitudes need 128 MiB, above DENSE_BUDGET; the check runs before
+    # any allocation.
     with pytest.raises(ResourceBudgetError):
-        mps_to_state(zero_train(6), budget=32)
+        mps_to_state(zero_train(23))
 
 
 def test_factorization_round_trip():

@@ -41,7 +41,7 @@ from prodstate.states import (
     recenter_unitaries,
 )
 
-from conftest import exact_z, raw_z_shadows, reference_z_columns
+from conftest import exact_z, raw_z_shadows, reference_weight_leq_indices, reference_z_columns
 
 
 def identity_basis(n):
@@ -277,6 +277,9 @@ def test_weight_leq_indices():
     assert weight_leq_indices(2, 2) == [0, 1, 2, 3]
     with pytest.raises(ValueError):
         weight_leq_indices(2, 3)
+    for m in range(9):
+        for d in range(m + 1):
+            assert weight_leq_indices(m, d) == reference_weight_leq_indices(m, d)
 
 
 def test_subspace_zero_state():

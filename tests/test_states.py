@@ -25,6 +25,7 @@ from prodstate.states import (
     product_fidelity,
     product_state_vector,
     product_unitary,
+    product_vectors,
     project_hamming,
     random_product_params,
     recenter_unitaries,
@@ -36,7 +37,7 @@ from prodstate.states import (
     weight_tail_bound,
 )
 
-from conftest import apply_product_unitary
+from conftest import apply_product_unitary, reference_kron, reference_product_state_vector
 
 
 def test_params_validation():
@@ -327,6 +328,29 @@ def test_vector_to_params_round_trip():
         assert abs(np.vdot(rebuilt, v)) == pytest.approx(1.0, abs=1e-9)
     basis_one = vector_to_params(np.array([0.0, 1.0]))
     assert abs(basis_one.z[0]) == Z_MAX
+    # An (n, 2) stack gives one parameter per row.
+    stack = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    assert vector_to_params(stack).z == tuple(vector_to_params(v).z[0] for v in stack)
+    with pytest.raises(ValueError):
+        vector_to_params(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        vector_to_params(np.ones((1, 2, 2)))
+
+
+def test_product_vectors_match_kron_reference():
+    rng = np.random.default_rng(73)
+    for batch in (1, 3):
+        for d in (2, 3):
+            for n in range(1, 6):
+                sites = rng.normal(size=(batch, n, d)) + 1j * rng.normal(size=(batch, n, d))
+                got = product_vectors(sites)
+                assert got.shape == (batch, d**n)
+                for j in range(batch):
+                    assert np.array_equal(got[j], reference_kron(sites[j]))
+    for n in range(1, 6):
+        p = random_product_params(rng, n, scale=2.0)
+        want = reference_product_state_vector(p).data
+        assert np.array_equal(product_state_vector(p).data, want)
 
 
 def test_quantum_state_validation():
