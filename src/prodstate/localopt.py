@@ -173,6 +173,7 @@ def single_site_estimate(o: StateOracle, delta: float) -> ProductParams:
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     shots = math.ceil(50.0 * math.log(2.0 / delta))
+    o._check_shots(3 * shots)
     o._charge(3 * shots)
     rho = _sandwich(_operator(o.hidden), slice(None))
     if o.backend == "exact":

@@ -11,12 +11,11 @@ backends share identical signatures and copy accounting:
   are backend-independent.
 * ``sampling`` — simulates single-copy randomized measurements (Haar-basis
   shadows on a compressed register) with explicit copy consumption.  Each
-  shot records the basis state u its outcome projects onto; u follows the
-  Haar law reweighted by dim <u|sigma|u>, which is sampled directly from the
-  eigenpairs of the compressed state sigma with O(dim) random draws per shot
-  and no per-shot unitary, in chunks of SHADOW_CHUNK shots whose shadows
-  stream into per-group sums, so memory is O(SHADOW_CHUNK * dim) whatever
-  the shot count.
+  shot records the basis state u its outcome projects onto, drawn as one
+  Gamma-weighted Gaussian in the eigenbasis of the compressed state sigma
+  (one eigh per call, 2 dim + 2 random draws per shot); chunks of SHADOW_CHUNK
+  shots add into per-group sums in that eigenbasis, rotated back once per
+  call, so memory is O(SHADOW_CHUNK * dim) whatever the shot count.
 
 Sampling measures a compressed register, the block read plus one junk slot
 (`_with_junk_slot`): on the product columns U*|0^n>, U*|e_i> for amplitudes
@@ -275,62 +274,63 @@ def _geometric_median(points: np.ndarray) -> np.ndarray:
     return points[int(np.argmin(med))]
 
 
-def _shadow_row_chunks(rng: np.random.Generator, sigma: np.ndarray, shots: int):
-    """Post-measurement basis rows u from random-basis measurements of sigma.
-
-    Measuring sigma in a Haar-random basis and recording the basis state u
-    the outcome projects onto gives u the Haar law reweighted by
-    dim <u|sigma|u>.  With sigma = sum_k lam_k |e_k><e_k|, that law is the
-    mixture: pick k with probability lam_k, draw |<e_k|u>|^2 ~ Beta(2, dim-1)
-    with a uniform phase, and fill the rest Haar-uniformly on e_k's
-    orthogonal complement.  Each shot takes O(dim) random draws in the
-    eigenbasis (one eigh per call; negative eigenvalues are clipped and the
-    spectrum renormalized), and one matrix product per chunk rotates the rows
-    back.  Yields arrays of shape (<= SHADOW_CHUNK, dim) that together hold
-    `shots` rows.
-    """
-    dim = sigma.shape[0]
+def _shadow_basis(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cdf, vecs): sigma's cumulative spectrum, clipped at 0 and normalized, and eigenvectors."""
     vals, vecs = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
     cdf = np.cumsum(np.clip(vals, 0.0, None))
     cdf /= cdf[-1]
-    done = 0
-    while done < shots:
+    return cdf, vecs
+
+
+def _shadow_coord_chunks(rng: np.random.Generator, cdf: np.ndarray, shots: int):
+    """Unit eigenbasis coordinates c of the rows u = vecs @ c that measuring sigma records.
+
+    Measuring sigma = sum_k lam_k |e_k><e_k| in a Haar-random basis gives the
+    row u its outcome projects onto the Haar law reweighted by dim <u|sigma|u>:
+    pick k with probability lam_k, then weight the Haar law by |<e_k|u>|^2.  A
+    shot draws g ~ CN(0, I), raises |g_k|^2 by 2E, E ~ Exp(1), keeping its
+    phase, and takes c = g / |g|.  This is exact: the |g_j|^2 / 2 are Exp(1),
+    whose normalized values are the Haar squared moduli, and the weight
+    |u_k|^2 makes coordinate k a Gamma(2) with a uniform phase.  Yields
+    arrays of shape (<= SHADOW_CHUNK, dim) that together hold `shots` shots.
+    """
+    dim = cdf.shape[0]
+    for done in range(0, shots, SHADOW_CHUNK):
         b = min(SHADOW_CHUNK, shots - done)
         picks = cdf.searchsorted(rng.random(b), side="right")
-        weight = rng.beta(2.0, dim - 1.0, b)
-        phase = np.exp(2j * math.pi * rng.random(b))
-        coords = rng.standard_normal((b, 2 * dim)).view(complex)
+        g = rng.standard_normal((b, 2 * dim)).view(complex)
+        extra = 2.0 * rng.standard_exponential(b)
         hit = (np.arange(b), picks)
-        coords[hit] = 0.0
-        coords *= (np.sqrt(1.0 - weight) / np.linalg.norm(coords, axis=1))[:, None]
-        coords[hit] = np.sqrt(weight) * phase
-        yield coords @ vecs.T
-        done += b
+        h = g[hit]
+        g[hit] = h * np.sqrt(1.0 + extra / (h.real ** 2 + h.imag ** 2))
+        flat = g.view(float)
+        flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+        yield g
 
 
 def _shadow_group_means(rng: np.random.Generator, sigma: np.ndarray, groups: int,
                         per: int) -> np.ndarray:
     """Per-group means of the shadow matrices (dim+1)|u><u| - I, shape (groups, dim, dim).
 
-    Draws groups * per rows of sigma and adds each chunk's slice of a group
-    into that group's sum, so memory stays O(SHADOW_CHUNK * dim) beyond the
-    (groups, dim, dim) result, whatever the shot count.
+    Draws groups * per shots of sigma and adds each chunk's slice of a group
+    into that group's sum in sigma's eigenbasis, rotated back once at the
+    end, so no row is formed and memory stays O(SHADOW_CHUNK * dim) beyond
+    the (groups, dim, dim) result, whatever the shot count.
     """
     dim = sigma.shape[0]
+    cdf, vecs = _shadow_basis(sigma)
     sums = np.zeros((groups, dim, dim), dtype=complex)
     shot = 0
-    for rows in _shadow_row_chunks(rng, sigma, groups * per):
+    for coords in _shadow_coord_chunks(rng, cdf, groups * per):
         start = 0
-        while start < len(rows):
+        while start < len(coords):
             group, offset = divmod(shot + start, per)
-            stop = min(len(rows), start + per - offset)
-            part = rows[start:stop]
+            stop = min(len(coords), start + per - offset)
+            part = coords[start:stop]
             sums[group] += part.T @ part.conj()
             start = stop
-        shot += len(rows)
-    means = sums * ((dim + 1) / per)
-    means -= np.eye(dim)
-    return means
+        shot += len(coords)
+    return (dim + 1) / per * (vecs @ sums @ vecs.conj().T) - np.eye(dim)
 
 
 def _project_psd(mat: np.ndarray, trace_cap: float = 1.0) -> np.ndarray:

@@ -12,7 +12,8 @@ from prodstate.discrete import member_vector
 from prodstate.oracle import (
     _operator,
     _sandwich,
-    _shadow_row_chunks,
+    _shadow_basis,
+    _shadow_coord_chunks,
     _with_junk_slot,
     _z_columns,
 )
@@ -299,6 +300,12 @@ def reference_unpairs(pairs, shape):
     return arr.reshape(shape)
 
 
+def shadow_rows(rng, sigma, shots):
+    """The sampler's rows u = vecs @ c for `shots` shots of sigma, as one (shots, dim) array."""
+    cdf, vecs = _shadow_basis(sigma)
+    return np.concatenate(list(_shadow_coord_chunks(rng, cdf, shots))) @ vecs.T
+
+
 def raw_z_shadows(o, basis, shots):
     """Single-shot amplitude-vector estimates before any averaging.
 
@@ -311,7 +318,7 @@ def raw_z_shadows(o, basis, shots):
     n = o.n
     o._check_shots(shots)
     sigma = _with_junk_slot(_sandwich(_operator(o.hidden), _z_columns(o, basis).conj().T))
-    rows = np.concatenate(list(_shadow_row_chunks(o._rng, sigma, shots)))
+    rows = shadow_rows(o._rng, sigma, shots)
     o._charge(shots)
     return (sigma.shape[0] + 1) * rows[:, 1: n + 1] * rows[:, [0]].conj()
 

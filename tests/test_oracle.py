@@ -13,8 +13,9 @@ from prodstate.oracle import (
     SHADOW_CHUNK,
     StateOracle,
     _geometric_median,
+    _shadow_basis,
+    _shadow_coord_chunks,
     _shadow_group_means,
-    _shadow_row_chunks,
     _z_columns,
     estimate_fidelity,
     estimate_z,
@@ -41,7 +42,13 @@ from prodstate.states import (
     recenter_unitaries,
 )
 
-from conftest import exact_z, raw_z_shadows, reference_weight_leq_indices, reference_z_columns
+from conftest import (
+    exact_z,
+    raw_z_shadows,
+    reference_weight_leq_indices,
+    reference_z_columns,
+    shadow_rows,
+)
 
 
 def identity_basis(n):
@@ -193,7 +200,7 @@ def test_shadow_sampler_matches_haar_law(dim):
     # E|<a|u>|^4 = dim * E_Haar[|<a|u>|^4 <u|sigma|u>] from the third Haar moment.
     fourth = (2.0 + 4.0 * s) / ((dim + 1) * (dim + 2))
 
-    fast = np.concatenate(list(_shadow_row_chunks(rng, sigma, 100_000)))
+    fast = shadow_rows(rng, sigma, 100_000)
     ref = haar_reference_rows(rng, sigma, 20_000)
     stats = []
     for rows in (fast, ref):
@@ -207,6 +214,35 @@ def test_shadow_sampler_matches_haar_law(dim):
     assert abs(m1 - m2) <= 5 * math.hypot(e1, e2)
 
 
+@pytest.mark.parametrize("dim", [3, 5, 10])
+def test_shadow_sampler_rank_one_overlap_law(dim):
+    # For sigma = |e><e| every shot picks e, so |<e|u>|^2 ~ Beta(2, dim - 1)
+    # with a uniform phase.
+    rng = np.random.default_rng(200 + dim)
+    e = haar_unitary(dim, rng)[0]
+    overlap = shadow_rows(rng, np.outer(e, e.conj()), 100_000) @ e.conj()
+    weight = np.abs(overlap) ** 2
+    checks = [
+        (weight, 2.0 / (dim + 1)),
+        (weight**2, 6.0 / ((dim + 1) * (dim + 2))),
+        (np.real(overlap) / np.sqrt(weight), 0.0),
+        (np.imag(overlap) / np.sqrt(weight), 0.0),
+    ]
+    for samples, target in checks:
+        sem = samples.std() / math.sqrt(len(samples))
+        assert abs(samples.mean() - target) <= 5 * sem
+
+
+@pytest.mark.parametrize("shots", [1, SHADOW_CHUNK, SHADOW_CHUNK + 1])
+def test_shadow_coord_chunks_count_shots(shots):
+    cdf, _ = _shadow_basis(random_density(np.random.default_rng(5), 3))
+    chunks = list(_shadow_coord_chunks(np.random.default_rng(0), cdf, shots))
+    assert sum(len(c) for c in chunks) == shots
+    assert all(0 < len(c) <= SHADOW_CHUNK for c in chunks)
+    # Every shot is a unit vector.
+    assert np.allclose(np.linalg.norm(np.concatenate(chunks), axis=1), 1.0, atol=1e-12)
+
+
 def test_shadow_group_means_stream_equals_one_block():
     rng = np.random.default_rng(3)
     sigma = random_density(rng, 4)
@@ -215,8 +251,7 @@ def test_shadow_group_means_stream_equals_one_block():
     groups, per = 4, 7_001
     assert 2 * per < SHADOW_CHUNK < 3 * per
     streamed = _shadow_group_means(np.random.default_rng(8), sigma, groups, per)
-    rows = np.concatenate(list(_shadow_row_chunks(np.random.default_rng(8), sigma,
-                                                  groups * per)))
+    rows = shadow_rows(np.random.default_rng(8), sigma, groups * per)
     ug = rows.reshape(groups, per, 4)
     block = 5 * np.einsum("kni,knj->kij", ug, ug.conj()) / per - np.eye(4)
     assert np.max(np.abs(streamed - block)) <= 1e-12
@@ -514,28 +549,50 @@ def test_copy_counter_monotone():
 
 
 def test_shot_budget_enforced():
-    o = StateOracle(maximally_mixed(2), backend="sampling", seed=0, shot_budget=1000)
-    with pytest.raises(ResourceBudgetError):
-        estimate_z(o, identity_basis(2), eps=0.05, delta=0.1)
-    # Exact backend ignores the budget entirely.
-    o = StateOracle(maximally_mixed(2), backend="exact", shot_budget=1000)
-    estimate_z(o, identity_basis(2), eps=0.05, delta=0.1)
+    # Every sampling primitive refuses a call above the budget before charging it.
+    calls = [
+        lambda o: estimate_z(o, identity_basis(1), eps=0.05, delta=0.1),
+        lambda o: subspace_tomography(o, prefix_m=1, d=1, eps=0.3, delta=0.3),
+        # The rate-estimation shots alone exceed the budget ...
+        lambda o: subnormalized_tomography(o, None, 0, eps=0.05, delta=0.1),
+        # ... or fit, and the suffix attempts do not.
+        lambda o: subnormalized_tomography(o, None, 0, eps=0.3, delta=0.3),
+        lambda o: estimate_fidelity(o, 1, ProductParams((0.1,)), eps=0.05, delta=0.1),
+        lambda o: single_site_estimate(o, delta=0.1),
+    ]
+    for call in calls:
+        o = StateOracle(maximally_mixed(1), backend="sampling", seed=0, shot_budget=100)
+        with pytest.raises(ResourceBudgetError):
+            call(o)
+        assert o.copies_consumed == 0
+        # Exact backend ignores the budget entirely.
+        o = StateOracle(maximally_mixed(1), backend="exact", shot_budget=100)
+        call(o)
+        assert o.copies_consumed > 100
 
 
 def test_sampling_deterministic_under_seed():
     rng = np.random.default_rng(6)
     state = random_mixed(2, rng)
+    # Both tomography calls below draw more than SHADOW_CHUNK shots, so their
+    # group sums cross chunk boundaries.
+    assert tomography_copy_cost(4, 0.6, 0.4) > SHADOW_CHUNK
+    assert subnormalized_budget(2, 0.6, 0.4)[1] > SHADOW_CHUNK
     outs = []
     for _ in range(2):
         o = StateOracle(state, backend="sampling", seed=42)
         outs.append((
             estimate_z(o, identity_basis(2), eps=0.6, delta=0.4),
             estimate_fidelity(o, 2, ProductParams((0.1, -0.2j)), eps=0.3, delta=0.3),
+            subspace_tomography(o, prefix_m=2, d=1, eps=0.6, delta=0.4),
+            subnormalized_tomography(o, None, 1, eps=0.6, delta=0.4),
             o.copies_consumed,
         ))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert outs[0][1] == outs[1][1]
-    assert outs[0][2] == outs[1][2]
+    assert np.array_equal(outs[0][2], outs[1][2])
+    assert np.array_equal(outs[0][3], outs[1][3])
+    assert outs[0][4] == outs[1][4]
 
 
 def test_parameter_validation():
