@@ -8,10 +8,11 @@ right answer is known in advance.
 
 The spectral-norm oracle runs its multistart alternating maximization on
 blocks of restarts at once: each half-step is one matrix product with the
-(m^2, m^2) unfolding of the tensor and one stacked SVD, and a block holds at
-most _RESTART_ELEMENTS / m^2 restarts so memory stays bounded at any count.
-Start vectors are drawn per restart in a fixed order, so a seed names the
-same starts whatever the block size.
+(m^2, m^2) unfolding of the tensor and one stacked Hermitian eigensolve of
+the m x m Gram matrices, and a block holds at most _RESTART_ELEMENTS / m^2
+restarts so memory stays bounded at any count.  Start vectors are drawn per
+restart in a fixed order, so a seed names the same starts whatever the block
+size.
 """
 
 from __future__ import annotations
@@ -131,8 +132,9 @@ def spectral_norm_oracle(t: Tensor4, restarts: int | None = None,
                          seed: int = 0) -> float:
     """Best rank-one overlap found by multistart alternating maximization.
 
-    Each half-step fixes two legs and solves the remaining pair exactly via a
-    top-singular-vector computation, so the value never decreases.  A restart
+    Each half-step fixes two legs and solves the remaining pair exactly: the
+    pair is the top singular pair of an m x m matrix M, read off the top
+    eigenvector of M^H M, so the value never decreases.  A restart
     stops once a step gains at most 1e-12 * max(1, value), or after 200
     steps.  Restarts (default 50 m^2, at least 1) run batched in blocks of at
     most _RESTART_ELEMENTS / m^2, from the same seeded starts as one at a
@@ -156,8 +158,8 @@ def spectral_norm_oracle(t: Tensor4, restarts: int | None = None,
     block = max(1, _RESTART_ELEMENTS // (m * m))
     best = 0.0
     for first in range(0, restarts, block):
-        starts = np.stack([rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))
-                           for _ in range(min(block, restarts - first))])
+        z = rng.normal(size=(min(block, restarts - first), 2, 4, m))
+        starts = z[:, 0] + 1j * z[:, 1]
         best = max(best, _alternating_max(unfolded, starts[:, 2], starts[:, 3]))
     return best
 
@@ -171,19 +173,33 @@ def _alternating_max(unfolded: np.ndarray, u: np.ndarray, v: np.ndarray) -> floa
     best = 0.0
     for _ in range(200):
         pair = (u.conj()[:, :, None] * v.conj()[:, None, :]).reshape(-1, m * m)
-        left, _, right = np.linalg.svd((pair @ unfolded.T).reshape(-1, m, m))
-        x, y = left[:, :, 0], right[:, 0]
+        _, x, y = _top_singular((pair @ unfolded.T).reshape(-1, m, m))
         pair = (x.conj()[:, :, None] * y.conj()[:, None, :]).reshape(-1, m * m)
-        left, sing, right = np.linalg.svd((pair @ unfolded).reshape(-1, m, m))
-        u, v = left[:, :, 0], right[:, 0]
-        done = sing[:, 0] - value <= 1e-12 * np.maximum(1.0, value)
-        value = sing[:, 0]
+        sing, u, v = _top_singular((pair @ unfolded).reshape(-1, m, m))
+        done = sing - value <= 1e-12 * np.maximum(1.0, value)
+        value = sing
         if done.any():
             best = max(best, float(value[done].max()))
             u, v, value = u[~done], v[~done], value[~done]
             if not len(value):
                 return best
     return max(best, float(value.max()))
+
+
+def _top_singular(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top singular value s, left vector x and right row y of each stacked matrix.
+
+    y = conj(v) for the top eigenvector v of the Gram matrix M^H M, and
+    M v = s x with x a unit vector (x = v where M v = 0): the first column
+    of np.linalg.svd's U and row of its V^H, up to a common phase when the
+    top value is simple.
+    """
+    gram = mats.conj().transpose(0, 2, 1) @ mats
+    v = np.linalg.eigh(gram)[1][:, :, -1]
+    image = (mats @ v[:, :, None])[:, :, 0]
+    sing = np.linalg.norm(image, axis=1)
+    x = np.divide(image, sing[:, None], out=v.copy(), where=sing[:, None] > 0.0)
+    return sing, x, v.conj()
 
 
 def recover_clique_number(nu: float) -> int:

@@ -134,6 +134,63 @@ def test_batched_oracle_blocks_keep_memory_bounded(monkeypatch):
     assert peak <= bound
 
 
+def _top_singular_cases(rng):
+    for m in range(1, 7):
+        count = 5
+        yield rng.normal(size=(count, m, m)) + 1j * rng.normal(size=(count, m, m))
+        a = rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
+        b = rng.normal(size=(count, m)) + 1j * rng.normal(size=(count, m))
+        yield a[:, :, None] * b[:, None, :]
+        # Degenerate top singular values: a scaled unitary has all m equal.
+        yield np.stack([3.0 * haar_isometry(m, m, rng) for _ in range(count)])
+        yield np.zeros((count, m, m), dtype=complex)
+    # A clique-tensor half-step: with the front pair on an edge's endpoints,
+    # the back pair's matrix is 0.5 * (e0 e1^T + e1 e0^T), top value 0.5 twice.
+    entries = clique_tensor(k_n(4)).entries
+    yield np.stack([entries[0, 1], entries[2, 3]])
+
+
+def test_top_singular_matches_svd():
+    rng = np.random.default_rng(21)
+    for mats in _top_singular_cases(rng):
+        # Raising on any floating-point error also rules out 0/0 on M = 0.
+        with np.errstate(all="raise"):
+            sing, x, y = hardness._top_singular(mats)
+        want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        assert np.all(np.abs(sing - want) <= 1e-12 * np.maximum(1.0, want))
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+        assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(y, axis=1), 1.0, rtol=0, atol=1e-12)
+        residual = np.einsum("bij,bj->bi", mats, y.conj()) - sing[:, None] * x
+        assert np.all(np.linalg.norm(residual, axis=1) <= 1e-12)
+
+
+def test_block_size_does_not_change_the_oracle(monkeypatch):
+    tensors = [
+        (random_isometry_embed(clique_tensor(k_n(4)), 6, seed=1), 300),
+        (random_unit_tensor(np.random.default_rng(22), 3), 400),
+    ]
+    default = [spectral_norm_oracle(t, restarts=r, seed=4) for t, r in tensors]
+    for elements in (1 << 10, 1 << 12):
+        monkeypatch.setattr(hardness, "_RESTART_ELEMENTS", elements)
+        for (t, restarts), want in zip(tensors, default):
+            got = spectral_norm_oracle(t, restarts=restarts, seed=4)
+            assert abs(got - want) <= 1e-12
+
+
+def test_clique_recovery_at_benchmark_restarts():
+    # The restart counts the cover-search benchmark scores: 12 m^2 on the
+    # catalog and 24 * 36 on side-6 embeddings of K4.
+    for name, g in graphs_up_to_4_vertices():
+        m = g.n_vertices
+        nu = spectral_norm_oracle(clique_tensor(g), restarts=12 * m * m, seed=1)
+        assert recover_clique_number(nu) == clique_number(g), name
+    for seed in (1, 2):
+        t = random_isometry_embed(clique_tensor(k_n(4)), 6, seed=seed)
+        nu = spectral_norm_oracle(t, restarts=24 * 36, seed=seed)
+        assert recover_clique_number(nu) == 4
+
+
 def test_clique_recovery_across_graph_catalog():
     assert len(graphs_up_to_4_vertices()) == 10
     for name, g in graphs_up_to_4_vertices():
