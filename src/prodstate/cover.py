@@ -487,8 +487,17 @@ def _extend(prepared, constraints, params: CoverParams) -> ProductParams | None:
 # --- cover construction ------------------------------------------------------
 
 
-def _build(o: StateOracle, params: CoverParams, keep_trace: bool):
-    """Sweep the register, returning the final cover and optional prefix trace."""
+def _build(o: StateOracle, params: CoverParams, keep_trace: bool,
+           bought: dict | None = None, prefix_delta: float = 0.0):
+    """Sweep the register, returning the final cover and optional prefix trace.
+
+    Without `bought`, each prefix's truncated tomography is bought here at
+    the same per-call failure share as every fidelity estimate.  With it,
+    truncations are looked up by (m, degree, tomo_eps) and a missing one is
+    bought and stored; the k-th distinct purchase at prefix m gets failure
+    probability prefix_delta * 2^-k, so one prefix's purchases sum below
+    prefix_delta however many levels share the dict.
+    """
     n = o.n
     cap = params.member_cap
     per_level = 1 + 6 * cap * (cap + 2)
@@ -497,8 +506,14 @@ def _build(o: StateOracle, params: CoverParams, keep_trace: bool):
     members: list[ProductParams] = [ProductParams(())]
     trace: list[Cover] = []
     for m in range(1, n + 1):
-        truncation = subspace_tomography(o, m, params.degree(m),
-                                         params.tomo_eps, delta_call)
+        key = (m, params.degree(m), params.tomo_eps)
+        if bought is None:
+            truncation = subspace_tomography(o, *key, delta_call)
+        else:
+            if key not in bought:
+                k = 1 + sum(prev[0] == m for prev in bought)
+                bought[key] = subspace_tomography(o, *key, prefix_delta * 2.0**-k)
+            truncation = bought[key]
         new: list[ProductParams] = []
         for prev in members:
             for branch in LOCAL_NET:
@@ -595,6 +610,14 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
     lowers the ceiling.  Returns (estimate, witness) where the witness is
     the best measured member of the last nonempty cover, or (0.0, None)
     when every probed level came up empty.
+
+    Each prefix is measured once per call: the levels share one truncated
+    tomography per distinct (m, degree(m), tomo_eps), and a level asking
+    for a finer tomo_eps (eta < 4 eps) buys a new one.  Failure budget:
+    the tomography purchases share delta/2, the k-th distinct purchase at a
+    prefix getting delta/(2n) * 2^-k.  The other delta/2 goes to the
+    levels: each level's cover fidelity estimates share
+    delta/(4 * iterations), and so do its witness estimates.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -603,7 +626,9 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
     if overrides is None:
         overrides = CoverOverrides()
     iterations = math.ceil(math.log2(1.0 / eps)) + 2
-    delta_iter = delta / (2 * iterations)
+    delta_iter = delta / (4 * iterations)
+    prefix_delta = delta / (2 * o.n)
+    bought: dict[tuple[int, int, float], np.ndarray] = {}
 
     lo, hi = 0.0, 1.0
     eta = 0.5
@@ -614,7 +639,7 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
             break
         level_eps = min(eps, eta / 4.0)
         params = CoverParams(eta, level_eps, delta_iter, overrides)
-        cover = build_cover(o, params)
+        cover, _ = _build(o, params, False, bought, prefix_delta)
         if cover.members:
             lo = eta
             share = delta_iter / len(cover.members)

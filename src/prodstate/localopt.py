@@ -27,6 +27,7 @@ from .oracle import (
     _random_hermitian_unit,
     _sandwich,
     estimate_z,
+    z_copy_cost,
 )
 from .states import (
     ProductParams,
@@ -200,6 +201,11 @@ def high_fidelity_learn(o: StateOracle, eps: float, delta: float) -> ProductPara
     registers (confidence delta/4 each), tensors the halves, and refines with
     local_optimize at margin 1/3 + eps and confidence delta/2.  A violated
     promise surfaces as PromiseViolationError from the refinement cap.
+
+    A certified refinement always runs the ladder's deepest rung, so on the
+    sampling backend a level whose deepest-rung `estimate_z` exceeds the shot
+    budget raises ResourceBudgetError before its halves draw any shot.  The
+    halves' copies are charged to `o` even when one of them raises.
     """
     if not (0.0 < eps <= 1.0 / 6.0):
         raise ValueError("eps must lie in (0, 1/6]")
@@ -208,12 +214,15 @@ def high_fidelity_learn(o: StateOracle, eps: float, delta: float) -> ProductPara
     n = o.n
     if n == 1:
         return single_site_estimate(o, delta)
+    cfg = LocalOptConfig(eps=eps, delta=delta / 2.0, margin=1.0 / 3.0 + eps)
+    depth = cfg.ladder_depth
+    o._check_shots(z_copy_cost(n, math.exp(-depth), cfg.rung_failure_prob(depth)))
     left = n - n // 2
     o_left = _reduced_oracle(o, list(range(left)))
     o_right = _reduced_oracle(o, list(range(left, n)))
-    p_left = high_fidelity_learn(o_left, eps, delta / 4.0)
-    p_right = high_fidelity_learn(o_right, eps, delta / 4.0)
-    o._charge(o_left.copies_consumed)
-    o._charge(o_right.copies_consumed)
-    cfg = LocalOptConfig(eps=eps, delta=delta / 2.0, margin=1.0 / 3.0 + eps)
+    try:
+        p_left = high_fidelity_learn(o_left, eps, delta / 4.0)
+        p_right = high_fidelity_learn(o_right, eps, delta / 4.0)
+    finally:
+        o._charge(o_left.copies_consumed + o_right.copies_consumed)
     return local_optimize(o, p_left.concat(p_right), cfg)

@@ -10,11 +10,11 @@ feasible flat vector can be rerouted onto a small coordinate support.  That
 reduces the search to deterministic grids over small subspaces, which is
 exact enough at desk scale and refuses (with a resource error) when the
 requested resolution would need more than a configured number of grid points.
-`support_nets` enumerates those grids under one budget for the solver, the
-witness search and the cover learner's candidate search, and hands out each
-grid's orthonormal span basis B.  A grid's lattice coordinates depend only
-on its dimension q, so one call enumerates and ball-filters the lattice once
-per q and maps it through the basis of every support of that q.  The solver
+`support_nets` enumerates those grids under one budget for the solver and
+the cover learner's candidate search, and hands out each grid's orthonormal
+span basis B.  A grid's lattice coordinates depend only on its dimension q,
+so one call enumerates and ball-filters the lattice once per q and maps it
+through the basis of every support of that q.  The solver
 evaluates the objective in the q coordinates of that span:
 `PolySystem.restricted(B)` is f(B c) as a polynomial on C^q, so the degree-k
 terms cost q^k x q^k products rather than n^k x n^k ones.
@@ -295,27 +295,3 @@ def solve_constrained(sys: PolySystem, dom: OptDomain, eps: float,
         if best_val >= ceiling - eps:
             break
     return best_x
-
-
-def sparse_witness_exists(dom: OptDomain, support_budget: int,
-                          net_budget: int = DEFAULT_NET_BUDGET):
-    """Search for a feasible point of the form (subspace part) + (sparse part).
-
-    `support_nets` of spacing gamma over the ball of radius nu + gamma in
-    span(rows of A, axes of S) for every support S of size at most
-    support_budget, testing factor-1 membership.  Returns
-    (found, witness or None); the same net budget applies.
-    """
-    if support_budget < 0:
-        raise ValueError("support budget must be >= 0")
-    if _certainly_empty(dom, 1.0):
-        return False, None
-    rowspace = _orthonormal_columns(dom.a.conj().T)
-    nets = support_nets(rowspace, support_budget, dom.nu + dom.gamma, dom.gamma,
-                        net_budget)
-    for _, _, chunks in nets:
-        for points in chunks:
-            mask = dom.membership_mask(points, factor=1.0)
-            if mask.any():
-                return True, points[mask][0]
-    return False, None

@@ -21,6 +21,7 @@ from prodstate.cover import (
     verify_cover,
 )
 from prodstate.errors import ResourceBudgetError
+from prodstate.instances import maximally_mixed, planted_mixture
 from prodstate.oracle import StateOracle
 from prodstate.states import (
     ProductParams,
@@ -286,6 +287,50 @@ def test_estimate_opt_maximally_mixed():
     o = StateOracle(QuantumState.mixed(np.eye(4) / 4), seed=9)
     est, _ = estimate_opt(o, 0.05, 0.05, overrides=DESK_OVERRIDES)
     assert est <= 0.25 + 0.1
+
+
+def planted_three_qubit_oracle():
+    planted = haar_product_params(np.random.default_rng(31), 3)
+    return StateOracle(planted_mixture(planted, 0.95), seed=32)
+
+
+def recording(monkeypatch, name, calls):
+    """Patch cover.<name> to append (name, args, delta) to `calls`, then run it."""
+    inner = getattr(cover_module, name)
+
+    def wrapped(o, *args):
+        calls.append((name, args[:-1], args[-1]))
+        return inner(o, *args)
+
+    monkeypatch.setattr(cover_module, name, wrapped)
+
+
+def test_estimate_opt_buys_each_prefix_once(monkeypatch):
+    calls = []
+    recording(monkeypatch, "subspace_tomography", calls)
+    estimate_opt(planted_three_qubit_oracle(), 0.1, 0.1, overrides=DESK_OVERRIDES)
+    keys = [args for _, args, _ in calls]
+    # Every level has eta >= 4 eps and so asks for the same three keys.
+    assert sorted(keys) == sorted(set(keys))
+    assert [m for m, _, _ in keys] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("state", [
+    "planted",
+    "maximally_mixed",
+])
+def test_estimate_opt_delta_ledger(monkeypatch, state):
+    calls = []
+    for name in ("subspace_tomography", "estimate_fidelity"):
+        recording(monkeypatch, name, calls)
+    o = (planted_three_qubit_oracle() if state == "planted"
+         else StateOracle(maximally_mixed(2), seed=33))
+    delta = 0.1
+    estimate_opt(o, 0.1, delta, overrides=DESK_OVERRIDES)
+    tomo_eps = {args[2] for name, args, _ in calls if name == "subspace_tomography"}
+    # Levels below 4 eps ask for finer tomographies than the others.
+    assert (len(tomo_eps) > 1) == (state == "maximally_mixed")
+    assert sum(d for _, _, d in calls) <= delta
 
 
 # --- distance-splitting properties ----------------------------------------------

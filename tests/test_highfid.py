@@ -1,11 +1,13 @@
 """Local optimization and the divide-and-conquer high-fidelity learner."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from prodstate.errors import PromiseViolationError
+from prodstate import localopt
+from prodstate.errors import PromiseViolationError, ResourceBudgetError
 from prodstate.instances import maximally_mixed, planted_mixture, planted_opt, random_mixed
 from prodstate.localopt import (
     LocalOptConfig,
@@ -207,6 +209,33 @@ def test_high_fidelity_validation():
         high_fidelity_learn(o, eps=0.2, delta=0.1)
     with pytest.raises(ValueError):
         high_fidelity_learn(o, eps=0.1, delta=0.0)
+
+
+def test_high_fidelity_charges_halves_that_raise(monkeypatch):
+    inner = localopt.single_site_estimate
+    calls = []
+
+    def second_raises(o, delta):
+        calls.append(delta)
+        if len(calls) == 2:
+            raise ResourceBudgetError("refused")
+        return inner(o, delta)
+
+    monkeypatch.setattr(localopt, "single_site_estimate", second_raises)
+    o = StateOracle(maximally_mixed(2), backend="exact")
+    delta = 0.1
+    with pytest.raises(ResourceBudgetError):
+        high_fidelity_learn(o, eps=0.1, delta=delta)
+    assert o.copies_consumed == 3 * math.ceil(50 * math.log(2 / (delta / 4)))
+
+
+def test_high_fidelity_refuses_unaffordable_sampling_run():
+    o = StateOracle(maximally_mixed(2), backend="sampling", seed=4)
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetError):
+        high_fidelity_learn(o, eps=0.1, delta=0.1)
+    assert time.perf_counter() - start < 1.0
+    assert o.copies_consumed == 0
 
 
 def test_single_site_estimate_copies():

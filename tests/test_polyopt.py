@@ -19,7 +19,6 @@ from prodstate.polyopt import (
     evaluate_poly,
     evaluate_poly_batch,
     solve_constrained,
-    sparse_witness_exists,
     support_nets,
 )
 
@@ -466,30 +465,6 @@ def test_contains_agrees_with_membership_mask_on_boundaries():
             mask = dom.membership_mask(points, 1.0)
             assert mask.tolist() == [member] * len(points)
             assert [dom.contains(x, 1.0) for x in points] == mask.tolist()
-
-
-def test_sparse_witness_axis():
-    n = 4
-    dom = OptDomain(np.zeros((0, n)), np.zeros(0), nu=1.0, mu=1.0, gamma=0.05)
-    found, w = sparse_witness_exists(dom, support_budget=1)
-    assert found and dom.contains(w, factor=1.0)
-    assert abs(w[0]) > 0.9 and np.allclose(w[1:], 0.0)
-
-
-def test_sparse_witness_pinned_coordinate():
-    n = 4
-    a = np.zeros((1, n))
-    a[0, 0] = 1.0
-    dom = OptDomain(a, np.array([0.97]), nu=1.0, mu=1.0, gamma=0.05)
-    found, w = sparse_witness_exists(dom, support_budget=1)
-    assert found and dom.contains(w, factor=1.0)
-    assert abs(w[0] - 0.97) <= dom.gamma + 1e-12
-
-
-def test_sparse_witness_infeasible():
-    _, dom = seeded_instance(23, feasible=False)
-    found, w = sparse_witness_exists(dom, support_budget=2)
-    assert not found and w is None
 
 
 def test_oracle_cross_check_small_battery():
