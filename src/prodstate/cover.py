@@ -488,32 +488,33 @@ def _extend(prepared, constraints, params: CoverParams) -> ProductParams | None:
 
 
 def _build(o: StateOracle, params: CoverParams, keep_trace: bool,
-           bought: dict | None = None, prefix_delta: float = 0.0):
+           prefix_cache: tuple[dict, float] | None = None):
     """Sweep the register, returning the final cover and optional prefix trace.
 
-    Without `bought`, each prefix's truncated tomography is bought here at
-    the same per-call failure share as every fidelity estimate.  With it,
-    truncations are looked up by (m, degree, tomo_eps) and a missing one is
-    bought and stored; the k-th distinct purchase at prefix m gets failure
-    probability prefix_delta * 2^-k, so one prefix's purchases sum below
-    prefix_delta however many levels share the dict.
+    Truncations are looked up in a dict keyed by (m, degree, tomo_eps), and
+    a missing one is bought and stored; the k-th distinct purchase at
+    prefix m gets failure probability prefix_delta * 2^-k, so one prefix's
+    purchases sum below prefix_delta however many levels share the dict.
+    `prefix_cache` is a caller's (dict, prefix_delta) pair; without one a
+    fresh dict is used with prefix_delta = 2 * delta_call, so each prefix is
+    bought once at the same failure share as every fidelity estimate.
     """
     n = o.n
     cap = params.member_cap
     per_level = 1 + 6 * cap * (cap + 2)
     delta_call = params.delta / (n * per_level)
+    if prefix_cache is None:
+        prefix_cache = ({}, 2.0 * delta_call)
+    bought, prefix_delta = prefix_cache
 
     members: list[ProductParams] = [ProductParams(())]
     trace: list[Cover] = []
     for m in range(1, n + 1):
         key = (m, params.degree(m), params.tomo_eps)
-        if bought is None:
-            truncation = subspace_tomography(o, *key, delta_call)
-        else:
-            if key not in bought:
-                k = 1 + sum(prev[0] == m for prev in bought)
-                bought[key] = subspace_tomography(o, *key, prefix_delta * 2.0**-k)
-            truncation = bought[key]
+        if key not in bought:
+            k = 1 + sum(prev[0] == m for prev in bought)
+            bought[key] = subspace_tomography(o, *key, prefix_delta * 2.0**-k)
+        truncation = bought[key]
         new: list[ProductParams] = []
         for prev in members:
             for branch in LOCAL_NET:
@@ -639,7 +640,7 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
             break
         level_eps = min(eps, eta / 4.0)
         params = CoverParams(eta, level_eps, delta_iter, overrides)
-        cover, _ = _build(o, params, False, bought, prefix_delta)
+        cover, _ = _build(o, params, False, (bought, prefix_delta))
         if cover.members:
             lo = eta
             share = delta_iter / len(cover.members)

@@ -315,6 +315,18 @@ def test_estimate_opt_buys_each_prefix_once(monkeypatch):
     assert [m for m, _, _ in keys] == [1, 2, 3]
 
 
+def test_build_cover_buys_each_prefix_at_the_per_call_share(monkeypatch):
+    calls = []
+    recording(monkeypatch, "subspace_tomography", calls)
+    o = planted_three_qubit_oracle()
+    params = CoverParams(0.5, 0.1, 0.1, DESK_OVERRIDES)
+    build_cover(o, params)
+    cap = params.member_cap
+    delta_call = params.delta / (o.n * (1 + 6 * cap * (cap + 2)))
+    assert [args[0] for _, args, _ in calls] == [1, 2, 3]
+    assert all(d == delta_call for _, _, d in calls)
+
+
 @pytest.mark.parametrize("state", [
     "planted",
     "maximally_mixed",
