@@ -11,11 +11,14 @@ maintaining a cover of each prefix.  At a new site every previous member is
 branched over a fixed six-state local net; each branch (a "root") is
 recentered to the origin by single-site rotations, and new members far from
 the already-accepted ones are located on a weight-truncated estimate of the
-prefix marginal.  The recentered estimate and its top eigenvalue, an upper
-bound on every candidate's score, are prepared once per root and reused for
-each further member that root yields.  Candidates close to the root are
-read straight off the grid nets that `polyopt.support_nets` lays over
-span(constraint members, axes of a small support); candidates whose
+prefix marginal.  The recentered estimate is prepared once per root and
+reused for each further member that root yields.  Its top eigenvalue, an
+upper bound on every candidate's score, is computed once per prefix
+estimate: recentering is a product unitary, so every root of a prefix
+shares the estimate's spectrum, unless a degree cap cuts the recentered
+matrix and each root eigensolves its own cut.  Candidates close to the
+root are read straight off the grid nets that `polyopt.support_nets` lays
+over span(constraint members, axes of a small support); candidates whose
 remaining coordinates carry a spread-out norm are completed through the
 constrained polynomial maximizer (`polyopt.solve_constrained`).  Both kinds
 are scored by one rule: clear every separation bound, then keep the best
@@ -342,19 +345,32 @@ def _flat_poly_system(rho: np.ndarray, m: int, s_mask: np.ndarray,
     return PolySystem(mbar, constant, tuple(tensors))
 
 
-def _prepare_root(truncation: np.ndarray, root: ProductParams, params: CoverParams):
+def _top_eigenvalue(mat: np.ndarray) -> float:
+    """Largest eigenvalue of the Hermitian part of mat."""
+    return float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[-1])
+
+
+def _prepare_root(truncation: np.ndarray, ceiling: float, root: ProductParams,
+                  params: CoverParams):
     """(units, rho, ceiling) of one branch: the search's constraint-free part.
 
     `units` recenter `root` to the origin, `rho` is `truncation` in that
-    frame, cut to excitation weight params.degree(m) and hermitised, and
-    `ceiling` is its top eigenvalue, which no candidate's overlap exceeds.
+    frame, cut to excitation weight d = params.degree(m) and hermitised, and
+    the returned ceiling is its top eigenvalue, which no candidate's overlap
+    exceeds.  The given `ceiling` is `_top_eigenvalue(truncation)`.  When
+    d >= m nothing is cut, so rho = U herm(truncation) U^dagger for the
+    product unitary U has that same spectrum and `ceiling` is returned as
+    is; when d < m the cut matrix is eigensolved.
     """
     m = root.n
     if m == 0:
         raise ValueError("the search root must have at least one site")
     units = recenter_unitaries(root)
     rotated = apply_sites(units, apply_sites(units, truncation).conj().T).conj().T
-    rho = _truncate_weight(rotated, m, params.degree(m))
+    d = params.degree(m)
+    if d >= m:
+        return units, 0.5 * (rotated + rotated.conj().T), ceiling
+    rho = _truncate_weight(rotated, m, d)
     rho = 0.5 * (rho + rho.conj().T)
     return units, rho, float(np.linalg.eigvalsh(rho)[-1])
 
@@ -370,7 +386,8 @@ def extend_candidate(truncation: np.ndarray, constraints, root: ProductParams,
     found (original frame) whose truncated overlap reaches eta - eps/2 and
     whose exact tangent distance clears every bound, or None.
     """
-    return _extend(_prepare_root(truncation, root, params), constraints, params)
+    prepared = _prepare_root(truncation, _top_eigenvalue(truncation), root, params)
+    return _extend(prepared, constraints, params)
 
 
 def _extend(prepared, constraints, params: CoverParams) -> ProductParams | None:
@@ -492,9 +509,11 @@ def _build(o: StateOracle, params: CoverParams, keep_trace: bool,
     """Sweep the register, returning the final cover and optional prefix trace.
 
     Truncations are looked up in a dict keyed by (m, degree, tomo_eps), and
-    a missing one is bought and stored; the k-th distinct purchase at
-    prefix m gets failure probability prefix_delta * 2^-k, so one prefix's
-    purchases sum below prefix_delta however many levels share the dict.
+    a missing one is bought and stored beside its top eigenvalue, which
+    `_prepare_root` reuses as every root's ceiling when degree(m) >= m.
+    The k-th distinct purchase at prefix m gets failure probability
+    prefix_delta * 2^-k, so one prefix's purchases sum below prefix_delta
+    however many levels share the dict.
     `prefix_cache` is a caller's (dict, prefix_delta) pair; without one a
     fresh dict is used with prefix_delta = 2 * delta_call, so each prefix is
     bought once at the same failure share as every fidelity estimate.
@@ -513,14 +532,15 @@ def _build(o: StateOracle, params: CoverParams, keep_trace: bool,
         key = (m, params.degree(m), params.tomo_eps)
         if key not in bought:
             k = 1 + sum(prev[0] == m for prev in bought)
-            bought[key] = subspace_tomography(o, *key, prefix_delta * 2.0**-k)
-        truncation = bought[key]
+            est = subspace_tomography(o, *key, prefix_delta * 2.0**-k)
+            bought[key] = (est, _top_eigenvalue(est))
+        truncation, ceiling = bought[key]
         new: list[ProductParams] = []
         for prev in members:
             for branch in LOCAL_NET:
                 # Only the constraints change between searches of one root.
-                prepared = _prepare_root(truncation, ProductParams(prev.z + (branch,)),
-                                         params)
+                prepared = _prepare_root(truncation, ceiling,
+                                         ProductParams(prev.z + (branch,)), params)
                 while True:
                     cons = [(mem, params.b) for mem in new]
                     cand = _extend(prepared, cons, params)
@@ -629,7 +649,7 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
     iterations = math.ceil(math.log2(1.0 / eps)) + 2
     delta_iter = delta / (4 * iterations)
     prefix_delta = delta / (2 * o.n)
-    bought: dict[tuple[int, int, float], np.ndarray] = {}
+    bought: dict[tuple[int, int, float], tuple[np.ndarray, float]] = {}
 
     lo, hi = 0.0, 1.0
     eta = 0.5

@@ -33,7 +33,6 @@ __all__ = [
     "recover_clique_number",
     "spectral_norm_oracle",
     "tensor_to_state",
-    "tuple_overlap",
 ]
 
 # Largest tensor side the alternating-maximization oracle will accept.
@@ -120,12 +119,6 @@ def random_isometry_embed(t: Tensor4, n: int, seed: int = 0) -> Tensor4:
     u = haar_isometry(n, m, np.random.default_rng(seed))
     out = np.einsum("ai,bj,ck,dl,ijkl->abcd", u, u, u, u, t.entries, optimize=True)
     return Tensor4(out)
-
-
-def tuple_overlap(t: Tensor4, x, y, u, v) -> complex:
-    """Hilbert-Schmidt overlap <x (x) y (x) u (x) v, T>."""
-    return complex(np.einsum("ijkl,i,j,k,l", t.entries,
-                             np.conj(x), np.conj(y), np.conj(u), np.conj(v)))
 
 
 def spectral_norm_oracle(t: Tensor4, restarts: int | None = None,

@@ -117,10 +117,18 @@ class OptDomain:
         return bool(self.membership_mask(x[None, :], factor)[0])
 
     def membership_mask(self, points: np.ndarray, factor: float = 1.0) -> np.ndarray:
+        """Rows of `points` inside the domain at slack factor `factor`.
+
+        The flatness test is skipped when every row's norm is already below
+        the cap: |x_i| <= |x|, and the 1e-12 margin covers the rounding gap
+        between the per-coordinate modulus and the row norm.
+        """
         g = factor * self.gamma
-        mask = np.abs(np.linalg.norm(points, axis=1) - self.nu) <= g
-        if points.shape[1]:
-            mask &= np.max(np.abs(points), axis=1) <= self.mu + g
+        norms = np.linalg.norm(points, axis=1)
+        mask = np.abs(norms - self.nu) <= g
+        cap = self.mu + g
+        if points.shape[1] and norms.max(initial=0.0) > cap * (1.0 - 1e-12):
+            mask &= np.max(np.abs(points), axis=1) <= cap
         if self.a.shape[0]:
             mask &= np.linalg.norm(points @ self.a.T - self.v, axis=1) <= g
         return mask

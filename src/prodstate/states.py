@@ -1,4 +1,4 @@
-"""States, and product-state geometry: parametrization, tangent distance, weight projections.
+"""States, and product-state geometry: parametrization, tangent distance, string weights.
 
 A `QuantumState` is a pure amplitude vector or a density matrix.  A mixed
 state is held either densely, for arbitrary input, or in factored form
@@ -12,10 +12,11 @@ it.
 A pure product state on n qubits is parametrized by a complex vector z, one
 entry per site, as the tensor product of (|0> + z_i |1>)/sqrt(1 + |z_i|^2).
 This module provides that parametrization, the tangent distance between two
-such states, Hamming-weight projectors, the single-site unitaries that rotate
-a product state onto |0...0> (applied sitewise by `apply_sites`, without a
-dense Kronecker frame), fidelity evaluation, and the small closed-form
-bounds (fidelity sandwiches, weight-tail bounds) that the learners rely on.
+such states, the Hamming weights of basis strings, the single-site unitaries
+that rotate a product state onto |0...0> (applied sitewise by `apply_sites`,
+without a dense Kronecker frame), fidelity evaluation, and the small
+closed-form bounds (fidelity sandwiches, weight-tail bounds) that the
+learners rely on.
 
 Every module builds product amplitudes with `product_vectors`, reads
 parameters off site vectors with `vector_to_params`, enumerates string
@@ -263,22 +264,6 @@ def hamming_weights(n: int, local_dim: int = 2) -> np.ndarray:
     return weights
 
 
-def string_to_index(x, local_dim: int = 2) -> int:
-    """Basis index of the digit string x, site 1 most significant."""
-    b = 0
-    for digit in x:
-        b = b * local_dim + int(digit)
-    return b
-
-
-def index_to_string(b: int, n: int, local_dim: int = 2) -> tuple[int, ...]:
-    digits = []
-    for _ in range(n):
-        digits.append(b % local_dim)
-        b //= local_dim
-    return tuple(reversed(digits))
-
-
 def _site_vector(z: complex) -> np.ndarray:
     v = np.array([1.0, z], dtype=complex)
     return v / math.sqrt(1.0 + abs(z) ** 2)
@@ -342,26 +327,6 @@ def tangent_distance(p: ProductParams, q: ProductParams) -> float:
             return math.inf
         total += (num / den) ** 2
     return math.sqrt(total)
-
-
-def project_hamming(s: QuantumState, mode: str, d: int) -> QuantumState:
-    """Zero out all components on basis strings whose weight violates the mode.
-
-    mode "leq" keeps weight <= d, "geq" keeps weight >= d.  The result is
-    generally sub-normalized.  Qubit states only.
-    """
-    if s.local_dim != 2:
-        raise ValueError("weight projection is defined for qubit states")
-    if mode not in ("leq", "geq"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'leq' or 'geq'")
-    if not 0 <= d <= s.n:
-        raise ValueError(f"weight threshold {d} out of range [0, {s.n}]")
-    weights = hamming_weights(s.n, 2)
-    keep = weights <= d if mode == "leq" else weights >= d
-    if s.kind == "pure":
-        return QuantumState.pure(np.where(keep, s.data, 0.0), normalized=False)
-    mat = np.where(np.outer(keep, keep), s.density(), 0.0)
-    return QuantumState.mixed(mat, normalized=False)
 
 
 def recenter_unitaries(p: ProductParams) -> list[np.ndarray]:
@@ -505,11 +470,6 @@ def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A Haar-distributed unitary: the square case of haar_isometry."""
-    return haar_isometry(dim, dim, rng)
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -31,10 +31,22 @@ from prodstate.states import (
     apply_sites,
     _fix_global_phase,
     _site_vector,
+    haar_isometry,
     partial_trace,
     product_state_vector,
     product_unitary,
 )
+
+
+def haar_unitary(dim, rng):
+    """A Haar-random dim x dim unitary: the square case of `haar_isometry`."""
+    return haar_isometry(dim, dim, rng)
+
+
+def tuple_overlap(t, x, y, u, v) -> complex:
+    """Hilbert-Schmidt overlap <x (x) y (x) u (x) v, T> of a `Tensor4`."""
+    return complex(np.einsum("ijkl,i,j,k,l", t.entries,
+                             np.conj(x), np.conj(y), np.conj(u), np.conj(v)))
 
 
 def apply_product_unitary(state, unitaries):
@@ -90,8 +102,18 @@ def reference_spectral_norm(t, restarts, seed):
     return best
 
 
+def reference_membership_mask(dom, points, factor):
+    """`OptDomain.membership_mask` by its three constraints, each always tested."""
+    g = factor * dom.gamma
+    shell = np.abs(np.linalg.norm(points, axis=1) - dom.nu) <= g
+    flat = (np.abs(points) <= dom.mu + g).all(axis=1)
+    pin = np.linalg.norm(points @ dom.a.T - dom.v, axis=1) <= g
+    return shell & flat & pin
+
+
 def ambient_solve_constrained(sys, dom, eps, net_budget):
-    """`solve_constrained` with the objective evaluated on the ambient points."""
+    """`solve_constrained` with the objective evaluated on the ambient points
+    and membership tested by `reference_membership_mask`."""
     if _certainly_empty(dom, 2.0):
         return None
     wide = _orthonormal_columns(
@@ -104,7 +126,7 @@ def ambient_solve_constrained(sys, dom, eps, net_budget):
     best_val, best_x = -1.0, None
     for _, _, chunks in support_nets(wide, max_support, radius, dom.gamma, net_budget):
         for points in chunks:
-            mask = dom.membership_mask(points, factor=2.0)
+            mask = reference_membership_mask(dom, points, 2.0)
             if not mask.any():
                 continue
             feasible = points[mask]

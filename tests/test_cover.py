@@ -1,6 +1,9 @@
 """Cover construction, verification, and best-product-fidelity estimation."""
 
+import dataclasses
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from prodstate.cover import (
     _batch_amplitudes,
     _batch_overlap,
     _build,
+    _prepare_root,
+    _top_eigenvalue,
     build_cover,
     estimate_opt,
     extend_candidate,
@@ -30,8 +35,12 @@ from prodstate.states import (
     haar_product_params,
     partial_trace,
     product_state_vector,
+    product_unitary,
+    recenter_unitaries,
     tangent_distance,
 )
+
+from conftest import reference_weight_leq_indices
 
 
 def pure_oracle(z, seed=0):
@@ -343,6 +352,89 @@ def test_estimate_opt_delta_ledger(monkeypatch, state):
     # Levels below 4 eps ask for finer tomographies than the others.
     assert (len(tomo_eps) > 1) == (state == "maximally_mixed")
     assert sum(d for _, _, d in calls) <= delta
+
+
+# --- spectral ceilings -----------------------------------------------------------
+
+
+def recentred_cut(truncation, root, d):
+    """herm(U truncation U^dagger) cut to weight <= d, with U the dense frame of root."""
+    u = product_unitary(recenter_unitaries(root))
+    rotated = u @ truncation @ u.conj().T
+    keep = reference_weight_leq_indices(root.n, d)
+    cut = np.zeros_like(rotated)
+    cut[np.ix_(keep, keep)] = rotated[np.ix_(keep, keep)]
+    return 0.5 * (cut + cut.conj().T)
+
+
+def test_stored_ceiling_tops_every_full_degree_root():
+    # At degree(m) = m nothing is cut, so every root's recentred matrix has
+    # the spectrum of herm(truncation); the non-Hermitian draws check that
+    # the stored ceiling is taken from the Hermitian part.
+    rng = np.random.default_rng(23)
+    params = CoverParams(0.5, 0.1, 0.1, DESK_OVERRIDES)
+    for m, skew in itertools.product((1, 2, 3), (0.0, 0.05)):
+        assert params.degree(m) == m
+        dim = 2**m
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        truncation = g @ g.conj().T / np.linalg.norm(g) ** 2
+        truncation = truncation + skew * (rng.standard_normal((dim, dim))
+                                          + 1j * rng.standard_normal((dim, dim)))
+        ceiling = _top_eigenvalue(truncation)
+        for z in itertools.product(LOCAL_NET, repeat=m):
+            root = ProductParams(z)
+            want = np.linalg.eigvalsh(recentred_cut(truncation, root, m))[-1]
+            _, rho, got = _prepare_root(truncation, ceiling, root, params)
+            assert got == ceiling
+            assert abs(got - want) <= 1e-12
+            assert np.allclose(rho, recentred_cut(truncation, root, m), atol=1e-12)
+
+
+def test_estimate_opt_eigensolves_once_per_truncation(monkeypatch):
+    calls, solves = [], []
+    recording(monkeypatch, "subspace_tomography", calls)
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(mat):
+        if sys._getframe(1).f_globals["__name__"] == cover_module.__name__:
+            solves.append(mat.shape)
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    estimate_opt(planted_three_qubit_oracle(), 0.1, 0.1, overrides=DESK_OVERRIDES)
+    keys = {args for _, args, _ in calls}
+    assert len(keys) == 3
+    assert len(solves) == len(keys)
+
+
+def test_degree_capped_roots_eigensolve_their_own_cut(monkeypatch):
+    # Below degree m each root cuts its recentred matrix in its own frame, so
+    # its ceiling is that cut's top eigenvalue, not the prefix estimate's.
+    prepared = []
+    prepare = cover_module._prepare_root
+
+    def recording_prepare(truncation, ceiling, root, params):
+        out = prepare(truncation, ceiling, root, params)
+        prepared.append((truncation, root, params, out))
+        return out
+
+    monkeypatch.setattr(cover_module, "_prepare_root", recording_prepare)
+    o = planted_three_qubit_oracle()
+    params = CoverParams(0.5, 0.1, 0.1, dataclasses.replace(DESK_OVERRIDES, degree_cap=1))
+    assert [params.degree(m) for m in (1, 2, 3)] == [1, 1, 1]
+    assert len(build_cover(o, params)) >= 1
+    marginal = o.hidden.density()
+    extend_candidate(marginal, [], ProductParams((1.0, -1.0j, 0.0)), params)
+
+    capped = 0
+    for truncation, root, params, (_, rho, ceiling) in prepared:
+        cut = recentred_cut(truncation, root, 1)
+        assert np.allclose(rho, cut, atol=1e-12)
+        assert abs(ceiling - np.linalg.eigvalsh(cut)[-1]) <= 1e-12
+        if root.n > 1 and ceiling < _top_eigenvalue(truncation) - 1e-9:
+            capped += 1
+    assert {root.n for _, root, _, _ in prepared} == {1, 2, 3}
+    assert capped > 0
 
 
 # --- distance-splitting properties ----------------------------------------------

@@ -17,12 +17,11 @@ from prodstate.hardness import (
     recover_clique_number,
     spectral_norm_oracle,
     tensor_to_state,
-    tuple_overlap,
 )
 from prodstate.instances import Graph, clique_number, graphs_up_to_4_vertices
 from prodstate.states import haar_isometry
 
-from conftest import reference_spectral_norm
+from conftest import reference_spectral_norm, tuple_overlap
 
 
 def k_n(n):

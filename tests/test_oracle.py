@@ -34,7 +34,6 @@ from prodstate.states import (
     ProductParams,
     QuantumState,
     haar_state,
-    haar_unitary,
     partial_trace,
     product_state_vector,
     product_unitary,
@@ -44,6 +43,7 @@ from prodstate.states import (
 
 from conftest import (
     exact_z,
+    haar_unitary,
     raw_z_shadows,
     reference_weight_leq_indices,
     reference_z_columns,

@@ -22,7 +22,12 @@ from prodstate.polyopt import (
     support_nets,
 )
 
-from conftest import ambient_solve_constrained, reference_ball_grid, reference_constrained_max
+from conftest import (
+    ambient_solve_constrained,
+    reference_ball_grid,
+    reference_constrained_max,
+    reference_membership_mask,
+)
 
 
 def rank_one_system(n, constant, weights, u):
@@ -465,6 +470,39 @@ def test_contains_agrees_with_membership_mask_on_boundaries():
             mask = dom.membership_mask(points, 1.0)
             assert mask.tolist() == [member] * len(points)
             assert [dom.contains(x, 1.0) for x in points] == mask.tolist()
+
+
+def test_membership_mask_matches_three_constraint_formula():
+    # The cap mu + g binds in the first domains and lies above every random
+    # row's norm in the others, where the mask skips the flatness test.
+    # Rows with one nonzero coordinate sit exactly on the cap |x| = mu + g,
+    # inside the norm shell of the binding domains, and just below it; the
+    # modulus of some rounds one ulp above their norm.
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    a /= 1.5 * np.linalg.norm(a, 2)
+    pins = [(a, np.array([0.2, -0.1j])), (np.zeros((0, 4)), np.zeros(0))]
+    shapes = [(0.5, 0.3, 0.125, True), (0.8, 3.0, 0.3, False)]
+    phases = np.concatenate([[1.0, 1j, -1.0, -1j], np.exp(2j * np.pi * rng.uniform(size=60))])
+    cut_by_cap = 0
+    for (mat, v), (nu, mu, gamma, binding) in itertools.product(pins, shapes):
+        dom = OptDomain(mat, v, nu=nu, mu=mu, gamma=gamma)
+        for factor in (1.0, 2.0):
+            cap = mu + factor * gamma
+            spread = 0.25 * (rng.standard_normal((400, 4)) + 1j * rng.standard_normal((400, 4)))
+            assert (np.abs(spread).max() > cap) == binding
+            if not binding:
+                assert np.linalg.norm(spread, axis=1).max() <= cap * (1.0 - 1e-12)
+            on_cap = np.zeros((4 * len(phases), 4), dtype=complex)
+            for i in range(4):
+                on_cap[i * len(phases):(i + 1) * len(phases), i] = cap * phases
+            for points in (spread, on_cap, (1.0 - 2e-12) * on_cap):
+                want = reference_membership_mask(dom, points, factor)
+                assert dom.membership_mask(points, factor).tolist() == want.tolist()
+            loose = OptDomain(mat, v, nu=nu, mu=10.0, gamma=gamma)
+            cut_by_cap += int(loose.membership_mask(spread, factor).sum()
+                              - dom.membership_mask(spread, factor).sum())
+    assert cut_by_cap > 0
 
 
 def test_oracle_cross_check_small_battery():

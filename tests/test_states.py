@@ -17,19 +17,15 @@ from prodstate.states import (
     excitation_probs,
     fidelity,
     haar_product_params,
-    haar_unitary,
     hamming_weights,
-    index_to_string,
     mean_excitation,
     partial_trace,
     product_fidelity,
     product_state_vector,
     product_unitary,
     product_vectors,
-    project_hamming,
     random_product_params,
     recenter_unitaries,
-    string_to_index,
     tangent_distance,
     transform_params,
     vector_to_params,
@@ -37,7 +33,12 @@ from prodstate.states import (
     weight_tail_bound,
 )
 
-from conftest import apply_product_unitary, reference_kron, reference_product_state_vector
+from conftest import (
+    apply_product_unitary,
+    haar_unitary,
+    reference_kron,
+    reference_product_state_vector,
+)
 
 
 def test_params_validation():
@@ -52,10 +53,14 @@ def test_params_validation():
 
 
 def test_basis_indexing_round_trip():
-    assert string_to_index((1, 0, 1)) == 5
-    assert string_to_index((1, 0, 0)) == 4  # site 1 is the most significant digit
+    # The product of one-hot site vectors is the basis vector of the string's
+    # index, site 1 the most significant digit.
+    eye = np.eye(2)
+    assert np.argmax(product_vectors(eye[[[1, 0, 1]]])[0]) == 5
+    assert np.argmax(product_vectors(eye[[[1, 0, 0]]])[0]) == 4
     for b in range(16):
-        assert string_to_index(index_to_string(b, 4)) == b
+        digits = [(b >> (3 - i)) & 1 for i in range(4)]
+        assert np.argmax(product_vectors(eye[[digits]])[0]) == b
     weights = hamming_weights(3)
     assert list(weights) == [0, 1, 1, 2, 1, 2, 2, 3]
 
@@ -119,36 +124,6 @@ def test_tangent_distance_halfangle_form():
         overlap_sq = product_fidelity(p, q)
         theta = 2.0 * math.acos(min(1.0, math.sqrt(overlap_sq)))
         assert tangent_distance(p, q) == pytest.approx(abs(math.tan(theta / 2.0)), rel=1e-6, abs=1e-8)
-
-
-def test_project_hamming_edges():
-    n = 3
-    zero_state = product_state_vector(ProductParams((0.0,) * n))
-    assert np.allclose(project_hamming(zero_state, "geq", 1).data, 0.0)
-    anything = product_state_vector(ProductParams((0.3 + 0.1j, -0.5, 2.0)))
-    assert np.allclose(project_hamming(anything, "leq", n).data, anything.data)
-    with pytest.raises(ValueError):
-        project_hamming(anything, "leq", n + 1)
-    with pytest.raises(ValueError):
-        project_hamming(anything, "between", 1)
-
-
-def test_project_hamming_plus_plus_weight2():
-    # |++> has all four amplitudes 1/2; only |11> has weight 2, so mass 1/4.
-    st = product_state_vector(ProductParams((1.0, 1.0)))
-    got = project_hamming(st, "geq", 2)
-    assert got.norm() ** 2 == pytest.approx(0.25, abs=1e-12)
-
-
-def test_project_hamming_mixed_matches_pure():
-    rng = np.random.default_rng(17)
-    p = random_product_params(rng, 3, scale=1.5)
-    st = product_state_vector(p)
-    rho = QuantumState.mixed(np.outer(st.data, st.data.conj()))
-    for d in range(4):
-        proj_vec = project_hamming(st, "leq", d).data
-        proj_mat = project_hamming(rho, "leq", d).data
-        assert np.allclose(proj_mat, np.outer(proj_vec, proj_vec.conj()), atol=1e-12)
 
 
 def test_recenter_unitaries():
@@ -283,10 +258,10 @@ def test_weight_distribution_matches_projection():
     for _ in range(20):
         n = int(rng.integers(1, 6))
         p = random_product_params(rng, n, scale=2.0)
-        st = product_state_vector(p)
+        probs = np.abs(product_state_vector(p).data) ** 2
         dist = weight_distribution(excitation_probs(p))
         for d in range(n + 1):
-            mass = project_hamming(st, "geq", d).norm() ** 2
+            mass = float(probs[hamming_weights(n) >= d].sum())
             assert mass == pytest.approx(float(dist[d:].sum()), abs=1e-10)
 
 
@@ -384,9 +359,6 @@ def test_factored_state_matches_its_dense_matrix():
             vec = product_state_vector(p).data
             want = float(np.real(np.vdot(vec, rho @ vec)))
             assert fidelity(state, p) == pytest.approx(want, abs=1e-14)
-        proj = project_hamming(state, "leq", 1)
-        light = hamming_weights(n) <= 1
-        assert np.allclose(proj.data, np.where(np.outer(light, light), rho, 0.0), atol=1e-14)
 
 
 def test_factored_state_validation():
