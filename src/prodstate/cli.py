@@ -335,18 +335,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser, *, instance: bool = True):
-    if instance:
-        p.add_argument("instance", help="instance JSON file")
+# The flags a learner subcommand may take beyond the instance, --seed and --out.
+_RUN_FLAGS = {
+    "backend": {"choices": ("exact", "sampling"), "default": "exact"},
+    "noise": {"type": float, "default": 0.0},
+    "eps": {"type": float, "default": 0.1},
+    "delta": {"type": float, "default": 0.1},
+    "eta": {"type": float, "default": 0.8},
+    "rank": {"type": int, "default": 1},
+    "net_budget": {"type": int, "default": None},
+    "degree_cap": {"type": int, "default": None},
+}
+_ORACLE_FLAGS = ("backend", "noise", "eps", "delta")
+_COVER_FLAGS = ("net_budget", "degree_cap")
+
+
+def _add_run(p: argparse.ArgumentParser, *flags: str):
+    """Register the instance, --seed, --out and exactly the listed _RUN_FLAGS."""
+    p.add_argument("instance", help="instance JSON file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=("exact", "sampling"), default="exact")
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=0.8)
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--net-budget", type=int, default=None)
-    p.add_argument("--degree-cap", type=int, default=None)
+    for name in flags:
+        p.add_argument("--" + name.replace("_", "-"), **_RUN_FLAGS[name])
     p.add_argument("--out", default=None)
 
 
@@ -367,20 +376,21 @@ def _build_parser() -> _Parser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
-    _add_common(sub.add_parser("highfid", help="learn a high-fidelity product state"))
+    _add_run(sub.add_parser("highfid", help="learn a high-fidelity product state"),
+             *_ORACLE_FLAGS)
 
     cover = sub.add_parser("cover", help="cover construction and best-fit estimation")
     cover_sub = cover.add_subparsers(dest="mode", required=True)
-    _add_common(cover_sub.add_parser("build"))
-    _add_common(cover_sub.add_parser("estimate-opt"))
+    _add_run(cover_sub.add_parser("build"), *_ORACLE_FLAGS, "eta", *_COVER_FLAGS)
+    _add_run(cover_sub.add_parser("estimate-opt"), *_ORACLE_FLAGS, *_COVER_FLAGS)
 
     discrete = sub.add_parser("discrete", help="finite-class learning")
     discrete_sub = discrete.add_subparsers(dest="mode", required=True)
-    _add_common(discrete_sub.add_parser("learn"))
+    _add_run(discrete_sub.add_parser("learn"), *_ORACLE_FLAGS, "eta")
 
     mps = sub.add_parser("mps", help="matrix-product-state learning")
     mps_sub = mps.add_subparsers(dest="mode", required=True)
-    _add_common(mps_sub.add_parser("learn"))
+    _add_run(mps_sub.add_parser("learn"), *_ORACLE_FLAGS, "rank")
 
     poly = sub.add_parser("polyopt", help="constrained polynomial optimization")
     poly_sub = poly.add_subparsers(dest="mode", required=True)
@@ -399,7 +409,7 @@ def _build_parser() -> _Parser:
     hgen.add_argument("--embed", type=int, default=None)
     hgen.add_argument("--seed", type=int, default=0)
     hgen.add_argument("--out", required=True)
-    _add_common(hardness_sub.add_parser("check"))
+    _add_run(hardness_sub.add_parser("check"))
     return parser
 
 
@@ -437,22 +447,10 @@ def _dispatch(args: argparse.Namespace) -> dict | None:
     if args.command == "cover":
         algorithm = "cover" if args.mode == "build" else "estimate-opt"
 
-    config = ExperimentConfig(
-        algorithm=algorithm,
-        instance=getattr(args, "instance", None),
-        backend=getattr(args, "backend", "exact"),
-        noise=getattr(args, "noise", 0.0),
-        seed=args.seed,
-        eta=getattr(args, "eta", 0.8),
-        eps=args.eps,
-        delta=getattr(args, "delta", 0.1),
-        rank=getattr(args, "rank", 1),
-        n=getattr(args, "n", None),
-        net_budget=getattr(args, "net_budget", None),
-        degree_cap=getattr(args, "degree_cap", None),
-        out=args.out,
-    )
-    return run(config)
+    # A flag the subcommand does not register keeps its ExperimentConfig default.
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    return run(ExperimentConfig(algorithm=algorithm,
+                                **{k: v for k, v in vars(args).items() if k in fields}))
 
 
 def main(argv=None) -> int:

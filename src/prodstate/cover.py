@@ -67,7 +67,6 @@ __all__ = [
     "Cover",
     "DESK_OVERRIDES",
     "LOCAL_NET",
-    "extend_candidate",
     "build_cover",
     "verify_cover",
     "estimate_opt",
@@ -375,23 +374,14 @@ def _prepare_root(truncation: np.ndarray, ceiling: float, root: ProductParams,
     return units, rho, float(np.linalg.eigvalsh(rho)[-1])
 
 
-def extend_candidate(truncation: np.ndarray, constraints, root: ProductParams,
-                     params: CoverParams) -> ProductParams | None:
-    """Search one recentered branch for a new admissible cover member.
-
-    `truncation` is the weight-truncated estimate of the prefix marginal (in
-    the original frame), `constraints` a list of (member, bound) pairs the
-    candidate must stay tangent-distance-far from, and `root` the branch
-    point pulled to the origin before searching.  Returns the best candidate
-    found (original frame) whose truncated overlap reaches eta - eps/2 and
-    whose exact tangent distance clears every bound, or None.
-    """
-    prepared = _prepare_root(truncation, _top_eigenvalue(truncation), root, params)
-    return _extend(prepared, constraints, params)
-
-
 def _extend(prepared, constraints, params: CoverParams) -> ProductParams | None:
-    """`extend_candidate` on a branch already prepared by `_prepare_root`."""
+    """Search one branch, prepared by `_prepare_root`, for a new admissible cover member.
+
+    `constraints` is a list of (member, bound) pairs (original frame) the
+    candidate must stay tangent-distance-far from.  Returns the best
+    candidate found (original frame) whose truncated overlap reaches
+    eta - eps/2 and whose exact tangent distance clears every bound, or None.
+    """
     units, rho, ceiling = prepared
     m = len(units)
     d = params.degree(m)

@@ -20,18 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PromiseViolationError
-from .oracle import (
-    StateOracle,
-    _marginal,
-    _operator,
-    _random_hermitian_unit,
-    _sandwich,
-    estimate_z,
-    z_copy_cost,
-)
+from .oracle import StateOracle, _random_hermitian_unit, estimate_z, z_copy_cost
 from .states import (
     ProductParams,
     QuantumState,
+    _marginal,
+    _operator,
+    _sandwich,
     recenter_unitaries,
     transform_params,
     vector_to_params,

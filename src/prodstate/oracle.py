@@ -21,12 +21,8 @@ Sampling measures a compressed register, the block read plus one junk slot
 (`_with_junk_slot`): on the product columns U*|0^n>, U*|e_i> for amplitudes
 (`_z_columns`), on the weight-<= d strings for subspace tomography.
 
-The estimators read the hidden state only through `_operator`, `_marginal`
-and `_sandwich`: rho @ block, the marginal on a site set, and rows rho rows*.
-A pure state is the factor (psi, 0) and a factored state its
-rho = W W* + c I, so each read costs O(dim r k) and no 2^n x 2^n matrix is
-formed; a dense matrix, for arbitrary mixed input, is the only other branch
-and lives in those helpers alone.
+The estimators read the hidden state through the `states` readers
+(`_operator`, `_marginal`, `_sandwich`); see that module's docstring.
 
 Copy-cost formulas are exported as plain functions so tests can assert the
 counter matches them exactly.
@@ -40,13 +36,13 @@ import numpy as np
 
 from .errors import ResourceBudgetError
 from .states import (
-    FactoredDensity,
     ProductParams,
     QuantumState,
-    check_dense_budget,
+    _marginal,
+    _operator,
+    _sandwich,
     hamming_weights,
     haar_state,
-    partial_trace,
     product_state_vector,
     product_vectors,
 )
@@ -166,55 +162,6 @@ class StateOracle:
         if self.noise_opnorm == 0.0:
             return 0.0
         return min(eps, self.noise_opnorm) * float(self._rng.uniform())
-
-
-# --- reading the hidden state ----------------------------------------------
-
-
-def _operator(s: QuantumState) -> FactoredDensity | np.ndarray:
-    """The state's rho: a FactoredDensity (a pure psi is the factor (psi, 0)) or a dense matrix.
-
-    Either way rho @ block is one product, at O(dim r k) for a factor.
-    """
-    if s.kind == "pure":
-        return FactoredDensity(s.data[:, None])
-    if isinstance(s.data, FactoredDensity):
-        return s.data
-    check_dense_budget(s.dim)
-    return s.data
-
-
-def _marginal(rho: FactoredDensity | np.ndarray, n: int, sites) -> FactoredDensity | np.ndarray:
-    """rho on n qubits reduced to `sites` (0-based, increasing).
-
-    A factor stays a factor: W with the kept sites' axes moved to the front,
-    regrouped as (2^|S|, 2^(n-|S|) r), and the shift c 2^(n-|S|).
-    """
-    sites = list(sites)
-    if len(sites) == n:
-        return rho
-    if not isinstance(rho, FactoredDensity):
-        return partial_trace(rho, n, sites)
-    w = np.moveaxis(rho.factor.reshape((2,) * n + (-1,)), sites, range(len(sites)))
-    return FactoredDensity(w.reshape(2 ** len(sites), -1), rho.shift * 2 ** (n - len(sites)))
-
-
-def _sandwich(rho: FactoredDensity | np.ndarray, rows) -> np.ndarray:
-    """rows rho rows* for a (k, dim) matrix of rows; the block rho[rows, rows] for an index.
-
-    An index is a slice or a list of basis indices.  On a factor this is
-    y y* + c rows rows* with y = rows W, at O(k dim r + k^2 dim).
-    """
-    matrix = isinstance(rows, np.ndarray) and rows.ndim == 2
-    if not isinstance(rho, FactoredDensity):
-        return rows @ rho @ rows.conj().T if matrix else rho[rows][:, rows]
-    y = rows @ rho.factor if matrix else rho.factor[rows]
-    out = y @ y.conj().T
-    if not matrix:
-        out[np.diag_indices_from(out)] += rho.shift
-    elif rho.shift:
-        out += rho.shift * (rows @ rows.conj().T)
-    return out
 
 
 # --- shared internals ------------------------------------------------------

@@ -18,6 +18,13 @@ without a dense Kronecker frame), fidelity evaluation, and the small
 closed-form bounds (fidelity sandwiches, weight-tail bounds) that the
 learners rely on.
 
+Every module reads a state's rho through `_operator`, `_marginal` and
+`_sandwich`: rho @ block, the marginal on a site set, and rows rho rows*.  A
+pure state is the factor (psi, 0) and a factored state its rho = W W* + c I,
+so each read costs O(dim r k) and no dim x dim matrix is formed; a dense
+matrix, for arbitrary mixed input, is the only other branch and lives in
+those helpers alone.
+
 Every module builds product amplitudes with `product_vectors`, reads
 parameters off site vectors with `vector_to_params`, enumerates string
 weights with `hamming_weights`, and draws Haar states with `haar_state`.
@@ -245,6 +252,52 @@ class QuantumState:
         return np.asarray(self.data)
 
 
+# --- reading the state -----------------------------------------------------
+
+
+def _operator(s: QuantumState) -> FactoredDensity | np.ndarray:
+    """The state's rho: a FactoredDensity (a pure psi is the factor (psi, 0)) or a dense matrix.
+
+    Either way rho @ block is one product, at O(dim r k) for a factor.
+    """
+    if s.kind == "pure":
+        return FactoredDensity(s.data[:, None])
+    return s.data
+
+
+def _marginal(rho: FactoredDensity | np.ndarray, n: int, sites) -> FactoredDensity | np.ndarray:
+    """rho on n qubits reduced to `sites` (0-based, increasing).
+
+    A factor stays a factor: W with the kept sites' axes moved to the front,
+    regrouped as (2^|S|, 2^(n-|S|) r), and the shift c 2^(n-|S|).
+    """
+    sites = list(sites)
+    if len(sites) == n:
+        return rho
+    if not isinstance(rho, FactoredDensity):
+        return partial_trace(rho, n, sites)
+    w = np.moveaxis(rho.factor.reshape((2,) * n + (-1,)), sites, range(len(sites)))
+    return FactoredDensity(w.reshape(2 ** len(sites), -1), rho.shift * 2 ** (n - len(sites)))
+
+
+def _sandwich(rho: FactoredDensity | np.ndarray, rows) -> np.ndarray:
+    """rows rho rows* for a (k, dim) matrix of rows; the block rho[rows, rows] for an index.
+
+    An index is a slice or a list of basis indices.  On a factor this is
+    y y* + c rows rows* with y = rows W, at O(k dim r + k^2 dim).
+    """
+    matrix = isinstance(rows, np.ndarray) and rows.ndim == 2
+    if not isinstance(rho, FactoredDensity):
+        return rows @ rho @ rows.conj().T if matrix else rho[rows][:, rows]
+    y = rows @ rho.factor if matrix else rho.factor[rows]
+    out = y @ y.conj().T
+    if not matrix:
+        out[np.diag_indices_from(out)] += rho.shift
+    elif rho.shift:
+        out += rho.shift * (rows @ rows.conj().T)
+    return out
+
+
 def _infer_sites(dim: int, local_dim: int) -> int:
     n = round(math.log(dim, local_dim))
     if local_dim**n != dim:
@@ -401,14 +454,9 @@ def _ratio_param(v0: complex, v1: complex) -> complex:
 def vector_fidelity(s: QuantumState, vec: np.ndarray) -> float:
     """⟨v|ρ|v⟩ for mixed s, |⟨v|ψ⟩|² for pure s, without clamping to [0, 1].
 
-    A factored ρ = W W† + c·I gives ‖W†v‖² + c‖v‖² at O(dim·r).
+    One read of ρ: O(dim·r) on a pure or factored state.
     """
-    if s.kind == "pure":
-        return float(abs(np.vdot(vec, s.data)) ** 2)
-    if isinstance(s.data, FactoredDensity):
-        proj = s.data.factor.conj().T @ vec
-        return float(np.vdot(proj, proj).real + s.data.shift * np.vdot(vec, vec).real)
-    return float(np.real(np.vdot(vec, s.data @ vec)))
+    return float(np.real(vec.conj() @ (_operator(s) @ vec)))
 
 
 def fidelity(s: QuantumState, p: ProductParams) -> float:

@@ -1,5 +1,6 @@
 """Shared pytest hooks (acceptance-criteria summary lines), dense test references, the
-brute-force grid and multistart oracles, and the reference JSON pair codec."""
+brute-force grid and multistart oracles, the dense product-fidelity sweep, and the
+reference JSON pair codec."""
 
 import math
 from itertools import combinations
@@ -10,8 +11,6 @@ from scipy.optimize import minimize
 from prodstate import polyopt
 from prodstate.discrete import member_vector
 from prodstate.oracle import (
-    _operator,
-    _sandwich,
     _shadow_basis,
     _shadow_coord_chunks,
     _with_junk_slot,
@@ -28,13 +27,17 @@ from prodstate.polyopt import (
 from prodstate.states import (
     ProductParams,
     QuantumState,
+    _operator,
+    _sandwich,
     apply_sites,
     _fix_global_phase,
     _site_vector,
     haar_isometry,
+    haar_state,
     partial_trace,
     product_state_vector,
     product_unitary,
+    vector_to_params,
 )
 
 
@@ -76,6 +79,57 @@ def exact_prefix_fidelity(rho, cls, member):
     vec = member_vector(cls, member)
     reduced = partial_trace(rho.density(), rho.n, range(m), rho.local_dim)
     return float(np.real(np.vdot(vec, reduced @ vec)))
+
+
+def _effective_site_operator(rho_tensor: np.ndarray, sites: list[np.ndarray], i: int) -> np.ndarray:
+    """The 2x2 operator E with <a|E|b> = <v_-i, a| rho |v_-i, b> at site i."""
+    n = len(sites)
+    t = rho_tensor
+    # Contract column sites j != i with v_j, then row sites j != i with conj(v_j).
+    # Both loops run in decreasing j, so earlier removals never shift later axes.
+    for j in reversed(range(n)):
+        if j == i:
+            continue
+        t = np.tensordot(t, sites[j], axes=([n + j], [0]))
+    for j in reversed(range(n)):
+        if j == i:
+            continue
+        t = np.tensordot(sites[j].conj(), t, axes=([0], [j]))
+    return t.reshape(2, 2)
+
+
+def reference_best_product_fidelity(state: QuantumState, restarts: int = 12, sweeps: int = 300,
+                                    tol: float = 1e-12,
+                                    seed: int = 0) -> tuple[float, ProductParams]:
+    """`bruteforce.best_product_fidelity` on the dense 2n-axis tensor of `state.density()`."""
+    rng = np.random.default_rng(seed)
+    rho = state.density()
+    n = state.n
+    rho_tensor = rho.reshape((2,) * (2 * n))
+    best_val, best_sites = -1.0, None
+    for start in range(restarts):
+        if start == 0:
+            sites = []
+            for i in range(n):
+                local = partial_trace(rho, n, [i])
+                _, vecs = np.linalg.eigh(local)
+                sites.append(vecs[:, -1])
+        else:
+            sites = [haar_state(2, rng) for _ in range(n)]
+        val = 0.0
+        for _ in range(sweeps):
+            prev = val
+            for i in range(n):
+                eff = _effective_site_operator(rho_tensor, sites, i)
+                eff = (eff + eff.conj().T) / 2.0
+                _, vecs = np.linalg.eigh(eff)
+                sites[i] = vecs[:, -1]
+                val = float(np.real(sites[i].conj() @ eff @ sites[i]))
+            if val - prev < tol:
+                break
+        if val > best_val:
+            best_val, best_sites = val, [s.copy() for s in sites]
+    return min(max(best_val, 0.0), 1.0), vector_to_params(best_sites)
 
 
 def reference_spectral_norm(t, restarts, seed):

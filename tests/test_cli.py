@@ -342,6 +342,11 @@ def test_invalid_eta_exits_one(tmp_path, capsys):
     inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "2")
     assert main(["cover", "build", inst, "--eta", "1.5"]) == 1
     assert "eta" in capsys.readouterr().err
+    # A flag the subcommand does not read is a usage error, not silently dropped.
+    assert main(["hardness", "check", inst, "--eps", "0.1"]) == 1
+    assert "--eps" in capsys.readouterr().err
+    assert main(["highfid", inst, "--eta", "0.5"]) == 1
+    assert "--eta" in capsys.readouterr().err
 
 
 def test_polyopt_tiny_budget_exits_two(capsys):

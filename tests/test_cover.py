@@ -18,11 +18,11 @@ from prodstate.cover import (
     _batch_amplitudes,
     _batch_overlap,
     _build,
+    _extend,
     _prepare_root,
     _top_eigenvalue,
     build_cover,
     estimate_opt,
-    extend_candidate,
     verify_cover,
 )
 from prodstate.errors import ResourceBudgetError
@@ -89,7 +89,17 @@ def test_local_net_covers_single_site():
     assert worst <= 0.52
 
 
-# --- extend_candidate ---------------------------------------------------------
+# --- branch search -------------------------------------------------------------
+
+
+def extend_candidate(truncation, constraints, root, params):
+    """Prepare `root` on the truncation, then search that one branch.
+
+    `_prepare_root` is looked up on the module so a test's monkeypatch sees it.
+    """
+    ceiling = _top_eigenvalue(truncation)
+    prepared = cover_module._prepare_root(truncation, ceiling, root, params)
+    return _extend(prepared, constraints, params)
 
 
 def test_extend_finds_planted_origin():

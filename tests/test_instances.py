@@ -18,9 +18,20 @@ from prodstate.instances import (
     random_mixed,
     w_state,
 )
-from prodstate.states import ProductParams, fidelity, random_product_params
+from prodstate.states import (
+    ProductParams,
+    QuantumState,
+    fidelity,
+    haar_state,
+    random_product_params,
+)
 
-from conftest import bloch_grid, grid_product_opt, planted_grid_opt
+from conftest import (
+    bloch_grid,
+    grid_product_opt,
+    planted_grid_opt,
+    reference_best_product_fidelity,
+)
 
 
 def test_ghz_amplitudes():
@@ -132,11 +143,33 @@ def test_best_product_fidelity_pure_product():
 
 def test_best_product_fidelity_planted():
     rng = np.random.default_rng(11)
-    for n in (2, 4):
+    # n = 12 is past the dense budget: the factored state is read as its factor.
+    for n in (2, 4, 12):
         params = random_product_params(rng, n)
         mix = planted_mixture(params, 0.9)
         fid, _ = best_product_fidelity(mix)
         assert abs(fid - planted_opt(0.9, n)) < 1e-8
+
+
+def test_best_product_fidelity_matches_dense_reference():
+    # Pure, dense and factored states at n <= 6: the sweep through the state
+    # readers agrees with the dense 2n-axis sweep at the same seed.
+    rng = np.random.default_rng(29)
+    cases = [
+        ghz_state(3),
+        w_state(4),
+        QuantumState.pure(haar_state(64, rng)),
+        maximally_mixed(3),
+        random_mixed(4, rng),
+        random_mixed(5, rng, rank=3),
+        planted_mixture(random_product_params(rng, 6), 0.9),
+    ]
+    for s in cases:
+        for seed in (0, 1):
+            fid, found = best_product_fidelity(s, restarts=4, seed=seed)
+            ref, ref_found = reference_best_product_fidelity(s, restarts=4, seed=seed)
+            assert abs(fid - ref) <= 1e-12
+            assert abs(fidelity(s, found) - fidelity(s, ref_found)) <= 1e-12
 
 
 def test_best_product_fidelity_maximally_mixed():
