@@ -88,14 +88,6 @@ class ExperimentConfig:
     ALGORITHMS = ("highfid", "cover", "estimate-opt", "discrete", "mps",
                   "polyopt", "hardness")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**d)
-
     def __post_init__(self):
         if self.algorithm not in self.ALGORITHMS:
             raise UsageError(f"unknown algorithm {self.algorithm!r}")
@@ -144,6 +136,15 @@ def _polyopt_instance(seed: int, n: int):
     return sys_, dom
 
 
+def _planted_weight(params: dict, min_n: int) -> tuple[int, float]:
+    """(n, w) of a planted-* kind, with its depolarizing noise folded into w."""
+    n, w = int(params["n"]), float(params["w"])
+    noise = float(params.get("noise", 0.0))
+    if n < min_n or not 0.0 <= w <= 1.0 or not 0.0 <= noise <= 1.0:
+        raise UsageError(f"need n >= {min_n}, weight w in [0, 1], noise in [0, 1]")
+    return n, w * (1.0 - noise)  # depolarizing noise shrinks the planted weight
+
+
 def generate(kind: str, params: dict, seed: int = 0) -> dict:
     """Build a seeded instance payload with its ground truth attached."""
     if kind not in GENERATOR_KINDS:
@@ -153,29 +154,25 @@ def generate(kind: str, params: dict, seed: int = 0) -> dict:
                "params": dict(params)}
 
     if kind == "planted-product":
-        n, w = int(params["n"]), float(params["w"])
-        noise = float(params.get("noise", 0.0))
-        if n < 1 or not 0.0 <= w <= 1.0 or not 0.0 <= noise <= 1.0:
-            raise UsageError("need n >= 1, weight w in [0, 1], noise in [0, 1]")
-        w *= 1.0 - noise  # depolarizing noise shrinks the planted weight
+        n, w = _planted_weight(params, 1)
         planted = haar_product_params(rng, n)
         payload["state"] = state_to_json(planted_mixture(planted, w))
         payload["ground_truth"] = {"opt": planted_opt(w, n),
                                    "planted": params_to_json(planted)}
     elif kind == "planted-mps":
-        n, w, rank = int(params["n"]), float(params["w"]), int(params["rank"])
-        if n < 2 or rank < 1 or not 0.0 <= w <= 1.0:
-            raise UsageError("need n >= 2, rank >= 1, and w in [0, 1]")
-        w *= 1.0 - float(params.get("noise", 0.0))
+        n, w = _planted_weight(params, 2)
+        rank = int(params["rank"])
+        if rank < 1:
+            raise UsageError("need rank >= 1")
         train = state_to_mps(QuantumState.pure(haar_state(2**n, rng)), max_bond=rank)
         payload["state"] = state_to_json(planted_mixture(mps_to_state(train).data, w))
         payload["ground_truth"] = {"opt": planted_opt(w, n),
                                    "planted_mps": mps_to_json(train)}
     elif kind == "planted-discrete":
-        n, s, w = int(params["n"]), int(params["s"]), float(params["w"])
-        if n < 1 or s < 2 or not 0.0 <= w <= 1.0:
-            raise UsageError("need n >= 1, s >= 2, and w in [0, 1]")
-        w *= 1.0 - float(params.get("noise", 0.0))
+        n, w = _planted_weight(params, 1)
+        s = int(params["s"])
+        if s < 2:
+            raise UsageError("need s >= 2")
         menus = []
         for _ in range(n):
             menu = rng.normal(size=(s, 2)) + 1j * rng.normal(size=(s, 2))
@@ -202,9 +199,10 @@ def generate(kind: str, params: dict, seed: int = 0) -> dict:
     elif kind == "random-mixed":
         n = int(params["n"])
         rank = params.get("rank")
-        if n < 1:
-            raise UsageError("need n >= 1")
-        state = random_mixed(n, rng, rank=int(rank) if rank else None)
+        rank = None if rank is None else int(rank)
+        if n < 1 or (rank is not None and rank < 1):
+            raise UsageError("need n >= 1 and rank >= 1")
+        state = random_mixed(n, rng, rank=rank)
         payload["state"] = state_to_json(state)
         truth = {}
         if n <= 3:

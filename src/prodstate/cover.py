@@ -12,18 +12,19 @@ branched over a fixed six-state local net; each branch (a "root") is
 recentered to the origin by single-site rotations, and new members far from
 the already-accepted ones are located on a weight-truncated estimate of the
 prefix marginal.  The recentered estimate is prepared once per root and
-reused for each further member that root yields.  Its top eigenvalue, an
-upper bound on every candidate's score, is computed once per prefix
-estimate: recentering is a product unitary, so every root of a prefix
-shares the estimate's spectrum, unless a degree cap cuts the recentered
-matrix and each root eigensolves its own cut.  Candidates close to the
-root are read straight off the grid nets that `polyopt.support_nets` lays
-over span(constraint members, axes of a small support); candidates whose
+reused for each further member that root yields.  The top eigenvalue of
+the prefix estimate bounds every candidate's score at every root of that
+prefix, so it is computed once per estimate: recentering is a product
+unitary, and a degree cap's weight cut is a compression, which cannot raise
+the top eigenvalue of a PSD matrix.  Candidates close to the root are read
+straight off the grid nets that `polyopt.support_nets` lays over
+span(constraint members, axes of a small support); candidates whose
 remaining coordinates carry a spread-out norm are completed through the
 constrained polynomial maximizer (`polyopt.solve_constrained`).  Both kinds
-are scored by one rule: clear every separation bound, then keep the best
-truncated overlap that reaches the threshold; a batch of candidates is
-scored by one matrix product with the estimate and a row-wise dot.
+are scored by one rule: clear the separation bound to every accepted member,
+then keep the best truncated overlap that reaches the threshold; a batch of
+candidates is scored by one matrix product with the estimate and a row-wise
+dot.
 `verify_cover` audits the three properties against the exact state, and
 `estimate_opt` wraps the builder in a bisection over eta to estimate the
 best product-state fidelity with a witness.
@@ -349,17 +350,11 @@ def _top_eigenvalue(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[-1])
 
 
-def _prepare_root(truncation: np.ndarray, ceiling: float, root: ProductParams,
-                  params: CoverParams):
-    """(units, rho, ceiling) of one branch: the search's constraint-free part.
+def _prepare_root(truncation: np.ndarray, root: ProductParams, params: CoverParams):
+    """(units, rho) of one branch: the search's constraint-free part.
 
-    `units` recenter `root` to the origin, `rho` is `truncation` in that
-    frame, cut to excitation weight d = params.degree(m) and hermitised, and
-    the returned ceiling is its top eigenvalue, which no candidate's overlap
-    exceeds.  The given `ceiling` is `_top_eigenvalue(truncation)`.  When
-    d >= m nothing is cut, so rho = U herm(truncation) U^dagger for the
-    product unitary U has that same spectrum and `ceiling` is returned as
-    is; when d < m the cut matrix is eigensolved.
+    `units` recenter `root` to the origin, and `rho` is `truncation` in that
+    frame, cut to excitation weight d = params.degree(m) and hermitised.
     """
     m = root.n
     if m == 0:
@@ -367,33 +362,26 @@ def _prepare_root(truncation: np.ndarray, ceiling: float, root: ProductParams,
     units = recenter_unitaries(root)
     rotated = apply_sites(units, apply_sites(units, truncation).conj().T).conj().T
     d = params.degree(m)
-    if d >= m:
-        return units, 0.5 * (rotated + rotated.conj().T), ceiling
-    rho = _truncate_weight(rotated, m, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    return units, rho, float(np.linalg.eigvalsh(rho)[-1])
+    rho = rotated if d >= m else _truncate_weight(rotated, m, d)
+    return units, 0.5 * (rho + rho.conj().T)
 
 
-def _extend(prepared, constraints, params: CoverParams) -> ProductParams | None:
+def _extend(prepared, ceiling: float, members, params: CoverParams) -> ProductParams | None:
     """Search one branch, prepared by `_prepare_root`, for a new admissible cover member.
 
-    `constraints` is a list of (member, bound) pairs (original frame) the
-    candidate must stay tangent-distance-far from.  Returns the best
-    candidate found (original frame) whose truncated overlap reaches
-    eta - eps/2 and whose exact tangent distance clears every bound, or None.
+    `ceiling` bounds every candidate's truncated overlap; the search stops
+    once a candidate reaches it.  Returns the best candidate found (original
+    frame) whose truncated overlap reaches eta - eps/2 and whose exact
+    tangent distance to each of `members` (original frame) is at least
+    params.b, or None.
     """
-    units, rho, ceiling = prepared
+    units, rho = prepared
     m = len(units)
     d = params.degree(m)
     thresh = params.eta - 0.5 * params.eps
-    # No unit vector beats the top eigenvalue, so neither will any candidate.
-    if ceiling < thresh - 1e-12:
-        return None
-
-    cons = [(transform_params(units, member), float(bound))
-            for member, bound in constraints]
-    cons_arrays = [member.asarray() for member, _ in cons]
-    bounds = np.array([bound for _, bound in cons])
+    bound = params.b
+    need = 1.49 * bound * bound
+    cons_arrays = [transform_params(units, member).asarray() for member in members]
 
     gamma_po = params.polyopt_gamma(m)
     rungs = [j * gamma_po for j in range(1, params.flat_steps(m) + 1)
@@ -408,7 +396,7 @@ def _extend(prepared, constraints, params: CoverParams) -> ProductParams | None:
     def consider(points: np.ndarray) -> None:
         """Keep the best-scoring row that clears every bound and the threshold."""
         nonlocal best_val, best_z
-        for a, bound in zip(cons_arrays, bounds):
+        for a in cons_arrays:
             if len(points):
                 points = points[_batched_tangent_sq(points, a) >= (bound - 1e-12) ** 2]
         if not len(points):
@@ -444,16 +432,16 @@ def _extend(prepared, constraints, params: CoverParams) -> ProductParams | None:
             # only clear the bound to member s when the point's support part
             # plus its remainder offset already look far from that member.
             pieces = []
-            for a, bound in zip(cons_arrays, bounds):
+            for a in cons_arrays:
                 dtan2 = np.zeros(count)
                 for i in support:
                     dtan2 = dtan2 + _site_tangent_sq(points[:, i], complex(a[i]))
                 dbar2 = (np.abs(points[:, sbar] - a[sbar]) ** 2).sum(axis=1)
-                pieces.append((dtan2, dbar2, 1.49 * bound * bound))
+                pieces.append((dtan2, dbar2))
 
             def rung_mask(nu: float) -> np.ndarray:
                 keep = np.ones(count, dtype=bool)
-                for dtan2, dbar2, need in pieces:
+                for dtan2, dbar2 in pieces:
                     keep &= nu * nu - vbar2 + dbar2 >= need - dtan2 - 1e-9
                 return keep
 
@@ -494,13 +482,16 @@ def _extend(prepared, constraints, params: CoverParams) -> ProductParams | None:
 # --- cover construction ------------------------------------------------------
 
 
-def _build(o: StateOracle, params: CoverParams, keep_trace: bool,
+def _build(o: StateOracle, params: CoverParams,
            prefix_cache: tuple[dict, float] | None = None):
-    """Sweep the register, returning the final cover and optional prefix trace.
+    """Sweep the register, returning the final cover and every prefix cover.
 
     Truncations are looked up in a dict keyed by (m, degree, tomo_eps), and
-    a missing one is bought and stored beside its top eigenvalue, which
-    `_prepare_root` reuses as every root's ceiling when degree(m) >= m.
+    a missing one is bought and stored beside its top eigenvalue, the
+    ceiling of every root at that prefix: recentering is a product unitary
+    and the weight cut a compression, so no root's matrix has a larger top
+    eigenvalue (the truncation is PSD).  A prefix whose ceiling misses
+    eta - eps/2 ends the sweep with an empty cover.
     The k-th distinct purchase at prefix m gets failure probability
     prefix_delta * 2^-k, so one prefix's purchases sum below prefix_delta
     however many levels share the dict.
@@ -515,6 +506,7 @@ def _build(o: StateOracle, params: CoverParams, keep_trace: bool,
     if prefix_cache is None:
         prefix_cache = ({}, 2.0 * delta_call)
     bought, prefix_delta = prefix_cache
+    thresh = params.eta - 0.5 * params.eps
 
     members: list[ProductParams] = [ProductParams(())]
     trace: list[Cover] = []
@@ -525,31 +517,28 @@ def _build(o: StateOracle, params: CoverParams, keep_trace: bool,
             est = subspace_tomography(o, *key, prefix_delta * 2.0**-k)
             bought[key] = (est, _top_eigenvalue(est))
         truncation, ceiling = bought[key]
+        # No unit vector beats the ceiling, so neither will any candidate.
+        if ceiling < thresh - 1e-12:
+            members = []
         new: list[ProductParams] = []
-        for prev in members:
-            for branch in LOCAL_NET:
-                # Only the constraints change between searches of one root.
-                prepared = _prepare_root(truncation, ceiling,
-                                         ProductParams(prev.z + (branch,)), params)
-                while True:
-                    cons = [(mem, params.b) for mem in new]
-                    cand = _extend(prepared, cons, params)
-                    if cand is None:
-                        break
-                    est = estimate_fidelity(o, m, cand, params.eps / 4.0,
-                                            delta_call)
-                    far = all(tangent_distance(cand, mem) >= params.b
-                              for mem in new)
-                    if est < params.eta - 0.75 * params.eps or not far:
-                        break
-                    if len(new) >= cap:
-                        raise PromiseViolationError(
-                            f"prefix-{m} cover exceeded {cap} members; the "
-                            "packing bound for this fidelity level failed")
-                    new.append(cand)
+        for root in (ProductParams(prev.z + (branch,))
+                     for prev in members for branch in LOCAL_NET):
+            prepared = _prepare_root(truncation, root, params)
+            while True:
+                cand = _extend(prepared, ceiling, new, params)
+                if cand is None:
+                    break
+                est = estimate_fidelity(o, m, cand, params.eps / 4.0, delta_call)
+                far = all(tangent_distance(cand, mem) >= params.b for mem in new)
+                if est < params.eta - 0.75 * params.eps or not far:
+                    break
+                if len(new) >= cap:
+                    raise PromiseViolationError(
+                        f"prefix-{m} cover exceeded {cap} members; the "
+                        "packing bound for this fidelity level failed")
+                new.append(cand)
         members = new
-        if keep_trace:
-            trace.append(Cover(tuple(members), m, params))
+        trace.append(Cover(tuple(members), m, params))
         if not members:
             break
     return Cover(tuple(members), n, params), trace
@@ -563,7 +552,7 @@ def build_cover(o: StateOracle, params: CoverParams) -> Cover:
     of all calls sum to at most params.delta.  Returns an empty cover when
     no product state reaches fidelity eta - eps at some prefix.
     """
-    cover, _ = _build(o, params, keep_trace=False)
+    cover, _ = _build(o, params)
     return cover
 
 
@@ -650,7 +639,7 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
             break
         level_eps = min(eps, eta / 4.0)
         params = CoverParams(eta, level_eps, delta_iter, overrides)
-        cover, _ = _build(o, params, False, (bought, prefix_delta))
+        cover, _ = _build(o, params, (bought, prefix_delta))
         if cover.members:
             lo = eta
             share = delta_iter / len(cover.members)

@@ -182,8 +182,6 @@ def _learn(o: StateOracle, r: int, eps: float, delta: float,
         raise ValueError("bond dimension parameter must be a positive integer")
     n = o.n
     d = o.hidden.local_dim
-    if d & (d - 1):
-        raise ValueError("the disentangler synthesis needs a power-of-2 local dimension")
 
     tau = eps * eps / (9.0 * n * n * r**4)
     if kappa_override is None:

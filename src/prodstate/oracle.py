@@ -293,15 +293,13 @@ def _project_psd(mat: np.ndarray, trace_cap: float = 1.0) -> np.ndarray:
 
 
 def _random_hermitian_unit(rng: np.random.Generator, dim: int, norm: str) -> np.ndarray:
-    """Random Hermitian matrix normalized to unit operator/trace/Frobenius norm."""
+    """Random Hermitian matrix normalized to unit operator ("op") or trace ("tr") norm."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2.0
     if norm == "op":
         h /= np.linalg.norm(h, 2)
-    elif norm == "tr":
-        h /= np.abs(np.linalg.eigvalsh(h)).sum()
     else:
-        h /= np.linalg.norm(h)
+        h /= np.abs(np.linalg.eigvalsh(h)).sum()
     return h
 
 

@@ -31,10 +31,8 @@ __all__ = [
     "FORMAT_VERSION",
     "canonical_dumps",
     "digest",
-    "from_json",
     "load_json",
     "save_json",
-    "to_json",
 ]
 
 FORMAT_VERSION = 1
@@ -152,43 +150,6 @@ def graph_to_json(g: Graph) -> dict:
 
 def graph_from_json(d: dict) -> Graph:
     return Graph(d["n_vertices"], frozenset(tuple(e) for e in d["edges"]))
-
-
-_ENCODERS = {
-    QuantumState: state_to_json,
-    ProductParams: params_to_json,
-    Cover: cover_to_json,
-    MatrixProductState: mps_to_json,
-    Tensor4: tensor_to_json,
-    DiscreteClass: class_to_json,
-    Graph: graph_to_json,
-}
-
-_DECODERS = {
-    "state": state_from_json,
-    "product-params": params_from_json,
-    "cover": cover_from_json,
-    "mps": mps_from_json,
-    "tensor4": tensor_from_json,
-    "discrete-class": class_from_json,
-    "graph": graph_from_json,
-}
-
-
-def to_json(obj) -> dict:
-    """Encode any toolkit object as a tagged JSON-ready dict."""
-    try:
-        return _ENCODERS[type(obj)](obj)
-    except KeyError:
-        raise TypeError(f"no JSON encoding for {type(obj).__name__}") from None
-
-
-def from_json(d: dict):
-    """Decode a tagged dict produced by to_json."""
-    tag = d.get("object")
-    if tag not in _DECODERS:
-        raise ValueError(f"unknown object tag {tag!r}")
-    return _DECODERS[tag](d)
 
 
 def canonical_dumps(payload) -> str:

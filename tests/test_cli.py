@@ -1,5 +1,6 @@
 """Command-line runner, instance generators, and JSON serialization."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -25,7 +26,6 @@ from prodstate.serialize import (
     cover_from_json,
     cover_to_json,
     digest,
-    from_json,
     graph_from_json,
     graph_to_json,
     load_json,
@@ -38,7 +38,6 @@ from prodstate.serialize import (
     state_to_json,
     tensor_from_json,
     tensor_to_json,
-    to_json,
 )
 from prodstate.states import QuantumState, fidelity, haar_product_params, vector_fidelity
 
@@ -87,12 +86,16 @@ def test_pair_codec_matches_reference_bytes(monkeypatch):
         assert serialize._unpairs(pairs, arr.shape).tobytes() == arr.tobytes()
         assert reference_unpairs(pairs, arr.shape).tobytes() == arr.tobytes()
     menus = [[np.array([1, -0.0], dtype=complex), np.array([0.6, 0.8j])]] * 2
-    objects = [random_mixed(2, rng), random_mixed(2, rng, rank=1), ghz_state(3),
-               state_to_mps(ghz_state(3)), clique_tensor(Graph(3, frozenset({(0, 1)}))),
-               DiscreteClass(menus), haar_product_params(rng, 3)]
-    texts = [canonical_dumps(to_json(x)) for x in objects]
+    objects = [(state_to_json, random_mixed(2, rng)),
+               (state_to_json, random_mixed(2, rng, rank=1)),
+               (state_to_json, ghz_state(3)),
+               (mps_to_json, state_to_mps(ghz_state(3))),
+               (tensor_to_json, clique_tensor(Graph(3, frozenset({(0, 1)})))),
+               (class_to_json, DiscreteClass(menus)),
+               (params_to_json, haar_product_params(rng, 3))]
+    texts = [canonical_dumps(encode(x)) for encode, x in objects]
     monkeypatch.setattr(serialize, "_pairs", reference_pairs)
-    assert [canonical_dumps(to_json(x)) for x in objects] == texts
+    assert [canonical_dumps(encode(x)) for encode, x in objects] == texts
 
 
 def test_params_round_trip_exact():
@@ -131,14 +134,7 @@ def test_graph_round_trip():
     assert back.n_vertices == 4 and back.edges == g.edges
 
 
-def test_generic_dispatch_and_digest():
-    rng = np.random.default_rng(2)
-    p = haar_product_params(rng, 3)
-    assert from_json(to_json(p)).z == p.z
-    with pytest.raises(TypeError):
-        to_json(object())
-    with pytest.raises(ValueError):
-        from_json({"object": "no-such-tag"})
+def test_digest_tracks_payload():
     assert digest({"a": 1.0}) == digest({"a": 1.0})
     assert digest({"a": 1.0}) != digest({"a": 1.5})
 
@@ -260,15 +256,18 @@ def test_generator_rejects_bad_params():
         generate("planted-product", {"n": 2, "w": 1.5})
     with pytest.raises(ValueError):
         generate("no-such-kind", {})
+    with pytest.raises(UsageError):
+        generate("random-mixed", {"n": 2, "rank": 0})
+    planted = (("planted-product", {"n": 2, "w": 0.5}),
+               ("planted-mps", {"n": 3, "rank": 2, "w": 0.5}),
+               ("planted-discrete", {"n": 2, "s": 2, "w": 0.5}))
+    for (kind, params), noise in itertools.product(planted, (-0.5, 1.5)):
+        with pytest.raises(UsageError):
+            generate(kind, {**params, "noise": noise})
 
 
 # ---------------------------------------------------------------------------
 # experiment configs
-
-
-def test_config_rejects_unknown_fields():
-    with pytest.raises(UsageError):
-        ExperimentConfig.from_dict({"algorithm": "highfid", "bogus": 1})
 
 
 def test_config_validates_ranges():

@@ -92,14 +92,10 @@ def test_local_net_covers_single_site():
 # --- branch search -------------------------------------------------------------
 
 
-def extend_candidate(truncation, constraints, root, params):
-    """Prepare `root` on the truncation, then search that one branch.
-
-    `_prepare_root` is looked up on the module so a test's monkeypatch sees it.
-    """
-    ceiling = _top_eigenvalue(truncation)
-    prepared = cover_module._prepare_root(truncation, ceiling, root, params)
-    return _extend(prepared, constraints, params)
+def extend_candidate(truncation, members, root, params):
+    """Prepare `root` on the truncation, then search that one branch."""
+    prepared = _prepare_root(truncation, root, params)
+    return _extend(prepared, _top_eigenvalue(truncation), members, params)
 
 
 def test_extend_finds_planted_origin():
@@ -117,7 +113,7 @@ def test_extend_respects_far_constraint():
     rho[0, 0] = 1.0
     params = CoverParams(0.96, 0.1, 0.1, DESK_OVERRIDES)
     origin = ProductParams((0.0, 0.0))
-    cand = extend_candidate(rho, [(origin, params.b)], origin, params)
+    cand = extend_candidate(rho, [origin], origin, params)
     assert cand is None or tangent_distance(cand, origin) >= params.b
 
 
@@ -196,8 +192,7 @@ def test_build_prepares_each_root_once(monkeypatch):
     bell = np.zeros(4)
     bell[0] = bell[3] = 2**-0.5
     params = CoverParams(0.5, 0.12, 0.05, DESK_OVERRIDES)
-    cover, trace = _build(StateOracle(QuantumState.pure(bell, local_dim=2), seed=3), params,
-                          keep_trace=True)
+    cover, trace = _build(StateOracle(QuantumState.pure(bell, local_dim=2), seed=3), params)
     assert len(cover) == 2
     roots = len(LOCAL_NET) * (1 + sum(len(level) for level in trace[:-1]))
     assert len(prepared) == roots
@@ -235,7 +230,7 @@ def test_prefix_covers_all_verify():
     rho = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(16) / 16
     o = StateOracle(QuantumState.mixed(rho), seed=4)
     params = CoverParams(0.5, 0.12, 0.05, DESK_OVERRIDES)
-    cover, trace = _build(o, params, keep_trace=True)
+    cover, trace = _build(o, params)
     assert len(trace) == 4 and trace[-1].members == cover.members
     for level in trace:
         marginal = QuantumState.mixed(
@@ -394,9 +389,8 @@ def test_stored_ceiling_tops_every_full_degree_root():
         for z in itertools.product(LOCAL_NET, repeat=m):
             root = ProductParams(z)
             want = np.linalg.eigvalsh(recentred_cut(truncation, root, m))[-1]
-            _, rho, got = _prepare_root(truncation, ceiling, root, params)
-            assert got == ceiling
-            assert abs(got - want) <= 1e-12
+            _, rho = _prepare_root(truncation, root, params)
+            assert abs(ceiling - want) <= 1e-12
             assert np.allclose(rho, recentred_cut(truncation, root, m), atol=1e-12)
 
 
@@ -417,34 +411,65 @@ def test_estimate_opt_eigensolves_once_per_truncation(monkeypatch):
     assert len(solves) == len(keys)
 
 
-def test_degree_capped_roots_eigensolve_their_own_cut(monkeypatch):
-    # Below degree m each root cuts its recentred matrix in its own frame, so
-    # its ceiling is that cut's top eigenvalue, not the prefix estimate's.
-    prepared = []
-    prepare = cover_module._prepare_root
+def test_degree_capped_cuts_stay_under_stored_ceiling():
+    # Below degree m each root cuts its recentred matrix in its own frame.
+    # The cut is a compression of a PSD matrix, so the prefix estimate's top
+    # eigenvalue still tops it, though often strictly.
+    rng = np.random.default_rng(29)
+    marginal = planted_three_qubit_oracle().hidden.density()
+    lowered = 0
+    for cap, m in ((1, 2), (1, 3), (2, 3)):
+        params = CoverParams(0.5, 0.1, 0.1, dataclasses.replace(DESK_OVERRIDES, degree_cap=cap))
+        dim = 2**m
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for truncation in (g @ g.conj().T / np.linalg.norm(g) ** 2,
+                           partial_trace(marginal, 3, list(range(m)))):
+            ceiling = _top_eigenvalue(truncation)
+            for z in itertools.product(LOCAL_NET, repeat=m):
+                root = ProductParams(z)
+                cut = recentred_cut(truncation, root, cap)
+                _, rho = _prepare_root(truncation, root, params)
+                assert np.allclose(rho, cut, atol=1e-12)
+                top = np.linalg.eigvalsh(cut)[-1]
+                assert top <= ceiling + 1e-12
+                lowered += top < ceiling - 1e-9
+    assert lowered > 0
 
-    def recording_prepare(truncation, ceiling, root, params):
-        out = prepare(truncation, ceiling, root, params)
-        prepared.append((truncation, root, params, out))
-        return out
 
-    monkeypatch.setattr(cover_module, "_prepare_root", recording_prepare)
-    o = planted_three_qubit_oracle()
-    params = CoverParams(0.5, 0.1, 0.1, dataclasses.replace(DESK_OVERRIDES, degree_cap=1))
-    assert [params.degree(m) for m in (1, 2, 3)] == [1, 1, 1]
-    assert len(build_cover(o, params)) >= 1
-    marginal = o.hidden.density()
-    extend_candidate(marginal, [], ProductParams((1.0, -1.0j, 0.0)), params)
+def test_degree_capped_covers_match_per_root_ceilings(monkeypatch):
+    # The stored ceiling gives the same covers as eigensolving each capped
+    # root's own cut, which may exit a root early or stop its search sooner.
+    extend = cover_module._extend
+    stats = {"lowered": 0, "exits": 0}
 
-    capped = 0
-    for truncation, root, params, (_, rho, ceiling) in prepared:
-        cut = recentred_cut(truncation, root, 1)
-        assert np.allclose(rho, cut, atol=1e-12)
-        assert abs(ceiling - np.linalg.eigvalsh(cut)[-1]) <= 1e-12
-        if root.n > 1 and ceiling < _top_eigenvalue(truncation) - 1e-9:
-            capped += 1
-    assert {root.n for _, root, _, _ in prepared} == {1, 2, 3}
-    assert capped > 0
+    def per_root_extend(prepared, ceiling, members, params):
+        units, rho = prepared
+        if params.degree(len(units)) < len(units):
+            own = float(np.linalg.eigvalsh(rho)[-1])
+            stats["lowered"] += own < ceiling - 1e-9
+            if own < params.eta - 0.5 * params.eps - 1e-12:
+                stats["exits"] += 1
+                return None
+            ceiling = own
+        return extend(prepared, ceiling, members, params)
+
+    def outputs():
+        got = []
+        for n, cap in itertools.product((3, 4, 5), (1, 2)):
+            overrides = dataclasses.replace(DESK_OVERRIDES, degree_cap=cap)
+            state = planted_mixture(haar_product_params(np.random.default_rng(40 + n), n), 0.95)
+            for eta in (0.3, 0.5):
+                cover = build_cover(StateOracle(state, seed=n),
+                                    CoverParams(eta, 0.05, 0.1, overrides))
+                got.append(cover.members)
+            got.append(estimate_opt(StateOracle(state, seed=n), 0.1, 0.1, overrides=overrides))
+        return got
+
+    stored = outputs()
+    monkeypatch.setattr(cover_module, "_extend", per_root_extend)
+    assert outputs() == stored
+    assert any(members for members in stored[::3] + stored[1::3])
+    assert stats["lowered"] > 0 and stats["exits"] > 0
 
 
 # --- distance-splitting properties ----------------------------------------------
