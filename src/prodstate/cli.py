@@ -24,7 +24,6 @@ from .cover import CoverOverrides, CoverParams, DESK_OVERRIDES, build_cover, est
 from .discrete import DiscreteClass, discrete_learn, member_vector
 from .errors import ResourceBudgetError
 from .hardness import (
-    STATE_SIDE_BUDGET,
     clique_tensor,
     opt_sandwich_check,
     random_isometry_embed,
@@ -192,8 +191,10 @@ def generate(kind: str, params: dict, seed: int = 0) -> dict:
         kappa = clique_number(g)
         payload["graph"] = graph_to_json(g)
         payload["tensor"] = tensor_to_json(t)
-        if t.side <= STATE_SIDE_BUDGET:
+        try:
             payload["state"] = state_to_json(tensor_to_state(t))
+        except ResourceBudgetError:
+            pass  # beyond side 5 the clique instance carries only its tensor
         payload["ground_truth"] = {"clique_number": kappa,
                                    "spectral_norm": (kappa - 1) / kappa}
     elif kind == "random-mixed":

@@ -261,7 +261,7 @@ class Cover:
 
 def _truncate_weight(mat: np.ndarray, m: int, d: int) -> np.ndarray:
     """Zero all matrix entries touching a basis string of weight above d."""
-    keep = hamming_weights(m, 2) <= d
+    keep = hamming_weights(m) <= d
     return np.where(np.outer(keep, keep), mat, 0.0)
 
 

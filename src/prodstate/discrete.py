@@ -38,9 +38,9 @@ STATED_GAMMA_FLOOR = 1.0 / math.e
 
 
 class DiscreteClass:
-    """Per-site menus of unit vectors defining a finite product-state class.
+    """Per-site menus of unit qubit vectors defining a finite product-state class.
 
-    ``site_states[k]`` lists the allowed states of site k as vectors in C^d.
+    ``site_states[k]`` lists the allowed states of qubit k as vectors in C^2.
     ``gamma`` upper-bounds the squared overlap of any two distinct states in
     the same menu; it defaults to the largest such overlap and must lie in
     (0, 1), so menus of exactly orthogonal states need an explicit bound.
@@ -48,18 +48,13 @@ class DiscreteClass:
 
     def __init__(self, site_states, gamma: float | None = None):
         menus = []
-        local_dim = None
         for k, menu in enumerate(site_states):
             vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in menu]
             if not vecs:
                 raise ValueError(f"site {k} has an empty menu")
-            if local_dim is None:
-                local_dim = vecs[0].shape[0]
-                if local_dim < 2:
-                    raise ValueError("site states must have dimension >= 2")
             for v in vecs:
-                if v.shape[0] != local_dim:
-                    raise ValueError("all site states must share one dimension")
+                if v.shape[0] != 2:
+                    raise ValueError("site states must be qubit vectors")
                 if abs(np.linalg.norm(v) - 1.0) > 1e-9:
                     raise ValueError("site states must be unit vectors")
             menus.append(tuple(v.copy() for v in vecs))
@@ -82,7 +77,6 @@ class DiscreteClass:
 
         self.site_states = tuple(menus)
         self.gamma = float(gamma)
-        self.local_dim = int(local_dim)
 
     @property
     def n(self) -> int:
@@ -116,8 +110,8 @@ def class_fidelity_census(rho: QuantumState, cls: DiscreteClass,
 
     Raises ResourceBudgetError for classes above CENSUS_BUDGET members.
     """
-    if rho.local_dim != cls.local_dim or rho.n != cls.n:
-        raise ValueError("state and class shapes do not match")
+    if rho.n != cls.n:
+        raise ValueError("state and class sizes do not match")
     if cls.size > CENSUS_BUDGET:
         raise ResourceBudgetError(
             f"census over {cls.size} members exceeds the {CENSUS_BUDGET} budget")
@@ -144,8 +138,6 @@ def discrete_learn(o: StateOracle, cls: DiscreteClass, eta: float, eps: float,
         raise ValueError("eps must lie in (0, eta/2]")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if o.hidden.local_dim != cls.local_dim:
-        raise ValueError("oracle local dimension does not match the class")
     if o.n != cls.n:
         raise ValueError("oracle register size does not match the class")
     if cls.gamma_below_stated_range:

@@ -4,7 +4,9 @@ The clique number of a graph is encoded in the spectral norm of a sparse
 4-tensor, the tensor becomes a pure state whose best product-state overlap
 tracks that norm, and a random isometry flattens the entries without moving
 either optimum.  Together these give a desk-scale benchmark family where the
-right answer is known in advance.
+right answer is known in advance.  The state of a side-m tensor is a dense
+amplitude vector on 4m qubits, checked against states.DENSE_BUDGET like every
+other dense array, which admits sides up to 5.
 
 The spectral-norm oracle runs its multistart alternating maximization on
 blocks of restarts at once: each half-step is one matrix product with the
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import ResourceBudgetError
 from .instances import Graph
-from .states import QuantumState, haar_isometry
+from .states import QuantumState, check_dense_budget, haar_isometry
 
 __all__ = [
     "Tensor4",
@@ -37,8 +39,6 @@ __all__ = [
 
 # Largest tensor side the alternating-maximization oracle will accept.
 ORACLE_SIDE_BUDGET = 48
-# Largest side tensor_to_state will expand into a dense register.
-STATE_SIDE_BUDGET = 5
 # Largest restarts * side^2 one block of the oracle's restarts may hold; each
 # of the block's (restarts, side, side) complex arrays stays within 4 MiB.
 _RESTART_ELEMENTS = 1 << 18
@@ -88,15 +88,13 @@ def tensor_to_state(t: Tensor4) -> QuantumState:
     Entry (i, j, k, l) lands on the basis string that is all zeros except for
     a single 1 at position i in the first m-qubit block, j in the second,
     and so on; every other amplitude is zero, so the state norm equals the
-    tensor's Frobenius norm (1 after the internal normalization).
+    tensor's Frobenius norm (1 after the internal normalization).  Raises
+    ResourceBudgetError when the 2^(4m) amplitudes exceed DENSE_BUDGET.
     """
     if t.fro == 0.0:
         raise ValueError("the zero tensor has no corresponding state")
     m = t.side
-    if m > STATE_SIDE_BUDGET:
-        raise ResourceBudgetError(
-            f"a side-{m} tensor needs {4 * m} qubits, beyond the "
-            f"{STATE_SIDE_BUDGET}-side budget")
+    check_dense_budget((2 ** (4 * m),))
     entries = t.entries / t.fro
     vec = np.zeros(2 ** (4 * m), dtype=complex)
     one_hot = [1 << (m - 1 - i) for i in range(m)]

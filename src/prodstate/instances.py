@@ -45,9 +45,9 @@ def bell_state() -> QuantumState:
     return ghz_state(2)
 
 
-def maximally_mixed(n: int, local_dim: int = 2) -> QuantumState:
-    dim = local_dim**n
-    return QuantumState.mixed(np.eye(dim) / dim, local_dim=local_dim)
+def maximally_mixed(n: int) -> QuantumState:
+    dim = 2**n
+    return QuantumState.mixed(np.eye(dim) / dim)
 
 
 def planted_mixture(planted: ProductParams | np.ndarray, w: float) -> QuantumState:
@@ -72,22 +72,21 @@ def planted_opt(w: float, n: int) -> float:
     return w + (1.0 - w) / 2.0**n
 
 
-def random_mixed(n: int, rng: np.random.Generator, rank: int | None = None,
-                 local_dim: int = 2) -> QuantumState:
+def random_mixed(n: int, rng: np.random.Generator, rank: int | None = None) -> QuantumState:
     """A random density matrix G G*/||G||_F^2 with G a complex Gaussian (dim, rank).
 
     With a rank the state is the factor G/||G||_F; without one, G is square
     and the state is dense.
     """
-    dim = local_dim**n
+    dim = 2**n
     if rank is not None:
         g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-        return QuantumState.mixed(FactoredDensity(g / np.linalg.norm(g)), local_dim=local_dim)
-    check_dense_budget(dim)
+        return QuantumState.mixed(FactoredDensity(g / np.linalg.norm(g)))
+    check_dense_budget((dim, dim))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    return QuantumState.mixed(rho, local_dim=local_dim)
+    return QuantumState.mixed(rho)
 
 
 @dataclass(frozen=True)

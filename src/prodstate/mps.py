@@ -1,15 +1,16 @@
-"""Improper learning of low-bond-dimension matrix product states.
+"""Improper learning of low-bond-dimension matrix product states on qubits.
 
-The learner sweeps the register once: at each step it estimates the
-postselected few-site marginal, rotates the heavy eigenspace onto a zeroed
-leading site with a disentangling unitary, and projects that site away.
-Only the rows of the composed rotation that survive the projection are ever
-needed, so the sweep carries that row block, d^(n-i) x d^n after step i,
-and extends it by the disentangler's first-site-|0> rows (the kept
-eigenvectors' adjoints) acting on the block's leading kappa sites; no full
-frame is formed.  One final small-register tomography, mapped back through
-the adjoint of the row block, reconstructs a matrix product state whose
-fidelity tracks the best bond-r state.
+A `MatrixProductState` is a unit-norm tensor train with physical dimension 2
+at every site.  The learner sweeps the register once: at each step it
+estimates the postselected few-qubit marginal, rotates the heavy eigenspace
+onto a zeroed leading qubit with a disentangling unitary, and projects that
+qubit away.  Only the rows of the composed rotation that survive the
+projection are ever needed, so the sweep carries that row block,
+2^(n-i) x 2^n after step i, and extends it by the disentangler's
+first-qubit-|0> rows (the kept eigenvectors' adjoints) acting on the block's
+leading kappa qubits; no full frame is formed.  One final small-register
+tomography, mapped back through the adjoint of the row block, reconstructs a
+matrix product state whose fidelity tracks the best bond-r state.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import math
 
 import numpy as np
 
-from .errors import PromiseViolationError, ResourceBudgetError
+from .errors import PromiseViolationError
 from .oracle import StateOracle, subnormalized_tomography
-from .states import DENSE_BUDGET, QuantumState, partial_trace
+from .states import QuantumState, check_dense_budget, partial_trace
 
 __all__ = [
     "MatrixProductState",
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 class MatrixProductState:
-    """Open-boundary tensor train; tensors[i] has shape (r_{i-1}, d, r_i).
+    """Open-boundary tensor train on qubits; tensors[i] has shape (r_{i-1}, 2, r_i).
 
     The contraction is validated to be a unit-norm state (within 1e-8) using
     transfer matrices, so construction stays cheap even when the dense
@@ -43,16 +44,11 @@ class MatrixProductState:
         tensors = [np.asarray(t, dtype=complex) for t in tensors]
         if not tensors:
             raise ValueError("a matrix product state needs at least one site")
-        d = None
         for t in tensors:
             if t.ndim != 3:
                 raise ValueError("site tensors must have (left, phys, right) axes")
-            if d is None:
-                d = t.shape[1]
-                if d < 2:
-                    raise ValueError("physical dimension must be >= 2")
-            elif t.shape[1] != d:
-                raise ValueError("all sites must share one physical dimension")
+            if t.shape[1] != 2:
+                raise ValueError("site tensors must have physical dimension 2")
         if tensors[0].shape[0] != 1 or tensors[-1].shape[2] != 1:
             raise ValueError("boundary bond dimensions must be 1")
         for left, right in zip(tensors, tensors[1:]):
@@ -74,10 +70,6 @@ class MatrixProductState:
         return len(self.tensors)
 
     @property
-    def local_dim(self) -> int:
-        return self.tensors[0].shape[1]
-
-    @property
     def bond_dims(self) -> tuple[int, ...]:
         return (1,) + tuple(t.shape[2] for t in self.tensors)
 
@@ -89,21 +81,17 @@ class MatrixProductState:
 def mps_to_state(m: MatrixProductState) -> QuantumState:
     """Contract the train into a dense normalized pure state.
 
-    Raises ResourceBudgetError when the amplitude vector's 16 dim bytes
-    exceed DENSE_BUDGET.
+    Raises ResourceBudgetError when the amplitude vector's 16 * 2^n bytes
+    exceed states.DENSE_BUDGET.
     """
-    dim = m.local_dim**m.n
-    if 16 * dim > DENSE_BUDGET:
-        raise ResourceBudgetError(
-            f"dense contraction of dimension {dim} needs {16 * dim} bytes, above the "
-            f"{DENSE_BUDGET}-byte budget")
+    check_dense_budget((2**m.n,))
     amps = np.ones((1, 1), dtype=complex)
     for t in m.tensors:
-        # amps: (prefix_dim, r_left) -> (prefix_dim * d, r_right)
+        # amps: (prefix_dim, r_left) -> (prefix_dim * 2, r_right)
         amps = np.tensordot(amps, t, axes=([1], [0]))
         amps = amps.reshape(amps.shape[0] * amps.shape[1], amps.shape[2])
     vec = amps[:, 0]
-    return QuantumState.pure(vec / np.linalg.norm(vec), local_dim=m.local_dim)
+    return QuantumState.pure(vec / np.linalg.norm(vec))
 
 
 def state_to_mps(s: QuantumState, max_bond: int | None = None,
@@ -115,18 +103,17 @@ def state_to_mps(s: QuantumState, max_bond: int | None = None,
     """
     if s.kind != "pure":
         raise ValueError("only pure states have a tensor-train form")
-    d = s.local_dim
     work = s.data.reshape(1, -1)
     tensors = []
     for _ in range(s.n - 1):
-        mat = work.reshape(work.shape[0] * d, -1)
+        mat = work.reshape(work.shape[0] * 2, -1)
         u, sing, vh = np.linalg.svd(mat, full_matrices=False)
         rank = max(1, int(np.sum(sing > tol)))
         if max_bond is not None:
             rank = min(rank, max_bond)
-        tensors.append(u[:, :rank].reshape(-1, d, rank))
+        tensors.append(u[:, :rank].reshape(-1, 2, rank))
         work = sing[:rank, None] * vh[:rank]
-    tensors.append(work.reshape(-1, d, 1))
+    tensors.append(work.reshape(-1, 2, 1))
     tensors[-1] = tensors[-1] / np.linalg.norm(tensors[-1])
     return MatrixProductState(tensors)
 
@@ -137,7 +124,7 @@ def schmidt_rank(s: QuantumState, cut: int, tol: float = 1e-10) -> int:
         raise ValueError("Schmidt rank is defined for pure states")
     if not 1 <= cut < s.n:
         raise ValueError("cut must split the register into two nonempty parts")
-    mat = s.data.reshape(s.local_dim**cut, -1)
+    mat = s.data.reshape(2**cut, -1)
     sing = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(sing > tol))
 
@@ -172,8 +159,17 @@ def _top_eigenvector(mat: np.ndarray) -> np.ndarray:
     return vec / phase
 
 
-def _learn(o: StateOracle, r: int, eps: float, delta: float,
-           kappa_override: int | None, keep_trace: bool):
+def mps_learn(o: StateOracle, r: int, eps: float, delta: float,
+              kappa_override: int | None = None) -> MatrixProductState:
+    """Learn a tensor train competing with the best bond-r state.
+
+    With probability 1 - delta the output's fidelity with the hidden state
+    is within eps of the best bond-r matrix product state, and its bond
+    dimension never exceeds 2^(kappa-1).  ``kappa_override`` narrows the
+    sweep window below the guarantee-level width, which keeps desk-scale
+    sweeps multi-step; it is sound whenever every postselected marginal
+    concentrates on that many dimensions.
+    """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
@@ -181,30 +177,26 @@ def _learn(o: StateOracle, r: int, eps: float, delta: float,
     if r < 1:
         raise ValueError("bond dimension parameter must be a positive integer")
     n = o.n
-    d = o.hidden.local_dim
 
     tau = eps * eps / (9.0 * n * n * r**4)
     if kappa_override is None:
         # The guarantee-level window; at desk scale it usually spans the
         # whole register, collapsing the sweep to one full tomography.
-        kappa = min(n, math.ceil(math.log(1.0 / tau, d)) + 1)
+        kappa = min(n, math.ceil(math.log(1.0 / tau, 2)) + 1)
     else:
         kappa = int(kappa_override)
         if not 1 <= kappa <= n:
             raise ValueError("kappa_override must lie in [1, n]")
-    block = d ** (kappa - 1)
+    block = 2 ** (kappa - 1)
     delta_call = delta / n
 
     # rows holds the |0^i>-prefix rows of the composed disentangling frame,
-    # shape (d^(n-i), d^n); None is the identity before the first step, and
+    # shape (2^(n-i), 2^n); None is the identity before the first step, and
     # the first step's rows are heavy† ⊗ I without forming that identity.
     rows: np.ndarray | None = None
-    frames: list[np.ndarray] = []
-    masses: list[float] = []
     for i in range(1, n - kappa + 1):
         suffix = subnormalized_tomography(o, rows, i - 1, tau, delta_call)
-        masses.append(float(np.real(np.trace(suffix))))
-        sigma = partial_trace(suffix, n - i + 1, range(kappa), d)
+        sigma = partial_trace(suffix, n - i + 1, range(kappa))
         del suffix
         vals, vecs = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
         order = np.argsort(vals)[::-1]
@@ -214,37 +206,16 @@ def _learn(o: StateOracle, r: int, eps: float, delta: float,
                 f"step {i} kept {heavy} eigenvalues above {tau}, beyond the "
                 f"{block}-dimensional window; the estimate's trace must have "
                 "failed")
-        # The disentangler's first-site-|0> rows are the kept eigenvectors'
-        # adjoints; they act on the leading kappa sites of the current rows.
+        # The disentangler's first-qubit-|0> rows are the kept eigenvectors'
+        # adjoints; they act on the leading kappa qubits of the current rows.
         heavy = vecs[:, order[:block]]
         if rows is None:
-            rows = np.kron(heavy.conj().T, np.eye(d ** (n - kappa)))
+            rows = np.kron(heavy.conj().T, np.eye(2 ** (n - kappa)))
         else:
-            rows = (heavy.conj().T @ rows.reshape(d**kappa, -1)).reshape(-1, d**n)
-        if keep_trace:
-            frames.append(rows)
+            rows = (heavy.conj().T @ rows.reshape(2**kappa, -1)).reshape(-1, 2**n)
 
     final = subnormalized_tomography(o, rows, n - kappa, tau, delta_call)
-    masses.append(float(np.real(np.trace(final))))
     psi = _top_eigenvector(final)
 
     vec = psi if rows is None else rows.conj().T @ psi
-    state = QuantumState.pure(vec / np.linalg.norm(vec), local_dim=d)
-    result = state_to_mps(state, max_bond=block)
-    info = {"kappa": kappa, "tau": tau, "frames": frames, "masses": masses}
-    return result, info
-
-
-def mps_learn(o: StateOracle, r: int, eps: float, delta: float,
-              kappa_override: int | None = None) -> MatrixProductState:
-    """Learn a tensor train competing with the best bond-r state.
-
-    With probability 1 - delta the output's fidelity with the hidden state
-    is within eps of the best bond-r matrix product state, and its bond
-    dimension never exceeds d^(kappa-1).  ``kappa_override`` narrows the
-    sweep window below the guarantee-level width, which keeps desk-scale
-    sweeps multi-step; it is sound whenever every postselected marginal
-    concentrates on that many dimensions.
-    """
-    result, _ = _learn(o, r, eps, delta, kappa_override, keep_trace=False)
-    return result
+    return state_to_mps(QuantumState.pure(vec / np.linalg.norm(vec)), max_bond=block)

@@ -124,7 +124,8 @@ class StateOracle:
     """Single-threaded handle dispensing measurement results on a hidden state.
 
     ``backend`` is ``"exact"`` (ground truth + noise of strength up to
-    ``noise_opnorm``) or ``"sampling"`` (simulated single-copy measurements).
+    ``noise_opnorm``) or ``"sampling"`` (simulated single-copy measurements,
+    which refuses a positive ``noise_opnorm`` rather than ignore it).
     ``copies_consumed`` counts every copy any estimator has used; it only
     grows, and both backends charge the same documented formulas.
     """
@@ -135,8 +136,9 @@ class StateOracle:
             raise ValueError(f"unknown backend {backend!r}")
         if noise_opnorm < 0:
             raise ValueError("noise_opnorm must be >= 0")
-        if hidden.local_dim != 2:
-            raise ValueError("oracles are implemented for qubit registers")
+        if backend == "sampling" and noise_opnorm > 0:
+            raise ValueError("noise_opnorm applies to the exact backend only; the "
+                             "sampling backend's error is its shot noise")
         self.hidden = hidden
         self.backend = backend
         self.seed = int(seed)

@@ -5,7 +5,9 @@ through Python's shortest-round-trip repr, so save/load is exact.  Every
 payload carries an "object" tag and the top-level file a format_version,
 which keeps the formats auditable at desk scale.
 
-A state stores its amplitudes ("data", kind "pure") or its density matrix
+A state is a normalized qubit register: its file carries "local_dim": 2 and
+"normalized": true, and reading refuses any other value.  It stores its
+amplitudes ("data", kind "pure") or its density matrix
 ("data", kind "mixed") as flat pairs, except a factored mixed state
 rho = W W* + c I, which stores "factor": {"shape": [dim, r], "data": pairs
 of W} and "shift": c in place of the 4^n pairs of rho.
@@ -51,9 +53,9 @@ def state_to_json(s: QuantumState) -> dict:
     d = {
         "object": "state",
         "n": s.n,
-        "local_dim": s.local_dim,
+        "local_dim": 2,
         "kind": s.kind,
-        "normalized": s.normalized,
+        "normalized": True,
         "basis": "site1-most-significant",
     }
     if isinstance(s.data, FactoredDensity):
@@ -65,14 +67,18 @@ def state_to_json(s: QuantumState) -> dict:
 
 
 def state_from_json(d: dict) -> QuantumState:
-    dim = d["local_dim"] ** d["n"]
+    if d["local_dim"] != 2:
+        raise ValueError(f"states are qubit registers; got local_dim {d['local_dim']!r}")
+    if d.get("normalized", True) is not True:
+        raise ValueError("states must be normalized; got normalized "
+                         f"{d['normalized']!r}")
+    dim = 2 ** d["n"]
     if "factor" in d:
         data = FactoredDensity(_unpairs(d["factor"]["data"], tuple(d["factor"]["shape"])),
                                d["shift"])
     else:
         data = _unpairs(d["data"], (dim,) if d["kind"] == "pure" else (dim, dim))
-    return QuantumState(n=d["n"], local_dim=d["local_dim"], kind=d["kind"], data=data,
-                        normalized=d.get("normalized", True))
+    return QuantumState(n=d["n"], kind=d["kind"], data=data)
 
 
 def params_to_json(p: ProductParams) -> dict:
@@ -106,7 +112,7 @@ def mps_to_json(m: MatrixProductState) -> dict:
     return {
         "object": "mps",
         "n": m.n,
-        "local_dim": m.local_dim,
+        "local_dim": 2,
         "tensors": [{"shape": list(t.shape), "data": _pairs(t)}
                     for t in m.tensors],
     }

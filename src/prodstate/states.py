@@ -1,13 +1,14 @@
 """States, and product-state geometry: parametrization, tangent distance, string weights.
 
-A `QuantumState` is a pure amplitude vector or a density matrix.  A mixed
+A `QuantumState` is a normalized state on n qubits: a unit amplitude vector
+or a unit-trace density matrix.  A mixed
 state is held either densely, for arbitrary input, or in factored form
 rho = W W* + c I (`FactoredDensity`, W of shape (dim, r), c >= 0), which is
 PSD by construction: validation checks finiteness and the trace
 ||W||_F^2 + c dim at O(dim r), with no eigendecomposition, and `density()`
 materializes the matrix only on request.  Every dense dim x dim path checks
-its 16 dim^2 bytes against DENSE_BUDGET and raises ResourceBudgetError above
-it.
+its 16 dim^2 bytes (16 dim for an amplitude vector) against DENSE_BUDGET
+and raises ResourceBudgetError above it.
 
 A pure product state on n qubits is parametrized by a complex vector z, one
 entry per site, as the tensor product of (|0> + z_i |1>)/sqrt(1 + |z_i|^2).
@@ -29,8 +30,8 @@ Every module builds product amplitudes with `product_vectors`, reads
 parameters off site vectors with `vector_to_params`, enumerates string
 weights with `hamming_weights`, and draws Haar states with `haar_state`.
 
-Basis convention: index b encodes the string x via b = sum_i x_i * d^(n-i),
-i.e. site 1 is the most significant digit.
+Basis convention: index b encodes the bit string x via b = sum_i x_i 2^(n-i),
+i.e. site 1 is the most significant bit.
 """
 
 from __future__ import annotations
@@ -47,18 +48,18 @@ from .errors import ResourceBudgetError
 Z_MAX = 1e12
 DEFAULT_ATOL = 1e-9
 # Largest dense array, in bytes, any path materializes (64 MiB): a dim x dim
-# complex matrix takes 16 dim^2 of them, so dense qubit matrices stop at
-# n = 11.  mps.mps_to_state checks its amplitude vector against it too.
+# complex matrix takes 16 dim^2 of them, so dense matrices stop at n = 11
+# qubits and dense amplitude vectors at n = 22.
 DENSE_BUDGET = 1 << 26
 
 
-def check_dense_budget(dim: int) -> None:
-    """Raise ResourceBudgetError if a dense dim x dim complex matrix exceeds DENSE_BUDGET."""
-    need = 16 * dim * dim
+def check_dense_budget(shape: tuple[int, ...]) -> None:
+    """Raise ResourceBudgetError if a dense complex array of this shape exceeds DENSE_BUDGET."""
+    need = 16 * math.prod(shape)
     if need > DENSE_BUDGET:
         raise ResourceBudgetError(
-            f"a dense {dim} x {dim} matrix needs {need} bytes, above the "
-            f"{DENSE_BUDGET}-byte budget")
+            f"a dense {' x '.join(map(str, shape))} array needs {need} bytes, above "
+            f"the {DENSE_BUDGET}-byte budget")
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ class FactoredDensity:
 
     def dense(self) -> np.ndarray:
         """The dim x dim matrix; ResourceBudgetError above DENSE_BUDGET."""
-        check_dense_budget(self.shape[0])
+        check_dense_budget(self.shape)
         w = self.factor
         out = w @ w.conj().T
         out[np.diag_indices_from(out)] += self.shift
@@ -153,46 +154,42 @@ class FactoredDensity:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Pure state vector or density matrix on n sites of dimension local_dim.
+    """A normalized state on n qubits: a pure state vector or a density matrix.
 
-    kind is "pure" (data: amplitude vector of length local_dim**n) or "mixed"
-    (data: a Hermitian PSD matrix of that side, or a FactoredDensity whose
-    factor has local_dim**n rows).  Normalized states are the default; pass
-    normalized=False for deliberately sub-normalized objects (weight
-    projections, post-selected states).
+    kind is "pure" (data: unit amplitude vector of length 2**n) or "mixed"
+    (data: a Hermitian PSD matrix of that side with unit trace, or a
+    FactoredDensity whose factor has 2**n rows and whose trace is 1).
     """
 
     n: int
-    local_dim: int
     kind: str
     data: np.ndarray | FactoredDensity
-    normalized: bool = True
 
     def __post_init__(self):
         if self.kind not in ("pure", "mixed"):
             raise ValueError(f"unknown state kind {self.kind!r}")
-        if self.n < 1 or self.local_dim < 2:
-            raise ValueError("need n >= 1 sites of local dimension >= 2")
-        dim = self.local_dim**self.n
+        if self.n < 1:
+            raise ValueError("need n >= 1 qubits")
+        dim = self.dim
         if isinstance(self.data, FactoredDensity):
             data = self._checked_factor(dim)
         elif self.kind == "pure":
             data = np.array(self.data, dtype=complex)
             if data.shape != (dim,):
                 raise ValueError(f"pure state needs shape ({dim},), got {data.shape}")
-            if self.normalized and abs(np.linalg.norm(data) - 1.0) > DEFAULT_ATOL:
+            if abs(np.linalg.norm(data) - 1.0) > DEFAULT_ATOL:
                 raise ValueError("pure state vector is not normalized")
         else:
             if np.shape(self.data) != (dim, dim):
                 raise ValueError(f"density matrix needs shape ({dim},{dim})")
-            check_dense_budget(dim)
+            check_dense_budget((dim, dim))
             data = np.array(self.data, dtype=complex)
             if np.max(np.abs(data - data.conj().T)) > DEFAULT_ATOL:
                 raise ValueError("density matrix is not Hermitian")
             eigs = np.linalg.eigvalsh((data + data.conj().T) / 2)
             if eigs.min() < -DEFAULT_ATOL:
                 raise ValueError("density matrix has a negative eigenvalue")
-            if self.normalized and abs(np.trace(data).real - 1.0) > DEFAULT_ATOL:
+            if abs(np.trace(data).real - 1.0) > DEFAULT_ATOL:
                 raise ValueError("density matrix trace differs from 1")
         if isinstance(data, np.ndarray):
             data.setflags(write=False)
@@ -212,41 +209,32 @@ class QuantumState:
             raise ValueError("density shift must be >= 0")
         w.setflags(write=False)
         data = FactoredDensity(w, shift)
-        if self.normalized and abs(data.trace() - 1.0) > DEFAULT_ATOL:
+        if abs(data.trace() - 1.0) > DEFAULT_ATOL:
             raise ValueError("density matrix trace differs from 1")
         return data
 
     @classmethod
-    def pure(cls, vector, local_dim: int = 2, normalized: bool = True) -> "QuantumState":
+    def pure(cls, vector) -> "QuantumState":
         vector = np.asarray(vector, dtype=complex)
-        n = _infer_sites(vector.shape[0], local_dim)
-        return cls(n=n, local_dim=local_dim, kind="pure", data=vector, normalized=normalized)
+        return cls(n=_infer_qubits(vector.shape[0]), kind="pure", data=vector)
 
     @classmethod
-    def mixed(cls, matrix, local_dim: int = 2, normalized: bool = True) -> "QuantumState":
+    def mixed(cls, matrix) -> "QuantumState":
         """A mixed state from a dense matrix or a FactoredDensity."""
         if not isinstance(matrix, FactoredDensity):
             matrix = np.asarray(matrix, dtype=complex)
-        n = _infer_sites(matrix.shape[0], local_dim)
-        return cls(n=n, local_dim=local_dim, kind="mixed", data=matrix, normalized=normalized)
+        return cls(n=_infer_qubits(matrix.shape[0]), kind="mixed", data=matrix)
 
     @property
     def dim(self) -> int:
-        return self.local_dim**self.n
-
-    def norm(self) -> float:
-        if self.kind == "pure":
-            return float(np.linalg.norm(self.data))
-        if isinstance(self.data, FactoredDensity):
-            return self.data.trace()
-        return float(np.trace(self.data).real)
+        return 2**self.n
 
     def density(self) -> np.ndarray:
         """The state as a dense density matrix (outer product for pure states).
 
         Raises ResourceBudgetError when the matrix exceeds DENSE_BUDGET.
         """
-        check_dense_budget(self.dim)
+        check_dense_budget((self.dim, self.dim))
         if self.kind == "pure":
             return np.outer(self.data, self.data.conj())
         return np.asarray(self.data)
@@ -298,21 +286,20 @@ def _sandwich(rho: FactoredDensity | np.ndarray, rows) -> np.ndarray:
     return out
 
 
-def _infer_sites(dim: int, local_dim: int) -> int:
-    n = round(math.log(dim, local_dim))
-    if local_dim**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of {local_dim}")
-    return max(n, 1)
+def _infer_qubits(dim: int) -> int:
+    n = dim.bit_length() - 1
+    if n < 1 or 1 << n != dim:
+        raise ValueError(f"dimension {dim} is not a power of 2 above 1")
+    return n
 
 
 @lru_cache(maxsize=None)
-def hamming_weights(n: int, local_dim: int = 2) -> np.ndarray:
-    """Number of nonzero digits of every basis index (site 1 most significant)."""
-    idx = np.arange(local_dim**n)
-    weights = np.zeros(local_dim**n, dtype=np.int64)
+def hamming_weights(n: int) -> np.ndarray:
+    """Number of 1 bits of every n-qubit basis index (site 1 most significant)."""
+    idx = np.arange(2**n)
+    weights = np.zeros(2**n, dtype=np.int64)
     for site in range(n):
-        digit = (idx // local_dim ** (n - 1 - site)) % local_dim
-        weights += digit != 0
+        weights += (idx >> (n - 1 - site)) & 1
     weights.setflags(write=False)
     return weights
 
@@ -342,7 +329,7 @@ def product_state_vector(p: ProductParams) -> QuantumState:
     if p.n == 0:
         raise ValueError("cannot build a state on zero sites")
     vec = product_vectors(np.stack([_site_vector(z) for z in p.z])[None])[0]
-    return QuantumState.pure(_fix_global_phase(vec), local_dim=2)
+    return QuantumState.pure(_fix_global_phase(vec))
 
 
 def product_vectors(sites) -> np.ndarray:
@@ -461,8 +448,6 @@ def vector_fidelity(s: QuantumState, vec: np.ndarray) -> float:
 
 def fidelity(s: QuantumState, p: ProductParams) -> float:
     """⟨π_p|ρ|π_p⟩ for mixed s, |⟨π_p|ψ⟩|² for pure s, clamped to [0, 1]."""
-    if s.local_dim != 2:
-        raise ValueError("product-state fidelity is defined for qubit states")
     if p.n != s.n:
         raise ValueError("site-count mismatch between state and parameters")
     val = vector_fidelity(s, product_state_vector(p).data)
@@ -546,20 +531,19 @@ def vector_to_params(vector) -> ProductParams:
     return ProductParams(tuple(_ratio_param(a, b) for a, b in v.reshape(-1, 2)))
 
 
-def partial_trace(matrix: np.ndarray, n: int, keep, local_dim: int = 2) -> np.ndarray:
-    """Partial trace of an n-site density matrix, keeping the listed sites.
+def partial_trace(matrix: np.ndarray, n: int, keep) -> np.ndarray:
+    """Partial trace of an n-qubit density matrix, keeping the listed sites.
 
     keep is an iterable of 0-based site indices in increasing order.
     """
     keep = list(keep)
     if keep != sorted(set(keep)) or any(not 0 <= k < n for k in keep):
         raise ValueError("keep must be strictly increasing valid site indices")
-    d = local_dim
-    tensor = np.asarray(matrix, dtype=complex).reshape((d,) * (2 * n))
+    tensor = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * n))
     drop = [site for site in range(n) if site not in keep]
     m = n
     for site in sorted(drop, reverse=True):
         tensor = np.trace(tensor, axis1=site, axis2=site + m)
         m -= 1
-    side = d ** len(keep)
+    side = 2 ** len(keep)
     return tensor.reshape(side, side)

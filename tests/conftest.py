@@ -56,9 +56,8 @@ def apply_product_unitary(state, unitaries):
     """The state rotated by the dense Kronecker product of `unitaries`."""
     full = product_unitary(unitaries)
     if state.kind == "pure":
-        return QuantumState.pure(full @ state.data, state.local_dim, state.normalized)
-    return QuantumState.mixed(full @ state.data @ full.conj().T, state.local_dim,
-                              state.normalized)
+        return QuantumState.pure(full @ state.data)
+    return QuantumState.mixed(full @ state.data @ full.conj().T)
 
 
 def exact_z(state, basis=None):
@@ -77,7 +76,7 @@ def exact_prefix_fidelity(rho, cls, member):
     """Exact fidelity of a prefix member against the matching marginal."""
     m = len(member)
     vec = member_vector(cls, member)
-    reduced = partial_trace(rho.density(), rho.n, range(m), rho.local_dim)
+    reduced = partial_trace(rho.density(), rho.n, range(m))
     return float(np.real(np.vdot(vec, reduced @ vec)))
 
 

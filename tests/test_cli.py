@@ -61,6 +61,17 @@ def test_state_round_trip_pure_and_mixed():
     assert np.allclose(back.data, mixed.data, atol=1e-12)
 
 
+def test_state_files_must_hold_normalized_qubit_registers():
+    good = state_to_json(ghz_state(1))
+    assert good["local_dim"] == 2 and good["normalized"] is True
+    assert state_from_json(good).n == 1
+    qutrit = {**good, "local_dim": 3, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    with pytest.raises(ValueError, match="local_dim"):
+        state_from_json(qutrit)
+    with pytest.raises(ValueError, match="normalized"):
+        state_from_json({**good, "normalized": False})
+
+
 def test_factored_state_round_trip_is_exact():
     rng = np.random.default_rng(5)
     for state in (random_mixed(3, rng, rank=2),
@@ -193,6 +204,14 @@ def test_clique_generator_k3_entry_count():
     assert payload["ground_truth"]["clique_number"] == 3
 
 
+def test_clique_generator_attaches_a_state_within_the_dense_budget():
+    small = generate("clique", {"edges": [[0, 1], [1, 2]]}, seed=0)
+    assert state_from_json(small["state"]).n == 12
+    # Side 6 would need 2^24 amplitudes (256 MiB): the file keeps only the tensor.
+    big = generate("clique", {"edges": [[0, 1], [4, 5]]}, seed=0)
+    assert "state" not in big and tensor_from_json(big["tensor"]).side == 6
+
+
 def test_planted_mps_ground_truth_reachable():
     payload = generate("planted-mps", {"n": 4, "rank": 2, "w": 1.0}, seed=7)
     state = state_from_json(payload["state"])
@@ -210,7 +229,7 @@ def test_planted_product_set_up_stays_factored():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20  # a dense 2^10 x 2^10 rho alone takes 16 MiB
-    assert state.kind == "mixed" and state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert state.kind == "mixed" and state.data.trace() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_planted_mixtures_are_stored_factored():
@@ -357,6 +376,26 @@ def test_estimate_opt_applies_net_budget(tmp_path, capsys):
     inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "2")
     assert main(["cover", "estimate-opt", inst, "--net-budget", "10"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_state_files_outside_the_model_exit_one(tmp_path, capsys):
+    inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "1", "--w", "1.0")
+    data = load_json(inst)
+    qutrit = {**data["state"], "local_dim": 3, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    for key, state in (("local_dim", qutrit),
+                       ("normalized", {**data["state"], "normalized": False})):
+        path = tmp_path / f"{key}.json"
+        save_json(path, {**data, "state": state})
+        assert main(["highfid", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
+
+def test_sampling_backend_with_noise_exits_one(tmp_path, capsys):
+    inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "1")
+    assert main(["highfid", inst, "--backend", "sampling", "--noise", "0.3"]) == 1
+    assert "exact backend" in capsys.readouterr().err
+    assert main(["highfid", inst, "--backend", "exact", "--noise", "0.3",
+                 "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_missing_instance_exits_one(tmp_path, capsys):

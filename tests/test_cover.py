@@ -50,7 +50,7 @@ def pure_oracle(z, seed=0):
 def basis_oracle(n, seed=0):
     vec = np.zeros(2**n)
     vec[0] = 1.0
-    return StateOracle(QuantumState.pure(vec, local_dim=2), seed=seed)
+    return StateOracle(QuantumState.pure(vec), seed=seed)
 
 
 # --- parameters ---------------------------------------------------------------
@@ -192,7 +192,7 @@ def test_build_prepares_each_root_once(monkeypatch):
     bell = np.zeros(4)
     bell[0] = bell[3] = 2**-0.5
     params = CoverParams(0.5, 0.12, 0.05, DESK_OVERRIDES)
-    cover, trace = _build(StateOracle(QuantumState.pure(bell, local_dim=2), seed=3), params)
+    cover, trace = _build(StateOracle(QuantumState.pure(bell), seed=3), params)
     assert len(cover) == 2
     roots = len(LOCAL_NET) * (1 + sum(len(level) for level in trace[:-1]))
     assert len(prepared) == roots
@@ -209,7 +209,7 @@ def test_build_cover_mixed_is_empty():
 def test_build_cover_bell_two_members():
     bell = np.zeros(4)
     bell[0] = bell[3] = 2**-0.5
-    state = QuantumState.pure(bell, local_dim=2)
+    state = QuantumState.pure(bell)
     params = CoverParams(0.5, 0.12, 0.05, DESK_OVERRIDES)
     covers = [build_cover(StateOracle(state, seed=3), params) for _ in range(2)]
     for cover in covers:
@@ -290,7 +290,7 @@ def test_estimate_opt_pure_product():
 def test_estimate_opt_bell():
     bell = np.zeros(4)
     bell[0] = bell[3] = 2**-0.5
-    o = StateOracle(QuantumState.pure(bell, local_dim=2), seed=8)
+    o = StateOracle(QuantumState.pure(bell), seed=8)
     est, witness = estimate_opt(o, 0.05, 0.05, overrides=DESK_OVERRIDES)
     assert witness is not None
     assert abs(est - 0.5) <= 0.1

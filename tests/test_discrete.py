@@ -42,10 +42,10 @@ def random_class(rng, n, s, d=2):
     return DiscreteClass(menus)
 
 
-def basis_state(n, index=0, local_dim=2):
-    vec = np.zeros(local_dim**n)
+def basis_state(n, index=0):
+    vec = np.zeros(2**n)
     vec[index] = 1.0
-    return QuantumState.pure(vec, local_dim=local_dim)
+    return QuantumState.pure(vec)
 
 
 # --- class validation -----------------------------------------------------------
@@ -64,12 +64,13 @@ def test_class_validation():
         DiscreteClass([[KET0, KET1]])  # orthogonal menu needs explicit gamma
     with pytest.raises(ValueError):
         DiscreteClass([[KET0, KET0]])  # duplicates force gamma = 1
+    with pytest.raises(ValueError, match="qubit"):  # overlapping qutrit menus
+        random_class(np.random.default_rng(5), 2, 2, d=3)
 
 
 def test_class_summary_fields():
     cls = axes_class(2)
     assert cls.n == 2 and cls.s == 6 and cls.size == 36
-    assert cls.local_dim == 2
     assert cls.gamma == pytest.approx(0.5)
     assert not cls.gamma_below_stated_range
     tight = DiscreteClass([[KET0, KET1]], gamma=0.2)
@@ -89,14 +90,13 @@ def test_member_vector_ordering():
 
 def test_member_vector_matches_kron_reference():
     rng = np.random.default_rng(5)
-    for d in (2, 3):
-        for n in range(1, 6):
-            cls = random_class(rng, n, 3, d)
-            for _ in range(3):
-                member = tuple(int(i) for i in rng.integers(0, 3, size=n))
-                for k in range(1, n + 1):
-                    want = reference_member_vector(cls, member[:k])
-                    assert np.array_equal(member_vector(cls, member[:k]), want)
+    for n in range(1, 6):
+        cls = random_class(rng, n, 3)
+        for _ in range(3):
+            member = tuple(int(i) for i in rng.integers(0, 3, size=n))
+            for k in range(1, n + 1):
+                want = reference_member_vector(cls, member[:k])
+                assert np.array_equal(member_vector(cls, member[:k]), want)
 
 
 # --- census ---------------------------------------------------------------------
@@ -120,16 +120,6 @@ def test_census_budget_guard():
     cls = DiscreteClass([[KET0, PLUS]] * 18)
     with pytest.raises(ResourceBudgetError):
         class_fidelity_census(basis_state(18), cls, 0.5)
-
-
-def test_census_supports_qudits():
-    rng = np.random.default_rng(3)
-    cls = random_class(rng, 2, 3, d=3)
-    rho = random_mixed(2, rng, local_dim=3)
-    full = class_fidelity_census(rho, cls, 0.0)
-    assert len(full) == 9
-    vec = member_vector(cls, max(full))
-    assert vec.shape == (9,)
 
 
 # --- learner --------------------------------------------------------------------
@@ -170,9 +160,6 @@ def test_learn_validation():
         discrete_learn(o, cls, 0.5, 0.2, 0.0)
     with pytest.raises(ValueError):
         discrete_learn(o, axes_class(3), 0.5, 0.2, 0.05)  # size mismatch
-    rng = np.random.default_rng(5)
-    with pytest.raises(ValueError):
-        discrete_learn(o, random_class(rng, 2, 2, d=3), 0.5, 0.2, 0.05)
 
 
 def test_learn_sampling_backend_planted():

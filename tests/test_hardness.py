@@ -244,6 +244,15 @@ def test_state_rejects_zero_tensor_and_big_sides():
         tensor_to_state(Tensor4(np.ones((6, 6, 6, 6))))
 
 
+def test_side_five_tensor_converts_within_the_dense_budget():
+    # Side 5 is the largest whose 2^20-amplitude vector fits DENSE_BUDGET.
+    t = clique_tensor(Graph(5, frozenset({(0, 1), (1, 2), (0, 2), (3, 4)})))
+    psi = tensor_to_state(t)
+    assert psi.n == 20
+    assert np.count_nonzero(psi.data) == np.count_nonzero(t.entries)
+    assert np.linalg.norm(psi.data) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_embed_at_equal_size_is_unitary():
     rng = np.random.default_rng(1)
     t = random_unit_tensor(rng, 2)

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from prodstate import mps
 from prodstate.errors import PromiseViolationError, ResourceBudgetError
 from prodstate.instances import ghz_state, random_mixed, w_state
 from prodstate.mps import (
     MatrixProductState,
-    _learn,
     disentangling_unitary,
     mps_learn,
     mps_to_state,
@@ -50,6 +50,20 @@ def overlap(a: QuantumState, b: QuantumState) -> float:
     return abs(np.vdot(a.data, b.data)) ** 2
 
 
+def record_tomography(monkeypatch):
+    """Record each row block mps_learn passes to its tomography, and each result's trace."""
+    calls = []
+    tomography = mps.subnormalized_tomography
+
+    def recorded(o, rows, zeroed_prefix, eps, delta):
+        out = tomography(o, rows, zeroed_prefix, eps, delta)
+        calls.append((rows, float(np.real(np.trace(out)))))
+        return out
+
+    monkeypatch.setattr(mps, "subnormalized_tomography", recorded)
+    return calls
+
+
 def test_train_validation():
     good = np.zeros((1, 2, 1), dtype=complex)
     good[0, 0, 0] = 1.0
@@ -67,9 +81,12 @@ def test_train_validation():
         MatrixProductState([wide, good])  # 2 vs 1 bond mismatch
     with pytest.raises(ValueError):
         MatrixProductState([2.0 * good])  # norm 2, not 1
+    qutrit = np.zeros((1, 3, 1), dtype=complex)
+    qutrit[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        MatrixProductState([qutrit])  # physical dimension 3
     m = zero_train(4)
     assert m.n == 4
-    assert m.local_dim == 2
     assert m.bond_dims == (1, 1, 1, 1, 1)
     assert m.max_bond == 1
 
@@ -208,19 +225,24 @@ def test_learn_w_state():
     assert overlap(mps_to_state(m), hidden) >= 0.8
 
 
-def test_learn_with_narrow_window_sweeps():
+def test_learn_with_narrow_window_sweeps(monkeypatch):
     # A window narrower than the guarantee level keeps the sweep multi-step
     # at this scale; it is sound here because every postselected marginal
     # has rank <= 2.
+    calls = record_tomography(monkeypatch)
     for hidden, r in ((ghz_state(6), 2), (w_state(5), 2)):
+        calls.clear()
         o = StateOracle(hidden, backend="exact")
-        m, info = _learn(o, r, 0.2, 0.1, kappa_override=2, keep_trace=True)
-        assert info["kappa"] == 2
-        assert len(info["frames"]) == hidden.n - 2
+        m = mps_learn(o, r, 0.2, 0.1, kappa_override=2)
+        # One tomography per sweep step plus the final one; only the first
+        # reads the unrotated register.
+        assert len(calls) == hidden.n - 1
+        assert calls[0][0] is None and all(rows is not None for rows, _ in calls[1:])
         assert overlap(mps_to_state(m), hidden) >= 0.8
-        assert m.max_bond <= 2  # d^(kappa-1)
+        assert m.max_bond <= 2  # 2^(kappa-1)
         # Postselection can only shed mass, so the recorded traces shrink.
-        assert all(a >= b - 1e-12 for a, b in zip(info["masses"], info["masses"][1:]))
+        masses = [mass for _, mass in calls]
+        assert all(a >= b - 1e-12 for a, b in zip(masses, masses[1:]))
 
 
 def test_learn_narrow_window_product():
@@ -323,21 +345,25 @@ def test_projection_loss_bounded_by_schmidt_rank():
         assert abs(before - after) <= 2.0 * r * np.sqrt(eta) + 1e-9
 
 
-def test_sweep_step_loss_within_budget():
+def test_sweep_step_loss_within_budget(monkeypatch):
     # Each sweep step costs a planted low-bond state at most eps/(2n) in
     # quadratic form, tracked against the rotated-and-postselected states.
     rng = np.random.default_rng(29)
     eps = 0.3
     targets = [ghz_state(4), w_state(4),
                mps_to_state(state_to_mps(random_pure(rng, 4), max_bond=2))]
+    calls = record_tomography(monkeypatch)
     for hidden in targets:
         n = hidden.n
+        calls.clear()
         o = StateOracle(hidden, backend="exact")
-        _, info = _learn(o, 2, eps, 0.1, kappa_override=2, keep_trace=True)
+        mps_learn(o, 2, eps, 0.1, kappa_override=2)
+        frames = [rows for rows, _ in calls[1:]]
+        assert len(frames) == n - 2
         rho = hidden.density()
         phi = hidden.data
         previous = float(np.real(phi.conj() @ rho @ phi))
-        for i, frame in enumerate(info["frames"], start=1):
+        for i, frame in enumerate(frames, start=1):
             assert frame.shape == (2 ** (n - i), 2**n)
             squeeze = frame.conj().T @ frame
             current = float(np.real(phi.conj() @ squeeze @ rho @ squeeze @ phi))

@@ -609,6 +609,10 @@ def test_parameter_validation():
         subnormalized_tomography(o, None, zeroed_prefix=2, eps=0.3, delta=0.3)
     with pytest.raises(ValueError):
         StateOracle(maximally_mixed(2), backend="approximate")
+    # Only the exact branches inject noise; the sampling backend must not
+    # accept a noise level it would silently ignore.
+    with pytest.raises(ValueError, match="exact backend"):
+        StateOracle(maximally_mixed(2), backend="sampling", noise_opnorm=0.3)
 
 
 def factored_cases(n, rng):

@@ -10,6 +10,7 @@ from prodstate.errors import ResourceBudgetError
 from prodstate.states import (
     DENSE_BUDGET,
     apply_sites,
+    check_dense_budget,
     FactoredDensity,
     ProductParams,
     QuantumState,
@@ -331,7 +332,6 @@ def test_product_vectors_match_kron_reference():
 def test_quantum_state_validation():
     with pytest.raises(ValueError):
         QuantumState.pure(np.array([1.0, 1.0]))
-    QuantumState.pure(np.array([1.0, 1.0]), normalized=False)
     with pytest.raises(ValueError):
         QuantumState.mixed(np.array([[0.5, 0.2], [0.3, 0.5]]))
     with pytest.raises(ValueError):
@@ -350,7 +350,7 @@ def test_factored_state_matches_its_dense_matrix():
         rho = w @ w.conj().T + shift * np.eye(dim)
         assert state.kind == "mixed" and state.n == n
         assert np.allclose(state.density(), rho, atol=1e-14)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert state.data.trace() == pytest.approx(1.0, abs=1e-12)
         x = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
         assert np.allclose(state.data @ x, rho @ x, atol=1e-14)
         assert np.allclose(x.conj().T @ state.data, x.conj().T @ rho, atol=1e-14)
@@ -371,9 +371,9 @@ def test_factored_state_validation():
     with pytest.raises(ValueError):
         QuantumState.mixed(FactoredDensity(np.array([[1.0], [np.nan]])))
     with pytest.raises(ValueError):  # three rows on a qubit register
-        QuantumState(1, 2, "mixed", FactoredDensity(np.ones((3, 1)) / math.sqrt(3)))
+        QuantumState(1, "mixed", FactoredDensity(np.ones((3, 1)) / math.sqrt(3)))
     with pytest.raises(ValueError):
-        QuantumState(1, 2, "pure", FactoredDensity(psi[:, None]))
+        QuantumState(1, "pure", FactoredDensity(psi[:, None]))
     w = np.array([[0.6], [0.8j]])
     state = QuantumState.mixed(FactoredDensity(w))
     w[0, 0] = 0.0
@@ -403,6 +403,15 @@ def test_dense_paths_refuse_matrices_above_the_budget():
     big = np.broadcast_to(np.complex128(0.0), (4096, 4096))
     with pytest.raises(ResourceBudgetError):
         QuantumState.mixed(big)
+
+
+def test_dense_budget_covers_matrices_and_vectors():
+    # 16 bytes per complex entry against 64 MiB: 2^11 x 2^11 and 2^22 fit.
+    check_dense_budget((2**11, 2**11))
+    check_dense_budget((2**22,))
+    for shape in ((2**11 + 1, 2**11), (2**22 + 1,)):
+        with pytest.raises(ResourceBudgetError, match="budget"):
+            check_dense_budget(shape)
 
 
 def test_haar_product_params_overlap_is_uniform():
