@@ -262,6 +262,8 @@ def run(config: ExperimentConfig) -> dict:
             result["sandwich"] = opt_sandwich_check(t, math.sqrt(opt_prod))
     else:
         data, input_digest = _load_instance(config)
+        if "state" not in data:
+            raise UsageError(f"{config.algorithm} needs an instance with a state")
         state = state_from_json(data["state"])
         o = StateOracle(state, backend=config.backend, seed=config.seed,
                         noise_opnorm=config.noise)

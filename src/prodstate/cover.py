@@ -16,15 +16,16 @@ reused for each further member that root yields.  The top eigenvalue of
 the prefix estimate bounds every candidate's score at every root of that
 prefix, so it is computed once per estimate: recentering is a product
 unitary, and a degree cap's weight cut is a compression, which cannot raise
-the top eigenvalue of a PSD matrix.  Candidates close to the root are read
-straight off the grid nets that `polyopt.support_nets` lays over
-span(constraint members, axes of a small support); candidates whose
-remaining coordinates carry a spread-out norm are completed through the
-constrained polynomial maximizer (`polyopt.solve_constrained`).  Both kinds
-are scored by one rule: clear the separation bound to every accepted member,
-then keep the best truncated overlap that reaches the threshold; a batch of
-candidates is scored by one matrix product with the estimate and a row-wise
-dot.
+the top eigenvalue of a PSD matrix.  Candidates are read straight off the
+grid nets that `polyopt.support_nets` lays over span(constraint members,
+axes of a small support), and scored by one rule: clear the separation
+bound to every accepted member, then keep the best truncated overlap that
+reaches the threshold; a batch of candidates is scored by one matrix
+product with the estimate and a row-wise dot.  The paper completes
+candidates with a spread-out remainder through constrained polynomial
+optimization; no state at desk scale needs that step, so the search runs on
+the grid nets only, and the reduction's solver runs standalone as
+`polyopt.solve_constrained`.
 `verify_cover` audits the three properties against the exact state, and
 `estimate_opt` wraps the builder in a bisection over eta to estimate the
 best product-state fidelity with a witness.
@@ -34,20 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import PromiseViolationError, ResourceBudgetError
+from .errors import PromiseViolationError
 from .oracle import StateOracle, estimate_fidelity, subspace_tomography
-from .polyopt import (
-    DEFAULT_NET_BUDGET,
-    OptDomain,
-    PolySystem,
-    _orthonormal_columns,
-    solve_constrained,
-    support_nets,
-)
+from .polyopt import DEFAULT_NET_BUDGET, support_nets
 from .states import (
     ProductParams,
     QuantumState,
@@ -79,9 +72,6 @@ __all__ = [
 # root within per-site tangent distance 1 of any product state.
 LOCAL_NET = (0.0 + 0.0j, complex(Z_MAX), 1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j)
 
-# Maximum dense coefficient entries a flat-completion handoff may allocate.
-_FLAT_TENSOR_BUDGET = 4_000_000
-
 # Row batch used when evaluating quadratic forms on large nets.
 _OVERLAP_ELEMENTS = 2_000_000
 
@@ -90,11 +80,12 @@ _OVERLAP_ELEMENTS = 2_000_000
 class CoverOverrides:
     """Desk-scale tuning knobs for the cover search; None keeps each default.
 
-    The defaults follow the guarantee-carrying schedule, which is far too
-    expensive off asymptotia; the overrides coarsen the nets (`tol_floor`,
-    `net_radius`, `net_budget`), shrink the searched supports (`support_cap`,
-    `mu_floor`, `degree_cap`), and bound the flat-completion work
-    (`flat_steps`, `flat_candidate_cap`) to make small registers tractable.
+    The defaults follow the guarantee-carrying schedule, whose nets exceed
+    the default grid-point budget even on one qubit, so a search under them
+    raises ResourceBudgetError at once.  The overrides coarsen the nets
+    (`tol_floor`, `net_radius`, `net_budget`), shrink the searched supports
+    (`support_cap`, `mu_floor`, `degree_cap`), and loosen the tomography
+    (`tomo_eps`) to make small registers tractable.
     """
 
     degree_cap: int | None = None
@@ -103,11 +94,7 @@ class CoverOverrides:
     tol_floor: float | None = None
     net_radius: float | None = None
     net_budget: int | None = None
-    polyopt_gamma: float | None = None
-    polyopt_eps: float | None = None
     tomo_eps: float | None = None
-    flat_steps: int | None = None
-    flat_candidate_cap: int | None = None
 
 
 #: Coarsening used by the command-line runner and the small-register tests.
@@ -116,10 +103,6 @@ DESK_OVERRIDES = CoverOverrides(
     mu_floor=2.5,
     tol_floor=0.75,
     net_radius=2.2,
-    polyopt_gamma=0.4,
-    polyopt_eps=0.3,
-    flat_steps=0,
-    flat_candidate_cap=8,
     net_budget=20_000_000,
 )
 
@@ -165,7 +148,7 @@ class CoverParams:
 
     @property
     def eps_tilde(self) -> float:
-        """Internal approximation scale driving truncation and handoff accuracy."""
+        """Internal approximation scale driving the truncation degree and mu."""
         return self.eps / 100.0
 
     @property
@@ -175,7 +158,7 @@ class CoverParams:
 
     @property
     def mu(self) -> float:
-        """Flatness threshold splitting direct-net from flat-completion search."""
+        """Flatness scale setting the net pitch and the largest searched support."""
         raw = 0.1 * min(self.b, 1.0 / self.b, math.sqrt(self.eps_tilde) / self.b_root)
         if self.overrides.mu_floor is not None:
             raw = max(raw, float(self.overrides.mu_floor))
@@ -190,15 +173,9 @@ class CoverParams:
             d = min(d, int(self.overrides.degree_cap))
         return max(d, 0)
 
-    def polyopt_gamma(self, m: int) -> float:
-        """Grid pitch scale handed to the flat-completion maximizer."""
-        if self.overrides.polyopt_gamma is not None:
-            return float(self.overrides.polyopt_gamma)
-        return min(self.mu**4 / math.sqrt(m), 0.01 * self.eps)
-
     def tol(self, m: int) -> float:
-        """Pitch scale of the direct candidate net at prefix length m."""
-        raw = min(self.polyopt_gamma(m), self.mu**4 / math.sqrt(m), 0.01 * self.eps)
+        """Pitch scale of the candidate net at prefix length m."""
+        raw = min(self.mu**4 / math.sqrt(m), 0.01 * self.eps)
         if self.overrides.tol_floor is not None:
             raw = max(raw, float(self.overrides.tol_floor))
         return raw
@@ -211,22 +188,10 @@ class CoverParams:
         return max(s, 0)
 
     def net_radius(self) -> float:
-        """Radius of the direct candidate net (recentered coordinates)."""
+        """Radius of the candidate net (recentered coordinates)."""
         if self.overrides.net_radius is not None:
             return min(self.b_root, float(self.overrides.net_radius))
         return self.b_root
-
-    def flat_steps(self, m: int) -> int:
-        """Number of norm rungs tried for the spread-out remainder."""
-        if self.overrides.flat_steps is not None:
-            return max(int(self.overrides.flat_steps), 0)
-        return math.ceil(self.b_root / self.polyopt_gamma(m))
-
-    @property
-    def polyopt_eps(self) -> float:
-        if self.overrides.polyopt_eps is not None:
-            return float(self.overrides.polyopt_eps)
-        return self.eps_tilde / 10.0
 
     @property
     def tomo_eps(self) -> float:
@@ -299,52 +264,6 @@ def _batched_tangent_sq(points: np.ndarray, a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _flat_poly_system(rho: np.ndarray, m: int, s_mask: np.ndarray,
-                      v_point: np.ndarray, nu: float, degree: int) -> PolySystem:
-    """Coefficients of the truncated overlap as a polynomial in the remainder.
-
-    With the support coordinates pinned to `v_point` and the remaining
-    coordinates written as nu * t, the overlap against the weight-truncated
-    matrix expands into matched-degree terms in t; this collects them into
-    the solver's tensor format (the mixed-degree remainder is dropped — the
-    located point is always re-scored exactly before acceptance).
-    """
-    mbar = int(np.count_nonzero(~s_mask))
-    kmax = min(degree, mbar)
-    if sum(mbar ** (2 * k) for k in range(1, kmax + 1)) > _FLAT_TENSOR_BUDGET:
-        raise ResourceBudgetError(
-            f"flat completion on {mbar} free sites needs more than "
-            f"{_FLAT_TENSOR_BUDGET} dense coefficient entries")
-    # sigma = K* rho K with K = (x)_i (|0> + v_i|1> on support sites, I elsewhere).
-    ops = [np.array([[1.0, np.conj(v_point[i])]], dtype=complex) if s_mask[i]
-           else np.eye(2, dtype=complex) for i in range(m)]
-    sigma = apply_sites(ops, apply_sites(ops, rho).conj().T).conj().T
-
-    norm_s = float(np.prod(1.0 + np.abs(v_point[s_mask]) ** 2))
-    scale = math.exp(-nu * nu) / (10.0 * norm_s)
-    constant = complex(sigma[0, 0]) * scale
-    tensors = []
-    for k in range(1, kmax + 1):
-        tensor = np.zeros((mbar,) * (2 * k), dtype=complex)
-        weight = nu ** (2 * k) * scale / (math.factorial(k) ** 2)
-        for left in combinations(range(mbar), k):
-            row = sum(1 << (mbar - 1 - pos) for pos in left)
-            for right in combinations(range(mbar), k):
-                col = sum(1 << (mbar - 1 - pos) for pos in right)
-                val = sigma[row, col] * weight
-                if val == 0.0:
-                    continue
-                for lp in permutations(left):
-                    for rp in permutations(right):
-                        tensor[lp + rp] = val
-        tensors.append(tensor)
-    mass = abs(constant) + sum(float(np.linalg.norm(t)) for t in tensors)
-    if mass > 1.0:
-        constant /= mass
-        tensors = [t / mass for t in tensors]
-    return PolySystem(mbar, constant, tuple(tensors))
-
-
 def _top_eigenvalue(mat: np.ndarray) -> float:
     """Largest eigenvalue of the Hermitian part of mat."""
     return float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[-1])
@@ -369,6 +288,9 @@ def _prepare_root(truncation: np.ndarray, root: ProductParams, params: CoverPara
 def _extend(prepared, ceiling: float, members, params: CoverParams) -> ProductParams | None:
     """Search one branch, prepared by `_prepare_root`, for a new admissible cover member.
 
+    The candidates are the points of the grid nets that `support_nets` lays
+    over span(members, axes of each support of size at most
+    params.support_limit(m)), all within params.net_radius() of the root.
     `ceiling` bounds every candidate's truncated overlap; the search stops
     once a candidate reaches it.  Returns the best candidate found (original
     frame) whose truncated overlap reaches eta - eps/2 and whose exact
@@ -377,100 +299,45 @@ def _extend(prepared, ceiling: float, members, params: CoverParams) -> ProductPa
     """
     units, rho = prepared
     m = len(units)
-    d = params.degree(m)
     thresh = params.eta - 0.5 * params.eps
     bound = params.b
     need = 1.49 * bound * bound
     cons_arrays = [transform_params(units, member).asarray() for member in members]
 
-    gamma_po = params.polyopt_gamma(m)
-    rungs = [j * gamma_po for j in range(1, params.flat_steps(m) + 1)
-             if j * gamma_po <= params.b_root]
-    flat_calls_left = (math.inf if params.overrides.flat_candidate_cap is None
-                       else int(params.overrides.flat_candidate_cap))
-    budget = params.net_budget
-
     best_val = -math.inf
     best_z: np.ndarray | None = None
-
-    def consider(points: np.ndarray) -> None:
-        """Keep the best-scoring row that clears every bound and the threshold."""
-        nonlocal best_val, best_z
-        for a in cons_arrays:
-            if len(points):
-                points = points[_batched_tangent_sq(points, a) >= (bound - 1e-12) ** 2]
-        if not len(points):
-            return
-        vals = _batch_overlap(rho, points)
-        top = int(np.argmax(vals))
-        if vals[top] >= thresh - 1e-12 and vals[top] > best_val:
-            best_val = float(vals[top])
-            best_z = points[top].copy()
 
     base = (np.stack(cons_arrays, axis=1) if cons_arrays
             else np.zeros((m, 0), dtype=complex))
     nets = support_nets(base, params.support_limit(m), params.net_radius(),
-                        2.0 * params.tol(m), budget)
+                        2.0 * params.tol(m), params.net_budget)
     for support, _, chunks in nets:
-        s_mask = np.zeros(m, dtype=bool)
-        s_mask[list(support)] = True
-        sbar = ~s_mask
-        mbar = m - len(support)
-        # The flat completions' linear pin depends only on the support.
-        if mbar and rungs and flat_calls_left > 0 and cons_arrays:
-            a_mat = _orthonormal_columns(
-                np.stack([a[sbar] for a in cons_arrays], axis=1)).conj().T
-        else:
-            a_mat = np.zeros((0, mbar), dtype=complex)
-
+        sbar = np.ones(m, dtype=bool)
+        sbar[list(support)] = False
         for points in chunks:
-            count = points.shape[0]
+            # Far-candidate prefilter: a net point can only clear the bound to
+            # a member when its support part plus its remainder offset already
+            # look far from that member.
             vbar2 = (np.abs(points[:, sbar]) ** 2).sum(axis=1)
-            vs2 = (np.abs(points[:, s_mask]) ** 2).sum(axis=1)
-
-            # Far-candidate prefilter: a candidate built on this point can
-            # only clear the bound to member s when the point's support part
-            # plus its remainder offset already look far from that member.
-            pieces = []
+            keep = np.ones(points.shape[0], dtype=bool)
             for a in cons_arrays:
-                dtan2 = np.zeros(count)
+                dtan2 = np.zeros(points.shape[0])
                 for i in support:
                     dtan2 = dtan2 + _site_tangent_sq(points[:, i], complex(a[i]))
                 dbar2 = (np.abs(points[:, sbar] - a[sbar]) ** 2).sum(axis=1)
-                pieces.append((dtan2, dbar2))
-
-            def rung_mask(nu: float) -> np.ndarray:
-                keep = np.ones(count, dtype=bool)
-                for dtan2, dbar2 in pieces:
-                    keep &= nu * nu - vbar2 + dbar2 >= need - dtan2 - 1e-9
-                return keep
-
-            # Direct candidates: the net point itself (remainder included).
-            consider(points[rung_mask(0.0)])
-
-            # Flat completions: pin the support to the net point, hand the
-            # remainder (at each norm rung) to the polynomial maximizer.
-            if mbar == 0 or not rungs or flat_calls_left <= 0:
+                keep &= dbar2 - vbar2 >= need - dtan2 - 1e-9
+            # Keep the best-scoring point that clears every bound and the threshold.
+            points = points[keep]
+            for a in cons_arrays:
+                if len(points):
+                    points = points[_batched_tangent_sq(points, a) >= (bound - 1e-12) ** 2]
+            if not len(points):
                 continue
-            for nu in rungs:
-                fits = rung_mask(nu) & (vs2 + nu * nu <= params.b_root**2 + 1e-9)
-                for idx in np.nonzero(fits)[0]:
-                    if flat_calls_left <= 0:
-                        break
-                    flat_calls_left -= 1
-                    point = points[idx]
-                    system = _flat_poly_system(rho, m, s_mask, point, nu, d)
-                    target = a_mat @ (point[sbar] / nu)
-                    dom = OptDomain(a_mat, target, 1.0, params.mu / nu,
-                                    min(gamma_po / nu, 1.0))
-                    found = solve_constrained(system, dom, params.polyopt_eps,
-                                              net_budget=budget)
-                    if found is None:
-                        continue
-                    z_vec = np.array(point, dtype=complex)
-                    z_vec[sbar] = nu * found
-                    consider(z_vec[None, :])
-
+            vals = _batch_overlap(rho, points)
+            top = int(np.argmax(vals))
+            if vals[top] >= thresh - 1e-12 and vals[top] > best_val:
+                best_val = float(vals[top])
+                best_z = points[top].copy()
         if best_val >= ceiling - 1e-9:
             break
 

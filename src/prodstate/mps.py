@@ -25,7 +25,6 @@ from .states import QuantumState, check_dense_budget, partial_trace
 
 __all__ = [
     "MatrixProductState",
-    "disentangling_unitary",
     "mps_learn",
     "mps_to_state",
     "schmidt_rank",
@@ -127,27 +126,6 @@ def schmidt_rank(s: QuantumState, cut: int, tol: float = 1e-10) -> int:
     mat = s.data.reshape(2**cut, -1)
     sing = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(sing > tol))
-
-
-def disentangling_unitary(basis: np.ndarray) -> np.ndarray:
-    """Unitary sending the given subspace onto the zeroed-first-site block.
-
-    ``basis`` holds orthonormal columns spanning a subspace of (C^d)^{x kappa}
-    whose dimension is exactly a 1/d fraction of the space.  The result U
-    maps every subspace vector to |0> (x) (something) and every orthogonal
-    vector to a state with no |0>-first-site component.
-    """
-    basis = np.asarray(basis, dtype=complex)
-    if basis.ndim != 2 or basis.shape[0] % basis.shape[1] != 0:
-        raise ValueError("basis must be (d^kappa, d^(kappa-1)) with integer d")
-    d = basis.shape[0] // basis.shape[1]
-    if d < 2:
-        raise ValueError("subspace dimension must be a proper fraction of the space")
-    gram = basis.conj().T @ basis
-    if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-9):
-        raise ValueError("basis columns must be orthonormal")
-    complement = np.linalg.svd(basis)[0][:, basis.shape[1]:]
-    return np.hstack([basis, complement]).conj().T
 
 
 def _top_eigenvector(mat: np.ndarray) -> np.ndarray:

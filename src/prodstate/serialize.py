@@ -16,6 +16,7 @@ of W} and "shift": c in place of the 4^n pairs of rho.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -49,6 +50,19 @@ def _unpairs(pairs, shape) -> np.ndarray:
     return np.asarray(pairs, dtype=float).reshape(-1, 2).view(complex).reshape(shape)
 
 
+def _reader(tag: str):
+    """Decorate a reader so a missing key raises a ValueError naming the object."""
+    def decorate(read):
+        @functools.wraps(read)
+        def wrapper(d: dict):
+            try:
+                return read(d)
+            except KeyError as exc:
+                raise ValueError(f"malformed {tag} object: missing key {exc.args[0]!r}") from None
+        return wrapper
+    return decorate
+
+
 def state_to_json(s: QuantumState) -> dict:
     d = {
         "object": "state",
@@ -66,6 +80,7 @@ def state_to_json(s: QuantumState) -> dict:
     return d
 
 
+@_reader("state")
 def state_from_json(d: dict) -> QuantumState:
     if d["local_dim"] != 2:
         raise ValueError(f"states are qubit registers; got local_dim {d['local_dim']!r}")
@@ -85,6 +100,7 @@ def params_to_json(p: ProductParams) -> dict:
     return {"object": "product-params", "z": _pairs(np.array(p.z))}
 
 
+@_reader("product-params")
 def params_from_json(d: dict) -> ProductParams:
     return ProductParams(tuple(complex(re, im) for re, im in d["z"]))
 
@@ -101,6 +117,7 @@ def cover_to_json(c: Cover) -> dict:
     }
 
 
+@_reader("cover")
 def cover_from_json(d: dict) -> Cover:
     params = CoverParams(d["eta"], d["eps"], d["delta"],
                          CoverOverrides(**d["overrides"]))
@@ -118,6 +135,7 @@ def mps_to_json(m: MatrixProductState) -> dict:
     }
 
 
+@_reader("mps")
 def mps_from_json(d: dict) -> MatrixProductState:
     return MatrixProductState(
         [_unpairs(t["data"], tuple(t["shape"])) for t in d["tensors"]])
@@ -127,6 +145,7 @@ def tensor_to_json(t: Tensor4) -> dict:
     return {"object": "tensor4", "side": t.side, "data": _pairs(t.entries)}
 
 
+@_reader("tensor4")
 def tensor_from_json(d: dict) -> Tensor4:
     side = d["side"]
     return Tensor4(_unpairs(d["data"], (side,) * 4))
@@ -140,6 +159,7 @@ def class_to_json(c: DiscreteClass) -> dict:
     }
 
 
+@_reader("discrete-class")
 def class_from_json(d: dict) -> DiscreteClass:
     menus = [[_unpairs(phi, (len(phi),)) for phi in menu]
              for menu in d["site_states"]]
@@ -154,6 +174,7 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
+@_reader("graph")
 def graph_from_json(d: dict) -> Graph:
     return Graph(d["n_vertices"], frozenset(tuple(e) for e in d["edges"]))
 

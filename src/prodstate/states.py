@@ -92,6 +92,18 @@ class ProductParams:
         return ProductParams(self.z + other.z)
 
 
+def _onto_cap(value: complex) -> complex:
+    """A value scaled onto the Z_MAX circle, pulled in while rounding left it outside.
+
+    Scaling by Z_MAX/|value| can leave |value| one ulp above Z_MAX; each step
+    moves both parts one ulp toward zero.  A value within the cap is returned
+    unchanged.
+    """
+    while abs(value) > Z_MAX:
+        value = complex(math.nextafter(value.real, 0.0), math.nextafter(value.imag, 0.0))
+    return value
+
+
 def cap_param(value: complex) -> complex:
     """Clamp a single parameter's magnitude to Z_MAX, preserving its phase."""
     value = complex(value)
@@ -102,7 +114,7 @@ def cap_param(value: complex) -> complex:
         # An infinite/NaN ratio means the |1> component dominates completely.
         return complex(Z_MAX)
     if mag > Z_MAX:
-        return value / mag * Z_MAX
+        return _onto_cap(value / mag * Z_MAX)
     return value
 
 
@@ -434,7 +446,7 @@ def _ratio_param(v0: complex, v1: complex) -> complex:
         if abs(v0) == 0.0:
             return complex(Z_MAX)
         ph = cmath.phase(v1) - cmath.phase(v0)
-        return complex(Z_MAX * math.cos(ph), Z_MAX * math.sin(ph))
+        return _onto_cap(complex(Z_MAX * math.cos(ph), Z_MAX * math.sin(ph)))
     return cap_param(v1 / v0)
 
 

@@ -390,6 +390,20 @@ def test_state_files_outside_the_model_exit_one(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_instance_missing_a_key_names_the_object_and_key(tmp_path, capsys):
+    inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "1")
+    data = load_json(inst)
+    state = {k: v for k, v in data["state"].items() if k != "kind"}
+    path = tmp_path / "no-kind.json"
+    save_json(path, {**data, "state": state})
+    assert main(["highfid", str(path)]) == 1
+    assert "malformed state object: missing key 'kind'" in capsys.readouterr().err
+    # An instance with no state at all (clique instances above side 5).
+    save_json(path, {k: v for k, v in data.items() if k != "state"})
+    assert main(["highfid", str(path)]) == 1
+    assert "highfid needs an instance with a state" in capsys.readouterr().err
+
+
 def test_sampling_backend_with_noise_exits_one(tmp_path, capsys):
     inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "1")
     assert main(["highfid", inst, "--backend", "sampling", "--noise", "0.3"]) == 1
@@ -475,6 +489,15 @@ def test_cli_estimate_opt_pure_product(tmp_path):
     report = load_json(out)
     assert report["result"]["estimate"] >= 1 - 0.1
     assert report["fidelity"] >= 1 - 0.1
+
+
+def test_cli_estimate_opt_with_a_witness_on_the_parameter_cap(tmp_path):
+    # This state's cover search recenters a member onto |z| = Z_MAX, where
+    # rounding once put |z| one ulp above the cap and the run exited 1.
+    inst = _gen(tmp_path, "rm.json", "random-mixed", "--n", "3", "--rank", "2",
+                "--seed", "1014")
+    assert main(["cover", "estimate-opt", inst, "--eps", "0.1", "--delta", "0.1",
+                 "--out", str(tmp_path / "report.json")]) == 0
 
 
 def test_cli_polyopt_solve_feasible(tmp_path):

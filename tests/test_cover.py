@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -123,22 +124,6 @@ def test_extend_zero_matrix_is_bottom():
     assert extend_candidate(rho, [], ProductParams((0.0, 0.0)), params) is None
 
 
-def test_extend_flat_completion_reaches_spread_candidate():
-    # Site 1 is dephased with 0.8 weight on |1>, so the best nearby product
-    # state needs |z_1| well beyond the direct net's 0.3 radius; only the
-    # norm-rung handoff to the polynomial maximizer can reach it, and any
-    # phase of the located coordinate scores the same.
-    rho = np.diag([0.2, 0.8, 0.0, 0.0]).astype(complex)
-    overrides = CoverOverrides(
-        tol_floor=0.2, net_radius=0.3, polyopt_gamma=0.25, polyopt_eps=0.1,
-        flat_steps=3, flat_candidate_cap=60, mu_floor=2.0, net_budget=5_000_000)
-    params = CoverParams(0.45, 0.1, 0.1, overrides)
-    cand = extend_candidate(rho, [], ProductParams((0.0, 0.0)), params)
-    assert cand is not None
-    assert abs(cand.z[1]) >= 0.5
-    assert fidelity(QuantumState.mixed(rho), cand) >= params.eta - params.eps / 2
-
-
 def test_extend_net_budget_guard():
     pin = product_state_vector(ProductParams((0.5 + 0.3j, -0.7j))).data
     rho = 0.75 * np.outer(pin, pin.conj()) + 0.25 * np.eye(4) / 4
@@ -147,6 +132,16 @@ def test_extend_net_budget_guard():
     params = CoverParams(0.8, 0.2, 0.1, overrides)
     with pytest.raises(ResourceBudgetError):
         extend_candidate(rho, [], ProductParams((0.0, 0.0)), params)
+
+
+def test_default_schedule_refuses_at_once():
+    # The guarantee-carrying schedule's nets are far beyond the default grid
+    # budget even on one qubit; the search must say so, not grind.
+    o = pure_oracle((0.3 + 0.2j,))
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetError):
+        estimate_opt(o, 0.1, 0.1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_batch_overlap_matches_three_operand_einsum(monkeypatch):

@@ -10,7 +10,6 @@ from prodstate.errors import PromiseViolationError, ResourceBudgetError
 from prodstate.instances import ghz_state, random_mixed, w_state
 from prodstate.mps import (
     MatrixProductState,
-    disentangling_unitary,
     mps_learn,
     mps_to_state,
     schmidt_rank,
@@ -157,48 +156,6 @@ def test_schmidt_rank_validation():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
         schmidt_rank(random_mixed(2, rng), 1)
-
-
-def test_disentangler_on_computational_subspace():
-    basis = np.eye(8, dtype=complex)[:, :4]
-    u = disentangling_unitary(basis)
-    # The named subspace is already the zeroed-first-site block, so the
-    # rotation fixes it pointwise and permutes the rest (up to phases).
-    assert np.allclose(u[:, :4], np.eye(8)[:, :4], atol=1e-12)
-    assert np.allclose(np.abs(u) @ np.abs(u).T, np.eye(8), atol=1e-9)
-
-
-def test_disentangler_defining_properties():
-    rng = np.random.default_rng(11)
-    raw = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
-    basis, _ = np.linalg.qr(raw)
-    u = disentangling_unitary(basis)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-10
-
-    for _ in range(20):
-        coeffs = rng.normal(size=8) + 1j * rng.normal(size=8)
-        inside = basis @ (coeffs / np.linalg.norm(coeffs))
-        rotated = u @ inside
-        # Members land in the zeroed-first-site block ...
-        assert np.linalg.norm(rotated[8:]) <= 1e-10
-
-        vec = rng.normal(size=16) + 1j * rng.normal(size=16)
-        vec -= basis @ (basis.conj().T @ vec)
-        outside = vec / np.linalg.norm(vec)
-        rotated = u @ outside
-        # ... and orthogonal vectors have zero weight there.
-        assert np.linalg.norm(rotated[:8]) ** 2 <= 1e-12
-
-
-def test_disentangler_validation():
-    with pytest.raises(ValueError):
-        disentangling_unitary(np.eye(8)[:, :3])  # 8 is not a multiple of 3
-    with pytest.raises(ValueError):
-        disentangling_unitary(np.eye(8))  # not a proper subspace
-    skew = np.eye(8)[:, :4].astype(complex)
-    skew[:, 1] = skew[:, 0]
-    with pytest.raises(ValueError):
-        disentangling_unitary(skew)
 
 
 def test_learn_planted_product_state():

@@ -1,5 +1,6 @@
 """Geometry tests: parametrization, tangent distance, projections, closed-form bounds."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -15,6 +16,8 @@ from prodstate.states import (
     ProductParams,
     QuantumState,
     Z_MAX,
+    _ratio_param,
+    cap_param,
     excitation_probs,
     fidelity,
     haar_product_params,
@@ -51,6 +54,20 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ProductParams((float("inf"),))
     assert ProductParams(()).n == 0
+
+
+def test_parameters_scaled_onto_the_cap_stay_valid():
+    # Scaling a value onto the Z_MAX circle can round |z| one ulp above the
+    # cap; both capping routes must still give valid parameters of the same
+    # phase and magnitude.
+    phases = np.random.default_rng(29).uniform(-math.pi, math.pi, 100_000)
+    capped = [cap_param(cmath.rect(3.0 * Z_MAX, ph)) for ph in phases]
+    ratios = [_ratio_param(1e-13, cmath.rect(1.0, ph)) for ph in phases]
+    for values in (capped, ratios):
+        ProductParams(tuple(values))
+        z = np.array(values)
+        assert np.abs(np.abs(z) / Z_MAX - 1.0).max() <= 1e-15
+        assert np.abs(np.angle(z * np.exp(-1j * phases))).max() <= 1e-12
 
 
 def test_basis_indexing_round_trip():
