@@ -18,10 +18,12 @@ prefix, so it is computed once per estimate: recentering is a product
 unitary, and a degree cap's weight cut is a compression, which cannot raise
 the top eigenvalue of a PSD matrix.  Candidates are read straight off the
 grid nets that `polyopt.support_nets` lays over span(constraint members,
-axes of a small support), and scored by one rule: clear the separation
-bound to every accepted member, then keep the best truncated overlap that
-reaches the threshold; a batch of candidates is scored by one matrix
-product with the estimate and a row-wise dot.  The paper completes
+at most one site axis), and scored by one rule: clear the separation bound
+to every accepted member, then keep the best truncated overlap that reaches
+the threshold; a batch of candidates is scored by one matrix product with
+the estimate and a row-wise dot.  The nets have a fixed pitch, radius and
+support size: the paper sizes them by a flatness scale mu(eps, eta) whose
+nets need over 1e29 grid points on one qubit.  The paper completes
 candidates with a spread-out remainder through constrained polynomial
 optimization; no state at desk scale needs that step, so the search runs on
 the grid nets only, and the reduction's solver runs standalone as
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import PromiseViolationError
 from .oracle import StateOracle, estimate_fidelity, subspace_tomography
-from .polyopt import DEFAULT_NET_BUDGET, support_nets
+from .polyopt import support_nets
 from .states import (
     ProductParams,
     QuantumState,
@@ -75,36 +77,36 @@ LOCAL_NET = (0.0 + 0.0j, complex(Z_MAX), 1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j)
 # Row batch used when evaluating quadratic forms on large nets.
 _OVERLAP_ELEMENTS = 2_000_000
 
+# The candidate nets (recentered coordinates): grid pitch, radius, and the
+# number of free axes added to the span of the constraint members.
+_NET_PITCH = 1.5
+_NET_RADIUS = 2.2
+_NET_SUPPORT = 1
+
 
 @dataclass(frozen=True)
 class CoverOverrides:
-    """Desk-scale tuning knobs for the cover search; None keeps each default.
+    """Tuning knobs of the cover search.
 
-    The defaults follow the guarantee-carrying schedule, whose nets exceed
-    the default grid-point budget even on one qubit, so a search under them
-    raises ResourceBudgetError at once.  The overrides coarsen the nets
-    (`tol_floor`, `net_radius`, `net_budget`), shrink the searched supports
-    (`support_cap`, `mu_floor`, `degree_cap`), and loosen the tomography
-    (`tomo_eps`) to make small registers tractable.
+    `degree_cap` bounds the excitation weight kept by each prefix's truncated
+    tomography (None keeps every weight), `net_budget` bounds the grid points
+    of the candidate nets (ResourceBudgetError above it), and `tomo_eps` sets
+    the tomography accuracy (None: eps/8 of the level).
     """
 
     degree_cap: int | None = None
-    support_cap: int | None = None
-    mu_floor: float | None = None
-    tol_floor: float | None = None
-    net_radius: float | None = None
-    net_budget: int | None = None
+    net_budget: int = 20_000_000
     tomo_eps: float | None = None
 
+    def __post_init__(self):
+        if self.degree_cap is not None and self.degree_cap < 0:
+            raise ValueError("degree_cap must be nonnegative")
+        if self.net_budget < 1:
+            raise ValueError("net_budget must be positive")
 
-#: Coarsening used by the command-line runner and the small-register tests.
-DESK_OVERRIDES = CoverOverrides(
-    support_cap=1,
-    mu_floor=2.5,
-    tol_floor=0.75,
-    net_radius=2.2,
-    net_budget=20_000_000,
-)
+
+#: The default knobs, used by the command-line runner and the benchmark.
+DESK_OVERRIDES = CoverOverrides()
 
 
 @dataclass(frozen=True)
@@ -142,68 +144,22 @@ class CoverParams:
         return 3.0 / self.eta
 
     @property
-    def b_root(self) -> float:
-        """Norm bound on a sought candidate after recentering its root."""
-        return 4.0 / self.eta
-
-    @property
-    def eps_tilde(self) -> float:
-        """Internal approximation scale driving the truncation degree and mu."""
-        return self.eps / 100.0
-
-    @property
     def member_cap(self) -> float:
         """Hard member-count cap; exceeding it means the level promise failed."""
         return math.ceil(6.0 / self.eta) + 2
-
-    @property
-    def mu(self) -> float:
-        """Flatness scale setting the net pitch and the largest searched support."""
-        raw = 0.1 * min(self.b, 1.0 / self.b, math.sqrt(self.eps_tilde) / self.b_root)
-        if self.overrides.mu_floor is not None:
-            raw = max(raw, float(self.overrides.mu_floor))
-        return raw
 
     # --- per-prefix schedule -------------------------------------------
 
     def degree(self, m: int) -> int:
         """Excitation-weight kept by the prefix-m truncated tomography."""
-        d = min(math.ceil(10.0 * self.b_root**2 + math.log(2.0 / self.eps_tilde)), m)
-        if self.overrides.degree_cap is not None:
-            d = min(d, int(self.overrides.degree_cap))
-        return max(d, 0)
-
-    def tol(self, m: int) -> float:
-        """Pitch scale of the candidate net at prefix length m."""
-        raw = min(self.mu**4 / math.sqrt(m), 0.01 * self.eps)
-        if self.overrides.tol_floor is not None:
-            raw = max(raw, float(self.overrides.tol_floor))
-        return raw
-
-    def support_limit(self, m: int) -> int:
-        """Largest coordinate support enumerated by the candidate search."""
-        s = min(m, math.floor(self.b_root**2 / self.mu**2))
-        if self.overrides.support_cap is not None:
-            s = min(s, int(self.overrides.support_cap))
-        return max(s, 0)
-
-    def net_radius(self) -> float:
-        """Radius of the candidate net (recentered coordinates)."""
-        if self.overrides.net_radius is not None:
-            return min(self.b_root, float(self.overrides.net_radius))
-        return self.b_root
+        cap = self.overrides.degree_cap
+        return m if cap is None else min(m, cap)
 
     @property
     def tomo_eps(self) -> float:
         if self.overrides.tomo_eps is not None:
             return float(self.overrides.tomo_eps)
         return self.eps / 8.0
-
-    @property
-    def net_budget(self) -> int:
-        if self.overrides.net_budget is not None:
-            return int(self.overrides.net_budget)
-        return DEFAULT_NET_BUDGET
 
 
 @dataclass(frozen=True)
@@ -289,8 +245,7 @@ def _extend(prepared, ceiling: float, members, params: CoverParams) -> ProductPa
     """Search one branch, prepared by `_prepare_root`, for a new admissible cover member.
 
     The candidates are the points of the grid nets that `support_nets` lays
-    over span(members, axes of each support of size at most
-    params.support_limit(m)), all within params.net_radius() of the root.
+    over span(members, at most one site axis), all within _NET_RADIUS of the root.
     `ceiling` bounds every candidate's truncated overlap; the search stops
     once a candidate reaches it.  Returns the best candidate found (original
     frame) whose truncated overlap reaches eta - eps/2 and whose exact
@@ -309,8 +264,8 @@ def _extend(prepared, ceiling: float, members, params: CoverParams) -> ProductPa
 
     base = (np.stack(cons_arrays, axis=1) if cons_arrays
             else np.zeros((m, 0), dtype=complex))
-    nets = support_nets(base, params.support_limit(m), params.net_radius(),
-                        2.0 * params.tol(m), params.net_budget)
+    nets = support_nets(base, _NET_SUPPORT, _NET_RADIUS, _NET_PITCH,
+                        params.overrides.net_budget)
     for support, _, chunks in nets:
         sbar = np.ones(m, dtype=bool)
         sbar[list(support)] = False
@@ -469,7 +424,7 @@ def verify_cover(rho: QuantumState, cover: Cover, trials: int,
 
 
 def estimate_opt(o: StateOracle, eps: float, delta: float,
-                 overrides: CoverOverrides | None = None):
+                 overrides: CoverOverrides = DESK_OVERRIDES):
     """Estimate the best product-state fidelity of the hidden state.
 
     Bisects the fidelity level: a nonempty cover at level eta certifies a
@@ -490,8 +445,6 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
         raise ValueError("eps must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if overrides is None:
-        overrides = CoverOverrides()
     iterations = math.ceil(math.log2(1.0 / eps)) + 2
     delta_iter = delta / (4 * iterations)
     prefix_delta = delta / (2 * o.n)

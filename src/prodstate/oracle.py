@@ -41,6 +41,7 @@ from .states import (
     _marginal,
     _operator,
     _sandwich,
+    check_dense_budget,
     hamming_weights,
     haar_state,
     product_state_vector,
@@ -349,7 +350,8 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
 
     Returns a 2^m x 2^m PSD matrix of trace <= 1 supported on computational
     strings of Hamming weight <= d, within operator-norm eps of the true
-    weight-truncated marginal with probability >= 1 - delta.
+    weight-truncated marginal with probability >= 1 - delta.  A matrix above
+    states.DENSE_BUDGET raises ResourceBudgetError before any copy is drawn.
 
     Copies: median_group_count(delta) * tomography_group_size(W + 1, eps)
     where W counts the weight-<= d strings, on both backends.
@@ -361,6 +363,7 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
         raise ValueError("prefix_m out of range")
     if not (0 <= d <= prefix_m):
         raise ValueError("d out of range")
+    check_dense_budget((2**prefix_m, 2**prefix_m))
     idx = weight_leq_indices(prefix_m, d)
     w = len(idx)
     dim = w + 1

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cover import Cover, CoverOverrides, CoverParams
+from .cover import Cover
 from .discrete import DiscreteClass
 from .hardness import Tensor4
 from .instances import Graph
@@ -115,14 +115,6 @@ def cover_to_json(c: Cover) -> dict:
         "overrides": dataclasses.asdict(c.params.overrides),
         "members": [params_to_json(p) for p in c.members],
     }
-
-
-@_reader("cover")
-def cover_from_json(d: dict) -> Cover:
-    params = CoverParams(d["eta"], d["eps"], d["delta"],
-                         CoverOverrides(**d["overrides"]))
-    members = tuple(params_from_json(m) for m in d["members"])
-    return Cover(members=members, m=d["m"], params=params)
 
 
 def mps_to_json(m: MatrixProductState) -> dict:

@@ -23,8 +23,6 @@ from prodstate.serialize import (
     canonical_dumps,
     class_from_json,
     class_to_json,
-    cover_from_json,
-    cover_to_json,
     digest,
     graph_from_json,
     graph_to_json,
@@ -378,6 +376,14 @@ def test_estimate_opt_applies_net_budget(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_out_of_range_cover_knobs_exit_one(tmp_path, capsys):
+    inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "4", "--w", "0.95",
+                "--seed", "3")
+    for flag, value in (("--degree-cap", "-1"), ("--net-budget", "0")):
+        assert main(["cover", "estimate-opt", inst, flag, value]) == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
 def test_state_files_outside_the_model_exit_one(tmp_path, capsys):
     inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "1", "--w", "1.0")
     data = load_json(inst)
@@ -474,11 +480,15 @@ def test_cli_cover_build_and_round_trip(tmp_path):
     assert main(["cover", "build", inst, "--eta", "0.8", "--eps", "0.2",
                  "--out", str(out)]) == 0
     report = load_json(out)
-    cover = cover_from_json(report["result"]["cover"])
-    assert cover.m == 2  # covers the full two-site register
-    assert 1 <= len(cover) <= 6 / 0.8 + 1e-9
-    rebuilt = cover_to_json(cover)
-    assert canonical_dumps(rebuilt) == canonical_dumps(report["result"]["cover"])
+    cover = report["result"]["cover"]
+    assert cover["m"] == 2  # covers the full two-site register
+    assert 1 <= len(cover["members"]) <= 6 / 0.8 + 1e-9
+    assert cover["overrides"] == {"degree_cap": None, "net_budget": 20_000_000,
+                                  "tomo_eps": None}
+    for stored in cover["members"]:
+        member = params_from_json(stored)
+        assert member.n == 2
+        assert params_to_json(member) == stored
 
 
 def test_cli_estimate_opt_pure_product(tmp_path):

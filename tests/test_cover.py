@@ -61,8 +61,6 @@ def test_params_radii():
     p = CoverParams(0.5, 0.1, 0.05)
     assert p.b == pytest.approx(4.0)
     assert p.b_far == pytest.approx(6.0)
-    assert p.b_root == pytest.approx(8.0)
-    assert p.eps_tilde == pytest.approx(1e-3)
     assert p.member_cap == 14
 
 
@@ -127,21 +125,28 @@ def test_extend_zero_matrix_is_bottom():
 def test_extend_net_budget_guard():
     pin = product_state_vector(ProductParams((0.5 + 0.3j, -0.7j))).data
     rho = 0.75 * np.outer(pin, pin.conj()) + 0.25 * np.eye(4) / 4
-    overrides = CoverOverrides(tol_floor=0.75, net_radius=2.2, support_cap=1,
-                               mu_floor=2.5, net_budget=50)
-    params = CoverParams(0.8, 0.2, 0.1, overrides)
+    params = CoverParams(0.8, 0.2, 0.1, CoverOverrides(net_budget=50))
     with pytest.raises(ResourceBudgetError):
         extend_candidate(rho, [], ProductParams((0.0, 0.0)), params)
 
 
-def test_default_schedule_refuses_at_once():
-    # The guarantee-carrying schedule's nets are far beyond the default grid
-    # budget even on one qubit; the search must say so, not grind.
-    o = pure_oracle((0.3 + 0.2j,))
+def test_default_knobs_run_the_desk_nets():
+    # With no overrides the search runs the same nets as DESK_OVERRIDES and
+    # answers at once, with a witness.
+    assert CoverOverrides() == DESK_OVERRIDES
     start = time.perf_counter()
-    with pytest.raises(ResourceBudgetError):
-        estimate_opt(o, 0.1, 0.1)
+    got = estimate_opt(pure_oracle((0.3 + 0.2j,)), 0.1, 0.1)
     assert time.perf_counter() - start < 1.0
+    assert got[1] is not None
+    assert got == estimate_opt(pure_oracle((0.3 + 0.2j,)), 0.1, 0.1,
+                               overrides=DESK_OVERRIDES)
+
+
+def test_out_of_range_knobs_are_refused():
+    for bad in ({"degree_cap": -1}, {"net_budget": 0}):
+        with pytest.raises(ValueError):
+            CoverOverrides(**bad)
+    assert CoverParams(0.5, 0.1, 0.1, CoverOverrides(degree_cap=0)).degree(3) == 0
 
 
 def test_batch_overlap_matches_three_operand_einsum(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prodstate.errors import ResourceBudgetError
-from prodstate.instances import bell_state, maximally_mixed, random_mixed
+from prodstate.instances import bell_state, maximally_mixed, planted_mixture, random_mixed
 from prodstate.localopt import _reduced_oracle, single_site_estimate
 from prodstate.oracle import (
     SHADOW_CHUNK,
@@ -569,6 +569,17 @@ def test_shot_budget_enforced():
         o = StateOracle(maximally_mixed(1), backend="exact", shot_budget=100)
         call(o)
         assert o.copies_consumed > 100
+
+
+def test_subspace_tomography_respects_dense_budget():
+    # The zero-padded 2^12 x 2^12 estimate needs 256 MiB, 4x DENSE_BUDGET,
+    # however few strings the weight cut keeps; refuse it before any copy.
+    plant = planted_mixture(ProductParams((0.3 + 0.1j,) * 12), 0.9)
+    for backend in ("exact", "sampling"):
+        o = StateOracle(plant, backend=backend, seed=0)
+        with pytest.raises(ResourceBudgetError):
+            subspace_tomography(o, prefix_m=12, d=2, eps=0.5, delta=0.5)
+        assert o.copies_consumed == 0
 
 
 def test_sampling_deterministic_under_seed():
