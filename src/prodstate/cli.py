@@ -26,7 +26,6 @@ from .errors import ResourceBudgetError
 from .hardness import (
     clique_tensor,
     opt_sandwich_check,
-    random_isometry_embed,
     recover_clique_number,
     spectral_norm_oracle,
     tensor_to_state,
@@ -54,12 +53,22 @@ from .serialize import (
 )
 from .states import QuantumState, fidelity, haar_product_params, haar_state, vector_fidelity
 
-__all__ = ["ExperimentConfig", "app", "generate", "main", "run"]
+__all__ = ["ExperimentConfig", "generate", "main", "run"]
 
 logger = logging.getLogger(__name__)
 
-GENERATOR_KINDS = ("planted-product", "planted-mps", "planted-discrete",
-                   "clique", "random-mixed")
+# The flags `gen` registers for each kind, with their defaults: exactly the
+# params `generate` reads for that kind (clique's --graph becomes "edges").
+_PLANTED_FLAGS = {"n": 3, "w": 1.0, "noise": 0.0}
+_GEN_FLAGS = {
+    "planted-product": _PLANTED_FLAGS,
+    "planted-mps": {**_PLANTED_FLAGS, "rank": 2},
+    "planted-discrete": {**_PLANTED_FLAGS, "s": 2},
+    "clique": {"graph": None, "vertices": None},
+    "random-mixed": {"n": 3, "rank": None},
+}
+_GEN_TYPES = {"n": int, "w": float, "noise": float, "rank": int, "s": int,
+              "graph": str, "vertices": int}
 
 
 class UsageError(ValueError):
@@ -146,7 +155,7 @@ def _planted_weight(params: dict, min_n: int) -> tuple[int, float]:
 
 def generate(kind: str, params: dict, seed: int = 0) -> dict:
     """Build a seeded instance payload with its ground truth attached."""
-    if kind not in GENERATOR_KINDS:
+    if kind not in _GEN_FLAGS:
         raise UsageError(f"unknown generator kind {kind!r}")
     rng = np.random.default_rng(seed)
     payload = {"object": "instance", "kind": kind, "seed": seed,
@@ -332,6 +341,10 @@ def _parse_edges(text: str) -> list:
 
 
 class _Parser(argparse.ArgumentParser):
+    # No prefix matching: `gen planted-product --s 7` would otherwise set --seed.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -366,16 +379,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a seeded instance file")
-    gen.add_argument("kind", choices=GENERATOR_KINDS)
-    gen.add_argument("--n", type=int, default=3)
-    gen.add_argument("--w", type=float, default=1.0)
-    gen.add_argument("--rank", type=int, default=None)
-    gen.add_argument("--s", type=int, default=2)
-    gen.add_argument("--noise", type=float, default=0.0)
-    gen.add_argument("--graph", default=None)
-    gen.add_argument("--vertices", type=int, default=None)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True)
+    gen_sub = gen.add_subparsers(dest="kind", required=True)
+    for kind, flags in _GEN_FLAGS.items():
+        p = gen_sub.add_parser(kind)
+        for name, default in flags.items():
+            p.add_argument("--" + name, type=_GEN_TYPES[name], default=default,
+                           required=name == "graph")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
 
     _add_run(sub.add_parser("highfid", help="learn a high-fidelity product state"),
              *_ORACLE_FLAGS)
@@ -404,47 +415,19 @@ def _build_parser() -> _Parser:
 
     hardness = sub.add_parser("hardness", help="clique-tensor benchmark family")
     hardness_sub = hardness.add_subparsers(dest="mode", required=True)
-    hgen = hardness_sub.add_parser("gen")
-    hgen.add_argument("--graph", required=True)
-    hgen.add_argument("--vertices", type=int, default=None)
-    hgen.add_argument("--embed", type=int, default=None)
-    hgen.add_argument("--seed", type=int, default=0)
-    hgen.add_argument("--out", required=True)
     _add_run(hardness_sub.add_parser("check"))
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> dict | None:
     if args.command == "gen":
-        params: dict = {"n": args.n, "w": args.w, "s": args.s,
-                        "noise": args.noise}
-        if args.rank is not None:
-            params["rank"] = args.rank
-        elif args.kind == "planted-mps":
-            params["rank"] = 2
+        params = {name: getattr(args, name) for name in _GEN_FLAGS[args.kind]}
         if args.kind == "clique":
-            if not args.graph:
-                raise UsageError("clique generation needs --graph")
-            params = {"edges": _parse_edges(args.graph), "vertices": args.vertices}
-        payload = generate(args.kind, params, seed=args.seed)
-        save_json(args.out, payload)
+            params["edges"] = _parse_edges(params.pop("graph"))
+        save_json(args.out, generate(args.kind, params, seed=args.seed))
         return None
 
-    if args.command == "hardness" and args.mode == "gen":
-        edges = _parse_edges(args.graph)
-        vertices = args.vertices or (max((max(e) for e in edges), default=-1) + 1)
-        payload = generate("clique", {"edges": edges, "vertices": vertices},
-                           seed=args.seed)
-        if args.embed is not None:
-            t = tensor_from_json(payload["tensor"])
-            lifted = random_isometry_embed(t, args.embed, seed=args.seed)
-            payload["tensor_embedded"] = tensor_to_json(lifted)
-        save_json(args.out, payload)
-        return None
-
-    algorithm = {"gen": None, "highfid": "highfid", "cover": None,
-                 "discrete": "discrete", "mps": "mps", "polyopt": "polyopt",
-                 "hardness": "hardness"}.get(args.command, args.command)
+    algorithm = args.command
     if args.command == "cover":
         algorithm = "cover" if args.mode == "build" else "estimate-opt"
 
@@ -470,9 +453,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def app() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    app()
+    sys.exit(main())

@@ -173,9 +173,6 @@ class Cover:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self):
-        return iter(self.members)
-
 
 # --- candidate search internals ---------------------------------------------
 

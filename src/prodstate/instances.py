@@ -109,10 +109,6 @@ class Graph:
             norm.add((min(s, t), max(s, t)))
         object.__setattr__(self, "edges", frozenset(norm))
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
 
 def clique_number(g: Graph) -> int:
     """Largest clique size, by subset enumeration (desk-scale graphs only)."""

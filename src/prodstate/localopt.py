@@ -5,7 +5,9 @@ start: it recenters the register so the candidate sits at the all-zeros
 string, estimates the vector of first-excitation amplitudes at progressively
 finer accuracy rungs, and either takes a damped step toward the measured
 direction or — when the vector stays small at every rung — stops, since a
-small amplitude vector certifies near-optimality (`fidelity_upper_bound`).
+small amplitude vector certifies near-optimality: if the candidate has
+fidelity alpha2 = 2/3 + c with c > 0 and its amplitude vector has norm |z|,
+no product state has fidelity above alpha2 + min(3|z|, |z|^2 / c).
 `high_fidelity_learn` removes the warm-start requirement under a promise that
 some product state has fidelity at least 5/6 + eps: it solves the two half
 registers recursively, tensors the results, and hands them to
@@ -138,22 +140,10 @@ def local_optimize(o: StateOracle, start: ProductParams, cfg: LocalOptConfig,
         "the warm start most likely violated the fidelity promise")
 
 
-def fidelity_upper_bound(alpha2: float, norm_z: float, c: float) -> float:
-    """Certified ceiling on every product-state fidelity from one measurement frame.
-
-    With alpha2 = <0^n| rho |0^n> = 2/3 + c for some c > 0 and norm_z the l2
-    norm of the first-excitation amplitude vector in that frame, no product
-    state has fidelity above alpha2 + min(3 * norm_z, norm_z^2 / c).
-    """
-    if c <= 0.0:
-        raise ValueError("the bound requires the candidate fidelity to exceed 2/3")
-    return alpha2 + min(3.0 * norm_z, norm_z * norm_z / c)
-
-
 def _reduced_oracle(o: StateOracle, sites: list[int]) -> StateOracle:
     hidden = QuantumState.mixed(_marginal(_operator(o.hidden), o.n, sites))
     return StateOracle(hidden, backend=o.backend, seed=int(o._rng.integers(2**63)),
-                       noise_opnorm=o.noise_opnorm, shot_budget=o.shot_budget)
+                       noise_opnorm=o.noise_opnorm)
 
 
 def single_site_estimate(o: StateOracle, delta: float) -> ProductParams:

@@ -50,7 +50,7 @@ from .states import (
 
 # Hard cap on simulated measurement shots per oracle call; beyond this a
 # sampling run is not a desk-scale experiment and is refused.
-DEFAULT_SHOT_BUDGET = 50_000_000
+SHOT_BUDGET = 50_000_000
 # Shots the sampler draws at a time; bounds its working memory at
 # O(SHADOW_CHUNK * dim) whatever the shot count.
 SHADOW_CHUNK = 20_000
@@ -126,13 +126,14 @@ class StateOracle:
 
     ``backend`` is ``"exact"`` (ground truth + noise of strength up to
     ``noise_opnorm``) or ``"sampling"`` (simulated single-copy measurements,
-    which refuses a positive ``noise_opnorm`` rather than ignore it).
-    ``copies_consumed`` counts every copy any estimator has used; it only
-    grows, and both backends charge the same documented formulas.
+    which refuses a positive ``noise_opnorm`` rather than ignore it, and any
+    call above SHOT_BUDGET shots).  ``copies_consumed`` counts every copy any
+    estimator has used; it only grows, and both backends charge the same
+    documented formulas.
     """
 
     def __init__(self, hidden: QuantumState, backend: str = "exact", seed: int = 0,
-                 noise_opnorm: float = 0.0, shot_budget: int = DEFAULT_SHOT_BUDGET):
+                 noise_opnorm: float = 0.0):
         if backend not in ("exact", "sampling"):
             raise ValueError(f"unknown backend {backend!r}")
         if noise_opnorm < 0:
@@ -144,7 +145,6 @@ class StateOracle:
         self.backend = backend
         self.seed = int(seed)
         self.noise_opnorm = float(noise_opnorm)
-        self.shot_budget = int(shot_budget)
         self.copies_consumed = 0
         self._rng = np.random.default_rng(self.seed)
 
@@ -156,9 +156,9 @@ class StateOracle:
         self.copies_consumed += int(copies)
 
     def _check_shots(self, shots: int) -> None:
-        if self.backend == "sampling" and shots > self.shot_budget:
+        if self.backend == "sampling" and shots > SHOT_BUDGET:
             raise ResourceBudgetError(
-                f"sampling call needs {shots} copies, above the {self.shot_budget} budget")
+                f"sampling call needs {shots} copies, above the {SHOT_BUDGET} budget")
 
     def _noise_scale(self, eps: float) -> float:
         """Magnitude of the injected error on the exact backend (0 disables it)."""
@@ -283,15 +283,15 @@ def _shadow_group_means(rng: np.random.Generator, sigma: np.ndarray, groups: int
     return (dim + 1) / per * (vecs @ sums @ vecs.conj().T) - np.eye(dim)
 
 
-def _project_psd(mat: np.ndarray, trace_cap: float = 1.0) -> np.ndarray:
-    """Hermitize, clip negative eigenvalues, and rescale only if trace exceeds the cap."""
+def _project_psd(mat: np.ndarray) -> np.ndarray:
+    """Hermitize, clip negative eigenvalues, and rescale only if the trace exceeds 1."""
     h = (mat + mat.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(h)
     np.clip(vals, 0.0, None, out=vals)
     out = (vecs * vals) @ vecs.conj().T
     t = float(np.real(np.trace(out)))
-    if t > trace_cap and t > 0.0:
-        out *= trace_cap / t
+    if t > 1.0:
+        out *= 1.0 / t
     return out
 
 
@@ -404,7 +404,8 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     columns and at least 2^(n-i) rows.  Only its leading 2^(n-i) rows, the
     |0^i>-prefix rows of the rotation, are read, as rows rho rows*; so a
     full 2^n x 2^n unitary and its leading row block give identical results.
-    Any other shape raises ValueError.
+    Any other shape raises ValueError.  A suffix block above
+    states.DENSE_BUDGET raises ResourceBudgetError before any copy is drawn.
 
     Copies: n_mu + attempts with (n_mu, wanted, groups) =
     subnormalized_budget(2^(n-i), eps, delta) and attempts =
@@ -418,6 +419,7 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     if not (0 <= zeroed_prefix < n):
         raise ValueError("zeroed_prefix out of range")
     dim_s = 2 ** (n - zeroed_prefix)
+    check_dense_budget((dim_s, dim_s))
     n_mu, wanted, groups = subnormalized_budget(dim_s, eps, delta)
     rho = _operator(o.hidden)
     if frame is None:

@@ -127,12 +127,6 @@ def mps_to_json(m: MatrixProductState) -> dict:
     }
 
 
-@_reader("mps")
-def mps_from_json(d: dict) -> MatrixProductState:
-    return MatrixProductState(
-        [_unpairs(t["data"], tuple(t["shape"])) for t in d["tensors"]])
-
-
 def tensor_to_json(t: Tensor4) -> dict:
     return {"object": "tensor4", "side": t.side, "data": _pairs(t.entries)}
 
@@ -164,11 +158,6 @@ def graph_to_json(g: Graph) -> dict:
         "n_vertices": g.n_vertices,
         "edges": sorted([int(s), int(t)] for s, t in g.edges),
     }
-
-
-@_reader("graph")
-def graph_from_json(d: dict) -> Graph:
-    return Graph(d["n_vertices"], frozenset(tuple(e) for e in d["edges"]))
 
 
 def canonical_dumps(payload) -> str:

@@ -1,6 +1,6 @@
 """Shared pytest hooks (acceptance-criteria summary lines), dense test references, the
-brute-force grid and multistart oracles, the dense product-fidelity sweep, and the
-reference JSON pair codec."""
+brute-force grid and multistart oracles, the dense product-fidelity sweep, the
+local optimizer's certified fidelity ceiling, and the reference JSON pair codec."""
 
 import math
 from itertools import combinations
@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 
 from prodstate import polyopt
 from prodstate.discrete import member_vector
+from prodstate.mps import MatrixProductState
 from prodstate.oracle import (
     _shadow_basis,
     _shadow_coord_chunks,
@@ -70,6 +71,19 @@ def exact_z(state, basis=None):
         u = product_unitary(list(basis))
         col = u @ (rho @ u[0, :].conj())
     return np.array([col[1 << (n - 1 - i)] for i in range(n)])
+
+
+def fidelity_upper_bound(alpha2: float, norm_z: float, c: float) -> float:
+    """Certified ceiling on every product-state fidelity from one measurement frame.
+
+    With alpha2 = <0^n| rho |0^n> = 2/3 + c for some c > 0 and norm_z the l2
+    norm of the first-excitation amplitude vector in that frame, no product
+    state has fidelity above alpha2 + min(3 * norm_z, norm_z^2 / c): the
+    bound behind `local_optimize`'s stopping rule.
+    """
+    if c <= 0.0:
+        raise ValueError("the bound requires the candidate fidelity to exceed 2/3")
+    return alpha2 + min(3.0 * norm_z, norm_z * norm_z / c)
 
 
 def exact_prefix_fidelity(rho, cls, member):
@@ -373,6 +387,12 @@ def reference_unpairs(pairs, shape):
     """The element-by-element pair decoder the vectorized codec must match."""
     arr = np.array([complex(re, im) for re, im in pairs], dtype=complex)
     return arr.reshape(shape)
+
+
+def decode_mps(d):
+    """The MatrixProductState of a `serialize.mps_to_json` object."""
+    return MatrixProductState([reference_unpairs(t["data"], tuple(t["shape"]))
+                               for t in d["tensors"]])
 
 
 def shadow_rows(rng, sigma, shots):

@@ -1,8 +1,11 @@
 """Command-line runner, instance generators, and JSON serialization."""
 
+import importlib
 import itertools
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,10 +27,7 @@ from prodstate.serialize import (
     class_from_json,
     class_to_json,
     digest,
-    graph_from_json,
-    graph_to_json,
     load_json,
-    mps_from_json,
     mps_to_json,
     params_from_json,
     params_to_json,
@@ -39,7 +39,7 @@ from prodstate.serialize import (
 )
 from prodstate.states import QuantumState, fidelity, haar_product_params, vector_fidelity
 
-from conftest import reference_pairs, reference_unpairs
+from conftest import decode_mps, reference_pairs, reference_unpairs
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +113,6 @@ def test_params_round_trip_exact():
     assert params_from_json(params_to_json(p)).z == p.z
 
 
-def test_mps_round_trip():
-    train = state_to_mps(ghz_state(4))
-    back = mps_from_json(mps_to_json(train))
-    assert back.bond_dims == train.bond_dims
-    for a, b in zip(train.tensors, back.tensors):
-        assert np.allclose(a, b, atol=1e-12)
-    overlap = abs(np.vdot(mps_to_state(back).data, mps_to_state(train).data))
-    assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
 def test_tensor_round_trip():
     t = clique_tensor(Graph(3, frozenset({(0, 1), (1, 2), (0, 2)})))
     back = tensor_from_json(tensor_to_json(t))
@@ -135,12 +125,6 @@ def test_class_round_trip_keeps_gamma():
     back = class_from_json(class_to_json(cls))
     assert back.n == cls.n and back.s == cls.s
     assert back.gamma == pytest.approx(cls.gamma, abs=1e-15)
-
-
-def test_graph_round_trip():
-    g = Graph(4, frozenset({(0, 1), (2, 3)}))
-    back = graph_from_json(graph_to_json(g))
-    assert back.n_vertices == 4 and back.edges == g.edges
 
 
 def test_digest_tracks_payload():
@@ -213,7 +197,7 @@ def test_clique_generator_attaches_a_state_within_the_dense_budget():
 def test_planted_mps_ground_truth_reachable():
     payload = generate("planted-mps", {"n": 4, "rank": 2, "w": 1.0}, seed=7)
     state = state_from_json(payload["state"])
-    train = mps_from_json(payload["ground_truth"]["planted_mps"])
+    train = decode_mps(payload["ground_truth"]["planted_mps"])
     overlap = abs(np.vdot(mps_to_state(train).data, state.data)) ** 2
     assert overlap == pytest.approx(payload["ground_truth"]["opt"], abs=1e-9)
 
@@ -241,7 +225,7 @@ def test_planted_mixtures_are_stored_factored():
         assert d["kind"] == "mixed" and "data" not in d
         assert d["factor"]["shape"] == [2 ** params["n"], rank]
         if kind == "planted-mps":
-            train = mps_from_json(payload["ground_truth"]["planted_mps"])
+            train = decode_mps(payload["ground_truth"]["planted_mps"])
             fid = vector_fidelity(state_from_json(d), mps_to_state(train).data)
             assert fid == pytest.approx(payload["ground_truth"]["opt"], abs=1e-12)
 
@@ -363,6 +347,34 @@ def test_invalid_eta_exits_one(tmp_path, capsys):
     assert "--eps" in capsys.readouterr().err
     assert main(["highfid", inst, "--eta", "0.5"]) == 1
     assert "--eta" in capsys.readouterr().err
+
+
+def test_mps_learn_above_dense_budget_exits_two(tmp_path, capsys):
+    # The first sweep step reads the whole 2^12 x 2^12 suffix block (256 MiB).
+    inst = _gen(tmp_path, "pm.json", "planted-mps", "--n", "12")
+    assert main(["mps", "learn", inst, "--rank", "2"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_gen_refuses_flags_its_kind_does_not_read(tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    for argv in (["planted-product", "--n", "3", "--rank", "4"],
+                 ["planted-product", "--s", "7"],
+                 ["planted-discrete", "--rank", "2"],
+                 ["random-mixed", "--w", "0.5"],
+                 ["clique", "--graph", "[[0,1]]", "--n", "9"],
+                 ["clique", "--graph", "[[0,1]]", "--noise", "0.5"]):
+        assert main(["gen", *argv, "--out", out]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    # The instance file records exactly the params its kind reads.
+    expected = {"planted-product": {"n": 3, "noise": 0.0, "w": 1.0},
+                "planted-mps": {"n": 3, "noise": 0.0, "rank": 2, "w": 1.0},
+                "planted-discrete": {"n": 3, "noise": 0.0, "s": 2, "w": 1.0},
+                "random-mixed": {"n": 3, "rank": None}}
+    for kind, params in expected.items():
+        assert load_json(_gen(tmp_path, f"{kind}.json", kind))["params"] == params
+    clique = load_json(_gen(tmp_path, "k2.json", "clique", "--graph", "[[0,1]]"))
+    assert clique["params"] == {"edges": [[0, 1]], "vertices": None}
 
 
 def test_polyopt_tiny_budget_exits_two(capsys):
@@ -521,10 +533,9 @@ def test_cli_polyopt_solve_feasible(tmp_path):
 
 
 def test_cli_hardness_gen_and_check(tmp_path):
-    inst = tmp_path / "k2.json"
-    assert main(["hardness", "gen", "--graph", "[[0,1]]", "--out", str(inst)]) == 0
+    inst = _gen(tmp_path, "k2.json", "clique", "--graph", "[[0,1]]")
     out = tmp_path / "report.json"
-    assert main(["hardness", "check", str(inst), "--out", str(out)]) == 0
+    assert main(["hardness", "check", inst, "--out", str(out)]) == 0
     report = load_json(out)
     assert report["result"]["spectral_norm"] == pytest.approx(0.5, abs=1e-6)
     assert report["result"]["clique_number"] == 2
@@ -532,9 +543,13 @@ def test_cli_hardness_gen_and_check(tmp_path):
 
 
 def test_cli_hardness_gen_rejects_bad_graph(tmp_path, capsys):
-    assert main(["hardness", "gen", "--graph", "not json",
+    assert main(["gen", "clique", "--graph", "not json",
                  "--out", str(tmp_path / "x.json")]) == 1
     assert "edge list" in capsys.readouterr().err
+    # The clique instances come from `gen clique` alone.
+    assert main(["hardness", "gen", "--graph", "[[0,1]]",
+                 "--out", str(tmp_path / "x.json")]) == 1
+    assert "invalid choice: 'gen'" in capsys.readouterr().err
 
 
 def test_instance_files_embed_ground_truth(tmp_path):
@@ -557,6 +572,23 @@ def test_log_env_variable_sets_level(tmp_path, monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="prodstate.cli"):
         assert main(["highfid", inst, "--out", str(tmp_path / "r.json")]) == 0
     assert any("running highfid" in m for m in caplog.messages)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    fid, copies = capsys.readouterr().out.split()
+    assert float(fid) > 0.9 and int(copies) > 0
+
+
+def test_every_public_name_resolves():
+    modules = [prodstate] + [importlib.import_module(f"prodstate.{info.name}")
+                             for info in pkgutil.iter_modules(prodstate.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name}"
 
 
 def test_runtime_imports_no_scipy():

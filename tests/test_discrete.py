@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from prodstate import oracle
 from prodstate.discrete import (
     DiscreteClass,
     class_fidelity_census,
@@ -162,10 +163,11 @@ def test_learn_validation():
         discrete_learn(o, axes_class(3), 0.5, 0.2, 0.05)  # size mismatch
 
 
-def test_learn_sampling_backend_planted():
+def test_learn_sampling_backend_planted(monkeypatch):
+    monkeypatch.setattr(oracle, "SHOT_BUDGET", 10**7)
     cls = DiscreteClass([AXES[:4]] * 2)
     rho = basis_state(2)
-    o = StateOracle(rho, backend="sampling", seed=6, shot_budget=10**7)
+    o = StateOracle(rho, backend="sampling", seed=6)
     out = discrete_learn(o, cls, 0.8, 0.4, 0.2)
     assert (0, 0) in out
     assert out <= class_fidelity_census(rho, cls, 0.4)

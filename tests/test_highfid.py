@@ -6,12 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from prodstate import localopt
+from prodstate import localopt, oracle
 from prodstate.errors import PromiseViolationError, ResourceBudgetError
 from prodstate.instances import maximally_mixed, planted_mixture, planted_opt, random_mixed
 from prodstate.localopt import (
     LocalOptConfig,
-    fidelity_upper_bound,
     high_fidelity_learn,
     local_optimize,
     single_site_estimate,
@@ -29,7 +28,7 @@ from prodstate.states import (
     weight_distribution,
 )
 
-from conftest import exact_z, grid_product_opt, planted_grid_opt
+from conftest import exact_z, fidelity_upper_bound, grid_product_opt, planted_grid_opt
 
 
 def perturbed_start(rng, target: ProductParams, overlap: float) -> ProductParams:
@@ -160,11 +159,12 @@ def test_local_optimize_safety_cap():
                        LocalOptConfig(eps=0.05, delta=0.25, max_outer_iters=1))
 
 
-def test_local_optimize_sampling_smoke():
+def test_local_optimize_sampling_smoke(monkeypatch):
     # End-to-end sampling run at n=1; accuracy claims are exercised at scale
     # on the exact backend, this checks the measurement path itself.
+    monkeypatch.setattr(oracle, "SHOT_BUDGET", 200_000_000)
     state = QuantumState.pure(np.array([1.0, 0.0]))
-    o = StateOracle(state, backend="sampling", seed=0, shot_budget=200_000_000)
+    o = StateOracle(state, backend="sampling", seed=0)
     out = local_optimize(o, ProductParams((0j,)),
                          LocalOptConfig(eps=1 / 3, delta=0.9, margin=1 / 3))
     assert fidelity(state, out) >= 0.5

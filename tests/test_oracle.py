@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from prodstate import oracle
 from prodstate.errors import ResourceBudgetError
 from prodstate.instances import bell_state, maximally_mixed, planted_mixture, random_mixed
 from prodstate.localopt import _reduced_oracle, single_site_estimate
@@ -410,7 +411,8 @@ def test_subnormalized_respects_frame():
     assert np.allclose(est, rot[:2, :2], atol=1e-12)
 
 
-def test_subnormalized_reads_leading_frame_rows_only():
+def test_subnormalized_reads_leading_frame_rows_only(monkeypatch):
+    monkeypatch.setattr(oracle, "SHOT_BUDGET", 10**10)
     rng = np.random.default_rng(41)
     state = random_mixed(4, rng)
     frame = product_unitary(recenter_unitaries(random_product_params(rng, 4)))
@@ -419,8 +421,7 @@ def test_subnormalized_reads_leading_frame_rows_only():
         for i in prefixes:
             outs = []
             for f in (frame, frame[: 2 ** (4 - i)], frame[: 2 ** (4 - i) + 3]):
-                o = StateOracle(state, backend=backend, seed=5, noise_opnorm=noise,
-                                shot_budget=10**10)
+                o = StateOracle(state, backend=backend, seed=5, noise_opnorm=noise)
                 outs.append((subnormalized_tomography(o, f, i, 0.6, 0.5), o.copies_consumed))
             for est, copies in outs[1:]:
                 assert np.array_equal(est, outs[0][0])
@@ -548,8 +549,9 @@ def test_copy_counter_monotone():
     assert all(b > a for a, b in zip(seen, seen[1:]))
 
 
-def test_shot_budget_enforced():
+def test_shot_budget_enforced(monkeypatch):
     # Every sampling primitive refuses a call above the budget before charging it.
+    monkeypatch.setattr(oracle, "SHOT_BUDGET", 100)
     calls = [
         lambda o: estimate_z(o, identity_basis(1), eps=0.05, delta=0.1),
         lambda o: subspace_tomography(o, prefix_m=1, d=1, eps=0.3, delta=0.3),
@@ -561,12 +563,12 @@ def test_shot_budget_enforced():
         lambda o: single_site_estimate(o, delta=0.1),
     ]
     for call in calls:
-        o = StateOracle(maximally_mixed(1), backend="sampling", seed=0, shot_budget=100)
+        o = StateOracle(maximally_mixed(1), backend="sampling", seed=0)
         with pytest.raises(ResourceBudgetError):
             call(o)
         assert o.copies_consumed == 0
         # Exact backend ignores the budget entirely.
-        o = StateOracle(maximally_mixed(1), backend="exact", shot_budget=100)
+        o = StateOracle(maximally_mixed(1), backend="exact")
         call(o)
         assert o.copies_consumed > 100
 
@@ -579,6 +581,17 @@ def test_subspace_tomography_respects_dense_budget():
         o = StateOracle(plant, backend=backend, seed=0)
         with pytest.raises(ResourceBudgetError):
             subspace_tomography(o, prefix_m=12, d=2, eps=0.5, delta=0.5)
+        assert o.copies_consumed == 0
+
+
+def test_subnormalized_tomography_respects_dense_budget():
+    # The 2^12 x 2^12 suffix block behind an empty prefix needs 256 MiB, 4x
+    # DENSE_BUDGET; refuse it before the block is formed or any copy charged.
+    plant = planted_mixture(ProductParams((0.3 + 0.1j,) * 12), 0.9)
+    for backend in ("exact", "sampling"):
+        o = StateOracle(plant, backend=backend, seed=0)
+        with pytest.raises(ResourceBudgetError):
+            subnormalized_tomography(o, None, 0, 0.5, 0.5)
         assert o.copies_consumed == 0
 
 
