@@ -193,9 +193,10 @@ def generate(kind: str, params: dict, seed: int = 0) -> dict:
                                    "member": list(member)}
     elif kind == "clique":
         edges = params["edges"]
-        vertices = int(params.get("vertices") or
-                       (max((max(e) for e in edges), default=-1) + 1))
-        g = Graph(vertices, frozenset(tuple(e) for e in edges))
+        vertices = params.get("vertices")
+        if vertices is None:
+            vertices = max((max(e) for e in edges), default=-1) + 1
+        g = Graph(int(vertices), frozenset(tuple(e) for e in edges))
         t = clique_tensor(g)
         kappa = clique_number(g)
         payload["graph"] = graph_to_json(g)

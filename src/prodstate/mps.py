@@ -4,13 +4,14 @@ A `MatrixProductState` is a unit-norm tensor train with physical dimension 2
 at every site.  The learner sweeps the register once: at each step it
 estimates the postselected few-qubit marginal, rotates the heavy eigenspace
 onto a zeroed leading qubit with a disentangling unitary, and projects that
-qubit away.  Only the rows of the composed rotation that survive the
-projection are ever needed, so the sweep carries that row block,
-2^(n-i) x 2^n after step i, and extends it by the disentangler's
-first-qubit-|0> rows (the kept eigenvectors' adjoints) acting on the block's
-leading kappa qubits; no full frame is formed.  One final small-register
-tomography, mapped back through the adjoint of the row block, reconstructs a
-matrix product state whose fidelity tracks the best bond-r state.
+qubit away.  The register shrinks by one site per step, and only the
+disentangler's first-qubit-|0> rows survive the projection: the kept
+eigenvectors' adjoints, a 2^(kappa-1) x 2^kappa window map on the leading
+kappa live sites.  The sweep keeps those maps as a stack and hands it to the
+oracle, which returns the kappa-site marginal directly, so the sweep's dense
+arrays stay 2^kappa x 2^kappa.  One final kappa-site tomography, mapped back
+through the maps' adjoints in reverse order, reconstructs a matrix product
+state whose fidelity tracks the best bond-r state.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import PromiseViolationError
 from .oracle import StateOracle, subnormalized_tomography
-from .states import QuantumState, check_dense_budget, partial_trace
+from .states import QuantumState, _apply_chain, check_dense_budget
 
 __all__ = [
     "MatrixProductState",
@@ -168,14 +169,11 @@ def mps_learn(o: StateOracle, r: int, eps: float, delta: float,
     block = 2 ** (kappa - 1)
     delta_call = delta / n
 
-    # rows holds the |0^i>-prefix rows of the composed disentangling frame,
-    # shape (2^(n-i), 2^n); None is the identity before the first step, and
-    # the first step's rows are heavy† ⊗ I without forming that identity.
-    rows: np.ndarray | None = None
+    # maps[i-1] is step i's window map, the kept eigenvectors' adjoints: it
+    # takes the leading kappa of the register's n-i+1 live sites to kappa-1.
+    maps = np.zeros((n - kappa, block, 2 * block), dtype=complex)
     for i in range(1, n - kappa + 1):
-        suffix = subnormalized_tomography(o, rows, i - 1, tau, delta_call)
-        sigma = partial_trace(suffix, n - i + 1, range(kappa))
-        del suffix
+        sigma = subnormalized_tomography(o, maps[: i - 1], i - 1, tau, delta_call, keep=kappa)
         vals, vecs = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
         order = np.argsort(vals)[::-1]
         heavy = int(np.sum(vals > tau))
@@ -184,16 +182,8 @@ def mps_learn(o: StateOracle, r: int, eps: float, delta: float,
                 f"step {i} kept {heavy} eigenvalues above {tau}, beyond the "
                 f"{block}-dimensional window; the estimate's trace must have "
                 "failed")
-        # The disentangler's first-qubit-|0> rows are the kept eigenvectors'
-        # adjoints; they act on the leading kappa qubits of the current rows.
-        heavy = vecs[:, order[:block]]
-        if rows is None:
-            rows = np.kron(heavy.conj().T, np.eye(2 ** (n - kappa)))
-        else:
-            rows = (heavy.conj().T @ rows.reshape(2**kappa, -1)).reshape(-1, 2**n)
+        maps[i - 1] = vecs[:, order[:block]].conj().T
 
-    final = subnormalized_tomography(o, rows, n - kappa, tau, delta_call)
-    psi = _top_eigenvector(final)
-
-    vec = psi if rows is None else rows.conj().T @ psi
+    final = subnormalized_tomography(o, maps, n - kappa, tau, delta_call)
+    vec = _apply_chain([m.conj().T for m in maps[::-1]], _top_eigenvector(final))
     return state_to_mps(QuantumState.pure(vec / np.linalg.norm(vec)), max_bond=block)

@@ -41,9 +41,11 @@ from .states import (
     _marginal,
     _operator,
     _sandwich,
+    _window_marginal,
     check_dense_budget,
     hamming_weights,
     haar_state,
+    partial_trace,
     product_state_vector,
     product_vectors,
 )
@@ -391,75 +393,109 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
     return full
 
 
+def _frame_maps(frame, n: int, zeroed_prefix: int) -> list[np.ndarray]:
+    """The chain of maps (`states._apply_chain`) that `frame` takes the register through.
+
+    None projects the first i = zeroed_prefix sites onto zero; a dense row
+    block is one map, its leading 2^(n-i) rows; a stack is its maps in order.
+    """
+    if frame is None:
+        return [np.eye(1, 2**zeroed_prefix)] if zeroed_prefix else []
+    frame = np.asarray(frame)
+    dim, dim_s = 2**n, 2 ** (n - zeroed_prefix)
+    if frame.ndim == 3:
+        steps, rows, cols = frame.shape
+        kappa = cols.bit_length() - 1
+        if not (rows >= 1 and cols == 2 * rows == 1 << kappa and steps == zeroed_prefix
+                and kappa <= n - steps + 1):
+            raise ValueError(f"window maps need shape ({zeroed_prefix}, 2^(k-1), 2^k) with "
+                             f"1 <= k <= {n - zeroed_prefix + 1}, got shape {frame.shape}")
+        return list(frame)
+    if frame.ndim != 2 or frame.shape[0] < dim_s or frame.shape[1] != dim:
+        raise ValueError(f"frame needs {dim} columns and at least {dim_s} rows, got shape "
+                         f"{frame.shape}")
+    return [frame[:dim_s]]
+
+
 def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_prefix: int,
-                             eps: float, delta: float) -> np.ndarray:
+                             eps: float, delta: float, keep: int | None = None) -> np.ndarray:
     """Estimate the suffix block left after projecting the first sites onto zero.
 
     With rho' the hidden state conjugated by `frame` and i = zeroed_prefix,
     the target is sigma = (<0^i| (x) I) rho' (|0^i> (x) I), a PSD matrix on the
-    remaining n - i sites with trace mu <= 1.  The estimate is within
-    trace-norm eps with probability >= 1 - delta.
+    remaining n - i sites with trace mu <= 1, reduced to its first `keep`
+    sites (None keeps all n - i).  The estimate of the full suffix block is
+    within trace-norm eps with probability >= 1 - delta, and so is its
+    reduction.
 
-    Frame contract: `frame` is None (no rotation) or a matrix with 2^n
-    columns and at least 2^(n-i) rows.  Only its leading 2^(n-i) rows, the
-    |0^i>-prefix rows of the rotation, are read, as rows rho rows*; so a
-    full 2^n x 2^n unitary and its leading row block give identical results.
-    Any other shape raises ValueError.  A suffix block above
-    states.DENSE_BUDGET raises ResourceBudgetError before any copy is drawn.
+    Frame contract: `frame` is None (no rotation) or an ndarray, either
+    * a dense row block with 2^n columns and at least 2^(n-i) rows, of which
+      only the leading 2^(n-i), the |0^i>-prefix rows of the rotation, are
+      read, as rows rho rows*; so a full 2^n x 2^n unitary and its leading
+      row block give identical results; or
+    * a stack of i window maps of shape (i, 2^(k-1), 2^k), k <= n - i + 1:
+      map j takes the leading k sites of the n - j + 1 sites the maps before
+      it left to k - 1 sites, and the composed rows are those maps in order.
+    Any other shape raises ValueError.  The exact backend applies the maps
+    to a pure or factored state's factor and forms only the 2^keep x 2^keep
+    result; the sampling backend draws the full suffix block's shadows and
+    partial-traces the estimate.  An array above states.DENSE_BUDGET (the
+    result on the exact backend, the suffix block on the sampling backend)
+    raises ResourceBudgetError before any copy is drawn.
 
     Copies: n_mu + attempts with (n_mu, wanted, groups) =
     subnormalized_budget(2^(n-i), eps, delta) and attempts =
-    subnormalized_attempts(wanted, mu_hat); the reported success rate mu_hat
-    is the exact mu on the exact backend.  A zero rate returns the zero
-    matrix after the n_mu rate-estimation copies.
+    subnormalized_attempts(wanted, mu_hat), whatever `keep`; the reported
+    success rate mu_hat is the exact mu on the exact backend.  A zero rate
+    returns the zero matrix after the n_mu rate-estimation copies.
     """
     _check_unit_interval(eps, "eps")
     _check_unit_interval(delta, "delta")
     n = o.n
     if not (0 <= zeroed_prefix < n):
         raise ValueError("zeroed_prefix out of range")
-    dim_s = 2 ** (n - zeroed_prefix)
-    check_dense_budget((dim_s, dim_s))
+    suffix = n - zeroed_prefix
+    keep = suffix if keep is None else int(keep)
+    if not 1 <= keep <= suffix:
+        raise ValueError(f"keep must lie in [1, {suffix}], got {keep}")
+    maps = _frame_maps(frame, n, zeroed_prefix)
+    dim_s, dim_k = 2**suffix, 2**keep
+    check_dense_budget((dim_k, dim_k) if o.backend == "exact" else (dim_s, dim_s))
     n_mu, wanted, groups = subnormalized_budget(dim_s, eps, delta)
     rho = _operator(o.hidden)
-    if frame is None:
-        block = _sandwich(rho, slice(dim_s))
-    else:
-        frame = np.asarray(frame)
-        if frame.ndim != 2 or frame.shape[0] < dim_s or frame.shape[1] != o.hidden.dim:
-            raise ValueError(f"frame needs {o.hidden.dim} columns and at least {dim_s} "
-                             f"rows, got shape {frame.shape}")
-        block = _sandwich(rho, frame[:dim_s])
-    mu = float(np.real(np.trace(block)))
 
     if o.backend == "exact":
-        mu_hat = mu
+        block, mu_hat = _window_marginal(rho, maps, keep)
         if mu_hat <= 0.0:
             o._charge(n_mu)
-            return np.zeros((dim_s, dim_s), dtype=complex)
+            return np.zeros((dim_k, dim_k), dtype=complex)
         o._charge(n_mu + subnormalized_attempts(wanted, mu_hat))
         scale = o._noise_scale(eps)
         if scale == 0.0:
-            return block.copy()
-        noisy = block + scale * _random_hermitian_unit(o._rng, dim_s, "tr")
+            return block
+        noisy = block + scale * _random_hermitian_unit(o._rng, dim_k, "tr")
         return _project_psd(noisy)
 
+    # The shadows sample block / mu, so mu is the trace of the block itself.
+    block = _window_marginal(rho, maps, suffix)[0]
+    mu = float(np.real(np.trace(block)))
     o._check_shots(n_mu)
     mu = min(max(mu, 0.0), 1.0)
     mu_hat = o._rng.binomial(n_mu, mu) / n_mu
     if mu_hat <= 0.0:
         o._charge(n_mu)
-        return np.zeros((dim_s, dim_s), dtype=complex)
+        return np.zeros((dim_k, dim_k), dtype=complex)
     attempts = subnormalized_attempts(wanted, mu_hat)
     o._check_shots(n_mu + attempts)
     successes = int(o._rng.binomial(attempts, mu))
     o._charge(n_mu + attempts)
     shots = min(wanted, successes)
     if shots == 0 or mu == 0.0:
-        return np.zeros((dim_s, dim_s), dtype=complex)
+        return np.zeros((dim_k, dim_k), dtype=complex)
     k = min(groups, shots)
     tau_hat = _geometric_median(_shadow_group_means(o._rng, block / mu, k, shots // k))
-    return _project_psd(mu_hat * tau_hat)
+    est = _project_psd(mu_hat * tau_hat)
+    return est if keep == suffix else partial_trace(est, suffix, range(keep))
 
 
 def estimate_fidelity(o: StateOracle, prefix_m: int, p: ProductParams, eps: float,

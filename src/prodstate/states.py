@@ -19,12 +19,13 @@ without a dense Kronecker frame), fidelity evaluation, and the small
 closed-form bounds (fidelity sandwiches, weight-tail bounds) that the
 learners rely on.
 
-Every module reads a state's rho through `_operator`, `_marginal` and
-`_sandwich`: rho @ block, the marginal on a site set, and rows rho rows*.  A
-pure state is the factor (psi, 0) and a factored state its rho = W W* + c I,
-so each read costs O(dim r k) and no dim x dim matrix is formed; a dense
-matrix, for arbitrary mixed input, is the only other branch and lives in
-those helpers alone.
+Every module reads a state's rho through `_operator`, `_marginal`,
+`_sandwich` and `_window_marginal`: rho @ block, the marginal on a site set,
+rows rho rows*, and the leading-site marginal of rho conjugated by a chain
+of local maps (`_apply_chain`).  A pure state is the factor (psi, 0) and a
+factored state its rho = W W* + c I, so each read costs O(dim r k) and no
+dim x dim matrix is formed; a dense matrix, for arbitrary mixed input, is
+the only other branch and lives in those helpers alone.
 
 Every module builds product amplitudes with `product_vectors`, reads
 parameters off site vectors with `vector_to_params`, enumerates string
@@ -296,6 +297,67 @@ def _sandwich(rho: FactoredDensity | np.ndarray, rows) -> np.ndarray:
     elif rho.shift:
         out += rho.shift * (rows @ rows.conj().T)
     return out
+
+
+def _apply_chain(maps, x) -> np.ndarray:
+    """A chain of maps applied in order to the leading axis of x.
+
+    Each map is a (2^a, 2^b) matrix acting on the leading b qubits of the
+    register the maps before it left, which it replaces by a qubits; any
+    trailing axis of x is kept.
+    """
+    for m in maps:
+        x = (m @ x.reshape(m.shape[1], -1)).reshape((-1,) + x.shape[1:])
+    return x
+
+
+def _chain_gram(maps) -> tuple[np.ndarray, int]:
+    """(G, g) with M M* = G ⊗ I for the chain M of `maps`, G on its leading g qubits.
+
+    Each map widens G to its own input qubits when G is narrower, then
+    conjugates it, so G is never wider than the widest map.
+    """
+    gram, g = np.ones((1, 1)), 0
+    for m in maps:
+        a, b = (side.bit_length() - 1 for side in m.shape)
+        if g == 0:
+            # A scalar G = s: M (s I) M* is s M M*, with no identity formed.
+            gram = gram[0, 0] * (m @ m.conj().T)
+        else:
+            if g < b:
+                gram = np.kron(gram, np.eye(2 ** (b - g)))
+            gram = _apply_chain([m], _apply_chain([m], gram).conj().T).conj().T
+        g = max(g, b) - b + a
+    return gram, g
+
+
+def _window_marginal(rho: FactoredDensity | np.ndarray, maps,
+                     keep: int) -> tuple[np.ndarray, float]:
+    """(M rho M* on its first `keep` sites, its trace) for the chain M of `maps`.
+
+    On a factor the chain maps W and `_marginal` reduces it, and the shift c
+    adds c times the reduced M M* (`_chain_gram`), so only the 2^keep x
+    2^keep result is formed; the trace is read off the mapped factor and the
+    chain's Gram matrix, the same bits whatever `keep` is.  A dense rho is
+    conjugated whole, then reduced.
+    """
+    if not isinstance(rho, FactoredDensity):
+        half = _apply_chain(maps, np.asarray(rho))
+        out = _apply_chain(maps, half.conj().T).conj().T
+        mu = float(np.real(np.trace(out)))
+        return np.array(_marginal(out, _infer_qubits(out.shape[0]), range(keep))), mu
+    y = _apply_chain(maps, rho.factor)
+    m = _infer_qubits(y.shape[0])
+    w = _marginal(FactoredDensity(y), m, range(keep)).factor
+    out = w @ w.conj().T
+    mu = float(np.vdot(y, y).real)
+    if rho.shift:
+        gram, g = _chain_gram(maps)
+        mu += rho.shift * 2 ** (m - g) * float(np.real(np.trace(gram)))
+        wide = max(keep, g)
+        gram = _marginal(np.kron(gram, np.eye(2 ** (wide - g))), wide, range(keep))
+        out += rho.shift * 2 ** (m - wide) * gram
+    return out, mu
 
 
 def _infer_qubits(dim: int) -> int:

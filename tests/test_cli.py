@@ -350,7 +350,8 @@ def test_invalid_eta_exits_one(tmp_path, capsys):
 
 
 def test_mps_learn_above_dense_budget_exits_two(tmp_path, capsys):
-    # The first sweep step reads the whole 2^12 x 2^12 suffix block (256 MiB).
+    # At desk eps the guarantee-level window spans the whole register, so the
+    # one tomography returns the whole 2^12 x 2^12 block (256 MiB).
     inst = _gen(tmp_path, "pm.json", "planted-mps", "--n", "12")
     assert main(["mps", "learn", inst, "--rank", "2"]) == 2
     assert "budget" in capsys.readouterr().err
@@ -375,6 +376,25 @@ def test_gen_refuses_flags_its_kind_does_not_read(tmp_path, capsys):
         assert load_json(_gen(tmp_path, f"{kind}.json", kind))["params"] == params
     clique = load_json(_gen(tmp_path, "k2.json", "clique", "--graph", "[[0,1]]"))
     assert clique["params"] == {"edges": [[0, 1]], "vertices": None}
+
+
+def test_clique_with_zero_vertices_exits_one(tmp_path, capsys):
+    # An explicit 0 reaches Graph, which refuses it, instead of falling
+    # back to the vertex count the edges imply.
+    out = tmp_path / "k.json"
+    assert main(["gen", "clique", "--graph", "[[0,1]]", "--vertices", "0",
+                 "--out", str(out)]) == 1
+    assert "vertex" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_clique_without_vertices_infers_them_from_the_edges(tmp_path):
+    clique = load_json(_gen(tmp_path, "k.json", "clique", "--graph", "[[0,2]]"))
+    assert clique["graph"]["n_vertices"] == 3
+    assert clique["params"]["vertices"] is None
+    wide = load_json(_gen(tmp_path, "k5.json", "clique", "--graph", "[[0,2]]",
+                          "--vertices", "5"))
+    assert wide["graph"]["n_vertices"] == 5
 
 
 def test_polyopt_tiny_budget_exits_two(capsys):

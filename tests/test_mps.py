@@ -7,7 +7,7 @@ import pytest
 
 from prodstate import mps
 from prodstate.errors import PromiseViolationError, ResourceBudgetError
-from prodstate.instances import ghz_state, random_mixed, w_state
+from prodstate.instances import ghz_state, planted_mixture, random_mixed, w_state
 from prodstate.mps import (
     MatrixProductState,
     mps_learn,
@@ -18,9 +18,12 @@ from prodstate.mps import (
 from prodstate.oracle import StateOracle
 from prodstate.states import (
     QuantumState,
+    _apply_chain,
     haar_product_params,
+    haar_state,
     partial_trace,
     product_state_vector,
+    vector_fidelity,
 )
 
 
@@ -50,13 +53,13 @@ def overlap(a: QuantumState, b: QuantumState) -> float:
 
 
 def record_tomography(monkeypatch):
-    """Record each row block mps_learn passes to its tomography, and each result's trace."""
+    """Record the window maps mps_learn passes to each tomography, and each result's trace."""
     calls = []
     tomography = mps.subnormalized_tomography
 
-    def recorded(o, rows, zeroed_prefix, eps, delta):
-        out = tomography(o, rows, zeroed_prefix, eps, delta)
-        calls.append((rows, float(np.real(np.trace(out)))))
+    def recorded(o, frame, zeroed_prefix, eps, delta, keep=None):
+        out = tomography(o, frame, zeroed_prefix, eps, delta, keep=keep)
+        calls.append((frame.copy(), float(np.real(np.trace(out)))))
         return out
 
     monkeypatch.setattr(mps, "subnormalized_tomography", recorded)
@@ -191,10 +194,10 @@ def test_learn_with_narrow_window_sweeps(monkeypatch):
         calls.clear()
         o = StateOracle(hidden, backend="exact")
         m = mps_learn(o, r, 0.2, 0.1, kappa_override=2)
-        # One tomography per sweep step plus the final one; only the first
-        # reads the unrotated register.
+        # One tomography per sweep step plus the final one; the first reads
+        # the unrotated register, and each later one carries one more map.
         assert len(calls) == hidden.n - 1
-        assert calls[0][0] is None and all(rows is not None for rows, _ in calls[1:])
+        assert [maps.shape for maps, _ in calls] == [(i, 2, 4) for i in range(hidden.n - 1)]
         assert overlap(mps_to_state(m), hidden) >= 0.8
         assert m.max_bond <= 2  # 2^(kappa-1)
         # Postselection can only shed mass, so the recorded traces shrink.
@@ -315,12 +318,14 @@ def test_sweep_step_loss_within_budget(monkeypatch):
         calls.clear()
         o = StateOracle(hidden, backend="exact")
         mps_learn(o, 2, eps, 0.1, kappa_override=2)
-        frames = [rows for rows, _ in calls[1:]]
-        assert len(frames) == n - 2
+        stacks = [maps for maps, _ in calls[1:]]
+        assert len(stacks) == n - 2
         rho = hidden.density()
         phi = hidden.data
         previous = float(np.real(phi.conj() @ rho @ phi))
-        for i, frame in enumerate(frames, start=1):
+        for i, maps in enumerate(stacks, start=1):
+            # The composed rows of step i's window maps.
+            frame = _apply_chain(maps, np.eye(2**n))
             assert frame.shape == (2 ** (n - i), 2**n)
             squeeze = frame.conj().T @ frame
             current = float(np.real(phi.conj() @ squeeze @ rho @ squeeze @ phi))
@@ -330,10 +335,9 @@ def test_sweep_step_loss_within_budget(monkeypatch):
 
 
 def test_sweep_first_step_allocates_no_dense_identity():
-    # At n=10 one 2^n x 2^n complex matrix is 16.8 MB.  A dense identity to
-    # start the row block plus a suffix estimate kept through the multiply
-    # would put the sweep near 63 MB; the rows heavy† ⊗ I and one live
-    # estimate stay near 30 MB.
+    # At n=10 one 2^n x 2^n complex matrix is 16.8 MB.  The sweep keeps
+    # 2^(kappa-1) x 2^kappa window maps, and the oracle returns kappa-site
+    # marginals, so it allocates no such matrix at any step.
     o = StateOracle(ghz_state(10), backend="exact")
     tracemalloc.start()
     try:
@@ -341,4 +345,35 @@ def test_sweep_first_step_allocates_no_dense_identity():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 40e6
+    assert peak <= 2e6
+
+
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_learn_scales_past_the_dense_budget(n):
+    # A dense suffix block at n >= 12 is above DENSE_BUDGET; the window maps
+    # and kappa-site marginals keep the sweep at O(2^n) memory.
+    rng = np.random.default_rng(31 + n)
+    train = state_to_mps(QuantumState.pure(haar_state(2**n, rng)), max_bond=2)
+    hidden = planted_mixture(mps_to_state(train).data, 1.0)
+    o = StateOracle(hidden, backend="exact")
+    eps = 0.1
+    tracemalloc.start()
+    try:
+        m = mps_learn(o, 2, eps, 0.1, kappa_override=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64e6
+    # The planted state has bond dimension 2, so opt is 1.
+    assert vector_fidelity(hidden, mps_to_state(m).data) >= 1.0 - eps
+    assert m.max_bond <= 4
+
+
+def test_learn_on_the_sampling_backend_is_refused_before_any_copy():
+    # The sweep's tomography accuracy tau = eps^2 / (9 n^2 r^4) needs far more
+    # rate-estimation shots than SHOT_BUDGET, so the first call refuses.
+    for kappa in (2, None):
+        o = StateOracle(ghz_state(4), backend="sampling", seed=3)
+        with pytest.raises(ResourceBudgetError):
+            mps_learn(o, 2, 0.2, 0.1, kappa_override=kappa)
+        assert o.copies_consumed == 0

@@ -1,5 +1,6 @@
 """Oracle backends: ground-truth values, sampling accuracy, copy accounting."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -34,6 +35,8 @@ from prodstate.states import (
     FactoredDensity,
     ProductParams,
     QuantumState,
+    _apply_chain,
+    haar_isometry,
     haar_state,
     partial_trace,
     product_state_vector,
@@ -431,10 +434,78 @@ def test_subnormalized_reads_leading_frame_rows_only(monkeypatch):
 def test_subnormalized_rejects_bad_frame_shapes():
     o = StateOracle(maximally_mixed(3), backend="exact")
     frame = np.eye(8, dtype=complex)
-    for bad in (frame[:3], frame[:, :4], frame[:4, :7], frame[0]):
+    for bad in (frame[:3], frame[:, :4], frame[:4, :7], frame[0], frame[None, None]):
         with pytest.raises(ValueError, match="frame needs 8 columns"):
             subnormalized_tomography(o, bad, zeroed_prefix=1, eps=0.4, delta=0.3)
+    # Window maps that do not chain: the wrong count for the prefix, maps
+    # that keep or do not halve the window, and a window wider than the
+    # register the last map acts on.
+    maps = np.zeros((2, 2, 4), dtype=complex)
+    for bad, i in ((maps, 1), (maps[:1], 2), (np.zeros((1, 4, 4)), 1),
+                   (np.zeros((1, 3, 6)), 1), (np.zeros((1, 0, 0)), 1),
+                   (np.zeros((2, 4, 8)), 2)):
+        with pytest.raises(ValueError, match="window maps need shape"):
+            subnormalized_tomography(o, bad, zeroed_prefix=i, eps=0.4, delta=0.3)
+    for keep in (0, 3):
+        with pytest.raises(ValueError, match="keep must lie"):
+            subnormalized_tomography(o, maps[:1], zeroed_prefix=1, eps=0.4, delta=0.3,
+                                     keep=keep)
     assert o.copies_consumed == 0
+
+
+def window_stack(n, kappa, rng):
+    """n - kappa + 1 window maps: adjoints of Haar 2^kappa x 2^(kappa-1) isometries."""
+    return np.stack([haar_isometry(2**kappa, 2 ** (kappa - 1), rng).conj().T
+                     for _ in range(n - kappa + 1)])
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_subnormalized_keep_is_the_partial_trace_of_the_suffix(n):
+    # On the exact backend keep=k is the suffix block reduced to its first k
+    # sites, on a factored state and on its dense copy, for a window stack
+    # and for the dense row block it composes to, and it charges the copies
+    # of the whole suffix.  Gaussian maps are not co-isometries, so a shift
+    # c reads the chain's Gram matrix, not the identity.
+    rng = np.random.default_rng(300 + n)
+    maps = window_stack(n, 3, rng)
+    gauss = 0.3 * (rng.standard_normal(maps.shape) + 1j * rng.standard_normal(maps.shape))
+    for state in factored_cases(n, rng):
+        for stack, i in itertools.product((maps, gauss), range(len(maps) + 1)):
+            first = None
+            for s in (state, QuantumState.mixed(state.density())):
+                for frame in (stack[:i], _apply_chain(stack[:i], np.eye(2**n))):
+                    o = StateOracle(s, backend="exact")
+                    whole = subnormalized_tomography(o, frame, i, 0.3, 0.1)
+                    copies = o.copies_consumed
+                    first = whole if first is None else first
+                    assert np.max(np.abs(whole - first)) <= 1e-12
+                    for keep in range(1, n - i + 1):
+                        o = StateOracle(s, backend="exact")
+                        part = subnormalized_tomography(o, frame, i, 0.3, 0.1, keep=keep)
+                        assert part.shape == (2**keep, 2**keep)
+                        reduced = partial_trace(whole, n - i, range(keep))
+                        assert np.max(np.abs(part - reduced)) <= 1e-12
+                        assert o.copies_consumed == copies
+
+
+def test_subnormalized_sampling_keep_traces_the_same_draws():
+    # The sampling backend draws the whole suffix block's shadows whatever
+    # keep is, so keep=k is the partial trace of the keep=None estimate, bit
+    # for bit, at the same copies.
+    rng = np.random.default_rng(47)
+    n = 3
+    maps = window_stack(n, 2, rng)
+    for state in (random_mixed(n, rng), factored_cases(n, rng)[-1]):
+        for i in (1, 2):
+            for frame in (maps[:i], _apply_chain(maps[:i], np.eye(2**n))):
+                o = StateOracle(state, backend="sampling", seed=11)
+                whole = subnormalized_tomography(o, frame, i, 0.8, 0.8)
+                copies = o.copies_consumed
+                for keep in range(1, n - i + 1):
+                    o = StateOracle(state, backend="sampling", seed=11)
+                    part = subnormalized_tomography(o, frame, i, 0.8, 0.8, keep=keep)
+                    assert np.array_equal(part, partial_trace(whole, n - i, range(keep)))
+                    assert o.copies_consumed == copies
 
 
 def test_z_exact_allocates_no_dense_frame():
