@@ -3,8 +3,8 @@
 Alternating per-site eigen-sweeps read the best product fidelity directly
 from the state.  This is a reference oracle, not a learner: it reads the
 full state, never oracle copies.  It reads rho through the `states` readers,
-so a pure or factored state costs O(2^n r) per site and only a dense input
-is bound by states.DENSE_BUDGET.
+so every state, pure or mixed, costs O(2^n r) per site and no dense matrix
+is formed.
 """
 
 from __future__ import annotations

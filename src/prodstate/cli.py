@@ -111,6 +111,8 @@ class ExperimentConfig:
             raise UsageError("noise must be nonnegative")
         if self.rank < 1:
             raise UsageError("rank must be a positive integer")
+        if self.net_budget is not None and self.net_budget < 1:
+            raise UsageError("net_budget must be positive")
 
 
 def _cover_overrides(config: ExperimentConfig) -> CoverOverrides:

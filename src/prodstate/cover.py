@@ -103,6 +103,8 @@ class CoverOverrides:
             raise ValueError("degree_cap must be nonnegative")
         if self.net_budget < 1:
             raise ValueError("net_budget must be positive")
+        if self.tomo_eps is not None and not 0.0 < self.tomo_eps < 1.0:
+            raise ValueError("tomo_eps must lie in (0, 1)")
 
 
 #: The default knobs, used by the command-line runner and the benchmark.
@@ -303,7 +305,7 @@ def _extend(prepared, ceiling: float, members, params: CoverParams) -> ProductPa
 
 def _build(o: StateOracle, params: CoverParams,
            prefix_cache: tuple[dict, float] | None = None):
-    """Sweep the register, returning the final cover and every prefix cover.
+    """Sweep the register, returning the cover of the full register.
 
     Truncations are looked up in a dict keyed by (m, degree, tomo_eps), and
     a missing one is bought and stored beside its top eigenvalue, the
@@ -328,7 +330,6 @@ def _build(o: StateOracle, params: CoverParams,
     thresh = params.eta - 0.5 * params.eps
 
     members: list[ProductParams] = [ProductParams(())]
-    trace: list[Cover] = []
     for m in range(1, n + 1):
         key = (m, params.degree(m), params.tomo_eps)
         if key not in bought:
@@ -357,10 +358,9 @@ def _build(o: StateOracle, params: CoverParams,
                         "packing bound for this fidelity level failed")
                 new.append(cand)
         members = new
-        trace.append(Cover(tuple(members), m, params))
         if not members:
             break
-    return Cover(tuple(members), n, params), trace
+    return Cover(tuple(members), n, params)
 
 
 def build_cover(o: StateOracle, params: CoverParams) -> Cover:
@@ -371,8 +371,7 @@ def build_cover(o: StateOracle, params: CoverParams) -> Cover:
     of all calls sum to at most params.delta.  Returns an empty cover when
     no product state reaches fidelity eta - eps at some prefix.
     """
-    cover, _ = _build(o, params)
-    return cover
+    return _build(o, params)
 
 
 def verify_cover(rho: QuantumState, cover: Cover, trials: int,
@@ -456,7 +455,7 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
             break
         level_eps = min(eps, eta / 4.0)
         params = CoverParams(eta, level_eps, delta_iter, overrides)
-        cover, _ = _build(o, params, (bought, prefix_delta))
+        cover = _build(o, params, (bought, prefix_delta))
         if cover.members:
             lo = eta
             share = delta_iter / len(cover.members)

@@ -46,8 +46,9 @@ def bell_state() -> QuantumState:
 
 
 def maximally_mixed(n: int) -> QuantumState:
+    """I/2^n: the factor with no columns and shift 1/2^n."""
     dim = 2**n
-    return QuantumState.mixed(np.eye(dim) / dim)
+    return QuantumState.mixed(FactoredDensity(np.zeros((dim, 0), dtype=complex), 1.0 / dim))
 
 
 def planted_mixture(planted: ProductParams | np.ndarray, w: float) -> QuantumState:
@@ -75,18 +76,15 @@ def planted_opt(w: float, n: int) -> float:
 def random_mixed(n: int, rng: np.random.Generator, rank: int | None = None) -> QuantumState:
     """A random density matrix G G*/||G||_F^2 with G a complex Gaussian (dim, rank).
 
-    With a rank the state is the factor G/||G||_F; without one, G is square
-    and the state is dense.
+    The state is the factor G/||G||_F; without a rank, G is square (and
+    held within DENSE_BUDGET).
     """
     dim = 2**n
-    if rank is not None:
-        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-        return QuantumState.mixed(FactoredDensity(g / np.linalg.norm(g)))
-    check_dense_budget((dim, dim))
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return QuantumState.mixed(rho)
+    if rank is None:
+        check_dense_budget((dim, dim))
+        rank = dim
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    return QuantumState.mixed(FactoredDensity(g / np.linalg.norm(g)))
 
 
 @dataclass(frozen=True)

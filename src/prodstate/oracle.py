@@ -22,7 +22,8 @@ Sampling measures a compressed register, the block read plus one junk slot
 (`_z_columns`), on the weight-<= d strings for subspace tomography.
 
 The estimators read the hidden state through the `states` readers
-(`_operator`, `_marginal`, `_sandwich`); see that module's docstring.
+(`_operator`, `_marginal`, `_sandwich`, `_mapped`); see that module's
+docstring.
 
 Copy-cost formulas are exported as plain functions so tests can assert the
 counter matches them exactly.
@@ -38,10 +39,10 @@ from .errors import ResourceBudgetError
 from .states import (
     ProductParams,
     QuantumState,
+    _mapped,
     _marginal,
     _operator,
     _sandwich,
-    _window_marginal,
     check_dense_budget,
     hamming_weights,
     haar_state,
@@ -436,12 +437,15 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     * a stack of i window maps of shape (i, 2^(k-1), 2^k), k <= n - i + 1:
       map j takes the leading k sites of the n - j + 1 sites the maps before
       it left to k - 1 sites, and the composed rows are those maps in order.
-    Any other shape raises ValueError.  The exact backend applies the maps
-    to a pure or factored state's factor and forms only the 2^keep x 2^keep
-    result; the sampling backend draws the full suffix block's shadows and
-    partial-traces the estimate.  An array above states.DENSE_BUDGET (the
-    result on the exact backend, the suffix block on the sampling backend)
-    raises ResourceBudgetError before any copy is drawn.
+    Either way the frame is rows of a rotation: on a mixed state with a
+    shift c > 0, maps whose rows are not orthonormal raise ValueError
+    before any copy is drawn (`states._mapped`).  Any other shape raises
+    ValueError.  The exact backend applies the maps to the state's factor
+    and forms only the 2^keep x 2^keep result; the sampling backend draws
+    the full suffix block's shadows and partial-traces the estimate.  An
+    array above states.DENSE_BUDGET (the result on the exact backend, the
+    suffix block on the sampling backend) raises ResourceBudgetError before
+    any copy is drawn.
 
     Copies: n_mu + attempts with (n_mu, wanted, groups) =
     subnormalized_budget(2^(n-i), eps, delta) and attempts =
@@ -462,10 +466,11 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     dim_s, dim_k = 2**suffix, 2**keep
     check_dense_budget((dim_k, dim_k) if o.backend == "exact" else (dim_s, dim_s))
     n_mu, wanted, groups = subnormalized_budget(dim_s, eps, delta)
-    rho = _operator(o.hidden)
+    rho = _mapped(_operator(o.hidden), maps)
 
     if o.backend == "exact":
-        block, mu_hat = _window_marginal(rho, maps, keep)
+        block = _sandwich(_marginal(rho, suffix, range(keep)), slice(None))
+        mu_hat = rho.trace()
         if mu_hat <= 0.0:
             o._charge(n_mu)
             return np.zeros((dim_k, dim_k), dtype=complex)
@@ -477,7 +482,7 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
         return _project_psd(noisy)
 
     # The shadows sample block / mu, so mu is the trace of the block itself.
-    block = _window_marginal(rho, maps, suffix)[0]
+    block = _sandwich(rho, slice(None))
     mu = float(np.real(np.trace(block)))
     o._check_shots(n_mu)
     mu = min(max(mu, 0.0), 1.0)

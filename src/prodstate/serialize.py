@@ -6,11 +6,12 @@ payload carries an "object" tag and the top-level file a format_version,
 which keeps the formats auditable at desk scale.
 
 A state is a normalized qubit register: its file carries "local_dim": 2 and
-"normalized": true, and reading refuses any other value.  It stores its
-amplitudes ("data", kind "pure") or its density matrix
-("data", kind "mixed") as flat pairs, except a factored mixed state
-rho = W W* + c I, which stores "factor": {"shape": [dim, r], "data": pairs
-of W} and "shift": c in place of the 4^n pairs of rho.
+"normalized": true, and reading refuses any other value.  A pure state
+stores its amplitudes as flat pairs ("data"); a mixed state, always
+rho = W W* + c I, stores "factor": {"shape": [dim, r], "data": pairs of W}
+and "shift": c.  A mixed state file in the legacy dense form, its density
+matrix as the 4^n pairs of "data", still reads: `QuantumState` validates
+it and converts it to its factor.
 """
 
 from __future__ import annotations

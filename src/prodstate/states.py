@@ -1,14 +1,15 @@
 """States, and product-state geometry: parametrization, tangent distance, string weights.
 
 A `QuantumState` is a normalized state on n qubits: a unit amplitude vector
-or a unit-trace density matrix.  A mixed
-state is held either densely, for arbitrary input, or in factored form
-rho = W W* + c I (`FactoredDensity`, W of shape (dim, r), c >= 0), which is
-PSD by construction: validation checks finiteness and the trace
-||W||_F^2 + c dim at O(dim r), with no eigendecomposition, and `density()`
-materializes the matrix only on request.  Every dense dim x dim path checks
-its 16 dim^2 bytes (16 dim for an amplitude vector) against DENSE_BUDGET
-and raises ResourceBudgetError above it.
+or a mixed state, always held in factored form rho = W W* + c I
+(`FactoredDensity`, W of shape (dim, r), c >= 0), which is PSD by
+construction: validation checks finiteness and the trace ||W||_F^2 + c dim
+at O(dim r), with no eigendecomposition, and `density()` materializes the
+matrix only on request.  A dense density matrix is accepted as input,
+validated with one eigendecomposition, and stored as the factor V sqrt(lam)
+over its numerically positive eigenvalues lam, with shift 0.  Every dense
+dim x dim path checks its 16 dim^2 bytes (16 dim for an amplitude vector)
+against DENSE_BUDGET and raises ResourceBudgetError above it.
 
 A pure product state on n qubits is parametrized by a complex vector z, one
 entry per site, as the tensor product of (|0> + z_i |1>)/sqrt(1 + |z_i|^2).
@@ -20,12 +21,11 @@ closed-form bounds (fidelity sandwiches, weight-tail bounds) that the
 learners rely on.
 
 Every module reads a state's rho through `_operator`, `_marginal`,
-`_sandwich` and `_window_marginal`: rho @ block, the marginal on a site set,
-rows rho rows*, and the leading-site marginal of rho conjugated by a chain
-of local maps (`_apply_chain`).  A pure state is the factor (psi, 0) and a
-factored state its rho = W W* + c I, so each read costs O(dim r k) and no
-dim x dim matrix is formed; a dense matrix, for arbitrary mixed input, is
-the only other branch and lives in those helpers alone.
+`_sandwich` and `_mapped`: rho @ block, the marginal on a site set, rows rho
+rows*, and M rho M* for a chain M of local maps (`_apply_chain`) with
+orthonormal rows.  A pure state is the factor (psi, 0) and a mixed state
+its rho = W W* + c I, so each read costs O(dim r k), no dim x dim matrix is
+formed, and a mapped or reduced factor is again a factor.
 
 Every module builds product amplitudes with `product_vectors`, reads
 parameters off site vectors with `vector_to_params`, enumerates string
@@ -170,8 +170,9 @@ class QuantumState:
     """A normalized state on n qubits: a pure state vector or a density matrix.
 
     kind is "pure" (data: unit amplitude vector of length 2**n) or "mixed"
-    (data: a Hermitian PSD matrix of that side with unit trace, or a
-    FactoredDensity whose factor has 2**n rows and whose trace is 1).
+    (data: a FactoredDensity whose factor has 2**n rows and whose trace is
+    1).  A mixed state given as a dense Hermitian PSD matrix of unit trace
+    is stored as its factor (see `_factored`).
     """
 
     n: int
@@ -192,21 +193,33 @@ class QuantumState:
                 raise ValueError(f"pure state needs shape ({dim},), got {data.shape}")
             if abs(np.linalg.norm(data) - 1.0) > DEFAULT_ATOL:
                 raise ValueError("pure state vector is not normalized")
-        else:
-            if np.shape(self.data) != (dim, dim):
-                raise ValueError(f"density matrix needs shape ({dim},{dim})")
-            check_dense_budget((dim, dim))
-            data = np.array(self.data, dtype=complex)
-            if np.max(np.abs(data - data.conj().T)) > DEFAULT_ATOL:
-                raise ValueError("density matrix is not Hermitian")
-            eigs = np.linalg.eigvalsh((data + data.conj().T) / 2)
-            if eigs.min() < -DEFAULT_ATOL:
-                raise ValueError("density matrix has a negative eigenvalue")
-            if abs(np.trace(data).real - 1.0) > DEFAULT_ATOL:
-                raise ValueError("density matrix trace differs from 1")
-        if isinstance(data, np.ndarray):
             data.setflags(write=False)
+        else:
+            data = self._factored(dim)
         object.__setattr__(self, "data", data)
+
+    def _factored(self, dim: int) -> FactoredDensity:
+        """A dense density matrix, validated, as the read-only factor V sqrt(lam) with shift 0.
+
+        One eigh gives the check and the factor: the columns keep the
+        eigenvalues lam above the numerical-rank cutoff dim * eps * max(lam),
+        so a rank-r input gets r columns.
+        """
+        if np.shape(self.data) != (dim, dim):
+            raise ValueError(f"density matrix needs shape ({dim},{dim})")
+        check_dense_budget((dim, dim))
+        data = np.array(self.data, dtype=complex)
+        if np.max(np.abs(data - data.conj().T)) > DEFAULT_ATOL:
+            raise ValueError("density matrix is not Hermitian")
+        eigs, vecs = np.linalg.eigh((data + data.conj().T) / 2)
+        if eigs.min() < -DEFAULT_ATOL:
+            raise ValueError("density matrix has a negative eigenvalue")
+        if abs(np.trace(data).real - 1.0) > DEFAULT_ATOL:
+            raise ValueError("density matrix trace differs from 1")
+        kept = eigs > eigs[-1] * dim * np.finfo(float).eps
+        w = vecs[:, kept] * np.sqrt(eigs[kept])
+        w.setflags(write=False)
+        return FactoredDensity(w)
 
     def _checked_factor(self, dim: int) -> FactoredDensity:
         """A read-only copy of the factored data, validated at O(dim r)."""
@@ -233,7 +246,7 @@ class QuantumState:
 
     @classmethod
     def mixed(cls, matrix) -> "QuantumState":
-        """A mixed state from a dense matrix or a FactoredDensity."""
+        """A mixed state from a FactoredDensity or a dense matrix (stored as its factor)."""
         if not isinstance(matrix, FactoredDensity):
             matrix = np.asarray(matrix, dtype=complex)
         return cls(n=_infer_qubits(matrix.shape[0]), kind="mixed", data=matrix)
@@ -250,23 +263,23 @@ class QuantumState:
         check_dense_budget((self.dim, self.dim))
         if self.kind == "pure":
             return np.outer(self.data, self.data.conj())
-        return np.asarray(self.data)
+        return self.data.dense()
 
 
 # --- reading the state -----------------------------------------------------
 
 
-def _operator(s: QuantumState) -> FactoredDensity | np.ndarray:
-    """The state's rho: a FactoredDensity (a pure psi is the factor (psi, 0)) or a dense matrix.
+def _operator(s: QuantumState) -> FactoredDensity:
+    """The state's rho as a FactoredDensity: a pure psi is the factor (psi, 0).
 
-    Either way rho @ block is one product, at O(dim r k) for a factor.
+    rho @ block is then one product, at O(dim r k).
     """
     if s.kind == "pure":
         return FactoredDensity(s.data[:, None])
     return s.data
 
 
-def _marginal(rho: FactoredDensity | np.ndarray, n: int, sites) -> FactoredDensity | np.ndarray:
+def _marginal(rho: FactoredDensity, n: int, sites) -> FactoredDensity:
     """rho on n qubits reduced to `sites` (0-based, increasing).
 
     A factor stays a factor: W with the kept sites' axes moved to the front,
@@ -275,27 +288,26 @@ def _marginal(rho: FactoredDensity | np.ndarray, n: int, sites) -> FactoredDensi
     sites = list(sites)
     if len(sites) == n:
         return rho
-    if not isinstance(rho, FactoredDensity):
-        return partial_trace(rho, n, sites)
     w = np.moveaxis(rho.factor.reshape((2,) * n + (-1,)), sites, range(len(sites)))
     return FactoredDensity(w.reshape(2 ** len(sites), -1), rho.shift * 2 ** (n - len(sites)))
 
 
-def _sandwich(rho: FactoredDensity | np.ndarray, rows) -> np.ndarray:
+def _sandwich(rho: FactoredDensity, rows) -> np.ndarray:
     """rows rho rows* for a (k, dim) matrix of rows; the block rho[rows, rows] for an index.
 
-    An index is a slice or a list of basis indices.  On a factor this is
-    y y* + c rows rows* with y = rows W, at O(k dim r + k^2 dim).
+    An index is a slice or a list of basis indices.  This is y y* + c rows
+    rows* with y = rows W, at O(k dim r + k^2 dim); the shift term is
+    skipped when c = 0.
     """
     matrix = isinstance(rows, np.ndarray) and rows.ndim == 2
-    if not isinstance(rho, FactoredDensity):
-        return rows @ rho @ rows.conj().T if matrix else rho[rows][:, rows]
     y = rows @ rho.factor if matrix else rho.factor[rows]
     out = y @ y.conj().T
-    if not matrix:
-        out[np.diag_indices_from(out)] += rho.shift
-    elif rho.shift:
+    if not rho.shift:
+        return out
+    if matrix:
         out += rho.shift * (rows @ rows.conj().T)
+    else:
+        out[np.diag_indices_from(out)] += rho.shift
     return out
 
 
@@ -311,53 +323,16 @@ def _apply_chain(maps, x) -> np.ndarray:
     return x
 
 
-def _chain_gram(maps) -> tuple[np.ndarray, int]:
-    """(G, g) with M M* = G ⊗ I for the chain M of `maps`, G on its leading g qubits.
+def _mapped(rho: FactoredDensity, maps) -> FactoredDensity:
+    """M rho M* for the chain M of `maps`: the factor (M W, c).
 
-    Each map widens G to its own input qubits when G is narrower, then
-    conjugates it, so G is never wider than the widest map.
+    M (W W* + c I) M* is (M W)(M W)* + c M M*, so the shift term needs
+    M M* = I: with c > 0 every map's rows must be orthonormal, or ValueError.
     """
-    gram, g = np.ones((1, 1)), 0
-    for m in maps:
-        a, b = (side.bit_length() - 1 for side in m.shape)
-        if g == 0:
-            # A scalar G = s: M (s I) M* is s M M*, with no identity formed.
-            gram = gram[0, 0] * (m @ m.conj().T)
-        else:
-            if g < b:
-                gram = np.kron(gram, np.eye(2 ** (b - g)))
-            gram = _apply_chain([m], _apply_chain([m], gram).conj().T).conj().T
-        g = max(g, b) - b + a
-    return gram, g
-
-
-def _window_marginal(rho: FactoredDensity | np.ndarray, maps,
-                     keep: int) -> tuple[np.ndarray, float]:
-    """(M rho M* on its first `keep` sites, its trace) for the chain M of `maps`.
-
-    On a factor the chain maps W and `_marginal` reduces it, and the shift c
-    adds c times the reduced M M* (`_chain_gram`), so only the 2^keep x
-    2^keep result is formed; the trace is read off the mapped factor and the
-    chain's Gram matrix, the same bits whatever `keep` is.  A dense rho is
-    conjugated whole, then reduced.
-    """
-    if not isinstance(rho, FactoredDensity):
-        half = _apply_chain(maps, np.asarray(rho))
-        out = _apply_chain(maps, half.conj().T).conj().T
-        mu = float(np.real(np.trace(out)))
-        return np.array(_marginal(out, _infer_qubits(out.shape[0]), range(keep))), mu
-    y = _apply_chain(maps, rho.factor)
-    m = _infer_qubits(y.shape[0])
-    w = _marginal(FactoredDensity(y), m, range(keep)).factor
-    out = w @ w.conj().T
-    mu = float(np.vdot(y, y).real)
-    if rho.shift:
-        gram, g = _chain_gram(maps)
-        mu += rho.shift * 2 ** (m - g) * float(np.real(np.trace(gram)))
-        wide = max(keep, g)
-        gram = _marginal(np.kron(gram, np.eye(2 ** (wide - g))), wide, range(keep))
-        out += rho.shift * 2 ** (m - wide) * gram
-    return out, mu
+    if rho.shift and any(np.abs(m @ m.conj().T - np.eye(len(m))).max() > DEFAULT_ATOL
+                         for m in maps):
+        raise ValueError("a state with a shift maps only through maps with orthonormal rows")
+    return FactoredDensity(_apply_chain(maps, rho.factor), rho.shift)
 
 
 def _infer_qubits(dim: int) -> int:
@@ -583,13 +558,6 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """A Haar-random pure state vector."""
     g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return g / np.linalg.norm(g)
-
-
-def random_product_params(rng: np.random.Generator, n: int, scale: float = 1.0) -> ProductParams:
-    """Parameters drawn uniformly from the complex disk of radius scale, per site."""
-    radii = scale * np.sqrt(rng.uniform(0.0, 1.0, size=n))
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return ProductParams(tuple(radii * np.exp(1j * angles)))
 
 
 def haar_product_params(rng: np.random.Generator, n: int) -> ProductParams:

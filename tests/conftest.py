@@ -1,6 +1,7 @@
-"""Shared pytest hooks (acceptance-criteria summary lines), dense test references, the
-brute-force grid and multistart oracles, the dense product-fidelity sweep, the
-local optimizer's certified fidelity ceiling, and the reference JSON pair codec."""
+"""Shared pytest hooks (acceptance-criteria summary lines), random product parameters,
+dense test references, the brute-force grid and multistart oracles, the dense
+product-fidelity sweep, the local optimizer's certified fidelity ceiling, and the
+reference JSON pair codec."""
 
 import math
 from itertools import combinations
@@ -40,6 +41,13 @@ from prodstate.states import (
     product_unitary,
     vector_to_params,
 )
+
+
+def random_product_params(rng: np.random.Generator, n: int, scale: float = 1.0) -> ProductParams:
+    """Parameters drawn uniformly from the complex disk of radius scale, per site."""
+    radii = scale * np.sqrt(rng.uniform(0.0, 1.0, size=n))
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    return ProductParams(tuple(radii * np.exp(1j * angles)))
 
 
 def haar_unitary(dim, rng):

@@ -45,7 +45,6 @@ from prodstate.states import (
     mean_excitation,
     product_fidelity,
     product_state_vector,
-    random_product_params,
     recenter_unitaries,
     tangent_distance,
     transform_params,
@@ -53,7 +52,7 @@ from prodstate.states import (
     weight_tail_bound,
 )
 
-from conftest import planted_grid_opt, reference_constrained_max
+from conftest import planted_grid_opt, random_product_params, reference_constrained_max
 
 
 def elapsed_under(started: float, budget_seconds: float) -> bool:
@@ -268,7 +267,7 @@ def test_criterion_07_discrete_learner():
         anchor = member_vector(
             cls, tuple(int(rng.integers(len(m))) for m in cls.site_states))
         weight = float(rng.uniform(0.3, 0.9))
-        noise = random_mixed(n, rng).data
+        noise = random_mixed(n, rng).density()
         rho = QuantumState.mixed(
             weight * np.outer(anchor, anchor.conj()) + (1 - weight) * noise)
         eta = float(rng.uniform(0.35, 0.7))

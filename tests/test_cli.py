@@ -37,7 +37,7 @@ from prodstate.serialize import (
     tensor_from_json,
     tensor_to_json,
 )
-from prodstate.states import QuantumState, fidelity, haar_product_params, vector_fidelity
+from prodstate.states import fidelity, haar_product_params, vector_fidelity
 
 from conftest import decode_mps, reference_pairs, reference_unpairs
 
@@ -321,9 +321,12 @@ def test_dense_instance_files_still_load_and_agree(tmp_path):
                 "--seed", "3")
     data = load_json(inst)
     state = state_from_json(data.pop("state"))
+    # The legacy dense form: the density matrix as the 4^n pairs of "data".
+    legacy = {k: v for k, v in state_to_json(state).items() if k not in ("factor", "shift")}
+    legacy["data"] = reference_pairs(state.density())
     dense = tmp_path / "dense.json"
-    save_json(dense, {**data, "state": state_to_json(QuantumState.mixed(state.density()))})
-    assert "data" in load_json(dense)["state"]
+    save_json(dense, {**data, "state": legacy})
+    assert "factor" not in load_json(dense)["state"]
     reports = []
     for path in (inst, dense):
         out = tmp_path / "report.json"
@@ -395,6 +398,13 @@ def test_clique_without_vertices_infers_them_from_the_edges(tmp_path):
     wide = load_json(_gen(tmp_path, "k5.json", "clique", "--graph", "[[0,2]]",
                           "--vertices", "5"))
     assert wide["graph"]["n_vertices"] == 5
+
+
+def test_polyopt_zero_budget_exits_one(capsys):
+    # A budget below one point is a usage error, as for `cover build`, not a
+    # budget the solver then exceeds.
+    assert main(["polyopt", "solve", "--n", "3", "--net-budget", "0"]) == 1
+    assert "net_budget" in capsys.readouterr().err
 
 
 def test_polyopt_tiny_budget_exits_two(capsys):

@@ -18,7 +18,6 @@ from prodstate.cover import (
     LOCAL_NET,
     _batch_amplitudes,
     _batch_overlap,
-    _build,
     _extend,
     _prepare_root,
     _top_eigenvalue,
@@ -143,7 +142,8 @@ def test_default_knobs_run_the_desk_nets():
 
 
 def test_out_of_range_knobs_are_refused():
-    for bad in ({"degree_cap": -1}, {"net_budget": 0}):
+    for bad in ({"degree_cap": -1}, {"net_budget": 0}, {"tomo_eps": -1.0}, {"tomo_eps": 0.0},
+                {"tomo_eps": 1.0}, {"tomo_eps": 2.0}):
         with pytest.raises(ValueError):
             CoverOverrides(**bad)
     assert CoverParams(0.5, 0.1, 0.1, CoverOverrides(degree_cap=0)).degree(3) == 0
@@ -192,9 +192,11 @@ def test_build_prepares_each_root_once(monkeypatch):
     bell = np.zeros(4)
     bell[0] = bell[3] = 2**-0.5
     params = CoverParams(0.5, 0.12, 0.05, DESK_OVERRIDES)
-    cover, trace = _build(StateOracle(QuantumState.pure(bell), seed=3), params)
+    cover = build_cover(StateOracle(QuantumState.pure(bell), seed=3), params)
     assert len(cover) == 2
-    roots = len(LOCAL_NET) * (1 + sum(len(level) for level in trace[:-1]))
+    # A prefix-2 root is a prefix-1 member followed by a LOCAL_NET branch.
+    level1 = {ProductParams(root.z[:1]) for root in prepared if root.n == 2}
+    roots = len(LOCAL_NET) * (1 + len(level1))
     assert len(prepared) == roots
     assert len(set(prepared)) == roots
 
@@ -224,17 +226,17 @@ def test_build_cover_bell_two_members():
 
 def test_prefix_covers_all_verify():
     # Every intermediate prefix cover must already satisfy the three cover
-    # properties against the corresponding marginal.
+    # properties against the corresponding marginal.  With no oracle noise
+    # the sweep's prefix-m cover is the cover built on the first-m-sites
+    # marginal: the sweep up to m reads only that marginal.
     plant = ProductParams((1.0, -1.0j, 0.0, 1.0))
     psi = product_state_vector(plant).data
     rho = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(16) / 16
-    o = StateOracle(QuantumState.mixed(rho), seed=4)
     params = CoverParams(0.5, 0.12, 0.05, DESK_OVERRIDES)
-    cover, trace = _build(o, params)
-    assert len(trace) == 4 and trace[-1].members == cover.members
-    for level in trace:
-        marginal = QuantumState.mixed(
-            partial_trace(rho, 4, list(range(level.m))))
+    for m in range(1, 5):
+        marginal = QuantumState.mixed(partial_trace(rho, 4, list(range(m))))
+        level = build_cover(StateOracle(marginal, seed=4), params)
+        assert level.members and level.m == m
         report = verify_cover(marginal, level, trials=1500, rng_seed=9)
         assert report["ok"], report
         assert len(level) <= 6.0 / params.eta

@@ -184,7 +184,7 @@ def test_containment_against_census():
         cls = random_class(rng, n, s)
         anchor = member_vector(
             cls, tuple(int(rng.integers(len(m))) for m in cls.site_states))
-        noise = random_mixed(n, rng).data
+        noise = random_mixed(n, rng).density()
         weight = float(rng.uniform(0.3, 0.9))
         rho = QuantumState.mixed(
             weight * np.outer(anchor, anchor.conj()) + (1 - weight) * noise)
@@ -208,7 +208,7 @@ def test_census_size_bound():
         cls = random_class(rng, n, s)
         anchor = member_vector(
             cls, tuple(int(rng.integers(len(m))) for m in cls.site_states))
-        noise = random_mixed(n, rng).data
+        noise = random_mixed(n, rng).density()
         rho = QuantumState.mixed(0.6 * np.outer(anchor, anchor.conj())
                                  + 0.4 * noise)
         for eta in (0.3, 0.5, 0.8):

@@ -22,13 +22,18 @@ from prodstate.states import (
     fidelity,
     partial_trace,
     product_state_vector,
-    random_product_params,
     recenter_unitaries,
     transform_params,
     weight_distribution,
 )
 
-from conftest import exact_z, fidelity_upper_bound, grid_product_opt, planted_grid_opt
+from conftest import (
+    exact_z,
+    fidelity_upper_bound,
+    grid_product_opt,
+    planted_grid_opt,
+    random_product_params,
+)
 
 
 def perturbed_start(rng, target: ProductParams, overlap: float) -> ProductParams:
@@ -86,7 +91,7 @@ def test_upper_bound_dominates_grid_optimum():
         w = rng.uniform(0.7, 0.95)
         vec = np.zeros(8)
         vec[0] = 1.0
-        rho = (w * np.outer(vec, vec) + (1 - w) * random_mixed(3, rng).data)
+        rho = (w * np.outer(vec, vec) + (1 - w) * random_mixed(3, rng).density())
         state = QuantumState.mixed(rho)
         alpha2 = float(np.real(rho[0, 0]))
         c = alpha2 - 2 / 3

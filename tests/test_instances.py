@@ -23,13 +23,13 @@ from prodstate.states import (
     QuantumState,
     fidelity,
     haar_state,
-    random_product_params,
 )
 
 from conftest import (
     bloch_grid,
     grid_product_opt,
     planted_grid_opt,
+    random_product_params,
     reference_best_product_fidelity,
 )
 
@@ -55,6 +55,9 @@ def test_bell_is_ghz2():
 def test_maximally_mixed():
     s = maximally_mixed(2)
     assert np.allclose(s.data, np.eye(4) / 4)
+    # I/8 is the factor with no columns and shift 1/8.
+    s = maximally_mixed(3)
+    assert s.data.factor.shape == (8, 0) and s.data.shift == 1 / 8
 
 
 def test_planted_mixture_and_opt():

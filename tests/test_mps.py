@@ -257,8 +257,8 @@ def test_heavy_eigenspace_complement_is_small():
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         vec /= np.linalg.norm(vec)
         base = np.outer(vec, vec.conj())
-        junk_a = random_mixed(3 if dim == 8 else 4, rng).data
-        junk_b = random_mixed(3 if dim == 8 else 4, rng).data
+        junk_a = random_mixed(3 if dim == 8 else 4, rng).density()
+        junk_b = random_mixed(3 if dim == 8 else 4, rng).density()
         a = float(rng.uniform(0.0, 0.15))
         b = float(rng.uniform(0.0, 0.15))
         sigma = (1 - a) * base + a * junk_a
@@ -283,11 +283,11 @@ def test_projection_loss_bounded_by_schmidt_rank():
         basis, _ = np.linalg.qr(raw)
         proj = basis @ basis.conj().T
         inside = np.kron(proj, np.eye(db))
-        body = random_mixed(5, rng).data
+        body = random_mixed(5, rng).density()
         clean = inside @ body @ inside
         clean /= np.trace(clean).real
         mass = float(rng.uniform(0.0, 0.05))
-        rho = (1 - mass) * clean + mass * random_mixed(5, rng).data
+        rho = (1 - mass) * clean + mass * random_mixed(5, rng).density()
 
         reduced = partial_trace(rho, 5, range(3))
         rest = (np.eye(da) - proj) @ reduced @ (np.eye(da) - proj)

@@ -1,6 +1,5 @@
 """Oracle backends: ground-truth values, sampling accuracy, copy accounting."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -41,13 +40,13 @@ from prodstate.states import (
     partial_trace,
     product_state_vector,
     product_unitary,
-    random_product_params,
     recenter_unitaries,
 )
 
 from conftest import (
     exact_z,
     haar_unitary,
+    random_product_params,
     raw_z_shadows,
     reference_weight_leq_indices,
     reference_z_columns,
@@ -336,10 +335,11 @@ def test_subspace_exact_is_truncation_bitwise():
     state = random_mixed(3, rng)
     o = StateOracle(state, backend="exact")
     est = subspace_tomography(o, prefix_m=2, d=1, eps=0.3, delta=0.3)
-    rho2 = partial_trace(state.density(), 3, [0, 1])
+    # The first-two-sites marginal of W W* is W' W'* with W' = W regrouped (4, -1).
+    w = state.data.factor.reshape(4, -1)
     idx = weight_leq_indices(2, 1)
     target = np.zeros((4, 4), dtype=complex)
-    target[np.ix_(idx, idx)] = rho2[np.ix_(idx, idx)]
+    target[np.ix_(idx, idx)] = w[idx] @ w[idx].conj().T
     assert np.array_equal(est, target)
 
 
@@ -464,16 +464,14 @@ def test_subnormalized_keep_is_the_partial_trace_of_the_suffix(n):
     # On the exact backend keep=k is the suffix block reduced to its first k
     # sites, on a factored state and on its dense copy, for a window stack
     # and for the dense row block it composes to, and it charges the copies
-    # of the whole suffix.  Gaussian maps are not co-isometries, so a shift
-    # c reads the chain's Gram matrix, not the identity.
+    # of the whole suffix.
     rng = np.random.default_rng(300 + n)
     maps = window_stack(n, 3, rng)
-    gauss = 0.3 * (rng.standard_normal(maps.shape) + 1j * rng.standard_normal(maps.shape))
     for state in factored_cases(n, rng):
-        for stack, i in itertools.product((maps, gauss), range(len(maps) + 1)):
+        for i in range(len(maps) + 1):
             first = None
             for s in (state, QuantumState.mixed(state.density())):
-                for frame in (stack[:i], _apply_chain(stack[:i], np.eye(2**n))):
+                for frame in (maps[:i], _apply_chain(maps[:i], np.eye(2**n))):
                     o = StateOracle(s, backend="exact")
                     whole = subnormalized_tomography(o, frame, i, 0.3, 0.1)
                     copies = o.copies_consumed
@@ -719,6 +717,28 @@ def factored_cases(n, rng):
         w = g * math.sqrt(1.0 - shift * dim) / np.linalg.norm(g)
         cases.append(QuantumState.mixed(FactoredDensity(w, shift)))
     return cases
+
+
+def test_shifted_state_refuses_frames_that_are_not_rotations():
+    # M (W W* + c I) M* is a factor only when M M* = I, so a state with a
+    # shift refuses rows that are not orthonormal, before any copy is
+    # charged; the same frames on a state with no shift are read as given.
+    rng = np.random.default_rng(61)
+    n, i = 4, 2
+    stack = window_stack(n, 3, rng)[:i]
+    gauss = 0.3 * (rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape))
+    rows = haar_unitary(2**n, rng)[: 2 ** (n - i)]
+    rows[0] *= 1.5
+    shifted, unshifted = factored_cases(n, rng)[-1], factored_cases(n, rng)[2]
+    for backend in ("exact", "sampling"):
+        for frame in (gauss, rows):
+            o = StateOracle(shifted, backend=backend)
+            with pytest.raises(ValueError, match="orthonormal"):
+                subnormalized_tomography(o, frame, i, 0.8, 0.8)
+            assert o.copies_consumed == 0
+            o = StateOracle(unshifted, backend=backend)
+            subnormalized_tomography(o, frame, i, 0.8, 0.8)
+            assert o.copies_consumed > 0
 
 
 @pytest.mark.parametrize("n", [3, 8])

@@ -28,7 +28,6 @@ from prodstate.states import (
     product_state_vector,
     product_unitary,
     product_vectors,
-    random_product_params,
     recenter_unitaries,
     tangent_distance,
     transform_params,
@@ -40,6 +39,7 @@ from prodstate.states import (
 from conftest import (
     apply_product_unitary,
     haar_unitary,
+    random_product_params,
     reference_kron,
     reference_product_state_vector,
 )
@@ -396,6 +396,24 @@ def test_factored_state_validation():
     w[0, 0] = 0.0
     assert state.data.factor[0, 0] == 0.6  # validation keeps a read-only copy
     assert not state.data.factor.flags.writeable
+
+
+def test_dense_input_is_stored_as_its_factor():
+    # A dense density matrix is validated by one eigh and kept as the
+    # read-only factor V sqrt(lam) with shift 0, one column per nonzero
+    # eigenvalue.
+    rng = np.random.default_rng(97)
+    dim = 8
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    state = QuantumState.mixed(rho)
+    assert isinstance(state.data, FactoredDensity) and state.data.shift == 0.0
+    assert not state.data.factor.flags.writeable
+    assert np.max(np.abs(state.data.dense() - rho)) <= 1e-14
+    v = haar_unitary(dim, rng)[:, :2]
+    rank2 = v @ np.diag([0.7, 0.3]) @ v.conj().T
+    assert QuantumState.mixed(rank2).data.factor.shape == (dim, 2)
 
 
 def test_dense_paths_refuse_matrices_above_the_budget():
