@@ -88,6 +88,7 @@ class ExperimentConfig:
     eps: float = 0.1
     delta: float = 0.1
     rank: int = 1
+    kappa: int | None = None
     n: int | None = None
     net_budget: int | None = None
     degree_cap: int | None = None
@@ -111,6 +112,8 @@ class ExperimentConfig:
             raise UsageError("noise must be nonnegative")
         if self.rank < 1:
             raise UsageError("rank must be a positive integer")
+        if self.kappa is not None and self.kappa < 1:
+            raise UsageError("kappa must be a positive integer")
         if self.net_budget is not None and self.net_budget < 1:
             raise UsageError("net_budget must be positive")
 
@@ -308,7 +311,8 @@ def run(config: ExperimentConfig) -> dict:
             result = {"members": [list(m) for m in sorted(members)],
                       "count": len(members)}
         elif config.algorithm == "mps":
-            train = mps_learn(o, config.rank, config.eps, config.delta)
+            train = mps_learn(o, config.rank, config.eps, config.delta,
+                              kappa_override=config.kappa)
             fid = vector_fidelity(state, mps_to_state(train).data)
             result = {"mps": mps_to_json(train),
                       "bond_dims": list(train.bond_dims)}
@@ -360,6 +364,7 @@ _RUN_FLAGS = {
     "delta": {"type": float, "default": 0.1},
     "eta": {"type": float, "default": 0.8},
     "rank": {"type": int, "default": 1},
+    "kappa": {"type": int, "default": None},
     "net_budget": {"type": int, "default": None},
     "degree_cap": {"type": int, "default": None},
 }
@@ -405,7 +410,7 @@ def _build_parser() -> _Parser:
 
     mps = sub.add_parser("mps", help="matrix-product-state learning")
     mps_sub = mps.add_subparsers(dest="mode", required=True)
-    _add_run(mps_sub.add_parser("learn"), *_ORACLE_FLAGS, "rank")
+    _add_run(mps_sub.add_parser("learn"), *_ORACLE_FLAGS, "rank", "kappa")
 
     poly = sub.add_parser("polyopt", help="constrained polynomial optimization")
     poly_sub = poly.add_subparsers(dest="mode", required=True)

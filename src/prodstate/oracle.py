@@ -12,14 +12,21 @@ backends share identical signatures and copy accounting:
 * ``sampling`` — simulates single-copy randomized measurements (Haar-basis
   shadows on a compressed register) with explicit copy consumption.  Each
   shot records the basis state u its outcome projects onto, drawn as one
-  Gamma-weighted Gaussian in the eigenbasis of the compressed state sigma
-  (one eigh per call, 2 dim + 2 random draws per shot); chunks of SHADOW_CHUNK
-  shots add into per-group sums in that eigenbasis, rotated back once per
-  call, so memory is O(SHADOW_CHUNK * dim) whatever the shot count.
+  Gamma-weighted Gaussian along a column of sigma^(1/2), for the compressed
+  state sigma (one eigh per call, 2 dim + 2 random draws per shot); chunks
+  of SHADOW_CHUNK shots add into one sum in the computational basis, so
+  memory is O(SHADOW_CHUNK * dim) whatever the shot count.
 
 Sampling measures a compressed register, the block read plus one junk slot
 (`_with_junk_slot`): on the product columns U*|0^n>, U*|e_i> for amplitudes
 (`_z_columns`), on the weight-<= d strings for subspace tomography.
+
+The shadow primitives average all their shots in one group, sized by matrix
+Bernstein (`bernstein_shots`): N(d, eps, delta) =
+ceil((4d + 2(d+1) eps / 3) / eps^2 * ln(2d / delta)) shots of a d-dim
+register put the shadow mean within operator-norm eps of sigma with
+probability >= 1 - delta.  Each estimator's docstring gives the accuracy it
+asks of that mean and why.
 
 The estimators read the hidden state through the `states` readers
 (`_operator`, `_marginal`, `_sandwich`, `_mapped`); see that module's
@@ -67,27 +74,29 @@ def _check_unit_interval(value: float, name: str) -> None:
 # --- copy-cost formulas (the documented accounting) -----------------------
 
 
-def median_group_count(delta: float) -> int:
-    """Number of independent estimate groups whose median boosts 2/3 to 1-delta."""
-    return max(1, math.ceil(18.0 * math.log(1.0 / delta)))
+def bernstein_shots(dim: int, eps: float, delta: float) -> int:
+    """Shots whose shadow mean on a dim-dim register is within operator-norm eps w.p. 1 - delta.
 
-
-def z_group_size(n: int, eps: float) -> int:
-    """Shots per group so one group mean of the amplitude vector errs < eps/3 w.p. 2/3."""
-    return math.ceil(81.0 * n / eps**2)
+    One shot's shadow X = (dim+1)|u><u| - I has E X = sigma and
+    ||X - sigma|| <= dim + 1, and since E|u><u| = (sigma + I)/(dim + 1),
+    ||E (X - sigma)^2|| <= ||E X^2|| = ||(dim-1)(sigma + I) + I|| <= 2 dim - 1.
+    Matrix Bernstein (Tropp, arXiv:1004.4389, Thm 1.6 with d1 = d2 = dim)
+    bounds P(||mean of N shots - sigma|| >= eps) by
+    2 dim exp(-N eps^2 / (2 (2 dim - 1) + 2 (dim + 1) eps / 3)), at most delta
+    at this N.
+    """
+    return math.ceil((4.0 * dim + 2.0 * (dim + 1) * eps / 3.0) / eps**2
+                     * math.log(2.0 * dim / delta))
 
 
 def z_copy_cost(n: int, eps: float, delta: float) -> int:
-    return median_group_count(delta) * z_group_size(n, eps)
-
-
-def tomography_group_size(dim: int, eps: float) -> int:
-    """Shots per group for a compressed-register shadow estimate of a dim x dim block."""
-    return math.ceil(27.0 * (dim * dim + dim - 1) * (1.0 + math.sqrt(dim)) ** 2 / eps**2)
+    """Shots for `estimate_z`: operator-norm eps on its (n+2)-dim compressed register."""
+    return bernstein_shots(n + 2, eps, delta)
 
 
 def tomography_copy_cost(dim: int, eps: float, delta: float) -> int:
-    return median_group_count(delta) * tomography_group_size(dim, eps)
+    """Shots for `subspace_tomography` on a dim-dim compressed register: eps/2 before `_project_psd`."""
+    return bernstein_shots(dim, eps / 2.0, delta)
 
 
 def fidelity_copy_cost(eps: float, delta: float) -> int:
@@ -95,18 +104,17 @@ def fidelity_copy_cost(eps: float, delta: float) -> int:
     return math.ceil(math.log(2.0 / delta) / (2.0 * eps**2))
 
 
-def subnormalized_budget(dim_suffix: int, eps: float, delta: float) -> tuple[int, int, int]:
-    """(prefix-rate shots, wanted suffix shadows, group count) for subnormalized tomography.
+def subnormalized_budget(dim_suffix: int, eps: float, delta: float) -> tuple[int, int]:
+    """(prefix-rate shots, wanted suffix shadows) for subnormalized tomography.
 
-    The accuracy budget is split evenly: half of eps to the prefix success
-    rate, half to the conditional suffix state (estimated in Frobenius norm at
-    eps / (2 sqrt(dim)) so the trace-norm error stays below eps/2).
+    The accuracy is split evenly: half of eps, at confidence 1 - delta/2, to
+    the prefix success rate (Hoeffding), and half to the conditional suffix
+    state in trace norm.  Trace norm is at most dim times operator norm and
+    `_project_psd` at most doubles the latter, so the shadows are sized at
+    operator-norm eps / (4 dim), at confidence 1 - delta/2.
     """
     n_mu = math.ceil(2.0 * math.log(4.0 / delta) / eps**2)
-    r = eps / (2.0 * math.sqrt(dim_suffix))
-    groups = max(1, math.ceil(18.0 * math.log(2.0 / delta)))
-    per_group = math.ceil(27.0 * (dim_suffix**2 + dim_suffix - 1) / r**2)
-    return n_mu, groups * per_group, groups
+    return n_mu, bernstein_shots(dim_suffix, eps / (4.0 * dim_suffix), delta / 2.0)
 
 
 def subnormalized_attempts(wanted_shadows: int, mu_hat: float) -> int:
@@ -187,9 +195,7 @@ def _z_columns(o: StateOracle, basis: list[np.ndarray]) -> np.ndarray:
     adj = np.stack([np.asarray(u, dtype=complex).conj().T for u in basis])
     sites = np.repeat(adj[None, :, :, 0], n + 1, axis=0)
     sites[np.arange(1, n + 1), np.arange(n)] = adj[:, :, 1]
-    # C order matters: a Fortran-ordered result takes another BLAS path in
-    # _sandwich, which can rotate a degenerate eigenbasis of the sampled sigma.
-    return np.ascontiguousarray(product_vectors(sites).T)
+    return product_vectors(sites).T
 
 
 def _with_junk_slot(block: np.ndarray) -> np.ndarray:
@@ -206,96 +212,91 @@ def _with_junk_slot(block: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _geometric_median(points: np.ndarray) -> np.ndarray:
-    """The group estimate minimizing the median distance to all groups.
-
-    Robust selection: whenever a strict majority of groups lies within r of
-    the truth, the winner lies within 3r.  Ties resolve to the lowest index.
-    """
-    k = points.shape[0]
-    if k == 1:
-        return points[0]
-    # Squared distances from the k x k Gram matrix: O(k^2 + k dim^2) memory
-    # instead of the (k, k, dim^2) array of pairwise differences.
-    flat = points.reshape(k, -1)
-    gram = np.real(flat.conj() @ flat.T)
-    norms = np.diagonal(gram)
-    sq = norms[:, None] + norms[None, :] - 2.0 * gram
-    sq = np.clip((sq + sq.T) / 2.0, 0.0, None)
-    np.fill_diagonal(sq, 0.0)
-    med = np.median(np.sqrt(sq), axis=1)
-    return points[int(np.argmin(med))]
+# Eigenvalues of a unit-trace sigma below this are taken as the rounding of
+# a zero: clipping them keeps sigma^(1/2), whose square root would blow a
+# 1e-17 eigenvalue up to 3e-9, at rounding distance from its exact value.
+_SHADOW_ZERO = 1e-10
 
 
 def _shadow_basis(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cdf, vecs): sigma's cumulative spectrum, clipped at 0 and normalized, and eigenvectors."""
+    """(cdf, cols): sigma's cumulative normalized diagonal and the unit columns of sigma^(1/2).
+
+    With v_j the unit column j of R = sigma^(1/2), sigma = R R = sum_j
+    sigma_jj v_j v_j*, so measuring sigma is measuring the pure state v_j for
+    j drawn with probability sigma_jj.  R is a function of sigma, not of the
+    eigenbasis `eigh` returns, so a rounding-level change of sigma moves
+    every seeded draw at rounding level, inside a degenerate eigenspace too.
+    """
     vals, vecs = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
-    cdf = np.cumsum(np.clip(vals, 0.0, None))
+    vals[vals < _SHADOW_ZERO] = 0.0
+    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+    weights = np.einsum("ij,ij->j", root.conj(), root).real
+    cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    return cdf, vecs
+    return cdf, root / np.sqrt(np.where(weights > 0.0, weights, 1.0))
 
 
-def _shadow_coord_chunks(rng: np.random.Generator, cdf: np.ndarray, shots: int):
-    """Unit eigenbasis coordinates c of the rows u = vecs @ c that measuring sigma records.
+def _shadow_coord_chunks(rng: np.random.Generator, cdf: np.ndarray, cols: np.ndarray,
+                         shots: int):
+    """Computational-basis coordinates of the rows u that measuring sigma records.
 
-    Measuring sigma = sum_k lam_k |e_k><e_k| in a Haar-random basis gives the
-    row u its outcome projects onto the Haar law reweighted by dim <u|sigma|u>:
-    pick k with probability lam_k, then weight the Haar law by |<e_k|u>|^2.  A
-    shot draws g ~ CN(0, I), raises |g_k|^2 by 2E, E ~ Exp(1), keeping its
-    phase, and takes c = g / |g|.  This is exact: the |g_j|^2 / 2 are Exp(1),
-    whose normalized values are the Haar squared moduli, and the weight
-    |u_k|^2 makes coordinate k a Gamma(2) with a uniform phase.  Yields
-    arrays of shape (<= SHADOW_CHUNK, dim) that together hold `shots` shots.
+    Measuring the pure state v in a Haar-random basis gives the row u its
+    outcome projects onto the Haar law reweighted by dim |<v|u>|^2.  A shot
+    picks j by `cdf` and takes v = cols[:, j] (see `_shadow_basis`), draws
+    g ~ CN(0, I), raises the component h = <v|g> so that |h|^2 grows by 2E,
+    E ~ Exp(1), keeping its phase, and takes u = g / |g|.  This is exact: in
+    any orthonormal basis g is CN(0, I), the |g_k|^2 / 2 are Exp(1), whose
+    normalized values are the Haar squared moduli, and the weight |<v|u>|^2
+    makes the v-coordinate a Gamma(2) with a uniform phase.  Yields arrays of
+    shape (<= SHADOW_CHUNK, dim) that together hold `shots` shots.
     """
     dim = cdf.shape[0]
+    rows = cols.T
     for done in range(0, shots, SHADOW_CHUNK):
         b = min(SHADOW_CHUNK, shots - done)
         picks = cdf.searchsorted(rng.random(b), side="right")
         g = rng.standard_normal((b, 2 * dim)).view(complex)
         extra = 2.0 * rng.standard_exponential(b)
-        hit = (np.arange(b), picks)
-        h = g[hit]
-        g[hit] = h * np.sqrt(1.0 + extra / (h.real ** 2 + h.imag ** 2))
+        v = rows[picks]
+        h = np.einsum("ij,ij->i", v.conj(), g)
+        g += v * (h * (np.sqrt(1.0 + extra / (h.real ** 2 + h.imag ** 2)) - 1.0))[:, None]
         flat = g.view(float)
         flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
         yield g
 
 
-def _shadow_group_means(rng: np.random.Generator, sigma: np.ndarray, groups: int,
-                        per: int) -> np.ndarray:
-    """Per-group means of the shadow matrices (dim+1)|u><u| - I, shape (groups, dim, dim).
+def _shadow_mean(rng: np.random.Generator, sigma: np.ndarray, shots: int) -> np.ndarray:
+    """The mean of the shadow matrices (dim+1)|u><u| - I over `shots` shots of sigma.
 
-    Draws groups * per shots of sigma and adds each chunk's slice of a group
-    into that group's sum in sigma's eigenbasis, rotated back once at the
-    end, so no row is formed and memory stays O(SHADOW_CHUNK * dim) beyond
-    the (groups, dim, dim) result, whatever the shot count.
+    Each chunk of rows adds into one dim x dim sum, so no more than a chunk
+    of rows is held and memory stays O(SHADOW_CHUNK * dim) whatever the shot
+    count.
     """
     dim = sigma.shape[0]
-    cdf, vecs = _shadow_basis(sigma)
-    sums = np.zeros((groups, dim, dim), dtype=complex)
-    shot = 0
-    for coords in _shadow_coord_chunks(rng, cdf, groups * per):
-        start = 0
-        while start < len(coords):
-            group, offset = divmod(shot + start, per)
-            stop = min(len(coords), start + per - offset)
-            part = coords[start:stop]
-            sums[group] += part.T @ part.conj()
-            start = stop
-        shot += len(coords)
-    return (dim + 1) / per * (vecs @ sums @ vecs.conj().T) - np.eye(dim)
+    cdf, cols = _shadow_basis(sigma)
+    total = np.zeros((dim, dim), dtype=complex)
+    for rows in _shadow_coord_chunks(rng, cdf, cols, shots):
+        total += rows.T @ rows.conj()
+    return (dim + 1) / shots * total - np.eye(dim)
 
 
 def _project_psd(mat: np.ndarray) -> np.ndarray:
-    """Hermitize, clip negative eigenvalues, and rescale only if the trace exceeds 1."""
+    """Hermitize, lower the spectrum by the least x >= 0 that brings its clipped sum to <= 1, clip.
+
+    x is 0 when clipping alone leaves trace <= 1.  If ||mat - B|| <= e in
+    operator norm for a PSD B of trace <= 1, the result is within 2e of B:
+    by Weyl tr((mat - e I)_+) <= tr(B) <= 1, so x <= e; with C = mat - x I,
+    C - B <= C_+ - B = (C - B) + C_-, where C - B lies in [-e - x, e - x] and
+    ||C_-|| <= e + x.
+    """
     h = (mat + mat.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(h)
+    if np.clip(vals, 0.0, None).sum() > 1.0:
+        top = vals[::-1]
+        shifts = (np.cumsum(top) - 1.0) / np.arange(1, len(top) + 1)
+        vals = vals - shifts[top > shifts][-1]
     np.clip(vals, 0.0, None, out=vals)
-    out = (vecs * vals) @ vecs.conj().T
-    t = float(np.real(np.trace(out)))
-    if t > 1.0:
-        out *= 1.0 / t
-    return out
+    return (vecs * vals) @ vecs.conj().T
 
 
 def _random_hermitian_unit(rng: np.random.Generator, dim: int, norm: str) -> np.ndarray:
@@ -320,7 +321,12 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
     eps of z with probability >= 1 - delta (always, on the exact backend with
     zero noise).
 
-    Copies: median_group_count(delta) * z_group_size(n, eps) on both backends.
+    The sampling backend reads z as entries (1..n, 0) of the shadow mean on
+    the (n+2)-dim compressed register, a part of one column, so its l2 error
+    is at most the mean's operator-norm error, eps w.p. 1 - delta at
+    `bernstein_shots(n + 2, eps, delta)` shots.
+
+    Copies: z_copy_cost(n, eps, delta) on both backends.
     """
     _check_unit_interval(eps, "eps")
     _check_unit_interval(delta, "delta")
@@ -338,13 +344,10 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
         return z + scale * haar_state(n, o._rng)
 
     o._check_shots(copies)
-    groups = median_group_count(delta)
-    per = z_group_size(n, eps)
-    # z_i = <e_i| sigma |0^n> is entry (i, 0) of each group's shadow mean.
     sigma = _with_junk_slot(_sandwich(rho, cols.conj().T))
-    means = _shadow_group_means(o._rng, sigma, groups, per)
+    mean = _shadow_mean(o._rng, sigma, copies)
     o._charge(copies)
-    return _geometric_median(means[:, 1: n + 1, 0])
+    return mean[1: n + 1, 0]
 
 
 def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
@@ -356,8 +359,12 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
     weight-truncated marginal with probability >= 1 - delta.  A matrix above
     states.DENSE_BUDGET raises ResourceBudgetError before any copy is drawn.
 
-    Copies: median_group_count(delta) * tomography_group_size(W + 1, eps)
-    where W counts the weight-<= d strings, on both backends.
+    The sampling backend averages the shadows of the (W+1)-dim compressed
+    register, W the number of weight-<= d strings, to operator-norm eps/2
+    w.p. 1 - delta; the W x W block of that mean is as close to the target,
+    and `_project_psd` at most doubles the error.
+
+    Copies: tomography_copy_cost(W + 1, eps, delta) on both backends.
     """
     _check_unit_interval(eps, "eps")
     _check_unit_interval(delta, "delta")
@@ -385,10 +392,7 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
         return full
 
     o._check_shots(copies)
-    groups = median_group_count(delta)
-    per = tomography_group_size(dim, eps)
-    sigma = _with_junk_slot(block)
-    est = _geometric_median(_shadow_group_means(o._rng, sigma, groups, per))[:w, :w]
+    est = _shadow_mean(o._rng, _with_junk_slot(block), copies)[:w, :w]
     o._charge(copies)
     full[np.ix_(idx, idx)] = _project_psd(est)
     return full
@@ -447,7 +451,16 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     suffix block on the sampling backend) raises ResourceBudgetError before
     any copy is drawn.
 
-    Copies: n_mu + attempts with (n_mu, wanted, groups) =
+    The sampling backend estimates mu by the prefix success rate mu_hat, and
+    the unit-trace state tau = sigma / mu, of dimension d = 2^(n-i), by
+    `_project_psd` of the mean of `wanted` shadows; the result is
+    mu_hat * tau_hat.  Its trace-norm error is at most
+    |mu_hat - mu| + mu ||tau_hat - tau||_1 <= eps/2 + d ||tau_hat - tau||
+    <= eps/2 + 2 d eps / (4 d) w.p. 1 - delta (see `subnormalized_budget`).
+    A hunt that finds fewer than `wanted` prefix successes averages the
+    shadows it has.
+
+    Copies: n_mu + attempts with (n_mu, wanted) =
     subnormalized_budget(2^(n-i), eps, delta) and attempts =
     subnormalized_attempts(wanted, mu_hat), whatever `keep`; the reported
     success rate mu_hat is the exact mu on the exact backend.  A zero rate
@@ -465,7 +478,7 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     maps = _frame_maps(frame, n, zeroed_prefix)
     dim_s, dim_k = 2**suffix, 2**keep
     check_dense_budget((dim_k, dim_k) if o.backend == "exact" else (dim_s, dim_s))
-    n_mu, wanted, groups = subnormalized_budget(dim_s, eps, delta)
+    n_mu, wanted = subnormalized_budget(dim_s, eps, delta)
     rho = _mapped(_operator(o.hidden), maps)
 
     if o.backend == "exact":
@@ -497,9 +510,7 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     shots = min(wanted, successes)
     if shots == 0 or mu == 0.0:
         return np.zeros((dim_k, dim_k), dtype=complex)
-    k = min(groups, shots)
-    tau_hat = _geometric_median(_shadow_group_means(o._rng, block / mu, k, shots // k))
-    est = _project_psd(mu_hat * tau_hat)
+    est = mu_hat * _project_psd(_shadow_mean(o._rng, block / mu, shots))
     return est if keep == suffix else partial_trace(est, suffix, range(keep))
 
 

@@ -319,7 +319,8 @@ def _apply_chain(maps, x) -> np.ndarray:
     trailing axis of x is kept.
     """
     for m in maps:
-        x = (m @ x.reshape(m.shape[1], -1)).reshape((-1,) + x.shape[1:])
+        shape = (m.shape[0] * x.shape[0] // m.shape[1],) + x.shape[1:]
+        x = (m @ x.reshape(m.shape[1], x.size // m.shape[1])).reshape(shape)
     return x
 
 

@@ -404,9 +404,8 @@ def decode_mps(d):
 
 
 def shadow_rows(rng, sigma, shots):
-    """The sampler's rows u = vecs @ c for `shots` shots of sigma, as one (shots, dim) array."""
-    cdf, vecs = _shadow_basis(sigma)
-    return np.concatenate(list(_shadow_coord_chunks(rng, cdf, shots))) @ vecs.T
+    """The sampler's rows u for `shots` shots of sigma, as one (shots, dim) array."""
+    return np.concatenate(list(_shadow_coord_chunks(rng, *_shadow_basis(sigma), shots)))
 
 
 def raw_z_shadows(o, basis, shots):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import prodstate
-from prodstate import serialize
+from prodstate import oracle, serialize
 from prodstate.bruteforce import best_product_fidelity
 from prodstate.cli import ExperimentConfig, UsageError, generate, main, run
 from prodstate.discrete import DiscreteClass
@@ -316,6 +316,28 @@ def test_highfid_end_to_end_at_sixteen_qubits(tmp_path):
     assert report["result"]["meets_opt_minus_eps"] is True
 
 
+def test_sampling_highfid_meets_opt_at_four_qubits(tmp_path):
+    # The final certification's deepest estimate_z rung at eps 0.1 fits
+    # under SHOT_BUDGET with the Bernstein count.
+    inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "4", "--w", "0.95",
+                "--noise", "0.05")
+    out = tmp_path / "report.json"
+    assert main(["highfid", inst, "--backend", "sampling", "--eps", "0.1", "--delta", "0.1",
+                 "--out", str(out)]) == 0
+    assert load_json(out)["result"]["meets_opt_minus_eps"] is True
+
+
+def test_sampling_estimate_opt_runs_at_the_default_tomography_accuracy(tmp_path):
+    # Every prefix tomography at tomo_eps = eps/8 fits under SHOT_BUDGET, and
+    # so does the whole run.
+    inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "3", "--w", "0.95",
+                "--noise", "0.05")
+    out = tmp_path / "report.json"
+    assert main(["cover", "estimate-opt", inst, "--backend", "sampling",
+                 "--out", str(out)]) == 0
+    assert 0 < load_json(out)["copies_consumed"] < oracle.SHOT_BUDGET
+
+
 def test_dense_instance_files_still_load_and_agree(tmp_path):
     inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "4", "--noise", "0.05",
                 "--seed", "3")
@@ -358,6 +380,14 @@ def test_mps_learn_above_dense_budget_exits_two(tmp_path, capsys):
     inst = _gen(tmp_path, "pm.json", "planted-mps", "--n", "12")
     assert main(["mps", "learn", inst, "--rank", "2"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_mps_learn_with_a_narrow_window_at_sixteen_qubits(tmp_path):
+    inst = _gen(tmp_path, "pm.json", "planted-mps", "--n", "16")
+    out = tmp_path / "report.json"
+    assert main(["mps", "learn", inst, "--rank", "2", "--kappa", "3", "--out", str(out)]) == 0
+    assert load_json(out)["result"]["meets_opt_minus_eps"] is True
+    assert main(["mps", "learn", inst, "--kappa", "0"]) == 1
 
 
 def test_gen_refuses_flags_its_kind_does_not_read(tmp_path, capsys):

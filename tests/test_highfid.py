@@ -235,10 +235,12 @@ def test_high_fidelity_charges_halves_that_raise(monkeypatch):
 
 
 def test_high_fidelity_refuses_unaffordable_sampling_run():
-    o = StateOracle(maximally_mixed(2), backend="sampling", seed=4)
+    # At eps 0.01 the deepest rung's estimate_z at n = 8 needs 1.04e8 shots,
+    # twice SHOT_BUDGET.
+    o = StateOracle(maximally_mixed(8), backend="sampling", seed=4)
     start = time.perf_counter()
     with pytest.raises(ResourceBudgetError):
-        high_fidelity_learn(o, eps=0.1, delta=0.1)
+        high_fidelity_learn(o, eps=0.01, delta=0.1)
     assert time.perf_counter() - start < 1.0
     assert o.copies_consumed == 0
 

@@ -13,15 +13,14 @@ from prodstate.localopt import _reduced_oracle, single_site_estimate
 from prodstate.oracle import (
     SHADOW_CHUNK,
     StateOracle,
-    _geometric_median,
     _shadow_basis,
     _shadow_coord_chunks,
-    _shadow_group_means,
+    _shadow_mean,
     _z_columns,
+    bernstein_shots,
     estimate_fidelity,
     estimate_z,
     fidelity_copy_cost,
-    median_group_count,
     subnormalized_attempts,
     subnormalized_budget,
     subspace_tomography,
@@ -238,72 +237,35 @@ def test_shadow_sampler_rank_one_overlap_law(dim):
 
 @pytest.mark.parametrize("shots", [1, SHADOW_CHUNK, SHADOW_CHUNK + 1])
 def test_shadow_coord_chunks_count_shots(shots):
-    cdf, _ = _shadow_basis(random_density(np.random.default_rng(5), 3))
-    chunks = list(_shadow_coord_chunks(np.random.default_rng(0), cdf, shots))
+    cdf, cols = _shadow_basis(random_density(np.random.default_rng(5), 3))
+    chunks = list(_shadow_coord_chunks(np.random.default_rng(0), cdf, cols, shots))
     assert sum(len(c) for c in chunks) == shots
     assert all(0 < len(c) <= SHADOW_CHUNK for c in chunks)
     # Every shot is a unit vector.
     assert np.allclose(np.linalg.norm(np.concatenate(chunks), axis=1), 1.0, atol=1e-12)
 
 
-def test_shadow_group_means_stream_equals_one_block():
+def test_shadow_mean_stream_equals_one_block():
     rng = np.random.default_rng(3)
     sigma = random_density(rng, 4)
-    # Group 2 straddles the first chunk boundary and group 3 follows it in
-    # the same chunk.
-    groups, per = 4, 7_001
-    assert 2 * per < SHADOW_CHUNK < 3 * per
-    streamed = _shadow_group_means(np.random.default_rng(8), sigma, groups, per)
-    rows = shadow_rows(np.random.default_rng(8), sigma, groups * per)
-    ug = rows.reshape(groups, per, 4)
-    block = 5 * np.einsum("kni,knj->kij", ug, ug.conj()) / per - np.eye(4)
+    # The shots span two full chunks and part of a third.
+    shots = 2 * SHADOW_CHUNK + 7_001
+    streamed = _shadow_mean(np.random.default_rng(8), sigma, shots)
+    rows = shadow_rows(np.random.default_rng(8), sigma, shots)
+    block = 5 * np.einsum("ni,nj->ij", rows, rows.conj()) / shots - np.eye(4)
     assert np.max(np.abs(streamed - block)) <= 1e-12
 
 
-def test_shadow_group_means_memory_stays_chunked():
+def test_shadow_mean_memory_stays_chunked():
     # 2M materialized rows at dim 5 would take 160 MB; the stream holds a few chunks.
     sigma = random_density(np.random.default_rng(4), 5)
     tracemalloc.start()
     try:
-        _shadow_group_means(np.random.default_rng(0), sigma, 20, 100_000)
+        _shadow_mean(np.random.default_rng(0), sigma, 2_000_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 16e6
-
-
-def _pairwise_median_index(points):
-    """Reference selection from the full array of pairwise differences."""
-    flat = points.reshape(points.shape[0], -1)
-    dists = np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=2)
-    return int(np.argmin(np.median(dists, axis=1)))
-
-
-def test_geometric_median_matches_pairwise_reference():
-    rng = np.random.default_rng(31)
-    for k, shape in ((2, (3,)), (3, (4, 4)), (7, (5,)), (42, (6, 6)), (43, (2, 3))):
-        for _ in range(20):
-            points = rng.standard_normal((k,) + shape) + 1j * rng.standard_normal((k,) + shape)
-            assert np.array_equal(_geometric_median(points),
-                                  points[_pairwise_median_index(points)])
-    # A tie between two groups resolves to the lower index.
-    pair = np.array([[1.0 + 2.0j, -0.5j], [0.25, 3.0 - 1.0j]])
-    assert np.array_equal(_geometric_median(pair), pair[0])
-
-
-def test_geometric_median_memory_without_pairwise_array():
-    # The (k, k, dim^2) difference array is 58 MB at k = 42, dim 32.
-    rng = np.random.default_rng(37)
-    k = median_group_count(0.1)
-    assert k == 42
-    points = rng.standard_normal((k, 32, 32)) + 1j * rng.standard_normal((k, 32, 32))
-    tracemalloc.start()
-    try:
-        _geometric_median(points)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4e6
 
 
 # --- subspace tomography ---------------------------------------------------
@@ -392,16 +354,17 @@ def test_subnormalized_orthogonal_prefix_returns_zero():
     o = StateOracle(QuantumState.pure(vec), backend="exact")
     est = subnormalized_tomography(o, None, zeroed_prefix=1, eps=0.5, delta=0.3)
     assert np.array_equal(est, np.zeros((2, 2)))
-    n_mu, _, _ = subnormalized_budget(2, 0.5, 0.3)
+    n_mu, _ = subnormalized_budget(2, 0.5, 0.3)
     assert o.copies_consumed == n_mu
 
 
 def test_subnormalized_exact_matches_block():
     rng = np.random.default_rng(19)
-    state = random_mixed(3, rng)
-    o = StateOracle(state, backend="exact")
-    est = subnormalized_tomography(o, None, zeroed_prefix=1, eps=0.4, delta=0.3)
-    assert np.allclose(est, state.density()[:4, :4], atol=1e-12)
+    # The maximally mixed state's factor has no columns.
+    for state in (random_mixed(3, rng), maximally_mixed(3)):
+        o = StateOracle(state, backend="exact")
+        est = subnormalized_tomography(o, None, zeroed_prefix=1, eps=0.4, delta=0.3)
+        assert np.allclose(est, state.density()[:4, :4], atol=1e-12)
 
 
 def test_subnormalized_respects_frame():
@@ -595,7 +558,7 @@ def test_subnormalized_accounting():
     rng = np.random.default_rng(9)
     state = random_mixed(2, rng)
     eps, delta = 0.7, 0.6
-    n_mu, wanted, _ = subnormalized_budget(2, eps, delta)
+    n_mu, wanted = subnormalized_budget(2, eps, delta)
 
     o = StateOracle(state, backend="exact")
     subnormalized_tomography(o, None, zeroed_prefix=1, eps=eps, delta=delta)
@@ -668,17 +631,17 @@ def test_sampling_deterministic_under_seed():
     rng = np.random.default_rng(6)
     state = random_mixed(2, rng)
     # Both tomography calls below draw more than SHADOW_CHUNK shots, so their
-    # group sums cross chunk boundaries.
-    assert tomography_copy_cost(4, 0.6, 0.4) > SHADOW_CHUNK
-    assert subnormalized_budget(2, 0.6, 0.4)[1] > SHADOW_CHUNK
+    # shadow sums cross chunk boundaries.
+    assert tomography_copy_cost(4, 0.08, 0.4) > SHADOW_CHUNK
+    assert subnormalized_budget(2, 0.08, 0.4)[1] > SHADOW_CHUNK
     outs = []
     for _ in range(2):
         o = StateOracle(state, backend="sampling", seed=42)
         outs.append((
             estimate_z(o, identity_basis(2), eps=0.6, delta=0.4),
             estimate_fidelity(o, 2, ProductParams((0.1, -0.2j)), eps=0.3, delta=0.3),
-            subspace_tomography(o, prefix_m=2, d=1, eps=0.6, delta=0.4),
-            subnormalized_tomography(o, None, 1, eps=0.6, delta=0.4),
+            subspace_tomography(o, prefix_m=2, d=1, eps=0.08, delta=0.4),
+            subnormalized_tomography(o, None, 1, eps=0.08, delta=0.4),
             o.copies_consumed,
         ))
     assert np.array_equal(outs[0][0], outs[1][0])
@@ -686,6 +649,96 @@ def test_sampling_deterministic_under_seed():
     assert np.array_equal(outs[0][2], outs[1][2])
     assert np.array_equal(outs[0][3], outs[1][3])
     assert outs[0][4] == outs[1][4]
+
+
+def test_bernstein_count_meets_the_tail_bound():
+    # N(d, eps, delta) keeps Tropp's bound 2d exp(-N eps^2 / (2 var + 2 R eps / 3))
+    # at variance proxy var = 2d - 1 and range R = d + 1 below delta.
+    for dim in (2, 3, 5, 17, 4096):
+        for eps in (1e-3, 0.05, 0.5, 0.99):
+            for delta in (1e-9, 0.1, 0.9):
+                shots = bernstein_shots(dim, eps, delta)
+                exponent = shots * eps**2 / (2 * (2 * dim - 1) + 2 * (dim + 1) * eps / 3)
+                assert 2 * dim * math.exp(-exponent) <= delta
+    assert z_copy_cost(4, 0.05, 1e-3) == bernstein_shots(6, 0.05, 1e-3)
+    assert tomography_copy_cost(9, 0.2, 0.1) == bernstein_shots(9, 0.1, 0.1)
+    assert subnormalized_budget(8, 0.4, 0.2)[1] == bernstein_shots(8, 0.4 / 32, 0.1)
+
+
+def _failures(call, exact, norm, eps, runs):
+    """How many of `runs` seeded sampling calls err by more than eps in `norm`."""
+    failures = 0
+    for seed in range(runs):
+        diff = call(seed) - exact
+        if norm == "trace":
+            err = float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum())
+        else:
+            err = float(np.linalg.norm(diff, 2 if norm == "op" else None))
+        failures += err > eps
+    return failures
+
+
+def test_shadow_primitives_fail_below_delta():
+    # At the Bernstein counts, 200 seeds of each primitive on a pure, a rank-2
+    # and a maximally mixed state err beyond eps less often than delta.  The
+    # compressed registers span d = 5, 9, 13 (estimate_z on n = d - 2 qubits),
+    # d = 5, 9, 17 (subspace_tomography on the weight-<= m strings of m = 2, 3,
+    # 4 sites) and d = 4 (subnormalized_tomography behind one zeroed site of
+    # three; its count at d = 8 is 2.3e5 shots a call, too slow for 600 calls).
+    rng = np.random.default_rng(91)
+    runs, delta = 200, 0.1
+
+    def kinds(n):
+        return (QuantumState.pure(haar_state(2**n, rng)), random_mixed(n, rng, rank=2),
+                maximally_mixed(n))
+
+    def sampling(state, seed):
+        return StateOracle(state, backend="sampling", seed=seed)
+
+    for n in (3, 7, 11):
+        basis = recenter_unitaries(random_product_params(rng, n))
+        for state in kinds(n):
+            exact = estimate_z(StateOracle(state), basis, 0.5, delta)
+            call = lambda seed: estimate_z(sampling(state, seed), basis, 0.5, delta)
+            assert _failures(call, exact, "l2", 0.5, runs) < delta * runs
+    for state in kinds(4):
+        for m in (2, 3, 4):
+            exact = subspace_tomography(StateOracle(state), m, m, 0.9, delta)
+            call = lambda seed: subspace_tomography(sampling(state, seed), m, m, 0.9, delta)
+            assert _failures(call, exact, "op", 0.9, runs) < delta * runs
+    for state in kinds(3):
+        exact = subnormalized_tomography(StateOracle(state), None, 1, 0.9, delta)
+        call = lambda seed: subnormalized_tomography(sampling(state, seed), None, 1, 0.9, delta)
+        assert _failures(call, exact, "trace", 0.9, runs) < delta * runs
+
+
+def test_seeded_draws_are_stable_under_rounding_of_sigma(monkeypatch):
+    # The draws follow sigma^(1/2), a function of sigma, so a rounding-level
+    # change of sigma moves a seeded estimate at rounding level, also when
+    # sigma has a degenerate eigenspace: the c I part of a planted mixture,
+    # the whole block of a maximally mixed state, the null space of a pure
+    # state.  C- and F-ordered frame columns take different BLAS paths to sigma.
+    rng = np.random.default_rng(17)
+    n = 4
+    basis = recenter_unitaries(random_product_params(rng, n))
+    columns = oracle._z_columns
+    states = (planted_mixture(random_product_params(rng, n), 0.95), maximally_mixed(n),
+              QuantumState.pure(haar_state(2**n, rng)), random_mixed(n, rng, rank=2))
+    for state in states:
+        outs = []
+        for order in (np.ascontiguousarray, np.asfortranarray):
+            monkeypatch.setattr(oracle, "_z_columns", lambda o, b: order(columns(o, b)))
+            outs.append(estimate_z(StateOracle(state, backend="sampling", seed=3), basis,
+                                   0.3, 0.1))
+        assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12
+    # A direct perturbation of sigma by 1e-16 in operator norm, on the same states'
+    # compressed registers.
+    for state in states:
+        sigma = oracle._with_junk_slot(oracle._sandwich(oracle._operator(state),
+                                                        columns(StateOracle(state), basis).conj().T))
+        nudge = 1e-16 * oracle._random_hermitian_unit(rng, n + 2, "op")
+        means = [_shadow_mean(np.random.default_rng(5), s, 30_000) for s in (sigma, sigma + nudge)]
+        assert np.max(np.abs(means[0] - means[1])) <= 1e-12
 
 
 def test_parameter_validation():
@@ -771,7 +824,7 @@ def test_factored_reads_match_dense(n):
         for rows, i in ((None, 1), (frame, 2)):
             (bf, cf), (bd, cd) = both(lambda o: subnormalized_tomography(o, rows, i, 0.3, 0.1))
             assert np.max(np.abs(bf - bd)) <= 1e-12
-            n_mu, wanted, _ = subnormalized_budget(2 ** (n - i), 0.3, 0.1)
+            n_mu, wanted = subnormalized_budget(2 ** (n - i), 0.3, 0.1)
             for block, copies in ((bf, cf), (bd, cd)):
                 mu = float(np.real(np.trace(block)))
                 assert copies == n_mu + subnormalized_attempts(wanted, mu)
