@@ -16,18 +16,19 @@ reused for each further member that root yields.  The top eigenvalue of
 the prefix estimate bounds every candidate's score at every root of that
 prefix, so it is computed once per estimate: recentering is a product
 unitary, and a degree cap's weight cut is a compression, which cannot raise
-the top eigenvalue of a PSD matrix.  Candidates are read straight off the
-grid nets that `polyopt.support_nets` lays over span(constraint members,
-at most one site axis), and scored by one rule: clear the separation bound
-to every accepted member, then keep the best truncated overlap that reaches
-the threshold; a batch of candidates is scored by one matrix product with
-the estimate and a row-wise dot.  The nets have a fixed pitch, radius and
-support size: the paper sizes them by a flatness scale mu(eps, eta) whose
-nets need over 1e29 grid points on one qubit.  The paper completes
-candidates with a spread-out remainder through constrained polynomial
-optimization; no state at desk scale needs that step, so the search runs on
-the grid nets only, and the reduction's solver runs standalone as
-`polyopt.solve_constrained`.
+the top eigenvalue of a PSD matrix.  Candidates are read off one grid net
+per support (span(constraint members), then that span plus each site axis),
+whose lattices are constants per dimension, and all are scored at once by
+one rule: clear the separation bound to every accepted member, then keep
+the best truncated overlap that reaches the threshold.  No product state's
+overlap exceeds one site's overlap with that site's marginal, so a point
+that this bound puts below the threshold is never scored.  The nets have a
+fixed pitch and radius: the paper sizes them by a flatness scale
+mu(eps, eta) whose nets need over 1e29 grid points on one qubit.  The paper
+completes candidates with a spread-out remainder through constrained
+polynomial optimization; no state at desk scale needs that step, so the
+search runs on the grid nets only, and the reduction's solver runs
+standalone as `polyopt.solve_constrained`.
 `verify_cover` audits the three properties against the exact state, and
 `estimate_opt` wraps the builder in a bisection over eta to estimate the
 best product-state fidelity with a witness.
@@ -35,14 +36,16 @@ best product-state fidelity with a witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import PromiseViolationError
-from .oracle import StateOracle, estimate_fidelity, subspace_tomography
-from .polyopt import support_nets
+from .errors import PromiseViolationError, ResourceBudgetError
+from .oracle import StateOracle, estimate_fidelity, subspace_tomography, tomography_copy_cost
+from .polyopt import _ball_lattice, _lattice_axis, _orthonormal_columns, _span_bases
 from .states import (
     ProductParams,
     QuantumState,
@@ -77,11 +80,9 @@ LOCAL_NET = (0.0 + 0.0j, complex(Z_MAX), 1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j)
 # Row batch used when evaluating quadratic forms on large nets.
 _OVERLAP_ELEMENTS = 2_000_000
 
-# The candidate nets (recentered coordinates): grid pitch, radius, and the
-# number of free axes added to the span of the constraint members.
+# The candidate nets (recentered coordinates): grid spacing and radius.
 _NET_PITCH = 1.5
 _NET_RADIUS = 2.2
-_NET_SUPPORT = 1
 
 
 @dataclass(frozen=True)
@@ -202,21 +203,43 @@ def _batch_overlap(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _site_tangent_sq(z: np.ndarray, a: complex) -> np.ndarray:
-    """Per-point squared single-site tangent distance to the value a."""
-    num2 = np.abs(z - a) ** 2
-    den2 = np.abs(1.0 + np.conj(z) * a) ** 2
-    safe = np.where(den2 > 0.0, den2, 1.0)
-    term = np.where(den2 > 0.0, num2 / safe, np.inf)
-    return np.where((den2 == 0.0) & (num2 == 0.0), 0.0, term)
+def _may_reach(rho: np.ndarray, points: np.ndarray, thresh: float) -> np.ndarray:
+    """Mask of the parameter rows whose overlap with the PSD rho may reach thresh.
+
+    No row's overlap exceeds that of its site-i factor with rho's site-i
+    marginal, for any i; a row some site rules out by more than rounding
+    cannot reach thresh, nor thresh - 1e-12.
+    """
+    m = points.shape[1]
+    marg = np.array([np.einsum("ajbakb->jk", rho.reshape(2**i, 2, 2**(m - 1 - i), 2**i, 2, -1))
+                     for i in range(m)]) - thresh * np.eye(2)
+    x, y = points.real, points.imag
+    slack = (marg[:, 0, 0].real + 2.0 * (marg[:, 0, 1].real * x - marg[:, 0, 1].imag * y)
+             + marg[:, 1, 1].real * (x * x + y * y))
+    return slack.min(axis=1, initial=math.inf) >= -1e-9
 
 
 def _batched_tangent_sq(points: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Squared tangent distance of each parameter row to the vector a."""
+    """Squared tangent distance of each parameter row to the vector a, summed site by site."""
+    num2 = np.abs(points - a) ** 2
+    den2 = np.abs(1.0 + np.conj(points) * a) ** 2
+    safe = np.where(den2 > 0.0, den2, 1.0)
+    term = np.where(den2 > 0.0, num2 / safe, np.inf)
+    term = np.where((den2 == 0.0) & (num2 == 0.0), 0.0, term)
     total = np.zeros(points.shape[0])
     for i in range(points.shape[1]):
-        total = total + _site_tangent_sq(points[:, i], complex(a[i]))
+        total = total + term[:, i]
     return total
+
+
+@functools.cache
+def _net(q: int) -> np.ndarray:
+    """The q-coordinate candidate net: `polyopt`'s ball lattice, read-only, in lex order."""
+    axis = _lattice_axis(q, _NET_RADIUS, _NET_PITCH)
+    reals = axis[_ball_lattice(axis, q, _NET_RADIUS, 0, len(axis) ** (2 * q))]
+    coords = reals[:, :q] + 1j * reals[:, q:]
+    coords.flags.writeable = False
+    return coords
 
 
 def _top_eigenvalue(mat: np.ndarray) -> float:
@@ -243,55 +266,50 @@ def _prepare_root(truncation: np.ndarray, root: ProductParams, params: CoverPara
 def _extend(prepared, ceiling: float, members, params: CoverParams) -> ProductParams | None:
     """Search one branch, prepared by `_prepare_root`, for a new admissible cover member.
 
-    The candidates are the points of the grid nets that `support_nets` lays
-    over span(members, at most one site axis), all within _NET_RADIUS of the root.
-    `ceiling` bounds every candidate's truncated overlap; the search stops
-    once a candidate reaches it.  Returns the best candidate found (original
-    frame) whose truncated overlap reaches eta - eps/2 and whose exact
-    tangent distance to each of `members` (original frame) is at least
-    params.b, or None.
+    The candidates are the `_net` points, in an orthonormal basis, of
+    span(members) and then of span(members, axis i) for each site i, all
+    within _NET_RADIUS of the root.  All are scored at once, except those
+    `_may_reach` rules out; a scan over the supports in that order keeps the
+    first-found best, stops once it reaches `ceiling` (a bound on every
+    truncated overlap), and raises ResourceBudgetError at the first support
+    whose nets so far exceed `net_budget` raw points.  Returns the best
+    candidate found (original frame) whose truncated overlap reaches
+    eta - eps/2 and whose exact tangent distance to each of `members`
+    (original frame) is at least params.b, or None.
     """
     units, rho = prepared
     m = len(units)
     thresh = params.eta - 0.5 * params.eps
-    bound = params.b
-    need = 1.49 * bound * bound
     cons_arrays = [transform_params(units, member).asarray() for member in members]
-
-    best_val = -math.inf
-    best_z: np.ndarray | None = None
 
     base = (np.stack(cons_arrays, axis=1) if cons_arrays
             else np.zeros((m, 0), dtype=complex))
-    nets = support_nets(base, _NET_SUPPORT, _NET_RADIUS, _NET_PITCH,
-                        params.overrides.net_budget)
-    for support, _, chunks in nets:
-        sbar = np.ones(m, dtype=bool)
-        sbar[list(support)] = False
-        for points in chunks:
-            # Far-candidate prefilter: a net point can only clear the bound to
-            # a member when its support part plus its remainder offset already
-            # look far from that member.
-            vbar2 = (np.abs(points[:, sbar]) ** 2).sum(axis=1)
-            keep = np.ones(points.shape[0], dtype=bool)
-            for a in cons_arrays:
-                dtan2 = np.zeros(points.shape[0])
-                for i in support:
-                    dtan2 = dtan2 + _site_tangent_sq(points[:, i], complex(a[i]))
-                dbar2 = (np.abs(points[:, sbar] - a[sbar]) ** 2).sum(axis=1)
-                keep &= dbar2 - vbar2 >= need - dtan2 - 1e-9
-            # Keep the best-scoring point that clears every bound and the threshold.
-            points = points[keep]
-            for a in cons_arrays:
-                if len(points):
-                    points = points[_batched_tangent_sq(points, a) >= (bound - 1e-12) ** 2]
-            if not len(points):
-                continue
-            vals = _batch_overlap(rho, points)
-            top = int(np.argmax(vals))
-            if vals[top] >= thresh - 1e-12 and vals[top] > best_val:
-                best_val = float(vals[top])
-                best_z = points[top].copy()
+    axes = np.concatenate([np.broadcast_to(base, (m, m, len(cons_arrays))),
+                           np.eye(m, dtype=complex)[:, :, None]], axis=2)
+    bases = [_orthonormal_columns(base)] + _span_bases(axes)
+    qs = [basis.shape[1] for basis in bases]
+    # Raw lattice points of the nets so far, counted before any net is built.
+    raw = {q: len(_lattice_axis(q, _NET_RADIUS, _NET_PITCH)) ** (2 * q) for q in set(qs)}
+    used = list(accumulate(raw[q] for q in qs))
+    reach = sum(total <= params.overrides.net_budget for total in used)
+    segments = [_net(q) @ basis.T for q, basis in zip(qs[:reach], bases[:reach])]
+    points = np.concatenate([np.empty((0, m), dtype=complex), *segments])
+    vals = np.full(len(points), -math.inf)
+    keep = _may_reach(rho, points, thresh)
+    for a in cons_arrays:
+        keep[keep] = _batched_tangent_sq(points[keep], a) >= (params.b - 1e-12) ** 2
+    vals[keep] = _batch_overlap(rho, points[keep])
+
+    best_val, best_z, stop = -math.inf, None, 0
+    for support in range(m + 1):
+        if support == reach:
+            raise ResourceBudgetError(
+                f"candidate nets need {used[support]} grid points, above the "
+                f"{params.overrides.net_budget} budget")
+        start, stop = stop, stop + len(segments[support])
+        top = start + int(np.argmax(vals[start:stop]))
+        if vals[top] >= thresh - 1e-12 and vals[top] > best_val:
+            best_val, best_z = float(vals[top]), points[top]
         if best_val >= ceiling - 1e-9:
             break
 
@@ -319,6 +337,9 @@ def _build(o: StateOracle, params: CoverParams,
     `prefix_cache` is a caller's (dict, prefix_delta) pair; without one a
     fresh dict is used with prefix_delta = 2 * delta_call, so each prefix is
     bought once at the same failure share as every fidelity estimate.
+    On the sampling backend a full-register purchase above the shot budget
+    raises ResourceBudgetError before any purchase is made, even when the
+    sweep would have ended at a shorter prefix.
     """
     n = o.n
     cap = params.member_cap
@@ -329,12 +350,18 @@ def _build(o: StateOracle, params: CoverParams,
     bought, prefix_delta = prefix_cache
     thresh = params.eta - 0.5 * params.eps
 
+    def purchase_delta(m: int) -> float:
+        return prefix_delta * 2.0 ** -(1 + sum(prev[0] == m for prev in bought))
+
+    d = params.degree(n)
+    if (n, d, params.tomo_eps) not in bought:
+        dim = 1 + sum(math.comb(n, j) for j in range(d + 1))
+        o._check_shots(tomography_copy_cost(dim, params.tomo_eps, purchase_delta(n)))
     members: list[ProductParams] = [ProductParams(())]
     for m in range(1, n + 1):
         key = (m, params.degree(m), params.tomo_eps)
         if key not in bought:
-            k = 1 + sum(prev[0] == m for prev in bought)
-            est = subspace_tomography(o, *key, prefix_delta * 2.0**-k)
+            est = subspace_tomography(o, *key, purchase_delta(m))
             bought[key] = (est, _top_eigenvalue(est))
         truncation, ceiling = bought[key]
         # No unit vector beats the ceiling, so neither will any candidate.

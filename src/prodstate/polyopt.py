@@ -11,10 +11,11 @@ reduces the search to deterministic grids over small subspaces, which is
 exact enough at desk scale and refuses (with a resource error) when the
 requested resolution would need more than a configured number of grid points.
 `support_nets` enumerates those grids under one budget for the solver and
-the cover learner's candidate search, and hands out each grid's orthonormal
-span basis B.  A grid's lattice coordinates depend only on its dimension q,
-so one call enumerates and ball-filters the lattice once per q and maps it
-through the basis of every support of that q.  The solver
+hands out each grid's orthonormal span basis B.  A grid's lattice
+coordinates depend only on its dimension q, so one call enumerates and
+ball-filters the lattice once per q and maps it through the basis of every
+support of that q; the cover learner builds its candidate nets from the
+same lattice helper, once per q for the whole run.  The solver
 evaluates the objective in the q coordinates of that span:
 `PolySystem.restricted(B)` is f(B c) as a polynomial on C^q, so the degree-k
 terms cost q^k x q^k products rather than n^k x n^k ones.
@@ -155,8 +156,13 @@ def _orthonormal_columns(stacked: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the column span (n x q, q possibly 0)."""
     if stacked.size == 0:
         return np.zeros((stacked.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    return u[:, s > tol]
+    return _span_bases(stacked[None], tol)[0]
+
+
+def _span_bases(stack: np.ndarray, tol: float = 1e-10) -> list:
+    """`_orthonormal_columns` of every nonempty matrix of a stack, from one stacked SVD."""
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    return [ui[:, si > tol] for ui, si in zip(u, s)]
 
 
 def effective_subspace(sys: PolySystem, eps: float) -> np.ndarray:
@@ -185,32 +191,48 @@ def effective_subspace(sys: PolySystem, eps: float) -> np.ndarray:
     return _orthonormal_columns(np.concatenate(blocks, axis=1))
 
 
-def _iter_ball_grid(basis: np.ndarray, radius: float, pitch: float, lattice: list):
+def _lattice_axis(q: int, radius: float, spacing: float) -> np.ndarray:
+    """Axis of the q-coordinate net: pitch spacing / sqrt(2 max(q, 1)), out to radius."""
+    pitch = spacing / math.sqrt(2.0 * max(q, 1))
+    steps = math.floor(radius / pitch)
+    return np.arange(-steps, steps + 1) * pitch
+
+
+def _ball_lattice(axis: np.ndarray, q: int, radius: float, start: int, stop: int) -> np.ndarray:
+    """Axis indices (real parts, then imaginary) of the raw points start..stop-1,
+    in lex order over the 2q-cube, that lie in the radius ball; the cube is
+    walked _EVAL_CHUNK raw points at a time, so memory follows the kept points."""
+    g = len(axis)
+    parts = []
+    for lo in range(start, stop, _EVAL_CHUNK):
+        hi = min(lo + _EVAL_CHUNK, stop)
+        if q == 0:
+            multi = np.zeros((hi - lo, 0), dtype=int)
+        else:
+            multi = np.stack(np.unravel_index(np.arange(lo, hi), (g,) * (2 * q)), axis=1)
+        keep = (axis[multi] ** 2).sum(axis=1) <= radius**2
+        parts.append(multi[keep].astype(np.min_scalar_type(g - 1)))
+    return np.concatenate(parts)
+
+
+def _iter_ball_grid(basis: np.ndarray, radius: float, spacing: float, lattice: list):
     """Chunked lattice points of the radius ball in the span of `basis`.
 
-    `basis` holds q orthonormal columns; the lattice has the given pitch over
+    `basis` holds q orthonormal columns; the lattice is `_lattice_axis` over
     the real and imaginary parts of the q coordinates, and each chunk covers
     at most _EVAL_CHUNK raw lattice points before the ball filter.  Yields
     (p, n) arrays of points in the ambient space.  `lattice` holds, per raw
-    chunk, the axis indices of the points that survive the ball filter; it
-    depends only on (q, pitch), so chunks already in it are replayed and
-    only the missing ones are enumerated from the 2q-cube and appended.
+    chunk, the `_ball_lattice` indices of that chunk; it depends only on
+    (q, spacing), so chunks already in it are replayed and only the missing
+    ones are enumerated and appended.
     """
     dim_c = basis.shape[1]
-    if dim_c == 0:
-        yield np.zeros((1, 0), dtype=complex) @ basis.T
-        return
-    steps = math.floor(radius / pitch)
-    axis = np.arange(-steps, steps + 1) * pitch
-    g = len(axis)
-    total = g ** (2 * dim_c)
+    axis = _lattice_axis(dim_c, radius, spacing)
+    total = len(axis) ** (2 * dim_c)
     for k, start in enumerate(range(0, total, _EVAL_CHUNK)):
         if k == len(lattice):
-            stop = min(start + _EVAL_CHUNK, total)
-            multi = np.stack(np.unravel_index(np.arange(start, stop), (g,) * (2 * dim_c)),
-                             axis=1)
-            keep = (axis[multi] ** 2).sum(axis=1) <= radius**2
-            lattice.append(multi[keep].astype(np.min_scalar_type(g - 1)))
+            lattice.append(_ball_lattice(axis, dim_c, radius, start,
+                                         min(start + _EVAL_CHUNK, total)))
         reals = axis[lattice[k]]
         yield (reals[:, :dim_c] + 1j * reals[:, dim_c:]) @ basis.T
 
@@ -237,20 +259,19 @@ def support_nets(base: np.ndarray, max_support: int, radius: float,
     n = base.shape[0]
     eye = np.eye(n, dtype=complex)
     used = 0
-    lattices: dict[tuple[int, float], list] = {}
+    lattices: dict[int, list] = {}
     for size in range(min(n, max_support) + 1):
         for support in combinations(range(n), size):
             basis = _orthonormal_columns(
                 np.concatenate([base, eye[:, list(support)]], axis=1))
             q = basis.shape[1]
-            pitch = spacing / math.sqrt(2.0 * max(q, 1))
-            used += (2 * math.floor(radius / pitch) + 1) ** (2 * q)
+            used += len(_lattice_axis(q, radius, spacing)) ** (2 * q)
             if used > budget:
                 raise ResourceBudgetError(
                     f"support nets need {used} grid points, above the "
                     f"{budget} budget; coarsen the spacing or restrict supports")
-            lattice = lattices.setdefault((q, pitch), [])
-            yield support, basis, _iter_ball_grid(basis, radius, pitch, lattice)
+            lattice = lattices.setdefault(q, [])
+            yield support, basis, _iter_ball_grid(basis, radius, spacing, lattice)
 
 
 def _certainly_empty(dom: OptDomain, factor: float) -> bool:

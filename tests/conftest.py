@@ -1,7 +1,7 @@
 """Shared pytest hooks (acceptance-criteria summary lines), random product parameters,
 dense test references, the brute-force grid and multistart oracles, the dense
-product-fidelity sweep, the local optimizer's certified fidelity ceiling, and the
-reference JSON pair codec."""
+product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
+per-support cover search, and the reference JSON pair codec."""
 
 import math
 from itertools import combinations
@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import minimize
 
-from prodstate import polyopt
+from prodstate import cover, polyopt
 from prodstate.discrete import member_vector
 from prodstate.mps import MatrixProductState
 from prodstate.oracle import (
@@ -39,6 +39,7 @@ from prodstate.states import (
     partial_trace,
     product_state_vector,
     product_unitary,
+    transform_params,
     vector_to_params,
 )
 
@@ -236,6 +237,35 @@ def reference_ball_grid(basis, radius, pitch):
         keep = (reals**2).sum(axis=1) <= radius**2
         reals = reals[keep]
         yield (reals[:, :dim_c] + 1j * reals[:, dim_c:]) @ basis.T
+
+
+def reference_extend(prepared, ceiling, members, params):
+    """`cover._extend` as one search per support: a loop over the chunks of
+    `support_nets`, each chunk's points filtered by the separation bound only
+    and scored on their own."""
+    units, rho = prepared
+    m = len(units)
+    thresh = params.eta - 0.5 * params.eps
+    cons_arrays = [transform_params(units, member).asarray() for member in members]
+    base = (np.stack(cons_arrays, axis=1) if cons_arrays
+            else np.zeros((m, 0), dtype=complex))
+    best_val, best_z = -math.inf, None
+    for _, _, chunks in support_nets(base, 1, cover._NET_RADIUS, cover._NET_PITCH,
+                                     params.overrides.net_budget):
+        for points in chunks:
+            for a in cons_arrays:
+                points = points[cover._batched_tangent_sq(points, a) >= (params.b - 1e-12) ** 2]
+            if not len(points):
+                continue
+            vals = cover._batch_overlap(rho, points)
+            top = int(np.argmax(vals))
+            if vals[top] >= thresh - 1e-12 and vals[top] > best_val:
+                best_val, best_z = float(vals[top]), points[top]
+        if best_val >= ceiling - 1e-9:
+            break
+    if best_z is None:
+        return None
+    return transform_params(units, ProductParams(tuple(best_z)), inverse=True)
 
 
 def reference_kron(vectors):

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from prodstate import cover as cover_module
+from prodstate import polyopt
+from prodstate.cli import generate
 from prodstate.cover import (
     Cover,
     CoverOverrides,
@@ -19,6 +21,7 @@ from prodstate.cover import (
     _batch_amplitudes,
     _batch_overlap,
     _extend,
+    _may_reach,
     _prepare_root,
     _top_eigenvalue,
     build_cover,
@@ -28,6 +31,7 @@ from prodstate.cover import (
 from prodstate.errors import ResourceBudgetError
 from prodstate.instances import maximally_mixed, planted_mixture
 from prodstate.oracle import StateOracle
+from prodstate.serialize import state_from_json
 from prodstate.states import (
     ProductParams,
     QuantumState,
@@ -38,9 +42,10 @@ from prodstate.states import (
     product_unitary,
     recenter_unitaries,
     tangent_distance,
+    transform_params,
 )
 
-from conftest import reference_weight_leq_indices
+from conftest import reference_extend, reference_weight_leq_indices
 
 
 def pure_oracle(z, seed=0):
@@ -127,6 +132,144 @@ def test_extend_net_budget_guard():
     params = CoverParams(0.8, 0.2, 0.1, CoverOverrides(net_budget=50))
     with pytest.raises(ResourceBudgetError):
         extend_candidate(rho, [], ProductParams((0.0, 0.0)), params)
+
+
+def seeded_branch(rng, m, k):
+    """(truncation, root, members) of one seeded search: a product state
+    planted near a Haar root, mixed with a random rank-2 state, and k members,
+    each either near the root or Haar-drawn."""
+    root = haar_product_params(rng, m)
+    units = recenter_unitaries(root)
+
+    def near(scale):
+        offset = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        return transform_params(units, ProductParams(tuple(offset)), inverse=True)
+
+    pin = product_state_vector(near(0.5)).data
+    noise = rng.standard_normal((2**m, 2)) + 1j * rng.standard_normal((2**m, 2))
+    w = rng.uniform(0.6, 0.95)
+    truncation = (w * np.outer(pin, pin.conj())
+                  + (1.0 - w) * noise @ noise.conj().T / np.linalg.norm(noise) ** 2)
+    members = [near(1.0) if j % 2 == 0 else haar_product_params(rng, m) for j in range(k)]
+    return truncation, root, members
+
+
+def test_extend_matches_the_per_support_search():
+    rng = np.random.default_rng(2323)
+    found = 0
+    for m, k, cap in itertools.product(range(1, 7), range(3), (None, 1, 2)):
+        truncation, root, members = seeded_branch(rng, m, k)
+        params = CoverParams(float(rng.uniform(0.45, 0.75)), 0.1, 0.1,
+                             CoverOverrides(degree_cap=cap))
+        prepared = _prepare_root(truncation, root, params)
+        ceiling = _top_eigenvalue(truncation)
+        got = _extend(prepared, ceiling, members, params)
+        assert got == reference_extend(prepared, ceiling, members, params)
+        found += got is not None
+    assert 10 <= found <= 44
+
+
+def test_extend_ceiling_stop_comes_before_an_over_budget_support():
+    # The nets hold 1, 25, 25 and 25 raw points, so a budget of 30 is
+    # exceeded at the second site axis.  At the planted root the empty
+    # support already scores the ceiling, so the search returns the root.
+    rng = np.random.default_rng(41)
+    root, other = haar_product_params(rng, 3), haar_product_params(rng, 3)
+    pin = product_state_vector(root).data
+    rho = np.outer(pin, pin.conj())
+    params = CoverParams(0.8, 0.2, 0.1, CoverOverrides(net_budget=30))
+    prepared = _prepare_root(rho, root, params)
+    got = _extend(prepared, _top_eigenvalue(rho), [], params)
+    assert got == reference_extend(prepared, _top_eigenvalue(rho), [], params)
+    assert fidelity(QuantumState.mixed(rho), got) >= 1.0 - 1e-9
+    # Away from it the ceiling is out of reach and the budget error comes.
+    prepared = _prepare_root(rho, other, params)
+    for search in (_extend, reference_extend):
+        with pytest.raises(ResourceBudgetError):
+            search(prepared, _top_eigenvalue(rho), [], params)
+
+
+def test_site_bound_keeps_every_point_that_reaches_the_threshold():
+    rng = np.random.default_rng(606)
+    dropped = 0
+    for m, cap in itertools.product((1, 3, 5), (None, 1)):
+        truncation, root, _ = seeded_branch(rng, m, 0)
+        _, rho = _prepare_root(truncation, root, CoverParams(0.5, 0.1, 0.1,
+                                                             CoverOverrides(degree_cap=cap)))
+        points = 1.2 * (rng.standard_normal((400, m)) + 1j * rng.standard_normal((400, m)))
+        vals = _batch_overlap(rho, points)
+        for thresh in np.quantile(vals, [0.5, 0.9, 0.99]):
+            keep = _may_reach(rho, points, thresh)
+            assert keep[vals >= thresh - 1e-12].all()
+            dropped += int((~keep).sum())
+    assert dropped > 1000
+    # Against a pure product state, a point that differs from it at one site
+    # has exactly that site's bound as its overlap, so the mask is tight.
+    plant = haar_product_params(rng, 3)
+    pin = product_state_vector(plant).data
+    rho = np.outer(pin, pin.conj())
+    points = np.tile(plant.asarray(), (20, 1))
+    points[:, 1] += 0.8 * (rng.standard_normal(20) + 1j * rng.standard_normal(20))
+    for z, val in zip(points, _batch_overlap(rho, points)):
+        assert _may_reach(rho, z[None], val - 1e-6)[0]
+        assert not _may_reach(rho, z[None], val + 1e-6)[0]
+
+
+def test_candidate_nets_are_the_ball_filtered_cube(monkeypatch):
+    # A small raw chunk puts many chunk boundaries inside every ball, and no
+    # chunk may hold more raw points than that.
+    chunk = 97
+    monkeypatch.setattr(polyopt, "_EVAL_CHUNK", chunk)
+    widths = []
+    unravel = np.unravel_index
+
+    def recording_unravel(indices, shape):
+        widths.append(len(indices))
+        return unravel(indices, shape)
+
+    monkeypatch.setattr(np, "unravel_index", recording_unravel)
+    cover_module._net.cache_clear()
+    radius = cover_module._NET_RADIUS
+    for q, size, raw in ((0, 1, 1), (1, 13, 25), (2, 321, 625), (3, 10_237, 117_649)):
+        pitch = cover_module._NET_PITCH / math.sqrt(2.0 * max(q, 1))
+        steps = math.floor(radius / pitch)
+        cube = list(itertools.product(range(-steps, steps + 1), repeat=2 * q))
+        want = []
+        for ks in cube:
+            reals = np.array(ks, dtype=float) * pitch
+            if (reals**2).sum() <= radius**2:
+                want.append(reals[:q] + 1j * reals[q:])
+        axis = polyopt._lattice_axis(q, radius, cover_module._NET_PITCH)
+        assert len(cube) == raw == len(axis) ** (2 * q)
+        coords = cover_module._net(q)
+        assert coords.shape == (size, q) and not coords.flags.writeable
+        assert np.array_equal(coords, np.array(want, dtype=complex))
+    assert len(widths) == sum(math.ceil(raw / chunk) for raw in (25, 625, 117_649))
+    assert max(widths) == chunk
+    cover_module._net.cache_clear()
+
+
+def test_extend_refuses_an_unaffordable_net_before_building_it(monkeypatch):
+    # Four generic members span q = 4 at the empty support, whose raw cube
+    # of 9^8 points is above the default budget: no lattice of that q is built.
+    built = []
+    inner = cover_module._ball_lattice
+
+    def recording_lattice(axis, q, *rest):
+        built.append(q)
+        return inner(axis, q, *rest)
+
+    monkeypatch.setattr(cover_module, "_ball_lattice", recording_lattice)
+    cover_module._net.cache_clear()
+    rng = np.random.default_rng(8)
+    truncation, root, members = seeded_branch(rng, 5, 4)
+    params = CoverParams(0.5, 0.1, 0.1)
+    prepared = _prepare_root(truncation, root, params)
+    for search in (_extend, reference_extend):
+        with pytest.raises(ResourceBudgetError, match="43046721"):
+            search(prepared, _top_eigenvalue(truncation), members, params)
+    assert built == []
+    cover_module._net.cache_clear()
 
 
 def test_default_knobs_run_the_desk_nets():
@@ -329,6 +472,16 @@ def test_estimate_opt_buys_each_prefix_once(monkeypatch):
     # Every level has eta >= 4 eps and so asks for the same three keys.
     assert sorted(keys) == sorted(set(keys))
     assert [m for m, _, _ in keys] == [1, 2, 3]
+
+
+def test_estimate_opt_refuses_an_unaffordable_sampling_sweep_up_front():
+    # The first level's full-register purchase at n = 6 needs 68,950,294
+    # shots, above SHOT_BUDGET; it is refused before the m <= 5 purchases.
+    payload = generate("planted-product", {"n": 6, "w": 0.95, "noise": 0.05})
+    o = StateOracle(state_from_json(payload["state"]), backend="sampling")
+    with pytest.raises(ResourceBudgetError, match="68950294"):
+        estimate_opt(o, 0.1, 0.1)
+    assert o.copies_consumed == 0
 
 
 def test_build_cover_buys_each_prefix_at_the_per_call_share(monkeypatch):
