@@ -34,7 +34,7 @@ from .instances import Graph, clique_number, planted_mixture, planted_opt, rando
 from .localopt import high_fidelity_learn
 from .mps import mps_learn, mps_to_state, state_to_mps
 from .oracle import StateOracle
-from .polyopt import OptDomain, PolySystem, evaluate_poly, solve_constrained
+from .polyopt import DEFAULT_NET_BUDGET, OptDomain, PolySystem, evaluate_poly, solve_constrained
 from .serialize import (
     canonical_dumps,
     class_from_json,
@@ -251,7 +251,7 @@ def run(config: ExperimentConfig) -> dict:
             raise UsageError("polyopt needs --n >= 1")
         sys_, dom = _polyopt_instance(config.seed, config.n)
         input_digest = digest({"seed": config.seed, "n": config.n})
-        budget = config.net_budget if config.net_budget is not None else 2_000_000
+        budget = config.net_budget if config.net_budget is not None else DEFAULT_NET_BUDGET
         point = solve_constrained(sys_, dom, config.eps, net_budget=budget)
         if point is None:
             result = {"feasible": False, "point": None, "value": None}

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import PromiseViolationError, ResourceBudgetError
 from .oracle import StateOracle, estimate_fidelity, subspace_tomography, tomography_copy_cost
-from .polyopt import _ball_lattice, _lattice_axis, _orthonormal_columns, _span_bases
+from .polyopt import _coords, _lattice_axis, _orthonormal_columns, _pruned_ball, _span_bases
 from .states import (
     ProductParams,
     QuantumState,
@@ -234,10 +234,9 @@ def _batched_tangent_sq(points: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _net(q: int) -> np.ndarray:
-    """The q-coordinate candidate net: `polyopt`'s ball lattice, read-only, in lex order."""
-    axis = _lattice_axis(q, _NET_RADIUS, _NET_PITCH)
-    reals = axis[_ball_lattice(axis, q, _NET_RADIUS, 0, len(axis) ** (2 * q))]
-    coords = reals[:, :q] + 1j * reals[:, q:]
+    """The q-coordinate candidate net: `polyopt._pruned_ball`'s lattice, read-only, in lex order."""
+    coords = _coords(_lattice_axis(q, _NET_RADIUS, _NET_PITCH),
+                     _pruned_ball(q, _NET_RADIUS, _NET_PITCH)[0])
     coords.flags.writeable = False
     return coords
 

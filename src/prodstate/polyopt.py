@@ -10,28 +10,28 @@ feasible flat vector can be rerouted onto a small coordinate support.  That
 reduces the search to deterministic grids over small subspaces, which is
 exact enough at desk scale and refuses (with a resource error) when the
 requested resolution would need more than a configured number of grid points.
-`support_nets` enumerates those grids under one budget for the solver and
-hands out each grid's orthonormal span basis B.  A grid's lattice
-coordinates depend only on its dimension q, so one call enumerates and
-ball-filters the lattice once per q and maps it through the basis of every
-support of that q; the cover learner builds its candidate nets from the
-same lattice helper, once per q for the whole run.  The solver
-evaluates the objective in the q coordinates of that span:
-`PolySystem.restricted(B)` is f(B c) as a polynomial on C^q, so the degree-k
-terms cost q^k x q^k products rather than n^k x n^k ones.
+A grid is the `_pruned_ball` lattice in the q coordinates c of an
+orthonormal span basis B, built once per q (the cover's candidate nets use
+it too).  The solver stays in those coordinates, where
+`PolySystem.restricted(B)` is f(B c) as a polynomial on C^q, and scores
+every support of one size in one `evaluate_poly_batch`.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from .errors import ResourceBudgetError
 
 DEFAULT_NET_BUDGET = 5_000_000
-_EVAL_CHUNK = 100_000
+# Complex elements of the power rows one scoring block may hold.
+_SCORE_ELEMENTS = 250_000
+# Values this close count as equal: the earlier support, and within a
+# support the earlier lattice point, keeps the lead whatever the rounding.
+_TIE = 1e-12
 
 
 class PolySystem:
@@ -118,38 +118,35 @@ class OptDomain:
         return bool(self.membership_mask(x[None, :], factor)[0])
 
     def membership_mask(self, points: np.ndarray, factor: float = 1.0) -> np.ndarray:
-        """Rows of `points` inside the domain at slack factor `factor`.
-
-        The flatness test is skipped when every row's norm is already below
-        the cap: |x_i| <= |x|, and the 1e-12 margin covers the rounding gap
-        between the per-coordinate modulus and the row norm.
-        """
+        """Rows of `points` inside the domain at slack factor `factor`."""
         g = factor * self.gamma
-        norms = np.linalg.norm(points, axis=1)
-        mask = np.abs(norms - self.nu) <= g
-        cap = self.mu + g
-        if points.shape[1] and norms.max(initial=0.0) > cap * (1.0 - 1e-12):
-            mask &= np.max(np.abs(points), axis=1) <= cap
+        mask = np.abs(np.linalg.norm(points, axis=1) - self.nu) <= g
+        mask &= np.abs(points).max(axis=1, initial=0.0) <= self.mu + g
         if self.a.shape[0]:
             mask &= np.linalg.norm(points @ self.a.T - self.v, axis=1) <= g
         return mask
 
 
 def evaluate_poly(sys: PolySystem, x: np.ndarray) -> complex:
-    """f(x) = constant + sum_k <x^(x)k| M_k |x^(x)k>."""
+    """f(x) = constant + sum_k <x^(x)k| M_k |x^(x)k>: one system at one point."""
     x = np.asarray(x, dtype=complex).reshape(sys.n)
     return complex(evaluate_poly_batch(sys, x[None, :])[0])
 
 
-def evaluate_poly_batch(sys: PolySystem, points: np.ndarray) -> np.ndarray:
-    """Vectorized objective values for a (p, n) array of points."""
+def evaluate_poly_batch(systems, points: np.ndarray) -> np.ndarray:
+    """Values at each row of a (p, n) array of one PolySystem (shape (p,)) or
+    of a sequence of s systems of one n and degree (shape (p, s)): per degree
+    k, the rows vec(conj(P_k) (x) P_k) of P_k = x^(x)k meet the stacked
+    vec(M_k) of every system in one product."""
+    group = [systems] if isinstance(systems, PolySystem) else list(systems)
     p = points.shape[0]
-    vals = np.full(p, sys.constant, dtype=complex)
+    vals = np.tile(np.array([s.constant for s in group]), (p, 1))
     power = np.ones((p, 1), dtype=complex)
-    for mat in sys._mats:
+    for k in range(group[0].degree):
         power = (power[:, :, None] * points[:, None, :]).reshape(p, -1)
-        vals += (power.conj() * (power @ mat.T)).sum(axis=1)
-    return vals
+        rows = (power.conj()[:, :, None] * power[:, None, :]).reshape(p, -1)
+        vals += rows @ np.stack([s._mats[k].reshape(-1) for s in group], axis=1)
+    return vals[:, 0] if isinstance(systems, PolySystem) else vals
 
 
 def _orthonormal_columns(stacked: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -198,86 +195,61 @@ def _lattice_axis(q: int, radius: float, spacing: float) -> np.ndarray:
     return np.arange(-steps, steps + 1) * pitch
 
 
-def _ball_lattice(axis: np.ndarray, q: int, radius: float, start: int, stop: int) -> np.ndarray:
-    """Axis indices (real parts, then imaginary) of the raw points start..stop-1,
-    in lex order over the 2q-cube, that lie in the radius ball; the cube is
-    walked _EVAL_CHUNK raw points at a time, so memory follows the kept points."""
-    g = len(axis)
-    parts = []
-    for lo in range(start, stop, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, stop)
-        if q == 0:
-            multi = np.zeros((hi - lo, 0), dtype=int)
-        else:
-            multi = np.stack(np.unravel_index(np.arange(lo, hi), (g,) * (2 * q)), axis=1)
-        keep = (axis[multi] ** 2).sum(axis=1) <= radius**2
-        parts.append(multi[keep].astype(np.min_scalar_type(g - 1)))
-    return np.concatenate(parts)
+def _pruned_ball(q: int, radius: float, spacing: float):
+    """The `_lattice_axis` lattice over 2q real coordinates, cut to the radius ball.
 
-
-def _iter_ball_grid(basis: np.ndarray, radius: float, spacing: float, lattice: list):
-    """Chunked lattice points of the radius ball in the span of `basis`.
-
-    `basis` holds q orthonormal columns; the lattice is `_lattice_axis` over
-    the real and imaginary parts of the q coordinates, and each chunk covers
-    at most _EVAL_CHUNK raw lattice points before the ball filter.  Yields
-    (p, n) arrays of points in the ambient space.  `lattice` holds, per raw
-    chunk, the `_ball_lattice` indices of that chunk; it depends only on
-    (q, spacing), so chunks already in it are replayed and only the missing
-    ones are enumerated and appended.
+    Returns (indices, sq): the axis indices (real parts, then imaginary) of
+    every lattice point whose squares, summed left to right, stay at most
+    radius^2, in lex order, and those sums.  Prefixes grow one axis at a time
+    and a prefix already past radius^2 is dropped (adding a square never
+    lowers a rounded sum), so memory follows the kept points, never the cube.
     """
-    dim_c = basis.shape[1]
-    axis = _lattice_axis(dim_c, radius, spacing)
-    total = len(axis) ** (2 * dim_c)
-    for k, start in enumerate(range(0, total, _EVAL_CHUNK)):
-        if k == len(lattice):
-            lattice.append(_ball_lattice(axis, dim_c, radius, start,
-                                         min(start + _EVAL_CHUNK, total)))
-        reals = axis[lattice[k]]
-        yield (reals[:, :dim_c] + 1j * reals[:, dim_c:]) @ basis.T
+    squares = _lattice_axis(q, radius, spacing) ** 2
+    indices = np.zeros((1, 0), dtype=np.min_scalar_type(len(squares) - 1))
+    sq = np.zeros(1)
+    for _ in range(2 * q):
+        grown = sq[:, None] + squares
+        prefix, step = np.nonzero(grown <= radius**2)
+        indices = np.concatenate([indices[prefix], step[:, None].astype(indices.dtype)], axis=1)
+        sq = grown[prefix, step]
+    return indices, sq
 
 
-def support_nets(base: np.ndarray, max_support: int, radius: float,
-                 spacing: float, budget: int):
-    """Lattice nets over span(base, axes of S) for every small support S.
-
-    `base` is an (n, k) array of columns kept in every span (k may be 0; the
-    columns need not be orthonormal).  Supports S of at most `max_support`
-    coordinates come in size-then-lex order.  For each, the net is the
-    lattice of pitch spacing / sqrt(2 max(q, 1)) over the real and imaginary
-    parts of the q coordinates of an orthonormal basis of the span, cut to
-    the ball of the given radius; the lattice's covering radius is
-    spacing / 2.  Yields (S, basis, chunks): the n x q orthonormal basis of
-    the span, and an iterator over (p, n) arrays of net points, all of which
-    lie in span(basis).  The ball's lattice coordinates depend only on q, so
-    one call enumerates and filters the 2q-cube once per q; every later
-    support of that q only maps the kept coordinates through its basis.
-    Before a support is enumerated, the raw lattice points of every net so
-    far are counted against `budget`; exceeding it raises
-    ResourceBudgetError.
-    """
-    n = base.shape[0]
-    eye = np.eye(n, dtype=complex)
-    used = 0
-    lattices: dict[int, list] = {}
-    for size in range(min(n, max_support) + 1):
-        for support in combinations(range(n), size):
-            basis = _orthonormal_columns(
-                np.concatenate([base, eye[:, list(support)]], axis=1))
-            q = basis.shape[1]
-            used += len(_lattice_axis(q, radius, spacing)) ** (2 * q)
-            if used > budget:
-                raise ResourceBudgetError(
-                    f"support nets need {used} grid points, above the "
-                    f"{budget} budget; coarsen the spacing or restrict supports")
-            lattice = lattices.setdefault(q, [])
-            yield support, basis, _iter_ball_grid(basis, radius, spacing, lattice)
+def _coords(axis: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Complex q-coordinates of lattice index rows (real parts, then imaginary)."""
+    q = indices.shape[1] // 2
+    return axis[indices[:, :q]] + 1j * axis[indices[:, q:]]
 
 
 def _certainly_empty(dom: OptDomain, factor: float) -> bool:
     """True when the flatness cap alone keeps every candidate below the norm shell."""
     g = factor * dom.gamma
     return (dom.mu + g) * math.sqrt(dom.n) < dom.nu - g
+
+
+def _support_values(systems, bases, axis, indices, norms, dom: OptDomain) -> np.ndarray:
+    """|f| restricted to each of `bases` (as `systems`) at the lattice points
+    that passed the norm shell, one column per basis, -inf where the point
+    misses that span's factor-2 pin |(A B) c - v| or flatness cap.  The cap
+    needs B c, so it is tested only when some |c| = |B c| >= |x_i| can reach
+    it (the 1e-12 margin covers rounding)."""
+    g = 2.0 * dom.gamma
+    cap = dom.mu + g
+    flat = norms.max(initial=0.0) > cap * (1.0 - 1e-12)
+    pins = [dom.a @ basis for basis in bases] if dom.a.shape[0] else []
+    q = indices.shape[1] // 2
+    rows = max(1, _SCORE_ELEMENTS // max(q, 1) ** (2 * systems[0].degree))
+    out = np.empty((len(indices), len(systems)))
+    for lo in range(0, len(indices), rows):
+        coords = _coords(axis, indices[lo:lo + rows])
+        vals = out[lo:lo + rows]
+        vals[:] = np.abs(evaluate_poly_batch(systems, coords))
+        for j, basis in enumerate(bases):
+            if flat:
+                vals[np.abs(coords @ basis.T).max(axis=1, initial=0.0) > cap, j] = -math.inf
+            if pins:
+                vals[np.linalg.norm(coords @ pins[j].T - dom.v, axis=1) > g, j] = -math.inf
+    return out
 
 
 def solve_constrained(sys: PolySystem, dom: OptDomain, eps: float,
@@ -287,14 +259,17 @@ def solve_constrained(sys: PolySystem, dom: OptDomain, eps: float,
     Returns a point x in the factor-2 domain whose |f(x)| is within eps of
     the best value over the factor-1 domain, or None when the factor-2 domain
     contains no grid point (in particular when it is empty).  Search space:
-    for each coordinate support S of size at most min(n, 1/mu^2 + 1), a grid
-    of pitch gamma / sqrt(2 q) over the ball of radius nu + 2 gamma in
-    span(effective subspace, rows of A, axes of S) with q complex
-    coordinates, as enumerated by `support_nets`; the objective is evaluated
-    in those q coordinates through `PolySystem.restricted`.  Enumerating more
-    than `net_budget` raw grid points raises ResourceBudgetError.  Deterministic:
-    supports in size-then-lex order, first-found argmax, early exit once the
-    value is provably within eps of the global ceiling.
+    for each coordinate support S of size at most min(n, 1/mu^2 + 1), the
+    `_pruned_ball` lattice of pitch gamma / sqrt(2 q) and radius nu + 2 gamma
+    in the q coordinates c of an orthonormal basis B of span(effective
+    subspace, rows of A, axes of S).  The norm shell is tested once per q on
+    |c| = |B c|, the rest per support by `_support_values`.  Supports are
+    scanned in size-then-lex order: one takes the lead only when its best
+    value beats the incumbent's by more than _TIE, with its first point
+    within _TIE of that best, and the scan stops once the value is provably
+    within eps of the global ceiling.  ResourceBudgetError comes at the first
+    support whose nets so far exceed `net_budget` raw grid points, before its
+    lattice is built (unless an earlier support shares its q).  Returns B c.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
@@ -309,18 +284,41 @@ def solve_constrained(sys: PolySystem, dom: OptDomain, eps: float,
     ceiling = abs(sys.constant) + sum(
         float(np.linalg.norm(t)) * (1.0 + 2.0 * dom.gamma) ** (2 * k)
         for k, t in enumerate(sys.tensors, start=1))
-    best_val, best_x = -1.0, None
-    for _, basis, chunks in support_nets(wide, max_support, radius, dom.gamma, net_budget):
-        local = sys.restricted(basis)
-        for points in chunks:
-            mask = dom.membership_mask(points, factor=2.0)
-            if not mask.any():
-                continue
-            feasible = points[mask]
-            vals = np.abs(evaluate_poly_batch(local, feasible @ basis.conj()))
-            top = int(np.argmax(vals))
-            if vals[top] > best_val:
-                best_val, best_x = float(vals[top]), feasible[top]
-        if best_val >= ceiling - eps:
-            break
+    eye = np.eye(sys.n, dtype=complex)
+    shells: dict[int, tuple] = {}
+    used, best_val, best_x = 0, -1.0, None
+    for size in range(max_support + 1):
+        supports = list(combinations(range(sys.n), size))
+        spans = np.stack([np.concatenate([wide, eye[:, list(s)]], axis=1) for s in supports])
+        bases = _span_bases(spans) if spans.shape[2] else [_orthonormal_columns(spans[0])]
+        qs = [basis.shape[1] for basis in bases]
+        # Raw lattice points of the nets so far, counted before any net is built.
+        counts = list(accumulate((len(_lattice_axis(q, radius, dom.gamma)) ** (2 * q)
+                                  for q in qs), initial=used))[1:]
+        reach = sum(total <= net_budget for total in counts)
+        values = {}
+        for q in dict.fromkeys(qs[:reach]):
+            if q not in shells:
+                indices, sq = _pruned_ball(q, radius, dom.gamma)
+                norms = np.sqrt(sq)
+                inside = np.abs(norms - dom.nu) <= 2.0 * dom.gamma
+                shells[q] = (_lattice_axis(q, radius, dom.gamma), indices[inside], norms[inside])
+            group = [j for j in range(reach) if qs[j] == q]
+            cols = _support_values([sys.restricted(bases[j]) for j in group],
+                                   [bases[j] for j in group], *shells[q], dom)
+            values.update(zip(group, cols.T))
+        for j in range(len(supports)):
+            if j == reach:
+                raise ResourceBudgetError(
+                    f"support nets need {counts[j]} grid points, above the "
+                    f"{net_budget} budget; coarsen the spacing or restrict supports")
+            top = values[j].max(initial=-math.inf)
+            if top > best_val + _TIE:
+                first = int(np.argmax(values[j] >= top - _TIE))
+                axis, indices, _ = shells[qs[j]]
+                best_val = float(top)
+                best_x = bases[j] @ _coords(axis, indices[first:first + 1])[0]
+            if best_val >= ceiling - eps:
+                return best_x
+        used = counts[-1]
     return best_x

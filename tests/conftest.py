@@ -1,7 +1,7 @@
 """Shared pytest hooks (acceptance-criteria summary lines), random product parameters,
 dense test references, the brute-force grid and multistart oracles, the dense
 product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
-per-support cover search, and the reference JSON pair codec."""
+per-support polynomial and cover searches, and the reference JSON pair codec."""
 
 import math
 from itertools import combinations
@@ -9,7 +9,8 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import minimize
 
-from prodstate import cover, polyopt
+from prodstate import cover
+from prodstate.errors import ResourceBudgetError
 from prodstate.discrete import member_vector
 from prodstate.mps import MatrixProductState
 from prodstate.oracle import (
@@ -23,8 +24,6 @@ from prodstate.polyopt import (
     _orthonormal_columns,
     effective_subspace,
     evaluate_poly,
-    evaluate_poly_batch,
-    support_nets,
 )
 from prodstate.states import (
     ProductParams,
@@ -187,9 +186,64 @@ def reference_membership_mask(dom, points, factor):
     return shell & flat & pin
 
 
+def reference_poly_values(sys, points):
+    """f at each row of `points`: one power vector and one matrix product per
+    degree, 10,000 rows at a time."""
+    vals = np.full(points.shape[0], sys.constant, dtype=complex)
+    for lo in range(0, points.shape[0], 10_000):
+        block = points[lo:lo + 10_000]
+        power = np.ones((len(block), 1), dtype=complex)
+        for k, t in enumerate(sys.tensors, start=1):
+            power = (power[:, :, None] * block[:, None, :]).reshape(len(block), -1)
+            vals[lo:lo + 10_000] += (power.conj() * (power @ t.reshape(sys.n**k, -1).T)).sum(axis=1)
+    return vals
+
+
+def reference_ball_grid(q, radius, pitch):
+    """Complex q-coordinates of the lattice of `pitch` inside the radius ball,
+    filtered from the whole 2q-cube in lex order (real parts, then imaginary)."""
+    steps = math.floor(radius / pitch)
+    axis = np.arange(-steps, steps + 1) * pitch
+    if q == 0:
+        return np.zeros((1, 0), dtype=complex)
+    total = len(axis) ** (2 * q)
+    parts = []
+    for start in range(0, total, 100_000):
+        multi = np.unravel_index(np.arange(start, min(start + 100_000, total)),
+                                 (len(axis),) * (2 * q))
+        reals = axis[np.stack(multi, axis=1)]
+        reals = reals[(reals**2).sum(axis=1) <= radius**2]
+        parts.append(reals[:, :q] + 1j * reals[:, q:])
+    return np.concatenate(parts)
+
+
+def reference_support_nets(base, max_support, radius, spacing, budget):
+    """(basis, coords) of each support's net, one support at a time.
+
+    Supports S of at most `max_support` coordinates come in size-then-lex
+    order; `basis` spans (base, axes of S) orthonormally, and `coords` is
+    `reference_ball_grid` at pitch spacing / sqrt(2 max(q, 1)) in its q
+    coordinates.  Before each net, the raw lattice points of every net so far
+    are counted against `budget`, raising ResourceBudgetError above it.
+    """
+    n = base.shape[0]
+    used = 0
+    for size in range(min(n, max_support) + 1):
+        for support in combinations(range(n), size):
+            basis = _orthonormal_columns(
+                np.concatenate([base, np.eye(n, dtype=complex)[:, list(support)]], axis=1))
+            q = basis.shape[1]
+            pitch = spacing / math.sqrt(2.0 * max(q, 1))
+            used += (2 * math.floor(radius / pitch) + 1) ** (2 * q)
+            if used > budget:
+                raise ResourceBudgetError(f"nets need {used} grid points, above {budget}")
+            yield basis, reference_ball_grid(q, radius, pitch)
+
+
 def ambient_solve_constrained(sys, dom, eps, net_budget):
-    """`solve_constrained` with the objective evaluated on the ambient points
-    and membership tested by `reference_membership_mask`."""
+    """`solve_constrained` one support at a time on the ambient points B c:
+    membership by `reference_membership_mask`, values by
+    `reference_poly_values`, the same 1e-12 tie rule, and B c of its choice."""
     if _certainly_empty(dom, 2.0):
         return None
     wide = _orthonormal_columns(
@@ -200,49 +254,24 @@ def ambient_solve_constrained(sys, dom, eps, net_budget):
         float(np.linalg.norm(t)) * (1.0 + 2.0 * dom.gamma) ** (2 * k)
         for k, t in enumerate(sys.tensors, start=1))
     best_val, best_x = -1.0, None
-    for _, _, chunks in support_nets(wide, max_support, radius, dom.gamma, net_budget):
-        for points in chunks:
-            mask = reference_membership_mask(dom, points, 2.0)
-            if not mask.any():
-                continue
-            feasible = points[mask]
-            vals = np.abs(evaluate_poly_batch(sys, feasible))
-            top = int(np.argmax(vals))
-            if vals[top] > best_val:
-                best_val, best_x = float(vals[top]), feasible[top]
+    for basis, coords in reference_support_nets(wide, max_support, radius, dom.gamma,
+                                                net_budget):
+        points = coords @ basis.T
+        mask = reference_membership_mask(dom, points, 2.0)
+        vals = np.full(len(points), -math.inf)
+        vals[mask] = np.abs(reference_poly_values(sys, points[mask]))
+        top = vals.max(initial=-math.inf)
+        if top > best_val + 1e-12:
+            first = int(np.argmax(vals >= top - 1e-12))
+            best_val, best_x = float(top), basis @ coords[first]
         if best_val >= ceiling - eps:
             break
     return best_x
 
 
-def reference_ball_grid(basis, radius, pitch):
-    """The ball lattice enumerated and filtered from the whole 2q-cube for every call.
-
-    Same chunks, in the same order and with the same raw-chunk boundaries
-    (polyopt._EVAL_CHUNK raw points each), as `support_nets` must yield.
-    """
-    dim_c = basis.shape[1]
-    if dim_c == 0:
-        yield np.zeros((1, 0), dtype=complex) @ basis.T
-        return
-    steps = math.floor(radius / pitch)
-    axis = np.arange(-steps, steps + 1) * pitch
-    g = len(axis)
-    total = g ** (2 * dim_c)
-    shape = (g,) * (2 * dim_c)
-    for start in range(0, total, polyopt._EVAL_CHUNK):
-        stop = min(start + polyopt._EVAL_CHUNK, total)
-        multi = np.unravel_index(np.arange(start, stop), shape)
-        reals = axis[np.stack(multi, axis=1)]
-        keep = (reals**2).sum(axis=1) <= radius**2
-        reals = reals[keep]
-        yield (reals[:, :dim_c] + 1j * reals[:, dim_c:]) @ basis.T
-
-
 def reference_extend(prepared, ceiling, members, params):
-    """`cover._extend` as one search per support: a loop over the chunks of
-    `support_nets`, each chunk's points filtered by the separation bound only
-    and scored on their own."""
+    """`cover._extend` as one search per support of `reference_support_nets`,
+    each net filtered by the separation bound only and scored on its own."""
     units, rho = prepared
     m = len(units)
     thresh = params.eta - 0.5 * params.eps
@@ -250,13 +279,12 @@ def reference_extend(prepared, ceiling, members, params):
     base = (np.stack(cons_arrays, axis=1) if cons_arrays
             else np.zeros((m, 0), dtype=complex))
     best_val, best_z = -math.inf, None
-    for _, _, chunks in support_nets(base, 1, cover._NET_RADIUS, cover._NET_PITCH,
-                                     params.overrides.net_budget):
-        for points in chunks:
-            for a in cons_arrays:
-                points = points[cover._batched_tangent_sq(points, a) >= (params.b - 1e-12) ** 2]
-            if not len(points):
-                continue
+    for basis, coords in reference_support_nets(base, 1, cover._NET_RADIUS, cover._NET_PITCH,
+                                                params.overrides.net_budget):
+        points = coords @ basis.T
+        for a in cons_arrays:
+            points = points[cover._batched_tangent_sq(points, a) >= (params.b - 1e-12) ** 2]
+        if len(points):
             vals = cover._batch_overlap(rho, points)
             top = int(np.argmax(vals))
             if vals[top] >= thresh - 1e-12 and vals[top] > best_val:

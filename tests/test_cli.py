@@ -592,6 +592,15 @@ def test_cli_polyopt_solve_feasible(tmp_path):
     assert report["result"]["value"] > 0
 
 
+def test_cli_polyopt_default_budget_solves_the_benchmark_systems(tmp_path):
+    # The default budget is the library's, so the n = 6 system the benchmark
+    # solves (2,126,125 raw grid points) is answered, not refused.
+    out = tmp_path / "report.json"
+    assert main(["polyopt", "solve", "--n", "6", "--out", str(out)]) == 0
+    result = load_json(out)["result"]
+    assert result["feasible"] is True and result["in_slack_domain"] is True
+
+
 def test_cli_hardness_gen_and_check(tmp_path):
     inst = _gen(tmp_path, "k2.json", "clique", "--graph", "[[0,1]]")
     out = tmp_path / "report.json"

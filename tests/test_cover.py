@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,19 +216,10 @@ def test_site_bound_keeps_every_point_that_reaches_the_threshold():
         assert not _may_reach(rho, z[None], val + 1e-6)[0]
 
 
-def test_candidate_nets_are_the_ball_filtered_cube(monkeypatch):
-    # A small raw chunk puts many chunk boundaries inside every ball, and no
-    # chunk may hold more raw points than that.
-    chunk = 97
-    monkeypatch.setattr(polyopt, "_EVAL_CHUNK", chunk)
-    widths = []
-    unravel = np.unravel_index
-
-    def recording_unravel(indices, shape):
-        widths.append(len(indices))
-        return unravel(indices, shape)
-
-    monkeypatch.setattr(np, "unravel_index", recording_unravel)
+def test_candidate_nets_are_the_ball_filtered_cube():
+    # Each net is the ball-filtered cube in lex order, built by the pruned
+    # lattice without ever holding the cube: the q = 3 build allocates less
+    # than a quarter of the cube's 2q real coordinates.
     cover_module._net.cache_clear()
     radius = cover_module._NET_RADIUS
     for q, size, raw in ((0, 1, 1), (1, 13, 25), (2, 321, 625), (3, 10_237, 117_649)):
@@ -241,11 +233,15 @@ def test_candidate_nets_are_the_ball_filtered_cube(monkeypatch):
                 want.append(reals[:q] + 1j * reals[q:])
         axis = polyopt._lattice_axis(q, radius, cover_module._NET_PITCH)
         assert len(cube) == raw == len(axis) ** (2 * q)
-        coords = cover_module._net(q)
+        tracemalloc.start()
+        try:
+            coords = cover_module._net(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert coords.shape == (size, q) and not coords.flags.writeable
-        assert np.array_equal(coords, np.array(want, dtype=complex))
-    assert len(widths) == sum(math.ceil(raw / chunk) for raw in (25, 625, 117_649))
-    assert max(widths) == chunk
+        assert np.array_equal(coords, np.array(want, dtype=complex).reshape(size, q))
+        assert q < 3 or peak < 2 * q * 8 * raw / 4
     cover_module._net.cache_clear()
 
 
@@ -253,13 +249,13 @@ def test_extend_refuses_an_unaffordable_net_before_building_it(monkeypatch):
     # Four generic members span q = 4 at the empty support, whose raw cube
     # of 9^8 points is above the default budget: no lattice of that q is built.
     built = []
-    inner = cover_module._ball_lattice
+    inner = cover_module._pruned_ball
 
-    def recording_lattice(axis, q, *rest):
+    def recording_lattice(q, *rest):
         built.append(q)
-        return inner(axis, q, *rest)
+        return inner(q, *rest)
 
-    monkeypatch.setattr(cover_module, "_ball_lattice", recording_lattice)
+    monkeypatch.setattr(cover_module, "_pruned_ball", recording_lattice)
     cover_module._net.cache_clear()
     rng = np.random.default_rng(8)
     truncation, root, members = seeded_branch(rng, 5, 4)

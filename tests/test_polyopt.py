@@ -14,12 +14,13 @@ from prodstate.polyopt import (
     DEFAULT_NET_BUDGET,
     OptDomain,
     PolySystem,
+    _lattice_axis,
     _orthonormal_columns,
+    _pruned_ball,
     effective_subspace,
     evaluate_poly,
     evaluate_poly_batch,
     solve_constrained,
-    support_nets,
 )
 
 from conftest import (
@@ -27,6 +28,7 @@ from conftest import (
     reference_ball_grid,
     reference_constrained_max,
     reference_membership_mask,
+    reference_poly_values,
 )
 
 
@@ -118,6 +120,20 @@ def test_batch_matches_single_evaluation():
     batch = evaluate_poly_batch(sys, pts)
     singles = np.array([evaluate_poly(sys, p) for p in pts])
     assert np.allclose(batch, singles, atol=1e-12)
+
+
+def test_batch_over_systems_matches_each_system():
+    # One call on several systems of one degree gives each system's values
+    # as a column, and each agrees with one matrix product per degree.
+    rng = np.random.default_rng(12)
+    for degree in (1, 2, 3):
+        group = [random_system(rng, 3, degree) for _ in range(4)]
+        pts = rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))
+        cols = evaluate_poly_batch(group, pts)
+        assert cols.shape == (30, 4)
+        for j, sys in enumerate(group):
+            assert np.abs(cols[:, j] - evaluate_poly_batch(sys, pts)).max() <= 1e-12
+            assert np.abs(cols[:, j] - reference_poly_values(sys, pts)).max() <= 1e-12
 
 
 def random_system(rng, n, degree):
@@ -262,12 +278,88 @@ def test_solve_monotone_under_gamma_doubling():
 
 
 def test_solve_matches_ambient_reference_on_cli_systems():
-    for n in range(3, 8):
-        sys, dom = _polyopt_instance(0, n)
+    for seed, n in itertools.product(range(10), range(3, 8)):
+        sys, dom = _polyopt_instance(seed, n)
         got = solve_constrained(sys, dom, eps=0.1)
         want = ambient_solve_constrained(sys, dom, 0.1, DEFAULT_NET_BUDGET)
         assert got is not None and want is not None
-        assert got.tobytes() == want.tobytes(), n
+        assert got.tobytes() == want.tobytes(), (seed, n)
+
+
+def test_solve_matches_ambient_reference_on_pinned_instances():
+    pinned = 0
+    for seed in range(1600, 1630):
+        sys, dom = seeded_instance(seed)
+        pinned += dom.a.shape[0]
+        got = solve_constrained(sys, dom, eps=0.1)
+        want = ambient_solve_constrained(sys, dom, 0.1, DEFAULT_NET_BUDGET)
+        assert got is not None and want is not None
+        assert got.tobytes() == want.tobytes(), seed
+    assert pinned >= 10
+
+
+def flat_capped_instance(seed):
+    """A two-coordinate instance whose flatness cap binds: mu < 1 admits the
+    full support, and nu > mu puts shell points past the cap; half pin a row."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    u /= np.linalg.norm(u)
+    raw = rng.uniform(0.2, 0.5, size=3)
+    c = raw * (0.95 / raw.sum())
+    sys = rank_one_system(2, c[0], c[1:], u)
+    mu = float(rng.uniform(0.72, 0.85))
+    nu = float(rng.uniform(mu + 0.05, 1.0))
+    gamma = float(rng.uniform(0.28, 0.35))
+    if seed % 2:
+        row = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
+        row *= 0.9 / np.linalg.norm(row)
+        return sys, OptDomain(row, row @ (nu * u), nu, mu, gamma)
+    return sys, OptDomain(np.zeros((0, 2)), np.zeros(0), nu, mu, gamma)
+
+
+def test_solve_matches_ambient_reference_where_the_flatness_cap_binds():
+    for seed in range(12):
+        sys, dom = flat_capped_instance(seed)
+        assert min(2, int(1.0 / dom.mu**2) + 1) == 2
+        # The full support's net has shell points the cap rejects.
+        radius = dom.nu + 2.0 * dom.gamma
+        points = reference_ball_grid(2, radius, dom.gamma / 2.0)
+        loose = OptDomain(dom.a, dom.v, dom.nu, 10.0, dom.gamma)
+        assert (reference_membership_mask(loose, points, 2.0)
+                & ~reference_membership_mask(dom, points, 2.0)).any()
+        got = solve_constrained(sys, dom, eps=0.1)
+        want = ambient_solve_constrained(sys, dom, 0.1, DEFAULT_NET_BUDGET)
+        assert got is not None and want is not None
+        assert got.tobytes() == want.tobytes(), seed
+        assert dom.contains(got, factor=2.0)
+
+
+def test_solve_without_an_effective_subspace_matches_ambient_reference():
+    # Tensors below the singular-value threshold leave no effective
+    # subspace, so the empty support's net has q = 0: the origin alone.
+    rng = np.random.default_rng(34)
+    for n in (2, 3):
+        herm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        herm = herm + herm.conj().T
+        sys = PolySystem(n, 0.3, (0.02 * herm / np.linalg.norm(herm, 2),))
+        assert effective_subspace(sys, 0.1).shape == (n, 0)
+        for nu in (0.3, 0.8):
+            dom = OptDomain(np.zeros((0, n)), np.zeros(0), nu=nu, mu=1.5, gamma=0.2)
+            got = solve_constrained(sys, dom, eps=0.1)
+            want = ambient_solve_constrained(sys, dom, 0.1, DEFAULT_NET_BUDGET)
+            assert got is not None and got.tobytes() == want.tobytes()
+            assert dom.contains(got, factor=2.0)
+
+
+def test_solve_answer_does_not_depend_on_the_scoring_block(monkeypatch):
+    # Many lattice points tie exactly on these rank-one systems; the tie rule
+    # keeps the answer fixed however the rows are split for scoring.
+    answers = {}
+    for elements in (256, 10**4, 10**6):
+        monkeypatch.setattr(polyopt, "_SCORE_ELEMENTS", elements)
+        for n in range(3, 8):
+            x = solve_constrained(*_polyopt_instance(0, n), eps=0.1)
+            assert answers.setdefault(n, x.tobytes()) == x.tobytes(), (elements, n)
 
 
 def test_solve_with_subspace_pin_matches_ambient_reference():
@@ -294,128 +386,193 @@ def test_net_budget_guard():
         solve_constrained(sys, dom, eps=0.1)
 
 
-# --- support nets ---------------------------------------------------------------
+# --- lattices and budgets ---------------------------------------------------------
 
 
-def brute_force_ball(basis, radius, pitch):
-    """Every lattice point of the ball, one integer coordinate tuple at a time."""
+def brute_force_ball(q, radius, spacing):
+    """Axis indices of every point of the 2q-cube whose squares, summed left
+    to right one coordinate at a time, stay within radius^2."""
+    axis = _lattice_axis(q, radius, spacing)
+    kept, sums = [], []
+    for ks in itertools.product(range(len(axis)), repeat=2 * q):
+        total = 0.0
+        for k in ks:
+            total += float(axis[k]) ** 2
+        if total <= radius**2:
+            kept.append(ks)
+            sums.append(total)
+    return np.array(kept, dtype=int).reshape(len(kept), 2 * q), np.array(sums)
+
+
+def test_pruned_ball_matches_brute_force_lattice():
+    # radius = spacing = 1.0 puts points exactly on the sphere at q = 1.
+    for radius, spacing, qs in ((1.0, 1.0, range(4)), (1.1, 0.6, range(3)),
+                                (2.2, 1.5, range(4)), (0.3, 1.0, range(3))):
+        for q in qs:
+            indices, sq = _pruned_ball(q, radius, spacing)
+            want, sums = brute_force_ball(q, radius, spacing)
+            g = len(_lattice_axis(q, radius, spacing))
+            assert indices.dtype == np.min_scalar_type(g - 1)
+            assert np.array_equal(indices, want) and np.array_equal(sq, sums)
+    # Points on the sphere are kept at radius = spacing = 1.0, q = 1.
+    indices, sq = _pruned_ball(1, 1.0, 1.0)
+    assert len(indices) == 9 and sq.max() <= 1.0
+
+
+def test_support_nets_chunks_match_cube_reference():
+    # The lattice coordinates equal the whole cube filtered to the ball,
+    # index for index, at q = 0..3 and at the cover's (2.2, 1.5) nets.
+    for radius, spacing in ((1.1, 1.0), (2.2, 1.5), (1.0, 1.0)):
+        for q in range(4):
+            indices, _ = _pruned_ball(q, radius, spacing)
+            got = polyopt._coords(_lattice_axis(q, radius, spacing), indices)
+            want = reference_ball_grid(q, radius, spacing / math.sqrt(2.0 * max(q, 1)))
+            assert got.dtype == want.dtype and np.array_equal(got, want), (radius, spacing, q)
+
+
+# Support nets: for each coordinate support, the lattice points that
+# `solve_constrained` scores in the span of (effective subspace, pin rows,
+# axes of the support).
+
+
+def record_support_nets(monkeypatch):
+    """Collects (basis, axis, indices) for every support the solver scores."""
+    nets = []
+    inner = polyopt._support_values
+
+    def recording_values(systems, bases, axis, indices, *rest):
+        nets.extend((basis, axis, indices) for basis in bases)
+        return inner(systems, bases, axis, indices, *rest)
+
+    monkeypatch.setattr(polyopt, "_support_values", recording_values)
+    return nets
+
+
+def axis_instance(n, mu, nu=0.1):
+    """A degree-1 rank-one system on the axis e0, with a domain far inside its
+    ceiling (the early stop never fires) and a flatness cap above the ball."""
+    sys = rank_one_system(n, 0.1, [0.5], np.eye(n)[0])
+    return sys, OptDomain(np.zeros((0, n)), np.zeros(0), nu=nu, mu=mu, gamma=0.1)
+
+
+def brute_force_shell(basis, radius, pitch, nu, g):
+    """Every lattice point B c of the ball with | |c| - nu | <= g, one integer
+    coordinate tuple at a time, squares summed left to right."""
     q = basis.shape[1]
     steps = math.floor(radius / pitch)
     points = []
     for ks in itertools.product(range(-steps, steps + 1), repeat=2 * q):
-        reals = np.array(ks) * pitch
-        if (reals**2).sum() <= radius**2:
-            points.append((reals[:q] + 1j * reals[q:]) @ basis.T)
+        reals = [k * pitch for k in ks]
+        total = 0.0
+        for r in reals:
+            total += r * r
+        if total <= radius**2 and abs(math.sqrt(total) - nu) <= g:
+            points.append((np.array(reals[:q]) + 1j * np.array(reals[q:])) @ basis.T)
     return np.array(points).reshape(-1, basis.shape[0])
 
 
-def test_support_nets_match_brute_force_lattice():
-    rng = np.random.default_rng(7)
-    n, radius, spacing = 3, 1.1, 0.6
-    pinned = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
-    for base, max_support in ((np.zeros((n, 0), dtype=complex), 2), (pinned, 1)):
-        seen = 0
-        for support, basis, chunks in support_nets(base, max_support, radius, spacing,
-                                                   10**6):
-            want_basis = _orthonormal_columns(
-                np.concatenate([base, np.eye(n, dtype=complex)[:, list(support)]], axis=1))
-            assert np.array_equal(basis, want_basis)
+def test_support_nets_match_brute_force_lattice(monkeypatch):
+    nets = record_support_nets(monkeypatch)
+    # nu = 0.3 puts the inner edge of the norm shell at 0.1 inside the ball.
+    for n, mu, count in ((2, 0.3, 4), (3, 1.5, 4)):
+        nets.clear()
+        sys, dom = axis_instance(n, mu, nu=0.3)
+        assert solve_constrained(sys, dom, eps=0.1) is not None
+        assert len(nets) == count
+        radius = dom.nu + 2.0 * dom.gamma
+        for basis, axis, indices in nets:
             q = basis.shape[1]
-            assert q <= 2
-            assert np.abs(basis.conj().T @ basis - np.eye(q)).max(initial=0.0) <= 1e-12
-            got = np.concatenate(list(chunks))
+            assert 1 <= q <= 2
+            assert np.abs(basis.conj().T @ basis - np.eye(q)).max() <= 1e-12
+            got = polyopt._coords(axis, indices) @ basis.T
             # Every point lies in span(basis): projecting onto it moves nothing.
-            assert np.abs(got @ basis.conj() @ basis.T - got).max(initial=0.0) <= 1e-12
-            want = brute_force_ball(basis, radius, spacing / math.sqrt(2.0 * max(q, 1)))
+            assert np.abs(got @ basis.conj() @ basis.T - got).max() <= 1e-12
+            want = brute_force_shell(basis, radius, dom.gamma / math.sqrt(2.0 * q),
+                                     dom.nu, 2.0 * dom.gamma)
+            # The same points in the same (lex) order.
             assert got.shape == want.shape
-            dists = np.linalg.norm(got[:, None, :] - want[None, :, :], axis=2)
-            assert np.all(dists.min(axis=0) <= 1e-12)
-            assert np.all(dists.min(axis=1) <= 1e-12)
-            seen += 1
-        assert seen == sum(math.comb(n, k) for k in range(max_support + 1))
+            assert np.abs(got - want).max() <= 1e-12
 
 
-def test_support_nets_size_then_lex_order():
-    supports = [s for s, _, _ in support_nets(np.zeros((4, 0)), 2, 1.0, 1.0, 10**6)]
-    assert supports == [(), (0,), (1,), (2,), (3,),
-                        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    # Supports never exceed the dimension.
-    assert len([s for s, _, _ in support_nets(np.zeros((2, 0)), 5, 1.0, 1.0, 10**6)]) == 4
+def rank_one_cube_instance(n):
+    """A rank-one system on a real direction with an unpinned domain that
+    admits single-coordinate supports only and stops short of its ceiling."""
+    u = np.linspace(1.0, 2.0, n)
+    sys = rank_one_system(n, 0.2, [0.4, 0.3], u / np.linalg.norm(u))
+    return sys, OptDomain(np.zeros((0, n)), np.zeros(0), nu=0.6, mu=1.5, gamma=0.3)
 
 
-def test_support_nets_budget_raises_before_support_yields():
-    # Raw lattice counts: 1 for the empty support, then 3^2 = 9 per axis.
-    for budget, reached in ((15, [(), (0,)]), (19, [(), (0,), (1,)])):
-        reached_here = []
-        with pytest.raises(ResourceBudgetError, match="budget"):
-            for support, _, chunks in support_nets(np.zeros((3, 0)), 1, 1.0, 1.0, budget):
-                reached_here.append(support)
-                for _ in chunks:
-                    pass
-        assert reached_here == reached
+def test_support_nets_size_then_lex_order(monkeypatch):
+    nets = record_support_nets(monkeypatch)
+    for n, mu, supports in (
+            (4, 0.9, [(), (0,), (1,), (2,), (3,),
+                      (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+            # Supports never exceed the dimension, however small mu is.
+            (2, 0.3, [(), (0,), (1,), (0, 1)])):
+        nets.clear()
+        sys, dom = axis_instance(n, mu)
+        assert solve_constrained(sys, dom, eps=0.1, net_budget=10**8) is not None
+        wide = _orthonormal_columns(effective_subspace(sys, 0.1))
+        assert [basis.shape[1] for basis, _, _ in nets] == [
+            wide.shape[1] + len(set(s) - {0}) for s in supports]
+        for (basis, _, _), support in zip(nets, supports, strict=True):
+            want = _orthonormal_columns(
+                np.concatenate([wide, np.eye(n, dtype=complex)[:, list(support)]], axis=1))
+            assert np.array_equal(basis, want), support
 
 
-def _net_cases(rng):
-    """(base, max_support) pairs whose supports span q = 0..3, with and without a base column."""
-    pinned = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
-    return ((np.zeros((3, 0), dtype=complex), 3), (pinned, 2))
+def test_support_nets_budget_raises_before_support_yields(monkeypatch):
+    # The nets span q = 1 at the empty support and q = 2 at each axis; the
+    # error comes at the first support whose nets so far exceed the budget,
+    # the same one for the solver and its ambient reference, with every
+    # earlier support scored and no lattice of a q that only later supports use.
+    sys, dom = rank_one_cube_instance(3)
+    wide = _orthonormal_columns(effective_subspace(sys, 0.1))
+    radius = dom.nu + 2.0 * dom.gamma
+    raw = {q: len(_lattice_axis(q, radius, dom.gamma)) ** (2 * q) for q in (1, 2)}
+    nets, built = record_support_nets(monkeypatch), []
+    inner_ball = polyopt._pruned_ball
+
+    def recording_ball(q, *rest):
+        built.append(q)
+        return inner_ball(q, *rest)
+
+    monkeypatch.setattr(polyopt, "_pruned_ball", recording_ball)
+    supports = [(), (0,), (1,), (2,)]
+    for reach in range(1, 5):
+        budget = raw[1] + (reach - 1) * raw[2]
+        nets.clear()
+        built.clear()
+        if reach < 4:
+            for search in (solve_constrained, ambient_solve_constrained):
+                with pytest.raises(ResourceBudgetError, match=str(budget + raw[2])):
+                    search(sys, dom, 0.1, budget)
+        else:
+            assert solve_constrained(sys, dom, eps=0.1, net_budget=budget) is not None
+        assert built == [1] + [2] * (reach > 1)
+        assert len(nets) == reach
+        for (basis, _, _), support in zip(nets, supports):
+            want = _orthonormal_columns(
+                np.concatenate([wide, np.eye(3, dtype=complex)[:, list(support)]], axis=1))
+            assert np.array_equal(basis, want)
 
 
-def test_support_nets_chunks_match_cube_reference(monkeypatch):
-    # A small raw chunk puts many chunk boundaries inside every ball.
-    monkeypatch.setattr(polyopt, "_EVAL_CHUNK", 97)
-    radius, spacing = 1.1, 1.0
-    qs = set()
-    for base, max_support in _net_cases(np.random.default_rng(3)):
-        for _, basis, chunks in support_nets(base, max_support, radius, spacing, 10**6):
-            q = basis.shape[1]
-            qs.add(q)
-            got = list(chunks)
-            want = list(reference_ball_grid(basis, radius, spacing / math.sqrt(2.0 * max(q, 1))))
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert qs == {0, 1, 2, 3}
+def test_solve_builds_each_ball_once_per_q(monkeypatch):
+    # Supports of sizes 0..3 share the lattices of q = 1 and 2.
+    built = []
+    inner = polyopt._pruned_ball
 
+    def recording_ball(q, *rest):
+        built.append(q)
+        return inner(q, *rest)
 
-def test_support_nets_replays_a_partly_consumed_lattice(monkeypatch):
-    # Abandoning a support's chunks early must not cut short later supports of the same q.
-    monkeypatch.setattr(polyopt, "_EVAL_CHUNK", 50)
-    radius, spacing = 1.0, 1.0
-    for step, (_, basis, chunks) in enumerate(
-            support_nets(np.zeros((3, 0)), 2, radius, spacing, 10**6)):
-        q = basis.shape[1]
-        want = list(reference_ball_grid(basis, radius, spacing / math.sqrt(2.0 * max(q, 1))))
-        got = [next(chunks)] if step % 2 else list(chunks)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        assert step % 2 or len(got) == len(want)
-
-
-def test_support_nets_enumerate_each_ball_once_per_q(monkeypatch):
-    chunk = 50
-    monkeypatch.setattr(polyopt, "_EVAL_CHUNK", chunk)
-    cube_chunks = []
-    unravel = np.unravel_index
-
-    def counting_unravel(indices, shape):
-        cube_chunks.append(len(shape) // 2)
-        return unravel(indices, shape)
-
-    monkeypatch.setattr(np, "unravel_index", counting_unravel)
-    radius, spacing = 1.0, 1.0
-    for base, max_support in _net_cases(np.random.default_rng(4)):
-        cube_chunks.clear()
-        qs = []
-        for _, basis, chunks in support_nets(base, max_support, radius, spacing, 10**6):
-            qs.append(basis.shape[1])
-            for _ in chunks:
-                pass
-        assert len(qs) > len(set(qs))
-        want = {}
-        for q in set(qs) - {0}:
-            g = 2 * math.floor(radius / (spacing / math.sqrt(2.0 * q))) + 1
-            want[q] = math.ceil(g ** (2 * q) / chunk)
-        assert {q: cube_chunks.count(q) for q in set(cube_chunks)} == want
+    monkeypatch.setattr(polyopt, "_pruned_ball", recording_ball)
+    e0 = np.eye(2)[:, 0]
+    sys = rank_one_system(2, 0.2, [0.6], e0)
+    dom = OptDomain(np.zeros((0, 2)), np.zeros(0), nu=0.9, mu=0.8, gamma=0.3)
+    # span(e0) gives q = 1 at (), (0,); q = 2 at (1,), (0, 1).
+    x = solve_constrained(sys, dom, eps=0.05)
+    assert x is not None and built == [1, 2]
 
 
 def test_solve_constrained_peak_memory_on_cli_system():
@@ -474,7 +631,7 @@ def test_contains_agrees_with_membership_mask_on_boundaries():
 
 def test_membership_mask_matches_three_constraint_formula():
     # The cap mu + g binds in the first domains and lies above every random
-    # row's norm in the others, where the mask skips the flatness test.
+    # row's norm in the others.
     # Rows with one nonzero coordinate sit exactly on the cap |x| = mu + g,
     # inside the norm shell of the binding domains, and just below it; the
     # modulus of some rounds one ulp above their norm.
