@@ -11,10 +11,14 @@ maintaining a cover of each prefix.  At a new site every previous member is
 branched over a fixed six-state local net; each branch (a "root") is
 recentered to the origin by single-site rotations, and new members far from
 the already-accepted ones are located on a weight-truncated estimate of the
-prefix marginal.  The recentered estimate is prepared once per root and
-reused for each further member that root yields.  The top eigenvalue of
-the prefix estimate bounds every candidate's score at every root of that
-prefix, so it is computed once per estimate: recentering is a product
+prefix marginal.  No root rotates that estimate: a product unitary maps
+product states to product states, so a candidate's root-frame row is mapped
+back through the root's adjoint site rotations and scored in the frame the
+estimate was measured in.  Each estimate is hermitised once, when it is
+bought, and stored beside its site marginals and its top eigenvalue; a root
+keeps only its rotations and its 2x2 rotated marginals, reused for each
+further member that root yields.  The top eigenvalue bounds every
+candidate's score at every root of that prefix: recentering is a product
 unitary, and a degree cap's weight cut is a compression, which cannot raise
 the top eigenvalue of a PSD matrix.  Candidates are read off one grid net
 per support (span(constraint members), then that span plus each site axis),
@@ -22,13 +26,15 @@ whose lattices are constants per dimension, and all are scored at once by
 one rule: clear the separation bound to every accepted member, then keep
 the best truncated overlap that reaches the threshold.  No product state's
 overlap exceeds one site's overlap with that site's marginal, so a point
-that this bound puts below the threshold is never scored.  The nets have a
-fixed pitch and radius: the paper sizes them by a flatness scale
-mu(eps, eta) whose nets need over 1e29 grid points on one qubit.  The paper
-completes candidates with a spread-out remainder through constrained
-polynomial optimization; no state at desk scale needs that step, so the
-search runs on the grid nets only, and the reduction's solver runs
-standalone as `polyopt.solve_constrained`.
+that this bound puts below the threshold is never scored.  Under a degree
+cap a row is cut to low weight in the root's frame before it is mapped
+back, and the bound is skipped, since the cut changes the marginals.  The
+nets have a fixed pitch and radius: the paper sizes them by a flatness
+scale mu(eps, eta) whose nets need over 1e29 grid points on one qubit.
+The paper completes candidates with a spread-out remainder through
+constrained polynomial optimization; no state at desk scale needs that
+step, so the search runs on the grid nets only, and the reduction's solver
+runs standalone as `polyopt.solve_constrained`.
 `verify_cover` audits the three properties against the exact state, and
 `estimate_opt` wraps the builder in a bisection over eta to estimate the
 best product-state fidelity with a witness.
@@ -54,6 +60,7 @@ from .states import (
     fidelity,
     hamming_weights,
     haar_product_params,
+    partial_trace,
     product_vectors,
     recenter_unitaries,
     tangent_distance,
@@ -180,39 +187,47 @@ class Cover:
 # --- candidate search internals ---------------------------------------------
 
 
-def _truncate_weight(mat: np.ndarray, m: int, d: int) -> np.ndarray:
-    """Zero all matrix entries touching a basis string of weight above d."""
-    keep = hamming_weights(m) <= d
-    return np.where(np.outer(keep, keep), mat, 0.0)
+def _purchase_rows(points: np.ndarray, adjoints: np.ndarray, d: int) -> np.ndarray:
+    """Rows U^dagger P_d |pi_z> of root-frame parameter rows z, in the purchase frame.
 
-
-def _batch_amplitudes(points: np.ndarray) -> np.ndarray:
-    """Normalized product-state amplitude rows for bounded parameter rows."""
+    `adjoints` are the root's (m, 2, 2) stacked U_i^dagger and P_d keeps
+    excitation weight <= d.  Uncut, a product row maps back site by site; a
+    cut row is no longer a product and maps back through `apply_sites`.
+    """
+    m = points.shape[1]
     scale = 1.0 / np.sqrt(1.0 + np.abs(points) ** 2)
-    return product_vectors(np.stack([scale, scale * points], axis=-1))
+    sites = np.stack([scale, scale * points], axis=-1)
+    if d >= m:
+        return product_vectors(np.matmul(adjoints, sites[..., None])[..., 0])
+    amps = product_vectors(sites)
+    amps[:, hamming_weights(m) > d] = 0.0
+    return apply_sites(adjoints, amps.T).T
 
 
-def _batch_overlap(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """<pi_z| rho |pi_z> for each parameter row, batched to bound memory."""
+def _batch_overlap(rho: np.ndarray, points: np.ndarray, adjoints: np.ndarray,
+                   d: int) -> np.ndarray:
+    """<pi_z| P_d U rho U^dagger P_d |pi_z> for each root-frame parameter row z.
+
+    Scored on the purchase-frame rho by `_purchase_rows`, batched to bound memory.
+    """
     count, m = points.shape
     out = np.empty(count)
     rows = max(256, _OVERLAP_ELEMENTS // (1 << max(m, 1)))
     for start in range(0, count, rows):
-        amps = _batch_amplitudes(points[start:start + rows])
+        amps = _purchase_rows(points[start:start + rows], adjoints, d)
         out[start:start + rows] = np.real(((amps @ rho.T) * amps.conj()).sum(axis=1))
     return out
 
 
-def _may_reach(rho: np.ndarray, points: np.ndarray, thresh: float) -> np.ndarray:
-    """Mask of the parameter rows whose overlap with the PSD rho may reach thresh.
+def _may_reach(marginals: np.ndarray, points: np.ndarray, thresh: float) -> np.ndarray:
+    """Mask of the parameter rows whose overlap with a PSD rho may reach thresh.
 
-    No row's overlap exceeds that of its site-i factor with rho's site-i
-    marginal, for any i; a row some site rules out by more than rounding
-    cannot reach thresh, nor thresh - 1e-12.
+    `marginals` are rho's (m, 2, 2) site marginals.  No row's overlap exceeds
+    that of its site-i factor with rho's site-i marginal, for any i; a row
+    some site rules out by more than rounding cannot reach thresh, nor
+    thresh - 1e-12.
     """
-    m = points.shape[1]
-    marg = np.array([np.einsum("ajbakb->jk", rho.reshape(2**i, 2, 2**(m - 1 - i), 2**i, 2, -1))
-                     for i in range(m)]) - thresh * np.eye(2)
+    marg = marginals - thresh * np.eye(2)
     x, y = points.real, points.imag
     slack = (marg[:, 0, 0].real + 2.0 * (marg[:, 0, 1].real * x - marg[:, 0, 1].imag * y)
              + marg[:, 1, 1].real * (x * x + y * y))
@@ -241,43 +256,53 @@ def _net(q: int) -> np.ndarray:
     return coords
 
 
-def _top_eigenvalue(mat: np.ndarray) -> float:
-    """Largest eigenvalue of the Hermitian part of mat."""
-    return float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[-1])
+def _purchase(est: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """(rho, ceiling, marginals) of a bought truncation.
 
-
-def _prepare_root(truncation: np.ndarray, root: ProductParams, params: CoverParams):
-    """(units, rho) of one branch: the search's constraint-free part.
-
-    `units` recenter `root` to the origin, and `rho` is `truncation` in that
-    frame, cut to excitation weight d = params.degree(m) and hermitised.
+    rho is est's Hermitian part, ceiling its top eigenvalue, and marginals
+    its (m, 2, 2) stacked site marginals.
     """
-    m = root.n
-    if m == 0:
+    rho = 0.5 * (est + est.conj().T)
+    m = rho.shape[0].bit_length() - 1
+    marginals = np.array([partial_trace(rho, m, [i]) for i in range(m)])
+    return rho, float(np.linalg.eigvalsh(rho)[-1]), marginals
+
+
+def _prepare_root(marginals: np.ndarray, root: ProductParams):
+    """(units, adjoints, marginals) of one branch: the search's constraint-free part.
+
+    `units` recenter `root` to the origin, `adjoints` stack their adjoints,
+    and `marginals` are the purchase's site marginals in the root's frame,
+    U_i rho_i U_i^dagger: the site marginals of U rho U^dagger.
+    """
+    if root.n == 0:
         raise ValueError("the search root must have at least one site")
-    units = recenter_unitaries(root)
-    rotated = apply_sites(units, apply_sites(units, truncation).conj().T).conj().T
-    d = params.degree(m)
-    rho = rotated if d >= m else _truncate_weight(rotated, m, d)
-    return units, 0.5 * (rho + rho.conj().T)
+    units = np.array(recenter_unitaries(root))
+    adjoints = units.conj().transpose(0, 2, 1)
+    return units, adjoints, units @ marginals @ adjoints
 
 
-def _extend(prepared, ceiling: float, members, params: CoverParams) -> ProductParams | None:
+def _extend(prepared, rho: np.ndarray, ceiling: float, members,
+            params: CoverParams) -> ProductParams | None:
     """Search one branch, prepared by `_prepare_root`, for a new admissible cover member.
 
     The candidates are the `_net` points, in an orthonormal basis, of
     span(members) and then of span(members, axis i) for each site i, all
-    within _NET_RADIUS of the root.  All are scored at once, except those
-    `_may_reach` rules out; a scan over the supports in that order keeps the
-    first-found best, stops once it reaches `ceiling` (a bound on every
-    truncated overlap), and raises ResourceBudgetError at the first support
-    whose nets so far exceed `net_budget` raw points.  Returns the best
-    candidate found (original frame) whose truncated overlap reaches
-    eta - eps/2 and whose exact tangent distance to each of `members`
-    (original frame) is at least params.b, or None.
+    within _NET_RADIUS of the root.  Each is scored by its truncated
+    overlap <pi_z| P_d U rho U^dagger P_d |pi_z> with the purchase rho, U
+    the root's recentring and d = params.degree(m); all are scored at once,
+    except those `_may_reach` rules out on the root's marginals (uncut roots
+    only: a cut changes the marginals).  A scan over the supports in that
+    order keeps the first-found best, stops once it reaches `ceiling` (a
+    bound on every truncated overlap), and raises ResourceBudgetError at the
+    first support whose nets so far exceed `net_budget` raw points.  Returns
+    the best candidate found (original frame) whose truncated overlap
+    reaches eta - eps/2 and whose exact tangent distance to each of
+    `members` (original frame) is at least params.b, or None.
     """
-    units, rho = prepared
+    units, adjoints, marginals = prepared
     m = len(units)
+    d = params.degree(m)
     thresh = params.eta - 0.5 * params.eps
     cons_arrays = [transform_params(units, member).asarray() for member in members]
 
@@ -294,10 +319,11 @@ def _extend(prepared, ceiling: float, members, params: CoverParams) -> ProductPa
     segments = [_net(q) @ basis.T for q, basis in zip(qs[:reach], bases[:reach])]
     points = np.concatenate([np.empty((0, m), dtype=complex), *segments])
     vals = np.full(len(points), -math.inf)
-    keep = _may_reach(rho, points, thresh)
+    keep = (_may_reach(marginals, points, thresh) if d >= m
+            else np.ones(len(points), dtype=bool))
     for a in cons_arrays:
         keep[keep] = _batched_tangent_sq(points[keep], a) >= (params.b - 1e-12) ** 2
-    vals[keep] = _batch_overlap(rho, points[keep])
+    vals[keep] = _batch_overlap(rho, points[keep], adjoints, d)
 
     best_val, best_z, stop = -math.inf, None, 0
     for support in range(m + 1):
@@ -325,11 +351,13 @@ def _build(o: StateOracle, params: CoverParams,
     """Sweep the register, returning the cover of the full register.
 
     Truncations are looked up in a dict keyed by (m, degree, tomo_eps), and
-    a missing one is bought and stored beside its top eigenvalue, the
-    ceiling of every root at that prefix: recentering is a product unitary
-    and the weight cut a compression, so no root's matrix has a larger top
-    eigenvalue (the truncation is PSD).  A prefix whose ceiling misses
-    eta - eps/2 ends the sweep with an empty cover.
+    a missing one is bought and stored by `_purchase`: its Hermitian part,
+    that part's site marginals, and its top eigenvalue, the ceiling of every
+    root at that prefix: recentering is a product unitary and the weight
+    cut a compression, so no root's truncated overlap exceeds it (the
+    truncation is PSD).  A prefix whose ceiling misses eta - eps/2 ends the
+    sweep with an empty cover.  Every root of the prefix scores its
+    candidates on that one stored matrix, in the frame it was measured in.
     The k-th distinct purchase at prefix m gets failure probability
     prefix_delta * 2^-k, so one prefix's purchases sum below prefix_delta
     however many levels share the dict.
@@ -360,18 +388,17 @@ def _build(o: StateOracle, params: CoverParams,
     for m in range(1, n + 1):
         key = (m, params.degree(m), params.tomo_eps)
         if key not in bought:
-            est = subspace_tomography(o, *key, purchase_delta(m))
-            bought[key] = (est, _top_eigenvalue(est))
-        truncation, ceiling = bought[key]
+            bought[key] = _purchase(subspace_tomography(o, *key, purchase_delta(m)))
+        rho, ceiling, marginals = bought[key]
         # No unit vector beats the ceiling, so neither will any candidate.
         if ceiling < thresh - 1e-12:
             members = []
         new: list[ProductParams] = []
         for root in (ProductParams(prev.z + (branch,))
                      for prev in members for branch in LOCAL_NET):
-            prepared = _prepare_root(truncation, root, params)
+            prepared = _prepare_root(marginals, root)
             while True:
-                cand = _extend(prepared, ceiling, new, params)
+                cand = _extend(prepared, rho, ceiling, new, params)
                 if cand is None:
                     break
                 est = estimate_fidelity(o, m, cand, params.eps / 4.0, delta_call)
@@ -470,7 +497,7 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
     iterations = math.ceil(math.log2(1.0 / eps)) + 2
     delta_iter = delta / (4 * iterations)
     prefix_delta = delta / (2 * o.n)
-    bought: dict[tuple[int, int, float], tuple[np.ndarray, float]] = {}
+    bought: dict[tuple[int, int, float], tuple[np.ndarray, float, np.ndarray]] = {}
 
     lo, hi = 0.0, 1.0
     eta = 0.5

@@ -28,7 +28,6 @@ __all__ = [
     "MatrixProductState",
     "mps_learn",
     "mps_to_state",
-    "schmidt_rank",
     "state_to_mps",
 ]
 
@@ -116,17 +115,6 @@ def state_to_mps(s: QuantumState, max_bond: int | None = None,
     tensors.append(work.reshape(-1, 2, 1))
     tensors[-1] = tensors[-1] / np.linalg.norm(tensors[-1])
     return MatrixProductState(tensors)
-
-
-def schmidt_rank(s: QuantumState, cut: int, tol: float = 1e-10) -> int:
-    """Number of Schmidt coefficients above tol across sites [1..cut]|[cut+1..n]."""
-    if s.kind != "pure":
-        raise ValueError("Schmidt rank is defined for pure states")
-    if not 1 <= cut < s.n:
-        raise ValueError("cut must split the register into two nonempty parts")
-    mat = s.data.reshape(2**cut, -1)
-    sing = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sing > tol))
 
 
 def _top_eigenvector(mat: np.ndarray) -> np.ndarray:

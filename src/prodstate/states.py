@@ -389,10 +389,10 @@ def product_vectors(sites) -> np.ndarray:
     grown one site at a time at O(batch d^n) in total.
     """
     sites = np.asarray(sites)
-    batch, n, _ = sites.shape
+    batch, n, d = sites.shape
     out = np.ones((batch, 1), dtype=sites.dtype)
     for k in range(n):
-        out = (out[:, :, None] * sites[:, None, k, :]).reshape(batch, -1)
+        out = (out[:, :, None] * sites[:, None, k, :]).reshape(batch, d ** (k + 1))
     return out
 
 
@@ -502,38 +502,6 @@ def fidelity(s: QuantumState, p: ProductParams) -> float:
         raise ValueError("site-count mismatch between state and parameters")
     val = vector_fidelity(s, product_state_vector(p).data)
     return float(min(max(val, 0.0), 1.0))
-
-
-def product_fidelity(p: ProductParams, q: ProductParams) -> float:
-    """|⟨π_p|π_q⟩|² computed sitewise (cheap at any n)."""
-    if p.n != q.n:
-        raise ValueError("parameter vectors must have the same number of sites")
-    log_f = 0.0
-    for z, a in zip(p.z, q.z):
-        overlap_sq = abs(1.0 + z.conjugate() * a) ** 2 / ((1.0 + abs(z) ** 2) * (1.0 + abs(a) ** 2))
-        if overlap_sq == 0.0:
-            return 0.0
-        log_f += math.log(overlap_sq)
-    return math.exp(log_f)
-
-
-def excitation_probs(p: ProductParams) -> np.ndarray:
-    """Per-site probability |z_i|²/(1+|z_i|²) of measuring 1 on site i."""
-    mags = np.abs(p.asarray()) ** 2
-    return mags / (1.0 + mags)
-
-
-def mean_excitation(p: ProductParams) -> float:
-    """Expected Hamming weight μ = Σ_i |z_i|²/(1+|z_i|²) of a measurement."""
-    return float(excitation_probs(p).sum())
-
-
-def weight_distribution(site_probs) -> np.ndarray:
-    """Distribution of the total weight for independent per-site 1-probabilities."""
-    dist = np.array([1.0])
-    for q in np.asarray(site_probs, dtype=float):
-        dist = np.convolve(dist, [1.0 - q, q])
-    return dist
 
 
 def weight_tail_bound(mu: float, d: float) -> float:

@@ -1,4 +1,5 @@
 """Shared pytest hooks (acceptance-criteria summary lines), random product parameters,
+the test-only state readers (product fidelity, excitation weights, Schmidt rank),
 dense test references, the brute-force grid and multistart oracles, the dense
 product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
 per-support polynomial and cover searches, and the reference JSON pair codec."""
@@ -35,9 +36,12 @@ from prodstate.states import (
     _site_vector,
     haar_isometry,
     haar_state,
+    hamming_weights,
     partial_trace,
     product_state_vector,
     product_unitary,
+    product_vectors,
+    recenter_unitaries,
     transform_params,
     vector_to_params,
 )
@@ -48,6 +52,49 @@ def random_product_params(rng: np.random.Generator, n: int, scale: float = 1.0) 
     radii = scale * np.sqrt(rng.uniform(0.0, 1.0, size=n))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
     return ProductParams(tuple(radii * np.exp(1j * angles)))
+
+
+def product_fidelity(p: ProductParams, q: ProductParams) -> float:
+    """|<pi_p|pi_q>|^2 computed sitewise (cheap at any n)."""
+    if p.n != q.n:
+        raise ValueError("parameter vectors must have the same number of sites")
+    log_f = 0.0
+    for z, a in zip(p.z, q.z):
+        overlap_sq = abs(1.0 + z.conjugate() * a) ** 2 / ((1.0 + abs(z) ** 2) * (1.0 + abs(a) ** 2))
+        if overlap_sq == 0.0:
+            return 0.0
+        log_f += math.log(overlap_sq)
+    return math.exp(log_f)
+
+
+def excitation_probs(p: ProductParams) -> np.ndarray:
+    """Per-site probability |z_i|^2/(1+|z_i|^2) of measuring 1 on site i."""
+    mags = np.abs(p.asarray()) ** 2
+    return mags / (1.0 + mags)
+
+
+def mean_excitation(p: ProductParams) -> float:
+    """Expected Hamming weight mu = sum_i |z_i|^2/(1+|z_i|^2) of a measurement."""
+    return float(excitation_probs(p).sum())
+
+
+def weight_distribution(site_probs) -> np.ndarray:
+    """Distribution of the total weight for independent per-site 1-probabilities."""
+    dist = np.array([1.0])
+    for q in np.asarray(site_probs, dtype=float):
+        dist = np.convolve(dist, [1.0 - q, q])
+    return dist
+
+
+def schmidt_rank(s: QuantumState, cut: int, tol: float = 1e-10) -> int:
+    """Number of Schmidt coefficients above tol across sites [1..cut]|[cut+1..n]."""
+    if s.kind != "pure":
+        raise ValueError("Schmidt rank is defined for pure states")
+    if not 1 <= cut < s.n:
+        raise ValueError("cut must split the register into two nonempty parts")
+    mat = s.data.reshape(2**cut, -1)
+    sing = np.linalg.svd(mat, compute_uv=False)
+    return int(np.sum(sing > tol))
 
 
 def haar_unitary(dim, rng):
@@ -269,9 +316,34 @@ def ambient_solve_constrained(sys, dom, eps, net_budget):
     return best_x
 
 
+def reference_rotated_cut(truncation, units, d):
+    """herm(U truncation U^dagger) cut to excitation weight <= d, U = ⊗ units,
+    by two `apply_sites` passes over the whole matrix."""
+    rotated = apply_sites(units, apply_sites(units, truncation).conj().T).conj().T
+    keep = hamming_weights(len(units)) <= d
+    cut = np.where(np.outer(keep, keep), rotated, 0.0)
+    return 0.5 * (cut + cut.conj().T)
+
+
+def reference_prepare_root(truncation, root, params):
+    """(units, rho) of a dense per-root preparation: `truncation` rotated to the
+    root's frame and cut to weight <= params.degree(m), the matrix on which
+    `cover._extend`'s purchase-frame scores must agree with `reference_overlap`."""
+    units = recenter_unitaries(root)
+    return units, reference_rotated_cut(truncation, units, params.degree(root.n))
+
+
+def reference_overlap(rho, points):
+    """<pi_z| rho |pi_z> for each parameter row z, on a matrix in the rows' own frame."""
+    scale = 1.0 / np.sqrt(1.0 + np.abs(points) ** 2)
+    amps = product_vectors(np.stack([scale, scale * points], axis=-1))
+    return np.real(((amps @ rho.T) * amps.conj()).sum(axis=1))
+
+
 def reference_extend(prepared, ceiling, members, params):
     """`cover._extend` as one search per support of `reference_support_nets`,
-    each net filtered by the separation bound only and scored on its own."""
+    each net filtered by the separation bound only and scored on its own, on
+    the rotated matrix of `reference_prepare_root`."""
     units, rho = prepared
     m = len(units)
     thresh = params.eta - 0.5 * params.eps
@@ -285,7 +357,7 @@ def reference_extend(prepared, ceiling, members, params):
         for a in cons_arrays:
             points = points[cover._batched_tangent_sq(points, a) >= (params.b - 1e-12) ** 2]
         if len(points):
-            vals = cover._batch_overlap(rho, points)
+            vals = reference_overlap(rho, points)
             top = int(np.argmax(vals))
             if vals[top] >= thresh - 1e-12 and vals[top] > best_val:
                 best_val, best_z = float(vals[top]), points[top]

@@ -33,26 +33,31 @@ from prodstate.instances import (
     w_state,
 )
 from prodstate.localopt import LocalOptConfig, high_fidelity_learn, local_optimize
-from prodstate.mps import mps_learn, mps_to_state, schmidt_rank
+from prodstate.mps import mps_learn, mps_to_state
 from prodstate.oracle import StateOracle
 from prodstate.polyopt import evaluate_poly, solve_constrained
 from prodstate.serialize import canonical_dumps, save_json
 from prodstate.states import (
     ProductParams,
     QuantumState,
-    excitation_probs,
     fidelity,
-    mean_excitation,
-    product_fidelity,
     product_state_vector,
     recenter_unitaries,
     tangent_distance,
     transform_params,
-    weight_distribution,
     weight_tail_bound,
 )
 
-from conftest import planted_grid_opt, random_product_params, reference_constrained_max
+from conftest import (
+    excitation_probs,
+    mean_excitation,
+    planted_grid_opt,
+    product_fidelity,
+    random_product_params,
+    reference_constrained_max,
+    schmidt_rank,
+    weight_distribution,
+)
 
 
 def elapsed_under(started: float, budget_seconds: float) -> bool:

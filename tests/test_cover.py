@@ -19,12 +19,11 @@ from prodstate.cover import (
     CoverParams,
     DESK_OVERRIDES,
     LOCAL_NET,
-    _batch_amplitudes,
     _batch_overlap,
     _extend,
     _may_reach,
     _prepare_root,
-    _top_eigenvalue,
+    _purchase,
     build_cover,
     estimate_opt,
     verify_cover,
@@ -46,7 +45,13 @@ from prodstate.states import (
     transform_params,
 )
 
-from conftest import reference_extend, reference_weight_leq_indices
+from conftest import (
+    reference_extend,
+    reference_overlap,
+    reference_prepare_root,
+    reference_rotated_cut,
+    reference_weight_leq_indices,
+)
 
 
 def pure_oracle(z, seed=0):
@@ -97,9 +102,18 @@ def test_local_net_covers_single_site():
 
 
 def extend_candidate(truncation, members, root, params):
-    """Prepare `root` on the truncation, then search that one branch."""
-    prepared = _prepare_root(truncation, root, params)
-    return _extend(prepared, _top_eigenvalue(truncation), members, params)
+    """Buy the truncation, prepare `root` on it, then search that one branch."""
+    rho, ceiling, marginals = _purchase(truncation)
+    return _extend(_prepare_root(marginals, root), rho, ceiling, members, params)
+
+
+def both_searches(truncation, root, members, params):
+    """The branch search and its dense per-root reference, as two thunks
+    searching one seeded branch under the purchase's ceiling."""
+    rho, ceiling, marginals = _purchase(truncation)
+    return (lambda: _extend(_prepare_root(marginals, root), rho, ceiling, members, params),
+            lambda: reference_extend(reference_prepare_root(truncation, root, params), ceiling,
+                                     members, params))
 
 
 def test_extend_finds_planted_origin():
@@ -162,10 +176,9 @@ def test_extend_matches_the_per_support_search():
         truncation, root, members = seeded_branch(rng, m, k)
         params = CoverParams(float(rng.uniform(0.45, 0.75)), 0.1, 0.1,
                              CoverOverrides(degree_cap=cap))
-        prepared = _prepare_root(truncation, root, params)
-        ceiling = _top_eigenvalue(truncation)
-        got = _extend(prepared, ceiling, members, params)
-        assert got == reference_extend(prepared, ceiling, members, params)
+        search, reference = both_searches(truncation, root, members, params)
+        got = search()
+        assert got == reference()
         found += got is not None
     assert 10 <= found <= 44
 
@@ -179,15 +192,14 @@ def test_extend_ceiling_stop_comes_before_an_over_budget_support():
     pin = product_state_vector(root).data
     rho = np.outer(pin, pin.conj())
     params = CoverParams(0.8, 0.2, 0.1, CoverOverrides(net_budget=30))
-    prepared = _prepare_root(rho, root, params)
-    got = _extend(prepared, _top_eigenvalue(rho), [], params)
-    assert got == reference_extend(prepared, _top_eigenvalue(rho), [], params)
+    search, reference = both_searches(rho, root, [], params)
+    got = search()
+    assert got == reference()
     assert fidelity(QuantumState.mixed(rho), got) >= 1.0 - 1e-9
     # Away from it the ceiling is out of reach and the budget error comes.
-    prepared = _prepare_root(rho, other, params)
-    for search in (_extend, reference_extend):
+    for search in both_searches(rho, other, [], params):
         with pytest.raises(ResourceBudgetError):
-            search(prepared, _top_eigenvalue(rho), [], params)
+            search()
 
 
 def test_site_bound_keeps_every_point_that_reaches_the_threshold():
@@ -195,12 +207,18 @@ def test_site_bound_keeps_every_point_that_reaches_the_threshold():
     dropped = 0
     for m, cap in itertools.product((1, 3, 5), (None, 1)):
         truncation, root, _ = seeded_branch(rng, m, 0)
-        _, rho = _prepare_root(truncation, root, CoverParams(0.5, 0.1, 0.1,
-                                                             CoverOverrides(degree_cap=cap)))
+        params = CoverParams(0.5, 0.1, 0.1, CoverOverrides(degree_cap=cap))
+        _, rho = reference_prepare_root(truncation, root, params)
+        marginals = site_marginals(rho)
+        if cap is None:
+            # An uncut root's rotated purchase marginals are its matrix's marginals.
+            _, _, rotated = _prepare_root(_purchase(truncation)[2], root)
+            assert np.abs(rotated - marginals).max() <= 1e-12
+            marginals = rotated
         points = 1.2 * (rng.standard_normal((400, m)) + 1j * rng.standard_normal((400, m)))
-        vals = _batch_overlap(rho, points)
+        vals = reference_overlap(rho, points)
         for thresh in np.quantile(vals, [0.5, 0.9, 0.99]):
-            keep = _may_reach(rho, points, thresh)
+            keep = _may_reach(marginals, points, thresh)
             assert keep[vals >= thresh - 1e-12].all()
             dropped += int((~keep).sum())
     assert dropped > 1000
@@ -211,9 +229,10 @@ def test_site_bound_keeps_every_point_that_reaches_the_threshold():
     rho = np.outer(pin, pin.conj())
     points = np.tile(plant.asarray(), (20, 1))
     points[:, 1] += 0.8 * (rng.standard_normal(20) + 1j * rng.standard_normal(20))
-    for z, val in zip(points, _batch_overlap(rho, points)):
-        assert _may_reach(rho, z[None], val - 1e-6)[0]
-        assert not _may_reach(rho, z[None], val + 1e-6)[0]
+    marginals = _purchase(rho)[2]
+    for z, val in zip(points, reference_overlap(rho, points)):
+        assert _may_reach(marginals, z[None], val - 1e-6)[0]
+        assert not _may_reach(marginals, z[None], val + 1e-6)[0]
 
 
 def test_candidate_nets_are_the_ball_filtered_cube():
@@ -259,11 +278,9 @@ def test_extend_refuses_an_unaffordable_net_before_building_it(monkeypatch):
     cover_module._net.cache_clear()
     rng = np.random.default_rng(8)
     truncation, root, members = seeded_branch(rng, 5, 4)
-    params = CoverParams(0.5, 0.1, 0.1)
-    prepared = _prepare_root(truncation, root, params)
-    for search in (_extend, reference_extend):
+    for search in both_searches(truncation, root, members, CoverParams(0.5, 0.1, 0.1)):
         with pytest.raises(ResourceBudgetError, match="43046721"):
-            search(prepared, _top_eigenvalue(truncation), members, params)
+            search()
     assert built == []
     cover_module._net.cache_clear()
 
@@ -290,16 +307,19 @@ def test_out_of_range_knobs_are_refused():
 
 def test_batch_overlap_matches_three_operand_einsum(monkeypatch):
     # A small element budget splits the 700 rows into several row blocks.
+    # Root-frame rows are mapped back by the dense adjoint frame of a Haar root.
     monkeypatch.setattr(cover_module, "_OVERLAP_ELEMENTS", 2**10)
     rng = np.random.default_rng(17)
     for m, count in ((1, 5), (3, 700), (6, 40)):
         a = rng.standard_normal((2**m, 2**m)) + 1j * rng.standard_normal((2**m, 2**m))
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
+        _, adjoints, _ = _prepare_root(np.zeros((m, 2, 2)), haar_product_params(rng, m))
         points = 1.5 * (rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m)))
-        amps = _batch_amplitudes(points)
+        rows = np.array([product_state_vector(ProductParams(tuple(z))).data for z in points])
+        amps = rows @ product_unitary(list(adjoints)).T
         want = np.real(np.einsum("pi,ij,pj->p", amps.conj(), rho, amps))
-        assert np.abs(_batch_overlap(rho, points) - want).max() <= 1e-13
+        assert np.abs(_batch_overlap(rho, points, adjoints, m) - want).max() <= 1e-13
 
 
 # --- build_cover ----------------------------------------------------------------
@@ -523,10 +543,17 @@ def recentred_cut(truncation, root, d):
     return 0.5 * (cut + cut.conj().T)
 
 
+def site_marginals(rho):
+    """The (m, 2, 2) stacked site marginals of a 2^m x 2^m matrix."""
+    m = rho.shape[0].bit_length() - 1
+    return np.array([partial_trace(rho, m, [i]) for i in range(m)])
+
+
 def test_stored_ceiling_tops_every_full_degree_root():
     # At degree(m) = m nothing is cut, so every root's recentred matrix has
     # the spectrum of herm(truncation); the non-Hermitian draws check that
-    # the stored ceiling is taken from the Hermitian part.
+    # the stored ceiling is taken from the Hermitian part.  Each root's
+    # rotated marginals and scores are those of its recentred matrix.
     rng = np.random.default_rng(23)
     params = CoverParams(0.5, 0.1, 0.1, DESK_OVERRIDES)
     for m, skew in itertools.product((1, 2, 3), (0.0, 0.05)):
@@ -536,13 +563,16 @@ def test_stored_ceiling_tops_every_full_degree_root():
         truncation = g @ g.conj().T / np.linalg.norm(g) ** 2
         truncation = truncation + skew * (rng.standard_normal((dim, dim))
                                           + 1j * rng.standard_normal((dim, dim)))
-        ceiling = _top_eigenvalue(truncation)
+        rho, ceiling, marginals = _purchase(truncation)
+        points = 1.2 * (rng.standard_normal((30, m)) + 1j * rng.standard_normal((30, m)))
         for z in itertools.product(LOCAL_NET, repeat=m):
             root = ProductParams(z)
-            want = np.linalg.eigvalsh(recentred_cut(truncation, root, m))[-1]
-            _, rho = _prepare_root(truncation, root, params)
-            assert abs(ceiling - want) <= 1e-12
-            assert np.allclose(rho, recentred_cut(truncation, root, m), atol=1e-12)
+            cut = recentred_cut(truncation, root, m)
+            _, adjoints, rotated = _prepare_root(marginals, root)
+            assert abs(ceiling - np.linalg.eigvalsh(cut)[-1]) <= 1e-12
+            assert np.abs(rotated - site_marginals(cut)).max() <= 1e-12
+            want = reference_overlap(cut, points)
+            assert np.abs(_batch_overlap(rho, points, adjoints, m) - want).max() <= 1e-12
 
 
 def test_estimate_opt_eigensolves_once_per_truncation(monkeypatch):
@@ -565,7 +595,8 @@ def test_estimate_opt_eigensolves_once_per_truncation(monkeypatch):
 def test_degree_capped_cuts_stay_under_stored_ceiling():
     # Below degree m each root cuts its recentred matrix in its own frame.
     # The cut is a compression of a PSD matrix, so the prefix estimate's top
-    # eigenvalue still tops it, though often strictly.
+    # eigenvalue still tops it, though often strictly.  The dense per-root
+    # preparation is that cut, and the capped scores are overlaps with it.
     rng = np.random.default_rng(29)
     marginal = planted_three_qubit_oracle().hidden.density()
     lowered = 0
@@ -573,36 +604,58 @@ def test_degree_capped_cuts_stay_under_stored_ceiling():
         params = CoverParams(0.5, 0.1, 0.1, dataclasses.replace(DESK_OVERRIDES, degree_cap=cap))
         dim = 2**m
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        points = 1.2 * (rng.standard_normal((30, m)) + 1j * rng.standard_normal((30, m)))
         for truncation in (g @ g.conj().T / np.linalg.norm(g) ** 2,
                            partial_trace(marginal, 3, list(range(m)))):
-            ceiling = _top_eigenvalue(truncation)
+            rho, ceiling, marginals = _purchase(truncation)
             for z in itertools.product(LOCAL_NET, repeat=m):
                 root = ProductParams(z)
                 cut = recentred_cut(truncation, root, cap)
-                _, rho = _prepare_root(truncation, root, params)
-                assert np.allclose(rho, cut, atol=1e-12)
+                _, ref = reference_prepare_root(truncation, root, params)
+                assert np.abs(ref - cut).max() <= 1e-12
+                _, adjoints, _ = _prepare_root(marginals, root)
+                want = reference_overlap(cut, points)
+                assert np.abs(_batch_overlap(rho, points, adjoints, cap) - want).max() <= 1e-12
                 top = np.linalg.eigvalsh(cut)[-1]
                 assert top <= ceiling + 1e-12
                 lowered += top < ceiling - 1e-9
     assert lowered > 0
 
 
+def test_capped_scores_equal_the_recentred_cut_overlaps():
+    # Every cap below m, up to m = 6: a cut row mapped back to the purchase
+    # frame scores what the dense recentred cut scores.
+    rng = np.random.default_rng(2626)
+    for m in range(1, 7):
+        dim = 2**m
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        truncation = g @ g.conj().T / np.linalg.norm(g) ** 2
+        rho, _, marginals = _purchase(truncation)
+        root = haar_product_params(rng, m)
+        _, adjoints, _ = _prepare_root(marginals, root)
+        points = 1.2 * (rng.standard_normal((40, m)) + 1j * rng.standard_normal((40, m)))
+        for d in range(m):
+            want = reference_overlap(recentred_cut(truncation, root, d), points)
+            assert np.abs(_batch_overlap(rho, points, adjoints, d) - want).max() <= 1e-12
+
+
 def test_degree_capped_covers_match_per_root_ceilings(monkeypatch):
     # The stored ceiling gives the same covers as eigensolving each capped
-    # root's own cut, which may exit a root early or stop its search sooner.
+    # root's own dense cut, which may exit a root early or stop its search sooner.
     extend = cover_module._extend
     stats = {"lowered": 0, "exits": 0}
 
-    def per_root_extend(prepared, ceiling, members, params):
-        units, rho = prepared
-        if params.degree(len(units)) < len(units):
-            own = float(np.linalg.eigvalsh(rho)[-1])
+    def per_root_extend(prepared, rho, ceiling, members, params):
+        units = prepared[0]
+        m = len(units)
+        if params.degree(m) < m:
+            own = float(np.linalg.eigvalsh(reference_rotated_cut(rho, units, params.degree(m)))[-1])
             stats["lowered"] += own < ceiling - 1e-9
             if own < params.eta - 0.5 * params.eps - 1e-12:
                 stats["exits"] += 1
                 return None
             ceiling = own
-        return extend(prepared, ceiling, members, params)
+        return extend(prepared, rho, ceiling, members, params)
 
     def outputs():
         got = []
@@ -621,6 +674,43 @@ def test_degree_capped_covers_match_per_root_ceilings(monkeypatch):
     assert outputs() == stored
     assert any(members for members in stored[::3] + stored[1::3])
     assert stats["lowered"] > 0 and stats["exits"] > 0
+
+
+def planted_six_qubit_oracle():
+    payload = generate("planted-product", {"n": 6, "w": 0.95, "noise": 0.05}, seed=1006)
+    return StateOracle(state_from_json(payload["state"]), seed=1106)
+
+
+def test_uncapped_roots_rotate_no_square_matrix(monkeypatch):
+    # Uncut candidates map back site by site: no root hands the 2^m x 2^m
+    # purchase, or any square block of that size, to `apply_sites`.
+    calls = []
+    inner = cover_module.apply_sites
+
+    def recording_apply_sites(ops, x):
+        calls.append((len(ops), np.shape(x)))
+        return inner(ops, x)
+
+    monkeypatch.setattr(cover_module, "apply_sites", recording_apply_sites)
+    est, witness = estimate_opt(planted_six_qubit_oracle(), 0.1, 0.1)
+    assert witness is not None and est > 0.5
+    assert not [shape for m, shape in calls if shape == (2**m, 2**m)]
+
+
+def test_estimate_opt_peak_memory_on_the_n8_benchmark_instance():
+    # The seed-1 `cover-search` estimate_opt-n8 task: each purchase is held
+    # once, hermitised, and no root allocates a rotated copy of it.  Rotating
+    # the purchase once per root peaks at 5.49 MiB on this task.
+    payload = generate("planted-product", {"n": 8, "w": 0.95, "noise": 0.05}, seed=1008)
+    o = StateOracle(state_from_json(payload["state"]), seed=1108)
+    tracemalloc.start()
+    try:
+        est, witness = estimate_opt(o, 0.1, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert witness is not None and est > 0.5
+    assert peak < 4.5 * 2**20
 
 
 # --- distance-splitting properties ----------------------------------------------

@@ -24,7 +24,6 @@ from prodstate.states import (
     product_state_vector,
     recenter_unitaries,
     transform_params,
-    weight_distribution,
 )
 
 from conftest import (
@@ -33,6 +32,7 @@ from conftest import (
     grid_product_opt,
     planted_grid_opt,
     random_product_params,
+    weight_distribution,
 )
 
 

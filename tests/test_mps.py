@@ -12,7 +12,6 @@ from prodstate.mps import (
     MatrixProductState,
     mps_learn,
     mps_to_state,
-    schmidt_rank,
     state_to_mps,
 )
 from prodstate.oracle import StateOracle
@@ -25,6 +24,8 @@ from prodstate.states import (
     product_state_vector,
     vector_fidelity,
 )
+
+from conftest import schmidt_rank
 
 
 def zero_train(n):

@@ -18,13 +18,10 @@ from prodstate.states import (
     Z_MAX,
     _ratio_param,
     cap_param,
-    excitation_probs,
     fidelity,
     haar_product_params,
     hamming_weights,
-    mean_excitation,
     partial_trace,
-    product_fidelity,
     product_state_vector,
     product_unitary,
     product_vectors,
@@ -32,16 +29,19 @@ from prodstate.states import (
     tangent_distance,
     transform_params,
     vector_to_params,
-    weight_distribution,
     weight_tail_bound,
 )
 
 from conftest import (
     apply_product_unitary,
+    excitation_probs,
     haar_unitary,
+    mean_excitation,
+    product_fidelity,
     random_product_params,
     reference_kron,
     reference_product_state_vector,
+    weight_distribution,
 )
 
 
@@ -344,6 +344,13 @@ def test_product_vectors_match_kron_reference():
         p = random_product_params(rng, n, scale=2.0)
         want = reference_product_state_vector(p).data
         assert np.array_equal(product_state_vector(p).data, want)
+
+
+def test_product_vectors_of_an_empty_batch():
+    for d in (2, 3):
+        for n in range(4):
+            got = product_vectors(np.zeros((0, n, d), dtype=complex))
+            assert got.shape == (0, d**n) and got.dtype == complex
 
 
 def test_quantum_state_validation():
