@@ -12,10 +12,16 @@ oracle, which returns the kappa-site marginal directly, so the sweep's dense
 arrays stay 2^kappa x 2^kappa.  One final kappa-site tomography, mapped back
 through the maps' adjoints in reverse order, reconstructs a matrix product
 state whose fidelity tracks the best bond-r state.
+
+Each tomography measures only its kappa-site window behind the zeroed
+prefix, so it is charged at dimension 2^kappa, not at the 2^(n-i) sites the
+window is cut from: copies grow polynomially in n at a fixed kappa.
+`PRODSTATE_LOG=INFO` logs one line per tomography call.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -30,6 +36,9 @@ __all__ = [
     "mps_to_state",
     "state_to_mps",
 ]
+
+logger = logging.getLogger(__name__)
+
 
 class MatrixProductState:
     """Open-boundary tensor train on qubits; tensors[i] has shape (r_{i-1}, 2, r_i).
@@ -117,9 +126,23 @@ def state_to_mps(s: QuantumState, max_bond: int | None = None,
     return MatrixProductState(tensors)
 
 
-def _top_eigenvector(mat: np.ndarray) -> np.ndarray:
-    """Unit top eigenvector with the largest-magnitude amplitude made real positive."""
-    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+def _spectrum(o: StateOracle, step: int, kappa: int, sigma: np.ndarray,
+              tau: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """(vals, vecs, heavy): sigma's Hermitian-part eigenpairs and its eigenvalues above tau.
+
+    Logs the step's window, its mass mu (the estimate's trace), the heavy
+    count and the copies charged so far.
+    """
+    vals, vecs = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
+    heavy = int(np.sum(vals > tau))
+    if logger.isEnabledFor(logging.INFO):
+        logger.info("mps step %d: kappa=%d mu=%.6g heavy=%d copies=%d", step, kappa,
+                    np.trace(sigma).real, heavy, o.copies_consumed)
+    return vals, vecs, heavy
+
+
+def _top_eigenvector(vecs: np.ndarray) -> np.ndarray:
+    """The top (last) of `eigh`'s eigenvectors, its largest-magnitude amplitude made real positive."""
     vec = vecs[:, -1]
     pivot = int(np.argmax(np.abs(vec)))
     phase = vec[pivot] / abs(vec[pivot])
@@ -136,6 +159,10 @@ def mps_learn(o: StateOracle, r: int, eps: float, delta: float,
     sweep window below the guarantee-level width, which keeps desk-scale
     sweeps multi-step; it is sound whenever every postselected marginal
     concentrates on that many dimensions.
+
+    Copies: the sum over the n - kappa + 1 tomography calls (one per sweep
+    step, then the final one) of `subnormalized_tomography`'s charge at
+    window dimension 2^kappa, eps tau = eps^2 / (9 n^2 r^4) and delta / n.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -162,9 +189,8 @@ def mps_learn(o: StateOracle, r: int, eps: float, delta: float,
     maps = np.zeros((n - kappa, block, 2 * block), dtype=complex)
     for i in range(1, n - kappa + 1):
         sigma = subnormalized_tomography(o, maps[: i - 1], i - 1, tau, delta_call, keep=kappa)
-        vals, vecs = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
+        vals, vecs, heavy = _spectrum(o, i, kappa, sigma, tau)
         order = np.argsort(vals)[::-1]
-        heavy = int(np.sum(vals > tau))
         if heavy > block:
             raise PromiseViolationError(
                 f"step {i} kept {heavy} eigenvalues above {tau}, beyond the "
@@ -173,5 +199,6 @@ def mps_learn(o: StateOracle, r: int, eps: float, delta: float,
         maps[i - 1] = vecs[:, order[:block]].conj().T
 
     final = subnormalized_tomography(o, maps, n - kappa, tau, delta_call)
-    vec = _apply_chain([m.conj().T for m in maps[::-1]], _top_eigenvector(final))
+    _, vecs, _ = _spectrum(o, n - kappa + 1, kappa, final, tau)
+    vec = _apply_chain([m.conj().T for m in maps[::-1]], _top_eigenvector(vecs))
     return state_to_mps(QuantumState.pure(vec / np.linalg.norm(vec)), max_bond=block)

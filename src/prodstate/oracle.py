@@ -53,7 +53,6 @@ from .states import (
     check_dense_budget,
     hamming_weights,
     haar_state,
-    partial_trace,
     product_state_vector,
     product_vectors,
 )
@@ -104,17 +103,19 @@ def fidelity_copy_cost(eps: float, delta: float) -> int:
     return math.ceil(math.log(2.0 / delta) / (2.0 * eps**2))
 
 
-def subnormalized_budget(dim_suffix: int, eps: float, delta: float) -> tuple[int, int]:
-    """(prefix-rate shots, wanted suffix shadows) for subnormalized tomography.
+def subnormalized_budget(dim: int, eps: float, delta: float) -> tuple[int, int]:
+    """(prefix-rate shots, wanted window shadows) for subnormalized tomography.
 
-    The accuracy is split evenly: half of eps, at confidence 1 - delta/2, to
-    the prefix success rate (Hoeffding), and half to the conditional suffix
-    state in trace norm.  Trace norm is at most dim times operator norm and
-    `_project_psd` at most doubles the latter, so the shadows are sized at
-    operator-norm eps / (4 dim), at confidence 1 - delta/2.
+    dim is the dimension of the measured window, 2^keep: the qubits of the
+    suffix outside it are traced out, not measured.  The accuracy is split
+    evenly: half of eps, at confidence 1 - delta/2, to the prefix success
+    rate (Hoeffding), and half to the conditional window state in trace
+    norm.  Trace norm is at most dim times operator norm and `_project_psd`
+    at most doubles the latter, so the shadows are sized at operator-norm
+    eps / (4 dim), at confidence 1 - delta/2.
     """
     n_mu = math.ceil(2.0 * math.log(4.0 / delta) / eps**2)
-    return n_mu, bernstein_shots(dim_suffix, eps / (4.0 * dim_suffix), delta / 2.0)
+    return n_mu, bernstein_shots(dim, eps / (4.0 * dim), delta / 2.0)
 
 
 def subnormalized_attempts(wanted_shadows: int, mu_hat: float) -> int:
@@ -424,14 +425,14 @@ def _frame_maps(frame, n: int, zeroed_prefix: int) -> list[np.ndarray]:
 
 def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_prefix: int,
                              eps: float, delta: float, keep: int | None = None) -> np.ndarray:
-    """Estimate the suffix block left after projecting the first sites onto zero.
+    """Estimate the window left after projecting the first sites onto zero.
 
     With rho' the hidden state conjugated by `frame` and i = zeroed_prefix,
-    the target is sigma = (<0^i| (x) I) rho' (|0^i> (x) I), a PSD matrix on the
-    remaining n - i sites with trace mu <= 1, reduced to its first `keep`
-    sites (None keeps all n - i).  The estimate of the full suffix block is
-    within trace-norm eps with probability >= 1 - delta, and so is its
-    reduction.
+    the suffix block is (<0^i| (x) I) rho' (|0^i> (x) I), a PSD matrix on the
+    remaining n - i sites with trace mu <= 1.  The target sigma is that block
+    reduced to its first `keep` sites, the window (None keeps all n - i): a
+    PSD matrix of trace mu on d = 2^keep dimensions.  The estimate is within
+    trace-norm eps of sigma with probability >= 1 - delta.
 
     Frame contract: `frame` is None (no rotation) or an ndarray, either
     * a dense row block with 2^n columns and at least 2^(n-i) rows, of which
@@ -444,15 +445,14 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     Either way the frame is rows of a rotation: on a mixed state with a
     shift c > 0, maps whose rows are not orthonormal raise ValueError
     before any copy is drawn (`states._mapped`).  Any other shape raises
-    ValueError.  The exact backend applies the maps to the state's factor
-    and forms only the 2^keep x 2^keep result; the sampling backend draws
-    the full suffix block's shadows and partial-traces the estimate.  An
-    array above states.DENSE_BUDGET (the result on the exact backend, the
-    suffix block on the sampling backend) raises ResourceBudgetError before
-    any copy is drawn.
+    ValueError.  Both backends apply the maps to the state's factor and form
+    only the 2^keep x 2^keep window; a window above states.DENSE_BUDGET
+    raises ResourceBudgetError before any copy is drawn.
 
-    The sampling backend estimates mu by the prefix success rate mu_hat, and
-    the unit-trace state tau = sigma / mu, of dimension d = 2^(n-i), by
+    Each copy is postselected on the zeroed prefix and only the window's
+    `keep` qubits are measured; the other suffix qubits are traced out at no
+    cost.  The sampling backend estimates mu by the prefix success rate
+    mu_hat, and the unit-trace window state tau = sigma / mu by
     `_project_psd` of the mean of `wanted` shadows; the result is
     mu_hat * tau_hat.  Its trace-norm error is at most
     |mu_hat - mu| + mu ||tau_hat - tau||_1 <= eps/2 + d ||tau_hat - tau||
@@ -461,10 +461,10 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     shadows it has.
 
     Copies: n_mu + attempts with (n_mu, wanted) =
-    subnormalized_budget(2^(n-i), eps, delta) and attempts =
-    subnormalized_attempts(wanted, mu_hat), whatever `keep`; the reported
-    success rate mu_hat is the exact mu on the exact backend.  A zero rate
-    returns the zero matrix after the n_mu rate-estimation copies.
+    subnormalized_budget(2^keep, eps, delta) and attempts =
+    subnormalized_attempts(wanted, mu_hat); the reported success rate mu_hat
+    is the exact mu on the exact backend.  A zero rate returns the zero
+    matrix after the n_mu rate-estimation copies.
     """
     _check_unit_interval(eps, "eps")
     _check_unit_interval(delta, "delta")
@@ -476,42 +476,40 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     if not 1 <= keep <= suffix:
         raise ValueError(f"keep must lie in [1, {suffix}], got {keep}")
     maps = _frame_maps(frame, n, zeroed_prefix)
-    dim_s, dim_k = 2**suffix, 2**keep
-    check_dense_budget((dim_k, dim_k) if o.backend == "exact" else (dim_s, dim_s))
-    n_mu, wanted = subnormalized_budget(dim_s, eps, delta)
+    dim = 2**keep
+    check_dense_budget((dim, dim))
+    n_mu, wanted = subnormalized_budget(dim, eps, delta)
     rho = _mapped(_operator(o.hidden), maps)
+    block = _sandwich(_marginal(rho, suffix, range(keep)), slice(None))
 
     if o.backend == "exact":
-        block = _sandwich(_marginal(rho, suffix, range(keep)), slice(None))
         mu_hat = rho.trace()
         if mu_hat <= 0.0:
             o._charge(n_mu)
-            return np.zeros((dim_k, dim_k), dtype=complex)
+            return np.zeros((dim, dim), dtype=complex)
         o._charge(n_mu + subnormalized_attempts(wanted, mu_hat))
         scale = o._noise_scale(eps)
         if scale == 0.0:
             return block
-        noisy = block + scale * _random_hermitian_unit(o._rng, dim_k, "tr")
+        noisy = block + scale * _random_hermitian_unit(o._rng, dim, "tr")
         return _project_psd(noisy)
 
     # The shadows sample block / mu, so mu is the trace of the block itself.
-    block = _sandwich(rho, slice(None))
     mu = float(np.real(np.trace(block)))
     o._check_shots(n_mu)
     mu = min(max(mu, 0.0), 1.0)
     mu_hat = o._rng.binomial(n_mu, mu) / n_mu
     if mu_hat <= 0.0:
         o._charge(n_mu)
-        return np.zeros((dim_k, dim_k), dtype=complex)
+        return np.zeros((dim, dim), dtype=complex)
     attempts = subnormalized_attempts(wanted, mu_hat)
     o._check_shots(n_mu + attempts)
     successes = int(o._rng.binomial(attempts, mu))
     o._charge(n_mu + attempts)
     shots = min(wanted, successes)
     if shots == 0 or mu == 0.0:
-        return np.zeros((dim_k, dim_k), dtype=complex)
-    est = mu_hat * _project_psd(_shadow_mean(o._rng, block / mu, shots))
-    return est if keep == suffix else partial_trace(est, suffix, range(keep))
+        return np.zeros((dim, dim), dtype=complex)
+    return mu_hat * _project_psd(_shadow_mean(o._rng, block / mu, shots))
 
 
 def estimate_fidelity(o: StateOracle, prefix_m: int, p: ProductParams, eps: float,

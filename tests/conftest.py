@@ -15,10 +15,13 @@ from prodstate.errors import ResourceBudgetError
 from prodstate.discrete import member_vector
 from prodstate.mps import MatrixProductState
 from prodstate.oracle import (
+    _frame_maps,
     _shadow_basis,
     _shadow_coord_chunks,
     _with_junk_slot,
     _z_columns,
+    subnormalized_attempts,
+    subnormalized_budget,
 )
 from prodstate.polyopt import (
     _certainly_empty,
@@ -29,6 +32,7 @@ from prodstate.polyopt import (
 from prodstate.states import (
     ProductParams,
     QuantumState,
+    _mapped,
     _operator,
     _sandwich,
     apply_sites,
@@ -126,6 +130,19 @@ def exact_z(state, basis=None):
         u = product_unitary(list(basis))
         col = u @ (rho @ u[0, :].conj())
     return np.array([col[1 << (n - 1 - i)] for i in range(n)])
+
+
+def window_charge(state, frame, zeroed_prefix, keep, eps, delta):
+    """(copies, mu): the exact backend's `subnormalized_tomography` charge at dimension 2^keep.
+
+    mu is the suffix block's trace as the oracle forms it, the trace of the
+    mapped factor.  The trace of the returned window agrees with it only to
+    rounding, and once the wanted shadows near 1e15 a rounding-level change
+    of mu moves ceil(2 wanted / mu).
+    """
+    mu = _mapped(_operator(state), _frame_maps(frame, state.n, zeroed_prefix)).trace()
+    n_mu, wanted = subnormalized_budget(2**keep, eps, delta)
+    return (n_mu + subnormalized_attempts(wanted, mu) if mu > 0.0 else n_mu), mu
 
 
 def fidelity_upper_bound(alpha2: float, norm_z: float, c: float) -> float:

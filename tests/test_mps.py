@@ -1,5 +1,6 @@
 """Tensor trains, disentangling rotations, and the sweep learner."""
 
+import logging
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from prodstate.states import (
     vector_fidelity,
 )
 
-from conftest import schmidt_rank
+from conftest import schmidt_rank, window_charge
 
 
 def zero_train(n):
@@ -204,6 +205,54 @@ def test_learn_with_narrow_window_sweeps(monkeypatch):
         # Postselection can only shed mass, so the recorded traces shrink.
         masses = [mass for _, mass in calls]
         assert all(a >= b - 1e-12 for a, b in zip(masses, masses[1:]))
+
+
+def planted_bond_two(n, seed):
+    """A pure bond-2 tensor train on n qubits, from a Haar state cut to bond 2."""
+    rng = np.random.default_rng(seed)
+    train = state_to_mps(QuantumState.pure(haar_state(2**n, rng)), max_bond=2)
+    return planted_mixture(mps_to_state(train).data, 1.0)
+
+
+def test_learn_charges_each_tomography_at_the_window(monkeypatch):
+    # Each tomography measures only its kappa-site window behind the zeroed
+    # prefix, so the learner's copies are the sum, over its n - kappa + 1
+    # calls, of n_mu plus the attempts of the 2^kappa budget at the call's
+    # mass mu.  Charged at each 2^(n-i) suffix, the run cost about 3e23.
+    calls = record_tomography(monkeypatch)
+    n, kappa, r, eps, delta = 9, 3, 2, 0.1, 0.1
+    hidden = planted_bond_two(n, 40)
+    o = StateOracle(hidden, backend="exact")
+    mps_learn(o, r, eps, delta, kappa_override=kappa)
+    assert len(calls) == n - kappa + 1
+    tau = eps * eps / (9.0 * n * n * r**4)
+    total = 0
+    for i, (maps, mass) in enumerate(calls):
+        copies, mu = window_charge(hidden, maps, i, kappa, tau, delta / n)
+        assert abs(mu - mass) <= 1e-12
+        total += copies
+    assert o.copies_consumed == total
+    assert o.copies_consumed < 1e19
+
+
+def test_learn_logs_one_line_per_tomography(caplog):
+    n, kappa = 9, 3
+    hidden = planted_bond_two(n, 41)
+    quiet = StateOracle(hidden, backend="exact")
+    expected = mps_learn(quiet, 2, 0.1, 0.1, kappa_override=kappa)
+    o = StateOracle(hidden, backend="exact")
+    with caplog.at_level(logging.INFO, logger="prodstate.mps"):
+        m = mps_learn(o, 2, 0.1, 0.1, kappa_override=kappa)
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "prodstate.mps"]
+    assert len(lines) == n - kappa + 1
+    for step, line in enumerate(lines, start=1):
+        assert line.startswith(f"mps step {step}: kappa={kappa} mu=")
+        assert " heavy=" in line
+    copies = [int(line.rsplit("copies=", 1)[1]) for line in lines]
+    assert all(a < b for a, b in zip(copies, copies[1:]))
+    assert copies[-1] == o.copies_consumed == quiet.copies_consumed
+    # Logging reads the results; it moves no output.
+    assert all(np.array_equal(a, b) for a, b in zip(m.tensors, expected.tensors))
 
 
 def test_learn_narrow_window_product():

@@ -50,6 +50,7 @@ from conftest import (
     reference_weight_leq_indices,
     reference_z_columns,
     shadow_rows,
+    window_charge,
 )
 
 
@@ -427,7 +428,7 @@ def test_subnormalized_keep_is_the_partial_trace_of_the_suffix(n):
     # On the exact backend keep=k is the suffix block reduced to its first k
     # sites, on a factored state and on its dense copy, for a window stack
     # and for the dense row block it composes to, and it charges the copies
-    # of the whole suffix.
+    # of the measured 2^k-dim window, not of the whole suffix.
     rng = np.random.default_rng(300 + n)
     maps = window_stack(n, 3, rng)
     for state in factored_cases(n, rng):
@@ -437,7 +438,6 @@ def test_subnormalized_keep_is_the_partial_trace_of_the_suffix(n):
                 for frame in (maps[:i], _apply_chain(maps[:i], np.eye(2**n))):
                     o = StateOracle(s, backend="exact")
                     whole = subnormalized_tomography(o, frame, i, 0.3, 0.1)
-                    copies = o.copies_consumed
                     first = whole if first is None else first
                     assert np.max(np.abs(whole - first)) <= 1e-12
                     for keep in range(1, n - i + 1):
@@ -446,27 +446,49 @@ def test_subnormalized_keep_is_the_partial_trace_of_the_suffix(n):
                         assert part.shape == (2**keep, 2**keep)
                         reduced = partial_trace(whole, n - i, range(keep))
                         assert np.max(np.abs(part - reduced)) <= 1e-12
+                        copies, mu = window_charge(s, frame, i, keep, 0.3, 0.1)
+                        assert abs(mu - np.trace(whole).real) <= 1e-12
                         assert o.copies_consumed == copies
 
 
-def test_subnormalized_sampling_keep_traces_the_same_draws():
-    # The sampling backend draws the whole suffix block's shadows whatever
-    # keep is, so keep=k is the partial trace of the keep=None estimate, bit
-    # for bit, at the same copies.
-    rng = np.random.default_rng(47)
-    n = 3
-    maps = window_stack(n, 2, rng)
-    for state in (random_mixed(n, rng), factored_cases(n, rng)[-1]):
-        for i in (1, 2):
-            for frame in (maps[:i], _apply_chain(maps[:i], np.eye(2**n))):
-                o = StateOracle(state, backend="sampling", seed=11)
-                whole = subnormalized_tomography(o, frame, i, 0.8, 0.8)
-                copies = o.copies_consumed
-                for keep in range(1, n - i + 1):
-                    o = StateOracle(state, backend="sampling", seed=11)
-                    part = subnormalized_tomography(o, frame, i, 0.8, 0.8, keep=keep)
-                    assert np.array_equal(part, partial_trace(whole, n - i, range(keep)))
-                    assert o.copies_consumed == copies
+def test_subnormalized_sampling_keep_meets_eps_on_the_window():
+    # The sampling backend measures only the keep-site window behind the
+    # zeroed prefix, at the window's shadow count: over 40 seeds per prefix
+    # every keep=2 estimate lies within trace-norm eps of the exact window,
+    # and the charge is n_mu plus the attempts at some measured rate for
+    # the 2^keep budget.
+    rng = np.random.default_rng(53)
+    n, kappa, eps, delta = 5, 2, 0.5, 0.2
+    state = QuantumState.pure(haar_state(2**n, rng))
+    maps = window_stack(n, kappa, rng)
+    n_mu, wanted = subnormalized_budget(2**kappa, eps, delta)
+    valid = {n_mu + subnormalized_attempts(wanted, k / n_mu) for k in range(1, n_mu + 1)}
+    for i in (1, 2):
+        exact = subnormalized_tomography(StateOracle(state, backend="exact"), maps[:i], i,
+                                         eps, delta, keep=kappa)
+        for seed in range(40):
+            o = StateOracle(state, backend="sampling", seed=seed)
+            est = subnormalized_tomography(o, maps[:i], i, eps, delta, keep=kappa)
+            assert est.shape == (2**kappa, 2**kappa)
+            diff = est - exact
+            assert np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum() <= eps
+            assert o.copies_consumed in valid
+
+
+def test_subnormalized_sampling_window_past_the_dense_budget():
+    # Behind one zeroed site of a 13-qubit register the suffix block is
+    # 4096 x 4096 (256 MiB, 4x DENSE_BUDGET); the sampling backend forms
+    # only the 4 x 4 window it measures.
+    rng = np.random.default_rng(59)
+    state = QuantumState.pure(haar_state(2**13, rng))
+    eps = 0.5
+    exact = subnormalized_tomography(StateOracle(state, backend="exact"), None, 1, eps, 0.2,
+                                     keep=2)
+    o = StateOracle(state, backend="sampling", seed=2)
+    est = subnormalized_tomography(o, None, 1, eps, 0.2, keep=2)
+    assert est.shape == (4, 4)
+    diff = est - exact
+    assert np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum() <= eps
 
 
 def test_z_exact_allocates_no_dense_frame():
