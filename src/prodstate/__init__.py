@@ -22,14 +22,11 @@ from .hardness import (
 )
 from .instances import (
     Graph,
-    bell_state,
     clique_number,
     ghz_state,
-    maximally_mixed,
     planted_mixture,
     planted_opt,
     random_mixed,
-    w_state,
 )
 from .localopt import high_fidelity_learn
 from .mps import (
@@ -70,7 +67,6 @@ __all__ = [
     "StateOracle",
     "Tensor4",
     "Z_MAX",
-    "bell_state",
     "build_cover",
     "class_fidelity_census",
     "clique_number",
@@ -83,7 +79,6 @@ __all__ = [
     "ghz_state",
     "haar_product_params",
     "high_fidelity_learn",
-    "maximally_mixed",
     "member_vector",
     "mps_learn",
     "mps_to_state",
@@ -103,5 +98,4 @@ __all__ = [
     "tangent_distance",
     "tensor_to_state",
     "verify_cover",
-    "w_state",
 ]

@@ -10,11 +10,13 @@ other dense array, which admits sides up to 5.
 
 The spectral-norm oracle runs its multistart alternating maximization on
 blocks of restarts at once: each half-step is one matrix product with the
-(m^2, m^2) unfolding of the tensor and one stacked Hermitian eigensolve of
-the m x m Gram matrices, and a block holds at most _RESTART_ELEMENTS / m^2
-restarts so memory stays bounded at any count.  Start vectors are drawn per
-restart in a fixed order, so a seed names the same starts whatever the block
-size.
+(m^2, m^2) unfolding of the tensor, giving a stack of m x m matrices, then
+exact single-leg updates of the two free legs by stacked matrix-vector
+products (the higher-order power method of De Lathauwer, De Moor and
+Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000); no eigensolve is
+called.  A block holds at most _RESTART_ELEMENTS / m^2 restarts so memory
+stays bounded at any count.  Start vectors are drawn per restart in a fixed
+order, so a seed names the same starts whatever the block size.
 """
 
 from __future__ import annotations
@@ -123,16 +125,17 @@ def spectral_norm_oracle(t: Tensor4, restarts: int | None = None,
                          seed: int = 0) -> float:
     """Best rank-one overlap found by multistart alternating maximization.
 
-    Each half-step fixes two legs and solves the remaining pair exactly: the
-    pair is the top singular pair of an m x m matrix M, read off the top
-    eigenvector of M^H M, so the value never decreases.  A restart
-    stops once a step gains at most 1e-12 * max(1, value), or after 200
-    steps.  Restarts (default 50 m^2, at least 1) run batched in blocks of at
-    most _RESTART_ELEMENTS / m^2, from the same seeded starts as one at a
-    time: per restart, in order, a (4, m) complex Gaussian draw whose last
-    two rows start the back pair.  This is a lower-bound heuristic: it is
-    certified only on instances with known closed forms, and elsewhere serves
-    as a consistency oracle.
+    Each half-step fixes two legs, forms the m x m matrix M of the other
+    two, and updates those one leg at a time, x, then y, then x again; each
+    update is the exact maximizer with the other three legs fixed, so the
+    value never decreases.  No eigensolve or SVD is called.  A restart stops
+    once a step gains at most 1e-12 * max(1, value), or after 200 steps.
+    Restarts (default 50 m^2, at least 1) run batched in blocks of at most
+    _RESTART_ELEMENTS / m^2, from the same seeded starts as one at a time:
+    per restart, in order, a (4, m) complex Gaussian draw whose four rows
+    start the legs x, y, u, v, with the first half-step's M formed from u and v.
+    This is a lower-bound heuristic: it is certified only on instances with
+    known closed forms, and elsewhere serves as a consistency oracle.
     """
     m = t.side
     if m > ORACLE_SIDE_BUDGET:
@@ -151,46 +154,52 @@ def spectral_norm_oracle(t: Tensor4, restarts: int | None = None,
     for first in range(0, restarts, block):
         z = rng.normal(size=(min(block, restarts - first), 2, 4, m))
         starts = z[:, 0] + 1j * z[:, 1]
-        best = max(best, _alternating_max(unfolded, starts[:, 2], starts[:, 3]))
+        best = max(best, _alternating_max(unfolded, starts))
     return best
 
 
-def _alternating_max(unfolded: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """Largest converged value of alternating maximization from rows of (u, v)."""
-    m = u.shape[1]
-    u = u / np.linalg.norm(u, axis=1, keepdims=True)
-    v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    value = np.zeros(len(u))
+def _alternating_max(unfolded: np.ndarray, starts: np.ndarray) -> float:
+    """Largest converged value of leg-by-leg maximization from (x, y, u, v) rows."""
+    m = starts.shape[2]
+    x, y, u, v = (starts / np.linalg.norm(starts, axis=2, keepdims=True)).transpose(1, 0, 2)
+    value = np.zeros(len(starts))
     best = 0.0
     for _ in range(200):
         pair = (u.conj()[:, :, None] * v.conj()[:, None, :]).reshape(-1, m * m)
-        _, x, y = _top_singular((pair @ unfolded.T).reshape(-1, m, m))
+        _, x, y = _leg_steps((pair @ unfolded.T).reshape(-1, m, m), x, y)
         pair = (x.conj()[:, :, None] * y.conj()[:, None, :]).reshape(-1, m * m)
-        sing, u, v = _top_singular((pair @ unfolded).reshape(-1, m, m))
+        sing, u, v = _leg_steps((pair @ unfolded).reshape(-1, m, m), u, v)
         done = sing - value <= 1e-12 * np.maximum(1.0, value)
         value = sing
         if done.any():
             best = max(best, float(value[done].max()))
-            u, v, value = u[~done], v[~done], value[~done]
+            keep = ~done
+            x, y, u, v, value = x[keep], y[keep], u[keep], v[keep], value[keep]
             if not len(value):
                 return best
     return max(best, float(value.max()))
 
 
-def _top_singular(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top singular value s, left vector x and right row y of each stacked matrix.
+def _leg_steps(mats: np.ndarray, x: np.ndarray, y: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact updates of x, then y, then x again for the value |x^H M conj(y)|.
 
-    y = conj(v) for the top eigenvector v of the Gram matrix M^H M, and
-    M v = s x with x a unit vector (x = v where M v = 0): the first column
-    of np.linalg.svd's U and row of its V^H, up to a common phase when the
-    top value is simple.
+    With the other leg fixed, each update is the unit vector that maximizes
+    the value, so it never decreases; a row whose image is zero keeps its
+    previous unit vector.  Returns the final value s = ||M conj(y)|| and the
+    unit rows x, y, with x^H M conj(y) = s.
     """
-    gram = mats.conj().transpose(0, 2, 1) @ mats
-    v = np.linalg.eigh(gram)[1][:, :, -1]
-    image = (mats @ v[:, :, None])[:, :, 0]
-    sing = np.linalg.norm(image, axis=1)
-    x = np.divide(image, sing[:, None], out=v.copy(), where=sing[:, None] > 0.0)
-    return sing, x, v.conj()
+    x, _ = _unit(np.einsum("bij,bj->bi", mats, y.conj()), x)
+    y, _ = _unit(np.einsum("bij,bi->bj", mats, x.conj()), y)
+    x, sing = _unit(np.einsum("bij,bj->bi", mats, y.conj()), x)
+    return sing, x, y
+
+
+def _unit(rows: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit length, and their norms; zero rows take the fallback's."""
+    norms = np.linalg.norm(rows, axis=1)
+    unit = np.divide(rows, norms[:, None], out=fallback.copy(), where=norms[:, None] > 0.0)
+    return unit, norms
 
 
 def recover_clique_number(nu: float) -> int:

@@ -1,4 +1,4 @@
-"""Benchmark state constructors: planted mixtures, GHZ/W states, graphs.
+"""Benchmark state constructors: planted mixtures, GHZ states, graphs.
 
 These generate the concrete instances the tests and the CLI feed to the
 learners, together with their known ground truths where closed forms exist.
@@ -28,27 +28,6 @@ def ghz_state(n: int) -> QuantumState:
     vec = np.zeros(2**n, dtype=complex)
     vec[0] = vec[-1] = 1.0 / math.sqrt(2.0)
     return QuantumState.pure(vec)
-
-
-def w_state(n: int) -> QuantumState:
-    """Uniform superposition of the n weight-1 basis strings."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    vec = np.zeros(2**n, dtype=complex)
-    for i in range(n):
-        vec[2 ** (n - 1 - i)] = 1.0 / math.sqrt(n)
-    return QuantumState.pure(vec)
-
-
-def bell_state() -> QuantumState:
-    """(|00> + |11>)/sqrt(2)."""
-    return ghz_state(2)
-
-
-def maximally_mixed(n: int) -> QuantumState:
-    """I/2^n: the factor with no columns and shift 1/2^n."""
-    dim = 2**n
-    return QuantumState.mixed(FactoredDensity(np.zeros((dim, 0), dtype=complex), 1.0 / dim))
 
 
 def planted_mixture(planted: ProductParams | np.ndarray, w: float) -> QuantumState:

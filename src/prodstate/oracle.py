@@ -119,8 +119,13 @@ def subnormalized_budget(dim: int, eps: float, delta: float) -> tuple[int, int]:
 
 
 def subnormalized_attempts(wanted_shadows: int, mu_hat: float) -> int:
-    """Copies spent hunting for `wanted_shadows` prefix successes at estimated rate mu_hat."""
-    return math.ceil(2.0 * wanted_shadows / mu_hat)
+    """Copies spent hunting for `wanted_shadows` prefix successes at estimated rate mu_hat.
+
+    The exact ceiling of 2 wanted / mu_hat, in integers on the float's exact
+    rational value: a float quotient near 1e18 is spaced 128 apart.
+    """
+    num, den = float(mu_hat).as_integer_ratio()
+    return -(-2 * int(wanted_shadows) * den // num)
 
 
 def weight_leq_indices(m: int, d: int) -> list[int]:

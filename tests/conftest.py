@@ -1,5 +1,6 @@
 """Shared pytest hooks (acceptance-criteria summary lines), random product parameters,
 the test-only state readers (product fidelity, excitation weights, Schmidt rank),
+the test-only state constructors (W, Bell, maximally mixed),
 dense test references, the brute-force grid and multistart oracles, the dense
 product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
 per-support polynomial and cover searches, and the reference JSON pair codec."""
@@ -13,6 +14,7 @@ from scipy.optimize import minimize
 from prodstate import cover
 from prodstate.errors import ResourceBudgetError
 from prodstate.discrete import member_vector
+from prodstate.instances import ghz_state
 from prodstate.mps import MatrixProductState
 from prodstate.oracle import (
     _frame_maps,
@@ -30,6 +32,7 @@ from prodstate.polyopt import (
     evaluate_poly,
 )
 from prodstate.states import (
+    FactoredDensity,
     ProductParams,
     QuantumState,
     _mapped,
@@ -99,6 +102,27 @@ def schmidt_rank(s: QuantumState, cut: int, tol: float = 1e-10) -> int:
     mat = s.data.reshape(2**cut, -1)
     sing = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(sing > tol))
+
+
+def w_state(n: int) -> QuantumState:
+    """Uniform superposition of the n weight-1 basis strings."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    vec = np.zeros(2**n, dtype=complex)
+    for i in range(n):
+        vec[2 ** (n - 1 - i)] = 1.0 / math.sqrt(n)
+    return QuantumState.pure(vec)
+
+
+def bell_state() -> QuantumState:
+    """(|00> + |11>)/sqrt(2)."""
+    return ghz_state(2)
+
+
+def maximally_mixed(n: int) -> QuantumState:
+    """I/2^n: the factor with no columns and shift 1/2^n."""
+    dim = 2**n
+    return QuantumState.mixed(FactoredDensity(np.zeros((dim, 0), dtype=complex), 1.0 / dim))
 
 
 def haar_unitary(dim, rng):

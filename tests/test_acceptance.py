@@ -23,14 +23,11 @@ from prodstate.hardness import (
     tensor_to_state,
 )
 from prodstate.instances import (
-    bell_state,
     clique_number,
     ghz_state,
     graphs_up_to_4_vertices,
-    maximally_mixed,
     planted_mixture,
     random_mixed,
-    w_state,
 )
 from prodstate.localopt import LocalOptConfig, high_fidelity_learn, local_optimize
 from prodstate.mps import mps_learn, mps_to_state
@@ -49,13 +46,16 @@ from prodstate.states import (
 )
 
 from conftest import (
+    bell_state,
     excitation_probs,
+    maximally_mixed,
     mean_excitation,
     planted_grid_opt,
     product_fidelity,
     random_product_params,
     reference_constrained_max,
     schmidt_rank,
+    w_state,
     weight_distribution,
 )
 

@@ -29,7 +29,7 @@ from prodstate.cover import (
     verify_cover,
 )
 from prodstate.errors import ResourceBudgetError
-from prodstate.instances import maximally_mixed, planted_mixture
+from prodstate.instances import planted_mixture
 from prodstate.oracle import StateOracle
 from prodstate.serialize import state_from_json
 from prodstate.states import (
@@ -46,6 +46,7 @@ from prodstate.states import (
 )
 
 from conftest import (
+    maximally_mixed,
     reference_extend,
     reference_overlap,
     reference_prepare_root,

@@ -13,11 +13,11 @@ from prodstate.discrete import (
     member_vector,
 )
 from prodstate.errors import PromiseViolationError, ResourceBudgetError
-from prodstate.instances import maximally_mixed, random_mixed
+from prodstate.instances import random_mixed
 from prodstate.oracle import StateOracle
 from prodstate.states import QuantumState
 
-from conftest import exact_prefix_fidelity, reference_member_vector
+from conftest import exact_prefix_fidelity, maximally_mixed, reference_member_vector
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])

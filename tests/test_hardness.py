@@ -133,7 +133,7 @@ def test_batched_oracle_blocks_keep_memory_bounded(monkeypatch):
     assert peak <= bound
 
 
-def _top_singular_cases(rng):
+def _stacked_matrix_cases(rng):
     for m in range(1, 7):
         count = 5
         yield rng.normal(size=(count, m, m)) + 1j * rng.normal(size=(count, m, m))
@@ -149,19 +149,43 @@ def _top_singular_cases(rng):
     yield np.stack([entries[0, 1], entries[2, 3]])
 
 
-def test_top_singular_matches_svd():
+def _form(mats, x, y):
+    """x^H M conj(y) for each stacked matrix."""
+    return np.einsum("bi,bij,bj->b", x.conj(), mats, y.conj())
+
+
+def test_leg_steps_ascend_from_warm_starts():
     rng = np.random.default_rng(21)
-    for mats in _top_singular_cases(rng):
+    for mats in _stacked_matrix_cases(rng):
+        count, m, _ = mats.shape
+        x0, y0 = np.stack(unit_vectors(rng, m, count)), np.stack(unit_vectors(rng, m, count))
         # Raising on any floating-point error also rules out 0/0 on M = 0.
         with np.errstate(all="raise"):
-            sing, x, y = hardness._top_singular(mats)
-        want = np.linalg.svd(mats, compute_uv=False)[:, 0]
-        assert np.all(np.abs(sing - want) <= 1e-12 * np.maximum(1.0, want))
+            sing, x, y = hardness._leg_steps(mats, x0, y0)
         assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
         assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.allclose(np.linalg.norm(y, axis=1), 1.0, rtol=0, atol=1e-12)
-        residual = np.einsum("bij,bj->bi", mats, y.conj()) - sing[:, None] * x
-        assert np.all(np.linalg.norm(residual, axis=1) <= 1e-12)
+        assert np.all(sing >= np.abs(_form(mats, x0, y0)) - 1e-12)
+        assert np.all(np.abs(_form(mats, x, y) - sing) <= 1e-12 * np.maximum(1.0, sing))
+        top = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        assert np.all(sing <= top * (1.0 + 1e-12))
+        # On a rank-one stack one step is exact: s is the top singular value.
+        if np.all(np.linalg.matrix_rank(mats) == 1):
+            assert np.all(np.abs(sing - top) <= 1e-12 * top)
+        if not mats.any():
+            assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+
+def test_oracle_runs_without_an_eigensolver(monkeypatch):
+    t = random_isometry_embed(clique_tensor(k_n(4)), 6, seed=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not call an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    nu = spectral_norm_oracle(t, restarts=24 * 36, seed=1)
+    assert recover_clique_number(nu) == 4
 
 
 def test_block_size_does_not_change_the_oracle(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from prodstate import localopt, oracle
 from prodstate.errors import PromiseViolationError, ResourceBudgetError
-from prodstate.instances import maximally_mixed, planted_mixture, planted_opt, random_mixed
+from prodstate.instances import planted_mixture, planted_opt, random_mixed
 from prodstate.localopt import (
     LocalOptConfig,
     high_fidelity_learn,
@@ -30,6 +30,7 @@ from conftest import (
     exact_z,
     fidelity_upper_bound,
     grid_product_opt,
+    maximally_mixed,
     planted_grid_opt,
     random_product_params,
     weight_distribution,

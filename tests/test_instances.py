@@ -8,15 +8,12 @@ import pytest
 from prodstate.bruteforce import best_product_fidelity
 from prodstate.instances import (
     Graph,
-    bell_state,
     clique_number,
     ghz_state,
     graphs_up_to_4_vertices,
-    maximally_mixed,
     planted_mixture,
     planted_opt,
     random_mixed,
-    w_state,
 )
 from prodstate.states import (
     ProductParams,
@@ -26,11 +23,14 @@ from prodstate.states import (
 )
 
 from conftest import (
+    bell_state,
     bloch_grid,
     grid_product_opt,
+    maximally_mixed,
     planted_grid_opt,
     random_product_params,
     reference_best_product_fidelity,
+    w_state,
 )
 
 

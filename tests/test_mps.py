@@ -8,7 +8,7 @@ import pytest
 
 from prodstate import mps
 from prodstate.errors import PromiseViolationError, ResourceBudgetError
-from prodstate.instances import ghz_state, planted_mixture, random_mixed, w_state
+from prodstate.instances import ghz_state, planted_mixture, random_mixed
 from prodstate.mps import (
     MatrixProductState,
     mps_learn,
@@ -26,7 +26,7 @@ from prodstate.states import (
     vector_fidelity,
 )
 
-from conftest import schmidt_rank, window_charge
+from conftest import schmidt_rank, w_state, window_charge
 
 
 def zero_train(n):

@@ -2,13 +2,14 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from prodstate import oracle
 from prodstate.errors import ResourceBudgetError
-from prodstate.instances import bell_state, maximally_mixed, planted_mixture, random_mixed
+from prodstate.instances import planted_mixture, random_mixed
 from prodstate.localopt import _reduced_oracle, single_site_estimate
 from prodstate.oracle import (
     SHADOW_CHUNK,
@@ -43,8 +44,10 @@ from prodstate.states import (
 )
 
 from conftest import (
+    bell_state,
     exact_z,
     haar_unitary,
+    maximally_mixed,
     random_product_params,
     raw_z_shadows,
     reference_weight_leq_indices,
@@ -339,6 +342,21 @@ def test_subspace_sampling_monte_carlo_failure_rate():
 
 
 # --- subnormalized tomography ----------------------------------------------
+
+
+def test_subnormalized_attempts_is_the_exact_ceiling():
+    # c mu >= 2 wanted > (c - 1) mu in exact rationals, at the ~1e17 shadow
+    # counts of MPS windows, where a float quotient is spaced 128 apart, and
+    # at small counts and rates.
+    rng = np.random.default_rng(61)
+    cases = [(int(w), float(mu)) for w, mu in zip(rng.integers(10**16, 10**18, size=1000),
+                                                     rng.uniform(0.01, 1.0, size=1000))]
+    cases += [(1, 1.0), (3, 0.5), (7, 1.0 / 3.0), (10**17, 1e-300), (12345, 0.1)]
+    for wanted, mu in cases:
+        c = subnormalized_attempts(wanted, mu)
+        assert isinstance(c, int)
+        exact = Fraction(mu)
+        assert c * exact >= 2 * wanted > (c - 1) * exact, (wanted, mu, c)
 
 
 def test_subnormalized_zero_state():
