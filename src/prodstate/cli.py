@@ -119,13 +119,8 @@ class ExperimentConfig:
 
 
 def _cover_overrides(config: ExperimentConfig) -> CoverOverrides:
-    """DESK_OVERRIDES with the run's --net-budget and --degree-cap applied."""
-    overrides = DESK_OVERRIDES
-    if config.net_budget is not None:
-        overrides = dataclasses.replace(overrides, net_budget=config.net_budget)
-    if config.degree_cap is not None:
-        overrides = dataclasses.replace(overrides, degree_cap=config.degree_cap)
-    return overrides
+    """DESK_OVERRIDES with the run's --degree-cap applied."""
+    return dataclasses.replace(DESK_OVERRIDES, degree_cap=config.degree_cap)
 
 
 def _polyopt_instance(seed: int, n: int):
@@ -365,11 +360,9 @@ _RUN_FLAGS = {
     "eta": {"type": float, "default": 0.8},
     "rank": {"type": int, "default": 1},
     "kappa": {"type": int, "default": None},
-    "net_budget": {"type": int, "default": None},
     "degree_cap": {"type": int, "default": None},
 }
 _ORACLE_FLAGS = ("backend", "noise", "eps", "delta")
-_COVER_FLAGS = ("net_budget", "degree_cap")
 
 
 def _add_run(p: argparse.ArgumentParser, *flags: str):
@@ -401,8 +394,8 @@ def _build_parser() -> _Parser:
 
     cover = sub.add_parser("cover", help="cover construction and best-fit estimation")
     cover_sub = cover.add_subparsers(dest="mode", required=True)
-    _add_run(cover_sub.add_parser("build"), *_ORACLE_FLAGS, "eta", *_COVER_FLAGS)
-    _add_run(cover_sub.add_parser("estimate-opt"), *_ORACLE_FLAGS, *_COVER_FLAGS)
+    _add_run(cover_sub.add_parser("build"), *_ORACLE_FLAGS, "eta", "degree_cap")
+    _add_run(cover_sub.add_parser("estimate-opt"), *_ORACLE_FLAGS, "degree_cap")
 
     discrete = sub.add_parser("discrete", help="finite-class learning")
     discrete_sub = discrete.add_subparsers(dest="mode", required=True)

@@ -11,8 +11,8 @@ reduces the search to deterministic grids over small subspaces, which is
 exact enough at desk scale and refuses (with a resource error) when the
 requested resolution would need more than a configured number of grid points.
 A grid is the `_pruned_ball` lattice in the q coordinates c of an
-orthonormal span basis B, built once per q (the cover's candidate nets use
-it too).  The solver stays in those coordinates, where
+orthonormal span basis B, built once per q.  The solver stays in those
+coordinates, where
 `PolySystem.restricted(B)` is f(B c) as a polynomial on C^q, and scores
 every support of one size in one `evaluate_poly_batch`.
 """

@@ -541,20 +541,3 @@ def vector_to_params(vector) -> ProductParams:
         raise ValueError("expected a single-qubit state vector or an (n, 2) stack of them")
     return ProductParams(tuple(_ratio_param(a, b) for a, b in v.reshape(-1, 2)))
 
-
-def partial_trace(matrix: np.ndarray, n: int, keep) -> np.ndarray:
-    """Partial trace of an n-qubit density matrix, keeping the listed sites.
-
-    keep is an iterable of 0-based site indices in increasing order.
-    """
-    keep = list(keep)
-    if keep != sorted(set(keep)) or any(not 0 <= k < n for k in keep):
-        raise ValueError("keep must be strictly increasing valid site indices")
-    tensor = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * n))
-    drop = [site for site in range(n) if site not in keep]
-    m = n
-    for site in sorted(drop, reverse=True):
-        tensor = np.trace(tensor, axis1=site, axis2=site + m)
-        m -= 1
-    side = 2 ** len(keep)
-    return tensor.reshape(side, side)

@@ -1,9 +1,11 @@
 """Shared pytest hooks (acceptance-criteria summary lines), random product parameters,
-the test-only state readers (product fidelity, excitation weights, Schmidt rank),
+the test-only state readers (product fidelity, excitation weights, Schmidt rank,
+partial trace),
 the test-only state constructors (W, Bell, maximally mixed),
 dense test references, the brute-force grid and multistart oracles, the dense
 product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
-per-support polynomial and cover searches, and the reference JSON pair codec."""
+per-support polynomial search, the dense per-root cover cut, and the reference
+JSON pair codec."""
 
 import math
 from itertools import combinations
@@ -11,7 +13,6 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import minimize
 
-from prodstate import cover
 from prodstate.errors import ResourceBudgetError
 from prodstate.discrete import member_vector
 from prodstate.instances import ghz_state
@@ -44,12 +45,10 @@ from prodstate.states import (
     haar_isometry,
     haar_state,
     hamming_weights,
-    partial_trace,
     product_state_vector,
     product_unitary,
     product_vectors,
     recenter_unitaries,
-    transform_params,
     vector_to_params,
 )
 
@@ -102,6 +101,24 @@ def schmidt_rank(s: QuantumState, cut: int, tol: float = 1e-10) -> int:
     mat = s.data.reshape(2**cut, -1)
     sing = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(sing > tol))
+
+
+def partial_trace(matrix: np.ndarray, n: int, keep) -> np.ndarray:
+    """Partial trace of an n-qubit density matrix, keeping the listed sites.
+
+    keep is an iterable of 0-based site indices in increasing order.
+    """
+    keep = list(keep)
+    if keep != sorted(set(keep)) or any(not 0 <= k < n for k in keep):
+        raise ValueError("keep must be strictly increasing valid site indices")
+    tensor = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * n))
+    drop = [site for site in range(n) if site not in keep]
+    m = n
+    for site in sorted(drop, reverse=True):
+        tensor = np.trace(tensor, axis1=site, axis2=site + m)
+        m -= 1
+    side = 2 ** len(keep)
+    return tensor.reshape(side, side)
 
 
 def w_state(n: int) -> QuantumState:
@@ -369,7 +386,7 @@ def reference_rotated_cut(truncation, units, d):
 def reference_prepare_root(truncation, root, params):
     """(units, rho) of a dense per-root preparation: `truncation` rotated to the
     root's frame and cut to weight <= params.degree(m), the matrix on which
-    `cover._extend`'s purchase-frame scores must agree with `reference_overlap`."""
+    `cover._polish`'s purchase-frame scores must agree with `reference_overlap`."""
     units = recenter_unitaries(root)
     return units, reference_rotated_cut(truncation, units, params.degree(root.n))
 
@@ -379,34 +396,6 @@ def reference_overlap(rho, points):
     scale = 1.0 / np.sqrt(1.0 + np.abs(points) ** 2)
     amps = product_vectors(np.stack([scale, scale * points], axis=-1))
     return np.real(((amps @ rho.T) * amps.conj()).sum(axis=1))
-
-
-def reference_extend(prepared, ceiling, members, params):
-    """`cover._extend` as one search per support of `reference_support_nets`,
-    each net filtered by the separation bound only and scored on its own, on
-    the rotated matrix of `reference_prepare_root`."""
-    units, rho = prepared
-    m = len(units)
-    thresh = params.eta - 0.5 * params.eps
-    cons_arrays = [transform_params(units, member).asarray() for member in members]
-    base = (np.stack(cons_arrays, axis=1) if cons_arrays
-            else np.zeros((m, 0), dtype=complex))
-    best_val, best_z = -math.inf, None
-    for basis, coords in reference_support_nets(base, 1, cover._NET_RADIUS, cover._NET_PITCH,
-                                                params.overrides.net_budget):
-        points = coords @ basis.T
-        for a in cons_arrays:
-            points = points[cover._batched_tangent_sq(points, a) >= (params.b - 1e-12) ** 2]
-        if len(points):
-            vals = reference_overlap(rho, points)
-            top = int(np.argmax(vals))
-            if vals[top] >= thresh - 1e-12 and vals[top] > best_val:
-                best_val, best_z = float(vals[top]), points[top]
-        if best_val >= ceiling - 1e-9:
-            break
-    if best_z is None:
-        return None
-    return transform_params(units, ProductParams(tuple(best_z)), inverse=True)
 
 
 def reference_kron(vectors):

@@ -225,8 +225,8 @@ def test_criterion_05_opt_estimation():
     assert abs(est - 0.5) <= 2 * eps, est
     assert witness is not None
 
-    # pure product plants sit on the desk-scale search net (see README notes
-    # on the coarsened nets), keeping the cover's resolution guarantee honest
+    # pure product plants made of LOCAL_NET states: some branch root is the
+    # plant itself, so the cover must return it
     for seed, z in ((1, (1.0, -1.0j)), (2, (1.0, -1.0j, 0.0))):
         state = product_state_vector(ProductParams(z))
         est, witness = estimate_opt(StateOracle(state, seed=seed), eps, 0.05,

@@ -431,8 +431,8 @@ def test_clique_without_vertices_infers_them_from_the_edges(tmp_path):
 
 
 def test_polyopt_zero_budget_exits_one(capsys):
-    # A budget below one point is a usage error, as for `cover build`, not a
-    # budget the solver then exceeds.
+    # A budget below one point is a usage error, not a budget the solver
+    # then exceeds.
     assert main(["polyopt", "solve", "--n", "3", "--net-budget", "0"]) == 1
     assert "net_budget" in capsys.readouterr().err
 
@@ -442,18 +442,15 @@ def test_polyopt_tiny_budget_exits_two(capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_estimate_opt_applies_net_budget(tmp_path, capsys):
-    inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "2")
-    assert main(["cover", "estimate-opt", inst, "--net-budget", "10"]) == 2
-    assert "budget" in capsys.readouterr().err
-
-
 def test_out_of_range_cover_knobs_exit_one(tmp_path, capsys):
     inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "4", "--w", "0.95",
                 "--seed", "3")
-    for flag, value in (("--degree-cap", "-1"), ("--net-budget", "0")):
-        assert main(["cover", "estimate-opt", inst, flag, value]) == 1
-        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert main(["cover", "estimate-opt", inst, "--degree-cap", "-1"]) == 1
+    assert "degree_cap" in capsys.readouterr().err
+    # The cover search has no grid budget: the flag is refused as unknown.
+    for mode in ("build", "estimate-opt"):
+        assert main(["cover", mode, inst, "--net-budget", "10"]) == 1
+        assert "--net-budget" in capsys.readouterr().err
 
 
 def test_state_files_outside_the_model_exit_one(tmp_path, capsys):
@@ -555,8 +552,7 @@ def test_cli_cover_build_and_round_trip(tmp_path):
     cover = report["result"]["cover"]
     assert cover["m"] == 2  # covers the full two-site register
     assert 1 <= len(cover["members"]) <= 6 / 0.8 + 1e-9
-    assert cover["overrides"] == {"degree_cap": None, "net_budget": 20_000_000,
-                                  "tomo_eps": None}
+    assert cover["overrides"] == {"degree_cap": None, "tomo_eps": None}
     for stored in cover["members"]:
         member = params_from_json(stored)
         assert member.n == 2

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from prodstate import cover as cover_module
-from prodstate import polyopt
+from prodstate.bruteforce import best_product_fidelity
 from prodstate.cli import generate
 from prodstate.cover import (
     Cover,
@@ -19,17 +19,15 @@ from prodstate.cover import (
     CoverParams,
     DESK_OVERRIDES,
     LOCAL_NET,
-    _batch_overlap,
-    _extend,
-    _may_reach,
-    _prepare_root,
+    _polish,
     _purchase,
+    _purchase_rows,
     build_cover,
     estimate_opt,
     verify_cover,
 )
 from prodstate.errors import ResourceBudgetError
-from prodstate.instances import planted_mixture
+from prodstate.instances import ghz_state, planted_mixture, random_mixed
 from prodstate.oracle import StateOracle
 from prodstate.serialize import state_from_json
 from prodstate.states import (
@@ -37,7 +35,6 @@ from prodstate.states import (
     QuantumState,
     fidelity,
     haar_product_params,
-    partial_trace,
     product_state_vector,
     product_unitary,
     recenter_unitaries,
@@ -46,12 +43,15 @@ from prodstate.states import (
 )
 
 from conftest import (
+    bell_state,
     maximally_mixed,
-    reference_extend,
+    partial_trace,
+    reference_kron,
     reference_overlap,
     reference_prepare_root,
     reference_rotated_cut,
     reference_weight_leq_indices,
+    w_state,
 )
 
 
@@ -102,26 +102,34 @@ def test_local_net_covers_single_site():
 # --- branch search -------------------------------------------------------------
 
 
-def extend_candidate(truncation, members, root, params):
-    """Buy the truncation, prepare `root` on it, then search that one branch."""
-    rho, ceiling, marginals = _purchase(truncation)
-    return _extend(_prepare_root(marginals, root), rho, ceiling, members, params)
+def polish_candidate(truncation, members, root, params):
+    """Buy the truncation, then polish `root` on it."""
+    rho, _ = _purchase(truncation)
+    return _polish(rho, root, members, params)
 
 
-def both_searches(truncation, root, members, params):
-    """The branch search and its dense per-root reference, as two thunks
-    searching one seeded branch under the purchase's ceiling."""
-    rho, ceiling, marginals = _purchase(truncation)
-    return (lambda: _extend(_prepare_root(marginals, root), rho, ceiling, members, params),
-            lambda: reference_extend(reference_prepare_root(truncation, root, params), ceiling,
-                                     members, params))
+def site_rows(points):
+    """(k, m, 2) unit site vectors of parameter rows."""
+    scale = 1.0 / np.sqrt(1.0 + np.abs(points) ** 2)
+    return np.stack([scale, scale * points], axis=-1)
+
+
+def adjoints_of(root):
+    """The root's (m, 2, 2) stacked adjoint recentring unitaries."""
+    return np.array(recenter_unitaries(root)).conj().transpose(0, 2, 1)
+
+
+def purchase_scores(rho, points, root, d):
+    """Scores of root-frame parameter rows by `_purchase_rows` on the purchase rho."""
+    rows = _purchase_rows(site_rows(points), adjoints_of(root), d)
+    return np.real(((rows @ rho.T) * rows.conj()).sum(axis=1))
 
 
 def test_extend_finds_planted_origin():
     rho = np.zeros((8, 8), dtype=complex)
     rho[0, 0] = 1.0
     params = CoverParams(0.8, 0.2, 0.1, DESK_OVERRIDES)
-    cand = extend_candidate(rho, [], ProductParams((0.0, 0.0, 0.0)), params)
+    cand = polish_candidate(rho, [], ProductParams((0.0, 0.0, 0.0)), params)
     assert cand is not None
     state = QuantumState.mixed(rho)
     assert fidelity(state, cand) >= 0.6
@@ -132,28 +140,20 @@ def test_extend_respects_far_constraint():
     rho[0, 0] = 1.0
     params = CoverParams(0.96, 0.1, 0.1, DESK_OVERRIDES)
     origin = ProductParams((0.0, 0.0))
-    cand = extend_candidate(rho, [origin], origin, params)
+    cand = polish_candidate(rho, [origin], origin, params)
     assert cand is None or tangent_distance(cand, origin) >= params.b
 
 
 def test_extend_zero_matrix_is_bottom():
     rho = np.zeros((4, 4), dtype=complex)
     params = CoverParams(0.8, 0.2, 0.1, DESK_OVERRIDES)
-    assert extend_candidate(rho, [], ProductParams((0.0, 0.0)), params) is None
-
-
-def test_extend_net_budget_guard():
-    pin = product_state_vector(ProductParams((0.5 + 0.3j, -0.7j))).data
-    rho = 0.75 * np.outer(pin, pin.conj()) + 0.25 * np.eye(4) / 4
-    params = CoverParams(0.8, 0.2, 0.1, CoverOverrides(net_budget=50))
-    with pytest.raises(ResourceBudgetError):
-        extend_candidate(rho, [], ProductParams((0.0, 0.0)), params)
+    assert polish_candidate(rho, [], ProductParams((0.0, 0.0)), params) is None
 
 
 def seeded_branch(rng, m, k):
     """(truncation, root, members) of one seeded search: a product state
     planted near a Haar root, mixed with a random rank-2 state, and k members,
-    each either near the root or Haar-drawn."""
+    each either a root-frame Gaussian step of scale 3 away or Haar-drawn."""
     root = haar_product_params(rng, m)
     units = recenter_unitaries(root)
 
@@ -166,128 +166,45 @@ def seeded_branch(rng, m, k):
     w = rng.uniform(0.6, 0.95)
     truncation = (w * np.outer(pin, pin.conj())
                   + (1.0 - w) * noise @ noise.conj().T / np.linalg.norm(noise) ** 2)
-    members = [near(1.0) if j % 2 == 0 else haar_product_params(rng, m) for j in range(k)]
+    members = [near(3.0) if j % 2 == 0 else haar_product_params(rng, m) for j in range(k)]
     return truncation, root, members
 
 
-def test_extend_matches_the_per_support_search():
-    rng = np.random.default_rng(2323)
-    found = 0
+def test_polish_climbs_to_a_separated_site_optimum():
+    # On the dense per-root cut: a polished point scores the threshold, at
+    # least what its root scores, and clears the separation bound to every
+    # member.  Without members every site of it is optimal with the others
+    # fixed: no 2x2 effective matrix of the cut has a larger top eigenvalue.
+    rng = np.random.default_rng(2929)
+    found = separated = 0
     for m, k, cap in itertools.product(range(1, 7), range(3), (None, 1, 2)):
         truncation, root, members = seeded_branch(rng, m, k)
         params = CoverParams(float(rng.uniform(0.45, 0.75)), 0.1, 0.1,
                              CoverOverrides(degree_cap=cap))
-        search, reference = both_searches(truncation, root, members, params)
-        got = search()
-        assert got == reference()
-        found += got is not None
-    assert 10 <= found <= 44
-
-
-def test_extend_ceiling_stop_comes_before_an_over_budget_support():
-    # The nets hold 1, 25, 25 and 25 raw points, so a budget of 30 is
-    # exceeded at the second site axis.  At the planted root the empty
-    # support already scores the ceiling, so the search returns the root.
-    rng = np.random.default_rng(41)
-    root, other = haar_product_params(rng, 3), haar_product_params(rng, 3)
-    pin = product_state_vector(root).data
-    rho = np.outer(pin, pin.conj())
-    params = CoverParams(0.8, 0.2, 0.1, CoverOverrides(net_budget=30))
-    search, reference = both_searches(rho, root, [], params)
-    got = search()
-    assert got == reference()
-    assert fidelity(QuantumState.mixed(rho), got) >= 1.0 - 1e-9
-    # Away from it the ceiling is out of reach and the budget error comes.
-    for search in both_searches(rho, other, [], params):
-        with pytest.raises(ResourceBudgetError):
-            search()
-
-
-def test_site_bound_keeps_every_point_that_reaches_the_threshold():
-    rng = np.random.default_rng(606)
-    dropped = 0
-    for m, cap in itertools.product((1, 3, 5), (None, 1)):
-        truncation, root, _ = seeded_branch(rng, m, 0)
-        params = CoverParams(0.5, 0.1, 0.1, CoverOverrides(degree_cap=cap))
-        _, rho = reference_prepare_root(truncation, root, params)
-        marginals = site_marginals(rho)
-        if cap is None:
-            # An uncut root's rotated purchase marginals are its matrix's marginals.
-            _, _, rotated = _prepare_root(_purchase(truncation)[2], root)
-            assert np.abs(rotated - marginals).max() <= 1e-12
-            marginals = rotated
-        points = 1.2 * (rng.standard_normal((400, m)) + 1j * rng.standard_normal((400, m)))
-        vals = reference_overlap(rho, points)
-        for thresh in np.quantile(vals, [0.5, 0.9, 0.99]):
-            keep = _may_reach(marginals, points, thresh)
-            assert keep[vals >= thresh - 1e-12].all()
-            dropped += int((~keep).sum())
-    assert dropped > 1000
-    # Against a pure product state, a point that differs from it at one site
-    # has exactly that site's bound as its overlap, so the mask is tight.
-    plant = haar_product_params(rng, 3)
-    pin = product_state_vector(plant).data
-    rho = np.outer(pin, pin.conj())
-    points = np.tile(plant.asarray(), (20, 1))
-    points[:, 1] += 0.8 * (rng.standard_normal(20) + 1j * rng.standard_normal(20))
-    marginals = _purchase(rho)[2]
-    for z, val in zip(points, reference_overlap(rho, points)):
-        assert _may_reach(marginals, z[None], val - 1e-6)[0]
-        assert not _may_reach(marginals, z[None], val + 1e-6)[0]
-
-
-def test_candidate_nets_are_the_ball_filtered_cube():
-    # Each net is the ball-filtered cube in lex order, built by the pruned
-    # lattice without ever holding the cube: the q = 3 build allocates less
-    # than a quarter of the cube's 2q real coordinates.
-    cover_module._net.cache_clear()
-    radius = cover_module._NET_RADIUS
-    for q, size, raw in ((0, 1, 1), (1, 13, 25), (2, 321, 625), (3, 10_237, 117_649)):
-        pitch = cover_module._NET_PITCH / math.sqrt(2.0 * max(q, 1))
-        steps = math.floor(radius / pitch)
-        cube = list(itertools.product(range(-steps, steps + 1), repeat=2 * q))
-        want = []
-        for ks in cube:
-            reals = np.array(ks, dtype=float) * pitch
-            if (reals**2).sum() <= radius**2:
-                want.append(reals[:q] + 1j * reals[q:])
-        axis = polyopt._lattice_axis(q, radius, cover_module._NET_PITCH)
-        assert len(cube) == raw == len(axis) ** (2 * q)
-        tracemalloc.start()
-        try:
-            coords = cover_module._net(q)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert coords.shape == (size, q) and not coords.flags.writeable
-        assert np.array_equal(coords, np.array(want, dtype=complex).reshape(size, q))
-        assert q < 3 or peak < 2 * q * 8 * raw / 4
-    cover_module._net.cache_clear()
-
-
-def test_extend_refuses_an_unaffordable_net_before_building_it(monkeypatch):
-    # Four generic members span q = 4 at the empty support, whose raw cube
-    # of 9^8 points is above the default budget: no lattice of that q is built.
-    built = []
-    inner = cover_module._pruned_ball
-
-    def recording_lattice(q, *rest):
-        built.append(q)
-        return inner(q, *rest)
-
-    monkeypatch.setattr(cover_module, "_pruned_ball", recording_lattice)
-    cover_module._net.cache_clear()
-    rng = np.random.default_rng(8)
-    truncation, root, members = seeded_branch(rng, 5, 4)
-    for search in both_searches(truncation, root, members, CoverParams(0.5, 0.1, 0.1)):
-        with pytest.raises(ResourceBudgetError, match="43046721"):
-            search()
-    assert built == []
-    cover_module._net.cache_clear()
+        got = polish_candidate(truncation, members, root, params)
+        if got is None:
+            continue
+        found += 1
+        separated += bool(members)
+        units, cut = reference_prepare_root(truncation, root, params)
+        local = transform_params(units, got).asarray()[None]
+        score = float(reference_overlap(cut, local)[0])
+        assert score >= params.eta - 0.5 * params.eps - 1e-12
+        assert score >= float(reference_overlap(cut, np.zeros((1, m)))[0]) - 1e-12
+        assert all(tangent_distance(got, member) >= params.b for member in members)
+        if members:
+            continue
+        sites = site_rows(local)[0]
+        for i in range(m):
+            pair = np.repeat(sites[None], 2, axis=0)
+            pair[:, i] = np.eye(2)
+            rows = np.array([reference_kron(row) for row in pair])
+            assert np.linalg.eigvalsh(rows.conj() @ cut @ rows.T)[-1] <= score + 1e-9
+    assert found >= 15 and separated >= 5
 
 
 def test_default_knobs_run_the_desk_nets():
-    # With no overrides the search runs the same nets as DESK_OVERRIDES and
+    # With no overrides the search runs the same knobs as DESK_OVERRIDES and
     # answers at once, with a witness.
     assert CoverOverrides() == DESK_OVERRIDES
     start = time.perf_counter()
@@ -299,28 +216,26 @@ def test_default_knobs_run_the_desk_nets():
 
 
 def test_out_of_range_knobs_are_refused():
-    for bad in ({"degree_cap": -1}, {"net_budget": 0}, {"tomo_eps": -1.0}, {"tomo_eps": 0.0},
+    for bad in ({"degree_cap": -1}, {"tomo_eps": -1.0}, {"tomo_eps": 0.0},
                 {"tomo_eps": 1.0}, {"tomo_eps": 2.0}):
         with pytest.raises(ValueError):
             CoverOverrides(**bad)
     assert CoverParams(0.5, 0.1, 0.1, CoverOverrides(degree_cap=0)).degree(3) == 0
 
 
-def test_batch_overlap_matches_three_operand_einsum(monkeypatch):
-    # A small element budget splits the 700 rows into several row blocks.
+def test_batch_overlap_matches_three_operand_einsum():
     # Root-frame rows are mapped back by the dense adjoint frame of a Haar root.
-    monkeypatch.setattr(cover_module, "_OVERLAP_ELEMENTS", 2**10)
     rng = np.random.default_rng(17)
     for m, count in ((1, 5), (3, 700), (6, 40)):
         a = rng.standard_normal((2**m, 2**m)) + 1j * rng.standard_normal((2**m, 2**m))
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
-        _, adjoints, _ = _prepare_root(np.zeros((m, 2, 2)), haar_product_params(rng, m))
+        root = haar_product_params(rng, m)
         points = 1.5 * (rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m)))
         rows = np.array([product_state_vector(ProductParams(tuple(z))).data for z in points])
-        amps = rows @ product_unitary(list(adjoints)).T
+        amps = rows @ product_unitary(list(adjoints_of(root))).T
         want = np.real(np.einsum("pi,ij,pj->p", amps.conj(), rho, amps))
-        assert np.abs(_batch_overlap(rho, points, adjoints, m) - want).max() <= 1e-13
+        assert np.abs(purchase_scores(rho, points, root, m) - want).max() <= 1e-13
 
 
 # --- build_cover ----------------------------------------------------------------
@@ -340,25 +255,31 @@ def test_build_cover_pure_origin():
 
 
 def test_build_prepares_each_root_once(monkeypatch):
-    # The Bell cover accepts members, so some roots are searched more than once.
-    prepared = []
-    recenter = cover_module.recenter_unitaries
+    # Each root is polished once, and recentred once if it clears the
+    # separation bound to the members accepted before it; else not at all.
+    roots, prepared, cleared = [], [], []
+    recenter, polish = cover_module.recenter_unitaries, cover_module._polish
 
     def counting_recenter(root):
         prepared.append(root)
         return recenter(root)
 
+    def recording_polish(rho, root, members, params):
+        roots.append(root)
+        if all(tangent_distance(root, member) >= params.b for member in members):
+            cleared.append(root)
+        return polish(rho, root, members, params)
+
     monkeypatch.setattr(cover_module, "recenter_unitaries", counting_recenter)
+    monkeypatch.setattr(cover_module, "_polish", recording_polish)
     bell = np.zeros(4)
     bell[0] = bell[3] = 2**-0.5
     params = CoverParams(0.5, 0.12, 0.05, DESK_OVERRIDES)
     cover = build_cover(StateOracle(QuantumState.pure(bell), seed=3), params)
     assert len(cover) == 2
-    # A prefix-2 root is a prefix-1 member followed by a LOCAL_NET branch.
-    level1 = {ProductParams(root.z[:1]) for root in prepared if root.n == 2}
-    roots = len(LOCAL_NET) * (1 + len(level1))
-    assert len(prepared) == roots
-    assert len(set(prepared)) == roots
+    # Two prefix-1 members, each branched over LOCAL_NET at prefix 2.
+    assert len(roots) == len(set(roots)) == 3 * len(LOCAL_NET)
+    assert prepared == cleared and len(cleared) < len(roots)
 
 
 def test_build_cover_mixed_is_empty():
@@ -439,6 +360,29 @@ def test_verify_pure_origin_audit():
     assert report["ok"], report
 
 
+def test_covers_pass_the_audit_up_to_eight_qubits():
+    # Covers of Haar plants at n = 2..8, random mixed states and multi-member
+    # states pass the audit, and whenever the best product state reaches the
+    # level some member lies within the coverage radius of it.
+    rng = np.random.default_rng(4)
+    states = [planted_mixture(haar_product_params(rng, n), 0.7) for n in range(2, 9)]
+    states += [random_mixed(n, rng, rank=2) for n in (3, 5)]
+    states += [bell_state(), ghz_state(3), w_state(3), w_state(4)]
+    reached = 0
+    for state in states:
+        opt, witness = best_product_fidelity(state, restarts=4)
+        for seed, eta in enumerate((0.5, 0.7)):
+            params = CoverParams(eta, 0.1, 0.1)
+            cover = build_cover(StateOracle(state, seed=seed), params)
+            report = verify_cover(state, cover, trials=200, rng_seed=seed)
+            assert report["ok"], report
+            if opt >= eta:
+                reached += 1
+                assert min((tangent_distance(witness, member) for member in cover.members),
+                           default=math.inf) <= params.b_far
+    assert reached == 17
+
+
 # --- estimate_opt ----------------------------------------------------------------
 
 
@@ -463,6 +407,21 @@ def test_estimate_opt_maximally_mixed():
     o = StateOracle(QuantumState.mixed(np.eye(4) / 4), seed=9)
     est, _ = estimate_opt(o, 0.05, 0.05, overrides=DESK_OVERRIDES)
     assert est <= 0.25 + 0.1
+
+
+def test_estimate_opt_meets_opt_on_haar_plants():
+    # The `cover-search` plants: Haar product states at w 0.95 and noise
+    # 0.05, n = 2..8.  The witness meets opt - eps, and the estimate is its
+    # measured fidelity, within eps/4.
+    eps = 0.1
+    for n in range(2, 9):
+        payload = generate("planted-product", {"n": n, "w": 0.95, "noise": 0.05}, seed=1000 + n)
+        state = state_from_json(payload["state"])
+        est, witness = estimate_opt(StateOracle(state, seed=1100 + n), eps, 0.1)
+        assert witness is not None
+        got = fidelity(state, witness)
+        assert got >= payload["ground_truth"]["opt"] - eps
+        assert abs(est - got) <= eps / 4.0
 
 
 def planted_three_qubit_oracle():
@@ -544,17 +503,11 @@ def recentred_cut(truncation, root, d):
     return 0.5 * (cut + cut.conj().T)
 
 
-def site_marginals(rho):
-    """The (m, 2, 2) stacked site marginals of a 2^m x 2^m matrix."""
-    m = rho.shape[0].bit_length() - 1
-    return np.array([partial_trace(rho, m, [i]) for i in range(m)])
-
-
 def test_stored_ceiling_tops_every_full_degree_root():
     # At degree(m) = m nothing is cut, so every root's recentred matrix has
     # the spectrum of herm(truncation); the non-Hermitian draws check that
     # the stored ceiling is taken from the Hermitian part.  Each root's
-    # rotated marginals and scores are those of its recentred matrix.
+    # scores are those of its recentred matrix.
     rng = np.random.default_rng(23)
     params = CoverParams(0.5, 0.1, 0.1, DESK_OVERRIDES)
     for m, skew in itertools.product((1, 2, 3), (0.0, 0.05)):
@@ -564,16 +517,14 @@ def test_stored_ceiling_tops_every_full_degree_root():
         truncation = g @ g.conj().T / np.linalg.norm(g) ** 2
         truncation = truncation + skew * (rng.standard_normal((dim, dim))
                                           + 1j * rng.standard_normal((dim, dim)))
-        rho, ceiling, marginals = _purchase(truncation)
+        rho, ceiling = _purchase(truncation)
         points = 1.2 * (rng.standard_normal((30, m)) + 1j * rng.standard_normal((30, m)))
         for z in itertools.product(LOCAL_NET, repeat=m):
             root = ProductParams(z)
             cut = recentred_cut(truncation, root, m)
-            _, adjoints, rotated = _prepare_root(marginals, root)
             assert abs(ceiling - np.linalg.eigvalsh(cut)[-1]) <= 1e-12
-            assert np.abs(rotated - site_marginals(cut)).max() <= 1e-12
             want = reference_overlap(cut, points)
-            assert np.abs(_batch_overlap(rho, points, adjoints, m) - want).max() <= 1e-12
+            assert np.abs(purchase_scores(rho, points, root, m) - want).max() <= 1e-12
 
 
 def test_estimate_opt_eigensolves_once_per_truncation(monkeypatch):
@@ -608,15 +559,14 @@ def test_degree_capped_cuts_stay_under_stored_ceiling():
         points = 1.2 * (rng.standard_normal((30, m)) + 1j * rng.standard_normal((30, m)))
         for truncation in (g @ g.conj().T / np.linalg.norm(g) ** 2,
                            partial_trace(marginal, 3, list(range(m)))):
-            rho, ceiling, marginals = _purchase(truncation)
+            rho, ceiling = _purchase(truncation)
             for z in itertools.product(LOCAL_NET, repeat=m):
                 root = ProductParams(z)
                 cut = recentred_cut(truncation, root, cap)
                 _, ref = reference_prepare_root(truncation, root, params)
                 assert np.abs(ref - cut).max() <= 1e-12
-                _, adjoints, _ = _prepare_root(marginals, root)
                 want = reference_overlap(cut, points)
-                assert np.abs(_batch_overlap(rho, points, adjoints, cap) - want).max() <= 1e-12
+                assert np.abs(purchase_scores(rho, points, root, cap) - want).max() <= 1e-12
                 top = np.linalg.eigvalsh(cut)[-1]
                 assert top <= ceiling + 1e-12
                 lowered += top < ceiling - 1e-9
@@ -631,32 +581,31 @@ def test_capped_scores_equal_the_recentred_cut_overlaps():
         dim = 2**m
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         truncation = g @ g.conj().T / np.linalg.norm(g) ** 2
-        rho, _, marginals = _purchase(truncation)
+        rho, _ = _purchase(truncation)
         root = haar_product_params(rng, m)
-        _, adjoints, _ = _prepare_root(marginals, root)
+        units = recenter_unitaries(root)
         points = 1.2 * (rng.standard_normal((40, m)) + 1j * rng.standard_normal((40, m)))
         for d in range(m):
-            want = reference_overlap(recentred_cut(truncation, root, d), points)
-            assert np.abs(_batch_overlap(rho, points, adjoints, d) - want).max() <= 1e-12
+            want = reference_overlap(reference_rotated_cut(truncation, units, d), points)
+            assert np.abs(purchase_scores(rho, points, root, d) - want).max() <= 1e-12
 
 
 def test_degree_capped_covers_match_per_root_ceilings(monkeypatch):
     # The stored ceiling gives the same covers as eigensolving each capped
-    # root's own dense cut, which may exit a root early or stop its search sooner.
-    extend = cover_module._extend
+    # root's own dense cut, which may exit a root before its sweep.
+    polish = cover_module._polish
     stats = {"lowered": 0, "exits": 0}
 
-    def per_root_extend(prepared, rho, ceiling, members, params):
-        units = prepared[0]
-        m = len(units)
+    def per_root_polish(rho, root, members, params):
+        m = root.n
         if params.degree(m) < m:
+            units = recenter_unitaries(root)
             own = float(np.linalg.eigvalsh(reference_rotated_cut(rho, units, params.degree(m)))[-1])
-            stats["lowered"] += own < ceiling - 1e-9
+            stats["lowered"] += own < float(np.linalg.eigvalsh(rho)[-1]) - 1e-9
             if own < params.eta - 0.5 * params.eps - 1e-12:
                 stats["exits"] += 1
                 return None
-            ceiling = own
-        return extend(prepared, rho, ceiling, members, params)
+        return polish(rho, root, members, params)
 
     def outputs():
         got = []
@@ -671,7 +620,7 @@ def test_degree_capped_covers_match_per_root_ceilings(monkeypatch):
         return got
 
     stored = outputs()
-    monkeypatch.setattr(cover_module, "_extend", per_root_extend)
+    monkeypatch.setattr(cover_module, "_polish", per_root_polish)
     assert outputs() == stored
     assert any(members for members in stored[::3] + stored[1::3])
     assert stats["lowered"] > 0 and stats["exits"] > 0

@@ -20,7 +20,6 @@ from prodstate.states import (
     ProductParams,
     QuantumState,
     fidelity,
-    partial_trace,
     product_state_vector,
     recenter_unitaries,
     transform_params,
@@ -31,6 +30,7 @@ from conftest import (
     fidelity_upper_bound,
     grid_product_opt,
     maximally_mixed,
+    partial_trace,
     planted_grid_opt,
     random_product_params,
     weight_distribution,

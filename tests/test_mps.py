@@ -21,12 +21,11 @@ from prodstate.states import (
     _apply_chain,
     haar_product_params,
     haar_state,
-    partial_trace,
     product_state_vector,
     vector_fidelity,
 )
 
-from conftest import schmidt_rank, w_state, window_charge
+from conftest import partial_trace, schmidt_rank, w_state, window_charge
 
 
 def zero_train(n):

@@ -37,7 +37,6 @@ from prodstate.states import (
     _apply_chain,
     haar_isometry,
     haar_state,
-    partial_trace,
     product_state_vector,
     product_unitary,
     recenter_unitaries,
@@ -48,6 +47,7 @@ from conftest import (
     exact_z,
     haar_unitary,
     maximally_mixed,
+    partial_trace,
     random_product_params,
     raw_z_shadows,
     reference_weight_leq_indices,

@@ -21,7 +21,6 @@ from prodstate.states import (
     fidelity,
     haar_product_params,
     hamming_weights,
-    partial_trace,
     product_state_vector,
     product_unitary,
     product_vectors,
@@ -37,6 +36,7 @@ from conftest import (
     excitation_probs,
     haar_unitary,
     mean_excitation,
+    partial_trace,
     product_fidelity,
     random_product_params,
     reference_kron,
