@@ -267,7 +267,9 @@ def _build(o: StateOracle, params: CoverParams,
     """
     n = o.n
     cap = params.member_cap
-    per_level = 1 + 6 * cap * (cap + 2)
+    # Per prefix: one purchase at delta_call, and one fidelity estimate for
+    # each of the 6 roots of each of at most `cap` members of the prefix before.
+    per_level = 1 + 6 * cap
     delta_call = params.delta / (n * per_level)
     if prefix_cache is None:
         prefix_cache = ({}, 2.0 * delta_call)

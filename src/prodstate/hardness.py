@@ -44,6 +44,8 @@ ORACLE_SIDE_BUDGET = 48
 # Largest restarts * side^2 one block of the oracle's restarts may hold; each
 # of the block's (restarts, side, side) complex arrays stays within 4 MiB.
 _RESTART_ELEMENTS = 1 << 18
+# Alternating steps after which a restart stops whatever its gain.
+_MAX_STEPS = 200
 
 
 class Tensor4:
@@ -129,7 +131,10 @@ def spectral_norm_oracle(t: Tensor4, restarts: int | None = None,
     two, and updates those one leg at a time, x, then y, then x again; each
     update is the exact maximizer with the other three legs fixed, so the
     value never decreases.  No eigensolve or SVD is called.  A restart stops
-    once a step gains at most 1e-12 * max(1, value), or after 200 steps.
+    once a step gains at most 1e-12 * max(1, value), or after 200 steps, and
+    is dropped once value + gain * (steps left) falls below the best value a
+    converged restart of its block has reached: even its current gain kept
+    up to the cap could not overtake that.
     Restarts (default 50 m^2, at least 1) run batched in blocks of at most
     _RESTART_ELEMENTS / m^2, from the same seeded starts as one at a time:
     per restart, in order, a (4, m) complex Gaussian draw whose four rows
@@ -164,16 +169,20 @@ def _alternating_max(unfolded: np.ndarray, starts: np.ndarray) -> float:
     x, y, u, v = (starts / np.linalg.norm(starts, axis=2, keepdims=True)).transpose(1, 0, 2)
     value = np.zeros(len(starts))
     best = 0.0
-    for _ in range(200):
+    for step in range(_MAX_STEPS):
         pair = (u.conj()[:, :, None] * v.conj()[:, None, :]).reshape(-1, m * m)
         _, x, y = _leg_steps((pair @ unfolded.T).reshape(-1, m, m), x, y)
         pair = (x.conj()[:, :, None] * y.conj()[:, None, :]).reshape(-1, m * m)
         sing, u, v = _leg_steps((pair @ unfolded).reshape(-1, m, m), u, v)
-        done = sing - value <= 1e-12 * np.maximum(1.0, value)
+        gain = sing - value
+        done = gain <= 1e-12 * np.maximum(1.0, value)
         value = sing
         if done.any():
             best = max(best, float(value[done].max()))
-            keep = ~done
+        # A restart that cannot reach `best` even if it kept its current gain
+        # until the step cap is dropped.
+        keep = ~done & (value + gain * (_MAX_STEPS - 1 - step) >= best)
+        if not keep.all():
             x, y, u, v, value = x[keep], y[keep], u[keep], v[keep], value[keep]
             if not len(value):
                 return best

@@ -12,23 +12,28 @@ exact enough at desk scale and refuses (with a resource error) when the
 requested resolution would need more than a configured number of grid points.
 A grid is the `_pruned_ball` lattice in the q coordinates c of an
 orthonormal span basis B, built once per q.  The solver stays in those
-coordinates, where
-`PolySystem.restricted(B)` is f(B c) as a polynomial on C^q, and scores
-every support of one size in one `evaluate_poly_batch`.
+coordinates, where `PolySystem.restricted(B)` is f(B c) as a polynomial on
+C^q, and scores every support of one size together on real features: per
+degree k, |m_a|^2 and the real and imaginary parts of conj(m_a) m_b (a < b)
+over the C(q+k-1, k) distinct monomials m_a of c, 13 per point at q = 2 and
+degree 2.  Each system folds its tensors once into matching complex
+coefficients, so a block of lattice points costs one real (2s, F) @ (F, p)
+product for s systems; `evaluate_poly_batch` runs the same kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
 from .errors import ResourceBudgetError
 
 DEFAULT_NET_BUDGET = 5_000_000
-# Complex elements of the power rows one scoring block may hold.
-_SCORE_ELEMENTS = 250_000
+# Real monomial features (F per lattice point) one scoring block may hold.
+_SCORE_ELEMENTS = 50_000
 # Values this close count as equal: the earlier support, and within a
 # support the earlier lattice point, keeps the lead whatever the rounding.
 _TIE = 1e-12
@@ -52,15 +57,24 @@ class PolySystem:
         self.n = int(n)
         self.constant = complex(constant)
         self.tensors = tuple(np.asarray(t, dtype=complex) for t in tensors)
-        self._mats = []
         total = abs(self.constant)
         for k, t in enumerate(self.tensors, start=1):
             if t.shape != (n,) * (2 * k):
                 raise ValueError(f"degree-{k} tensor must have shape {(n,) * (2 * k)}")
             total += float(np.linalg.norm(t))
-            self._mats.append(t.reshape(n**k, n**k))
         if total > 1.0 + 1e-9:
             raise ValueError("total coefficient mass exceeds 1")
+        # The coefficients of `_features`: per degree, M_k summed over the
+        # orderings of each monomial pair (M'), then M'_aa, M'_ab + M'_ba and
+        # i (M'_ab - M'_ba) for a < b.
+        coef = [np.zeros(0, dtype=complex)]
+        for t, (_, last, a, b, order) in zip(self.tensors, _monomials(n, self.degree)):
+            fold = np.zeros((len(order), len(last)))
+            fold[np.arange(len(order)), order] = 1.0
+            folded = fold.T @ t.reshape(len(order), len(order)) @ fold
+            coef += [folded.diagonal(), folded[a, b] + folded[b, a],
+                     1j * (folded[a, b] - folded[b, a])]
+        self._coef = np.concatenate(coef)
 
     @property
     def degree(self) -> int:
@@ -135,18 +149,60 @@ def evaluate_poly(sys: PolySystem, x: np.ndarray) -> complex:
 
 def evaluate_poly_batch(systems, points: np.ndarray) -> np.ndarray:
     """Values at each row of a (p, n) array of one PolySystem (shape (p,)) or
-    of a sequence of s systems of one n and degree (shape (p, s)): per degree
-    k, the rows vec(conj(P_k) (x) P_k) of P_k = x^(x)k meet the stacked
-    vec(M_k) of every system in one product."""
+    of a sequence of s systems of one n and degree (shape (p, s)), by one
+    `_feature_values` product on the points' real coordinate rows."""
     group = [systems] if isinstance(systems, PolySystem) else list(systems)
-    p = points.shape[0]
-    vals = np.tile(np.array([s.constant for s in group]), (p, 1))
-    power = np.ones((p, 1), dtype=complex)
-    for k in range(group[0].degree):
-        power = (power[:, :, None] * points[:, None, :]).reshape(p, -1)
-        rows = (power.conj()[:, :, None] * power[:, None, :]).reshape(p, -1)
-        vals += rows @ np.stack([s._mats[k].reshape(-1) for s in group], axis=1)
+    vals = _feature_values(group, np.ascontiguousarray(points.real.T),
+                           np.ascontiguousarray(points.imag.T))
+    s = len(group)
+    vals = (vals[:s] + 1j * vals[s:]).T
     return vals[:, 0] if isinstance(systems, PolySystem) else vals
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials(q: int, degree: int) -> tuple:
+    """Per degree k = 1..degree, the bookkeeping of the distinct degree-k
+    monomials of C^q, the sorted index tuples in lex order: each one's parent
+    among the degree-(k-1) tuples and its last axis, the (a, b) index pairs
+    a < b, and the monomial of every ordered index tuple (row-major)."""
+    plan, tuples = [], [()]
+    for k in range(1, degree + 1):
+        grown = [(i, t + (j,)) for i, t in enumerate(tuples) for j in range(t[-1] if t else 0, q)]
+        tuples = [t for _, t in grown]
+        where = {t: i for i, t in enumerate(tuples)}
+        parent = np.array([i for i, _ in grown], dtype=np.intp)
+        last = np.array([t[-1] for t in tuples], dtype=np.intp)
+        a, b = np.triu_indices(len(tuples), 1)
+        order = np.array([where[tuple(sorted(t))] for t in product(range(q), repeat=k)],
+                         dtype=np.intp)
+        plan.append((parent, last, a, b, order))
+    return tuple(plan)
+
+
+def _features(re: np.ndarray, im: np.ndarray, degree: int) -> np.ndarray:
+    """The (F, p) real monomial features of p points given as (q, p) rows of
+    real and imaginary parts: per degree, |m_a|^2, then Re and Im of
+    conj(m_a) m_b for a < b, over the distinct monomials m_a."""
+    blocks = [np.zeros((0, re.shape[1]))]
+    for k, (parent, last, a, b, _) in enumerate(_monomials(re.shape[0], degree)):
+        if k:
+            pr, pi, xr, xi = mr[parent], mi[parent], re[last], im[last]
+            mr, mi = pr * xr - pi * xi, pr * xi + pi * xr
+        else:
+            mr, mi = re, im
+        ra, ia, rb, ib = mr[a], mi[a], mr[b], mi[b]
+        blocks += [mr * mr + mi * mi, ra * rb + ia * ib, ra * ib - ia * rb]
+    return np.concatenate(blocks)
+
+
+def _feature_values(systems, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Real parts (first s rows) and imaginary parts (last s rows) of the s
+    systems' values at the points of `_features`: one (2s, F) @ (F, p) product."""
+    coef = np.stack([s._coef for s in systems])
+    const = np.array([s.constant for s in systems])
+    weights = np.concatenate([coef.real, coef.imag])
+    shift = np.concatenate([const.real, const.imag])[:, None]
+    return weights @ _features(re, im, systems[0].degree) + shift
 
 
 def _orthonormal_columns(stacked: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -229,7 +285,7 @@ def _certainly_empty(dom: OptDomain, factor: float) -> bool:
 
 def _support_values(systems, bases, axis, indices, norms, dom: OptDomain) -> np.ndarray:
     """|f| restricted to each of `bases` (as `systems`) at the lattice points
-    that passed the norm shell, one column per basis, -inf where the point
+    that passed the norm shell, one row per basis, -inf where the point
     misses that span's factor-2 pin |(A B) c - v| or flatness cap.  The cap
     needs B c, so it is tested only when some |c| = |B c| >= |x_i| can reach
     it (the 1e-12 margin covers rounding)."""
@@ -237,18 +293,21 @@ def _support_values(systems, bases, axis, indices, norms, dom: OptDomain) -> np.
     cap = dom.mu + g
     flat = norms.max(initial=0.0) > cap * (1.0 - 1e-12)
     pins = [dom.a @ basis for basis in bases] if dom.a.shape[0] else []
-    q = indices.shape[1] // 2
-    rows = max(1, _SCORE_ELEMENTS // max(q, 1) ** (2 * systems[0].degree))
-    out = np.empty((len(indices), len(systems)))
+    q, s = indices.shape[1] // 2, len(systems)
+    rows = max(1, _SCORE_ELEMENTS // max(len(systems[0]._coef), 1))
+    out = np.empty((s, len(indices)))
     for lo in range(0, len(indices), rows):
-        coords = _coords(axis, indices[lo:lo + rows])
-        vals = out[lo:lo + rows]
-        vals[:] = np.abs(evaluate_poly_batch(systems, coords))
-        for j, basis in enumerate(bases):
-            if flat:
-                vals[np.abs(coords @ basis.T).max(axis=1, initial=0.0) > cap, j] = -math.inf
-            if pins:
-                vals[np.linalg.norm(coords @ pins[j].T - dom.v, axis=1) > g, j] = -math.inf
+        block = indices[lo:lo + rows]
+        parts = axis[np.ascontiguousarray(block.T)]
+        vals = _feature_values(systems, parts[:q], parts[q:])
+        scores = np.hypot(vals[:s], vals[s:], out=out[:, lo:lo + rows])
+        if flat or pins:
+            coords = _coords(axis, block)
+            for j, basis in enumerate(bases):
+                if flat:
+                    scores[j, np.abs(coords @ basis.T).max(axis=1, initial=0.0) > cap] = -math.inf
+                if pins:
+                    scores[j, np.linalg.norm(coords @ pins[j].T - dom.v, axis=1) > g] = -math.inf
     return out
 
 
@@ -304,9 +363,9 @@ def solve_constrained(sys: PolySystem, dom: OptDomain, eps: float,
                 inside = np.abs(norms - dom.nu) <= 2.0 * dom.gamma
                 shells[q] = (_lattice_axis(q, radius, dom.gamma), indices[inside], norms[inside])
             group = [j for j in range(reach) if qs[j] == q]
-            cols = _support_values([sys.restricted(bases[j]) for j in group],
-                                   [bases[j] for j in group], *shells[q], dom)
-            values.update(zip(group, cols.T))
+            values.update(zip(group, _support_values(
+                [sys.restricted(bases[j]) for j in group], [bases[j] for j in group],
+                *shells[q], dom)))
         for j in range(len(supports)):
             if j == reach:
                 raise ResourceBudgetError(

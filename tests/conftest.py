@@ -4,8 +4,8 @@ partial trace),
 the test-only state constructors (W, Bell, maximally mixed),
 dense test references, the brute-force grid and multistart oracles, the dense
 product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
-per-support polynomial search, the dense per-root cover cut, and the reference
-JSON pair codec."""
+complex power-row polynomial evaluator and the per-support polynomial search,
+the dense per-root cover cut, and the reference JSON pair codec."""
 
 import math
 from itertools import combinations
@@ -27,6 +27,7 @@ from prodstate.oracle import (
     subnormalized_budget,
 )
 from prodstate.polyopt import (
+    PolySystem,
     _certainly_empty,
     _orthonormal_columns,
     effective_subspace,
@@ -302,6 +303,21 @@ def reference_poly_values(sys, points):
             power = (power[:, :, None] * block[:, None, :]).reshape(len(block), -1)
             vals[lo:lo + 10_000] += (power.conj() * (power @ t.reshape(sys.n**k, -1).T)).sum(axis=1)
     return vals
+
+
+def reference_evaluate_poly_batch(systems, points):
+    """`polyopt.evaluate_poly_batch` on complex power rows: per degree k, the
+    rows vec(conj(P_k) (x) P_k) of P_k = x^(x)k meet the stacked vec(M_k) of
+    every system in one product."""
+    group = [systems] if isinstance(systems, PolySystem) else list(systems)
+    p, n = points.shape
+    vals = np.tile(np.array([s.constant for s in group]), (p, 1))
+    power = np.ones((p, 1), dtype=complex)
+    for k in range(group[0].degree):
+        power = (power[:, :, None] * points[:, None, :]).reshape(p, -1)
+        rows = (power.conj()[:, :, None] * power[:, None, :]).reshape(p, -1)
+        vals += rows @ np.stack([s.tensors[k].reshape(-1) for s in group], axis=1)
+    return vals[:, 0] if isinstance(systems, PolySystem) else vals
 
 
 def reference_ball_grid(q, radius, pitch):

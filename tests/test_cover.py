@@ -466,10 +466,44 @@ def test_build_cover_buys_each_prefix_at_the_per_call_share(monkeypatch):
     o = planted_three_qubit_oracle()
     params = CoverParams(0.5, 0.1, 0.1, DESK_OVERRIDES)
     build_cover(o, params)
+    # A prefix makes one purchase and at most 6 * cap fidelity estimates (one
+    # per root of at most cap members), each at delta_call.
     cap = params.member_cap
-    delta_call = params.delta / (o.n * (1 + 6 * cap * (cap + 2)))
+    delta_call = params.delta / (o.n * (1 + 6 * cap))
     assert [args[0] for _, args, _ in calls] == [1, 2, 3]
     assert all(d == delta_call for _, _, d in calls)
+
+
+def test_no_prefix_estimates_more_than_six_per_previous_member(monkeypatch):
+    # Each member of prefix m - 1 spawns the 6 roots of LOCAL_NET and each
+    # root proposes at most one candidate, so prefix m makes at most
+    # 6 * (members at m - 1) fidelity estimates: the count the failure budget
+    # of `_build` is split over.
+    assert len(LOCAL_NET) == 6
+    inner = cover_module.estimate_fidelity
+    calls = []
+
+    def recorded(o, m, cand, eps, delta):
+        est = inner(o, m, cand, eps, delta)
+        calls.append((m, est))
+        return est
+
+    monkeypatch.setattr(cover_module, "estimate_fidelity", recorded)
+    widest = 0
+    for state in (bell_state(), ghz_state(3), w_state(3), planted_mixture(
+            haar_product_params(np.random.default_rng(5), 4), 0.7)):
+        for eta in (0.4, 0.5):
+            calls.clear()
+            params = CoverParams(eta, 0.1, 0.1, DESK_OVERRIDES)
+            cover = build_cover(StateOracle(state, seed=3), params)
+            members = 1
+            for m in range(1, state.n + 1):
+                ests = [est for k, est in calls if k == m]
+                assert len(ests) <= 6 * members, (m, len(ests), members)
+                members = sum(est >= params.eta - 0.75 * params.eps for est in ests)
+                widest = max(widest, members)
+            assert members == len(cover.members)
+    assert widest > 1
 
 
 @pytest.mark.parametrize("state", [

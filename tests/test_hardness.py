@@ -113,6 +113,26 @@ def test_batched_oracle_matches_per_restart_reference():
         assert abs(got - want) <= 1e-10
 
 
+def test_creeping_restarts_are_dropped_below_the_best(monkeypatch):
+    # On the paw graph some restarts creep towards 1/2 for all 200 steps
+    # while others converge to 2/3; once even their current gain kept up to
+    # the cap cannot reach 2/3 they are dropped, so the 192 restarts of the
+    # benchmark end long before the cap (2 * 200 half-steps).
+    calls = []
+    inner = hardness._leg_steps
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(hardness, "_leg_steps", counted)
+    t = clique_tensor(dict(graphs_up_to_4_vertices())["paw"])
+    nu = spectral_norm_oracle(t, restarts=192, seed=1)
+    assert len(calls) <= 100
+    assert abs(nu - reference_spectral_norm(t, 192, 1)) <= 1e-10
+    assert recover_clique_number(nu) == 3
+
+
 def test_batched_oracle_blocks_keep_memory_bounded(monkeypatch):
     # A smaller block keeps the run short; the working set of a block is a
     # handful of (restarts, m, m) arrays, so the peak must not grow with the

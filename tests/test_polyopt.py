@@ -27,6 +27,7 @@ from conftest import (
     ambient_solve_constrained,
     reference_ball_grid,
     reference_constrained_max,
+    reference_evaluate_poly_batch,
     reference_membership_mask,
     reference_poly_values,
 )
@@ -134,6 +135,41 @@ def test_batch_over_systems_matches_each_system():
         for j, sys in enumerate(group):
             assert np.abs(cols[:, j] - evaluate_poly_batch(sys, pts)).max() <= 1e-12
             assert np.abs(cols[:, j] - reference_poly_values(sys, pts)).max() <= 1e-12
+
+
+def test_feature_kernel_matches_power_rows():
+    # The folded real features give the complex power-row values at every
+    # q and degree, on one system and on a stack of three.
+    rng = np.random.default_rng(13)
+    for q, degree in itertools.product(range(5), range(4)):
+        group = []
+        for _ in range(3):
+            raw = [rng.standard_normal((q,) * (2 * k)) + 1j * rng.standard_normal((q,) * (2 * k))
+                   for k in range(1, degree + 1)]
+            scale = 0.9 / (1.0 + sum(float(np.linalg.norm(t)) for t in raw))
+            group.append(PolySystem(q, 0.5 * scale * (1 - 1j), tuple(scale * t for t in raw)))
+        pts = rng.standard_normal((40, q)) + 1j * rng.standard_normal((40, q))
+        for systems in (group[0], group):
+            got = evaluate_poly_batch(systems, pts)
+            want = reference_evaluate_poly_batch(systems, pts)
+            assert got.shape == want.shape
+            assert (np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))).all(), (q, degree)
+
+
+def test_solve_with_power_row_scores_returns_the_same_point(monkeypatch):
+    # The 1e-12 tie rule makes the answer independent of how the values
+    # are rounded: scoring by the power rows picks the same lattice point.
+    got = {key: solve_constrained(*_polyopt_instance(*key), eps=0.1)
+           for key in itertools.product(range(4), range(2, 8))}
+
+    def power_row_values(systems, re, im):
+        vals = reference_evaluate_poly_batch(systems, (re + 1j * im).T)
+        return np.concatenate([vals.real.T, vals.imag.T])
+
+    monkeypatch.setattr(polyopt, "_feature_values", power_row_values)
+    for key, x in got.items():
+        want = solve_constrained(*_polyopt_instance(*key), eps=0.1)
+        assert x is not None and x.tobytes() == want.tobytes(), key
 
 
 def random_system(rng, n, degree):
