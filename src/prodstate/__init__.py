@@ -23,7 +23,6 @@ from .hardness import (
 from .instances import (
     Graph,
     clique_number,
-    ghz_state,
     planted_mixture,
     planted_opt,
     random_mixed,
@@ -76,7 +75,6 @@ __all__ = [
     "estimate_opt",
     "evaluate_poly",
     "fidelity",
-    "ghz_state",
     "haar_product_params",
     "high_fidelity_learn",
     "member_vector",

@@ -55,6 +55,7 @@ from .states import (
     haar_product_params,
     product_vectors,
     recenter_unitaries,
+    site_stack,
     tangent_distance,
     vector_to_params,
 )
@@ -298,7 +299,7 @@ def _build(o: StateOracle, params: CoverParams,
             cand = _polish(rho, root, new, params)
             if cand is None:
                 continue
-            est = estimate_fidelity(o, m, cand, params.eps / 4.0, delta_call)
+            est = estimate_fidelity(o, m, site_stack([cand]), params.eps / 4.0, delta_call)[0]
             if est < params.eta - 0.75 * params.eps:
                 continue
             if len(new) >= cap:
@@ -408,8 +409,7 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
         if cover.members:
             lo = eta
             share = delta_iter / len(cover.members)
-            ests = [estimate_fidelity(o, o.n, member, eps / 4.0, share)
-                    for member in cover.members]
+            ests = estimate_fidelity(o, o.n, site_stack(cover.members), eps / 4.0, share)
             top = int(np.argmax(ests))
             best_val = float(ests[top])
             best_witness = cover.members[top]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PromiseViolationError, ResourceBudgetError
 from .oracle import StateOracle, estimate_fidelity
-from .states import QuantumState, product_vectors, vector_fidelity, vector_to_params
+from .states import QuantumState, product_vectors, vector_fidelity
 
 __all__ = [
     "DiscreteClass",
@@ -128,9 +128,10 @@ def discrete_learn(o: StateOracle, cls: DiscreteClass, eta: float, eps: float,
 
     Sweeps sites in order, extending each surviving prefix by every menu
     entry of the next site and keeping those whose estimated prefix fidelity
-    is at least eta - eps/2.  With probability 1 - delta the output contains
-    every member of fidelity >= eta and only members of fidelity >=
-    eta - eps.
+    is at least eta - eps/2; each prefix level is one `estimate_fidelity`
+    call on the stacked candidates, charged as one call per candidate.  With
+    probability 1 - delta the output contains every member of fidelity >=
+    eta and only members of fidelity >= eta - eps.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
@@ -155,22 +156,26 @@ def discrete_learn(o: StateOracle, cls: DiscreteClass, eta: float, eps: float,
     delta_call = delta * math.exp(-min(max(log_calls, 0.0), 690.0))
     log_guard = math.log(4.0) + math.log(2.0 / (eta - eps)) / spread * log_base
 
+    menus = [np.array(menu) for menu in cls.site_states]
     survivors: list[tuple[int, ...]] = [()]
     for m in range(1, n + 1):
+        if not survivors:
+            break
+        # Extending sorted survivors in menu order keeps the candidates, and
+        # so the survivors, in lexicographic order.
+        cands = [prefix + (idx,) for prefix in survivors for idx in range(len(menus[m - 1]))]
+        picks = np.array(cands)
+        sites = np.stack([menus[k][picks[:, k]] for k in range(m)], axis=1)
+        ests = estimate_fidelity(o, m, sites, eps / 2.0, delta_call)
         new: list[tuple[int, ...]] = []
-        for prefix in survivors:
-            for idx in range(len(cls.site_states[m - 1])):
-                member = prefix + (idx,)
-                sites = [cls.site_states[k][i] for k, i in enumerate(member)]
-                est = estimate_fidelity(o, m, vector_to_params(sites), eps / 2.0,
-                                        delta_call)
-                if est >= eta - eps / 2.0:
-                    if math.log(len(new) + 1.0) > log_guard:
-                        raise PromiseViolationError(
-                            f"prefix-{m} survivor count exceeded "
-                            f"{math.exp(min(log_guard, 690.0)):.1f}; the "
-                            "class size bound failed, indicating estimation "
-                            "failure")
-                    new.append(member)
-        survivors = sorted(new)
+        for member, est in zip(cands, ests):
+            if est >= eta - eps / 2.0:
+                if math.log(len(new) + 1.0) > log_guard:
+                    raise PromiseViolationError(
+                        f"prefix-{m} survivor count exceeded "
+                        f"{math.exp(min(log_guard, 690.0)):.1f}; the "
+                        "class size bound failed, indicating estimation "
+                        "failure")
+                new.append(member)
+        survivors = new
     return set(survivors)

@@ -1,4 +1,4 @@
-"""Benchmark state constructors: planted mixtures, GHZ states, graphs.
+"""Benchmark state constructors: planted mixtures, random mixed states, graphs.
 
 These generate the concrete instances the tests and the CLI feed to the
 learners, together with their known ground truths where closed forms exist.
@@ -19,15 +19,6 @@ from .states import (
     check_dense_budget,
     product_state_vector,
 )
-
-
-def ghz_state(n: int) -> QuantumState:
-    """(|0...0> + |1...1>)/sqrt(2)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    vec = np.zeros(2**n, dtype=complex)
-    vec[0] = vec[-1] = 1.0 / math.sqrt(2.0)
-    return QuantumState.pure(vec)
 
 
 def planted_mixture(planted: ProductParams | np.ndarray, w: float) -> QuantumState:

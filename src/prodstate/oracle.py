@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import ResourceBudgetError
 from .states import (
-    ProductParams,
     QuantumState,
     _mapped,
     _marginal,
@@ -53,7 +52,6 @@ from .states import (
     check_dense_budget,
     hamming_weights,
     haar_state,
-    product_state_vector,
     product_vectors,
 )
 
@@ -517,37 +515,49 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     return mu_hat * _project_psd(_shadow_mean(o._rng, block / mu, shots))
 
 
-def estimate_fidelity(o: StateOracle, prefix_m: int, p: ProductParams, eps: float,
-                      delta: float) -> float:
-    """Estimate the overlap of a product state with the first-`prefix_m`-sites marginal.
+def estimate_fidelity(o: StateOracle, prefix_m: int, sites, eps: float,
+                      delta: float) -> np.ndarray:
+    """Estimate the overlaps of k product states with the first-`prefix_m`-sites marginal.
 
-    Measures each copy in a product basis containing the candidate state, so
-    the outcome is a Bernoulli with mean <pi| rho_[m] |pi>.  The estimate is
-    within eps with probability >= 1 - delta.
+    `sites` is a (k, prefix_m, 2) stack of site vectors, one product state
+    per row (`states.site_stack` builds it from parameters).  Each row is
+    measured as one call: every copy in a product basis containing the
+    candidate, so the outcome is a Bernoulli with mean <pi| rho_[m] |pi>,
+    and the estimate is within eps with probability >= 1 - delta.  Rows are
+    shot-checked, charged and noised in order, so k rows charge and draw
+    exactly what k one-row calls would, and k = 0 charges and draws nothing.
 
-    Copies: fidelity_copy_cost(eps, delta) on both backends.
+    The exact overlaps take one read of the marginal's factor:
+    <pi| W W* + c I |pi> = ||pi* W||^2 + c ||pi||^2, at O(k 2^n r).
+
+    Copies: fidelity_copy_cost(eps, delta) per row, on both backends.
     """
     _check_unit_interval(eps, "eps")
     _check_unit_interval(delta, "delta")
     n = o.n
     if not (1 <= prefix_m <= n):
         raise ValueError("prefix_m out of range")
-    if p.n != prefix_m:
-        raise ValueError("product parameters must cover exactly the measured prefix")
+    sites = np.asarray(sites, dtype=complex)
+    if sites.ndim != 3 or sites.shape[1:] != (prefix_m, 2):
+        raise ValueError("site vectors must be a (k, prefix_m, 2) stack covering exactly "
+                         "the measured prefix")
     copies = fidelity_copy_cost(eps, delta)
     rho_m = _marginal(_operator(o.hidden), n, range(prefix_m))
-    vec = product_state_vector(p).data
-    f = float(np.real(vec.conj() @ rho_m @ vec))
-    f = min(max(f, 0.0), 1.0)
+    rows = product_vectors(sites).conj()
+    y = rows @ rho_m.factor
+    f = np.einsum("ij,ij->i", y, y.conj()).real
+    if rho_m.shift:
+        f += rho_m.shift * np.einsum("ij,ij->i", rows, rows.conj()).real
+    f = np.clip(f, 0.0, 1.0)
 
-    if o.backend == "exact":
+    for j, fj in enumerate(f):
+        if o.backend == "sampling":
+            o._check_shots(copies)
+            f[j] = o._rng.binomial(copies, fj) / copies
+        else:
+            scale = o._noise_scale(eps)
+            if scale:
+                f[j] = min(max(fj + scale * (1.0 if o._rng.uniform() < 0.5 else -1.0), 0.0),
+                           1.0)
         o._charge(copies)
-        scale = o._noise_scale(eps)
-        if scale == 0.0:
-            return f
-        return min(max(f + scale * (1.0 if o._rng.uniform() < 0.5 else -1.0), 0.0), 1.0)
-
-    o._check_shots(copies)
-    hits = int(o._rng.binomial(copies, f))
-    o._charge(copies)
-    return hits / copies
+    return f

@@ -27,7 +27,8 @@ orthonormal rows.  A pure state is the factor (psi, 0) and a mixed state
 its rho = W W* + c I, so each read costs O(dim r k), no dim x dim matrix is
 formed, and a mapped or reduced factor is again a factor.
 
-Every module builds product amplitudes with `product_vectors`, reads
+Every module builds product amplitudes with `product_vectors` from (k, n, 2)
+site stacks (`site_stack` gives the stack of parameter tuples), reads
 parameters off site vectors with `vector_to_params`, enumerates string
 weights with `hamming_weights`, and draws Haar states with `haar_state`.
 
@@ -378,8 +379,18 @@ def product_state_vector(p: ProductParams) -> QuantumState:
     """
     if p.n == 0:
         raise ValueError("cannot build a state on zero sites")
-    vec = product_vectors(np.stack([_site_vector(z) for z in p.z])[None])[0]
+    vec = product_vectors(site_stack([p]))[0]
     return QuantumState.pure(_fix_global_phase(vec))
+
+
+def site_stack(params) -> np.ndarray:
+    """The (k, n, 2) site vectors of k product states of n >= 1 sites given by parameters.
+
+    Entry [j, i] is (1, z_i)/√(1+|z_i|²) for params[j]; `product_vectors`
+    turns the stack into amplitude rows, and `oracle.estimate_fidelity`
+    reads it as it is.
+    """
+    return np.array([[_site_vector(z) for z in p.z] for p in params], dtype=complex)
 
 
 def product_vectors(sites) -> np.ndarray:

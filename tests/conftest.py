@@ -1,11 +1,12 @@
 """Shared pytest hooks (acceptance-criteria summary lines), random product parameters,
 the test-only state readers (product fidelity, excitation weights, Schmidt rank,
 partial trace),
-the test-only state constructors (W, Bell, maximally mixed),
+the test-only state constructors (GHZ, W, Bell, maximally mixed),
 dense test references, the brute-force grid and multistart oracles, the dense
 product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
 complex power-row polynomial evaluator and the per-support polynomial search,
-the dense per-root cover cut, and the reference JSON pair codec."""
+the dense per-root cover cut, the per-member discrete learner, and the
+reference JSON pair codec."""
 
 import math
 from itertools import combinations
@@ -13,9 +14,8 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import minimize
 
-from prodstate.errors import ResourceBudgetError
+from prodstate.errors import PromiseViolationError, ResourceBudgetError
 from prodstate.discrete import member_vector
-from prodstate.instances import ghz_state
 from prodstate.mps import MatrixProductState
 from prodstate.oracle import (
     _frame_maps,
@@ -23,6 +23,7 @@ from prodstate.oracle import (
     _shadow_coord_chunks,
     _with_junk_slot,
     _z_columns,
+    estimate_fidelity,
     subnormalized_attempts,
     subnormalized_budget,
 )
@@ -50,6 +51,7 @@ from prodstate.states import (
     product_unitary,
     product_vectors,
     recenter_unitaries,
+    site_stack,
     vector_to_params,
 )
 
@@ -129,6 +131,15 @@ def w_state(n: int) -> QuantumState:
     vec = np.zeros(2**n, dtype=complex)
     for i in range(n):
         vec[2 ** (n - 1 - i)] = 1.0 / math.sqrt(n)
+    return QuantumState.pure(vec)
+
+
+def ghz_state(n: int) -> QuantumState:
+    """(|0...0> + |1...1>)/sqrt(2)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    vec = np.zeros(2**n, dtype=complex)
+    vec[0] = vec[-1] = 1.0 / math.sqrt(2.0)
     return QuantumState.pure(vec)
 
 
@@ -430,6 +441,33 @@ def reference_product_state_vector(p):
 def reference_member_vector(cls, member):
     """`discrete.member_vector` by the np.kron loop it replaced."""
     return reference_kron(cls.site_states[site][idx] for site, idx in enumerate(member))
+
+
+def reference_discrete_learn(o, cls, eta, eps, delta):
+    """`discrete.discrete_learn` by one one-row `estimate_fidelity` call per
+    candidate, each read through its parameters, with the survivor guard run
+    after every call: the per-member loop one call per prefix level replaced."""
+    n, s = cls.n, cls.s
+    spread = math.log(1.0 / cls.gamma)
+    log_base = math.log(10.0 * n * s)
+    log_calls = math.log(20.0 / eta) / spread * log_base
+    delta_call = delta * math.exp(-min(max(log_calls, 0.0), 690.0))
+    log_guard = math.log(4.0) + math.log(2.0 / (eta - eps)) / spread * log_base
+    survivors = [()]
+    for m in range(1, n + 1):
+        new = []
+        for prefix in survivors:
+            for idx in range(len(cls.site_states[m - 1])):
+                member = prefix + (idx,)
+                sites = [cls.site_states[k][i] for k, i in enumerate(member)]
+                (est,) = estimate_fidelity(o, m, site_stack([vector_to_params(sites)]),
+                                           eps / 2.0, delta_call)
+                if est >= eta - eps / 2.0:
+                    if math.log(len(new) + 1.0) > log_guard:
+                        raise PromiseViolationError(f"prefix-{m} survivor count exceeded")
+                    new.append(member)
+        survivors = sorted(new)
+    return set(survivors)
 
 
 def reference_weight_leq_indices(m, d):

@@ -24,7 +24,6 @@ from prodstate.hardness import (
 )
 from prodstate.instances import (
     clique_number,
-    ghz_state,
     graphs_up_to_4_vertices,
     planted_mixture,
     random_mixed,
@@ -48,6 +47,7 @@ from prodstate.states import (
 from conftest import (
     bell_state,
     excitation_probs,
+    ghz_state,
     maximally_mixed,
     mean_excitation,
     planted_grid_opt,

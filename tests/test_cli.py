@@ -20,7 +20,7 @@ from prodstate.bruteforce import best_product_fidelity
 from prodstate.cli import ExperimentConfig, UsageError, generate, main, run
 from prodstate.discrete import DiscreteClass
 from prodstate.hardness import clique_tensor
-from prodstate.instances import Graph, ghz_state, planted_mixture, random_mixed
+from prodstate.instances import Graph, planted_mixture, random_mixed
 from prodstate.mps import mps_to_state, state_to_mps
 from prodstate.serialize import (
     canonical_dumps,
@@ -39,7 +39,7 @@ from prodstate.serialize import (
 )
 from prodstate.states import fidelity, haar_product_params, vector_fidelity
 
-from conftest import decode_mps, reference_pairs, reference_unpairs
+from conftest import decode_mps, ghz_state, reference_pairs, reference_unpairs
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from prodstate.cover import (
     verify_cover,
 )
 from prodstate.errors import ResourceBudgetError
-from prodstate.instances import ghz_state, planted_mixture, random_mixed
+from prodstate.instances import planted_mixture, random_mixed
 from prodstate.oracle import StateOracle
 from prodstate.serialize import state_from_json
 from prodstate.states import (
@@ -44,6 +44,7 @@ from prodstate.states import (
 
 from conftest import (
     bell_state,
+    ghz_state,
     maximally_mixed,
     partial_trace,
     reference_kron,
@@ -430,11 +431,16 @@ def planted_three_qubit_oracle():
 
 
 def recording(monkeypatch, name, calls):
-    """Patch cover.<name> to append (name, args, delta) to `calls`, then run it."""
+    """Patch cover.<name> to append (name, args, delta) to `calls`, then run it.
+
+    An `estimate_fidelity` stack of k rows is k measured calls and appends k
+    entries.
+    """
     inner = getattr(cover_module, name)
 
     def wrapped(o, *args):
-        calls.append((name, args[:-1], args[-1]))
+        rows = len(args[1]) if name == "estimate_fidelity" else 1
+        calls.extend([(name, args[:-1], args[-1])] * rows)
         return inner(o, *args)
 
     monkeypatch.setattr(cover_module, name, wrapped)
@@ -483,10 +489,10 @@ def test_no_prefix_estimates_more_than_six_per_previous_member(monkeypatch):
     inner = cover_module.estimate_fidelity
     calls = []
 
-    def recorded(o, m, cand, eps, delta):
-        est = inner(o, m, cand, eps, delta)
-        calls.append((m, est))
-        return est
+    def recorded(o, m, sites, eps, delta):
+        ests = inner(o, m, sites, eps, delta)
+        calls.extend((m, est) for est in ests)
+        return ests
 
     monkeypatch.setattr(cover_module, "estimate_fidelity", recorded)
     widest = 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from prodstate import oracle
+from prodstate.cli import generate
 from prodstate.discrete import (
     DiscreteClass,
     class_fidelity_census,
@@ -15,9 +16,15 @@ from prodstate.discrete import (
 from prodstate.errors import PromiseViolationError, ResourceBudgetError
 from prodstate.instances import random_mixed
 from prodstate.oracle import StateOracle
+from prodstate.serialize import class_from_json, state_from_json
 from prodstate.states import QuantumState
 
-from conftest import exact_prefix_fidelity, maximally_mixed, reference_member_vector
+from conftest import (
+    exact_prefix_fidelity,
+    maximally_mixed,
+    reference_discrete_learn,
+    reference_member_vector,
+)
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -249,3 +256,56 @@ def test_survivor_guard_trips_outside_stated_range(caplog):
         with pytest.raises(PromiseViolationError):
             discrete_learn(o, cls, 0.16, 0.08, 0.05)
     assert "overlap bound" in caplog.text
+
+
+# --- one estimate per prefix level against the per-member reference -------------
+
+
+def run_learner(learn, rho, cls, backend, noise, seed, *args):
+    """(output or raised error type, copies, RNG state) of one learner run."""
+    o = StateOracle(rho, backend=backend, seed=seed, noise_opnorm=noise)
+    try:
+        out = learn(o, cls, *args)
+    except PromiseViolationError as err:
+        out = type(err)
+    return out, o.copies_consumed, o._rng.bit_generator.state
+
+
+@pytest.mark.parametrize("backend, noise", [("exact", 0.0), ("exact", 0.02), ("sampling", 0.0)])
+def test_learn_matches_the_per_member_reference(backend, noise):
+    # One estimate_fidelity call per prefix level charges and draws exactly
+    # what one call per candidate did: the same set, copies and RNG state.
+    survived = 0
+    for n in range(2, 9):
+        for s in (2, 3):
+            for w in (1.0, 0.9):
+                payload = generate("planted-discrete", {"n": n, "s": s, "w": w}, seed=10 * n + s)
+                rho = state_from_json(payload["state"])
+                cls = class_from_json(payload["class"])
+                for eta, eps in ((0.8, 0.1), (0.4, 0.2)):
+                    got, want = (run_learner(learn, rho, cls, backend, noise, n, eta, eps, 0.1)
+                                 for learn in (discrete_learn, reference_discrete_learn))
+                    assert got == want, (n, s, w, eta)
+                    survived += len(got[0])
+    assert survived > 0
+
+
+def test_learn_empty_and_raising_levels_against_the_reference():
+    # No survivor: both stop calling at the first empty level.
+    n = 3
+    cls = DiscreteClass([[KET0, KET1]] * n, gamma=0.5)
+    plus = QuantumState.pure(np.ones(2**n) / math.sqrt(2**n))
+    got, want = (run_learner(learn, plus, cls, "exact", 0.0, 2, 0.6, 0.05, 0.05)
+                 for learn in (discrete_learn, reference_discrete_learn))
+    assert got == want and got[0] == set()
+    # The guard trips at the same level; the batch has charged that whole
+    # level, the reference only the candidates up to the one that tripped.
+    cls = DiscreteClass([[KET0, KET1]] * 4, gamma=1e-12)
+    rho = np.zeros((16, 16))
+    for index in range(8):
+        rho[index, index] = 0.125
+    rho = QuantumState.mixed(rho)
+    got, want = (run_learner(learn, rho, cls, "exact", 0.0, 7, 0.16, 0.08, 0.05)
+                 for learn in (discrete_learn, reference_discrete_learn))
+    assert got[0] is want[0] is PromiseViolationError
+    assert got[1] > want[1]

@@ -9,7 +9,6 @@ from prodstate.bruteforce import best_product_fidelity
 from prodstate.instances import (
     Graph,
     clique_number,
-    ghz_state,
     graphs_up_to_4_vertices,
     planted_mixture,
     planted_opt,
@@ -25,6 +24,7 @@ from prodstate.states import (
 from conftest import (
     bell_state,
     bloch_grid,
+    ghz_state,
     grid_product_opt,
     maximally_mixed,
     planted_grid_opt,

@@ -8,7 +8,7 @@ import pytest
 
 from prodstate import mps
 from prodstate.errors import PromiseViolationError, ResourceBudgetError
-from prodstate.instances import ghz_state, planted_mixture, random_mixed
+from prodstate.instances import planted_mixture, random_mixed
 from prodstate.mps import (
     MatrixProductState,
     mps_learn,
@@ -25,7 +25,7 @@ from prodstate.states import (
     vector_fidelity,
 )
 
-from conftest import partial_trace, schmidt_rank, w_state, window_charge
+from conftest import ghz_state, partial_trace, schmidt_rank, w_state, window_charge
 
 
 def zero_train(n):

@@ -39,7 +39,10 @@ from prodstate.states import (
     haar_state,
     product_state_vector,
     product_unitary,
+    product_vectors,
     recenter_unitaries,
+    site_stack,
+    vector_fidelity,
 )
 
 from conftest import (
@@ -547,14 +550,14 @@ def test_fidelity_own_state():
     state = QuantumState.pure(product_state_vector(params).data)
     for backend in ("exact", "sampling"):
         o = StateOracle(state, backend=backend, seed=4)
-        est = estimate_fidelity(o, 3, params, eps=0.2, delta=0.3)
+        (est,) = estimate_fidelity(o, 3, site_stack([params]), eps=0.2, delta=0.3)
         assert est >= 1 - 0.2
 
 
 def test_fidelity_maximally_mixed_prefix():
     o = StateOracle(maximally_mixed(3), backend="sampling", seed=8)
     params = ProductParams((0.0, 0.0))
-    est = estimate_fidelity(o, 2, params, eps=0.15, delta=0.1)
+    (est,) = estimate_fidelity(o, 2, site_stack([params]), eps=0.15, delta=0.1)
     assert abs(est - 0.25) <= 0.15
 
 
@@ -565,13 +568,56 @@ def test_fidelity_exact_noise_zero():
     o = StateOracle(state, backend="exact")
     vec = product_state_vector(params).data
     truth = float(np.real(vec.conj() @ state.density() @ vec))
-    assert estimate_fidelity(o, 2, params, eps=0.3, delta=0.3) == pytest.approx(truth, abs=1e-15)
+    (est,) = estimate_fidelity(o, 2, site_stack([params]), eps=0.3, delta=0.3)
+    assert est == pytest.approx(truth, abs=1e-15)
+
+
+def test_fidelity_rows_are_single_calls_in_order():
+    # A k-row stack estimates, charges and draws exactly what k one-row calls
+    # made in row order do; each draw order is pinned through the estimates.
+    rng = np.random.default_rng(13)
+    n, k = 4, 5
+    psi = haar_state(2**n, rng)
+    states = (
+        QuantumState.pure(psi),
+        random_mixed(n, rng, rank=2),        # W W*, rank 2
+        planted_mixture(psi, 0.7),           # W W* + c I
+    )
+    assert states[2].data.shift > 0.0 and states[1].data.factor.shape[1] == 2
+    for state in states:
+        for m in (2, n):
+            sites = np.stack([[haar_state(2, rng) for _ in range(m)] for _ in range(k)])
+            reduced = QuantumState.mixed(partial_trace(state.density(), n, range(m)))
+            truth = [vector_fidelity(reduced, row) for row in product_vectors(sites)]
+            for backend, noise in (("exact", 0.0), ("exact", 0.02), ("sampling", 0.0)):
+                batch = StateOracle(state, backend=backend, seed=21, noise_opnorm=noise)
+                single = StateOracle(state, backend=backend, seed=21, noise_opnorm=noise)
+                got = estimate_fidelity(batch, m, sites, 0.1, 0.05)
+                want = np.concatenate([estimate_fidelity(single, m, sites[j:j + 1], 0.1, 0.05)
+                                       for j in range(k)])
+                assert got.shape == (k,)
+                if backend == "sampling":
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-12
+                if noise == 0.0 and backend == "exact":
+                    assert np.max(np.abs(got - truth)) <= 1e-12
+                assert batch.copies_consumed == single.copies_consumed \
+                    == k * fidelity_copy_cost(0.1, 0.05)
+                assert batch._rng.bit_generator.state == single._rng.bit_generator.state
+            # No rows: no copies and no draws.
+            o = StateOracle(state, backend="sampling", seed=21)
+            before = o._rng.bit_generator.state
+            assert estimate_fidelity(o, m, sites[:0], 0.1, 0.05).shape == (0,)
+            assert o.copies_consumed == 0 and o._rng.bit_generator.state == before
 
 
 def test_fidelity_dimension_mismatch():
     o = StateOracle(maximally_mixed(3), backend="exact")
     with pytest.raises(ValueError):
-        estimate_fidelity(o, 3, ProductParams((0.0,)), eps=0.3, delta=0.3)
+        estimate_fidelity(o, 3, site_stack([ProductParams((0.0,))]), eps=0.3, delta=0.3)
+    with pytest.raises(ValueError):
+        estimate_fidelity(o, 1, np.ones((2, 2)), eps=0.3, delta=0.3)
 
 
 # --- accounting, budgets, determinism ---------------------------------------
@@ -589,8 +635,8 @@ def test_copy_accounting_matches_formulas():
         subspace_tomography(o, prefix_m=1, d=1, eps=0.9, delta=0.5)
         total += tomography_copy_cost(len(weight_leq_indices(1, 1)) + 1, 0.9, 0.5)
         assert o.copies_consumed == total
-        estimate_fidelity(o, 2, ProductParams((0.0, 0.0)), eps=0.3, delta=0.3)
-        total += fidelity_copy_cost(0.3, 0.3)
+        estimate_fidelity(o, 2, site_stack([ProductParams((0.0, 0.0))] * 3), eps=0.3, delta=0.3)
+        total += 3 * fidelity_copy_cost(0.3, 0.3)
         assert o.copies_consumed == total
 
 
@@ -616,7 +662,7 @@ def test_copy_counter_monotone():
     o = StateOracle(maximally_mixed(2), backend="exact")
     seen = [o.copies_consumed]
     for _ in range(3):
-        estimate_fidelity(o, 1, ProductParams((1.0,)), eps=0.4, delta=0.4)
+        estimate_fidelity(o, 1, site_stack([ProductParams((1.0,))]), eps=0.4, delta=0.4)
         seen.append(o.copies_consumed)
     assert all(b > a for a, b in zip(seen, seen[1:]))
 
@@ -631,7 +677,8 @@ def test_shot_budget_enforced(monkeypatch):
         lambda o: subnormalized_tomography(o, None, 0, eps=0.05, delta=0.1),
         # ... or fit, and the suffix attempts do not.
         lambda o: subnormalized_tomography(o, None, 0, eps=0.3, delta=0.3),
-        lambda o: estimate_fidelity(o, 1, ProductParams((0.1,)), eps=0.05, delta=0.1),
+        lambda o: estimate_fidelity(o, 1, site_stack([ProductParams((0.1,))]), eps=0.05,
+                                    delta=0.1),
         lambda o: single_site_estimate(o, delta=0.1),
     ]
     for call in calls:
@@ -679,13 +726,14 @@ def test_sampling_deterministic_under_seed():
         o = StateOracle(state, backend="sampling", seed=42)
         outs.append((
             estimate_z(o, identity_basis(2), eps=0.6, delta=0.4),
-            estimate_fidelity(o, 2, ProductParams((0.1, -0.2j)), eps=0.3, delta=0.3),
+            estimate_fidelity(o, 2, site_stack([ProductParams((0.1, -0.2j))] * 2), eps=0.3,
+                              delta=0.3),
             subspace_tomography(o, prefix_m=2, d=1, eps=0.08, delta=0.4),
             subnormalized_tomography(o, None, 1, eps=0.08, delta=0.4),
             o.copies_consumed,
         ))
     assert np.array_equal(outs[0][0], outs[1][0])
-    assert outs[0][1] == outs[1][1]
+    assert np.array_equal(outs[0][1], outs[1][1])
     assert np.array_equal(outs[0][2], outs[1][2])
     assert np.array_equal(outs[0][3], outs[1][3])
     assert outs[0][4] == outs[1][4]
@@ -870,8 +918,8 @@ def test_factored_reads_match_dense(n):
                 assert copies == n_mu + subnormalized_attempts(wanted, mu)
         for m in (n, 2):
             p = ProductParams(params.z[:m])
-            (ff, cf), (fd, cd) = both(lambda o: estimate_fidelity(o, m, p, 0.1, 0.1))
-            assert abs(ff - fd) <= 1e-12 and cf == cd
+            (ff, cf), (fd, cd) = both(lambda o: estimate_fidelity(o, m, site_stack([p]), 0.1, 0.1))
+            assert np.max(np.abs(ff - fd)) <= 1e-12 and cf == cd
         for sites in (list(range(n // 2)), list(range(n // 2, n))):
             (rf, _), (rd, _) = both(lambda o: _reduced_oracle(o, sites))
             assert isinstance(rf.hidden.data, FactoredDensity)
