@@ -7,7 +7,6 @@ from .cover import (
     CoverParams,
     build_cover,
     estimate_opt,
-    verify_cover,
 )
 from .discrete import DiscreteClass, class_fidelity_census, discrete_learn, member_vector
 from .errors import PromiseViolationError, ResourceBudgetError
@@ -95,5 +94,4 @@ __all__ = [
     "subspace_tomography",
     "tangent_distance",
     "tensor_to_state",
-    "verify_cover",
 ]

@@ -13,8 +13,11 @@ proposes at most one new member: the point one constrained site sweep
 reaches from the root (`_polish`).  The sweep scores product states on a
 weight-truncated estimate of the prefix marginal, in the root's frame,
 where the root is |0...0>.  The score is quadratic in each site, so each
-step is an exact one-site maximisation, the top eigenvector of a 2x2
-matrix, as in single-site DMRG sweeps (Schollwock, arXiv:1008.3477, sec. 6).
+step is an exact one-site maximisation, the top eigenpair of a 2x2
+matrix taken in closed form, as in single-site DMRG sweeps (Schollwock,
+arXiv:1008.3477, sec. 6).  Uncut, the step's two rows are built from cached
+prefix and suffix products of the point's site vectors, the sweep's
+environments.
 A step is taken only when it raises the score and keeps the point at the
 separation bound from every member already accepted at that prefix.  No
 root rotates the estimate: a product unitary maps product states to
@@ -31,13 +34,16 @@ which need over 1e29 grid points on one qubit, and completes them with a
 spread-out remainder through constrained polynomial optimization; at desk
 scale the sweep replaces both, and the reduction's solver runs standalone
 as `polyopt.solve_constrained`.
-`verify_cover` audits the three properties against the exact state, and
 `estimate_opt` wraps the builder in a bisection over eta to estimate the
-best product-state fidelity with a witness.
+best product-state fidelity with a witness.  Its levels share each
+prefix's purchase and the sweeps run on it: a root's sweep that no
+separation check turned down is stored beside the purchase and read back
+by a later level whose members all stay clear of its steps.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -47,12 +53,9 @@ from .errors import PromiseViolationError
 from .oracle import StateOracle, estimate_fidelity, subspace_tomography, tomography_copy_cost
 from .states import (
     ProductParams,
-    QuantumState,
     Z_MAX,
     apply_sites,
-    fidelity,
     hamming_weights,
-    haar_product_params,
     product_vectors,
     recenter_unitaries,
     site_stack,
@@ -67,9 +70,10 @@ __all__ = [
     "DESK_OVERRIDES",
     "LOCAL_NET",
     "build_cover",
-    "verify_cover",
     "estimate_opt",
 ]
+
+logger = logging.getLogger(__name__)
 
 # Six single-site states whose tangent-distance balls of radius 1 cover the
 # Bloch sphere: |0>, |1>, and the four equator states (|0> ± |1>)/sqrt(2),
@@ -174,15 +178,39 @@ def _purchase_rows(sites: np.ndarray, adjoints: np.ndarray, d: int) -> np.ndarra
 
     `sites` stacks (k, m, 2) root-frame site vectors, `adjoints` are the
     root's (m, 2, 2) stacked U_i^dagger and P_d keeps excitation weight
-    <= d.  Uncut, a product row maps back site by site; a cut row is no
-    longer a product and maps back through `apply_sites`.
+    <= d.  A cut row is no longer a product, so it maps back through
+    `apply_sites`.
     """
-    m = sites.shape[1]
-    if d >= m:
-        return product_vectors(np.matmul(adjoints, sites[..., None])[..., 0])
     amps = product_vectors(sites)
-    amps[:, hamming_weights(m) > d] = 0.0
+    amps[:, hamming_weights(sites.shape[1]) > d] = 0.0
     return apply_sites(adjoints, amps.T).T
+
+
+def _pair_rows(left: np.ndarray, cols: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The (2, L*2*R) rows left (x) cols[:, a] (x) right, a = 0, 1 (site 1 most significant)."""
+    return (left[None, :, None, None] * cols.T[:, None, :, None]
+            * right[None, None, None, :]).reshape(2, -1)
+
+
+def _top_pair(mat: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue and unit eigenvector of a 2x2 Hermitian matrix, in closed form.
+
+    Reads the real diagonal and the lower entry, as `np.linalg.eigh` does,
+    and returns e_1 when the two eigenvalues coincide, as `eigh` does.
+    """
+    a, c, lower = float(mat[0, 0].real), float(mat[1, 1].real), complex(mat[1, 0])
+    half = 0.5 * (a - c)
+    radius = math.hypot(half, abs(lower))
+    top = 0.5 * (a + c) + radius
+    if radius == 0.0:
+        return top, np.array([0.0, 1.0], dtype=complex)
+    # Of the two forms of the eigenvector, take the one without cancellation.
+    if half >= 0.0:
+        x, y = half + radius, lower
+    else:
+        x, y = lower.conjugate(), radius - half
+    scale = 1.0 / math.hypot(abs(x), abs(y))
+    return top, np.array([x * scale, y * scale], dtype=complex)
 
 
 def _purchase(est: np.ndarray) -> tuple[np.ndarray, float]:
@@ -191,54 +219,103 @@ def _purchase(est: np.ndarray) -> tuple[np.ndarray, float]:
     return rho, float(np.linalg.eigvalsh(rho)[-1])
 
 
-def _polish(rho: np.ndarray, root: ProductParams, members,
-            params: CoverParams) -> ProductParams | None:
+def _sweep(rho: np.ndarray, root: ProductParams, d: int, far):
+    """(point, score, steps) of the constrained site sweep from `root` on the purchase rho.
+
+    The sweep keeps the purchase-frame site vectors t_i = U_i^dagger s_i of
+    the root-frame point s and reads the point's parameters from them.
+    Uncut (d >= m), the pair of rows at site i is left (x) U_i^dagger e_a
+    (x) right, with left and right the products of the t's before and after
+    i: the prefix products are grown along the sweep and the suffix
+    products rebuilt once per sweep.  Cut, the pair is rebuilt from s by
+    `_purchase_rows`.  `steps` holds every point a separation check let
+    through, or is None when a check turned a step down.
+    """
+    m = root.n
+    adjoints = np.array(recenter_unitaries(root)).conj().transpose(0, 2, 1)
+    cut = d < m
+    frame = np.zeros((m, 2), dtype=complex)
+    frame[:, 0] = 1.0
+    sites = adjoints[:, :, 0].copy()
+    row = _purchase_rows(frame[None], adjoints, d)[0] if cut else product_vectors(sites[None])[0]
+    score = float(np.real(row.conj() @ rho @ row))
+    steps: list[ProductParams] | None = []
+    for _ in range(50):
+        start = score
+        left, rights = np.ones(1, dtype=complex), [np.ones(1, dtype=complex)]
+        for t in sites[:0:-1]:
+            rights.insert(0, np.multiply.outer(t, rights[0]).ravel())
+        for i in range(m):
+            if cut:
+                pair = np.repeat(frame[None], 2, axis=0)
+                pair[:, i] = np.eye(2)
+                rows = _purchase_rows(pair, adjoints, d)
+            else:
+                rows = _pair_rows(left, adjoints[i], rights[i])
+            val, vec = _top_pair(rows.conj() @ rho @ rows.T)
+            if val > score:
+                trial = sites.copy()
+                trial[i] = adjoints[i] @ vec
+                point = vector_to_params(trial)
+                if far(point):
+                    frame[i], sites, score = vec, trial, val
+                    if steps is not None:
+                        steps.append(point)
+                else:
+                    steps = None
+            left = np.multiply.outer(left, sites[i]).ravel()
+        if score - start < 1e-10:
+            break
+    return vector_to_params(sites), score, steps
+
+
+class _Sweeps(dict):
+    """Reusable sweeps on one purchase, keyed by root.z (see `_polish`).
+
+    `run` counts the sweeps run on the purchase, `reused` the sweeps read
+    back instead.
+    """
+
+    run = reused = 0
+
+
+def _polish(rho: np.ndarray, root: ProductParams, members, params: CoverParams,
+            sweeps: _Sweeps) -> ProductParams | None:
     """The new cover member one constrained site sweep finds from `root`, or None.
 
     The sweep runs in the root's frame, where the root is |0...0>, on site
     vectors s scored by <s| P_d U rho U^dagger P_d |s> on the purchase rho,
     U the root's recentring and d = params.degree(m).  The score is
     quadratic in each site, so a site's best vector is the top eigenvector
-    of the 2x2 matrix of the rows with e_0 or e_1 there.  It is taken when
+    of the 2x2 matrix of the rows with e_0 or e_1 there (`_top_pair`, on
+    rows from `_sweep`'s cached products).  It is taken when
     it raises the score and keeps the point's tangent distance to each of
     `members` (original frame) at least params.b; a root closer than that
     yields nothing.  Sweeps stop on a gain below 1e-10, or after 50.
     Returns the point (original frame) if its score reaches eta - eps/2.
+
+    `sweeps` holds, per root.z, the (point, score, steps) of a sweep on rho
+    that no separation check turned down.  That sweep is reused when every
+    one of its steps clears params.b to `members`: each step depends only
+    on rho, the point and its check, so the sweep would take the same steps.
     """
     def far(point):
         return all(tangent_distance(point, member) >= params.b for member in members)
 
     if not far(root):
         return None
-    m = root.n
-    d = params.degree(m)
-    adjoints = np.array(recenter_unitaries(root)).conj().transpose(0, 2, 1)
-
-    def original(sites):
-        return vector_to_params(np.matmul(adjoints, sites[..., None])[..., 0])
-
-    sites = np.zeros((m, 2), dtype=complex)
-    sites[:, 0] = 1.0
-    row = _purchase_rows(sites[None], adjoints, d)[0]
-    score = float(np.real(row.conj() @ rho @ row))
-    for _ in range(50):
-        start = score
-        for i in range(m):
-            pair = np.repeat(sites[None], 2, axis=0)
-            pair[:, i] = np.eye(2)
-            rows = _purchase_rows(pair, adjoints, d)
-            vals, vecs = np.linalg.eigh(rows.conj() @ rho @ rows.T)
-            if vals[-1] <= score:
-                continue
-            trial = sites.copy()
-            trial[i] = vecs[:, -1]
-            if far(original(trial)):
-                sites, score = trial, float(vals[-1])
-        if score - start < 1e-10:
-            break
+    path = sweeps.get(root.z)
+    if path is not None and all(far(point) for point in path[2]):
+        sweeps.reused += 1
+    else:
+        sweeps.run += 1
+        path = _sweep(rho, root, params.degree(root.n), far)
+        if path[2] is not None:
+            sweeps[root.z] = path
+    point, score, _ = path
     if score < params.eta - 0.5 * params.eps - 1e-12:
         return None
-    return original(sites)
+    return point
 
 
 # --- cover construction ------------------------------------------------------
@@ -256,6 +333,8 @@ def _build(o: StateOracle, params: CoverParams,
     is PSD).  A prefix whose ceiling misses eta - eps/2 ends the sweep with
     an empty cover.  Each root of the prefix proposes at most one member,
     polished on that one stored matrix, in the frame it was measured in.
+    Beside each purchase a `_Sweeps` dict keeps the reusable sweeps run on
+    it, so levels that share the purchase share them too (`_polish`).
     The k-th distinct purchase at prefix m gets failure probability
     prefix_delta * 2^-k, so one prefix's purchases sum below prefix_delta
     however many levels share the dict.
@@ -288,15 +367,15 @@ def _build(o: StateOracle, params: CoverParams,
     for m in range(1, n + 1):
         key = (m, params.degree(m), params.tomo_eps)
         if key not in bought:
-            bought[key] = _purchase(subspace_tomography(o, *key, purchase_delta(m)))
-        rho, ceiling = bought[key]
+            bought[key] = (*_purchase(subspace_tomography(o, *key, purchase_delta(m))), _Sweeps())
+        rho, ceiling, sweeps = bought[key]
         # No unit vector beats the ceiling, so neither will any candidate.
         if ceiling < thresh - 1e-12:
             members = []
         new: list[ProductParams] = []
         for root in (ProductParams(prev.z + (branch,))
                      for prev in members for branch in LOCAL_NET):
-            cand = _polish(rho, root, new, params)
+            cand = _polish(rho, root, new, params, sweeps)
             if cand is None:
                 continue
             est = estimate_fidelity(o, m, site_stack([cand]), params.eps / 4.0, delta_call)[0]
@@ -324,49 +403,10 @@ def build_cover(o: StateOracle, params: CoverParams) -> Cover:
     return _build(o, params)
 
 
-def verify_cover(rho: QuantumState, cover: Cover, trials: int,
-                 rng_seed: int = 0) -> dict:
-    """Audit the three cover properties against the exact state.
-
-    Checks that every member reaches fidelity eta - eps, that members are
-    pairwise at tangent distance 2/eta, and that `trials` random product
-    states filtered to fidelity >= eta each lie within tangent distance
-    3/eta of some member.  Returns a report dict with the violations found.
-    """
-    p = cover.params
-    fids = [fidelity(rho, member) for member in cover.members]
-    low_fidelity = [(i, f) for i, f in enumerate(fids)
-                    if f < p.eta - p.eps - 1e-9]
-    close_pairs = []
-    for i in range(len(cover.members)):
-        for j in range(i + 1, len(cover.members)):
-            dist = tangent_distance(cover.members[i], cover.members[j])
-            if dist < p.b - 1e-9:
-                close_pairs.append((i, j, dist))
-
-    rng = np.random.default_rng(rng_seed)
-    tested = 0
-    uncovered = []
-    for _ in range(trials):
-        witness = haar_product_params(rng, cover.m)
-        if fidelity(rho, witness) < p.eta:
-            continue
-        tested += 1
-        nearest = min((tangent_distance(witness, member)
-                       for member in cover.members), default=math.inf)
-        if nearest > p.b_far + 1e-9:
-            uncovered.append((witness, nearest))
-    return {
-        "eta": p.eta,
-        "eps": p.eps,
-        "members": len(cover.members),
-        "member_fidelities": fids,
-        "low_fidelity": low_fidelity,
-        "close_pairs": close_pairs,
-        "witnesses_tested": tested,
-        "uncovered": uncovered,
-        "ok": not (low_fidelity or close_pairs or uncovered),
-    }
+def _swept(bought: dict) -> tuple[int, int]:
+    """Sweeps run and reused so far on the purchases in `bought`."""
+    return (sum(sweeps.run for _, _, sweeps in bought.values()),
+            sum(sweeps.reused for _, _, sweeps in bought.values()))
 
 
 def estimate_opt(o: StateOracle, eps: float, delta: float,
@@ -381,7 +421,12 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
 
     Each prefix is measured once per call: the levels share one truncated
     tomography per distinct (m, degree(m), tomo_eps), and a level asking
-    for a finer tomo_eps (eta < 4 eps) buys a new one.  Failure budget:
+    for a finer tomo_eps (eta < 4 eps) buys a new one.  They share the
+    sweeps run on each purchase as well: a root's sweep is read back, not
+    rerun, while every step it took clears the level's separation bound to
+    the members accepted before it, which leaves every output unchanged.
+    Under PRODSTATE_LOG=INFO each level logs one line: eta, members,
+    purchases held, and the sweeps it ran and read back.  Failure budget:
     the tomography purchases share delta/2, the k-th distinct purchase at a
     prefix getting delta/(2n) * 2^-k.  The other delta/2 goes to the
     levels: each level's cover fidelity estimates share
@@ -394,7 +439,7 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
     iterations = math.ceil(math.log2(1.0 / eps)) + 2
     delta_iter = delta / (4 * iterations)
     prefix_delta = delta / (2 * o.n)
-    bought: dict[tuple[int, int, float], tuple[np.ndarray, float]] = {}
+    bought: dict[tuple[int, int, float], tuple[np.ndarray, float, _Sweeps]] = {}
 
     lo, hi = 0.0, 1.0
     eta = 0.5
@@ -405,7 +450,11 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
             break
         level_eps = min(eps, eta / 4.0)
         params = CoverParams(eta, level_eps, delta_iter, overrides)
+        swept = _swept(bought)
         cover = _build(o, params, (bought, prefix_delta))
+        run, reused = np.subtract(_swept(bought), swept)
+        logger.info("cover level eta=%.6g: members=%d purchases=%d sweeps run=%d reused=%d",
+                    eta, len(cover.members), len(bought), run, reused)
         if cover.members:
             lo = eta
             share = delta_iter / len(cover.members)

@@ -5,7 +5,7 @@ the test-only state constructors (GHZ, W, Bell, maximally mixed),
 dense test references, the brute-force grid and multistart oracles, the dense
 product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
 complex power-row polynomial evaluator and the per-support polynomial search,
-the dense per-root cover cut, the per-member discrete learner, and the
+the cover audit, the dense per-root cover cut, the per-member discrete learner, and the
 reference JSON pair codec."""
 
 import math
@@ -44,7 +44,9 @@ from prodstate.states import (
     apply_sites,
     _fix_global_phase,
     _site_vector,
+    fidelity,
     haar_isometry,
+    haar_product_params,
     haar_state,
     hamming_weights,
     product_state_vector,
@@ -52,6 +54,7 @@ from prodstate.states import (
     product_vectors,
     recenter_unitaries,
     site_stack,
+    tangent_distance,
     vector_to_params,
 )
 
@@ -399,6 +402,50 @@ def ambient_solve_constrained(sys, dom, eps, net_budget):
         if best_val >= ceiling - eps:
             break
     return best_x
+
+
+def verify_cover(rho: QuantumState, cover, trials: int, rng_seed: int = 0) -> dict:
+    """Audit the three properties of a `cover.Cover` against the exact state.
+
+    Checks that every member reaches fidelity eta - eps, that members are
+    pairwise at tangent distance 2/eta, and that `trials` random product
+    states filtered to fidelity >= eta each lie within tangent distance
+    3/eta of some member.  Returns a report dict with the violations found.
+    """
+    p = cover.params
+    fids = [fidelity(rho, member) for member in cover.members]
+    low_fidelity = [(i, f) for i, f in enumerate(fids)
+                    if f < p.eta - p.eps - 1e-9]
+    close_pairs = []
+    for i in range(len(cover.members)):
+        for j in range(i + 1, len(cover.members)):
+            dist = tangent_distance(cover.members[i], cover.members[j])
+            if dist < p.b - 1e-9:
+                close_pairs.append((i, j, dist))
+
+    rng = np.random.default_rng(rng_seed)
+    tested = 0
+    uncovered = []
+    for _ in range(trials):
+        witness = haar_product_params(rng, cover.m)
+        if fidelity(rho, witness) < p.eta:
+            continue
+        tested += 1
+        nearest = min((tangent_distance(witness, member)
+                       for member in cover.members), default=math.inf)
+        if nearest > p.b_far + 1e-9:
+            uncovered.append((witness, nearest))
+    return {
+        "eta": p.eta,
+        "eps": p.eps,
+        "members": len(cover.members),
+        "member_fidelities": fids,
+        "low_fidelity": low_fidelity,
+        "close_pairs": close_pairs,
+        "witnesses_tested": tested,
+        "uncovered": uncovered,
+        "ok": not (low_fidelity or close_pairs or uncovered),
+    }
 
 
 def reference_rotated_cut(truncation, units, d):

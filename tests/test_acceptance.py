@@ -12,7 +12,7 @@ import pytest
 
 import test_polyopt
 from prodstate.cli import ExperimentConfig, generate, run
-from prodstate.cover import CoverParams, DESK_OVERRIDES, build_cover, estimate_opt, verify_cover
+from prodstate.cover import CoverParams, DESK_OVERRIDES, build_cover, estimate_opt
 from prodstate.discrete import DiscreteClass, class_fidelity_census, discrete_learn, member_vector
 from prodstate.hardness import (
     Tensor4,
@@ -55,6 +55,7 @@ from conftest import (
     random_product_params,
     reference_constrained_max,
     schmidt_rank,
+    verify_cover,
     w_state,
     weight_distribution,
 )

@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import logging
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -19,12 +21,13 @@ from prodstate.cover import (
     CoverParams,
     DESK_OVERRIDES,
     LOCAL_NET,
+    _Sweeps,
     _polish,
     _purchase,
     _purchase_rows,
+    _top_pair,
     build_cover,
     estimate_opt,
-    verify_cover,
 )
 from prodstate.errors import ResourceBudgetError
 from prodstate.instances import planted_mixture, random_mixed
@@ -40,6 +43,7 @@ from prodstate.states import (
     recenter_unitaries,
     tangent_distance,
     transform_params,
+    vector_to_params,
 )
 
 from conftest import (
@@ -52,6 +56,7 @@ from conftest import (
     reference_prepare_root,
     reference_rotated_cut,
     reference_weight_leq_indices,
+    verify_cover,
     w_state,
 )
 
@@ -106,7 +111,7 @@ def test_local_net_covers_single_site():
 def polish_candidate(truncation, members, root, params):
     """Buy the truncation, then polish `root` on it."""
     rho, _ = _purchase(truncation)
-    return _polish(rho, root, members, params)
+    return _polish(rho, root, members, params, _Sweeps())
 
 
 def site_rows(points):
@@ -204,6 +209,79 @@ def test_polish_climbs_to_a_separated_site_optimum():
     assert found >= 15 and separated >= 5
 
 
+def test_top_pair_matches_eigh():
+    # The closed-form top eigenpair of a 2x2 Hermitian matrix: its eigenvalue
+    # within 1e-14 of eigh's, its eigenvector parallel to eigh's when the gap
+    # is nonzero, and e_1, eigh's choice, when the two eigenvalues coincide.
+    rng = np.random.default_rng(3232)
+    gapped = []
+    for _ in range(500):
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        gapped.append(g + g.conj().T)
+    gapped += [np.diag(d).astype(complex)
+               for d in ((2.0, 1.0), (1.0, 2.0), (-1.0, -3.0), (0.0, 1e-300))]
+    degenerate = [c * np.eye(2, dtype=complex) for c in (0.0, 1.0, -2.5)]
+    for mat in gapped + degenerate:
+        vals, vecs = np.linalg.eigh(mat)
+        top, vec = _top_pair(mat)
+        assert abs(top - vals[-1]) <= 1e-14
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-15
+        if vals[-1] > vals[0]:
+            assert abs(np.vdot(vecs[:, -1], vec)) >= 1.0 - 1e-12
+        else:
+            assert np.array_equal(vec, vecs[:, -1]) and np.array_equal(vec, [0.0, 1.0])
+
+
+def test_uncapped_sweep_rows_are_the_kron_rows_of_its_point(monkeypatch):
+    # Uncut, the sweep builds the pair of rows at site i from cached prefix
+    # and suffix products of its purchase-frame sites t = U^dagger s: each
+    # pair is the Kronecker rows of the current point with U_i^dagger e_a at
+    # site i, and the point returned is read off the t's.
+    events = []
+    pair_rows, top_pair = cover_module._pair_rows, cover_module._top_pair
+
+    def recording_pair_rows(*args):
+        events.append(pair_rows(*args))
+        return events[-1]
+
+    def recording_top_pair(mat):
+        events.append(top_pair(mat))
+        return events[-1]
+
+    def far(point):
+        events.append(point)
+        return True
+
+    monkeypatch.setattr(cover_module, "_pair_rows", recording_pair_rows)
+    monkeypatch.setattr(cover_module, "_top_pair", recording_top_pair)
+    rng = np.random.default_rng(3131)
+    pairs = steps = 0
+    for m in range(1, 7):
+        truncation, root, _ = seeded_branch(rng, m, 0)
+        rho, _ = _purchase(truncation)
+        events.clear()
+        point, _, taken = cover_module._sweep(rho, root, m, far)
+        adjoints = adjoints_of(root)
+        sites = list(adjoints[:, :, 0])
+        visited = 0
+        for event in events:
+            if isinstance(event, np.ndarray):
+                i = visited % m
+                want = [reference_kron(sites[:i] + [adjoints[i][:, a]] + sites[i + 1:])
+                        for a in (0, 1)]
+                assert np.abs(event - np.array(want)).max() <= 1e-14
+                visited += 1
+            elif isinstance(event, tuple):
+                vec = event[1]
+            else:
+                sites[i] = adjoints[i] @ vec
+                steps += 1
+        pairs += visited
+        assert len(taken) == sum(isinstance(event, ProductParams) for event in events)
+        assert point == vector_to_params(np.array(sites))
+    assert pairs >= 30 and steps >= 6
+
+
 def test_default_knobs_run_the_desk_nets():
     # With no overrides the search runs the same knobs as DESK_OVERRIDES and
     # answers at once, with a witness.
@@ -265,11 +343,11 @@ def test_build_prepares_each_root_once(monkeypatch):
         prepared.append(root)
         return recenter(root)
 
-    def recording_polish(rho, root, members, params):
+    def recording_polish(rho, root, members, params, *rest):
         roots.append(root)
         if all(tangent_distance(root, member) >= params.b for member in members):
             cleared.append(root)
-        return polish(rho, root, members, params)
+        return polish(rho, root, members, params, *rest)
 
     monkeypatch.setattr(cover_module, "recenter_unitaries", counting_recenter)
     monkeypatch.setattr(cover_module, "_polish", recording_polish)
@@ -636,7 +714,7 @@ def test_degree_capped_covers_match_per_root_ceilings(monkeypatch):
     polish = cover_module._polish
     stats = {"lowered": 0, "exits": 0}
 
-    def per_root_polish(rho, root, members, params):
+    def per_root_polish(rho, root, members, params, *rest):
         m = root.n
         if params.degree(m) < m:
             units = recenter_unitaries(root)
@@ -645,7 +723,7 @@ def test_degree_capped_covers_match_per_root_ceilings(monkeypatch):
             if own < params.eta - 0.5 * params.eps - 1e-12:
                 stats["exits"] += 1
                 return None
-        return polish(rho, root, members, params)
+        return polish(rho, root, members, params, *rest)
 
     def outputs():
         got = []
@@ -669,6 +747,92 @@ def test_degree_capped_covers_match_per_root_ceilings(monkeypatch):
 def planted_six_qubit_oracle():
     payload = generate("planted-product", {"n": 6, "w": 0.95, "noise": 0.05}, seed=1006)
     return StateOracle(state_from_json(payload["state"]), seed=1106)
+
+
+def superposition(n, seed, a2=0.5, w=0.95):
+    """w |psi><psi| + (1 - w) I/2^n, psi ∝ √a2 |pi_1> + √(1 - a2) |pi_2> for two Haar products."""
+    rng = np.random.default_rng(seed)
+    pi_1, pi_2 = (product_state_vector(haar_product_params(rng, n)).data for _ in range(2))
+    psi = math.sqrt(a2) * pi_1 + math.sqrt(1.0 - a2) * pi_2
+    return planted_mixture(psi / np.linalg.norm(psi), w)
+
+
+def test_shared_sweeps_leave_estimate_opt_bit_identical(monkeypatch):
+    # Levels read a root's stored sweep back when all its steps clear the
+    # separation bound.  A run that sweeps every root at every level gives
+    # the same estimate, witness and copies, bit for bit.  A stored sweep
+    # whose steps fail the check is swept afresh (a fallback), and a sweep
+    # that no check turned down runs once per purchase and root in a call.
+    cases = []
+    for n in range(2, 9):
+        payload = generate("planted-product", {"n": n, "w": 0.95, "noise": 0.05}, seed=1000 + n)
+        cases.append((state_from_json(payload["state"]), 1100 + n, None))
+    cases += [(cases[n - 2][0], n, cap) for n in (3, 4, 5) for cap in (1, 2)]
+    cases.append((random_mixed(3, np.random.default_rng(1), rank=2), 3, None))
+    cases += [(superposition(n, seed), seed, None) for n, seed in ((4, 5), (6, 5), (5, 7), (6, 7))]
+    sweep, polish = cover_module._sweep, cover_module._polish
+    log = []
+
+    def recording_sweep(rho, root, *rest):
+        path = sweep(rho, root, *rest)
+        log.append(((id(rho), root.z), path[2] is not None))
+        return path
+
+    def unshared_polish(rho, root, members, params, sweeps):
+        return polish(rho, root, members, params, _Sweeps())
+
+    monkeypatch.setattr(cover_module, "_sweep", recording_sweep)
+    fallbacks = saved = 0
+    for state, seed, cap in cases:
+        overrides = CoverOverrides(degree_cap=cap)
+
+        def run():
+            log.clear()
+            o = StateOracle(state, seed=seed)
+            return estimate_opt(o, 0.1, 0.1, overrides=overrides), o.copies_consumed
+
+        shared = run()
+        swept = list(log)
+        with monkeypatch.context() as patch:
+            patch.setattr(cover_module, "_polish", unshared_polish)
+            assert run() == shared
+        saved += len(log) - len(swept)
+        clean = set()
+        for key, kept in swept:
+            if key in clean:
+                fallbacks += 1
+                assert not kept, key
+            if kept:
+                clean.add(key)
+    assert fallbacks >= 1 and saved > 0
+
+
+def test_estimate_opt_logs_one_line_per_level(monkeypatch, caplog):
+    # One INFO line per bisection level: eta, members, purchases held, and
+    # the sweeps the level ran and read back, which sum to its sweeps.
+    levels, sweeps = [], []
+    build, sweep = cover_module._build, cover_module._sweep
+
+    def recording_build(o, params, *rest):
+        sweeps.append(0)
+        cover = build(o, params, *rest)
+        levels.append((params.eta, len(cover)))
+        return cover
+
+    def counting_sweep(*args):
+        sweeps[-1] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(cover_module, "_build", recording_build)
+    monkeypatch.setattr(cover_module, "_sweep", counting_sweep)
+    with caplog.at_level(logging.INFO, logger="prodstate.cover"):
+        estimate_opt(planted_six_qubit_oracle(), 0.1, 0.1)
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "prodstate.cover"]
+    pattern = r"cover level eta=(\S+): members=(\d+) purchases=6 sweeps run=(\d+) reused=(\d+)"
+    got = [re.fullmatch(pattern, line).groups() for line in lines]
+    assert [(float(eta), int(k)) for eta, k, _, _ in got] == levels
+    assert [int(run) for _, _, run, _ in got] == sweeps
+    assert len(levels) == 3 and sum(int(reused) for *_, reused in got) > 0
 
 
 def test_uncapped_roots_rotate_no_square_matrix(monkeypatch):
