@@ -19,17 +19,26 @@ over the C(q+k-1, k) distinct monomials m_a of c, 13 per point at q = 2 and
 degree 2.  Each system folds its tensors once into matching complex
 coefficients, so a block of lattice points costs one real (2s, F) @ (F, p)
 product for s systems; `evaluate_poly_batch` runs the same kernel.
+Restricting to an isometry cannot raise a tensor's Frobenius norm, so
+|f(B c)| <= |constant| + sum_k |M_k|_F |c|^(2k) on every span, a radial
+bound that the solver uses as a bound-and-prune step in the sense of branch
+and bound (Land and Doig, Econometrica 28(3), 1960): the lattice of a q is
+built as an annulus that leaves out the points whose bound cannot beat the
+best value of the smaller supports.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from itertools import accumulate, combinations, product
 
 import numpy as np
 
 from .errors import ResourceBudgetError
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_NET_BUDGET = 5_000_000
 # Real monomial features (F per lattice point) one scoring block may hold.
@@ -251,21 +260,27 @@ def _lattice_axis(q: int, radius: float, spacing: float) -> np.ndarray:
     return np.arange(-steps, steps + 1) * pitch
 
 
-def _pruned_ball(q: int, radius: float, spacing: float):
-    """The `_lattice_axis` lattice over 2q real coordinates, cut to the radius ball.
+def _pruned_ball(q: int, radius: float, spacing: float, keep_sums=None):
+    """The `_lattice_axis` lattice over 2q real coordinates, cut to the radius
+    ball and, when `keep_sums` is given, to the points it keeps.
 
     Returns (indices, sq): the axis indices (real parts, then imaginary) of
     every lattice point whose squares, summed left to right, stay at most
-    radius^2, in lex order, and those sums.  Prefixes grow one axis at a time
-    and a prefix already past radius^2 is dropped (adding a square never
-    lowers a rounded sum), so memory follows the kept points, never the cube.
+    radius^2 and, at the last axis, pass `keep_sums` (a boolean mask of an
+    array of sums), in lex order, and those sums.  Prefixes grow one axis at
+    a time and a prefix already past radius^2 is dropped (adding a square
+    never lowers a rounded sum).  Memory follows the kept points, never the
+    cube.
     """
     squares = _lattice_axis(q, radius, spacing) ** 2
     indices = np.zeros((1, 0), dtype=np.min_scalar_type(len(squares) - 1))
     sq = np.zeros(1)
-    for _ in range(2 * q):
+    for axis in range(2 * q):
         grown = sq[:, None] + squares
-        prefix, step = np.nonzero(grown <= radius**2)
+        keep = grown <= radius**2
+        if keep_sums is not None and axis == 2 * q - 1:
+            keep &= keep_sums(grown)
+        prefix, step = np.nonzero(keep)
         indices = np.concatenate([indices[prefix], step[:, None].astype(indices.dtype)], axis=1)
         sq = grown[prefix, step]
     return indices, sq
@@ -326,9 +341,18 @@ def solve_constrained(sys: PolySystem, dom: OptDomain, eps: float,
     scanned in size-then-lex order: one takes the lead only when its best
     value beats the incumbent's by more than _TIE, with its first point
     within _TIE of that best, and the scan stops once the value is provably
-    within eps of the global ceiling.  ResourceBudgetError comes at the first
-    support whose nets so far exceed `net_budget` raw grid points, before its
-    lattice is built (unless an earlier support shares its q).  Returns B c.
+    within eps of the global ceiling.  A point whose radial bound
+    |constant| + sum_k |M_k|_F |c|^(2k) stays below the incumbent less _TIE
+    can do neither, so each q's lattice is built, at the first size that
+    needs it, without the points whose bound stays below the incumbent held
+    before that size, less _TIE; later sizes, whose incumbent is no lower,
+    reuse it.  The answer is the one the full balls give, bit for bit.
+    ResourceBudgetError comes at the first support whose nets so far exceed
+    `net_budget` raw grid points, counted on the full lattice before its
+    pruned shell is built (unless an earlier support shares its q).  Under
+    PRODSTATE_LOG=INFO each support size logs one line: its q values, the
+    shell points built and scored, and the incumbent it pruned against.
+    Returns B c.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
@@ -340,9 +364,14 @@ def solve_constrained(sys: PolySystem, dom: OptDomain, eps: float,
         np.concatenate([effective_subspace(sys, eps), dom.a.conj().T], axis=1))
     max_support = min(sys.n, int(1.0 / dom.mu**2) + 1)
     radius = dom.nu + 2.0 * dom.gamma
+    masses = [float(np.linalg.norm(t)) for t in sys.tensors]
     ceiling = abs(sys.constant) + sum(
-        float(np.linalg.norm(t)) * (1.0 + 2.0 * dom.gamma) ** (2 * k)
-        for k, t in enumerate(sys.tensors, start=1))
+        mass * (1.0 + 2.0 * dom.gamma) ** (2 * k) for k, mass in enumerate(masses, start=1))
+
+    def bound(sq: np.ndarray) -> np.ndarray:
+        """|f(B c)| <= bound(|c|^2) for every isometry B, which cannot raise a |M_k|_F."""
+        return abs(sys.constant) + sum(mass * sq**k for k, mass in enumerate(masses, start=1))
+
     eye = np.eye(sys.n, dtype=complex)
     shells: dict[int, tuple] = {}
     used, best_val, best_x = 0, -1.0, None
@@ -355,17 +384,25 @@ def solve_constrained(sys: PolySystem, dom: OptDomain, eps: float,
         counts = list(accumulate((len(_lattice_axis(q, radius, dom.gamma)) ** (2 * q)
                                   for q in qs), initial=used))[1:]
         reach = sum(total <= net_budget for total in counts)
-        values = {}
+        incumbent, built, values = best_val, 0, {}
         for q in dict.fromkeys(qs[:reach]):
             if q not in shells:
-                indices, sq = _pruned_ball(q, radius, dom.gamma)
+                # Points whose bound stays below incumbent - _TIE can neither
+                # lead nor tie a leader, and the incumbent only rises, so
+                # later sizes reuse the pruned shell.
+                indices, sq = _pruned_ball(
+                    q, radius, dom.gamma, lambda sums: bound(sums) >= incumbent - _TIE)
                 norms = np.sqrt(sq)
                 inside = np.abs(norms - dom.nu) <= 2.0 * dom.gamma
                 shells[q] = (_lattice_axis(q, radius, dom.gamma), indices[inside], norms[inside])
+                built += len(shells[q][1])
             group = [j for j in range(reach) if qs[j] == q]
             values.update(zip(group, _support_values(
                 [sys.restricted(bases[j]) for j in group], [bases[j] for j in group],
                 *shells[q], dom)))
+        logger.info("polyopt size %d: q=%s shell points built=%d scored=%d incumbent=%.6g",
+                    size, sorted(set(qs[:reach])), built,
+                    sum(len(shells[qs[j]][1]) for j in range(reach)), incumbent)
         for j in range(len(supports)):
             if j == reach:
                 raise ResourceBudgetError(

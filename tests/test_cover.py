@@ -25,6 +25,7 @@ from prodstate.cover import (
     _polish,
     _purchase,
     _purchase_rows,
+    _top_eigenvalue,
     _top_pair,
     build_cover,
     estimate_opt,
@@ -207,6 +208,46 @@ def test_polish_climbs_to_a_separated_site_optimum():
             rows = np.array([reference_kron(row) for row in pair])
             assert np.linalg.eigvalsh(rows.conj() @ cut @ rows.T)[-1] <= score + 1e-9
     assert found >= 15 and separated >= 5
+
+
+def test_top_eigenvalue_is_certified_from_above(monkeypatch):
+    # Above dimension 32 the ceiling is a Ritz value plus 5e-13 once a
+    # deflation bound certifies it: it tops eigvalsh's value by at most
+    # 1e-12.  Planted purchases (one strong product direction over a noise
+    # floor) certify without any full eigensolve; up to 32 eigvalsh reads
+    # the value itself.
+    rng = np.random.default_rng(3333)
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(mat):
+        solves.append(len(mat))
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    for dim in (8, 32, 33, 64, 256):
+        for weight in (0.95, 0.6):
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            rho = weight * np.outer(v, v.conj()) / np.vdot(v, v).real
+            rho += (1.0 - weight) * g @ g.conj().T / np.linalg.norm(g) ** 2
+            want = float(eigvalsh(rho)[-1])
+            solves.clear()
+            got = _top_eigenvalue(rho)
+            if dim <= 32:
+                assert got == want and solves == [dim]
+            else:
+                assert want - 1e-13 <= got <= want + 1e-12 and solves == []
+    # A start column orthogonal to the top eigenvector spans an invariant
+    # subspace whose Ritz value misses the top, and a full-rank Wishart
+    # matrix crowds its top: the bound fails and eigvalsh reads the value.
+    rho = np.diag(np.full(40, 1e-3)).astype(complex)
+    rho[0, 0] = 0.5
+    rho[1:3, 1:3] = [[0.3, 0.25], [0.25, 0.3]]
+    g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    for rho in (rho, g @ g.conj().T / np.linalg.norm(g) ** 2):
+        solves.clear()
+        assert _top_eigenvalue(rho) == eigvalsh(rho)[-1] and solves == [len(rho)]
 
 
 def test_top_pair_matches_eigh():
@@ -646,20 +687,35 @@ def test_stored_ceiling_tops_every_full_degree_root():
 
 
 def test_estimate_opt_eigensolves_once_per_truncation(monkeypatch):
-    calls, solves = [], []
+    # One ceiling per bought truncation.  Up to dimension 32 it is one
+    # eigvalsh; the six-qubit plant's 64 x 64 purchase takes the certified
+    # Ritz value instead, with no full eigensolve, within 1e-12 above the top.
+    calls, solves, ceilings = [], [], []
     recording(monkeypatch, "subspace_tomography", calls)
     eigvalsh = np.linalg.eigvalsh
+    top_eigenvalue = cover_module._top_eigenvalue
 
     def counting_eigvalsh(mat):
         if sys._getframe(1).f_globals["__name__"] == cover_module.__name__:
-            solves.append(mat.shape)
+            solves.append(len(mat))
         return eigvalsh(mat)
 
+    def recording_top(rho):
+        ceilings.append((len(rho), top_eigenvalue(rho), float(eigvalsh(rho)[-1])))
+        return ceilings[-1][1]
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    estimate_opt(planted_three_qubit_oracle(), 0.1, 0.1, overrides=DESK_OVERRIDES)
-    keys = {args for _, args, _ in calls}
-    assert len(keys) == 3
-    assert len(solves) == len(keys)
+    monkeypatch.setattr(cover_module, "_top_eigenvalue", recording_top)
+    for qubits, oracle in ((3, planted_three_qubit_oracle()), (6, planted_six_qubit_oracle())):
+        for seen in (calls, solves, ceilings):
+            seen.clear()
+        estimate_opt(oracle, 0.1, 0.1, overrides=DESK_OVERRIDES)
+        keys = {args for _, args, _ in calls}
+        dims = [dim for dim, _, _ in ceilings]
+        assert len(keys) == qubits and len(ceilings) == len(keys)
+        assert solves == [dim for dim in dims if dim <= 32]
+        assert all(top <= ceiling <= top + 1e-12 for _, ceiling, top in ceilings)
+        assert max(dims) == 2**qubits
 
 
 def test_degree_capped_cuts_stay_under_stored_ceiling():

@@ -1,7 +1,9 @@
 """Constrained polynomial optimization: examples, invariants, oracle checks."""
 
 import itertools
+import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -370,21 +372,29 @@ def test_solve_matches_ambient_reference_where_the_flatness_cap_binds():
         assert dom.contains(got, factor=2.0)
 
 
-def test_solve_without_an_effective_subspace_matches_ambient_reference():
-    # Tensors below the singular-value threshold leave no effective
-    # subspace, so the empty support's net has q = 0: the origin alone.
+def no_subspace_instances():
+    """Systems whose tensors fall below the singular-value threshold, so the
+    effective subspace is empty, at n = 2, 3 and nu = 0.3, 0.8."""
     rng = np.random.default_rng(34)
+    cases = []
     for n in (2, 3):
         herm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         herm = herm + herm.conj().T
         sys = PolySystem(n, 0.3, (0.02 * herm / np.linalg.norm(herm, 2),))
-        assert effective_subspace(sys, 0.1).shape == (n, 0)
-        for nu in (0.3, 0.8):
-            dom = OptDomain(np.zeros((0, n)), np.zeros(0), nu=nu, mu=1.5, gamma=0.2)
-            got = solve_constrained(sys, dom, eps=0.1)
-            want = ambient_solve_constrained(sys, dom, 0.1, DEFAULT_NET_BUDGET)
-            assert got is not None and got.tobytes() == want.tobytes()
-            assert dom.contains(got, factor=2.0)
+        cases += [(sys, OptDomain(np.zeros((0, n)), np.zeros(0), nu=nu, mu=1.5, gamma=0.2))
+                  for nu in (0.3, 0.8)]
+    return cases
+
+
+def test_solve_without_an_effective_subspace_matches_ambient_reference():
+    # Tensors below the singular-value threshold leave no effective
+    # subspace, so the empty support's net has q = 0: the origin alone.
+    for sys, dom in no_subspace_instances():
+        assert effective_subspace(sys, 0.1).shape == (sys.n, 0)
+        got = solve_constrained(sys, dom, eps=0.1)
+        want = ambient_solve_constrained(sys, dom, 0.1, DEFAULT_NET_BUDGET)
+        assert got is not None and got.tobytes() == want.tobytes()
+        assert dom.contains(got, factor=2.0)
 
 
 def test_solve_answer_does_not_depend_on_the_scoring_block(monkeypatch):
@@ -427,7 +437,7 @@ def test_net_budget_guard():
 
 def brute_force_ball(q, radius, spacing):
     """Axis indices of every point of the 2q-cube whose squares, summed left
-    to right one coordinate at a time, stay within radius^2."""
+    to right one coordinate at a time, stay within radius^2, and those sums."""
     axis = _lattice_axis(q, radius, spacing)
     kept, sums = [], []
     for ks in itertools.product(range(len(axis)), repeat=2 * q):
@@ -453,6 +463,23 @@ def test_pruned_ball_matches_brute_force_lattice():
     # Points on the sphere are kept at radius = spacing = 1.0, q = 1.
     indices, sq = _pruned_ball(1, 1.0, 1.0)
     assert len(indices) == 9 and sq.max() <= 1.0
+
+
+def test_pruned_annulus_matches_brute_force_lattice():
+    # A last-axis filter of sums >= inner^2 keeps the annulus; past the
+    # radius nothing is left.
+    for radius, spacing, inner, qs in ((1.0, 1.0, 0.7, range(1, 4)), (1.1, 0.6, 0.5, range(1, 3)),
+                                       (2.2, 1.5, 1.7, range(1, 4)), (1.1, 0.6, 1.2, range(1, 3))):
+        for q in qs:
+            indices, sq = _pruned_ball(q, radius, spacing, lambda sums: sums >= inner**2)
+            want, sums = brute_force_ball(q, radius, spacing)
+            keep = sums >= inner**2
+            assert np.array_equal(indices, want[keep]) and np.array_equal(sq, sums[keep])
+            assert 0 < keep.sum() < len(want) or inner > radius
+    # At q = 2 and pitch 0.5 the unit sphere holds 8 + 16 exact lattice points,
+    # and a filter of sums >= 1.0 keeps exactly those.
+    _, sq = _pruned_ball(2, 1.0, 1.0, lambda sums: sums >= 1.0)
+    assert len(sq) == 24 and (sq == 1.0).all()
 
 
 def test_support_nets_chunks_match_cube_reference():
@@ -493,10 +520,11 @@ def axis_instance(n, mu, nu=0.1):
 
 def brute_force_shell(basis, radius, pitch, nu, g):
     """Every lattice point B c of the ball with | |c| - nu | <= g, one integer
-    coordinate tuple at a time, squares summed left to right."""
+    coordinate tuple at a time, squares summed left to right; returns the
+    points and those sums |c|^2."""
     q = basis.shape[1]
     steps = math.floor(radius / pitch)
-    points = []
+    points, sums = [], []
     for ks in itertools.product(range(-steps, steps + 1), repeat=2 * q):
         reals = [k * pitch for k in ks]
         total = 0.0
@@ -504,30 +532,50 @@ def brute_force_shell(basis, radius, pitch, nu, g):
             total += r * r
         if total <= radius**2 and abs(math.sqrt(total) - nu) <= g:
             points.append((np.array(reals[:q]) + 1j * np.array(reals[q:])) @ basis.T)
-    return np.array(points).reshape(-1, basis.shape[0])
+            sums.append(total)
+    return np.array(points).reshape(-1, basis.shape[0]), np.array(sums)
+
+
+def radial_bound(sys, sq):
+    """|constant| + sum_k |T_k|_F |c|^(2k) at squared norms `sq`."""
+    return abs(sys.constant) + sum(float(np.linalg.norm(t)) * np.asarray(sq) ** k
+                                   for k, t in enumerate(sys.tensors, start=1))
 
 
 def test_support_nets_match_brute_force_lattice(monkeypatch):
+    # Each q's net is built at the first size that needs it, without the
+    # points whose radial bound stays below the best value of the smaller
+    # supports less the 1e-12 tie margin; later sizes reuse it.
     nets = record_support_nets(monkeypatch)
     # nu = 0.3 puts the inner edge of the norm shell at 0.1 inside the ball.
-    for n, mu, count in ((2, 0.3, 4), (3, 1.5, 4)):
+    for n, mu, sizes in ((2, 0.3, [0, 1, 1, 2]), (3, 1.5, [0, 1, 1, 1])):
         nets.clear()
         sys, dom = axis_instance(n, mu, nu=0.3)
         assert solve_constrained(sys, dom, eps=0.1) is not None
-        assert len(nets) == count
+        assert len(nets) == len(sizes)
         radius = dom.nu + 2.0 * dom.gamma
-        for basis, axis, indices in nets:
+        tops, built_at, pruned = {}, {}, 0
+        for (basis, axis, indices), size in zip(nets, sizes):
             q = basis.shape[1]
             assert 1 <= q <= 2
             assert np.abs(basis.conj().T @ basis - np.eye(q)).max() <= 1e-12
             got = polyopt._coords(axis, indices) @ basis.T
             # Every point lies in span(basis): projecting onto it moves nothing.
             assert np.abs(got @ basis.conj() @ basis.T - got).max() <= 1e-12
-            want = brute_force_shell(basis, radius, dom.gamma / math.sqrt(2.0 * q),
-                                     dom.nu, 2.0 * dom.gamma)
+            want, sums = brute_force_shell(basis, radius, dom.gamma / math.sqrt(2.0 * q),
+                                           dom.nu, 2.0 * dom.gamma)
+            vals = np.where(reference_membership_mask(dom, want, 2.0),
+                            np.abs(reference_poly_values(sys, want)), -math.inf)
+            tops[size] = max(tops.get(size, -math.inf), vals.max(initial=-math.inf))
+            first = built_at.setdefault(q, size)
+            incumbent = max((top for s, top in tops.items() if s < first), default=-math.inf)
+            keep = ~(radial_bound(sys, sums) < incumbent - 1e-12)
+            pruned += int((~keep).sum())
+            want = want[keep]
             # The same points in the same (lex) order.
             assert got.shape == want.shape
-            assert np.abs(got - want).max() <= 1e-12
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12
+        assert pruned > 0
 
 
 def rank_one_cube_instance(n):
@@ -620,6 +668,90 @@ def test_solve_constrained_peak_memory_on_cli_system():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+# --- radial prune ----------------------------------------------------------------
+
+
+def test_radial_bound_tops_every_restricted_value():
+    # Restricting to an isometry keeps each |T_k|_F, so |f(B c)| stays under
+    # |constant| + sum_k |T_k|_F |c|^(2k); a rank-one system attains it on its axis.
+    rng = np.random.default_rng(35)
+    for n, degree in itertools.product((2, 3, 4), (1, 2, 3)):
+        sys = random_system(rng, n, degree)
+        for q in range(1, n + 1):
+            basis = complex_isometry(rng, n, q)
+            coords = rng.standard_normal((60, q)) + 1j * rng.standard_normal((60, q))
+            coords *= rng.uniform(0.0, 1.5, size=(60, 1)) / np.linalg.norm(coords, axis=1)[:, None]
+            bound = radial_bound(sys, np.linalg.norm(coords, axis=1) ** 2)
+            for vals in (evaluate_poly_batch(sys.restricted(basis), coords),
+                         evaluate_poly_batch(sys, coords @ basis.T)):
+                assert (np.abs(vals) <= bound + 1e-12).all()
+    u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    u /= np.linalg.norm(u)
+    sys = rank_one_system(3, 0.2, [0.3, 0.4], u)
+    for r in (0.3, 0.9, 1.2):
+        assert abs(abs(evaluate_poly(sys, r * u)) - radial_bound(sys, r * r)) <= 1e-12
+
+
+def prune_cases():
+    """The CLI systems (seeds 0-11, n = 2..7), the pinned, flat-capped and
+    no-effective-subspace instances."""
+    cases = [_polyopt_instance(seed, n) for seed, n in itertools.product(range(12), range(2, 8))]
+    cases += [seeded_instance(seed) for seed in range(1600, 1630)]
+    cases += [flat_capped_instance(seed) for seed in range(12)]
+    return cases + no_subspace_instances()
+
+
+def test_prune_leaves_every_answer_byte_identical(monkeypatch):
+    # Dropping the points whose radial bound stays below the incumbent less
+    # the tie margin changes no answer: the unpruned balls give the same
+    # points, bit for bit.
+    cases = prune_cases()
+    pruned = [solve_constrained(sys, dom, eps=0.1) for sys, dom in cases]
+    ball = polyopt._pruned_ball
+    monkeypatch.setattr(polyopt, "_pruned_ball",
+                        lambda q, radius, spacing, keep_sums=None: ball(q, radius, spacing))
+    for (sys, dom), got in zip(cases, pruned, strict=True):
+        want = solve_constrained(sys, dom, eps=0.1)
+        assert got is not None and want is not None
+        assert got.tobytes() == want.tobytes()
+
+
+def test_cli_n6_solve_scores_at_most_a_quarter_of_its_shell(monkeypatch):
+    # The size-0 incumbent already tops the radial bound of most of the
+    # q = 2 shell, so the size-1 supports score only its outer edge.
+    nets = record_support_nets(monkeypatch)
+    sys, dom = _polyopt_instance(0, 6)
+    assert solve_constrained(sys, dom, eps=0.1) is not None
+    _, sq = _pruned_ball(2, dom.nu + 2.0 * dom.gamma, dom.gamma)
+    full = int((np.abs(np.sqrt(sq) - dom.nu) <= 2.0 * dom.gamma).sum())
+    scored = [len(indices) for basis, _, indices in nets if basis.shape[1] == 2]
+    assert len(scored) == 6
+    assert max(scored) <= 0.25 * full
+
+
+def test_solve_logs_one_line_per_support_size(monkeypatch, caplog):
+    # Size, the q values, shell points built and scored, and the incumbent
+    # the size pruned against.
+    nets = record_support_nets(monkeypatch)
+    sys, dom = _polyopt_instance(0, 6)
+    with caplog.at_level(logging.INFO, logger="prodstate.polyopt"):
+        x = solve_constrained(sys, dom, eps=0.1)
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "prodstate.polyopt"]
+    pattern = r"polyopt size (\d+): q=\[([\d, ]+)\] shell points built=(\d+) scored=(\d+) incumbent=(\S+)"
+    got = [re.fullmatch(pattern, line).groups() for line in lines]
+    assert [int(size) for size, *_ in got] == [0, 1]
+    assert [q for _, q, *_ in got] == ["1", "2"]
+    assert [int(built) for _, _, built, *_ in got] == [len(nets[0][2]), len(nets[1][2])]
+    assert [int(scored) for *_, scored, _ in got] == [len(nets[0][2]),
+                                                      sum(len(i) for _, _, i in nets[1:])]
+    basis, axis, indices = nets[0]
+    points = polyopt._coords(axis, indices) @ basis.T
+    mask = reference_membership_mask(dom, points, 2.0)
+    top = np.abs(reference_poly_values(sys, points[mask])).max()
+    assert got[0][-1] == "-1" and float(got[1][-1]) == pytest.approx(top, rel=1e-5)
+    assert x is not None
 
 
 # --- domain membership -----------------------------------------------------------
