@@ -10,17 +10,20 @@ other dense array, which admits sides up to 5.
 
 The spectral-norm oracle runs its multistart alternating maximization on
 blocks of restarts at once: each half-step is one matrix product with the
-(m^2, m^2) unfolding of the tensor, giving a stack of m x m matrices, then
-exact single-leg updates of the two free legs by stacked matrix-vector
-products (the higher-order power method of De Lathauwer, De Moor and
-Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000); no eigensolve is
-called.  A block holds at most _RESTART_ELEMENTS / m^2 restarts so memory
-stays bounded at any count.  Start vectors are drawn per restart in a fixed
-order, so a seed names the same starts whatever the block size.
+unfolded tensor, giving a stack of small matrices, then exact single-leg
+updates of the two free legs by stacked matrix-vector products (the
+higher-order power method of De Lathauwer, De Moor and Vandewalle, SIAM J.
+Matrix Anal. Appl. 21(4), 2000); no eigensolve is called.  It iterates on
+the tensor's multilinear-rank core (their multilinear SVD, same issue),
+so an isometry lift runs on the core of the tensor it lifts.  A block holds
+at most _RESTART_ELEMENTS / m^2 restarts so memory stays bounded at any
+count.  Start vectors are drawn per restart in a fixed order, so a seed
+names the same starts whatever the block size.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -38,6 +41,8 @@ __all__ = [
     "spectral_norm_oracle",
     "tensor_to_state",
 ]
+
+logger = logging.getLogger(__name__)
 
 # Largest tensor side the alternating-maximization oracle will accept.
 ORACLE_SIDE_BUDGET = 48
@@ -127,18 +132,21 @@ def spectral_norm_oracle(t: Tensor4, restarts: int | None = None,
                          seed: int = 0) -> float:
     """Best rank-one overlap found by multistart alternating maximization.
 
-    Each half-step fixes two legs, forms the m x m matrix M of the other
-    two, and updates those one leg at a time, x, then y, then x again; each
-    update is the exact maximizer with the other three legs fixed, so the
-    value never decreases.  No eigensolve or SVD is called.  A restart stops
-    once a step gains at most 1e-12 * max(1, value), or after 200 steps, and
-    is dropped once value + gain * (steps left) falls below the best value a
-    converged restart of its block has reached: even its current gain kept
-    up to the cap could not overtake that.
+    Each half-step fixes two legs, forms the matrix M of the other two, and
+    updates those one leg at a time, x, then y, then x again; each update is
+    the exact maximizer with the other three legs fixed, so the value never
+    decreases.  No eigensolve or SVD is called.  The iteration runs on the
+    core T x_k Q_k^H (`_leg_bases`) from starts projected onto the Q_k: from
+    its first update on, the full-side iteration stays in their ranges, so
+    values agree to rounding.  A restart stops once a step gains at most
+    1e-12 * max(1, value), or after 200 steps, and is dropped once the
+    smaller of its linear and geometric rise bounds (`_rise_bounds`) cannot
+    lift it more than that tolerance above the best value reached.
     Restarts (default 50 m^2, at least 1) run batched in blocks of at most
     _RESTART_ELEMENTS / m^2, from the same seeded starts as one at a time:
     per restart, in order, a (4, m) complex Gaussian draw whose four rows
     start the legs x, y, u, v, with the first half-step's M formed from u and v.
+    Logs one INFO line per call on a nonzero tensor.
     This is a lower-bound heuristic: it is certified only on instances with
     known closed forms, and elsewhere serves as a consistency oracle.
     """
@@ -153,40 +161,146 @@ def spectral_norm_oracle(t: Tensor4, restarts: int | None = None,
     if t.fro == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)
-    unfolded = t.entries.reshape(m * m, m * m)
+    bases = _leg_bases(t)
+    core = t.entries if bases is None else _core(t.entries, bases)
+    unfolded = core.reshape(core.shape[0] * core.shape[1], -1)
     block = max(1, _RESTART_ELEMENTS // (m * m))
     best = 0.0
+    tally = np.zeros(5, dtype=int)
     for first in range(0, restarts, block):
         z = rng.normal(size=(min(block, restarts - first), 2, 4, m))
         starts = z[:, 0] + 1j * z[:, 1]
-        best = max(best, _alternating_max(unfolded, starts))
+        legs = [starts[:, k] if bases is None else starts[:, k] @ bases[k].conj()
+                for k in range(4)]
+        value, counts = _alternating_max(unfolded, legs)
+        best = max(best, value)
+        tally += counts
+    logger.info("hardness oracle side=%d core=%s restarts=%d half-steps=%d "
+                "converged=%d linear=%d geometric=%d cap=%d",
+                m, "x".join(map(str, core.shape)), restarts, *tally)
     return best
 
 
-def _alternating_max(unfolded: np.ndarray, starts: np.ndarray) -> float:
-    """Largest converged value of leg-by-leg maximization from (x, y, u, v) rows."""
-    m = starts.shape[2]
-    x, y, u, v = (starts / np.linalg.norm(starts, axis=2, keepdims=True)).transpose(1, 0, 2)
-    value = np.zeros(len(starts))
+def _unfolding_chunks(entries: np.ndarray):
+    """Views tiling the legs' unfoldings, c leading indices at a time (at most
+    half the tensor and _RESTART_ELEMENTS entries): leg 0's (m, c m^2) column
+    block, (c, m, m^2) leg-1 rows, and (c m, m, m) leg-2 rows by leg-3 columns."""
+    m = entries.shape[0]
+    step = max(1, min(m // 2, _RESTART_ELEMENTS // m**3))
+    for lo in range(0, m, step):
+        part = entries[lo:lo + step]
+        yield (entries.reshape(m, -1)[:, lo * m * m:(lo + step) * m * m],
+               part.reshape(len(part), m, -1), part.reshape(-1, m, m))
+
+
+def _leg_bases(t: Tensor4) -> list[np.ndarray] | None:
+    """Orthonormal (m, r_k) bases of the legs' unfolding ranges, or None when
+    every leg has full rank.
+
+    Pivoted Cholesky of each leg's Gram matrix stops at residual diagonal
+    (1e-6 |T|_F)^2, above the Gram's rounding (about 1e-16 |T|_F^2).  A
+    basis is kept only if the unfolding's residual off it, computed
+    directly, is at most 1e-13 |T|_F; else that leg keeps the identity.
+    """
+    m = t.side
+    grams = np.zeros((4, m, m), dtype=complex)
+    for rows, front, back in _unfolding_chunks(t.entries):
+        grams[0] += rows @ rows.conj().T
+        grams[1] += (front @ front.conj().transpose(0, 2, 1)).sum(axis=0)
+        back_conj = back.conj()
+        grams[2] += (back @ back_conj.transpose(0, 2, 1)).sum(axis=0)
+        grams[3] += (back.transpose(0, 2, 1) @ back_conj).sum(axis=0)
+    bases = _range_bases(grams, (1e-6 * t.fro) ** 2)
+    if any(q.shape[1] < m for q in bases):
+        proj = [q @ q.conj().T for q in bases]
+        residual = np.zeros(4)
+        for rows, front, back in _unfolding_chunks(t.entries):
+            residual += [np.linalg.norm(rows - proj[0] @ rows) ** 2,
+                         np.linalg.norm(front - proj[1] @ front) ** 2,
+                         np.linalg.norm(back - proj[2] @ back) ** 2,
+                         np.linalg.norm(back - back @ proj[3].T) ** 2]
+        bases = [q if r <= (1e-13 * t.fro) ** 2 else np.eye(m)
+                 for q, r in zip(bases, residual)]
+    return None if all(q.shape[1] == m for q in bases) else bases
+
+
+def _range_bases(grams: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Orthonormal bases of the pivot columns of each PSD matrix's Cholesky
+    factor, pivoting on the largest residual diagonal while it exceeds tol."""
+    count, m, _ = grams.shape
+    legs = np.arange(count)
+    diag = np.einsum("kii->ki", grams).real.copy()
+    cols = np.zeros((count, m, m), dtype=complex)
+    ranks = np.zeros(count, dtype=int)
+    for j in range(m):
+        pivot = diag.argmax(axis=1)
+        top = diag[legs, pivot]
+        live = top > tol
+        if not live.any():
+            break
+        col = grams[legs, :, pivot] - (cols[:, :, :j] @ cols[legs, pivot, :j, None].conj())[..., 0]
+        cols[:, :, j] = col / np.sqrt(np.maximum(top, tol))[:, None] * live[:, None]
+        diag -= np.abs(cols[:, :, j]) ** 2
+        ranks += live
+    q = np.linalg.qr(cols)[0]
+    return [q[k, :, :r] for k, r in enumerate(ranks)]
+
+
+def _core(entries: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
+    """T x_k Q_k^H: each leg in turn is contracted with conj(Q_k) and moved
+    last, so every product reads a C-ordered (m, rest) view."""
+    core = entries
+    for q in bases:
+        core = (core.reshape(len(q), -1).T @ q.conj()).reshape(*core.shape[1:], q.shape[1])
+    return core
+
+
+def _alternating_max(unfolded: np.ndarray, legs: list[np.ndarray]) -> tuple[float, np.ndarray]:
+    """Largest value of leg-by-leg maximization from the (x, y, u, v) starts,
+    and the tally: half-steps, then restarts converged, dropped by the linear
+    or the geometric bound, and stopped by the cap."""
+    x, y, u, v = (w / np.linalg.norm(w, axis=1, keepdims=True) for w in legs)
+    front, back = (x.shape[1], y.shape[1]), (u.shape[1], v.shape[1])
+    value = np.zeros(len(x))
+    prev = np.full(len(x), np.inf)
     best = 0.0
+    tally = np.zeros(5, dtype=int)
     for step in range(_MAX_STEPS):
-        pair = (u.conj()[:, :, None] * v.conj()[:, None, :]).reshape(-1, m * m)
-        _, x, y = _leg_steps((pair @ unfolded.T).reshape(-1, m, m), x, y)
-        pair = (x.conj()[:, :, None] * y.conj()[:, None, :]).reshape(-1, m * m)
-        sing, u, v = _leg_steps((pair @ unfolded).reshape(-1, m, m), u, v)
+        tally[0] += 2
+        pair = (u.conj()[:, :, None] * v.conj()[:, None, :]).reshape(len(u), -1)
+        _, x, y = _leg_steps((pair @ unfolded.T).reshape(-1, *front), x, y)
+        pair = (x.conj()[:, :, None] * y.conj()[:, None, :]).reshape(len(x), -1)
+        sing, u, v = _leg_steps((pair @ unfolded).reshape(-1, *back), u, v)
         gain = sing - value
         done = gain <= 1e-12 * np.maximum(1.0, value)
         value = sing
         if done.any():
             best = max(best, float(value[done].max()))
-        # A restart that cannot reach `best` even if it kept its current gain
-        # until the step cap is dropped.
-        keep = ~done & (value + gain * (_MAX_STEPS - 1 - step) >= best)
+        linear, geometric = _rise_bounds(gain, prev, _MAX_STEPS - 1 - step)
+        floor = best + 1e-12 * max(1.0, best)
+        by_linear = ~done & (value + linear <= floor)
+        by_tail = ~done & ~by_linear & (value + geometric <= floor)
+        tally[1:4] += done.sum(), by_linear.sum(), by_tail.sum()
+        keep = ~(done | by_linear | by_tail)
+        prev = gain
         if not keep.all():
-            x, y, u, v, value = x[keep], y[keep], u[keep], v[keep], value[keep]
+            best = max(best, float(value[~keep].max()))
+            x, y, u, v, value, prev = x[keep], y[keep], u[keep], v[keep], value[keep], prev[keep]
             if not len(value):
-                return best
-    return max(best, float(value.max()))
+                return best, tally
+    tally[4] += len(value)
+    return max(best, float(value.max())), tally
+
+
+def _rise_bounds(gain: np.ndarray, prev: np.ndarray, steps_left: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on each running restart's remaining rise: its gain kept for the
+    steps left, and while gains shrink by q = gain / prev < 1, their
+    geometric tail gain q / (1 - q) (infinite otherwise)."""
+    q = gain / prev
+    geometric = np.divide(gain * q, 1.0 - q, out=np.full(len(q), np.inf),
+                          where=(q > 0.0) & (q < 1.0))
+    return gain * steps_left, geometric
 
 
 def _leg_steps(mats: np.ndarray, x: np.ndarray, y: np.ndarray

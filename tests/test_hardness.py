@@ -1,6 +1,8 @@
 """Clique tensors, their state embeddings, and the norm-sandwich report."""
 
+import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -107,6 +109,16 @@ def test_batched_oracle_matches_per_restart_reference():
     # Clique tensors are symmetric under swapping legs; a generic tensor is
     # not, so it also pins which draws start which legs.
     cases.append((random_unit_tensor(np.random.default_rng(5), 3), 2, 0))
+    # Drop-rule traffic: random tensors, whose restarts reach different local
+    # maxima and some creep, and paw lifts, iterated on their core.  A single
+    # restart drops nothing, and from one start the single-leg updates and
+    # the reference's SVD half-steps may end at different local maxima.
+    rng = np.random.default_rng(33)
+    cases += [(random_unit_tensor(rng, m), restarts, m)
+              for m in range(2, 7) for restarts in (5, 20, 50)]
+    paw = clique_tensor(dict(graphs_up_to_4_vertices())["paw"])
+    cases += [(random_isometry_embed(paw, side, seed=4), restarts, 5)
+              for side, restarts in ((6, 40), (10, 16))]
     for t, restarts, seed in cases:
         got = spectral_norm_oracle(t, restarts=restarts, seed=seed)
         want = reference_spectral_norm(t, restarts, seed)
@@ -131,6 +143,114 @@ def test_creeping_restarts_are_dropped_below_the_best(monkeypatch):
     assert len(calls) <= 100
     assert abs(nu - reference_spectral_norm(t, 192, 1)) <= 1e-10
     assert recover_clique_number(nu) == 3
+
+
+def record_leg_steps(monkeypatch):
+    """Shapes of the matrix stacks each `_leg_steps` call receives."""
+    shapes = []
+    inner = hardness._leg_steps
+
+    def recorded(mats, x, y):
+        shapes.append(mats.shape)
+        return inner(mats, x, y)
+
+    monkeypatch.setattr(hardness, "_leg_steps", recorded)
+    return shapes
+
+
+def test_creeping_best_restarts_end_on_their_geometric_tail(monkeypatch):
+    # On path-4 the restarts creeping to 1/2 are as good as the best, so the
+    # linear bound never drops them; their gains shrink about tenfold per ten
+    # steps, and the geometric tail ends them within a few steps (380 calls
+    # with the linear bound alone).
+    shapes = record_leg_steps(monkeypatch)
+    t = clique_tensor(dict(graphs_up_to_4_vertices())["path-4"])
+    nu = spectral_norm_oracle(t, restarts=192, seed=1)
+    assert len(shapes) <= 40
+    assert abs(nu - reference_spectral_norm(t, 192, 1)) <= 1e-10
+    assert recover_clique_number(nu) == 2
+
+
+def test_rise_bounds_follow_the_shrinking_gains():
+    # Gains shrinking tenfold, halving, level, growing, and a first step.
+    gain = np.full(5, 1e-3)
+    prev = np.array([1e-2, 2e-3, 1e-3, 5e-4, np.inf])
+    linear, geometric = hardness._rise_bounds(gain, prev, 7)
+    assert np.array_equal(linear, np.full(5, 7e-3))
+    assert geometric[0] == pytest.approx(1e-3 / 9, rel=1e-12)
+    assert geometric[1] == pytest.approx(1e-3, rel=1e-12)
+    assert np.all(np.isinf(geometric[2:]))
+
+
+def test_lifted_clique_tensors_iterate_on_their_rank_four_core(monkeypatch):
+    shapes = record_leg_steps(monkeypatch)
+    for side, restarts in ((6, 40), (10, 20), (16, 12)):
+        shapes.clear()
+        t = random_isometry_embed(clique_tensor(k_n(4)), side, seed=side)
+        nu = spectral_norm_oracle(t, restarts=restarts, seed=2)
+        assert {s[1:] for s in shapes} == {(4, 4)}
+        assert abs(nu - reference_spectral_norm(t, restarts, 2)) <= 1e-10
+    shapes.clear()
+    t = random_unit_tensor(np.random.default_rng(31), 3)
+    assert hardness._leg_bases(t) is None
+    spectral_norm_oracle(t, restarts=5, seed=0)
+    assert {s[1:] for s in shapes} == {(3, 3)}
+
+
+def test_leg_bases_are_orthonormal_and_span_each_unfolding():
+    rng = np.random.default_rng(32)
+    vecs = rng.normal(size=(2, 4, 5)) + 1j * rng.normal(size=(2, 4, 5))
+    tensors = [random_isometry_embed(clique_tensor(k_n(4)), side, seed=3)
+               for side in (6, 10, 16)]
+    tensors += [clique_tensor(dict(graphs_up_to_4_vertices())["path-3"]),
+                Tensor4(sum(np.einsum("i,j,k,l->ijkl", *v) for v in vecs))]
+    for t in tensors:
+        bases = hardness._leg_bases(t)
+        assert bases is not None and all(q.shape[1] < t.side for q in bases)
+        for k, q in enumerate(bases):
+            assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() <= 1e-12
+            unfolding = np.moveaxis(t.entries, k, 0).reshape(t.side, -1)
+            assert np.linalg.norm(unfolding - q @ (q.conj().T @ unfolding)) <= 1e-12 * t.fro
+
+
+def test_leg_bases_keep_directions_the_gram_cannot_resolve():
+    # A 1e-9 rank-one term gives every leg a fifth direction whose squared
+    # size sits below the Cholesky stop; cutting it would move the norm by
+    # up to 1e-9, so the direct residual check keeps every leg whole.
+    rng = np.random.default_rng(34)
+    lift = random_isometry_embed(clique_tensor(k_n(4)), 6, seed=1)
+    x, y, u, v = unit_vectors(rng, 6)
+    t = Tensor4(lift.entries + 1e-9 * np.einsum("i,j,k,l->ijkl", x, y, u, v))
+    assert hardness._leg_bases(lift) is not None
+    assert hardness._leg_bases(t) is None
+
+
+def test_oracle_logs_one_line_per_call(monkeypatch, caplog):
+    shapes = record_leg_steps(monkeypatch)
+    pattern = (r"hardness oracle side=(\d+) core=(\S+) restarts=(\d+) half-steps=(\d+) "
+               r"converged=(\d+) linear=(\d+) geometric=(\d+) cap=(\d+)")
+    catalog = dict(graphs_up_to_4_vertices())
+    cases = [(clique_tensor(catalog["path-4"]), 192, "4x4x4x4"),
+             (clique_tensor(catalog["single-edge"]), 30, "2x2x2x2"),
+             (random_isometry_embed(clique_tensor(k_n(4)), 6, seed=1), 50, "4x4x4x4")]
+    tallies = []
+    for t, restarts, core in cases:
+        shapes.clear()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="prodstate.hardness"):
+            spectral_norm_oracle(t, restarts=restarts, seed=1)
+        lines = [rec.getMessage() for rec in caplog.records if rec.name == "prodstate.hardness"]
+        assert len(lines) == 1
+        side, got_core, *counts = re.fullmatch(pattern, lines[0]).groups()
+        half_steps, converged, linear, geometric, cap = map(int, counts[1:])
+        assert (int(side), got_core, int(counts[0])) == (t.side, core, restarts)
+        assert half_steps == len(shapes)
+        assert converged + linear + geometric + cap == restarts
+        tallies.append((converged, linear, geometric, cap))
+    # path-4's creepers end on the geometric bound, not at the cap; the
+    # single edge's restarts all converge.
+    assert tallies[0][2] > 0 and tallies[0][3] == 0
+    assert tallies[1] == (30, 0, 0, 0)
 
 
 def test_batched_oracle_blocks_keep_memory_bounded(monkeypatch):
