@@ -56,6 +56,7 @@ from .oracle import StateOracle, estimate_fidelity, subspace_tomography, tomogra
 from .states import (
     ProductParams,
     Z_MAX,
+    _top_pair,
     apply_sites,
     hamming_weights,
     product_vectors,
@@ -199,27 +200,6 @@ def _pair_rows(left: np.ndarray, cols: np.ndarray, right: np.ndarray) -> np.ndar
     """The (2, L*2*R) rows left (x) cols[:, a] (x) right, a = 0, 1 (site 1 most significant)."""
     return (left[None, :, None, None] * cols.T[:, None, :, None]
             * right[None, None, None, :]).reshape(2, -1)
-
-
-def _top_pair(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenvalue and unit eigenvector of a 2x2 Hermitian matrix, in closed form.
-
-    Reads the real diagonal and the lower entry, as `np.linalg.eigh` does,
-    and returns e_1 when the two eigenvalues coincide, as `eigh` does.
-    """
-    a, c, lower = float(mat[0, 0].real), float(mat[1, 1].real), complex(mat[1, 0])
-    half = 0.5 * (a - c)
-    radius = math.hypot(half, abs(lower))
-    top = 0.5 * (a + c) + radius
-    if radius == 0.0:
-        return top, np.array([0.0, 1.0], dtype=complex)
-    # Of the two forms of the eigenvector, take the one without cancellation.
-    if half >= 0.0:
-        x, y = half + radius, lower
-    else:
-        x, y = lower.conjugate(), radius - half
-    scale = 1.0 / math.hypot(abs(x), abs(y))
-    return top, np.array([x * scale, y * scale], dtype=complex)
 
 
 def _purchase(est: np.ndarray) -> tuple[np.ndarray, float]:

@@ -29,6 +29,7 @@ from .states import (
     _marginal,
     _operator,
     _sandwich,
+    _top_pair,
     recenter_unitaries,
     transform_params,
     vector_to_params,
@@ -104,7 +105,9 @@ def local_optimize(o: StateOracle, start: ProductParams, cfg: LocalOptConfig,
     triggers the damped update (step to the state with per-site parameters
     a/10 in the recentered frame) and restarts the ladder.  Surviving every
     rung certifies near-optimality and returns the candidate.  Exceeding the
-    safety cap raises PromiseViolationError.
+    safety cap raises PromiseViolationError.  The rungs of a ladder share
+    one frame, so the oracle reads the state for the first rung only (see
+    `oracle.estimate_z`); every rung still charges and draws its own.
 
     If `history` is a list, one record per executed update is appended with
     the parameters before/after and the measured step norm.
@@ -152,7 +155,8 @@ def single_site_estimate(o: StateOracle, delta: float) -> ProductParams:
     Sampling backend: measure each Pauli axis ceil(50 ln(2/delta)) times and
     return the top eigenvector of the reconstructed density matrix.  Exact
     backend: top eigenvector of the state (after noise injection), charged at
-    the same copy cost.
+    the same copy cost.  The 2x2 eigenvector is taken in closed form
+    (`states._top_pair`).
     """
     if o.n != 1:
         raise ValueError("single-site estimation needs a one-qubit oracle")
@@ -174,8 +178,7 @@ def single_site_estimate(o: StateOracle, delta: float) -> ProductParams:
             bloch.append(2.0 * o._rng.binomial(shots, up) / shots - 1.0)
         rho = (np.eye(2, dtype=complex)
                + sum(b * p for b, p in zip(bloch, _PAULIS))) / 2.0
-    _, vecs = np.linalg.eigh(rho)
-    return vector_to_params(vecs[:, -1])
+    return vector_to_params(_top_pair(rho)[1])
 
 
 def high_fidelity_learn(o: StateOracle, eps: float, delta: float) -> ProductParams:

@@ -18,8 +18,8 @@ backends share identical signatures and copy accounting:
   memory is O(SHADOW_CHUNK * dim) whatever the shot count.
 
 Sampling measures a compressed register, the block read plus one junk slot
-(`_with_junk_slot`): on the product columns U*|0^n>, U*|e_i> for amplitudes
-(`_z_columns`), on the weight-<= d strings for subspace tomography.
+(`_with_junk_slot`): on the product rows <0^n|U, <e_i|U for amplitudes
+(`_frame_read`), on the weight-<= d strings for subspace tomography.
 
 The shadow primitives average all their shots in one group, sized by matrix
 Bernstein (`bernstein_shots`): N(d, eps, delta) =
@@ -29,8 +29,8 @@ probability >= 1 - delta.  Each estimator's docstring gives the accuracy it
 asks of that mean and why.
 
 The estimators read the hidden state through the `states` readers
-(`_operator`, `_marginal`, `_sandwich`, `_mapped`); see that module's
-docstring.
+(`_operator`, `_marginal`, `_sandwich`, `_mapped`, `_flip_read`); see that
+module's docstring.
 
 Copy-cost formulas are exported as plain functions so tests can assert the
 counter matches them exactly.
@@ -45,6 +45,7 @@ import numpy as np
 from .errors import ResourceBudgetError
 from .states import (
     QuantumState,
+    _flip_read,
     _mapped,
     _marginal,
     _operator,
@@ -162,6 +163,9 @@ class StateOracle:
         self.noise_opnorm = float(noise_opnorm)
         self.copies_consumed = 0
         self._rng = np.random.default_rng(self.seed)
+        # estimate_z's last frame read (`_frame_read`) and the key of its frame.
+        self._frame_key: bytes | None = None
+        self._frame: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -185,21 +189,27 @@ class StateOracle:
 # --- shared internals ------------------------------------------------------
 
 
-def _z_columns(o: StateOracle, basis: list[np.ndarray]) -> np.ndarray:
-    """The n+1 columns U*|b> for b in {0^n, e_1, .., e_n}, with U the product of `basis`.
+def _frame_read(o: StateOracle, us: np.ndarray) -> np.ndarray:
+    """`estimate_z`'s noiseless read in the frame of the (n, 2, 2) stack us: z, or sigma.
 
-    <b| U rho U* |b'> is then cols[:, b]* rho cols[:, b'], so no rotation of
-    the full register is formed.
+    One sitewise pass (`states._flip_read`) gives Y = rows W for the n+1
+    rows <0^n| U, <e_i| U.  The rows of a unitary are orthonormal, so
+    rows rho rows* = Y Y* + c I: the exact backend takes its column 0 below
+    the diagonal, z = Y[1:] conj(Y[0]), and the sampling backend all of it,
+    with a junk slot (sigma).  The oracle keeps the last read, keyed by the
+    bytes of us, so the rungs of a ladder on one frame read the factor once.
     """
-    n = o.n
-    if len(basis) != n:
-        raise ValueError("need one single-site unitary per site")
-    # Every column is a product vector: column b takes U_k*|1> at site k when
-    # b = e_k and U_k*|0> elsewhere.
-    adj = np.stack([np.asarray(u, dtype=complex).conj().T for u in basis])
-    sites = np.repeat(adj[None, :, :, 0], n + 1, axis=0)
-    sites[np.arange(1, n + 1), np.arange(n)] = adj[:, :, 1]
-    return product_vectors(sites).T
+    key = us.tobytes()
+    if key != o._frame_key:
+        rho = _operator(o.hidden)
+        y = _flip_read(rho, us)
+        if o.backend == "exact":
+            read = y[1:] @ y[0].conj()
+        else:
+            read = _with_junk_slot(y @ y.conj().T + rho.shift * np.eye(len(y)))
+        read.setflags(write=False)
+        o._frame_key, o._frame = key, read
+    return o._frame
 
 
 def _with_junk_slot(block: np.ndarray) -> np.ndarray:
@@ -307,10 +317,8 @@ def _random_hermitian_unit(rng: np.random.Generator, dim: int, norm: str) -> np.
     """Random Hermitian matrix normalized to unit operator ("op") or trace ("tr") norm."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2.0
-    if norm == "op":
-        h /= np.linalg.norm(h, 2)
-    else:
-        h /= np.abs(np.linalg.eigvalsh(h)).sum()
+    mags = np.abs(np.linalg.eigvalsh(h))
+    h /= mags.max() if norm == "op" else mags.sum()
     return h
 
 
@@ -330,26 +338,31 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
     is at most the mean's operator-norm error, eps w.p. 1 - delta at
     `bernstein_shots(n + 2, eps, delta)` shots.
 
+    The state is read through its factor, one site at a time, at O(2^n r)
+    time and memory (`_frame_read`).  Consecutive calls in one frame share
+    that read; each call still charges its copies and draws its noise or
+    shots as a call with a fresh read would.
+
     Copies: z_copy_cost(n, eps, delta) on both backends.
     """
     _check_unit_interval(eps, "eps")
     _check_unit_interval(delta, "delta")
     n = o.n
+    us = np.array(basis, dtype=complex)
+    if us.shape != (n, 2, 2):
+        raise ValueError("need one single-site unitary per site")
     copies = z_copy_cost(n, eps, delta)
-    cols = _z_columns(o, basis)
-    rho = _operator(o.hidden)
 
     if o.backend == "exact":
+        z = _frame_read(o, us)
         o._charge(copies)
-        z = cols[:, 1:].conj().T @ (rho @ cols[:, 0])
         scale = o._noise_scale(eps)
         if scale == 0.0:
-            return z
+            return z.copy()
         return z + scale * haar_state(n, o._rng)
 
     o._check_shots(copies)
-    sigma = _with_junk_slot(_sandwich(rho, cols.conj().T))
-    mean = _shadow_mean(o._rng, sigma, copies)
+    mean = _shadow_mean(o._rng, _frame_read(o, us), copies)
     o._charge(copies)
     return mean[1: n + 1, 0]
 

@@ -21,16 +21,20 @@ closed-form bounds (fidelity sandwiches, weight-tail bounds) that the
 learners rely on.
 
 Every module reads a state's rho through `_operator`, `_marginal`,
-`_sandwich` and `_mapped`: rho @ block, the marginal on a site set, rows rho
-rows*, and M rho M* for a chain M of local maps (`_apply_chain`) with
-orthonormal rows.  A pure state is the factor (psi, 0) and a mixed state
-its rho = W W* + c I, so each read costs O(dim r k), no dim x dim matrix is
-formed, and a mapped or reduced factor is again a factor.
+`_sandwich`, `_mapped` and `_flip_read`: rho @ block, the marginal on a site
+set, rows rho rows*, M rho M* for a chain M of local maps (`_apply_chain`)
+with orthonormal rows, and the factor against the all-zero and single-flip
+rows of a product frame, contracted site by site.  A pure state is the
+factor (psi, 0) and a mixed state its rho = W W* + c I, so each read costs
+O(dim r k), no dim x dim matrix is formed, and a mapped or reduced factor is
+again a factor.
 
 Every module builds product amplitudes with `product_vectors` from (k, n, 2)
 site stacks (`site_stack` gives the stack of parameter tuples), reads
 parameters off site vectors with `vector_to_params`, enumerates string
-weights with `hamming_weights`, and draws Haar states with `haar_state`.
+weights with `hamming_weights`, draws Haar states with `haar_state`, and
+takes the top eigenpair of a 2x2 Hermitian matrix in closed form with
+`_top_pair`.
 
 Basis convention: index b encodes the bit string x via b = sum_i x_i 2^(n-i),
 i.e. site 1 is the most significant bit.
@@ -337,6 +341,26 @@ def _mapped(rho: FactoredDensity, maps) -> FactoredDensity:
     return FactoredDensity(_apply_chain(maps, rho.factor), rho.shift)
 
 
+def _flip_read(rho: FactoredDensity, us: np.ndarray) -> np.ndarray:
+    """Y = rows W for the n + 1 rows <0^n| U and <e_i| U, U the product of the n sites' us.
+
+    us is an (n, 2, 2) stack of single-site unitaries.  The rows are product
+    rows, so W is contracted one site at a time, site 1 first: the all-zero
+    row is carried on with each site's row 0, every row flipped at an
+    earlier site likewise, and the site's row 1 on the all-zero row adds
+    one flipped row per site.  Y has shape (n + 1, r), the all-zero row
+    first, at O(2^n r) time; no 2^n-long row is formed.
+    """
+    x = rho.factor.reshape(1, -1)
+    for u in us:
+        x = x.reshape(len(x), 2, -1)
+        out = np.empty((len(x) + 1, x.shape[2]), dtype=complex)
+        np.matmul(u[0], x, out=out[:-1])
+        np.matmul(u[1], x[0], out=out[-1])
+        x = out
+    return x
+
+
 def _infer_qubits(dim: int) -> int:
     n = dim.bit_length() - 1
     if n < 1 or 1 << n != dim:
@@ -552,3 +576,23 @@ def vector_to_params(vector) -> ProductParams:
         raise ValueError("expected a single-qubit state vector or an (n, 2) stack of them")
     return ProductParams(tuple(_ratio_param(a, b) for a, b in v.reshape(-1, 2)))
 
+
+def _top_pair(mat: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue and unit eigenvector of a 2x2 Hermitian matrix, in closed form.
+
+    Reads the real diagonal and the lower entry, as `np.linalg.eigh` does,
+    and returns e_1 when the two eigenvalues coincide, as `eigh` does.
+    """
+    a, c, lower = float(mat[0, 0].real), float(mat[1, 1].real), complex(mat[1, 0])
+    half = 0.5 * (a - c)
+    radius = math.hypot(half, abs(lower))
+    top = 0.5 * (a + c) + radius
+    if radius == 0.0:
+        return top, np.array([0.0, 1.0], dtype=complex)
+    # Of the two forms of the eigenvector, take the one without cancellation.
+    if half >= 0.0:
+        x, y = half + radius, lower
+    else:
+        x, y = lower.conjugate(), radius - half
+    scale = 1.0 / math.hypot(abs(x), abs(y))
+    return top, np.array([x * scale, y * scale], dtype=complex)

@@ -19,10 +19,9 @@ from prodstate.discrete import member_vector
 from prodstate.mps import MatrixProductState
 from prodstate.oracle import (
     _frame_maps,
+    _frame_read,
     _shadow_basis,
     _shadow_coord_chunks,
-    _with_junk_slot,
-    _z_columns,
     estimate_fidelity,
     subnormalized_attempts,
     subnormalized_budget,
@@ -40,7 +39,6 @@ from prodstate.states import (
     QuantumState,
     _mapped,
     _operator,
-    _sandwich,
     apply_sites,
     _fix_global_phase,
     _site_vector,
@@ -274,7 +272,19 @@ def reference_best_product_fidelity(state: QuantumState, restarts: int = 12, swe
 
 
 def reference_spectral_norm(t, restarts, seed):
-    """The spectral-norm oracle with one restart at a time and einsum half-steps."""
+    """The best value over `restarts` power iterations from the oracle's seeded starts, one at a time.
+
+    Restart j starts from the j-th of the seeded draws that
+    `hardness.spectral_norm_oracle` takes, but is its own ascent: each
+    half-step fixes two legs and takes both others at once from the top
+    singular pair (an SVD) of the contracted matrix, while the oracle's
+    `_leg_steps` updates one leg at a time, three times per half-step, on
+    the tensor's multilinear-rank core, and drops restarts that cannot
+    reach the best.
+    Both climb to a stationary value, but from one start they may reach
+    different local maxima, so the two agree on the best value only where
+    some restart on each side reaches the same largest one.
+    """
     rng = np.random.default_rng(seed)
     entries = t.entries
     best = 0.0
@@ -680,7 +690,7 @@ def raw_z_shadows(o, basis, shots):
         raise ValueError("raw shadows exist only on the sampling backend")
     n = o.n
     o._check_shots(shots)
-    sigma = _with_junk_slot(_sandwich(_operator(o.hidden), _z_columns(o, basis).conj().T))
+    sigma = _frame_read(o, np.array(basis, dtype=complex))
     rows = shadow_rows(o._rng, sigma, shots)
     o._charge(shots)
     return (sigma.shape[0] + 1) * rows[:, 1: n + 1] * rows[:, [0]].conj()

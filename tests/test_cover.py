@@ -26,7 +26,6 @@ from prodstate.cover import (
     _purchase,
     _purchase_rows,
     _top_eigenvalue,
-    _top_pair,
     build_cover,
     estimate_opt,
 )
@@ -248,29 +247,6 @@ def test_top_eigenvalue_is_certified_from_above(monkeypatch):
     for rho in (rho, g @ g.conj().T / np.linalg.norm(g) ** 2):
         solves.clear()
         assert _top_eigenvalue(rho) == eigvalsh(rho)[-1] and solves == [len(rho)]
-
-
-def test_top_pair_matches_eigh():
-    # The closed-form top eigenpair of a 2x2 Hermitian matrix: its eigenvalue
-    # within 1e-14 of eigh's, its eigenvector parallel to eigh's when the gap
-    # is nonzero, and e_1, eigh's choice, when the two eigenvalues coincide.
-    rng = np.random.default_rng(3232)
-    gapped = []
-    for _ in range(500):
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        gapped.append(g + g.conj().T)
-    gapped += [np.diag(d).astype(complex)
-               for d in ((2.0, 1.0), (1.0, 2.0), (-1.0, -3.0), (0.0, 1e-300))]
-    degenerate = [c * np.eye(2, dtype=complex) for c in (0.0, 1.0, -2.5)]
-    for mat in gapped + degenerate:
-        vals, vecs = np.linalg.eigh(mat)
-        top, vec = _top_pair(mat)
-        assert abs(top - vals[-1]) <= 1e-14
-        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-15
-        if vals[-1] > vals[0]:
-            assert abs(np.vdot(vecs[:, -1], vec)) >= 1.0 - 1e-12
-        else:
-            assert np.array_equal(vec, vecs[:, -1]) and np.array_equal(vec, [0.0, 1.0])
 
 
 def test_uncapped_sweep_rows_are_the_kron_rows_of_its_point(monkeypatch):

@@ -119,6 +119,13 @@ def test_batched_oracle_matches_per_restart_reference():
     paw = clique_tensor(dict(graphs_up_to_4_vertices())["paw"])
     cases += [(random_isometry_embed(paw, side, seed=4), restarts, 5)
               for side, restarts in ((6, 40), (10, 16))]
+    # The reference is a different ascent from the same starts, so the best
+    # values agree only because in every case here some restart on each side
+    # reaches the same largest local maximum: on clique tensors and their
+    # lifts the spectral norm 1 - 1/omega, on the random tensors the largest
+    # maximum their 2-50 starts reach.  One start is not enough: on this
+    # rng's thirteenth tensor (m = 6) one restart at seed 6 ends at 0.194259
+    # in the oracle and at 0.196442 in the reference.
     for t, restarts, seed in cases:
         got = spectral_norm_oracle(t, restarts=restarts, seed=seed)
         want = reference_spectral_norm(t, restarts, seed)
@@ -141,6 +148,9 @@ def test_creeping_restarts_are_dropped_below_the_best(monkeypatch):
     t = clique_tensor(dict(graphs_up_to_4_vertices())["paw"])
     nu = spectral_norm_oracle(t, restarts=192, seed=1)
     assert len(calls) <= 100
+    # Both sides agree because restarts on each side converge to 2/3, the
+    # spectral norm, which no local maximum exceeds; the dropped ones creep
+    # towards 1/2.
     assert abs(nu - reference_spectral_norm(t, 192, 1)) <= 1e-10
     assert recover_clique_number(nu) == 3
 
@@ -167,6 +177,8 @@ def test_creeping_best_restarts_end_on_their_geometric_tail(monkeypatch):
     t = clique_tensor(dict(graphs_up_to_4_vertices())["path-4"])
     nu = spectral_norm_oracle(t, restarts=192, seed=1)
     assert len(shapes) <= 40
+    # Every local maximum here is at most the spectral norm 1/2, and restarts
+    # on each side reach it to within the stop tolerance, so the two agree.
     assert abs(nu - reference_spectral_norm(t, 192, 1)) <= 1e-10
     assert recover_clique_number(nu) == 2
 
@@ -189,6 +201,8 @@ def test_lifted_clique_tensors_iterate_on_their_rank_four_core(monkeypatch):
         t = random_isometry_embed(clique_tensor(k_n(4)), side, seed=side)
         nu = spectral_norm_oracle(t, restarts=restarts, seed=2)
         assert {s[1:] for s in shapes} == {(4, 4)}
+        # An isometry lift keeps K4's spectral norm 3/4, and restarts on each
+        # side reach it, so the two ascents agree on the best value.
         assert abs(nu - reference_spectral_norm(t, restarts, 2)) <= 1e-10
     shapes.clear()
     t = random_unit_tensor(np.random.default_rng(31), 3)

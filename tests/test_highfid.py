@@ -254,6 +254,32 @@ def test_single_site_estimate_copies():
     assert o.copies_consumed == 3 * math.ceil(50 * math.log(2 / delta))
 
 
+def test_single_site_estimate_matches_an_eigh_reference(monkeypatch):
+    # The closed-form 2x2 top eigenvector gives the fidelity eigh's gives, on
+    # random, noisy, near-degenerate and degenerate one-qubit states.
+    rng = np.random.default_rng(41)
+    states = [QuantumState.pure(product_state_vector(random_product_params(rng, 1)).data)
+              for _ in range(5)]
+    states += [random_mixed(1, rng) for _ in range(5)]
+    states += [QuantumState.mixed(np.diag([0.5 + d, 0.5 - d]).astype(complex))
+               for d in (1e-9, 0.0)]
+    states.append(maximally_mixed(1))
+    closed = localopt._top_pair
+
+    def by_eigh(mat):
+        vals, vecs = np.linalg.eigh(mat)
+        return vals[-1], vecs[:, -1]
+
+    for state in states:
+        for backend, noise in (("exact", 0.0), ("exact", 0.3), ("sampling", 0.0)):
+            fids = []
+            for top_pair in (closed, by_eigh):
+                monkeypatch.setattr(localopt, "_top_pair", top_pair)
+                o = StateOracle(state, backend=backend, seed=6, noise_opnorm=noise)
+                fids.append(fidelity(state, single_site_estimate(o, 0.1)))
+            assert abs(fids[0] - fids[1]) <= 1e-12
+
+
 # --- distribution and recurrence lemmas --------------------------------------
 
 

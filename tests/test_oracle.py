@@ -17,7 +17,7 @@ from prodstate.oracle import (
     _shadow_basis,
     _shadow_coord_chunks,
     _shadow_mean,
-    _z_columns,
+    _with_junk_slot,
     bernstein_shots,
     estimate_fidelity,
     estimate_z,
@@ -35,6 +35,9 @@ from prodstate.states import (
     ProductParams,
     QuantumState,
     _apply_chain,
+    _flip_read,
+    _operator,
+    _sandwich,
     haar_isometry,
     haar_state,
     product_state_vector,
@@ -122,14 +125,103 @@ def test_z_respects_rotated_frame():
 
 
 def test_z_columns_match_pick_matrix_reference():
+    # The sitewise read of the factor against the frame's n+1 product rows
+    # equals those rows, built densely from a pick matrix, times the factor.
     rng = np.random.default_rng(9)
     for n in (1, 2, 5, 9):
-        o = StateOracle(product_state_vector(random_product_params(rng, n)), backend="exact")
+        state = product_state_vector(random_product_params(rng, n))
         basis = [haar_unitary(2, rng) for _ in range(n)]
-        got = _z_columns(o, basis)
-        want = reference_z_columns(basis)
-        assert got.shape == want.shape == (2**n, n + 1)
+        got = _flip_read(_operator(state), np.array(basis))
+        want = reference_z_columns(basis).conj().T @ _operator(state).factor
+        assert got.shape == want.shape == (n + 1, 1)
         assert np.abs(got - want).max() <= 1e-14
+
+
+def reference_frame_reads(state, basis):
+    """(z, sigma) from the dense product columns: cols* rho cols, with its junk slot."""
+    cols = reference_z_columns(basis)
+    rho = _operator(state)
+    return (cols[:, 1:].conj().T @ (rho @ cols[:, 0]),
+            _with_junk_slot(_sandwich(rho, cols.conj().T)))
+
+
+def test_sitewise_frame_reads_match_the_product_columns():
+    rng = np.random.default_rng(12)
+    for n in range(1, 9):
+        basis = [haar_unitary(2, rng) for _ in range(n)]
+        for state in factored_cases(n, rng):
+            z, sigma = reference_frame_reads(state, basis)
+            for backend, want in (("exact", z), ("sampling", sigma)):
+                got = oracle._frame_read(StateOracle(state, backend=backend), np.array(basis))
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13
+
+
+def test_a_ladder_on_one_frame_reads_the_factor_once(monkeypatch):
+    reads = []
+    inner = oracle._flip_read
+
+    def counted(rho, us):
+        reads.append(len(us))
+        return inner(rho, us)
+
+    monkeypatch.setattr(oracle, "_flip_read", counted)
+    rng = np.random.default_rng(14)
+    n = 5
+    state = planted_mixture(random_product_params(rng, n), 0.9)
+    basis = recenter_unitaries(random_product_params(rng, n))
+    for backend in ("exact", "sampling"):
+        reads.clear()
+        o = StateOracle(state, backend=backend, seed=2)
+        for rung in range(1, 5):
+            estimate_z(o, basis, math.exp(-rung), 0.1)
+        assert reads == [n]
+        # A new frame misses the one-slot cache, and the old frame misses after it.
+        other = recenter_unitaries(random_product_params(rng, n))
+        estimate_z(o, other, 0.5, 0.1)
+        estimate_z(o, basis, 0.5, 0.1)
+        assert reads == [n, n, n]
+
+
+def test_shared_frame_reads_leave_every_draw_as_it_was():
+    # A ladder that reuses the read returns, charges and draws exactly what
+    # one that reads afresh for every rung does, with noise on the exact backend.
+    rng = np.random.default_rng(15)
+    n = 4
+    state = planted_mixture(random_product_params(rng, n), 0.9)
+    bases = [recenter_unitaries(random_product_params(rng, n)) for _ in range(2)]
+    for backend, noise in (("exact", 0.05), ("sampling", 0.0)):
+        runs = []
+        for fresh in (False, True):
+            o = StateOracle(state, backend=backend, seed=8, noise_opnorm=noise)
+            outs = []
+            for basis in bases:
+                for rung in range(1, 5):
+                    if fresh:
+                        o._frame_key = None
+                    outs.append(estimate_z(o, basis, math.exp(-rung), 0.1))
+            runs.append((outs, o.copies_consumed, o._rng.bit_generator.state))
+        (outs_a, copies_a, rng_a), (outs_b, copies_b, rng_b) = runs
+        assert all(np.array_equal(a, b) for a, b in zip(outs_a, outs_b))
+        assert copies_a == copies_b and rng_a == rng_b
+        assert not all(np.array_equal(outs_a[0], a) for a in outs_a[1:4])
+
+
+def test_exact_z_reads_product_frames_in_factor_memory():
+    # At n=16 a 2^16 x 17 block of product columns alone takes 17.8 MB; the
+    # sitewise read holds a few factor-sized arrays.
+    rng = np.random.default_rng(16)
+    n = 16
+    state = planted_mixture(random_product_params(rng, n), 0.95)
+    basis = recenter_unitaries(random_product_params(rng, n))
+    o = StateOracle(state, backend="exact")
+    tracemalloc.start()
+    try:
+        estimate_z(o, basis, 0.1, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**n * 16
 
 
 def test_z_norm_at_most_half():
@@ -805,25 +897,24 @@ def test_seeded_draws_are_stable_under_rounding_of_sigma(monkeypatch):
     # change of sigma moves a seeded estimate at rounding level, also when
     # sigma has a degenerate eigenspace: the c I part of a planted mixture,
     # the whole block of a maximally mixed state, the null space of a pure
-    # state.  C- and F-ordered frame columns take different BLAS paths to sigma.
+    # state.  C- and F-ordered frame reads take different BLAS paths to sigma.
     rng = np.random.default_rng(17)
     n = 4
     basis = recenter_unitaries(random_product_params(rng, n))
-    columns = oracle._z_columns
+    read = oracle._flip_read
     states = (planted_mixture(random_product_params(rng, n), 0.95), maximally_mixed(n),
               QuantumState.pure(haar_state(2**n, rng)), random_mixed(n, rng, rank=2))
     for state in states:
         outs = []
         for order in (np.ascontiguousarray, np.asfortranarray):
-            monkeypatch.setattr(oracle, "_z_columns", lambda o, b: order(columns(o, b)))
+            monkeypatch.setattr(oracle, "_flip_read", lambda rho, us: order(read(rho, us)))
             outs.append(estimate_z(StateOracle(state, backend="sampling", seed=3), basis,
                                    0.3, 0.1))
         assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12
     # A direct perturbation of sigma by 1e-16 in operator norm, on the same states'
     # compressed registers.
     for state in states:
-        sigma = oracle._with_junk_slot(oracle._sandwich(oracle._operator(state),
-                                                        columns(StateOracle(state), basis).conj().T))
+        sigma = oracle._frame_read(StateOracle(state, backend="sampling"), np.array(basis))
         nudge = 1e-16 * oracle._random_hermitian_unit(rng, n + 2, "op")
         means = [_shadow_mean(np.random.default_rng(5), s, 30_000) for s in (sigma, sigma + nudge)]
         assert np.max(np.abs(means[0] - means[1])) <= 1e-12
