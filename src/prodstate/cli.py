@@ -42,7 +42,7 @@ from .serialize import (
     cover_to_json,
     digest,
     graph_to_json,
-    load_json,
+    loads_json,
     mps_to_json,
     params_to_json,
     save_json,
@@ -226,9 +226,8 @@ def generate(kind: str, params: dict, seed: int = 0) -> dict:
 def _load_instance(config: ExperimentConfig) -> tuple[dict, str]:
     if not config.instance:
         raise UsageError(f"{config.algorithm} needs an instance file")
-    data = load_json(config.instance)
-    file_digest = hashlib.sha256(Path(config.instance).read_bytes()).hexdigest()
-    return data, file_digest
+    raw = Path(config.instance).read_bytes()
+    return loads_json(raw), hashlib.sha256(raw).hexdigest()
 
 
 def run(config: ExperimentConfig) -> dict:

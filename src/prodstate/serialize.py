@@ -10,8 +10,8 @@ A state is a normalized qubit register: its file carries "local_dim": 2 and
 stores its amplitudes as flat pairs ("data"); a mixed state, always
 rho = W W* + c I, stores "factor": {"shape": [dim, r], "data": pairs of W}
 and "shift": c.  A mixed state file in the legacy dense form, its density
-matrix as the 4^n pairs of "data", still reads: `QuantumState` validates
-it and converts it to its factor.
+matrix as the 4^n pairs of "data", is refused with a ValueError that names
+the factor form.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "canonical_dumps",
     "digest",
     "load_json",
+    "loads_json",
     "save_json",
 ]
 
@@ -88,12 +89,15 @@ def state_from_json(d: dict) -> QuantumState:
     if d.get("normalized", True) is not True:
         raise ValueError("states must be normalized; got normalized "
                          f"{d['normalized']!r}")
-    dim = 2 ** d["n"]
     if "factor" in d:
         data = FactoredDensity(_unpairs(d["factor"]["data"], tuple(d["factor"]["shape"])),
                                d["shift"])
+    elif d["kind"] == "mixed":
+        raise ValueError("a mixed state file stores rho in factor form: \"factor\" "
+                         "(W of rho = W W* + c I) and \"shift\" (c); the legacy dense "
+                         "form is refused")
     else:
-        data = _unpairs(d["data"], (dim,) if d["kind"] == "pure" else (dim, dim))
+        data = _unpairs(d["data"], (2 ** d["n"],))
     return QuantumState(n=d["n"], kind=d["kind"], data=data)
 
 
@@ -177,7 +181,12 @@ def save_json(path, payload) -> None:
 
 
 def load_json(path) -> dict:
-    d = json.loads(Path(path).read_text())
+    return loads_json(Path(path).read_bytes())
+
+
+def loads_json(raw: bytes) -> dict:
+    """A file's payload from its bytes; ValueError unless its format_version is FORMAT_VERSION."""
+    d = json.loads(raw)
     version = d.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")

@@ -1,15 +1,14 @@
 """States, and product-state geometry: parametrization, tangent distance, string weights.
 
 A `QuantumState` is a normalized state on n qubits: a unit amplitude vector
-or a mixed state, always held in factored form rho = W W* + c I
+or a mixed state, given and held in factored form rho = W W* + c I
 (`FactoredDensity`, W of shape (dim, r), c >= 0), which is PSD by
 construction: validation checks finiteness and the trace ||W||_F^2 + c dim
-at O(dim r), with no eigendecomposition, and `density()` materializes the
-matrix only on request.  A dense density matrix is accepted as input,
-validated with one eigendecomposition, and stored as the factor V sqrt(lam)
-over its numerically positive eigenvalues lam, with shift 0.  Every dense
-dim x dim path checks its 16 dim^2 bytes (16 dim for an amplitude vector)
-against DENSE_BUDGET and raises ResourceBudgetError above it.
+at O(dim r), with no eigendecomposition.  No dim x dim density matrix is
+ever formed from a state.  Every dense path that remains (tomography
+blocks, a square random factor, contracted amplitude vectors) checks its
+16 dim^2 bytes (16 dim for an amplitude vector) against DENSE_BUDGET and
+raises ResourceBudgetError above it.
 
 A pure product state on n qubits is parametrized by a complex vector z, one
 entry per site, as the tensor product of (|0> + z_i |1>)/sqrt(1 + |z_i|^2).
@@ -57,6 +56,8 @@ DEFAULT_ATOL = 1e-9
 # complex matrix takes 16 dim^2 of them, so dense matrices stop at n = 11
 # qubits and dense amplitude vectors at n = 22.
 DENSE_BUDGET = 1 << 26
+_FACTOR_FORM = ("a mixed state is given in factor form rho = W W* + c I, "
+                "as a FactoredDensity(W, c)")
 
 
 def check_dense_budget(shape: tuple[int, ...]) -> None:
@@ -128,17 +129,11 @@ def cap_param(value: complex) -> complex:
 class FactoredDensity:
     """The PSD operator W W* + c I, kept as its factor W (dim x r) and shift c >= 0.
 
-    It answers rho @ x and x @ rho at O(dim r) per column without forming
-    rho; `dense()` (and numpy conversion) materializes the dim x dim matrix
-    within DENSE_BUDGET.
+    It answers rho @ x at O(dim r) per column without forming rho.
     """
 
     factor: np.ndarray
     shift: float = 0.0
-
-    # numpy defers ndarray @ FactoredDensity to __rmatmul__ instead of
-    # converting the operator to a dense array first.
-    __array_ufunc__ = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -154,30 +149,14 @@ class FactoredDensity:
         w = self.factor
         return w @ (w.conj().T @ x) + self.shift * x
 
-    def __rmatmul__(self, x):
-        w = self.factor
-        return (x @ w) @ w.conj().T + self.shift * x
-
-    def dense(self) -> np.ndarray:
-        """The dim x dim matrix; ResourceBudgetError above DENSE_BUDGET."""
-        check_dense_budget(self.shape)
-        w = self.factor
-        out = w @ w.conj().T
-        out[np.diag_indices_from(out)] += self.shift
-        return out
-
-    def __array__(self, dtype=None, copy=None):
-        return self.dense() if dtype is None else self.dense().astype(dtype)
-
 
 @dataclass(frozen=True)
 class QuantumState:
-    """A normalized state on n qubits: a pure state vector or a density matrix.
+    """A normalized state on n qubits: a pure state vector or a factored density.
 
     kind is "pure" (data: unit amplitude vector of length 2**n) or "mixed"
     (data: a FactoredDensity whose factor has 2**n rows and whose trace is
-    1).  A mixed state given as a dense Hermitian PSD matrix of unit trace
-    is stored as its factor (see `_factored`).
+    1).
     """
 
     n: int
@@ -190,46 +169,23 @@ class QuantumState:
         if self.n < 1:
             raise ValueError("need n >= 1 qubits")
         dim = self.dim
-        if isinstance(self.data, FactoredDensity):
+        if self.kind == "mixed":
             data = self._checked_factor(dim)
-        elif self.kind == "pure":
+        elif isinstance(self.data, FactoredDensity):
+            raise ValueError("a factored density needs kind 'mixed'")
+        else:
             data = np.array(self.data, dtype=complex)
             if data.shape != (dim,):
                 raise ValueError(f"pure state needs shape ({dim},), got {data.shape}")
             if abs(np.linalg.norm(data) - 1.0) > DEFAULT_ATOL:
                 raise ValueError("pure state vector is not normalized")
             data.setflags(write=False)
-        else:
-            data = self._factored(dim)
         object.__setattr__(self, "data", data)
-
-    def _factored(self, dim: int) -> FactoredDensity:
-        """A dense density matrix, validated, as the read-only factor V sqrt(lam) with shift 0.
-
-        One eigh gives the check and the factor: the columns keep the
-        eigenvalues lam above the numerical-rank cutoff dim * eps * max(lam),
-        so a rank-r input gets r columns.
-        """
-        if np.shape(self.data) != (dim, dim):
-            raise ValueError(f"density matrix needs shape ({dim},{dim})")
-        check_dense_budget((dim, dim))
-        data = np.array(self.data, dtype=complex)
-        if np.max(np.abs(data - data.conj().T)) > DEFAULT_ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        eigs, vecs = np.linalg.eigh((data + data.conj().T) / 2)
-        if eigs.min() < -DEFAULT_ATOL:
-            raise ValueError("density matrix has a negative eigenvalue")
-        if abs(np.trace(data).real - 1.0) > DEFAULT_ATOL:
-            raise ValueError("density matrix trace differs from 1")
-        kept = eigs > eigs[-1] * dim * np.finfo(float).eps
-        w = vecs[:, kept] * np.sqrt(eigs[kept])
-        w.setflags(write=False)
-        return FactoredDensity(w)
 
     def _checked_factor(self, dim: int) -> FactoredDensity:
         """A read-only copy of the factored data, validated at O(dim r)."""
-        if self.kind != "mixed":
-            raise ValueError("a factored density needs kind 'mixed'")
+        if not isinstance(self.data, FactoredDensity):
+            raise ValueError(_FACTOR_FORM)
         w = np.array(self.data.factor, dtype=complex)
         shift = float(self.data.shift)
         if w.ndim != 2 or w.shape[0] != dim:
@@ -250,25 +206,15 @@ class QuantumState:
         return cls(n=_infer_qubits(vector.shape[0]), kind="pure", data=vector)
 
     @classmethod
-    def mixed(cls, matrix) -> "QuantumState":
-        """A mixed state from a FactoredDensity or a dense matrix (stored as its factor)."""
-        if not isinstance(matrix, FactoredDensity):
-            matrix = np.asarray(matrix, dtype=complex)
-        return cls(n=_infer_qubits(matrix.shape[0]), kind="mixed", data=matrix)
+    def mixed(cls, rho: FactoredDensity) -> "QuantumState":
+        """A mixed state from its factor form rho = W W* + c I; ValueError for anything else."""
+        if not isinstance(rho, FactoredDensity):
+            raise ValueError(_FACTOR_FORM)
+        return cls(n=_infer_qubits(rho.factor.shape[0]), kind="mixed", data=rho)
 
     @property
     def dim(self) -> int:
         return 2**self.n
-
-    def density(self) -> np.ndarray:
-        """The state as a dense density matrix (outer product for pure states).
-
-        Raises ResourceBudgetError when the matrix exceeds DENSE_BUDGET.
-        """
-        check_dense_budget((self.dim, self.dim))
-        if self.kind == "pure":
-            return np.outer(self.data, self.data.conj())
-        return self.data.dense()
 
 
 # --- reading the state -----------------------------------------------------

@@ -1,7 +1,9 @@
 """Shared pytest hooks (acceptance-criteria summary lines), random product parameters,
 the test-only state readers (product fidelity, excitation weights, Schmidt rank,
 partial trace),
-the test-only state constructors (GHZ, W, Bell, maximally mixed),
+the test-only state constructors (GHZ, W, Bell, maximally mixed, diagonal,
+mixtures),
+the dense density-matrix references (`dense_mixed` in, `density` out),
 dense test references, the brute-force grid and multistart oracles, the dense
 product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
 complex power-row polynomial evaluator and the per-support polynomial search,
@@ -34,12 +36,14 @@ from prodstate.polyopt import (
     evaluate_poly,
 )
 from prodstate.states import (
+    DEFAULT_ATOL,
     FactoredDensity,
     ProductParams,
     QuantumState,
     _mapped,
     _operator,
     apply_sites,
+    check_dense_budget,
     _fix_global_phase,
     _site_vector,
     fidelity,
@@ -155,6 +159,57 @@ def maximally_mixed(n: int) -> QuantumState:
     return QuantumState.mixed(FactoredDensity(np.zeros((dim, 0), dtype=complex), 1.0 / dim))
 
 
+def diagonal_state(probs) -> QuantumState:
+    """The mixed state diag(probs), as the factor diag(sqrt(probs))."""
+    return QuantumState.mixed(FactoredDensity(np.diag(np.sqrt(probs)).astype(complex)))
+
+
+def dense_mixed(matrix) -> QuantumState:
+    """A mixed state from a dense Hermitian PSD unit-trace matrix, stored as its eigh factor.
+
+    The reference for a test whose rho is no known mixture.  One eigh gives
+    the check and the factor V sqrt(lam) with shift 0: the columns keep the
+    eigenvalues lam above the numerical-rank cutoff dim * eps * max(lam), so
+    a rank-r input gets r columns.
+    """
+    data = np.array(matrix, dtype=complex)
+    dim = data.shape[0]
+    if data.shape != (dim, dim):
+        raise ValueError(f"density matrix needs shape ({dim},{dim})")
+    check_dense_budget((dim, dim))
+    if np.max(np.abs(data - data.conj().T)) > DEFAULT_ATOL:
+        raise ValueError("density matrix is not Hermitian")
+    eigs, vecs = np.linalg.eigh((data + data.conj().T) / 2)
+    if eigs.min() < -DEFAULT_ATOL:
+        raise ValueError("density matrix has a negative eigenvalue")
+    if abs(np.trace(data).real - 1.0) > DEFAULT_ATOL:
+        raise ValueError("density matrix trace differs from 1")
+    kept = eigs > eigs[-1] * dim * np.finfo(float).eps
+    return QuantumState.mixed(FactoredDensity(vecs[:, kept] * np.sqrt(eigs[kept])))
+
+
+def mixture(weight: float, psi: np.ndarray, rest: QuantumState) -> QuantumState:
+    """weight |psi><psi| + (1 - weight) rest, written as its factor.
+
+    The factor stacks sqrt(weight) psi beside sqrt(1 - weight) W for rest's
+    factor W (psi itself for a pure rest), with shift (1 - weight) c.
+    """
+    rho = _operator(rest)
+    w = np.hstack([math.sqrt(weight) * psi[:, None], math.sqrt(1.0 - weight) * rho.factor])
+    return QuantumState.mixed(FactoredDensity(w, (1.0 - weight) * rho.shift))
+
+
+def density(state: QuantumState) -> np.ndarray:
+    """The state's dense density matrix (outer product for a pure state), within DENSE_BUDGET."""
+    check_dense_budget((state.dim, state.dim))
+    if state.kind == "pure":
+        return np.outer(state.data, state.data.conj())
+    w = state.data.factor
+    out = w @ w.conj().T
+    out[np.diag_indices_from(out)] += state.data.shift
+    return out
+
+
 def haar_unitary(dim, rng):
     """A Haar-random dim x dim unitary: the square case of `haar_isometry`."""
     return haar_isometry(dim, dim, rng)
@@ -171,13 +226,13 @@ def apply_product_unitary(state, unitaries):
     full = product_unitary(unitaries)
     if state.kind == "pure":
         return QuantumState.pure(full @ state.data)
-    return QuantumState.mixed(full @ state.data @ full.conj().T)
+    return QuantumState.mixed(FactoredDensity(full @ state.data.factor, state.data.shift))
 
 
 def exact_z(state, basis=None):
     """Ground-truth amplitude vector z_i = <e_i| U rho U* |0^n>, from the dense U."""
     n = state.n
-    rho = state.density()
+    rho = density(state)
     if basis is None:
         col = rho[:, 0]
     else:
@@ -216,7 +271,7 @@ def exact_prefix_fidelity(rho, cls, member):
     """Exact fidelity of a prefix member against the matching marginal."""
     m = len(member)
     vec = member_vector(cls, member)
-    reduced = partial_trace(rho.density(), rho.n, range(m))
+    reduced = partial_trace(density(rho), rho.n, range(m))
     return float(np.real(np.vdot(vec, reduced @ vec)))
 
 
@@ -240,9 +295,9 @@ def _effective_site_operator(rho_tensor: np.ndarray, sites: list[np.ndarray], i:
 def reference_best_product_fidelity(state: QuantumState, restarts: int = 12, sweeps: int = 300,
                                     tol: float = 1e-12,
                                     seed: int = 0) -> tuple[float, ProductParams]:
-    """`bruteforce.best_product_fidelity` on the dense 2n-axis tensor of `state.density()`."""
+    """`bruteforce.best_product_fidelity` on the dense 2n-axis tensor of `density(state)`."""
     rng = np.random.default_rng(seed)
-    rho = state.density()
+    rho = density(state)
     n = state.n
     rho_tensor = rho.reshape((2,) * (2 * n))
     best_val, best_sites = -1.0, None
@@ -568,7 +623,7 @@ def grid_product_opt(state, pitch: float = 0.3) -> float:
     g = grid.shape[0]
     # K[a, (i,l)] = conj(g_a)_i (g_a)_l : the per-site sandwich factors.
     k = (grid.conj()[:, :, None] * grid[:, None, :]).reshape(g, 4)
-    rho = state.density()
+    rho = density(state)
     t = rho.reshape((2,) * (2 * n))
     # Regroup to pair each site's row/col indices: (i1 l1)(i2 l2)...
     order = [axis for i in range(n) for axis in (i, n + i)]

@@ -35,7 +35,6 @@ from prodstate.polyopt import evaluate_poly, solve_constrained
 from prodstate.serialize import canonical_dumps, save_json
 from prodstate.states import (
     ProductParams,
-    QuantumState,
     fidelity,
     product_state_vector,
     recenter_unitaries,
@@ -46,10 +45,12 @@ from prodstate.states import (
 
 from conftest import (
     bell_state,
+    density,
     excitation_probs,
     ghz_state,
     maximally_mixed,
     mean_excitation,
+    mixture,
     planted_grid_opt,
     product_fidelity,
     random_product_params,
@@ -107,8 +108,8 @@ def test_criterion_01_geometry():
                 and fc <= math.exp(-dc2 + quartic) + 1e-12):
             violations += 1
         # trace-distance bound (half trace norm below tangent distance)
-        delta = (product_state_vector(p).density()
-                 - product_state_vector(q).density())
+        delta = (density(product_state_vector(p))
+                 - density(product_state_vector(q)))
         trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
         if not 0.5 * trace_norm <= tangent_distance(p, q) + 1e-9:
             violations += 1
@@ -194,11 +195,10 @@ def test_criterion_04_cover_soundness():
     started = time.perf_counter()
     plant3 = ProductParams((1.0, -1.0j, 0.0))
     plant4 = ProductParams((1.0, -1.0j, 0.0, 1.0))
-    psi3 = product_state_vector(plant3).data
     instances = [
         product_state_vector(plant4),
         bell_state(),
-        QuantumState.mixed(0.7 * np.outer(psi3, psi3.conj()) + 0.3 * np.eye(8) / 8),
+        planted_mixture(plant3, 0.7),
         product_state_vector(plant3),
     ]
     audited = 0
@@ -273,9 +273,7 @@ def test_criterion_07_discrete_learner():
         anchor = member_vector(
             cls, tuple(int(rng.integers(len(m))) for m in cls.site_states))
         weight = float(rng.uniform(0.3, 0.9))
-        noise = random_mixed(n, rng).density()
-        rho = QuantumState.mixed(
-            weight * np.outer(anchor, anchor.conj()) + (1 - weight) * noise)
+        rho = mixture(weight, anchor, random_mixed(n, rng))
         eta = float(rng.uniform(0.35, 0.7))
         eps = eta / 3.0
         out = discrete_learn(StateOracle(rho, seed=1700 + case), cls, eta,

@@ -37,9 +37,15 @@ from prodstate.serialize import (
     tensor_from_json,
     tensor_to_json,
 )
-from prodstate.states import fidelity, haar_product_params, vector_fidelity
+from prodstate.states import (
+    QuantumState,
+    fidelity,
+    haar_product_params,
+    haar_state,
+    vector_fidelity,
+)
 
-from conftest import decode_mps, ghz_state, reference_pairs, reference_unpairs
+from conftest import decode_mps, density, ghz_state, reference_pairs, reference_unpairs
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +62,8 @@ def test_state_round_trip_pure_and_mixed():
     mixed = random_mixed(2, rng)
     back = state_from_json(state_to_json(mixed))
     assert back.kind == "mixed"
-    assert np.allclose(back.data, mixed.data, atol=1e-12)
+    assert np.allclose(back.data.factor, mixed.data.factor, atol=1e-12)
+    assert back.data.shift == mixed.data.shift
 
 
 def test_state_files_must_hold_normalized_qubit_registers():
@@ -72,13 +79,20 @@ def test_state_files_must_hold_normalized_qubit_registers():
 
 def test_factored_state_round_trip_is_exact():
     rng = np.random.default_rng(5)
-    for state in (random_mixed(3, rng, rank=2),
-                  planted_mixture(haar_product_params(rng, 4), 0.9)):
+    states = [random_mixed(3, rng, rank=2), planted_mixture(haar_product_params(rng, 4), 0.9)]
+    for n in range(1, 13):
+        states += [QuantumState.pure(haar_state(2**n, rng)),
+                   random_mixed(n, rng, rank=2),
+                   planted_mixture(haar_product_params(rng, n), 0.9)]
+    for state in states:
         d = state_to_json(state)
-        assert d["kind"] == "mixed" and "data" not in d
-        assert d["factor"]["shape"] == list(state.data.factor.shape)
         back = state_from_json(json.loads(canonical_dumps(d)))
-        assert back.kind == "mixed"
+        assert back.kind == state.kind
+        if state.kind == "pure":
+            assert np.array_equal(back.data, state.data)
+            continue
+        assert "data" not in d
+        assert d["factor"]["shape"] == list(state.data.factor.shape)
         assert np.array_equal(back.data.factor, state.data.factor)
         assert back.data.shift == state.data.shift
 
@@ -338,24 +352,20 @@ def test_sampling_estimate_opt_runs_at_the_default_tomography_accuracy(tmp_path)
     assert 0 < load_json(out)["copies_consumed"] < oracle.SHOT_BUDGET
 
 
-def test_dense_instance_files_still_load_and_agree(tmp_path):
+def test_legacy_dense_instance_files_are_refused(tmp_path, capsys):
     inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "4", "--noise", "0.05",
                 "--seed", "3")
     data = load_json(inst)
     state = state_from_json(data.pop("state"))
     # The legacy dense form: the density matrix as the 4^n pairs of "data".
     legacy = {k: v for k, v in state_to_json(state).items() if k not in ("factor", "shift")}
-    legacy["data"] = reference_pairs(state.density())
+    legacy["data"] = reference_pairs(density(state))
     dense = tmp_path / "dense.json"
     save_json(dense, {**data, "state": legacy})
-    assert "factor" not in load_json(dense)["state"]
-    reports = []
-    for path in (inst, dense):
-        out = tmp_path / "report.json"
-        assert main(["highfid", str(path), "--out", str(out)]) == 0
-        reports.append(load_json(out))
-    assert reports[0]["copies_consumed"] == reports[1]["copies_consumed"]
-    assert reports[0]["fidelity"] == pytest.approx(reports[1]["fidelity"], abs=1e-12)
+    capsys.readouterr()
+    assert main(["highfid", str(dense), "--out", str(tmp_path / "report.json")]) == 1
+    assert "factor form" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_dense_state_above_budget_exits_two(tmp_path, capsys):

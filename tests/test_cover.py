@@ -48,6 +48,8 @@ from prodstate.states import (
 
 from conftest import (
     bell_state,
+    dense_mixed,
+    density,
     ghz_state,
     maximally_mixed,
     partial_trace,
@@ -137,7 +139,7 @@ def test_extend_finds_planted_origin():
     params = CoverParams(0.8, 0.2, 0.1, DESK_OVERRIDES)
     cand = polish_candidate(rho, [], ProductParams((0.0, 0.0, 0.0)), params)
     assert cand is not None
-    state = QuantumState.mixed(rho)
+    state = dense_mixed(rho)
     assert fidelity(state, cand) >= 0.6
 
 
@@ -379,7 +381,7 @@ def test_build_prepares_each_root_once(monkeypatch):
 
 
 def test_build_cover_mixed_is_empty():
-    o = StateOracle(QuantumState.mixed(np.eye(4) / 4), seed=2)
+    o = StateOracle(maximally_mixed(2), seed=2)
     params = CoverParams(0.5, 0.1, 0.05, DESK_OVERRIDES)
     cover = build_cover(o, params)
     assert len(cover) == 0
@@ -411,7 +413,7 @@ def test_prefix_covers_all_verify():
     rho = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(16) / 16
     params = CoverParams(0.5, 0.12, 0.05, DESK_OVERRIDES)
     for m in range(1, 5):
-        marginal = QuantumState.mixed(partial_trace(rho, 4, list(range(m))))
+        marginal = dense_mixed(partial_trace(rho, 4, list(range(m))))
         level = build_cover(StateOracle(marginal, seed=4), params)
         assert level.members and level.m == m
         report = verify_cover(marginal, level, trials=1500, rng_seed=9)
@@ -442,7 +444,7 @@ def test_verify_flags_close_pair():
 def test_verify_empty_cover_on_mixed():
     params = CoverParams(0.5, 0.1, 0.05, DESK_OVERRIDES)
     empty = Cover((), 2, params)
-    state = QuantumState.mixed(np.eye(4) / 4)
+    state = maximally_mixed(2)
     report = verify_cover(state, empty, trials=4000, rng_seed=3)
     assert report["witnesses_tested"] == 0
     assert report["ok"]
@@ -500,7 +502,7 @@ def test_estimate_opt_bell():
 
 
 def test_estimate_opt_maximally_mixed():
-    o = StateOracle(QuantumState.mixed(np.eye(4) / 4), seed=9)
+    o = StateOracle(maximally_mixed(2), seed=9)
     est, _ = estimate_opt(o, 0.05, 0.05, overrides=DESK_OVERRIDES)
     assert est <= 0.25 + 0.1
 
@@ -700,7 +702,7 @@ def test_degree_capped_cuts_stay_under_stored_ceiling():
     # eigenvalue still tops it, though often strictly.  The dense per-root
     # preparation is that cut, and the capped scores are overlaps with it.
     rng = np.random.default_rng(29)
-    marginal = planted_three_qubit_oracle().hidden.density()
+    marginal = density(planted_three_qubit_oracle().hidden)
     lowered = 0
     for cap, m in ((1, 2), (1, 3), (2, 3)):
         params = CoverParams(0.5, 0.1, 0.1, dataclasses.replace(DESK_OVERRIDES, degree_cap=cap))

@@ -20,8 +20,10 @@ from prodstate.serialize import class_from_json, state_from_json
 from prodstate.states import QuantumState
 
 from conftest import (
+    diagonal_state,
     exact_prefix_fidelity,
     maximally_mixed,
+    mixture,
     reference_discrete_learn,
     reference_member_vector,
 )
@@ -191,10 +193,9 @@ def test_containment_against_census():
         cls = random_class(rng, n, s)
         anchor = member_vector(
             cls, tuple(int(rng.integers(len(m))) for m in cls.site_states))
-        noise = random_mixed(n, rng).density()
+        noise = random_mixed(n, rng)
         weight = float(rng.uniform(0.3, 0.9))
-        rho = QuantumState.mixed(
-            weight * np.outer(anchor, anchor.conj()) + (1 - weight) * noise)
+        rho = mixture(weight, anchor, noise)
         eta = float(rng.uniform(0.35, 0.7))
         eps = eta / 3.0
         o = StateOracle(rho, seed=100 + trial)
@@ -215,9 +216,7 @@ def test_census_size_bound():
         cls = random_class(rng, n, s)
         anchor = member_vector(
             cls, tuple(int(rng.integers(len(m))) for m in cls.site_states))
-        noise = random_mixed(n, rng).density()
-        rho = QuantumState.mixed(0.6 * np.outer(anchor, anchor.conj())
-                                 + 0.4 * noise)
+        rho = mixture(0.6, anchor, random_mixed(n, rng))
         for eta in (0.3, 0.5, 0.8):
             count = len(class_fidelity_census(rho, cls, eta))
             nontrivial += count > 0
@@ -248,10 +247,7 @@ def test_survivor_guard_trips_outside_stated_range(caplog):
     # below what a flat eight-way mixture legitimately produces; the run is
     # flagged and the guard reports the failure instead of looping on.
     cls = DiscreteClass([[KET0, KET1]] * 4, gamma=1e-12)
-    rho = np.zeros((16, 16))
-    for index in range(8):
-        rho[index, index] = 0.125
-    o = StateOracle(QuantumState.mixed(rho), seed=7)
+    o = StateOracle(diagonal_state([0.125] * 8 + [0.0] * 8), seed=7)
     with caplog.at_level("WARNING"):
         with pytest.raises(PromiseViolationError):
             discrete_learn(o, cls, 0.16, 0.08, 0.05)
@@ -301,10 +297,7 @@ def test_learn_empty_and_raising_levels_against_the_reference():
     # The guard trips at the same level; the batch has charged that whole
     # level, the reference only the candidates up to the one that tripped.
     cls = DiscreteClass([[KET0, KET1]] * 4, gamma=1e-12)
-    rho = np.zeros((16, 16))
-    for index in range(8):
-        rho[index, index] = 0.125
-    rho = QuantumState.mixed(rho)
+    rho = diagonal_state([0.125] * 8 + [0.0] * 8)
     got, want = (run_learner(learn, rho, cls, "exact", 0.0, 7, 0.16, 0.08, 0.05)
                  for learn in (discrete_learn, reference_discrete_learn))
     assert got[0] is want[0] is PromiseViolationError

@@ -26,10 +26,14 @@ from prodstate.states import (
 )
 
 from conftest import (
+    dense_mixed,
+    density,
+    diagonal_state,
     exact_z,
     fidelity_upper_bound,
     grid_product_opt,
     maximally_mixed,
+    mixture,
     partial_trace,
     planted_grid_opt,
     random_product_params,
@@ -92,9 +96,8 @@ def test_upper_bound_dominates_grid_optimum():
         w = rng.uniform(0.7, 0.95)
         vec = np.zeros(8)
         vec[0] = 1.0
-        rho = (w * np.outer(vec, vec) + (1 - w) * random_mixed(3, rng).density())
-        state = QuantumState.mixed(rho)
-        alpha2 = float(np.real(rho[0, 0]))
+        state = mixture(w, vec, random_mixed(3, rng))
+        alpha2 = float(np.real(density(state)[0, 0]))
         c = alpha2 - 2 / 3
         assert c > 0
         bound = fidelity_upper_bound(alpha2, float(np.linalg.norm(exact_z(state))), c)
@@ -201,7 +204,7 @@ def test_high_fidelity_planted_six_qubits():
 
 
 def test_high_fidelity_single_qubit():
-    state = QuantumState.mixed(np.diag([0.9, 0.1]).astype(complex))
+    state = diagonal_state([0.9, 0.1])
     out = high_fidelity_learn(StateOracle(state, backend="exact"), eps=0.05, delta=0.2)
     assert fidelity(state, out) >= 0.9 - 0.05
     out = high_fidelity_learn(StateOracle(state, backend="sampling", seed=1),
@@ -248,7 +251,7 @@ def test_high_fidelity_refuses_unaffordable_sampling_run():
 
 def test_single_site_estimate_copies():
     delta = 0.2
-    o = StateOracle(QuantumState.mixed(np.diag([0.8, 0.2]).astype(complex)),
+    o = StateOracle(diagonal_state([0.8, 0.2]),
                     backend="sampling", seed=3)
     single_site_estimate(o, delta)
     assert o.copies_consumed == 3 * math.ceil(50 * math.log(2 / delta))
@@ -261,7 +264,7 @@ def test_single_site_estimate_matches_an_eigh_reference(monkeypatch):
     states = [QuantumState.pure(product_state_vector(random_product_params(rng, 1)).data)
               for _ in range(5)]
     states += [random_mixed(1, rng) for _ in range(5)]
-    states += [QuantumState.mixed(np.diag([0.5 + d, 0.5 - d]).astype(complex))
+    states += [diagonal_state([0.5 + d, 0.5 - d])
                for d in (1e-9, 0.0)]
     states.append(maximally_mixed(1))
     closed = localopt._top_pair
@@ -318,10 +321,10 @@ def test_fidelity_of_tensored_halves():
         state = random_mixed(n, rng)
         p_left = random_product_params(rng, cut)
         p_right = random_product_params(rng, n - cut)
-        f_left = fidelity(QuantumState.mixed(
-            partial_trace(state.density(), n, list(range(cut)))), p_left)
-        f_right = fidelity(QuantumState.mixed(
-            partial_trace(state.density(), n, list(range(cut, n)))), p_right)
+        f_left = fidelity(dense_mixed(
+            partial_trace(density(state), n, list(range(cut)))), p_left)
+        f_right = fidelity(dense_mixed(
+            partial_trace(density(state), n, list(range(cut, n)))), p_right)
         f_both = fidelity(state, p_left.concat(p_right))
         assert f_both >= f_left + f_right - 1.0 - 1e-12
 

@@ -24,6 +24,7 @@ from prodstate.states import (
 from conftest import (
     bell_state,
     bloch_grid,
+    density,
     ghz_state,
     grid_product_opt,
     maximally_mixed,
@@ -54,7 +55,7 @@ def test_bell_is_ghz2():
 
 def test_maximally_mixed():
     s = maximally_mixed(2)
-    assert np.allclose(s.data, np.eye(4) / 4)
+    assert np.allclose(density(s), np.eye(4) / 4)
     # I/8 is the factor with no columns and shift 1/8.
     s = maximally_mixed(3)
     assert s.data.factor.shape == (8, 0) and s.data.shift == 1 / 8
@@ -64,7 +65,7 @@ def test_planted_mixture_and_opt():
     params = ProductParams((0.3 + 0.1j, -0.2j))
     mix = planted_mixture(params, 0.9)
     assert mix.kind == "mixed"
-    assert abs(np.trace(mix.data) - 1.0) < 1e-12
+    assert abs(np.trace(density(mix)) - 1.0) < 1e-12
     # The planted state itself achieves the planted optimum.
     assert abs(fidelity(mix, params) - planted_opt(0.9, 2)) < 1e-12
 
@@ -72,7 +73,7 @@ def test_planted_mixture_and_opt():
 def test_random_mixed_rank():
     rng = np.random.default_rng(7)
     s = random_mixed(3, rng, rank=2)
-    eigs = np.linalg.eigvalsh(s.data)
+    eigs = np.linalg.eigvalsh(density(s))
     assert np.sum(eigs > 1e-12) == 2
     assert abs(np.sum(eigs) - 1.0) < 1e-12
 

@@ -25,7 +25,7 @@ from prodstate.states import (
     vector_fidelity,
 )
 
-from conftest import ghz_state, partial_trace, schmidt_rank, w_state, window_charge
+from conftest import density, ghz_state, partial_trace, schmidt_rank, w_state, window_charge
 
 
 def zero_train(n):
@@ -306,8 +306,8 @@ def test_heavy_eigenspace_complement_is_small():
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         vec /= np.linalg.norm(vec)
         base = np.outer(vec, vec.conj())
-        junk_a = random_mixed(3 if dim == 8 else 4, rng).density()
-        junk_b = random_mixed(3 if dim == 8 else 4, rng).density()
+        junk_a = density(random_mixed(3 if dim == 8 else 4, rng))
+        junk_b = density(random_mixed(3 if dim == 8 else 4, rng))
         a = float(rng.uniform(0.0, 0.15))
         b = float(rng.uniform(0.0, 0.15))
         sigma = (1 - a) * base + a * junk_a
@@ -332,11 +332,11 @@ def test_projection_loss_bounded_by_schmidt_rank():
         basis, _ = np.linalg.qr(raw)
         proj = basis @ basis.conj().T
         inside = np.kron(proj, np.eye(db))
-        body = random_mixed(5, rng).density()
+        body = density(random_mixed(5, rng))
         clean = inside @ body @ inside
         clean /= np.trace(clean).real
         mass = float(rng.uniform(0.0, 0.05))
-        rho = (1 - mass) * clean + mass * random_mixed(5, rng).density()
+        rho = (1 - mass) * clean + mass * density(random_mixed(5, rng))
 
         reduced = partial_trace(rho, 5, range(3))
         rest = (np.eye(da) - proj) @ reduced @ (np.eye(da) - proj)
@@ -369,7 +369,7 @@ def test_sweep_step_loss_within_budget(monkeypatch):
         mps_learn(o, 2, eps, 0.1, kappa_override=2)
         stacks = [maps for maps, _ in calls[1:]]
         assert len(stacks) == n - 2
-        rho = hidden.density()
+        rho = density(hidden)
         phi = hidden.data
         previous = float(np.real(phi.conj() @ rho @ phi))
         for i, maps in enumerate(stacks, start=1):

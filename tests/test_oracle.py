@@ -50,6 +50,8 @@ from prodstate.states import (
 
 from conftest import (
     bell_state,
+    dense_mixed,
+    density,
     exact_z,
     haar_unitary,
     maximally_mixed,
@@ -423,7 +425,7 @@ def test_subspace_sampling_monte_carlo_failure_rate():
     # of the time (plus 3-sigma binomial slack).
     rng = np.random.default_rng(55)
     state = random_mixed(2, rng)
-    rho1 = partial_trace(state.density(), 2, [0])
+    rho1 = partial_trace(density(state), 2, [0])
     eps, delta, runs = 0.9, 1 / 3, 200
     errors = []
     for seed in range(runs):
@@ -478,7 +480,7 @@ def test_subnormalized_exact_matches_block():
     for state in (random_mixed(3, rng), maximally_mixed(3)):
         o = StateOracle(state, backend="exact")
         est = subnormalized_tomography(o, None, zeroed_prefix=1, eps=0.4, delta=0.3)
-        assert np.allclose(est, state.density()[:4, :4], atol=1e-12)
+        assert np.allclose(est, density(state)[:4, :4], atol=1e-12)
 
 
 def test_subnormalized_respects_frame():
@@ -487,7 +489,7 @@ def test_subnormalized_respects_frame():
     frame = product_unitary([u for u in recenter_unitaries(random_product_params(rng, 2))])
     o = StateOracle(state, backend="exact")
     est = subnormalized_tomography(o, frame, zeroed_prefix=1, eps=0.4, delta=0.3)
-    rot = frame @ state.density() @ frame.conj().T
+    rot = frame @ density(state) @ frame.conj().T
     assert np.allclose(est, rot[:2, :2], atol=1e-12)
 
 
@@ -547,7 +549,7 @@ def test_subnormalized_keep_is_the_partial_trace_of_the_suffix(n):
     for state in factored_cases(n, rng):
         for i in range(len(maps) + 1):
             first = None
-            for s in (state, QuantumState.mixed(state.density())):
+            for s in (state, dense_mixed(density(state))):
                 for frame in (maps[:i], _apply_chain(maps[:i], np.eye(2**n))):
                     o = StateOracle(s, backend="exact")
                     whole = subnormalized_tomography(o, frame, i, 0.3, 0.1)
@@ -626,7 +628,7 @@ def test_subnormalized_sampling_accuracy():
     eps, delta = 0.8, 0.8
     o = StateOracle(bell_state(), backend="sampling", seed=3)
     est = subnormalized_tomography(o, None, zeroed_prefix=1, eps=eps, delta=delta)
-    target = bell_state().density()[:2, :2]
+    target = density(bell_state())[:2, :2]
     err = float(np.abs(np.linalg.eigvalsh(
         (est - target + (est - target).conj().T) / 2)).sum())
     assert err <= eps
@@ -659,7 +661,7 @@ def test_fidelity_exact_noise_zero():
     params = random_product_params(rng, 2)
     o = StateOracle(state, backend="exact")
     vec = product_state_vector(params).data
-    truth = float(np.real(vec.conj() @ state.density() @ vec))
+    truth = float(np.real(vec.conj() @ density(state) @ vec))
     (est,) = estimate_fidelity(o, 2, site_stack([params]), eps=0.3, delta=0.3)
     assert est == pytest.approx(truth, abs=1e-15)
 
@@ -679,7 +681,7 @@ def test_fidelity_rows_are_single_calls_in_order():
     for state in states:
         for m in (2, n):
             sites = np.stack([[haar_state(2, rng) for _ in range(m)] for _ in range(k)])
-            reduced = QuantumState.mixed(partial_trace(state.density(), n, range(m)))
+            reduced = dense_mixed(partial_trace(density(state), n, range(m)))
             truth = [vector_fidelity(reduced, row) for row in product_vectors(sites)]
             for backend, noise in (("exact", 0.0), ("exact", 0.02), ("sampling", 0.0)):
                 batch = StateOracle(state, backend=backend, seed=21, noise_opnorm=noise)
@@ -740,7 +742,7 @@ def test_subnormalized_accounting():
 
     o = StateOracle(state, backend="exact")
     subnormalized_tomography(o, None, zeroed_prefix=1, eps=eps, delta=delta)
-    mu = float(np.real(np.trace(state.density()[:2, :2])))
+    mu = float(np.real(np.trace(density(state)[:2, :2])))
     assert o.copies_consumed == n_mu + subnormalized_attempts(wanted, mu)
 
     o = StateOracle(state, backend="sampling", seed=5)
@@ -985,7 +987,7 @@ def test_factored_reads_match_dense(n):
         return single_site_estimate(child, 0.1), child.copies_consumed
 
     for state in factored_cases(n, rng):
-        dense = QuantumState.mixed(state.density())
+        dense = dense_mixed(density(state))
 
         def both(call, noise=0.0):
             outs = []
@@ -1015,7 +1017,7 @@ def test_factored_reads_match_dense(n):
             (rf, _), (rd, _) = both(lambda o: _reduced_oracle(o, sites))
             assert isinstance(rf.hidden.data, FactoredDensity)
             assert rf.seed == rd.seed
-            assert np.max(np.abs(rf.hidden.density() - rd.hidden.density())) <= 1e-12
+            assert np.max(np.abs(density(rf.hidden) - density(rd.hidden))) <= 1e-12
         for site in (0, n - 1):
             for noise in (0.0, 0.05):
                 ((pf, cf), _), ((pd, cd), _) = both(lambda o: single_site(o, site), noise)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from prodstate.errors import ResourceBudgetError
+from prodstate.instances import random_mixed
 from prodstate.states import (
     DENSE_BUDGET,
     apply_sites,
@@ -34,8 +35,10 @@ from prodstate.states import (
 
 from conftest import (
     apply_product_unitary,
+    density,
     excitation_probs,
     haar_unitary,
+    maximally_mixed,
     mean_excitation,
     partial_trace,
     product_fidelity,
@@ -169,7 +172,7 @@ def test_fidelity_values():
     zero = ProductParams((0.0,) * n)
     basis_state = product_state_vector(zero)
     assert fidelity(basis_state, zero) == pytest.approx(1.0, abs=1e-12)
-    mixed = QuantumState.mixed(np.eye(4) / 4.0)
+    mixed = maximally_mixed(2)
     rng = np.random.default_rng(23)
     for _ in range(10):
         assert fidelity(mixed, random_product_params(rng, 2)) == pytest.approx(0.25, abs=1e-12)
@@ -250,7 +253,7 @@ def test_trace_distance_bound():
         p = random_product_params(rng, n, scale=2.0)
         q = random_product_params(rng, n, scale=2.0)
         delta = (
-            product_state_vector(p).density() - product_state_vector(q).density()
+            density(product_state_vector(p)) - density(product_state_vector(q))
         )
         eigs = np.linalg.eigvalsh(delta)
         trace_norm = float(np.sum(np.abs(eigs)))
@@ -357,12 +360,20 @@ def test_product_vectors_of_an_empty_batch():
 def test_quantum_state_validation():
     with pytest.raises(ValueError):
         QuantumState.pure(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        QuantumState.mixed(np.array([[0.5, 0.2], [0.3, 0.5]]))
-    with pytest.raises(ValueError):
-        QuantumState.mixed(np.diag([1.5, -0.5]))
     st = QuantumState.pure(np.array([1.0, 0.0]))
-    assert st.density()[0, 0] == pytest.approx(1.0)
+    assert density(st)[0, 0] == pytest.approx(1.0)
+
+
+def test_mixed_states_are_given_only_as_factors():
+    # A dense matrix is refused, a valid density matrix included, with a
+    # message that names the factor form, whether it comes through
+    # `mixed` or the constructor.
+    for n, dense in ((2, np.eye(4) / 4), (1, np.array([[0.5, 0.2], [0.3, 0.5]])),
+                     (1, np.diag([1.5, -0.5]))):
+        with pytest.raises(ValueError, match="factor form"):
+            QuantumState.mixed(dense)
+        with pytest.raises(ValueError, match="factor form"):
+            QuantumState(n, "mixed", dense)
 
 
 def test_factored_state_matches_its_dense_matrix():
@@ -374,11 +385,10 @@ def test_factored_state_matches_its_dense_matrix():
         state = QuantumState.mixed(FactoredDensity(w, shift))
         rho = w @ w.conj().T + shift * np.eye(dim)
         assert state.kind == "mixed" and state.n == n
-        assert np.allclose(state.density(), rho, atol=1e-14)
+        assert np.allclose(density(state), rho, atol=1e-14)
         assert state.data.trace() == pytest.approx(1.0, abs=1e-12)
         x = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
         assert np.allclose(state.data @ x, rho @ x, atol=1e-14)
-        assert np.allclose(x.conj().T @ state.data, x.conj().T @ rho, atol=1e-14)
         for _ in range(3):
             p = random_product_params(rng, n, scale=2.0)
             vec = product_state_vector(p).data
@@ -406,46 +416,28 @@ def test_factored_state_validation():
     assert not state.data.factor.flags.writeable
 
 
-def test_dense_input_is_stored_as_its_factor():
-    # A dense density matrix is validated by one eigh and kept as the
-    # read-only factor V sqrt(lam) with shift 0, one column per nonzero
-    # eigenvalue.
-    rng = np.random.default_rng(97)
-    dim = 8
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    state = QuantumState.mixed(rho)
-    assert isinstance(state.data, FactoredDensity) and state.data.shift == 0.0
-    assert not state.data.factor.flags.writeable
-    assert np.max(np.abs(state.data.dense() - rho)) <= 1e-14
-    v = haar_unitary(dim, rng)[:, :2]
-    rank2 = v @ np.diag([0.7, 0.3]) @ v.conj().T
-    assert QuantumState.mixed(rank2).data.factor.shape == (dim, 2)
-
-
 def test_dense_paths_refuse_matrices_above_the_budget():
+    # The square random_mixed(12) is refused before anything is allocated,
+    # and a factored state at n = 16 reads its fidelity from the factor.
+    # The other dense paths are refused before they allocate by
+    # test_subspace_tomography_respects_dense_budget (prefix 12),
+    # test_contraction_budget_guard (mps_to_state) and
+    # test_state_rejects_zero_tensor_and_big_sides (tensor_to_state).
     n = 16
     dim = 2**n
     assert 16 * dim * dim > DENSE_BUDGET
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0
     factored = QuantumState.mixed(FactoredDensity(math.sqrt(0.9) * psi[:, None], 0.1 / dim))
-    pure = QuantumState.pure(psi)
     tracemalloc.start()
     try:
-        for attempt in (factored.density, pure.density, lambda: np.asarray(factored.data)):
-            with pytest.raises(ResourceBudgetError):
-                attempt()
+        with pytest.raises(ResourceBudgetError):
+            random_mixed(12, np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     assert fidelity(factored, ProductParams((0j,) * n)) == pytest.approx(0.9 + 0.1 / dim)
-    # A dense input is refused by its shape, before it is copied or decomposed.
-    big = np.broadcast_to(np.complex128(0.0), (4096, 4096))
-    with pytest.raises(ResourceBudgetError):
-        QuantumState.mixed(big)
 
 
 def test_dense_budget_covers_matrices_and_vectors():
