@@ -16,6 +16,7 @@ registers recursively, tensors the results, and hands them to
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -25,9 +26,7 @@ from .errors import PromiseViolationError
 from .oracle import StateOracle, _random_hermitian_unit, estimate_z, z_copy_cost
 from .states import (
     ProductParams,
-    QuantumState,
     _marginal,
-    _operator,
     _sandwich,
     _top_pair,
     recenter_unitaries,
@@ -50,15 +49,11 @@ class LocalOptConfig:
     delta: total failure probability budget, in (0, 1).
     margin: assumed gap of the warm start's fidelity above the 2/3 floor, in
         [0, 1/2]; a larger margin shortens the accuracy ladder.
-    max_outer_iters: safety cap on improvement steps; exceeding it signals
-        that the caller's promise did not hold.  Defaults to 10x the design
-        bound on the number of steps.
     """
 
     eps: float
     delta: float
     margin: float = 0.0
-    max_outer_iters: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.eps <= 1.0 / 3.0):
@@ -67,10 +62,6 @@ class LocalOptConfig:
             raise ValueError("delta must lie in (0, 1)")
         if not (0.0 <= self.margin <= 0.5):
             raise ValueError("margin must lie in [0, 1/2]")
-        if self.max_outer_iters is None:
-            object.__setattr__(self, "max_outer_iters", self._default_cap())
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
 
     @property
     def effective_margin(self) -> float:
@@ -88,7 +79,9 @@ class LocalOptConfig:
                  + math.ceil(900.0 * remaining / self.effective_margin))
         return self.delta * 2.0**-remaining / calls
 
-    def _default_cap(self) -> int:
+    @property
+    def max_outer_iters(self) -> int:
+        """Cap on improvement steps, 10x their design bound; passing it breaks the promise."""
         halving_phases = math.ceil(
             (450.0 / self.effective_margin) * math.log(max((1.0 / 3.0) / self.eps, 2.0)))
         endgame = math.ceil(5.0 * self.eps * math.exp(2.0 * self.ladder_depth))
@@ -144,9 +137,16 @@ def local_optimize(o: StateOracle, start: ProductParams, cfg: LocalOptConfig,
 
 
 def _reduced_oracle(o: StateOracle, sites: list[int]) -> StateOracle:
-    hidden = QuantumState.mixed(_marginal(_operator(o.hidden), o.n, sites))
-    return StateOracle(hidden, backend=o.backend, seed=int(o._rng.integers(2**63)),
-                       noise_opnorm=o.noise_opnorm)
+    """o on the marginal of `sites`, sharing o's factor (`states._marginal`; a suffix is moved).
+
+    The child is not re-validated, seeds its generator with one draw from
+    o's stream, and keeps its own copy count (the caller charges it to o).
+    """
+    child = copy.copy(o)
+    child.rho, child.n = _marginal(o.rho, o.n, sites), len(sites)
+    child.copies_consumed, child._frame_key, child._frame = 0, None, None
+    child._rng = np.random.default_rng(int(o._rng.integers(2**63)))
+    return child
 
 
 def single_site_estimate(o: StateOracle, delta: float) -> ProductParams:
@@ -165,7 +165,7 @@ def single_site_estimate(o: StateOracle, delta: float) -> ProductParams:
     shots = math.ceil(50.0 * math.log(2.0 / delta))
     o._check_shots(3 * shots)
     o._charge(3 * shots)
-    rho = _sandwich(_operator(o.hidden), slice(None))
+    rho = _sandwich(o.rho, slice(None))
     if o.backend == "exact":
         scale = o._noise_scale(1.0)
         if scale != 0.0:

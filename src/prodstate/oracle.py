@@ -1,10 +1,10 @@
 """Copy-based access to an unknown quantum state.
 
-A :class:`StateOracle` wraps a hidden mixed state and exposes only the
-measurement-driven estimators a learner is allowed to call: amplitude-vector
-estimation in a rotated frame, low-weight-subspace tomography, subnormalized
-tomography behind a measured prefix, and direct fidelity estimation.  Two
-backends share identical signatures and copy accounting:
+A :class:`StateOracle` holds a hidden state as its factor W W* + c I and
+exposes only the measurement-driven estimators a learner may call:
+amplitude-vector estimation in a rotated frame, low-weight-subspace
+tomography, subnormalized tomography behind a measured prefix, and direct
+fidelity estimation.  Two backends share signatures and copy accounting:
 
 * ``exact`` — returns ground-truth values plus optional seeded noise.  Copy
   counts are still charged using the sampling formulas, so resource reports
@@ -28,8 +28,8 @@ register put the shadow mean within operator-norm eps of sigma with
 probability >= 1 - delta.  Each estimator's docstring gives the accuracy it
 asks of that mean and why.
 
-The estimators read the hidden state through the `states` readers
-(`_operator`, `_marginal`, `_sandwich`, `_mapped`, `_flip_read`); see that
+The estimators read the oracle's factor `rho` through the `states` readers
+(`_marginal`, `_sandwich`, `_mapped`, `_flip_read`, `_overlaps`); see that
 module's docstring.
 
 Copy-cost formulas are exported as plain functions so tests can assert the
@@ -49,6 +49,7 @@ from .states import (
     _mapped,
     _marginal,
     _operator,
+    _overlaps,
     _sandwich,
     check_dense_budget,
     hamming_weights,
@@ -140,12 +141,13 @@ def weight_leq_indices(m: int, d: int) -> list[int]:
 class StateOracle:
     """Single-threaded handle dispensing measurement results on a hidden state.
 
-    ``backend`` is ``"exact"`` (ground truth + noise of strength up to
-    ``noise_opnorm``) or ``"sampling"`` (simulated single-copy measurements,
-    which refuses a positive ``noise_opnorm`` rather than ignore it, and any
-    call above SHOT_BUDGET shots).  ``copies_consumed`` counts every copy any
-    estimator has used; it only grows, and both backends charge the same
-    documented formulas.
+    It holds the state, validated when it was built, as its factor ``rho``
+    on ``n`` qubits.  ``backend`` is ``"exact"`` (ground truth + noise of
+    strength up to ``noise_opnorm``) or ``"sampling"`` (simulated single-copy
+    measurements, which refuses a positive ``noise_opnorm`` rather than
+    ignore it, and any call above SHOT_BUDGET shots).  ``copies_consumed``
+    counts every copy any estimator has used; it only grows, and both
+    backends charge the same documented formulas.
     """
 
     def __init__(self, hidden: QuantumState, backend: str = "exact", seed: int = 0,
@@ -157,19 +159,15 @@ class StateOracle:
         if backend == "sampling" and noise_opnorm > 0:
             raise ValueError("noise_opnorm applies to the exact backend only; the "
                              "sampling backend's error is its shot noise")
-        self.hidden = hidden
+        self.rho = _operator(hidden)
+        self.n = hidden.n
         self.backend = backend
-        self.seed = int(seed)
         self.noise_opnorm = float(noise_opnorm)
         self.copies_consumed = 0
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = np.random.default_rng(int(seed))
         # estimate_z's last frame read (`_frame_read`) and the key of its frame.
         self._frame_key: bytes | None = None
         self._frame: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.hidden.n
 
     def _charge(self, copies: int) -> None:
         self.copies_consumed += int(copies)
@@ -201,12 +199,11 @@ def _frame_read(o: StateOracle, us: np.ndarray) -> np.ndarray:
     """
     key = us.tobytes()
     if key != o._frame_key:
-        rho = _operator(o.hidden)
-        y = _flip_read(rho, us)
+        y = _flip_read(o.rho, us)
         if o.backend == "exact":
             read = y[1:] @ y[0].conj()
         else:
-            read = _with_junk_slot(y @ y.conj().T + rho.shift * np.eye(len(y)))
+            read = _with_junk_slot(y @ y.conj().T + o.rho.shift * np.eye(len(y)))
         read.setflags(write=False)
         o._frame_key, o._frame = key, read
     return o._frame
@@ -396,7 +393,7 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
     dim = w + 1
     copies = tomography_copy_cost(dim, eps, delta)
 
-    block = _sandwich(_marginal(_operator(o.hidden), n, range(prefix_m)), idx)
+    block = _sandwich(_marginal(o.rho, n, range(prefix_m)), idx)
     full = np.zeros((2**prefix_m, 2**prefix_m), dtype=complex)
 
     if o.backend == "exact":
@@ -495,7 +492,7 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     dim = 2**keep
     check_dense_budget((dim, dim))
     n_mu, wanted = subnormalized_budget(dim, eps, delta)
-    rho = _mapped(_operator(o.hidden), maps)
+    rho = _mapped(o.rho, maps)
     block = _sandwich(_marginal(rho, suffix, range(keep)), slice(None))
 
     if o.backend == "exact":
@@ -539,9 +536,7 @@ def estimate_fidelity(o: StateOracle, prefix_m: int, sites, eps: float,
     and the estimate is within eps with probability >= 1 - delta.  Rows are
     shot-checked, charged and noised in order, so k rows charge and draw
     exactly what k one-row calls would, and k = 0 charges and draws nothing.
-
-    The exact overlaps take one read of the marginal's factor:
-    <pi| W W* + c I |pi> = ||pi* W||^2 + c ||pi||^2, at O(k 2^n r).
+    The exact overlaps take one read of the marginal's factor (`states._overlaps`).
 
     Copies: fidelity_copy_cost(eps, delta) per row, on both backends.
     """
@@ -555,13 +550,7 @@ def estimate_fidelity(o: StateOracle, prefix_m: int, sites, eps: float,
         raise ValueError("site vectors must be a (k, prefix_m, 2) stack covering exactly "
                          "the measured prefix")
     copies = fidelity_copy_cost(eps, delta)
-    rho_m = _marginal(_operator(o.hidden), n, range(prefix_m))
-    rows = product_vectors(sites).conj()
-    y = rows @ rho_m.factor
-    f = np.einsum("ij,ij->i", y, y.conj()).real
-    if rho_m.shift:
-        f += rho_m.shift * np.einsum("ij,ij->i", rows, rows.conj()).real
-    f = np.clip(f, 0.0, 1.0)
+    f = np.clip(_overlaps(_marginal(o.rho, n, range(prefix_m)), product_vectors(sites)), 0, 1)
 
     for j, fj in enumerate(f):
         if o.backend == "sampling":

@@ -19,14 +19,13 @@ without a dense Kronecker frame), fidelity evaluation, and the small
 closed-form bounds (fidelity sandwiches, weight-tail bounds) that the
 learners rely on.
 
-Every module reads a state's rho through `_operator`, `_marginal`,
-`_sandwich`, `_mapped` and `_flip_read`: rho @ block, the marginal on a site
-set, rows rho rows*, M rho M* for a chain M of local maps (`_apply_chain`)
-with orthonormal rows, and the factor against the all-zero and single-flip
-rows of a product frame, contracted site by site.  A pure state is the
-factor (psi, 0) and a mixed state its rho = W W* + c I, so each read costs
-O(dim r k), no dim x dim matrix is formed, and a mapped or reduced factor is
-again a factor.
+Every module reads a state's rho as its factor (`_operator`; psi gives
+(psi, 0)) through `_marginal`, `_sandwich`, `_overlaps`, `_mapped` and
+`_flip_read`: the marginal on a site set, rows rho rows*, <v| rho |v> per
+row, M rho M* for a chain M of local maps (`_apply_chain`) with orthonormal
+rows, and the factor against the all-zero and single-flip rows of a product
+frame, site by site.  Each costs O(dim r k) with no dim x dim matrix, and a
+mapped or reduced factor is again a factor, which an oracle holds as is.
 
 Every module builds product amplitudes with `product_vectors` from (k, n, 2)
 site stacks (`site_stack` gives the stack of parameter tuples), reads
@@ -262,6 +261,16 @@ def _sandwich(rho: FactoredDensity, rows) -> np.ndarray:
     return out
 
 
+def _overlaps(rho: FactoredDensity, vecs: np.ndarray) -> np.ndarray:
+    """<v| rho |v> = ||v* W||^2 + c ||v||^2 per row v of the (k, dim) vecs, at O(k dim r)."""
+    rows = vecs.conj()
+    y = rows @ rho.factor
+    f = np.einsum("ij,ij->i", y, y.conj()).real
+    if rho.shift:
+        f += rho.shift * np.einsum("ij,ij->i", rows, vecs).real
+    return f
+
+
 def _apply_chain(maps, x) -> np.ndarray:
     """A chain of maps applied in order to the leading axis of x.
 
@@ -472,9 +481,9 @@ def _ratio_param(v0: complex, v1: complex) -> complex:
 def vector_fidelity(s: QuantumState, vec: np.ndarray) -> float:
     """⟨v|ρ|v⟩ for mixed s, |⟨v|ψ⟩|² for pure s, without clamping to [0, 1].
 
-    One read of ρ: O(dim·r) on a pure or factored state.
+    One read of the factor (`_overlaps`): O(dim·r) time, one dim-long copy.
     """
-    return float(np.real(vec.conj() @ (_operator(s) @ vec)))
+    return float(_overlaps(_operator(s), vec[None])[0])
 
 
 def fidelity(s: QuantumState, p: ProductParams) -> float:

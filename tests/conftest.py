@@ -7,8 +7,8 @@ the dense density-matrix references (`dense_mixed` in, `density` out),
 dense test references, the brute-force grid and multistart oracles, the dense
 product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
 complex power-row polynomial evaluator and the per-support polynomial search,
-the cover audit, the dense per-root cover cut, the per-member discrete learner, and the
-reference JSON pair codec."""
+the cover audit, the dense per-root cover cut, the per-member discrete learner, the
+half-register oracle built through a validated state, and the reference JSON pair codec."""
 
 import math
 from itertools import combinations
@@ -20,6 +20,7 @@ from prodstate.errors import PromiseViolationError, ResourceBudgetError
 from prodstate.discrete import member_vector
 from prodstate.mps import MatrixProductState
 from prodstate.oracle import (
+    StateOracle,
     _frame_maps,
     _frame_read,
     _shadow_basis,
@@ -41,6 +42,7 @@ from prodstate.states import (
     ProductParams,
     QuantumState,
     _mapped,
+    _marginal,
     _operator,
     apply_sites,
     check_dense_budget,
@@ -204,9 +206,14 @@ def density(state: QuantumState) -> np.ndarray:
     check_dense_budget((state.dim, state.dim))
     if state.kind == "pure":
         return np.outer(state.data, state.data.conj())
-    w = state.data.factor
+    return operator_matrix(state.data)
+
+
+def operator_matrix(rho: FactoredDensity) -> np.ndarray:
+    """The dense matrix W W* + c I of a factored operator."""
+    w = rho.factor
     out = w @ w.conj().T
-    out[np.diag_indices_from(out)] += state.data.shift
+    out[np.diag_indices_from(out)] += rho.shift
     return out
 
 
@@ -580,6 +587,18 @@ def reference_discrete_learn(o, cls, eta, eps, delta):
                     new.append(member)
         survivors = sorted(new)
     return set(survivors)
+
+
+def reference_reduced_oracle(o, sites):
+    """The oracle on the marginal of `sites`, built as a new validated `QuantumState`.
+
+    A fresh `StateOracle` on the marginal's state, seeded by one draw from
+    o's stream: the half-register oracle as built before it held the parent's
+    marginal factor directly.
+    """
+    hidden = QuantumState.mixed(_marginal(o.rho, o.n, sites))
+    return StateOracle(hidden, backend=o.backend, seed=int(o._rng.integers(2**63)),
+                       noise_opnorm=o.noise_opnorm)
 
 
 def reference_weight_leq_indices(m, d):

@@ -67,10 +67,10 @@ def pure_oracle(z, seed=0):
     return StateOracle(product_state_vector(ProductParams(z)), seed=seed)
 
 
-def basis_oracle(n, seed=0):
+def basis_state(n):
     vec = np.zeros(2**n)
     vec[0] = 1.0
-    return StateOracle(QuantumState.pure(vec), seed=seed)
+    return QuantumState.pure(vec)
 
 
 # --- parameters ---------------------------------------------------------------
@@ -340,14 +340,14 @@ def test_batch_overlap_matches_three_operand_einsum():
 
 
 def test_build_cover_pure_origin():
-    o = basis_oracle(3, seed=1)
+    state = basis_state(3)
     params = CoverParams(0.9, 0.2, 0.05, DESK_OVERRIDES)
-    cover = build_cover(o, params)
+    cover = build_cover(StateOracle(state, seed=1), params)
     assert len(cover) >= 1
     assert len(cover) <= 6.0 / params.eta
     origin = ProductParams((0.0, 0.0, 0.0))
     hits = [m for m in cover.members
-            if fidelity(o.hidden, m) >= 0.7
+            if fidelity(state, m) >= 0.7
             and tangent_distance(m, origin) <= 3.0 / 0.9]
     assert hits
 
@@ -425,19 +425,17 @@ def test_prefix_covers_all_verify():
 
 
 def test_verify_flags_low_fidelity_member():
-    o = basis_oracle(2)
     params = CoverParams(0.9, 0.2, 0.05, DESK_OVERRIDES)
     bad = Cover((ProductParams((complex(1e12), 0.0)),), 2, params)
-    report = verify_cover(o.hidden, bad, trials=10)
+    report = verify_cover(basis_state(2), bad, trials=10)
     assert report["low_fidelity"] and not report["ok"]
 
 
 def test_verify_flags_close_pair():
-    o = basis_oracle(2)
     params = CoverParams(0.9, 0.2, 0.05, DESK_OVERRIDES)
     twin = Cover((ProductParams((0.0, 0.0)), ProductParams((0.01, 0.0))), 2,
                  params)
-    report = verify_cover(o.hidden, twin, trials=10)
+    report = verify_cover(basis_state(2), twin, trials=10)
     assert report["close_pairs"] and not report["ok"]
 
 
@@ -451,10 +449,10 @@ def test_verify_empty_cover_on_mixed():
 
 
 def test_verify_pure_origin_audit():
-    o = basis_oracle(3, seed=6)
+    state = basis_state(3)
     params = CoverParams(0.9, 0.2, 0.05, DESK_OVERRIDES)
-    cover = build_cover(o, params)
-    report = verify_cover(o.hidden, cover, trials=10_000, rng_seed=12)
+    cover = build_cover(StateOracle(state, seed=6), params)
+    report = verify_cover(state, cover, trials=10_000, rng_seed=12)
     assert report["ok"], report
 
 
@@ -494,11 +492,11 @@ def test_estimate_opt_pure_product():
 def test_estimate_opt_bell():
     bell = np.zeros(4)
     bell[0] = bell[3] = 2**-0.5
-    o = StateOracle(QuantumState.pure(bell), seed=8)
-    est, witness = estimate_opt(o, 0.05, 0.05, overrides=DESK_OVERRIDES)
+    state = QuantumState.pure(bell)
+    est, witness = estimate_opt(StateOracle(state, seed=8), 0.05, 0.05, overrides=DESK_OVERRIDES)
     assert witness is not None
     assert abs(est - 0.5) <= 0.1
-    assert fidelity(o.hidden, witness) >= 0.5 - 0.1
+    assert fidelity(state, witness) >= 0.5 - 0.1
 
 
 def test_estimate_opt_maximally_mixed():
@@ -522,9 +520,13 @@ def test_estimate_opt_meets_opt_on_haar_plants():
         assert abs(est - got) <= eps / 4.0
 
 
-def planted_three_qubit_oracle():
+def planted_three_qubit_state():
     planted = haar_product_params(np.random.default_rng(31), 3)
-    return StateOracle(planted_mixture(planted, 0.95), seed=32)
+    return planted_mixture(planted, 0.95)
+
+
+def planted_three_qubit_oracle():
+    return StateOracle(planted_three_qubit_state(), seed=32)
 
 
 def recording(monkeypatch, name, calls):
@@ -702,7 +704,7 @@ def test_degree_capped_cuts_stay_under_stored_ceiling():
     # eigenvalue still tops it, though often strictly.  The dense per-root
     # preparation is that cut, and the capped scores are overlaps with it.
     rng = np.random.default_rng(29)
-    marginal = density(planted_three_qubit_oracle().hidden)
+    marginal = density(planted_three_qubit_state())
     lowered = 0
     for cap, m in ((1, 2), (1, 3), (2, 3)):
         params = CoverParams(0.5, 0.1, 0.1, dataclasses.replace(DESK_OVERRIDES, degree_cap=cap))

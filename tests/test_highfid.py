@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from prodstate.states import (
     ProductParams,
     QuantumState,
     fidelity,
+    haar_product_params,
     product_state_vector,
     recenter_unitaries,
     transform_params,
@@ -37,6 +39,7 @@ from conftest import (
     partial_trace,
     planted_grid_opt,
     random_product_params,
+    reference_reduced_oracle,
     weight_distribution,
 )
 
@@ -56,7 +59,7 @@ def test_config_ladder_depth_frozen():
     cfg = LocalOptConfig(eps=1 / 3, delta=0.1, margin=1 / 3)
     assert cfg.ladder_depth == 4
     assert cfg.effective_margin == 1 / 3
-    assert cfg.max_outer_iters >= 1
+    assert cfg.max_outer_iters == 59060
 
 
 def test_config_validation():
@@ -66,8 +69,6 @@ def test_config_validation():
         LocalOptConfig(eps=0.1, delta=1.0)
     with pytest.raises(ValueError):
         LocalOptConfig(eps=0.1, delta=0.1, margin=0.6)
-    with pytest.raises(ValueError):
-        LocalOptConfig(eps=0.1, delta=0.1, max_outer_iters=0)
 
 
 def test_rung_failure_budget_within_delta():
@@ -110,11 +111,12 @@ def test_upper_bound_dominates_grid_optimum():
 def test_local_optimize_fixed_point_at_zero_state():
     vec = np.zeros(8)
     vec[0] = 1.0
-    o = StateOracle(QuantumState.pure(vec), backend="exact")
+    state = QuantumState.pure(vec)
     start = ProductParams((0j, 0j, 0j))
-    out = local_optimize(o, start, LocalOptConfig(eps=0.1, delta=0.2))
+    out = local_optimize(StateOracle(state, backend="exact"), start,
+                         LocalOptConfig(eps=0.1, delta=0.2))
     assert out == start
-    assert fidelity(o.hidden, out) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(state, out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_local_optimize_pure_product_from_cold_start():
@@ -158,14 +160,15 @@ def test_local_optimize_steps_improve_fidelity():
     assert all(b >= a for a, b in zip(fids, fids[1:]))
 
 
-def test_local_optimize_safety_cap():
+def test_local_optimize_safety_cap(monkeypatch):
     rng = np.random.default_rng(11)
     target = random_product_params(rng, 4)
     mix = planted_mixture(target, 0.9)
     start = perturbed_start(rng, target, 0.8)
+    monkeypatch.setattr(LocalOptConfig, "max_outer_iters", property(lambda cfg: 1))
     with pytest.raises(PromiseViolationError):
         local_optimize(StateOracle(mix, backend="exact"), start,
-                       LocalOptConfig(eps=0.05, delta=0.25, max_outer_iters=1))
+                       LocalOptConfig(eps=0.05, delta=0.25))
 
 
 def test_local_optimize_sampling_smoke(monkeypatch):
@@ -247,6 +250,62 @@ def test_high_fidelity_refuses_unaffordable_sampling_run():
         high_fidelity_learn(o, eps=0.01, delta=0.1)
     assert time.perf_counter() - start < 1.0
     assert o.copies_consumed == 0
+
+
+def planted_state(n):
+    """A 0.95-weight planted Haar product state on n qubits, seeded by n."""
+    return planted_mixture(haar_product_params(np.random.default_rng(n), n), 0.95)
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_high_fidelity_builds_no_state(monkeypatch, n):
+    # Each of the recursion's 2n - 2 half oracles holds its parent's marginal
+    # factor, so the learner constructs, and re-validates, no QuantumState.
+    o = StateOracle(planted_state(n), backend="exact", seed=n, noise_opnorm=0.02)
+    inner, built = QuantumState.__post_init__, []
+
+    def counting(self):
+        built.append(self.n)
+        inner(self)
+
+    monkeypatch.setattr(QuantumState, "__post_init__", counting)
+    high_fidelity_learn(o, eps=0.1, delta=0.25)
+    assert built == []
+
+
+def test_high_fidelity_peak_memory_near_the_factor():
+    # At n = 16 the recursion's peak allocation stays within 8x the bytes of
+    # the hidden factor: a left half views its parent's factor, a right half
+    # holds one axis-moved copy of it, and neither copies it into a state.
+    state = planted_state(16)
+    o = StateOracle(state, backend="exact", seed=16, noise_opnorm=0.02)
+    tracemalloc.start()
+    try:
+        high_fidelity_learn(o, eps=0.1, delta=0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * state.data.factor.nbytes
+
+
+@pytest.mark.parametrize("backend, noise, sizes, eps", [
+    ("exact", 0.0, range(2, 13), 0.1),
+    ("exact", 0.02, range(2, 13), 0.1),
+    ("sampling", 0.0, range(2, 6), 0.16),
+])
+def test_half_oracles_match_the_state_round_trip(monkeypatch, backend, noise, sizes, eps):
+    # Holding the marginal factor moves no draw: params, copies and the root
+    # generator's state equal those of a run whose halves are new validated
+    # states, each with a fresh oracle seeded by one draw from its parent.
+    ours = localopt._reduced_oracle
+    for n in sizes:
+        runs = []
+        for reduce in (ours, reference_reduced_oracle):
+            monkeypatch.setattr(localopt, "_reduced_oracle", reduce)
+            o = StateOracle(planted_state(n), backend=backend, seed=n, noise_opnorm=noise)
+            out = high_fidelity_learn(o, eps=eps, delta=0.25)
+            runs.append((out, o.copies_consumed, o._rng.bit_generator.state))
+        assert runs[0] == runs[1], n
 
 
 def test_single_site_estimate_copies():

@@ -36,6 +36,7 @@ from prodstate.states import (
     QuantumState,
     _apply_chain,
     _flip_read,
+    _marginal,
     _operator,
     _sandwich,
     haar_isometry,
@@ -55,6 +56,7 @@ from conftest import (
     exact_z,
     haar_unitary,
     maximally_mixed,
+    operator_matrix,
     partial_trace,
     random_product_params,
     raw_z_shadows,
@@ -1015,9 +1017,11 @@ def test_factored_reads_match_dense(n):
             assert np.max(np.abs(ff - fd)) <= 1e-12 and cf == cd
         for sites in (list(range(n // 2)), list(range(n // 2, n))):
             (rf, _), (rd, _) = both(lambda o: _reduced_oracle(o, sites))
-            assert isinstance(rf.hidden.data, FactoredDensity)
-            assert rf.seed == rd.seed
-            assert np.max(np.abs(density(rf.hidden) - density(rd.hidden))) <= 1e-12
+            assert rf.n == rd.n == len(sites)
+            assert rf._rng.bit_generator.state == rd._rng.bit_generator.state
+            want = _marginal(_operator(state), n, sites)
+            assert np.array_equal(rf.rho.factor, want.factor) and rf.rho.shift == want.shift
+            assert np.max(np.abs(operator_matrix(rf.rho) - operator_matrix(rd.rho))) <= 1e-12
         for site in (0, n - 1):
             for noise in (0.0, 0.05):
                 ((pf, cf), _), ((pd, cd), _) = both(lambda o: single_site(o, site), noise)

@@ -22,6 +22,7 @@ from prodstate.states import (
     cap_param,
     fidelity,
     haar_product_params,
+    haar_state,
     hamming_weights,
     product_state_vector,
     product_unitary,
@@ -29,6 +30,7 @@ from prodstate.states import (
     recenter_unitaries,
     tangent_distance,
     transform_params,
+    vector_fidelity,
     vector_to_params,
     weight_tail_bound,
 )
@@ -438,6 +440,26 @@ def test_dense_paths_refuse_matrices_above_the_budget():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert fidelity(factored, ProductParams((0j,) * n)) == pytest.approx(0.9 + 0.1 / dim)
+
+
+def test_vector_fidelity_reads_the_factor_once():
+    # <v|rho|v> is ||v* W||^2 + c ||v||^2: at n = 16, on a rank-1 factor
+    # with a shift, one call holds one conjugated copy of v (1 MiB) and
+    # forms no rho @ v.
+    n = 16
+    dim = 2**n
+    rng = np.random.default_rng(3)
+    psi = haar_state(dim, rng)
+    state = QuantumState.mixed(FactoredDensity(math.sqrt(0.9) * psi[:, None], 0.1 / dim))
+    vec = product_state_vector(haar_product_params(rng, n)).data
+    tracemalloc.start()
+    try:
+        got = vector_fidelity(state, vec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1 << 20)
+    assert got == pytest.approx(0.9 * abs(np.vdot(vec, psi)) ** 2 + 0.1 / dim, rel=1e-12)
 
 
 def test_dense_budget_covers_matrices_and_vectors():
