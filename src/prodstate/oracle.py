@@ -13,9 +13,12 @@ fidelity estimation.  Two backends share signatures and copy accounting:
   shadows on a compressed register) with explicit copy consumption.  Each
   shot records the basis state u its outcome projects onto, drawn as one
   Gamma-weighted Gaussian along a column of sigma^(1/2), for the compressed
-  state sigma (one eigh per call, 2 dim + 2 random draws per shot); chunks
-  of SHADOW_CHUNK shots add into one sum in the computational basis, so
-  memory is O(SHADOW_CHUNK * dim) whatever the shot count.
+  state sigma (one eigh per call, 2 dim + 2 random draws per shot).  The
+  draws come SHADOW_CHUNK shots at a time, in a fixed order; the per-shot
+  arithmetic then runs in cache-sized row blocks of each drawn chunk, which
+  leaves every draw as it is, and each block adds into one sum in the
+  computational basis, so memory is O(SHADOW_CHUNK * dim) whatever the shot
+  count.
 
 Sampling measures a compressed register, the block read plus one junk slot
 (`_with_junk_slot`): on the product rows <0^n|U, <e_i|U for amplitudes
@@ -63,6 +66,9 @@ SHOT_BUDGET = 50_000_000
 # Shots the sampler draws at a time; bounds its working memory at
 # O(SHADOW_CHUNK * dim) whatever the shot count.
 SHADOW_CHUNK = 20_000
+# Rows of a drawn chunk the sampler's per-shot arithmetic runs on at a time,
+# so that its temporaries stay in cache; the draws do not depend on it.
+SHADOW_BLOCK = 2_048
 
 
 def _check_unit_interval(value: float, name: str) -> None:
@@ -258,28 +264,38 @@ def _shadow_coord_chunks(rng: np.random.Generator, cdf: np.ndarray, cols: np.nda
     E ~ Exp(1), keeping its phase, and takes u = g / |g|.  This is exact: in
     any orthonormal basis g is CN(0, I), the |g_k|^2 / 2 are Exp(1), whose
     normalized values are the Haar squared moduli, and the weight |<v|u>|^2
-    makes the v-coordinate a Gamma(2) with a uniform phase.  Yields arrays of
-    shape (<= SHADOW_CHUNK, dim) that together hold `shots` shots.
+    makes the v-coordinate a Gamma(2) with a uniform phase.
+
+    The draws come SHADOW_CHUNK shots at a time, in the same order whatever
+    the block size; the arithmetic then runs in place on blocks of at most
+    SHADOW_BLOCK rows of the chunk, so each shot's row depends only on its own
+    draws.  Yields arrays of shape (<= SHADOW_BLOCK, dim) that together hold
+    `shots` shots.
     """
     dim = cdf.shape[0]
     rows = cols.T
+    conj_rows = rows.conj()
     for done in range(0, shots, SHADOW_CHUNK):
         b = min(SHADOW_CHUNK, shots - done)
         picks = cdf.searchsorted(rng.random(b), side="right")
-        g = rng.standard_normal((b, 2 * dim)).view(complex)
+        chunk = rng.standard_normal((b, 2 * dim)).view(complex)
         extra = 2.0 * rng.standard_exponential(b)
-        v = rows[picks]
-        h = np.einsum("ij,ij->i", v.conj(), g)
-        g += v * (h * (np.sqrt(1.0 + extra / (h.real ** 2 + h.imag ** 2)) - 1.0))[:, None]
-        flat = g.view(float)
-        flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
-        yield g
+        for lo in range(0, b, SHADOW_BLOCK):
+            block = slice(lo, lo + SHADOW_BLOCK)
+            g, pick = chunk[block], picks[block]
+            h = np.einsum("ij,ij->i", conj_rows.take(pick, axis=0), g)
+            grow = np.sqrt(1.0 + extra[block] / (h.real ** 2 + h.imag ** 2))
+            g += rows.take(pick, axis=0) * (h * (grow - 1.0))[:, None]
+            flat = g.view(float)
+            flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+            yield g
 
 
 def _shadow_mean(rng: np.random.Generator, sigma: np.ndarray, shots: int) -> np.ndarray:
     """The mean of the shadow matrices (dim+1)|u><u| - I over `shots` shots of sigma.
 
-    Each chunk of rows adds into one dim x dim sum, so no more than a chunk
+    Each block of rows `_shadow_coord_chunks` yields adds its Gram into one
+    dim x dim sum while it is still in cache, so no more than a drawn chunk
     of rows is held and memory stays O(SHADOW_CHUNK * dim) whatever the shot
     count.
     """

@@ -8,7 +8,8 @@ dense test references, the brute-force grid and multistart oracles, the dense
 product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
 complex power-row polynomial evaluator and the per-support polynomial search,
 the cover audit, the dense per-root cover cut, the per-member discrete learner, the
-half-register oracle built through a validated state, and the reference JSON pair codec."""
+half-register oracle built through a validated state, the whole-chunk shadow
+sampler, and the reference JSON pair codec."""
 
 import math
 from itertools import combinations
@@ -20,6 +21,7 @@ from prodstate.errors import PromiseViolationError, ResourceBudgetError
 from prodstate.discrete import member_vector
 from prodstate.mps import MatrixProductState
 from prodstate.oracle import (
+    SHADOW_CHUNK,
     StateOracle,
     _frame_maps,
     _frame_read,
@@ -751,6 +753,30 @@ def decode_mps(d):
 def shadow_rows(rng, sigma, shots):
     """The sampler's rows u for `shots` shots of sigma, as one (shots, dim) array."""
     return np.concatenate(list(_shadow_coord_chunks(rng, *_shadow_basis(sigma), shots)))
+
+
+def reference_shadow_rows(rng, sigma, shots):
+    """`shadow_rows` with each drawn chunk's arithmetic done on the whole chunk at once.
+
+    The draws per SHADOW_CHUNK shots are the sampler's: one `random`, one
+    `standard_normal` and one `standard_exponential` call, in that order.
+    """
+    cdf, cols = _shadow_basis(sigma)
+    dim = cdf.shape[0]
+    rows = cols.T
+    out = []
+    for done in range(0, shots, SHADOW_CHUNK):
+        b = min(SHADOW_CHUNK, shots - done)
+        picks = cdf.searchsorted(rng.random(b), side="right")
+        g = rng.standard_normal((b, 2 * dim)).view(complex)
+        extra = 2.0 * rng.standard_exponential(b)
+        v = rows[picks]
+        h = np.einsum("ij,ij->i", v.conj(), g)
+        g += v * (h * (np.sqrt(1.0 + extra / (h.real ** 2 + h.imag ** 2)) - 1.0))[:, None]
+        flat = g.view(float)
+        flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+        out.append(g)
+    return np.concatenate(out)
 
 
 def raw_z_shadows(o, basis, shots):

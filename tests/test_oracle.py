@@ -12,6 +12,7 @@ from prodstate.errors import ResourceBudgetError
 from prodstate.instances import planted_mixture, random_mixed
 from prodstate.localopt import _reduced_oracle, single_site_estimate
 from prodstate.oracle import (
+    SHADOW_BLOCK,
     SHADOW_CHUNK,
     StateOracle,
     _shadow_basis,
@@ -60,6 +61,7 @@ from conftest import (
     partial_trace,
     random_product_params,
     raw_z_shadows,
+    reference_shadow_rows,
     reference_weight_leq_indices,
     reference_z_columns,
     shadow_rows,
@@ -338,14 +340,27 @@ def test_shadow_sampler_rank_one_overlap_law(dim):
         assert abs(samples.mean() - target) <= 5 * sem
 
 
-@pytest.mark.parametrize("shots", [1, SHADOW_CHUNK, SHADOW_CHUNK + 1])
+@pytest.mark.parametrize(
+    "shots", [1, SHADOW_BLOCK, SHADOW_BLOCK + 1, SHADOW_CHUNK, SHADOW_CHUNK + 1])
 def test_shadow_coord_chunks_count_shots(shots):
     cdf, cols = _shadow_basis(random_density(np.random.default_rng(5), 3))
     chunks = list(_shadow_coord_chunks(np.random.default_rng(0), cdf, cols, shots))
     assert sum(len(c) for c in chunks) == shots
-    assert all(0 < len(c) <= SHADOW_CHUNK for c in chunks)
+    assert all(0 < len(c) <= SHADOW_BLOCK for c in chunks)
     # Every shot is a unit vector.
     assert np.allclose(np.linalg.norm(np.concatenate(chunks), axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 10, 17])
+def test_shadow_blocks_keep_every_draw(dim):
+    # The shots span two drawn chunks and several blocks of each; the rows
+    # and the generator's state after them match whole-chunk arithmetic.
+    sigma = random_density(np.random.default_rng(dim), dim)
+    shots = SHADOW_CHUNK + 3 * SHADOW_BLOCK + 17
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    assert np.array_equal(shadow_rows(rng, sigma, shots),
+                          reference_shadow_rows(ref_rng, sigma, shots))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_shadow_mean_stream_equals_one_block():
@@ -360,7 +375,8 @@ def test_shadow_mean_stream_equals_one_block():
 
 
 def test_shadow_mean_memory_stays_chunked():
-    # 2M materialized rows at dim 5 would take 160 MB; the stream holds a few chunks.
+    # 2M materialized rows at dim 5 would take 160 MB; the stream holds about
+    # two drawn chunks (1.6 MB each) and block-sized temporaries.
     sigma = random_density(np.random.default_rng(4), 5)
     tracemalloc.start()
     try:
@@ -368,7 +384,7 @@ def test_shadow_mean_memory_stays_chunked():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16e6
+    assert peak <= 6e6
 
 
 # --- subspace tomography ---------------------------------------------------
