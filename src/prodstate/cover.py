@@ -10,37 +10,33 @@ fidelity at least eta lies within tangent distance 3/eta of some member.
 maintaining a cover of each prefix.  At a new site every previous member is
 branched over a fixed six-state local net, and each branch (a "root")
 proposes at most one new member: the point one constrained site sweep
-reaches from the root (`_polish`).  The sweep scores product states on a
-weight-truncated estimate of the prefix marginal, in the root's frame,
-where the root is |0...0>.  The score is quadratic in each site, so each
-step is an exact one-site maximisation, the top eigenpair of a 2x2
-matrix taken in closed form, as in single-site DMRG sweeps (Schollwock,
-arXiv:1008.3477, sec. 6).  Uncut, the step's two rows are built from cached
-prefix and suffix products of the point's site vectors, the sweep's
-environments.
+reaches from the root (`_polish`).  The sweep scores product states on an
+estimate of the prefix marginal, in the root's frame, where the root is
+|0...0>.  The score is quadratic in each site, so each step is an exact
+one-site maximisation, the top eigenpair of a 2x2 matrix taken in closed
+form, as in single-site DMRG sweeps (Schollwock, arXiv:1008.3477, sec. 6),
+on two rows built from cached prefix and suffix products of the point's
+site vectors, the sweep's environments.
 A step is taken only when it raises the score and keeps the point at the
-separation bound from every member already accepted at that prefix.  No
-root rotates the estimate: a product unitary maps product states to
-product states, so a root-frame row is mapped back through the root's
-adjoint site rotations and scored in the frame the estimate was measured
-in.  Under a degree cap a row is cut to low weight in the root's frame
-before it is mapped back.  Each estimate is hermitised once, when it is
-bought, and stored beside its top eigenvalue, which bounds every root's
-score at that prefix: recentering is a product unitary, and the weight
-cut is a compression, which cannot raise the top eigenvalue of a PSD
-matrix.  Above dimension 32 the stored value is a Krylov Ritz value plus
-5e-13 once a deflation bound certifies it as an upper bound to rounding
-(`_top_eigenvalue`).  A prefix whose bound misses the threshold ends the
-sweep.  The paper proposes members from nets sized by a flatness scale
-mu(eps, eta), which need over 1e29 grid points on one qubit, and completes
-them with a spread-out remainder through constrained polynomial
-optimization; at desk scale the sweep replaces both, and the reduction's
-solver runs standalone as `polyopt.solve_constrained`.
-`estimate_opt` wraps the builder in a bisection over eta to estimate the
-best product-state fidelity with a witness.  Its levels share each
-prefix's purchase and the sweeps run on it: a root's sweep that no
-separation check turned down is stored beside the purchase and read back
-by a later level whose members all stay clear of its steps.
+separation bound from every member already accepted at that prefix.
+Uncapped, the roots of a prefix share one purchase and none rotates it: a
+product unitary maps product states to product states, so a root-frame
+row maps back through the root's adjoint site rotations.  A cut row is no
+product, so under a degree cap each root buys its own weight-<= d block,
+measured in its frame by the oracle.  Each estimate is hermitised once,
+when bought, and stored beside its top eigenvalue, which bounds the score
+of every root that reads it; above dimension 32, a Krylov Ritz value plus
+5e-13 once a deflation bound certifies it (`_top_eigenvalue`).  A root
+whose bound misses the threshold proposes nothing.  The paper proposes
+members from nets sized by a flatness scale mu(eps, eta), which need over
+1e29 grid points on one qubit, and completes them with a spread-out
+remainder through constrained polynomial optimization; at desk scale the
+sweep replaces both, and the reduction's solver runs standalone as
+`polyopt.solve_constrained`.  `estimate_opt` wraps the builder in a
+bisection over eta to estimate the best product-state fidelity with a
+witness.  Its levels share each purchase and the sweeps run on it: a
+root's sweep that no separation check turned down is stored beside the
+purchase and read back by a later level whose members clear its steps.
 """
 
 from __future__ import annotations
@@ -52,13 +48,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PromiseViolationError
-from .oracle import StateOracle, estimate_fidelity, subspace_tomography, tomography_copy_cost
+from .oracle import (StateOracle, estimate_fidelity, subspace_tomography, tomography_copy_cost,
+                     weight_leq_indices)
 from .states import (
     ProductParams,
     Z_MAX,
     _top_pair,
-    apply_sites,
-    hamming_weights,
     product_vectors,
     recenter_unitaries,
     site_stack,
@@ -96,17 +91,17 @@ _CEILING_SLACK = 5e-13
 class CoverOverrides:
     """Tuning knobs of the cover search.
 
-    `degree_cap` bounds the excitation weight kept by each prefix's truncated
-    tomography (None keeps every weight), and `tomo_eps` sets the
-    tomography accuracy (None: eps/8 of the level).
+    `degree_cap` >= 1 bounds the excitation weight, in each root's frame, of
+    the block a root buys (None: every weight, one block per prefix), and
+    `tomo_eps` sets the tomography accuracy (None: eps/8 of the level).
     """
 
     degree_cap: int | None = None
     tomo_eps: float | None = None
 
     def __post_init__(self):
-        if self.degree_cap is not None and self.degree_cap < 0:
-            raise ValueError("degree_cap must be nonnegative")
+        if self.degree_cap is not None and self.degree_cap < 1:
+            raise ValueError("degree_cap must be a positive integer")
         if self.tomo_eps is not None and not 0.0 < self.tomo_eps < 1.0:
             raise ValueError("tomo_eps must lie in (0, 1)")
 
@@ -157,7 +152,7 @@ class CoverParams:
     # --- per-prefix schedule -------------------------------------------
 
     def degree(self, m: int) -> int:
-        """Excitation-weight kept by the prefix-m truncated tomography."""
+        """Excitation weight kept by the prefix-m tomography: m means no cut."""
         cap = self.overrides.degree_cap
         return m if cap is None else min(m, cap)
 
@@ -181,19 +176,6 @@ class Cover:
 
 
 # --- candidate search internals ---------------------------------------------
-
-
-def _purchase_rows(sites: np.ndarray, adjoints: np.ndarray, d: int) -> np.ndarray:
-    """Rows U^dagger P_d |s> of root-frame site vectors s, in the purchase frame.
-
-    `sites` stacks (k, m, 2) root-frame site vectors, `adjoints` are the
-    root's (m, 2, 2) stacked U_i^dagger and P_d keeps excitation weight
-    <= d.  A cut row is no longer a product, so it maps back through
-    `apply_sites`.
-    """
-    amps = product_vectors(sites)
-    amps[:, hamming_weights(sites.shape[1]) > d] = 0.0
-    return apply_sites(adjoints, amps.T).T
 
 
 def _pair_rows(left: np.ndarray, cols: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -264,22 +246,27 @@ def _certified_ritz_value(rho: np.ndarray) -> float | None:
 def _sweep(rho: np.ndarray, root: ProductParams, d: int, far):
     """(point, score, steps) of the constrained site sweep from `root` on the purchase rho.
 
-    The sweep keeps the purchase-frame site vectors t_i = U_i^dagger s_i of
-    the root-frame point s and reads the point's parameters from them.
-    Uncut (d >= m), the pair of rows at site i is left (x) U_i^dagger e_a
-    (x) right, with left and right the products of the t's before and after
-    i: the prefix products are grown along the sweep and the suffix
-    products rebuilt once per sweep.  Cut, the pair is rebuilt from s by
-    `_purchase_rows`.  `steps` holds every point a separation check let
-    through, or is None when a check turned a step down.
+    The pair of rows at site i is left (x) C_i e_a (x) right, a = 0, 1, on
+    the purchase's coordinates, left and right the products of the site
+    vectors before and after i: the prefix products are grown along the
+    sweep, the suffix products rebuilt once per sweep.  On a shared
+    purchase (d = m) C_i = U_i^dagger, U the root's recentring, and every
+    coordinate is read; on a root's own (d < m) C_i = I, the weight-<= d
+    strings are read and the site vectors map to the point by U^dagger.
+    `steps` holds every point a separation check let through, or is None
+    when a check turned a step down.
     """
     m = root.n
     adjoints = np.array(recenter_unitaries(root)).conj().transpose(0, 2, 1)
-    cut = d < m
-    frame = np.zeros((m, 2), dtype=complex)
-    frame[:, 0] = 1.0
-    sites = adjoints[:, :, 0].copy()
-    row = _purchase_rows(frame[None], adjoints, d)[0] if cut else product_vectors(sites[None])[0]
+    own = d < m
+    cols = np.broadcast_to(np.eye(2, dtype=complex), adjoints.shape) if own else adjoints
+    coords = weight_leq_indices(m, d) if own else slice(None)
+
+    def params_of(sites):
+        return vector_to_params(np.einsum("kab,kb->ka", adjoints, sites) if own else sites)
+
+    sites = cols[:, :, 0].copy()
+    row = product_vectors(sites[None])[0, coords]
     score = float(np.real(row.conj() @ rho @ row))
     steps: list[ProductParams] | None = []
     for _ in range(50):
@@ -288,19 +275,14 @@ def _sweep(rho: np.ndarray, root: ProductParams, d: int, far):
         for t in sites[:0:-1]:
             rights.insert(0, np.multiply.outer(t, rights[0]).ravel())
         for i in range(m):
-            if cut:
-                pair = np.repeat(frame[None], 2, axis=0)
-                pair[:, i] = np.eye(2)
-                rows = _purchase_rows(pair, adjoints, d)
-            else:
-                rows = _pair_rows(left, adjoints[i], rights[i])
+            rows = _pair_rows(left, cols[i], rights[i])[:, coords]
             val, vec = _top_pair(rows.conj() @ rho @ rows.T)
             if val > score:
                 trial = sites.copy()
-                trial[i] = adjoints[i] @ vec
-                point = vector_to_params(trial)
+                trial[i] = cols[i] @ vec
+                point = params_of(trial)
                 if far(point):
-                    frame[i], sites, score = vec, trial, val
+                    sites, score = trial, val
                     if steps is not None:
                         steps.append(point)
                 else:
@@ -308,7 +290,7 @@ def _sweep(rho: np.ndarray, root: ProductParams, d: int, far):
             left = np.multiply.outer(left, sites[i]).ravel()
         if score - start < 1e-10:
             break
-    return vector_to_params(sites), score, steps
+    return params_of(sites), score, steps
 
 
 class _Sweeps(dict):
@@ -321,19 +303,24 @@ class _Sweeps(dict):
     run = reused = 0
 
 
+def _clears(point: ProductParams, members, b: float) -> bool:
+    """Whether `point` lies at tangent distance at least b from every one of `members`."""
+    return all(tangent_distance(point, member) >= b for member in members)
+
+
 def _polish(rho: np.ndarray, root: ProductParams, members, params: CoverParams,
             sweeps: _Sweeps) -> ProductParams | None:
     """The new cover member one constrained site sweep finds from `root`, or None.
 
     The sweep runs in the root's frame, where the root is |0...0>, on site
-    vectors s scored by <s| P_d U rho U^dagger P_d |s> on the purchase rho,
-    U the root's recentring and d = params.degree(m).  The score is
-    quadratic in each site, so a site's best vector is the top eigenvector
-    of the 2x2 matrix of the rows with e_0 or e_1 there (`_top_pair`, on
-    rows from `_sweep`'s cached products).  It is taken when
-    it raises the score and keeps the point's tangent distance to each of
-    `members` (original frame) at least params.b; a root closer than that
-    yields nothing.  Sweeps stop on a gain below 1e-10, or after 50.
+    vectors s scored by <s| P_d U rho_[m] U^dagger P_d |s> as the purchase
+    rho holds it, U the root's recentring and d = params.degree(m).  The
+    score is quadratic in each site, so a site's best vector is the top
+    eigenvector of the 2x2 matrix of the rows with e_0 or e_1 there
+    (`_top_pair`, on rows from `_sweep`'s cached products).  It is taken
+    when it raises the score and keeps the point's tangent distance to each
+    of `members` (original frame) at least params.b; `_build` turns a root
+    closer than that away.  Sweeps stop on a gain below 1e-10, or after 50.
     Returns the point (original frame) if its score reaches eta - eps/2.
 
     `sweeps` holds, per root.z, the (point, score, steps) of a sweep on rho
@@ -342,10 +329,8 @@ def _polish(rho: np.ndarray, root: ProductParams, members, params: CoverParams,
     on rho, the point and its check, so the sweep would take the same steps.
     """
     def far(point):
-        return all(tangent_distance(point, member) >= params.b for member in members)
+        return _clears(point, members, params.b)
 
-    if not far(root):
-        return None
     path = sweeps.get(root.z)
     if path is not None and all(far(point) for point in path[2]):
         sweeps.reused += 1
@@ -367,19 +352,18 @@ def _build(o: StateOracle, params: CoverParams,
            prefix_cache: tuple[dict, float] | None = None):
     """Sweep the register, returning the cover of the full register.
 
-    Truncations are looked up in a dict keyed by (m, degree, tomo_eps), and
-    a missing one is bought and stored by `_purchase`: its Hermitian part
-    and that part's top eigenvalue, the ceiling of every root at that
-    prefix: recentering is a product unitary and the weight cut a
-    compression, so no root's truncated overlap exceeds it (the truncation
-    is PSD).  A prefix whose ceiling misses eta - eps/2 ends the sweep with
-    an empty cover.  Each root of the prefix proposes at most one member,
-    polished on that one stored matrix, in the frame it was measured in.
-    Beside each purchase a `_Sweeps` dict keeps the reusable sweeps run on
-    it, so levels that share the purchase share them too (`_polish`).
-    The k-th distinct purchase at prefix m gets failure probability
-    prefix_delta * 2^-k, so one prefix's purchases sum below prefix_delta
-    however many levels share the dict.
+    Purchases are looked up in a dict and a missing one is bought and stored
+    by `_purchase`: its Hermitian part and that part's top eigenvalue, the
+    ceiling of every root that reads it, beside a `_Sweeps` dict of the
+    reusable sweeps run on it, which levels sharing the purchase share too
+    (`_polish`).  At degree(m) = m a prefix buys one purchase, keyed (m, m,
+    tomo_eps); below, each root buys its own block in its frame, keyed (m,
+    degree(m), tomo_eps, root.z).  A root that fails the separation bound
+    to the members accepted before it buys nothing, one whose ceiling
+    misses eta - eps/2 proposes nothing, and the others propose at most one
+    member each.  The k-th distinct shared purchase at prefix m gets failure
+    probability prefix_delta * 2^-k, so they sum below prefix_delta however
+    many levels share the dict; a root's own block gets delta_call.
     `prefix_cache` is a caller's (dict, prefix_delta) pair; without one a
     fresh dict is used with prefix_delta = 2 * delta_call, so each prefix is
     bought once at the same failure share as every fidelity estimate.
@@ -389,9 +373,10 @@ def _build(o: StateOracle, params: CoverParams,
     """
     n = o.n
     cap = params.member_cap
-    # Per prefix: one purchase at delta_call, and one fidelity estimate for
-    # each of the 6 roots of each of at most `cap` members of the prefix before.
-    per_level = 1 + 6 * cap
+    capped = params.degree(n) < n
+    # Per prefix, each of at most 6 * cap roots (6 branches of each member
+    # before) makes a fidelity estimate and, under a cap, a purchase.
+    per_level = 1 + (12 if capped else 6) * cap
     delta_call = params.delta / (n * per_level)
     if prefix_cache is None:
         prefix_cache = ({}, 2.0 * delta_call)
@@ -402,21 +387,28 @@ def _build(o: StateOracle, params: CoverParams,
         return prefix_delta * 2.0 ** -(1 + sum(prev[0] == m for prev in bought))
 
     d = params.degree(n)
-    if (n, d, params.tomo_eps) not in bought:
+    if capped or (n, d, params.tomo_eps) not in bought:
         dim = 1 + sum(math.comb(n, j) for j in range(d + 1))
-        o._check_shots(tomography_copy_cost(dim, params.tomo_eps, purchase_delta(n)))
+        o._check_shots(tomography_copy_cost(dim, params.tomo_eps,
+                                            delta_call if capped else purchase_delta(n)))
     members: list[ProductParams] = [ProductParams(())]
     for m in range(1, n + 1):
-        key = (m, params.degree(m), params.tomo_eps)
-        if key not in bought:
-            bought[key] = (*_purchase(subspace_tomography(o, *key, purchase_delta(m))), _Sweeps())
-        rho, ceiling, sweeps = bought[key]
-        # No unit vector beats the ceiling, so neither will any candidate.
-        if ceiling < thresh - 1e-12:
-            members = []
+        d = params.degree(m)
         new: list[ProductParams] = []
         for root in (ProductParams(prev.z + (branch,))
                      for prev in members for branch in LOCAL_NET):
+            if not _clears(root, new, params.b):
+                continue
+            key = (m, d, params.tomo_eps) + ((root.z,) if d < m else ())
+            if key not in bought:
+                block = subspace_tomography(o, m, d, params.tomo_eps,
+                                            delta_call if d < m else purchase_delta(m),
+                                            frame=recenter_unitaries(root) if d < m else None)
+                bought[key] = (*_purchase(block), _Sweeps())
+            rho, ceiling, sweeps = bought[key]
+            # No unit vector beats the ceiling, so neither will any candidate.
+            if ceiling < thresh - 1e-12:
+                continue
             cand = _polish(rho, root, new, params, sweeps)
             if cand is None:
                 continue
@@ -437,10 +429,10 @@ def _build(o: StateOracle, params: CoverParams,
 def build_cover(o: StateOracle, params: CoverParams) -> Cover:
     """Build a cover of the fidelity-eta product states of the full register.
 
-    Uses one truncated tomography call per prefix length plus one fidelity
-    estimate per accepted-or-rejected candidate; the failure probabilities
-    of all calls sum to at most params.delta.  Returns an empty cover when
-    no product state reaches fidelity eta - eps at some prefix.
+    Uses one tomography call per prefix length, or under a degree cap per
+    root, plus one fidelity estimate per accepted-or-rejected candidate; the
+    failure probabilities of all calls sum to at most params.delta.  Returns
+    an empty cover when no product state reaches eta - eps at some prefix.
     """
     return _build(o, params)
 
@@ -461,18 +453,18 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
     the best measured member of the last nonempty cover, or (0.0, None)
     when every probed level came up empty.
 
-    Each prefix is measured once per call: the levels share one truncated
-    tomography per distinct (m, degree(m), tomo_eps), and a level asking
-    for a finer tomo_eps (eta < 4 eps) buys a new one.  They share the
-    sweeps run on each purchase as well: a root's sweep is read back, not
-    rerun, while every step it took clears the level's separation bound to
-    the members accepted before it, which leaves every output unchanged.
+    Each purchase is made once per call: the levels share one tomography
+    per distinct (m, degree(m), tomo_eps), under a cap per root as well, and
+    a level asking for a finer tomo_eps (eta < 4 eps) buys a new one.  They
+    share the sweeps run on each purchase too: a root's sweep is read back,
+    not rerun, while every step it took clears the level's separation bound
+    to the members accepted before it, which leaves every output unchanged.
     Under PRODSTATE_LOG=INFO each level logs one line: eta, members,
     purchases held, and the sweeps it ran and read back.  Failure budget:
-    the tomography purchases share delta/2, the k-th distinct purchase at a
-    prefix getting delta/(2n) * 2^-k.  The other delta/2 goes to the
-    levels: each level's cover fidelity estimates share
-    delta/(4 * iterations), and so do its witness estimates.
+    the shared purchases take delta/2, the k-th distinct one at a prefix
+    getting delta/(2n) * 2^-k.  The other delta/2 goes to the levels: each
+    level's cover estimates, and under a cap its roots' own purchases,
+    share delta/(4 * iterations), and so do its witness estimates.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -481,7 +473,7 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
     iterations = math.ceil(math.log2(1.0 / eps)) + 2
     delta_iter = delta / (4 * iterations)
     prefix_delta = delta / (2 * o.n)
-    bought: dict[tuple[int, int, float], tuple[np.ndarray, float, _Sweeps]] = {}
+    bought: dict[tuple, tuple[np.ndarray, float, _Sweeps]] = {}
 
     lo, hi = 0.0, 1.0
     eta = 0.5

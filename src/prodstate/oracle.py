@@ -22,7 +22,7 @@ fidelity estimation.  Two backends share signatures and copy accounting:
 
 Sampling measures a compressed register, the block read plus one junk slot
 (`_with_junk_slot`): on the product rows <0^n|U, <e_i|U for amplitudes
-(`_frame_read`), on the weight-<= d strings for subspace tomography.
+(`_frame_read`), on the weight-<= d strings of a frame for subspace tomography.
 
 The shadow primitives average all their shots in one group, sized by matrix
 Bernstein (`bernstein_shots`): N(d, eps, delta) =
@@ -47,6 +47,8 @@ import numpy as np
 
 from .errors import ResourceBudgetError
 from .states import (
+    DEFAULT_ATOL,
+    FactoredDensity,
     QuantumState,
     _flip_read,
     _mapped,
@@ -54,6 +56,7 @@ from .states import (
     _operator,
     _overlaps,
     _sandwich,
+    apply_sites,
     check_dense_budget,
     hamming_weights,
     haar_state,
@@ -381,18 +384,21 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
 
 
 def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
-                        delta: float) -> np.ndarray:
+                        delta: float, frame=None) -> np.ndarray:
     """Estimate the low-excitation block of the first-`prefix_m`-sites marginal.
 
-    Returns a 2^m x 2^m PSD matrix of trace <= 1 supported on computational
-    strings of Hamming weight <= d, within operator-norm eps of the true
-    weight-truncated marginal with probability >= 1 - delta.  A matrix above
-    states.DENSE_BUDGET raises ResourceBudgetError before any copy is drawn.
+    Returns the W x W block of rho_[m] on the W strings of Hamming weight
+    <= d, in `weight_leq_indices` order: PSD, of trace <= 1, and within
+    operator-norm eps of the true block w.p. 1 - delta.  `frame`, a stack of
+    m single-site unitaries U_i, measures U rho_[m] U* instead, U = (x) U_i
+    applied to the marginal's factor site by site.  A stack of another
+    shape, or not unitary on a state with a shift (see `states._mapped`),
+    raises ValueError, and a block above states.DENSE_BUDGET
+    ResourceBudgetError, before any copy is drawn.
 
-    The sampling backend averages the shadows of the (W+1)-dim compressed
-    register, W the number of weight-<= d strings, to operator-norm eps/2
-    w.p. 1 - delta; the W x W block of that mean is as close to the target,
-    and `_project_psd` at most doubles the error.
+    The sampling backend averages the (W+1)-dim compressed register's
+    shadows to operator-norm eps/2 w.p. 1 - delta; their W x W block is as
+    close to the target, and `_project_psd` at most doubles the error.
 
     Copies: tomography_copy_cost(W + 1, eps, delta) on both backends.
     """
@@ -403,29 +409,31 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
         raise ValueError("prefix_m out of range")
     if not (0 <= d <= prefix_m):
         raise ValueError("d out of range")
-    check_dense_budget((2**prefix_m, 2**prefix_m))
+    us = np.eye(2) if frame is None else np.asarray(frame, dtype=complex)
+    if frame is not None and us.shape != (prefix_m, 2, 2):
+        raise ValueError(f"frame needs shape ({prefix_m}, 2, 2), got {us.shape}")
+    if o.rho.shift and np.abs(us @ us.conj().swapaxes(-1, -2) - np.eye(2)).max() > DEFAULT_ATOL:
+        raise ValueError("a state with a shift is measured only in a unitary frame")
     idx = weight_leq_indices(prefix_m, d)
     w = len(idx)
-    dim = w + 1
-    copies = tomography_copy_cost(dim, eps, delta)
-
-    block = _sandwich(_marginal(o.rho, n, range(prefix_m)), idx)
-    full = np.zeros((2**prefix_m, 2**prefix_m), dtype=complex)
+    check_dense_budget((w, w))
+    copies = tomography_copy_cost(w + 1, eps, delta)
+    rho = _marginal(o.rho, n, range(prefix_m))
+    if frame is not None:
+        rho = FactoredDensity(apply_sites(us, rho.factor), rho.shift)
+    block = _sandwich(rho, idx if d < prefix_m else slice(None))
 
     if o.backend == "exact":
         o._charge(copies)
         scale = o._noise_scale(eps)
-        if scale != 0.0:
-            block = block + scale * _random_hermitian_unit(o._rng, w, "op")
-            block = _project_psd(block)
-        full[np.ix_(idx, idx)] = block
-        return full
+        if scale == 0.0:
+            return block
+        return _project_psd(block + scale * _random_hermitian_unit(o._rng, w, "op"))
 
     o._check_shots(copies)
     est = _shadow_mean(o._rng, _with_junk_slot(block), copies)[:w, :w]
     o._charge(copies)
-    full[np.ix_(idx, idx)] = _project_psd(est)
-    return full
+    return _project_psd(est)
 
 
 def _frame_maps(frame, n: int, zeroed_prefix: int) -> list[np.ndarray]:

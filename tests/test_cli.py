@@ -455,8 +455,9 @@ def test_polyopt_tiny_budget_exits_two(capsys):
 def test_out_of_range_cover_knobs_exit_one(tmp_path, capsys):
     inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "4", "--w", "0.95",
                 "--seed", "3")
-    assert main(["cover", "estimate-opt", inst, "--degree-cap", "-1"]) == 1
-    assert "degree_cap" in capsys.readouterr().err
+    for cap in ("-1", "0"):
+        assert main(["cover", "estimate-opt", inst, "--degree-cap", cap]) == 1
+        assert "degree_cap" in capsys.readouterr().err
     # The cover search has no grid budget: the flag is refused as unknown.
     for mode in ("build", "estimate-opt"):
         assert main(["cover", mode, inst, "--net-budget", "10"]) == 1

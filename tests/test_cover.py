@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from prodstate import cover as cover_module
+from prodstate import oracle as oracle_module
 from prodstate.bruteforce import best_product_fidelity
 from prodstate.cli import generate
 from prodstate.cover import (
@@ -22,16 +23,17 @@ from prodstate.cover import (
     DESK_OVERRIDES,
     LOCAL_NET,
     _Sweeps,
+    _clears,
+    _pair_rows,
     _polish,
     _purchase,
-    _purchase_rows,
     _top_eigenvalue,
     build_cover,
     estimate_opt,
 )
 from prodstate.errors import ResourceBudgetError
 from prodstate.instances import planted_mixture, random_mixed
-from prodstate.oracle import StateOracle
+from prodstate.oracle import StateOracle, subspace_tomography, weight_leq_indices
 from prodstate.serialize import state_from_json
 from prodstate.states import (
     ProductParams,
@@ -40,6 +42,7 @@ from prodstate.states import (
     haar_product_params,
     product_state_vector,
     product_unitary,
+    product_vectors,
     recenter_unitaries,
     tangent_distance,
     transform_params,
@@ -110,9 +113,21 @@ def test_local_net_covers_single_site():
 # --- branch search -------------------------------------------------------------
 
 
+def own_block(truncation, root, d):
+    """The root's own purchase: the weight-<= d block of `truncation` in the
+    root's frame, as the exact oracle measures it on that marginal."""
+    o = StateOracle(dense_mixed(truncation))
+    return subspace_tomography(o, root.n, d, 0.5, 0.5, frame=recenter_unitaries(root))
+
+
 def polish_candidate(truncation, members, root, params):
-    """Buy the truncation, then polish `root` on it."""
-    rho, _ = _purchase(truncation)
+    """Polish `root` as `_build` does: turn it away unless it clears the
+    members, then buy the truncation (under a cap, the root's own block of
+    it) and polish the root on that purchase."""
+    if not _clears(root, members, params.b):
+        return None
+    d = params.degree(root.n)
+    rho, _ = _purchase(truncation if d == root.n else own_block(truncation, root, d))
     return _polish(rho, root, members, params, _Sweeps())
 
 
@@ -128,9 +143,22 @@ def adjoints_of(root):
 
 
 def purchase_scores(rho, points, root, d):
-    """Scores of root-frame parameter rows by `_purchase_rows` on the purchase rho."""
-    rows = _purchase_rows(site_rows(points), adjoints_of(root), d)
-    return np.real(((rows @ rho.T) * rows.conj()).sum(axis=1))
+    """Scores of root-frame parameter rows on the purchase rho by the sweep's
+    row builder: site 1's pair of rows `_pair_rows(1, C_1, right)` against the
+    product of the other sites' C_j s_j, contracted with s_1 and read on the
+    purchase's coordinates.  On a shared purchase (d = m) C = U^dagger and
+    every coordinate is read; on a root's own (d < m) C = I and the
+    weight-<= d strings are."""
+    m = root.n
+    own = d < m
+    cols = np.broadcast_to(np.eye(2), (m, 2, 2)) if own else adjoints_of(root)
+    coords = weight_leq_indices(m, d) if own else slice(None)
+    scores = []
+    for sites in site_rows(points):
+        right = product_vectors((cols[1:] @ sites[1:, :, None])[None, :, :, 0])[0]
+        row = sites[0] @ _pair_rows(np.ones(1), cols[0], right)[:, coords]
+        scores.append(np.real(row.conj() @ rho @ row))
+    return np.array(scores)
 
 
 def test_extend_finds_planted_origin():
@@ -251,11 +279,16 @@ def test_top_eigenvalue_is_certified_from_above(monkeypatch):
         assert _top_eigenvalue(rho) == eigvalsh(rho)[-1] and solves == [len(rho)]
 
 
-def test_uncapped_sweep_rows_are_the_kron_rows_of_its_point(monkeypatch):
-    # Uncut, the sweep builds the pair of rows at site i from cached prefix
-    # and suffix products of its purchase-frame sites t = U^dagger s: each
-    # pair is the Kronecker rows of the current point with U_i^dagger e_a at
-    # site i, and the point returned is read off the t's.
+def replay_sweeps(monkeypatch, cases):
+    """Run `_sweep` on each (rho, root, d) of `cases` and replay its pairs of
+    rows against the Kronecker rows of its current point.
+
+    On a shared purchase (d = m) the sweep's sites are t = U^dagger s, and
+    the pair at site i has U_i^dagger e_a there; on a root's own (d < m) the
+    sites are the root-frame s, with e_a at site i, and only the weight-<= d
+    entries are read.  The point returned is read off t = U^dagger s either
+    way.  Returns the (pairs, steps) replayed.
+    """
     events = []
     pair_rows, top_pair = cover_module._pair_rows, cover_module._top_pair
 
@@ -273,32 +306,61 @@ def test_uncapped_sweep_rows_are_the_kron_rows_of_its_point(monkeypatch):
 
     monkeypatch.setattr(cover_module, "_pair_rows", recording_pair_rows)
     monkeypatch.setattr(cover_module, "_top_pair", recording_top_pair)
-    rng = np.random.default_rng(3131)
     pairs = steps = 0
-    for m in range(1, 7):
-        truncation, root, _ = seeded_branch(rng, m, 0)
-        rho, _ = _purchase(truncation)
+    for rho, root, d in cases:
+        m = root.n
         events.clear()
-        point, _, taken = cover_module._sweep(rho, root, m, far)
+        point, _, taken = cover_module._sweep(rho, root, d, far)
         adjoints = adjoints_of(root)
-        sites = list(adjoints[:, :, 0])
+        cols = adjoints if d == m else np.broadcast_to(np.eye(2), (m, 2, 2))
+        sites = list(cols[:, :, 0])
         visited = 0
         for event in events:
             if isinstance(event, np.ndarray):
                 i = visited % m
-                want = [reference_kron(sites[:i] + [adjoints[i][:, a]] + sites[i + 1:])
+                want = [reference_kron(sites[:i] + [cols[i][:, a]] + sites[i + 1:])
                         for a in (0, 1)]
                 assert np.abs(event - np.array(want)).max() <= 1e-14
                 visited += 1
             elif isinstance(event, tuple):
                 vec = event[1]
             else:
-                sites[i] = adjoints[i] @ vec
+                sites[i] = cols[i] @ vec
                 steps += 1
         pairs += visited
         assert len(taken) == sum(isinstance(event, ProductParams) for event in events)
-        assert point == vector_to_params(np.array(sites))
+        assert point == vector_to_params(np.einsum("kab,kb->ka", adjoints, sites)
+                                         if d < m else np.array(sites))
+    return pairs, steps
+
+
+def test_uncapped_sweep_rows_are_the_kron_rows_of_its_point(monkeypatch):
+    # Uncut, the sweep builds the pair of rows at site i from cached prefix
+    # and suffix products of its purchase-frame sites t = U^dagger s: each
+    # pair is the Kronecker rows of the current point with U_i^dagger e_a at
+    # site i, and the point returned is read off the t's.
+    rng = np.random.default_rng(3131)
+    cases = []
+    for m in range(1, 7):
+        truncation, root, _ = seeded_branch(rng, m, 0)
+        cases.append((_purchase(truncation)[0], root, m))
+    pairs, steps = replay_sweeps(monkeypatch, cases)
     assert pairs >= 30 and steps >= 6
+
+
+def test_capped_sweep_rows_are_the_root_frame_kron_rows_of_its_point(monkeypatch):
+    # On a root's own purchase the same row builder runs on the root-frame
+    # sites s with C_i = I: each pair is the Kronecker rows of the current
+    # root-frame point with e_a at site i, read on the weight-<= d strings,
+    # and the point returned is U^dagger s.
+    rng = np.random.default_rng(3232)
+    cases = []
+    for m in range(2, 7):
+        truncation, root, _ = seeded_branch(rng, m, 0)
+        for d in range(1, m):
+            cases.append((_purchase(own_block(truncation, root, d))[0], root, d))
+    pairs, steps = replay_sweeps(monkeypatch, cases)
+    assert pairs >= 60 and steps >= 15
 
 
 def test_default_knobs_run_the_desk_nets():
@@ -314,15 +376,18 @@ def test_default_knobs_run_the_desk_nets():
 
 
 def test_out_of_range_knobs_are_refused():
-    for bad in ({"degree_cap": -1}, {"tomo_eps": -1.0}, {"tomo_eps": 0.0},
-                {"tomo_eps": 1.0}, {"tomo_eps": 2.0}):
+    # A cap of 0 leaves one number per root, on which no sweep step moves.
+    for bad in ({"degree_cap": -1}, {"degree_cap": 0}, {"tomo_eps": -1.0},
+                {"tomo_eps": 0.0}, {"tomo_eps": 1.0}, {"tomo_eps": 2.0}):
         with pytest.raises(ValueError):
             CoverOverrides(**bad)
-    assert CoverParams(0.5, 0.1, 0.1, CoverOverrides(degree_cap=0)).degree(3) == 0
+    assert [CoverParams(0.5, 0.1, 0.1, CoverOverrides(degree_cap=1)).degree(m)
+            for m in (1, 3)] == [1, 1]
 
 
 def test_batch_overlap_matches_three_operand_einsum():
-    # Root-frame rows are mapped back by the dense adjoint frame of a Haar root.
+    # On a shared purchase the sweep's rows of root-frame points are the rows
+    # mapped back by the dense adjoint frame of a Haar root.
     rng = np.random.default_rng(17)
     for m, count in ((1, 5), (3, 700), (6, 40)):
         a = rng.standard_normal((2**m, 2**m)) + 1j * rng.standard_normal((2**m, 2**m))
@@ -353,22 +418,29 @@ def test_build_cover_pure_origin():
 
 
 def test_build_prepares_each_root_once(monkeypatch):
-    # Each root is polished once, and recentred once if it clears the
-    # separation bound to the members accepted before it; else not at all.
-    roots, prepared, cleared = [], [], []
-    recenter, polish = cover_module.recenter_unitaries, cover_module._polish
+    # Each root is considered once.  One that clears the separation bound to
+    # the members accepted before it is polished and recentred once; one
+    # that does not is neither.
+    roots, prepared, polished = [], [], []
+    recenter, polish, clears = (cover_module.recenter_unitaries, cover_module._polish,
+                                cover_module._clears)
 
     def counting_recenter(root):
         prepared.append(root)
         return recenter(root)
 
+    def recording_clears(point, members, b):
+        if sys._getframe(1).f_code.co_name == "_build":
+            roots.append(point)
+        return clears(point, members, b)
+
     def recording_polish(rho, root, members, params, *rest):
-        roots.append(root)
-        if all(tangent_distance(root, member) >= params.b for member in members):
-            cleared.append(root)
+        assert all(tangent_distance(root, member) >= params.b for member in members)
+        polished.append(root)
         return polish(rho, root, members, params, *rest)
 
     monkeypatch.setattr(cover_module, "recenter_unitaries", counting_recenter)
+    monkeypatch.setattr(cover_module, "_clears", recording_clears)
     monkeypatch.setattr(cover_module, "_polish", recording_polish)
     bell = np.zeros(4)
     bell[0] = bell[3] = 2**-0.5
@@ -377,7 +449,7 @@ def test_build_prepares_each_root_once(monkeypatch):
     assert len(cover) == 2
     # Two prefix-1 members, each branched over LOCAL_NET at prefix 2.
     assert len(roots) == len(set(roots)) == 3 * len(LOCAL_NET)
-    assert prepared == cleared and len(cleared) < len(roots)
+    assert prepared == polished and len(set(polished)) == len(polished) < len(roots)
 
 
 def test_build_cover_mixed_is_empty():
@@ -529,18 +601,21 @@ def planted_three_qubit_oracle():
     return StateOracle(planted_three_qubit_state(), seed=32)
 
 
-def recording(monkeypatch, name, calls):
+def recording(monkeypatch, name, calls, frames=None):
     """Patch cover.<name> to append (name, args, delta) to `calls`, then run it.
 
     An `estimate_fidelity` stack of k rows is k measured calls and appends k
-    entries.
+    entries.  A `subspace_tomography` call also appends its frame to
+    `frames`, if given.
     """
     inner = getattr(cover_module, name)
 
-    def wrapped(o, *args):
+    def wrapped(o, *args, **kwargs):
         rows = len(args[1]) if name == "estimate_fidelity" else 1
         calls.extend([(name, args[:-1], args[-1])] * rows)
-        return inner(o, *args)
+        if frames is not None:
+            frames.append(kwargs.get("frame"))
+        return inner(o, *args, **kwargs)
 
     monkeypatch.setattr(cover_module, name, wrapped)
 
@@ -579,6 +654,77 @@ def test_build_cover_buys_each_prefix_at_the_per_call_share(monkeypatch):
     assert all(d == delta_call for _, _, d in calls)
 
 
+def test_build_cover_buys_each_capped_root_at_the_per_call_share(monkeypatch):
+    # Under a cap a prefix above it buys one block per root and makes one
+    # fidelity estimate per root, at most 6 * cap of each, all at delta_call
+    # = delta / (n (1 + 12 cap)); the prefix within the cap buys its one
+    # shared purchase at the same share.
+    calls, frames = [], []
+    recording(monkeypatch, "subspace_tomography", calls, frames)
+    recording(monkeypatch, "estimate_fidelity", calls)
+    o = planted_three_qubit_oracle()
+    params = CoverParams(0.5, 0.1, 0.1, CoverOverrides(degree_cap=1))
+    build_cover(o, params)
+    cap = params.member_cap
+    delta_call = params.delta / (o.n * (1 + 12 * cap))
+    bought = [(args[:2], frame is None) for (_, args, _), frame
+              in zip((call for call in calls if call[0] == "subspace_tomography"), frames)]
+    assert bought[0] == ((1, 1), True)
+    assert {key for key, _ in bought[1:]} == {(2, 1), (3, 1)}
+    assert not any(shared for _, shared in bought[1:])
+    assert all(d == delta_call for _, _, d in calls)
+    assert sum(name == "estimate_fidelity" for name, _, _ in calls) >= o.n
+
+
+def test_a_capped_root_buys_its_block_only_when_it_clears_separation(monkeypatch):
+    # Within one level the blocks bought above the cap are exactly those of
+    # the roots that clear the separation bound, in order; the roots turned
+    # away buy nothing.
+    calls, frames, cleared, turned_away = [], [], [], []
+    clears = cover_module._clears
+
+    def recording_clears(point, members, b):
+        ok = clears(point, members, b)
+        if sys._getframe(1).f_code.co_name == "_build" and point.n > 1:
+            (cleared if ok else turned_away).append(point)
+        return ok
+
+    recording(monkeypatch, "subspace_tomography", calls, frames)
+    monkeypatch.setattr(cover_module, "_clears", recording_clears)
+    for n, cap in ((3, 1), (4, 1), (4, 2)):
+        for seen in (calls, frames, cleared, turned_away):
+            seen.clear()
+        state = random_mixed(n, np.random.default_rng(n - 2), rank=2)
+        build_cover(StateOracle(state, seed=3),
+                    CoverParams(0.3, 0.05, 0.1, CoverOverrides(degree_cap=cap)))
+        own = [np.array(frame) for frame in frames if frame is not None]
+        want = [np.array(recenter_unitaries(root)) for root in cleared if root.n > cap]
+        assert len(own) == len(want) and all(map(np.array_equal, own, want))
+    assert turned_away
+
+
+def test_capped_estimate_opt_buys_each_root_once(monkeypatch):
+    # Bisection levels share a root's own purchase as they share a prefix's:
+    # each (m, root, tomo_eps) is bought at most once per call, though the
+    # levels clear more roots than that.
+    calls, frames, cleared = [], [], []
+    clears = cover_module._clears
+
+    def recording_clears(point, members, b):
+        ok = clears(point, members, b)
+        if ok and sys._getframe(1).f_code.co_name == "_build" and point.n > 2:
+            cleared.append(point)
+        return ok
+
+    recording(monkeypatch, "subspace_tomography", calls, frames)
+    monkeypatch.setattr(cover_module, "_clears", recording_clears)
+    estimate_opt(planted_six_qubit_oracle(), 0.1, 0.1, overrides=CoverOverrides(degree_cap=2))
+    keys = [(args, None if frame is None else np.array(frame).tobytes())
+            for (_, args, _), frame in zip(calls, frames)]
+    assert len(keys) == len(set(keys))
+    assert sum(frame is not None for frame in frames) < len(cleared)
+
+
 def test_no_prefix_estimates_more_than_six_per_previous_member(monkeypatch):
     # Each member of prefix m - 1 spawns the 6 roots of LOCAL_NET and each
     # root proposes at most one candidate, so prefix m makes at most
@@ -614,15 +760,19 @@ def test_no_prefix_estimates_more_than_six_per_previous_member(monkeypatch):
 @pytest.mark.parametrize("state", [
     "planted",
     "maximally_mixed",
+    "capped",
 ])
 def test_estimate_opt_delta_ledger(monkeypatch, state):
+    # Under a cap the per-root purchases come out of each level's share.
     calls = []
     for name in ("subspace_tomography", "estimate_fidelity"):
         recording(monkeypatch, name, calls)
-    o = (planted_three_qubit_oracle() if state == "planted"
-         else StateOracle(maximally_mixed(2), seed=33))
+    o = {"planted": planted_three_qubit_oracle,
+         "maximally_mixed": lambda: StateOracle(maximally_mixed(2), seed=33),
+         "capped": planted_sixteen_qubit_oracle}[state]()
     delta = 0.1
-    estimate_opt(o, 0.1, delta, overrides=DESK_OVERRIDES)
+    overrides = CoverOverrides(degree_cap=2 if state == "capped" else None)
+    estimate_opt(o, 0.1, delta, overrides=overrides)
     tomo_eps = {args[2] for name, args, _ in calls if name == "subspace_tomography"}
     # Levels below 4 eps ask for finer tomographies than the others.
     assert (len(tomo_eps) > 1) == (state == "maximally_mixed")
@@ -699,10 +849,12 @@ def test_estimate_opt_eigensolves_once_per_truncation(monkeypatch):
 
 
 def test_degree_capped_cuts_stay_under_stored_ceiling():
-    # Below degree m each root cuts its recentred matrix in its own frame.
-    # The cut is a compression of a PSD matrix, so the prefix estimate's top
-    # eigenvalue still tops it, though often strictly.  The dense per-root
-    # preparation is that cut, and the capped scores are overlaps with it.
+    # Below degree m each root buys its own cut, in its own frame.  Its
+    # stored ceiling is the top eigenvalue of the dense recentred cut, and
+    # the cut is a compression of a PSD matrix, so the uncut prefix's top
+    # eigenvalue still tops it, though often strictly: a capped root can
+    # exit on its own ceiling where the uncut prefix would not.  Its scores
+    # are overlaps with the cut.
     rng = np.random.default_rng(29)
     marginal = density(planted_three_qubit_state())
     lowered = 0
@@ -711,78 +863,141 @@ def test_degree_capped_cuts_stay_under_stored_ceiling():
         dim = 2**m
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         points = 1.2 * (rng.standard_normal((30, m)) + 1j * rng.standard_normal((30, m)))
+        keep = reference_weight_leq_indices(m, cap)
         for truncation in (g @ g.conj().T / np.linalg.norm(g) ** 2,
                            partial_trace(marginal, 3, list(range(m)))):
-            rho, ceiling = _purchase(truncation)
+            _, uncut = _purchase(truncation)
             for z in itertools.product(LOCAL_NET, repeat=m):
                 root = ProductParams(z)
                 cut = recentred_cut(truncation, root, cap)
                 _, ref = reference_prepare_root(truncation, root, params)
                 assert np.abs(ref - cut).max() <= 1e-12
+                rho, ceiling = _purchase(own_block(truncation, root, cap))
+                assert np.abs(rho - cut[np.ix_(keep, keep)]).max() <= 1e-12
+                top = np.linalg.eigvalsh(cut)[-1]
+                assert abs(ceiling - top) <= 1e-12 and ceiling <= uncut + 1e-12
+                lowered += ceiling < uncut - 1e-9
                 want = reference_overlap(cut, points)
                 assert np.abs(purchase_scores(rho, points, root, cap) - want).max() <= 1e-12
-                top = np.linalg.eigvalsh(cut)[-1]
-                assert top <= ceiling + 1e-12
-                lowered += top < ceiling - 1e-9
     assert lowered > 0
 
 
 def test_capped_scores_equal_the_recentred_cut_overlaps():
-    # Every cap below m, up to m = 6: a cut row mapped back to the purchase
-    # frame scores what the dense recentred cut scores.
+    # Every cap below m, up to m = 6: the sweep's rows on a root's own
+    # purchase, the oracle's block in the root's frame, score what the dense
+    # recentred cut scores.
     rng = np.random.default_rng(2626)
     for m in range(1, 7):
         dim = 2**m
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         truncation = g @ g.conj().T / np.linalg.norm(g) ** 2
-        rho, _ = _purchase(truncation)
         root = haar_product_params(rng, m)
         units = recenter_unitaries(root)
         points = 1.2 * (rng.standard_normal((40, m)) + 1j * rng.standard_normal((40, m)))
         for d in range(m):
+            rho, _ = _purchase(own_block(truncation, root, d))
             want = reference_overlap(reference_rotated_cut(truncation, units, d), points)
             assert np.abs(purchase_scores(rho, points, root, d) - want).max() <= 1e-12
 
 
 def test_degree_capped_covers_match_per_root_ceilings(monkeypatch):
-    # The stored ceiling gives the same covers as eigensolving each capped
-    # root's own dense cut, which may exit a root before its sweep.
-    polish = cover_module._polish
-    stats = {"lowered": 0, "exits": 0}
+    # Under a cap each root's ceiling is the top eigenvalue of its own dense
+    # recentred cut of the marginal, which may exit the root before its
+    # sweep: a root is polished exactly when its ceiling reaches
+    # eta - eps/2.
+    stats = {"lowered": 0, "exits": 0, "polished": 0}
+    bought, polished = [], []
+    tomography, top_eigenvalue, polish = (cover_module.subspace_tomography,
+                                          cover_module._top_eigenvalue, cover_module._polish)
 
-    def per_root_polish(rho, root, members, params, *rest):
-        m = root.n
-        if params.degree(m) < m:
-            units = recenter_unitaries(root)
-            own = float(np.linalg.eigvalsh(reference_rotated_cut(rho, units, params.degree(m)))[-1])
-            stats["lowered"] += own < float(np.linalg.eigvalsh(rho)[-1]) - 1e-9
-            if own < params.eta - 0.5 * params.eps - 1e-12:
-                stats["exits"] += 1
-                return None
-        return polish(rho, root, members, params, *rest)
+    def recording_tomography(o, m, d, *args, frame=None):
+        bought.append([m, d, frame])
+        return tomography(o, m, d, *args, frame=frame)
 
-    def outputs():
-        got = []
-        for n, cap in itertools.product((3, 4, 5), (1, 2)):
-            overrides = dataclasses.replace(DESK_OVERRIDES, degree_cap=cap)
-            state = planted_mixture(haar_product_params(np.random.default_rng(40 + n), n), 0.95)
-            for eta in (0.3, 0.5):
-                cover = build_cover(StateOracle(state, seed=n),
-                                    CoverParams(eta, 0.05, 0.1, overrides))
-                got.append(cover.members)
-            got.append(estimate_opt(StateOracle(state, seed=n), 0.1, 0.1, overrides=overrides))
-        return got
+    def recording_top(rho):
+        bought[-1].append(top_eigenvalue(rho))
+        return bought[-1][-1]
 
-    stored = outputs()
-    monkeypatch.setattr(cover_module, "_polish", per_root_polish)
-    assert outputs() == stored
-    assert any(members for members in stored[::3] + stored[1::3])
-    assert stats["lowered"] > 0 and stats["exits"] > 0
+    def recording_polish(rho, root, *rest):
+        polished.append(np.array(recenter_unitaries(root)).tobytes())
+        return polish(rho, root, *rest)
+
+    monkeypatch.setattr(cover_module, "subspace_tomography", recording_tomography)
+    monkeypatch.setattr(cover_module, "_top_eigenvalue", recording_top)
+    monkeypatch.setattr(cover_module, "_polish", recording_polish)
+    states = [planted_mixture(haar_product_params(np.random.default_rng(40 + n), n), 0.95)
+              for n in (3, 4, 5)]
+    states += [random_mixed(n, np.random.default_rng(n - 2), rank=2) for n in (3, 4)]
+    for state, cap in itertools.product(states, (1, 2)):
+        overrides = dataclasses.replace(DESK_OVERRIDES, degree_cap=cap)
+        n, full = state.n, density(state)
+        for eta in (0.3, 0.5):
+            params = CoverParams(eta, 0.05, 0.1, overrides)
+            bought.clear()
+            polished.clear()
+            build_cover(StateOracle(state, seed=n), params)
+            for m, d, frame, ceiling in bought:
+                if frame is None:
+                    continue
+                marginal = partial_trace(full, n, range(m))
+                own = np.linalg.eigvalsh(reference_rotated_cut(marginal, frame, d))[-1]
+                assert abs(ceiling - own) <= 1e-12
+                stats["lowered"] += ceiling < np.linalg.eigvalsh(marginal)[-1] - 1e-9
+                exits = ceiling < params.eta - 0.5 * params.eps - 1e-12
+                assert (np.array(frame).tobytes() in polished) != exits
+                stats["exits"] += exits
+                stats["polished"] += not exits
+    assert all(stats.values()), stats
 
 
 def planted_six_qubit_oracle():
     payload = generate("planted-product", {"n": 6, "w": 0.95, "noise": 0.05}, seed=1006)
     return StateOracle(state_from_json(payload["state"]), seed=1106)
+
+
+def planted_sixteen_qubit_oracle():
+    payload = generate("planted-product", {"n": 16, "w": 0.95, "noise": 0.05}, seed=1016)
+    return StateOracle(state_from_json(payload["state"]), seed=1116)
+
+
+def test_capped_estimate_opt_meets_opt_on_plants_and_superpositions():
+    # Each capped root buys its weight-<= d block in its own frame, so the
+    # cut keeps the plant's mass: caps 1-3 meet opt - eps on the `gen`
+    # plants at n = 6 and 8 and on a^2 = 0.5 superpositions of two Haar
+    # products at n = 4, 6 and 8, opt taken from 24 restarts.
+    eps = 0.1
+    cases = []
+    for n in (6, 8):
+        payload = generate("planted-product", {"n": n, "w": 0.95, "noise": 0.05}, seed=1000 + n)
+        cases.append((state_from_json(payload["state"]), 1100 + n,
+                      payload["ground_truth"]["opt"]))
+    for n in (4, 6, 8):
+        state = superposition(n, 5)
+        cases.append((state, 5, best_product_fidelity(state, restarts=24)[0]))
+    for (state, seed, opt), cap in itertools.product(cases, (1, 2, 3)):
+        est, witness = estimate_opt(StateOracle(state, seed=seed), eps, 0.1,
+                                    overrides=CoverOverrides(degree_cap=cap))
+        assert witness is not None, (state.n, cap)
+        got = fidelity(state, witness)
+        assert got >= opt - eps and abs(est - got) <= eps / 4.0, (state.n, cap, got, opt)
+
+
+def test_capped_estimate_opt_at_sixteen_qubits_stays_small():
+    # At n = 16, cap 2, the purchases are blocks of at most 137 x 137 bought
+    # in each root's frame: the witness meets opt - eps, and the traced peak
+    # stays within 16 times the bytes of the state's factor.
+    payload = generate("planted-product", {"n": 16, "w": 0.95, "noise": 0.05}, seed=1016)
+    state = state_from_json(payload["state"])
+    o = StateOracle(state, seed=1116)
+    tracemalloc.start()
+    try:
+        est, witness = estimate_opt(o, 0.1, 0.1, overrides=CoverOverrides(degree_cap=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert witness is not None
+    assert fidelity(state, witness) >= payload["ground_truth"]["opt"] - 0.1
+    assert peak <= 16 * o.rho.factor.nbytes
 
 
 def superposition(n, seed, a2=0.5, w=0.95):
@@ -872,19 +1087,27 @@ def test_estimate_opt_logs_one_line_per_level(monkeypatch, caplog):
 
 
 def test_uncapped_roots_rotate_no_square_matrix(monkeypatch):
-    # Uncut candidates map back site by site: no root hands the 2^m x 2^m
-    # purchase, or any square block of that size, to `apply_sites`.
-    calls = []
-    inner = cover_module.apply_sites
+    # No root rotates a purchase.  Uncapped, rows map back site by site in
+    # the sweep and the oracle's `apply_sites` is never called.  Under a cap
+    # the oracle rotates each root's marginal factor, of shape (2^m,
+    # 2^(n-m) r), once per purchase, and nothing else.
+    rotated, tomography, frames = [], [], []
+    inner = oracle_module.apply_sites
 
     def recording_apply_sites(ops, x):
-        calls.append((len(ops), np.shape(x)))
+        rotated.append((len(ops), np.shape(x)))
         return inner(ops, x)
 
-    monkeypatch.setattr(cover_module, "apply_sites", recording_apply_sites)
-    est, witness = estimate_opt(planted_six_qubit_oracle(), 0.1, 0.1)
-    assert witness is not None and est > 0.5
-    assert not [shape for m, shape in calls if shape == (2**m, 2**m)]
+    monkeypatch.setattr(oracle_module, "apply_sites", recording_apply_sites)
+    o = planted_six_qubit_oracle()
+    est, witness = estimate_opt(o, 0.1, 0.1)
+    assert witness is not None and est > 0.5 and rotated == []
+    recording(monkeypatch, "subspace_tomography", tomography, frames)
+    estimate_opt(planted_six_qubit_oracle(), 0.1, 0.1, overrides=CoverOverrides(degree_cap=2))
+    n, r = o.n, o.rho.factor.shape[1]
+    want = [(m, (2**m, 2 ** (n - m) * r))
+            for (_, (m, _, _), _), frame in zip(tomography, frames) if frame is not None]
+    assert want and rotated == want
 
 
 def test_estimate_opt_peak_memory_on_the_n8_benchmark_instance():

@@ -61,6 +61,7 @@ from conftest import (
     partial_trace,
     random_product_params,
     raw_z_shadows,
+    reference_rotated_cut,
     reference_shadow_rows,
     reference_weight_leq_indices,
     reference_z_columns,
@@ -405,7 +406,8 @@ def test_subspace_zero_state():
     for backend in ("exact", "sampling"):
         o = StateOracle(zero_state(3), backend=backend, seed=2)
         est = subspace_tomography(o, prefix_m=2, d=1, eps=0.9, delta=0.5)
-        target = np.zeros((4, 4))
+        # The block on the weight-<= 1 strings 00, 01, 10.
+        target = np.zeros((3, 3))
         target[0, 0] = 1.0
         tol = 1e-12 if backend == "exact" else 0.9
         assert np.linalg.norm(est - target, 2) <= tol
@@ -419,23 +421,74 @@ def test_subspace_exact_is_truncation_bitwise():
     # The first-two-sites marginal of W W* is W' W'* with W' = W regrouped (4, -1).
     w = state.data.factor.reshape(4, -1)
     idx = weight_leq_indices(2, 1)
-    target = np.zeros((4, 4), dtype=complex)
-    target[np.ix_(idx, idx)] = w[idx] @ w[idx].conj().T
-    assert np.array_equal(est, target)
+    assert np.array_equal(est, w[idx] @ w[idx].conj().T)
+
+
+def test_framed_subspace_tomography_is_the_rotated_cut():
+    # In a frame U = (x) U_i the exact, noiseless block is the weight-<= d
+    # block of U rho_[m] U*: the dense reference rotates the whole marginal
+    # and cuts it.  Every d < m up to m = 6, on pure and shifted mixed
+    # states; d = m reads the whole rotated marginal.
+    rng = np.random.default_rng(4141)
+    n = 6
+    states = (QuantumState.pure(haar_state(2**n, rng)),
+              planted_mixture(random_product_params(rng, n), 0.8),
+              planted_mixture(haar_state(2**n, rng), 0.6))
+    assert all(_operator(state).shift > 0.0 for state in states[1:])
+    for state in states:
+        full = density(state)
+        for m in range(1, n + 1):
+            units = recenter_unitaries(random_product_params(rng, m))
+            marginal = partial_trace(full, n, range(m))
+            for d in range(m + 1):
+                idx = weight_leq_indices(m, d)
+                want = reference_rotated_cut(marginal, units, d)[np.ix_(idx, idx)]
+                o = StateOracle(state)
+                got = subspace_tomography(o, m, d, 0.3, 0.1, frame=np.array(units))
+                assert got.shape == want.shape and np.abs(got - want).max() <= 1e-12
+                assert o.copies_consumed == tomography_copy_cost(len(idx) + 1, 0.3, 0.1)
+
+
+def test_subspace_tomography_refuses_a_bad_frame_before_any_copy():
+    # A stack of the wrong shape is refused on any state; a stack that is
+    # not unitary only on a state with a shift, whose c I part it would not
+    # carry (as `states._mapped` refuses), and both before any copy.
+    rng = np.random.default_rng(4242)
+    shifted = planted_mixture(random_product_params(rng, 3), 0.8)
+    unshifted = QuantumState.pure(haar_state(8, rng))
+    skew = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+    for backend in ("exact", "sampling"):
+        for state in (shifted, unshifted):
+            for bad in (np.stack([np.eye(2)] * 3), np.eye(2)[None], np.ones((2, 2, 3))):
+                o = StateOracle(state, backend=backend)
+                with pytest.raises(ValueError, match="frame"):
+                    subspace_tomography(o, 2, 1, 0.9, 0.5, frame=bad)
+                assert o.copies_consumed == 0
+        o = StateOracle(shifted, backend=backend)
+        with pytest.raises(ValueError, match="unitary"):
+            subspace_tomography(o, 2, 1, 0.9, 0.5, frame=np.stack([np.eye(2), skew]))
+        assert o.copies_consumed == 0
+        o = StateOracle(unshifted, backend=backend)
+        subspace_tomography(o, 2, 1, 0.9, 0.5, frame=np.stack([np.eye(2), skew]))
+        assert o.copies_consumed > 0
 
 
 def test_subspace_psd_trace_and_support():
+    # The estimate is the block on the weight-<= d strings alone, in
+    # `weight_leq_indices` order: PSD, of trace <= 1, and within eps of the
+    # reference block there.
     rng = np.random.default_rng(14)
     state = random_mixed(3, rng)
+    idx = weight_leq_indices(3, 1)
+    target = density(state)[np.ix_(idx, idx)]
     for backend, noise in (("exact", 0.2), ("sampling", 0.0)):
         o = StateOracle(state, backend=backend, seed=6, noise_opnorm=noise)
         est = subspace_tomography(o, prefix_m=3, d=1, eps=0.8, delta=0.5)
+        assert est.shape == (len(idx), len(idx))
         assert np.allclose(est, est.conj().T)
         assert np.linalg.eigvalsh(est).min() >= -1e-10
         assert np.real(np.trace(est)) <= 1 + 1e-10
-        # No support outside the low-weight block.
-        outside = [i for i in range(8) if i not in weight_leq_indices(3, 1)]
-        assert np.abs(est[outside, :]).max() == 0.0
+        assert np.linalg.norm(est - target, 2) <= 0.8
 
 
 def test_subspace_sampling_monte_carlo_failure_rate():
@@ -805,14 +858,17 @@ def test_shot_budget_enforced(monkeypatch):
 
 
 def test_subspace_tomography_respects_dense_budget():
-    # The zero-padded 2^12 x 2^12 estimate needs 256 MiB, 4x DENSE_BUDGET,
-    # however few strings the weight cut keeps; refuse it before any copy.
+    # The budget gates the block that is formed: the uncut 2^12 x 2^12 block
+    # needs 256 MiB, 4x DENSE_BUDGET, and is refused before any copy, while
+    # the weight-<= 2 cut of the same prefix is a 79 x 79 block.
     plant = planted_mixture(ProductParams((0.3 + 0.1j,) * 12), 0.9)
     for backend in ("exact", "sampling"):
         o = StateOracle(plant, backend=backend, seed=0)
         with pytest.raises(ResourceBudgetError):
-            subspace_tomography(o, prefix_m=12, d=2, eps=0.5, delta=0.5)
+            subspace_tomography(o, prefix_m=12, d=12, eps=0.5, delta=0.5)
         assert o.copies_consumed == 0
+    o = StateOracle(plant, seed=0)
+    assert subspace_tomography(o, prefix_m=12, d=2, eps=0.5, delta=0.5).shape == (79, 79)
 
 
 def test_subnormalized_tomography_respects_dense_budget():
