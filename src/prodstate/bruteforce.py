@@ -46,7 +46,7 @@ def best_product_fidelity(state: QuantumState, restarts: int = 12,
         if start == 0:
             sites = []
             for i in range(n):
-                _, vecs = np.linalg.eigh(_sandwich(_marginal(rho, n, [i]), slice(None)))
+                _, vecs = np.linalg.eigh(_sandwich(_marginal(rho, n, [i])))
                 sites.append(vecs[:, -1])
         else:
             sites = [haar_state(2, rng) for _ in range(n)]

@@ -165,7 +165,7 @@ def single_site_estimate(o: StateOracle, delta: float) -> ProductParams:
     shots = math.ceil(50.0 * math.log(2.0 / delta))
     o._check_shots(3 * shots)
     o._charge(3 * shots)
-    rho = _sandwich(o.rho, slice(None))
+    rho = _sandwich(o.rho)
     if o.backend == "exact":
         scale = o._noise_scale(1.0)
         if scale != 0.0:

@@ -39,6 +39,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+SCHMIDT_TOL = 1e-12  # `state_to_mps` drops Schmidt coefficients at or below it
+
 
 class MatrixProductState:
     """Open-boundary tensor train on qubits; tensors[i] has shape (r_{i-1}, 2, r_i).
@@ -102,11 +104,10 @@ def mps_to_state(m: MatrixProductState) -> QuantumState:
     return QuantumState.pure(vec / np.linalg.norm(vec))
 
 
-def state_to_mps(s: QuantumState, max_bond: int | None = None,
-                 tol: float = 1e-12) -> MatrixProductState:
+def state_to_mps(s: QuantumState, max_bond: int | None = None) -> MatrixProductState:
     """Exact tensor train of a pure state via successive factorizations.
 
-    Bond ranks are the Schmidt ranks above tol, optionally capped at
+    Bond ranks are the Schmidt ranks above SCHMIDT_TOL, optionally capped at
     max_bond (which truncates the smallest Schmidt coefficients).
     """
     if s.kind != "pure":
@@ -116,7 +117,7 @@ def state_to_mps(s: QuantumState, max_bond: int | None = None,
     for _ in range(s.n - 1):
         mat = work.reshape(work.shape[0] * 2, -1)
         u, sing, vh = np.linalg.svd(mat, full_matrices=False)
-        rank = max(1, int(np.sum(sing > tol)))
+        rank = max(1, int(np.sum(sing > SCHMIDT_TOL)))
         if max_bond is not None:
             rank = min(rank, max_bond)
         tensors.append(u[:, :rank].reshape(-1, 2, rank))

@@ -21,8 +21,9 @@ fidelity estimation.  Two backends share signatures and copy accounting:
   count.
 
 Sampling measures a compressed register, the block read plus one junk slot
-(`_with_junk_slot`): on the product rows <0^n|U, <e_i|U for amplitudes
-(`_frame_read`), on the weight-<= d strings of a frame for subspace tomography.
+(`_with_junk_slot`): on the product rows <b|U of a frame, b of weight <= 1
+for amplitudes (`_frame_read`) and of weight <= d for subspace tomography,
+both read off the factor site by site by `states._frame_rows`.
 
 The shadow primitives average all their shots in one group, sized by matrix
 Bernstein (`bernstein_shots`): N(d, eps, delta) =
@@ -32,7 +33,7 @@ probability >= 1 - delta.  Each estimator's docstring gives the accuracy it
 asks of that mean and why.
 
 The estimators read the oracle's factor `rho` through the `states` readers
-(`_marginal`, `_sandwich`, `_mapped`, `_flip_read`, `_overlaps`); see that
+(`_marginal`, `_sandwich`, `_mapped`, `_frame_rows`, `_overlaps`); see that
 module's docstring.
 
 Copy-cost formulas are exported as plain functions so tests can assert the
@@ -48,15 +49,13 @@ import numpy as np
 from .errors import ResourceBudgetError
 from .states import (
     DEFAULT_ATOL,
-    FactoredDensity,
     QuantumState,
-    _flip_read,
+    _frame_rows,
     _mapped,
     _marginal,
     _operator,
     _overlaps,
     _sandwich,
-    apply_sites,
     check_dense_budget,
     hamming_weights,
     haar_state,
@@ -199,8 +198,8 @@ class StateOracle:
 def _frame_read(o: StateOracle, us: np.ndarray) -> np.ndarray:
     """`estimate_z`'s noiseless read in the frame of the (n, 2, 2) stack us: z, or sigma.
 
-    One sitewise pass (`states._flip_read`) gives Y = rows W for the n+1
-    rows <0^n| U, <e_i| U.  The rows of a unitary are orthonormal, so
+    One sitewise pass (`states._frame_rows` at d = 1) gives Y = rows W for
+    the n+1 rows <0^n| U, <e_i| U.  The rows of a unitary are orthonormal, so
     rows rho rows* = Y Y* + c I: the exact backend takes its column 0 below
     the diagonal, z = Y[1:] conj(Y[0]), and the sampling backend all of it,
     with a junk slot (sigma).  The oracle keeps the last read, keyed by the
@@ -208,7 +207,7 @@ def _frame_read(o: StateOracle, us: np.ndarray) -> np.ndarray:
     """
     key = us.tobytes()
     if key != o._frame_key:
-        y = _flip_read(o.rho, us)
+        y, _ = _frame_rows(o.rho, us, 1)
         if o.backend == "exact":
             read = y[1:] @ y[0].conj()
         else:
@@ -292,6 +291,7 @@ def _shadow_coord_chunks(rng: np.random.Generator, cdf: np.ndarray, cols: np.nda
             flat = g.view(float)
             flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
             yield g
+        del chunk, g, flat  # hold one drawn chunk, not two, through the next draw
 
 
 def _shadow_mean(rng: np.random.Generator, sigma: np.ndarray, shots: int) -> np.ndarray:
@@ -307,6 +307,7 @@ def _shadow_mean(rng: np.random.Generator, sigma: np.ndarray, shots: int) -> np.
     total = np.zeros((dim, dim), dtype=complex)
     for rows in _shadow_coord_chunks(rng, cdf, cols, shots):
         total += rows.T @ rows.conj()
+        del rows  # a view of the drawn chunk: release it before the next draw
     return (dim + 1) / shots * total - np.eye(dim)
 
 
@@ -390,11 +391,12 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
     Returns the W x W block of rho_[m] on the W strings of Hamming weight
     <= d, in `weight_leq_indices` order: PSD, of trace <= 1, and within
     operator-norm eps of the true block w.p. 1 - delta.  `frame`, a stack of
-    m single-site unitaries U_i, measures U rho_[m] U* instead, U = (x) U_i
-    applied to the marginal's factor site by site.  A stack of another
-    shape, or not unitary on a state with a shift (see `states._mapped`),
-    raises ValueError, and a block above states.DENSE_BUDGET
-    ResourceBudgetError, before any copy is drawn.
+    m single-site unitaries U_i, measures U rho_[m] U* instead, U = (x) U_i;
+    None is the identity frame.  A stack of another shape, or not unitary on
+    a state with a shift (see `states._mapped`), raises ValueError, and a
+    block above states.DENSE_BUDGET ResourceBudgetError, before any copy is
+    drawn.  The W rows <b| U are read off the factor site by site
+    (`states._frame_rows`); no rotated copy of the marginal is formed.
 
     The sampling backend averages the (W+1)-dim compressed register's
     shadows to operator-norm eps/2 w.p. 1 - delta; their W x W block is as
@@ -409,19 +411,19 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
         raise ValueError("prefix_m out of range")
     if not (0 <= d <= prefix_m):
         raise ValueError("d out of range")
-    us = np.eye(2) if frame is None else np.asarray(frame, dtype=complex)
-    if frame is not None and us.shape != (prefix_m, 2, 2):
+    us = np.asarray([np.eye(2)] * prefix_m if frame is None else frame, dtype=complex)
+    if us.shape != (prefix_m, 2, 2):
         raise ValueError(f"frame needs shape ({prefix_m}, 2, 2), got {us.shape}")
     if o.rho.shift and np.abs(us @ us.conj().swapaxes(-1, -2) - np.eye(2)).max() > DEFAULT_ATOL:
         raise ValueError("a state with a shift is measured only in a unitary frame")
-    idx = weight_leq_indices(prefix_m, d)
-    w = len(idx)
+    w = len(weight_leq_indices(prefix_m, d))
     check_dense_budget((w, w))
     copies = tomography_copy_cost(w + 1, eps, delta)
-    rho = _marginal(o.rho, n, range(prefix_m))
-    if frame is not None:
-        rho = FactoredDensity(apply_sites(us, rho.factor), rho.shift)
-    block = _sandwich(rho, idx if d < prefix_m else slice(None))
+    y, order = _frame_rows(o.rho, us, d)
+    y = y[order]
+    block = y @ y.conj().T
+    if o.rho.shift:
+        block[np.diag_indices(w)] += o.rho.shift * 2 ** (n - prefix_m)
 
     if o.backend == "exact":
         o._charge(copies)
@@ -517,7 +519,7 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     check_dense_budget((dim, dim))
     n_mu, wanted = subnormalized_budget(dim, eps, delta)
     rho = _mapped(o.rho, maps)
-    block = _sandwich(_marginal(rho, suffix, range(keep)), slice(None))
+    block = _sandwich(_marginal(rho, suffix, range(keep)))
 
     if o.backend == "exact":
         mu_hat = rho.trace()

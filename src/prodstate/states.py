@@ -14,18 +14,18 @@ A pure product state on n qubits is parametrized by a complex vector z, one
 entry per site, as the tensor product of (|0> + z_i |1>)/sqrt(1 + |z_i|^2).
 This module provides that parametrization, the tangent distance between two
 such states, the Hamming weights of basis strings, the single-site unitaries
-that rotate a product state onto |0...0> (applied sitewise by `apply_sites`,
-without a dense Kronecker frame), fidelity evaluation, and the small
+that rotate a product state onto |0...0>, fidelity evaluation, and the small
 closed-form bounds (fidelity sandwiches, weight-tail bounds) that the
 learners rely on.
 
 Every module reads a state's rho as its factor (`_operator`; psi gives
 (psi, 0)) through `_marginal`, `_sandwich`, `_overlaps`, `_mapped` and
-`_flip_read`: the marginal on a site set, rows rho rows*, <v| rho |v> per
+`_frame_rows`: the marginal on a site set, rows rho rows*, <v| rho |v> per
 row, M rho M* for a chain M of local maps (`_apply_chain`) with orthonormal
-rows, and the factor against the all-zero and single-flip rows of a product
-frame, site by site.  Each costs O(dim r k) with no dim x dim matrix, and a
-mapped or reduced factor is again a factor, which an oracle holds as is.
+rows, and the factor against the weight-<= d rows of a product frame on the
+leading sites, site by site, with no rotated copy of the factor.  Each
+costs O(dim r k) with no dim x dim matrix, and a mapped or reduced factor is
+again a factor, which an oracle holds as is.
 
 Every module builds product amplitudes with `product_vectors` from (k, n, 2)
 site stacks (`site_stack` gives the stack of parameter tuples), reads
@@ -242,22 +242,20 @@ def _marginal(rho: FactoredDensity, n: int, sites) -> FactoredDensity:
     return FactoredDensity(w.reshape(2 ** len(sites), -1), rho.shift * 2 ** (n - len(sites)))
 
 
-def _sandwich(rho: FactoredDensity, rows) -> np.ndarray:
-    """rows rho rows* for a (k, dim) matrix of rows; the block rho[rows, rows] for an index.
+def _sandwich(rho: FactoredDensity, rows: np.ndarray | None = None) -> np.ndarray:
+    """rows rho rows* for a (k, dim) matrix of rows; without rows, the whole matrix rho.
 
-    An index is a slice or a list of basis indices.  This is y y* + c rows
-    rows* with y = rows W, at O(k dim r + k^2 dim); the shift term is
-    skipped when c = 0.
+    This is y y* + c rows rows* with y = rows W, at O(k dim r + k^2 dim), or
+    W W* + c I; the shift term is skipped when c = 0.
     """
-    matrix = isinstance(rows, np.ndarray) and rows.ndim == 2
-    y = rows @ rho.factor if matrix else rho.factor[rows]
+    y = rho.factor if rows is None else rows @ rho.factor
     out = y @ y.conj().T
     if not rho.shift:
         return out
-    if matrix:
-        out += rho.shift * (rows @ rows.conj().T)
-    else:
+    if rows is None:
         out[np.diag_indices_from(out)] += rho.shift
+    else:
+        out += rho.shift * (rows @ rows.conj().T)
     return out
 
 
@@ -296,24 +294,45 @@ def _mapped(rho: FactoredDensity, maps) -> FactoredDensity:
     return FactoredDensity(_apply_chain(maps, rho.factor), rho.shift)
 
 
-def _flip_read(rho: FactoredDensity, us: np.ndarray) -> np.ndarray:
-    """Y = rows W for the n + 1 rows <0^n| U and <e_i| U, U the product of the n sites' us.
+def _frame_rows(rho: FactoredDensity, us: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, order): Y = rows W for the rows <b| U, |b| <= d, U the product of the (k, 2, 2) us.
 
-    us is an (n, 2, 2) stack of single-site unitaries.  The rows are product
-    rows, so W is contracted one site at a time, site 1 first: the all-zero
-    row is carried on with each site's row 0, every row flipped at an
-    earlier site likewise, and the site's row 1 on the all-zero row adds
-    one flipped row per site.  Y has shape (n + 1, r), the all-zero row
-    first, at O(2^n r) time; no 2^n-long row is formed.
+    The rows are product rows, so W is contracted one site at a time, site 1
+    first: every row carries on with the site's row 0, and every row of
+    weight < d also adds one flipped with its row 1, after the carried rows
+    (`_flip_schedule`).  Y keeps the other sites' axes and W's r columns as
+    columns, the rows of the k-site marginal's factor, at O((d+1) 2^n r)
+    time.  Y[order] lists the rows by basis index, as
+    `oracle.weight_leq_indices`; at d = 1 Y lists <0^k| U, <e_1| U, ...
     """
+    flips, order = _flip_schedule(len(us), d)
     x = rho.factor.reshape(1, -1)
-    for u in us:
+    for u, flip in zip(us, flips):
         x = x.reshape(len(x), 2, -1)
-        out = np.empty((len(x) + 1, x.shape[2]), dtype=complex)
-        np.matmul(u[0], x, out=out[:-1])
-        np.matmul(u[1], x[0], out=out[-1])
+        flipped = x[flip]
+        out = np.empty((len(x) + len(flipped), x.shape[2]), dtype=complex)
+        np.matmul(u[0], x, out=out[:len(x)])
+        np.matmul(u[1], flipped, out=out[len(x):])
         x = out
-    return x
+    return x, order
+
+
+@lru_cache(maxsize=None)
+def _flip_schedule(k: int, d: int) -> tuple[tuple, np.ndarray]:
+    """Per site, the rows of `_frame_rows` that flip there; and its rows' order by basis index.
+
+    A leading block of rows, as at d = 1 and at the first d sites, is a
+    slice, read as a view.
+    """
+    codes, weights, flips = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), []
+    for site in range(k):
+        flip = np.flatnonzero(weights < d)
+        flips.append(slice(len(flip)) if np.array_equal(flip, np.arange(len(flip))) else flip)
+        codes = np.concatenate([codes, codes[flip] | 1 << (k - 1 - site)])
+        weights = np.concatenate([weights, weights[flip] + 1])
+    order = np.argsort(codes)
+    order.setflags(write=False)
+    return tuple(flips), order
 
 
 def _infer_qubits(dim: int) -> int:
@@ -340,13 +359,14 @@ def _site_vector(z: complex) -> np.ndarray:
 
 
 def _fix_global_phase(vector: np.ndarray) -> np.ndarray:
+    """`vector`, divided in place by the phase of its first nonzero entry."""
     mags = np.abs(vector)
     top = mags.max()
     if top == 0.0:
         return vector
     first = int(np.argmax(mags > top * 1e-12))
-    phase = vector[first] / abs(vector[first])
-    return vector / phase
+    vector /= vector[first] / abs(vector[first])
+    return vector
 
 
 def product_state_vector(p: ProductParams) -> QuantumState:
@@ -425,29 +445,6 @@ def product_unitary(unitaries) -> np.ndarray:
     for u in unitaries:
         full = np.kron(full, u)
     return full
-
-
-def apply_sites(ops, x) -> np.ndarray:
-    """(op_1 ⊗ ... ⊗ op_n) applied to the leading axis of a vector or matrix x.
-
-    ops[k] is an (r_k, d_k) matrix acting on site k+1 (site 1 most
-    significant); it need not be square.  The leading axis of x must have
-    length prod d_k; the result's has length prod r_k and any trailing axis
-    is kept.  One contraction per site, so the dense Kronecker product is
-    never formed.  K rho K* is apply_sites(ops, apply_sites(ops, rho).conj().T)
-    conjugate-transposed.
-    """
-    x = np.asarray(x)
-    ops = [np.asarray(op) for op in ops]
-    if math.prod(op.shape[1] for op in ops) != x.shape[0]:
-        raise ValueError("site operators do not match the leading axis")
-    left, right = 1, x.size
-    out = x
-    for op in ops:
-        right //= op.shape[1]
-        out = np.matmul(op, out.reshape(left, op.shape[1], right))
-        left *= op.shape[0]
-    return out.reshape((left,) + x.shape[1:])
 
 
 def transform_params(unitaries, p: ProductParams, inverse: bool = False) -> ProductParams:

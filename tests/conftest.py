@@ -4,6 +4,7 @@ partial trace),
 the test-only state constructors (GHZ, W, Bell, maximally mixed, diagonal,
 mixtures),
 the dense density-matrix references (`dense_mixed` in, `density` out),
+the sitewise rotation (`apply_sites`) and the single-flip frame read,
 dense test references, the brute-force grid and multistart oracles, the dense
 product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
 complex power-row polynomial evaluator and the per-support polynomial search,
@@ -46,7 +47,6 @@ from prodstate.states import (
     _mapped,
     _marginal,
     _operator,
-    apply_sites,
     check_dense_budget,
     _fix_global_phase,
     _site_vector,
@@ -520,6 +520,48 @@ def verify_cover(rho: QuantumState, cover, trials: int, rng_seed: int = 0) -> di
         "uncovered": uncovered,
         "ok": not (low_fidelity or close_pairs or uncovered),
     }
+
+
+def apply_sites(ops, x) -> np.ndarray:
+    """(op_1 ⊗ ... ⊗ op_n) applied to the leading axis of a vector or matrix x.
+
+    ops[k] is an (r_k, d_k) matrix acting on site k+1 (site 1 most
+    significant); it need not be square.  The leading axis of x must have
+    length prod d_k; the result's has length prod r_k and any trailing axis
+    is kept.  One contraction per site, so the dense Kronecker product is
+    never formed.  K rho K* is apply_sites(ops, apply_sites(ops, rho).conj().T)
+    conjugate-transposed.  The reference the rotations and frame reads are
+    checked against.
+    """
+    x = np.asarray(x)
+    ops = [np.asarray(op) for op in ops]
+    if math.prod(op.shape[1] for op in ops) != x.shape[0]:
+        raise ValueError("site operators do not match the leading axis")
+    left, right = 1, x.size
+    out = x
+    for op in ops:
+        right //= op.shape[1]
+        out = np.matmul(op, out.reshape(left, op.shape[1], right))
+        left *= op.shape[0]
+    return out.reshape((left,) + x.shape[1:])
+
+
+def reference_flip_read(rho, us):
+    """Y = rows W for the n + 1 rows <0^n| U, <e_i| U of the (n, 2, 2) stack us, all-zero row first.
+
+    The d = 1 read that `states._frame_rows` generalises: W contracted one
+    site at a time, the all-zero row and every earlier flipped row carried on
+    with each site's row 0, and the site's row 1 on the all-zero row adding
+    one flipped row per site.
+    """
+    x = rho.factor.reshape(1, -1)
+    for u in us:
+        x = x.reshape(len(x), 2, -1)
+        out = np.empty((len(x) + 1, x.shape[2]), dtype=complex)
+        np.matmul(u[0], x, out=out[:-1])
+        np.matmul(u[1], x[0], out=out[-1])
+        x = out
+    return x
 
 
 def reference_rotated_cut(truncation, units, d):

@@ -1087,27 +1087,29 @@ def test_estimate_opt_logs_one_line_per_level(monkeypatch, caplog):
 
 
 def test_uncapped_roots_rotate_no_square_matrix(monkeypatch):
-    # No root rotates a purchase.  Uncapped, rows map back site by site in
-    # the sweep and the oracle's `apply_sites` is never called.  Under a cap
-    # the oracle rotates each root's marginal factor, of shape (2^m,
-    # 2^(n-m) r), once per purchase, and nothing else.
-    rotated, tomography, frames = [], [], []
-    inner = oracle_module.apply_sites
+    # No root rotates a purchase or a marginal.  Uncapped, each purchase
+    # reads the whole marginal in the identity frame, and rows map back site
+    # by site in the sweep.  Under a cap each root's own purchase reads its
+    # weight-<= d rows in the root's recentring, once, through the sitewise
+    # frame reader.
+    reads, tomography, frames = [], [], []
+    inner = oracle_module._frame_rows
 
-    def recording_apply_sites(ops, x):
-        rotated.append((len(ops), np.shape(x)))
-        return inner(ops, x)
+    def recording_frame_rows(rho, us, d):
+        reads.append((us.copy(), d))
+        return inner(rho, us, d)
 
-    monkeypatch.setattr(oracle_module, "apply_sites", recording_apply_sites)
-    o = planted_six_qubit_oracle()
-    est, witness = estimate_opt(o, 0.1, 0.1)
-    assert witness is not None and est > 0.5 and rotated == []
+    monkeypatch.setattr(oracle_module, "_frame_rows", recording_frame_rows)
+    est, witness = estimate_opt(planted_six_qubit_oracle(), 0.1, 0.1)
+    assert witness is not None and est > 0.5 and reads
+    assert all(d == len(us) and np.array_equal(us, [np.eye(2)] * d) for us, d in reads)
+    reads.clear()
     recording(monkeypatch, "subspace_tomography", tomography, frames)
     estimate_opt(planted_six_qubit_oracle(), 0.1, 0.1, overrides=CoverOverrides(degree_cap=2))
-    n, r = o.n, o.rho.factor.shape[1]
-    want = [(m, (2**m, 2 ** (n - m) * r))
-            for (_, (m, _, _), _), frame in zip(tomography, frames) if frame is not None]
-    assert want and rotated == want
+    assert len(reads) == len(tomography) and any(frame is not None for frame in frames)
+    for (us, d), (_, (m, cap, _), _), frame in zip(reads, tomography, frames):
+        assert d == cap
+        assert np.array_equal(us, [np.eye(2)] * m if frame is None else frame)
 
 
 def test_estimate_opt_peak_memory_on_the_n8_benchmark_instance():

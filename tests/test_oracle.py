@@ -36,7 +36,7 @@ from prodstate.states import (
     ProductParams,
     QuantumState,
     _apply_chain,
-    _flip_read,
+    _frame_rows,
     _marginal,
     _operator,
     _sandwich,
@@ -51,6 +51,7 @@ from prodstate.states import (
 )
 
 from conftest import (
+    apply_sites,
     bell_state,
     dense_mixed,
     density,
@@ -61,6 +62,7 @@ from conftest import (
     partial_trace,
     random_product_params,
     raw_z_shadows,
+    reference_flip_read,
     reference_rotated_cut,
     reference_shadow_rows,
     reference_weight_leq_indices,
@@ -138,10 +140,37 @@ def test_z_columns_match_pick_matrix_reference():
     for n in (1, 2, 5, 9):
         state = product_state_vector(random_product_params(rng, n))
         basis = [haar_unitary(2, rng) for _ in range(n)]
-        got = _flip_read(_operator(state), np.array(basis))
+        got, _ = _frame_rows(_operator(state), np.array(basis), 1)
         want = reference_z_columns(basis).conj().T @ _operator(state).factor
         assert got.shape == want.shape == (n + 1, 1)
         assert np.abs(got - want).max() <= 1e-14
+
+
+def test_frame_rows_are_the_rotated_factor_rows():
+    # Every k <= n <= 7 and d <= k, in Haar and identity frames: the
+    # weight-<= d rows of the marginal's factor rotated by `apply_sites`,
+    # listed by basis index through `order`.  At d = 1 the rows are the
+    # single-flip read's, bit for bit and in its order; in the identity
+    # frame at d = k they are the factor's own rows, bit for bit.
+    rng = np.random.default_rng(10)
+    for n in range(1, 8):
+        for state in factored_cases(n, rng):
+            rho = _operator(state)
+            for k in range(1, n + 1):
+                identity = np.array(identity_basis(k))
+                for us in (np.array([haar_unitary(2, rng) for _ in range(k)]), identity):
+                    rows = rho.factor.reshape(2**k, -1)
+                    rotated = apply_sites(us, rows)
+                    for d in range(k + 1):
+                        y, order = _frame_rows(rho, us, d)
+                        idx = weight_leq_indices(k, d)
+                        assert sorted(order.tolist()) == list(range(len(idx)))
+                        assert y.shape == (len(idx), rows.shape[1])
+                        assert np.abs(y[order] - rotated[idx]).max() <= 1e-12
+                        if d == 1:
+                            assert np.array_equal(y, reference_flip_read(rho, us))
+                        if us is identity and d == k:
+                            assert np.array_equal(y[order], rows)
 
 
 def reference_frame_reads(state, basis):
@@ -166,13 +195,13 @@ def test_sitewise_frame_reads_match_the_product_columns():
 
 def test_a_ladder_on_one_frame_reads_the_factor_once(monkeypatch):
     reads = []
-    inner = oracle._flip_read
+    inner = oracle._frame_rows
 
-    def counted(rho, us):
-        reads.append(len(us))
-        return inner(rho, us)
+    def counted(rho, us, d):
+        reads.append((len(us), d))
+        return inner(rho, us, d)
 
-    monkeypatch.setattr(oracle, "_flip_read", counted)
+    monkeypatch.setattr(oracle, "_frame_rows", counted)
     rng = np.random.default_rng(14)
     n = 5
     state = planted_mixture(random_product_params(rng, n), 0.9)
@@ -182,12 +211,12 @@ def test_a_ladder_on_one_frame_reads_the_factor_once(monkeypatch):
         o = StateOracle(state, backend=backend, seed=2)
         for rung in range(1, 5):
             estimate_z(o, basis, math.exp(-rung), 0.1)
-        assert reads == [n]
+        assert reads == [(n, 1)]
         # A new frame misses the one-slot cache, and the old frame misses after it.
         other = recenter_unitaries(random_product_params(rng, n))
         estimate_z(o, other, 0.5, 0.1)
         estimate_z(o, basis, 0.5, 0.1)
-        assert reads == [n, n, n]
+        assert reads == [(n, 1)] * 3
 
 
 def test_shared_frame_reads_leave_every_draw_as_it_was():
@@ -376,8 +405,9 @@ def test_shadow_mean_stream_equals_one_block():
 
 
 def test_shadow_mean_memory_stays_chunked():
-    # 2M materialized rows at dim 5 would take 160 MB; the stream holds about
-    # two drawn chunks (1.6 MB each) and block-sized temporaries.
+    # 2M materialized rows at dim 5 would take 160 MB; the stream holds one
+    # drawn chunk (1.6 MB) and block-sized temporaries.  Holding the last
+    # chunk through the next draw peaked at 4.07 MB.
     sigma = random_density(np.random.default_rng(4), 5)
     tracemalloc.start()
     try:
@@ -385,7 +415,7 @@ def test_shadow_mean_memory_stays_chunked():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6e6
+    assert peak <= 3e6
 
 
 # --- subspace tomography ---------------------------------------------------
@@ -977,13 +1007,14 @@ def test_seeded_draws_are_stable_under_rounding_of_sigma(monkeypatch):
     rng = np.random.default_rng(17)
     n = 4
     basis = recenter_unitaries(random_product_params(rng, n))
-    read = oracle._flip_read
+    read = oracle._frame_rows
     states = (planted_mixture(random_product_params(rng, n), 0.95), maximally_mixed(n),
               QuantumState.pure(haar_state(2**n, rng)), random_mixed(n, rng, rank=2))
     for state in states:
         outs = []
         for order in (np.ascontiguousarray, np.asfortranarray):
-            monkeypatch.setattr(oracle, "_flip_read", lambda rho, us: order(read(rho, us)))
+            monkeypatch.setattr(oracle, "_frame_rows",
+                                lambda rho, us, d: (order(read(rho, us, d)[0]), None))
             outs.append(estimate_z(StateOracle(state, backend="sampling", seed=3), basis,
                                    0.3, 0.1))
         assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12

@@ -11,7 +11,6 @@ from prodstate.errors import ResourceBudgetError
 from prodstate.instances import random_mixed
 from prodstate.states import (
     DENSE_BUDGET,
-    apply_sites,
     check_dense_budget,
     FactoredDensity,
     ProductParams,
@@ -37,6 +36,7 @@ from prodstate.states import (
 
 from conftest import (
     apply_product_unitary,
+    apply_sites,
     density,
     excitation_probs,
     haar_unitary,
@@ -460,6 +460,21 @@ def test_vector_fidelity_reads_the_factor_once():
         tracemalloc.stop()
     assert peak < 1.5 * (1 << 20)
     assert got == pytest.approx(0.9 * abs(np.vdot(vec, psi)) ** 2 + 0.1 / dim, rel=1e-12)
+
+
+def test_product_state_vector_peaks_at_two_amplitude_vectors():
+    # At n = 16 a 2^16-long amplitude vector takes 1 MiB: the built vector
+    # and the state's validated copy.  The phase fix divides the built vector
+    # in place; a divided copy peaked at 3 MiB.
+    p = haar_product_params(np.random.default_rng(6), 16)
+    tracemalloc.start()
+    try:
+        state = product_state_vector(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * (1 << 20)
+    assert np.array_equal(state.data, reference_product_state_vector(p).data)
 
 
 def test_dense_budget_covers_matrices_and_vectors():
