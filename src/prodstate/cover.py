@@ -34,9 +34,11 @@ remainder through constrained polynomial optimization; at desk scale the
 sweep replaces both, and the reduction's solver runs standalone as
 `polyopt.solve_constrained`.  `estimate_opt` wraps the builder in a
 bisection over eta to estimate the best product-state fidelity with a
-witness.  Its levels share each purchase and the sweeps run on it: a
-root's sweep that no separation check turned down is stored beside the
-purchase and read back by a later level whose members clear its steps.
+witness, and stops once the ceilings it bought and its witness's estimate
+bracket opt within 2 eps.  Its levels share each purchase and the sweeps
+run on it: a root's sweep that no separation check turned down is stored
+beside the purchase and read back by a later level whose members clear its
+steps.
 """
 
 from __future__ import annotations
@@ -443,6 +445,17 @@ def _swept(bought: dict) -> tuple[int, int]:
             sum(sweeps.reused for _, _, sweeps in bought.values()))
 
 
+def _upper(bought: dict) -> float:
+    """The least bound ceiling + tomo_eps on opt among the shared purchases in `bought`.
+
+    A shared purchase, keyed (m, m, tomo_eps), estimates rho_[m] to
+    operator norm tomo_eps, so by Weyl lambda_max(rho_[m]) <= ceiling +
+    tomo_eps, and no product state beats its prefix's marginal.  A root's
+    own block (d < m) bounds only the states inside its cut, not opt.
+    """
+    return min(ceiling + key[2] for key, (_, ceiling, _) in bought.items() if key[0] == key[1])
+
+
 def estimate_opt(o: StateOracle, eps: float, delta: float,
                  overrides: CoverOverrides = DESK_OVERRIDES):
     """Estimate the best product-state fidelity of the hidden state.
@@ -453,6 +466,21 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
     the best measured member of the last nonempty cover, or (0.0, None)
     when every probed level came up empty.
 
+    A nonempty level also tightens the bracket [lo, hi] with the bounds the
+    call already bought, and the search stops once hi - lo <= 2 eps.  The
+    ceiling: hi <= ceiling + tomo_eps of every shared purchase (`_upper`),
+    since <pi|rho|pi> <= lambda_max(rho_[m]) for a product pi and the
+    purchase is within tomo_eps of rho_[m].  The floor: lo >= lower =
+    estimate - eps/4, the witness's estimate being within eps/4 of its
+    fidelity.  Both hold on the event, of probability >= 1 - delta, that
+    every purchase and estimate is within its accuracy, where also no empty
+    level eta has opt >= eta; so lower <= F(witness) <= opt <= hi.  On that
+    event the witness, a member of the last nonempty level eta, has F >=
+    max(eta - eps, lower) >= lo - eps: when the search stops it meets opt -
+    2 eps if the floor set lo, and opt - 3 eps, as the bisection alone
+    gives, if eta did.  An empty level only lowers hi to its eta, so a
+    search ends without a witness only where the bisection alone would.
+
     Each purchase is made once per call: the levels share one tomography
     per distinct (m, degree(m), tomo_eps), under a cap per root as well, and
     a level asking for a finer tomo_eps (eta < 4 eps) buys a new one.  They
@@ -460,7 +488,8 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
     not rerun, while every step it took clears the level's separation bound
     to the members accepted before it, which leaves every output unchanged.
     Under PRODSTATE_LOG=INFO each level logs one line: eta, members,
-    purchases held, and the sweeps it ran and read back.  Failure budget:
+    purchases held, the sweeps it ran and read back, and the bracket lower
+    <= opt <= upper (hi) it holds.  Failure budget:
     the shared purchases take delta/2, the k-th distinct one at a prefix
     getting delta/(2n) * 2^-k.  The other delta/2 goes to the levels: each
     level's cover estimates, and under a cap its roots' own purchases,
@@ -477,7 +506,7 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
 
     lo, hi = 0.0, 1.0
     eta = 0.5
-    best_val = 0.0
+    best_val = lower = 0.0
     best_witness: ProductParams | None = None
     for _ in range(iterations):
         if eta < eps:
@@ -487,17 +516,19 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
         swept = _swept(bought)
         cover = _build(o, params, (bought, prefix_delta))
         run, reused = np.subtract(_swept(bought), swept)
-        logger.info("cover level eta=%.6g: members=%d purchases=%d sweeps run=%d reused=%d",
-                    eta, len(cover.members), len(bought), run, reused)
         if cover.members:
-            lo = eta
             share = delta_iter / len(cover.members)
             ests = estimate_fidelity(o, o.n, site_stack(cover.members), eps / 4.0, share)
             top = int(np.argmax(ests))
             best_val = float(ests[top])
             best_witness = cover.members[top]
+            lower = best_val - eps / 4.0
+            lo, hi = max(eta, lower), min(hi, _upper(bought))
         else:
             hi = eta
+        logger.info("cover level eta=%.6g: members=%d purchases=%d sweeps run=%d reused=%d "
+                    "lower=%.6g upper=%.6g",
+                    eta, len(cover.members), len(bought), run, reused, lower, hi)
         if hi - lo <= 2.0 * eps:
             break
         eta = 0.5 * (lo + hi)

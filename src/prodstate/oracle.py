@@ -23,7 +23,8 @@ fidelity estimation.  Two backends share signatures and copy accounting:
 Sampling measures a compressed register, the block read plus one junk slot
 (`_with_junk_slot`): on the product rows <b|U of a frame, b of weight <= 1
 for amplitudes (`_frame_read`) and of weight <= d for subspace tomography,
-both read off the factor site by site by `states._frame_rows`.
+both read off the factor site by site by `states._frame_rows`; in the
+identity frame subspace tomography reads rows of the marginal's factor.
 
 The shadow primitives average all their shots in one group, sized by matrix
 Bernstein (`bernstein_shots`): N(d, eps, delta) =
@@ -396,11 +397,14 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
     a state with a shift (see `states._mapped`), raises ValueError, and a
     block above states.DENSE_BUDGET ResourceBudgetError, before any copy is
     drawn.  The W rows <b| U are read off the factor site by site
-    (`states._frame_rows`); no rotated copy of the marginal is formed.
+    (`states._frame_rows`); no rotated copy of the marginal is formed.  In
+    the identity frame they are rows of the marginal's factor, which the
+    whole block (d = m) reads in place.
 
     The sampling backend averages the (W+1)-dim compressed register's
     shadows to operator-norm eps/2 w.p. 1 - delta; their W x W block is as
-    close to the target, and `_project_psd` at most doubles the error.
+    close to the target, and `_project_psd` at most doubles the error.  The
+    exact backend's noise is likewise at most eps/2 before `_project_psd`.
 
     Copies: tomography_copy_cost(W + 1, eps, delta) on both backends.
     """
@@ -411,23 +415,31 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
         raise ValueError("prefix_m out of range")
     if not (0 <= d <= prefix_m):
         raise ValueError("d out of range")
-    us = np.asarray([np.eye(2)] * prefix_m if frame is None else frame, dtype=complex)
-    if us.shape != (prefix_m, 2, 2):
-        raise ValueError(f"frame needs shape ({prefix_m}, 2, 2), got {us.shape}")
-    if o.rho.shift and np.abs(us @ us.conj().swapaxes(-1, -2) - np.eye(2)).max() > DEFAULT_ATOL:
-        raise ValueError("a state with a shift is measured only in a unitary frame")
-    w = len(weight_leq_indices(prefix_m, d))
+    if frame is not None:
+        us = np.asarray(frame, dtype=complex)
+        if us.shape != (prefix_m, 2, 2):
+            raise ValueError(f"frame needs shape ({prefix_m}, 2, 2), got {us.shape}")
+        if (o.rho.shift
+                and np.abs(us @ us.conj().swapaxes(-1, -2) - np.eye(2)).max() > DEFAULT_ATOL):
+            raise ValueError("a state with a shift is measured only in a unitary frame")
+    idx = weight_leq_indices(prefix_m, d)
+    w = len(idx)
     check_dense_budget((w, w))
     copies = tomography_copy_cost(w + 1, eps, delta)
-    y, order = _frame_rows(o.rho, us, d)
-    y = y[order]
+    if frame is None:
+        y = _marginal(o.rho, n, range(prefix_m)).factor
+        if d < prefix_m:
+            y = y[idx]
+    else:
+        y, order = _frame_rows(o.rho, us, d)
+        y = y[order]
     block = y @ y.conj().T
     if o.rho.shift:
         block[np.diag_indices(w)] += o.rho.shift * 2 ** (n - prefix_m)
 
     if o.backend == "exact":
         o._charge(copies)
-        scale = o._noise_scale(eps)
+        scale = o._noise_scale(eps / 2.0)
         if scale == 0.0:
             return block
         return _project_psd(block + scale * _random_hermitian_unit(o._rng, w, "op"))

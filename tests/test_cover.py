@@ -706,7 +706,9 @@ def test_a_capped_root_buys_its_block_only_when_it_clears_separation(monkeypatch
 def test_capped_estimate_opt_buys_each_root_once(monkeypatch):
     # Bisection levels share a root's own purchase as they share a prefix's:
     # each (m, root, tomo_eps) is bought at most once per call, though the
-    # levels clear more roots than that.
+    # levels clear more roots than that.  A plant's bracket closes after one
+    # level, so this runs on a superposition of two products whose three
+    # levels all buy at tomo_eps = eps/8.
     calls, frames, cleared = [], [], []
     clears = cover_module._clears
 
@@ -718,7 +720,8 @@ def test_capped_estimate_opt_buys_each_root_once(monkeypatch):
 
     recording(monkeypatch, "subspace_tomography", calls, frames)
     monkeypatch.setattr(cover_module, "_clears", recording_clears)
-    estimate_opt(planted_six_qubit_oracle(), 0.1, 0.1, overrides=CoverOverrides(degree_cap=2))
+    estimate_opt(StateOracle(superposition(5, 7), seed=7), 0.1, 0.1,
+                 overrides=CoverOverrides(degree_cap=1))
     keys = [(args, None if frame is None else np.array(frame).tobytes())
             for (_, args, _), frame in zip(calls, frames)]
     assert len(keys) == len(set(keys))
@@ -1021,6 +1024,11 @@ def test_shared_sweeps_leave_estimate_opt_bit_identical(monkeypatch):
     cases += [(cases[n - 2][0], n, cap) for n in (3, 4, 5) for cap in (1, 2)]
     cases.append((random_mixed(3, np.random.default_rng(1), rank=2), 3, None))
     cases += [(superposition(n, seed), seed, None) for n, seed in ((4, 5), (6, 5), (5, 7), (6, 7))]
+    # A plant's bracket closes after one level, so the sweeps shared across
+    # levels, and the fallback, come from instances whose bracket stays wide.
+    cases += [(superposition(n, seed), seed, 1) for n, seed in ((4, 3), (4, 5), (5, 7))]
+    cases += [(random_mixed(n, np.random.default_rng(n), rank=2), n, None) for n in (4, 5)]
+    cases.append((w_state(4), 4, None))
     sweep, polish = cover_module._sweep, cover_module._polish
     log = []
 
@@ -1059,8 +1067,11 @@ def test_shared_sweeps_leave_estimate_opt_bit_identical(monkeypatch):
 
 
 def test_estimate_opt_logs_one_line_per_level(monkeypatch, caplog):
-    # One INFO line per bisection level: eta, members, purchases held, and
-    # the sweeps the level ran and read back, which sum to its sweeps.
+    # One INFO line per bisection level: eta, members, purchases held, the
+    # sweeps the level ran and read back, which sum to its sweeps, and the
+    # bracket lower <= opt <= upper.  A plant's bracket closes after one
+    # level, so this runs on a capped superposition of two products, whose
+    # bracket stays wider than 2 eps for three levels.
     levels, sweeps = [], []
     build, sweep = cover_module._build, cover_module._sweep
 
@@ -1076,22 +1087,30 @@ def test_estimate_opt_logs_one_line_per_level(monkeypatch, caplog):
 
     monkeypatch.setattr(cover_module, "_build", recording_build)
     monkeypatch.setattr(cover_module, "_sweep", counting_sweep)
+    state = superposition(4, 5)
     with caplog.at_level(logging.INFO, logger="prodstate.cover"):
-        estimate_opt(planted_six_qubit_oracle(), 0.1, 0.1)
+        _, witness = estimate_opt(StateOracle(state, seed=5), 0.1, 0.1,
+                                  overrides=CoverOverrides(degree_cap=1))
     lines = [rec.getMessage() for rec in caplog.records if rec.name == "prodstate.cover"]
-    pattern = r"cover level eta=(\S+): members=(\d+) purchases=6 sweeps run=(\d+) reused=(\d+)"
+    pattern = (r"cover level eta=(\S+): members=(\d+) purchases=(\d+) sweeps run=(\d+) "
+               r"reused=(\d+) lower=(\S+) upper=(\S+)")
     got = [re.fullmatch(pattern, line).groups() for line in lines]
-    assert [(float(eta), int(k)) for eta, k, _, _ in got] == levels
-    assert [int(run) for _, _, run, _ in got] == sweeps
-    assert len(levels) == 3 and sum(int(reused) for *_, reused in got) > 0
+    assert [(eta, int(k)) for eta, k, *_ in got] == [("%.6g" % eta, k) for eta, k in levels]
+    assert [int(run) for _, _, _, run, *_ in got] == sweeps
+    assert [int(held) for _, _, held, *_ in got] == [5, 10, 14]
+    assert len(levels) == 3 and sum(int(reused) for *_, reused, _, _ in got) > 0
+    lower, upper = float(got[-1][-2]), float(got[-1][-1])
+    opt = best_product_fidelity(state, restarts=8)[0]
+    assert lower <= fidelity(state, witness) and opt <= upper and upper - lower > 0.1
 
 
 def test_uncapped_roots_rotate_no_square_matrix(monkeypatch):
     # No root rotates a purchase or a marginal.  Uncapped, each purchase
-    # reads the whole marginal in the identity frame, and rows map back site
-    # by site in the sweep.  Under a cap each root's own purchase reads its
+    # reads the whole marginal's factor in place, in the identity frame, so
+    # the sitewise frame reader never runs, and rows map back site by site
+    # in the sweep.  Under a cap each root's own purchase reads its
     # weight-<= d rows in the root's recentring, once, through the sitewise
-    # frame reader.
+    # frame reader, and a prefix's shared purchase (m <= cap) reads in place.
     reads, tomography, frames = [], [], []
     inner = oracle_module._frame_rows
 
@@ -1100,16 +1119,16 @@ def test_uncapped_roots_rotate_no_square_matrix(monkeypatch):
         return inner(rho, us, d)
 
     monkeypatch.setattr(oracle_module, "_frame_rows", recording_frame_rows)
-    est, witness = estimate_opt(planted_six_qubit_oracle(), 0.1, 0.1)
-    assert witness is not None and est > 0.5 and reads
-    assert all(d == len(us) and np.array_equal(us, [np.eye(2)] * d) for us, d in reads)
-    reads.clear()
     recording(monkeypatch, "subspace_tomography", tomography, frames)
+    est, witness = estimate_opt(planted_six_qubit_oracle(), 0.1, 0.1)
+    assert witness is not None and est > 0.5 and tomography and not reads
+    tomography.clear()
+    frames.clear()
     estimate_opt(planted_six_qubit_oracle(), 0.1, 0.1, overrides=CoverOverrides(degree_cap=2))
-    assert len(reads) == len(tomography) and any(frame is not None for frame in frames)
-    for (us, d), (_, (m, cap, _), _), frame in zip(reads, tomography, frames):
-        assert d == cap
-        assert np.array_equal(us, [np.eye(2)] * m if frame is None else frame)
+    own = [(args, frame) for (_, args, _), frame in zip(tomography, frames) if frame is not None]
+    assert own and len(own) < len(tomography) and len(reads) == len(own)
+    for (us, d), ((m, cap, _), frame) in zip(reads, own):
+        assert d == cap < m and np.array_equal(us, frame)
 
 
 def test_estimate_opt_peak_memory_on_the_n8_benchmark_instance():
@@ -1126,6 +1145,77 @@ def test_estimate_opt_peak_memory_on_the_n8_benchmark_instance():
         tracemalloc.stop()
     assert witness is not None and est > 0.5
     assert peak < 4.5 * 2**20
+
+
+def logged_brackets(caplog, o, overrides):
+    """(estimate, witness, brackets): estimate_opt(o, 0.1, 0.1), each level's (lower, upper) read
+    off its INFO line."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="prodstate.cover"):
+        est, witness = estimate_opt(o, 0.1, 0.1, overrides=overrides)
+    brackets = [tuple(map(float, re.search(r"lower=(\S+) upper=(\S+)$", rec.getMessage()).groups()))
+                for rec in caplog.records if rec.name == "prodstate.cover"]
+    return est, witness, brackets
+
+
+def bracket_states():
+    """(state, opt): plants, rank-2 random mixed states, superpositions of two products and
+    pure products at n <= 8, opt taken from 8 restarts."""
+    states = [state_from_json(generate("planted-product", {"n": n, "w": 0.95, "noise": 0.05},
+                                       seed=1000 + n)["state"]) for n in (3, 5, 8)]
+    states += [random_mixed(n, np.random.default_rng(n), rank=2) for n in (2, 3, 4, 6)]
+    states += [superposition(n, 5) for n in (3, 4, 6)]
+    states += [product_state_vector(haar_product_params(np.random.default_rng(n), n))
+               for n in (2, 3, 7)]
+    return [(state, best_product_fidelity(state, restarts=8)[0]) for state in states]
+
+
+def assert_bracket(state, opt, est, witness, brackets):
+    # The line prints 6 digits, so each side is read within 1e-6.
+    got = 0.0 if witness is None else fidelity(state, witness)
+    assert brackets and got >= opt - 0.1, (state.n, got, opt)
+    assert all(opt <= upper + 1e-6 for _, upper in brackets), (state.n, opt, brackets)
+    assert brackets[-1][0] <= got + 1e-6, (state.n, got, brackets)
+    assert witness is None or abs(est - got) <= 0.1 / 4.0
+
+
+def test_estimate_opt_bracket_holds_opt_and_the_witness(caplog):
+    # Each level's upper (the least shared ceiling + tomo_eps, or an empty
+    # level's eta) is at least opt, and its lower (the witness's estimate
+    # - eps/4) at most the witness's fidelity: uncapped and at caps 1-2, on
+    # the exact backend with no noise and with noise_opnorm 1.
+    for state, opt in bracket_states():
+        for cap, noise in itertools.product((None, 1, 2), (0.0, 1.0)):
+            if cap is None or cap < state.n:
+                o = StateOracle(state, seed=state.n, noise_opnorm=noise)
+                assert_bracket(state, opt, *logged_brackets(caplog, o, CoverOverrides(degree_cap=cap)))
+
+
+def test_sampling_estimate_opt_bracket_holds_opt_and_the_witness(caplog):
+    # The same bracket on the sampling backend, where each bound holds
+    # w.p. 1 - delta: the n = 2 states uncapped and at cap 1, and the n = 3
+    # plant uncapped (about 5 s a run there).
+    states = bracket_states()
+    cases = [(state, opt, cap) for state, opt in states if state.n == 2 for cap in (None, 1)]
+    cases.append((*states[0], None))
+    for state, opt, cap in cases:
+        o = StateOracle(state, backend="sampling", seed=state.n)
+        assert_bracket(state, opt, *logged_brackets(caplog, o, CoverOverrides(degree_cap=cap)))
+
+
+def test_cover_search_plants_stop_after_one_level(caplog):
+    # On the `cover-search` benchmark plants (n = 3-8, `gen` seed 1000 s + n,
+    # oracle seed 1000 s + 100 + n at seeds s = 1-8) the first level's
+    # bracket is already within 2 eps: one level, and the witness meets
+    # opt - eps.
+    for seed, n in itertools.product(range(1, 9), range(3, 9)):
+        payload = generate("planted-product", {"n": n, "w": 0.95, "noise": 0.05},
+                           seed=1000 * seed + n)
+        state = state_from_json(payload["state"])
+        o = StateOracle(state, seed=1000 * seed + 100 + n)
+        est, witness, brackets = logged_brackets(caplog, o, DESK_OVERRIDES)
+        assert len(brackets) == 1, (seed, n, brackets)
+        assert_bracket(state, payload["ground_truth"]["opt"], est, witness, brackets)
 
 
 # --- distance-splitting properties ----------------------------------------------

@@ -707,6 +707,29 @@ def test_subnormalized_sampling_window_past_the_dense_budget():
     assert np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum() <= eps
 
 
+def test_uncapped_tomography_reads_the_marginal_factor_in_place():
+    # In the identity frame at d = m the rows are the marginal's factor, a
+    # view of the state's: on a rank-1 shifted state at n = 16 (a 1 MiB
+    # factor) one call holds only the rows' conjugate and the block, under
+    # 1.5 MiB at m = 4 and 2.5 MiB at m = 8 (2.0 and 3.0 MiB when the rows
+    # were read site by site and copied into basis order).  The block is
+    # the sitewise reader's in the explicit identity frame, bit for bit.
+    n = 16
+    state = factored_cases(n, np.random.default_rng(44))[3]
+    assert state.data.factor.shape == (2**n, 1) and state.data.shift > 0.0
+    o = StateOracle(state)
+    for m, mib in ((4, 1.5), (8, 2.5)):
+        tracemalloc.start()
+        try:
+            block = subspace_tomography(o, m, m, 0.1, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20, (m, peak)
+        framed = subspace_tomography(o, m, m, 0.1, 0.1, frame=np.array([np.eye(2)] * m))
+        assert np.array_equal(block, framed)
+
+
 def test_z_exact_allocates_no_dense_frame():
     # One dense 2^10 x 2^10 complex frame is 16.8 MB; the sitewise path
     # builds n+1 columns of the register instead.
