@@ -9,16 +9,19 @@ amplitude vector on 4m qubits, checked against states.DENSE_BUDGET like every
 other dense array, which admits sides up to 5.
 
 The spectral-norm oracle runs its multistart alternating maximization on
-blocks of restarts at once: each half-step is one matrix product with the
-unfolded tensor, giving a stack of small matrices, then exact single-leg
-updates of the two free legs by stacked matrix-vector products (the
-higher-order power method of De Lathauwer, De Moor and Vandewalle, SIAM J.
-Matrix Anal. Appl. 21(4), 2000); no eigensolve is called.  It iterates on
-the tensor's multilinear-rank core (their multilinear SVD, same issue),
-so an isometry lift runs on the core of the tensor it lifts.  A block holds
-at most _RESTART_ELEMENTS / m^2 restarts so memory stays bounded at any
-count.  Start vectors are drawn per restart in a fixed order, so a seed
-names the same starts whatever the block size.
+blocks of restarts at once (the higher-order power method of De Lathauwer,
+De Moor and Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000); no
+eigensolve is called.  A half-step forms the two fixed legs' outer products
+with one einsum and multiplies them into the unfolded tensor (made
+contiguous in both orientations once per block), giving a stack of small
+matrices, then updates the two free legs by three stacked matrix-vector
+products.  Row norms are read off the float view and divided in place; the
+fallback for a zero row runs only when one occurs.  It iterates on the
+tensor's multilinear-rank core (their multilinear SVD, same issue), so an
+isometry lift runs on the core of the tensor it lifts.  A block holds at
+most _RESTART_ELEMENTS / m^2 restarts so memory stays bounded at any count.
+Start vectors are drawn per restart in a fixed order, so a seed names the
+same starts whatever the block size.
 """
 
 from __future__ import annotations
@@ -135,10 +138,12 @@ def spectral_norm_oracle(t: Tensor4, restarts: int | None = None,
     Each half-step fixes two legs, forms the matrix M of the other two, and
     updates those one leg at a time, x, then y, then x again; each update is
     the exact maximizer with the other three legs fixed, so the value never
-    decreases.  No eigensolve or SVD is called.  The iteration runs on the
-    core T x_k Q_k^H (`_leg_bases`) from starts projected onto the Q_k: from
-    its first update on, the full-side iteration stays in their ranges, so
-    values agree to rounding.  A restart stops once a step gains at most
+    decreases.  A half-step costs one matrix product with the unfolded core
+    and three stacked matrix-vector products (`_leg_steps`); no eigensolve
+    or SVD is called.  The iteration runs on the core T x_k Q_k^H
+    (`_leg_bases`) from starts projected onto the Q_k: from its first
+    update on, the full-side iteration stays in their ranges, so values
+    agree to rounding.  A restart stops once a step gains at most
     1e-12 * max(1, value), or after 200 steps, and is dropped once the
     smaller of its linear and geometric rise bounds (`_rise_bounds`) cannot
     lift it more than that tolerance above the best value reached.
@@ -181,16 +186,24 @@ def spectral_norm_oracle(t: Tensor4, restarts: int | None = None,
     return best
 
 
-def _unfolding_chunks(entries: np.ndarray):
-    """Views tiling the legs' unfoldings, c leading indices at a time (at most
-    half the tensor and _RESTART_ELEMENTS entries): leg 0's (m, c m^2) column
-    block, (c, m, m^2) leg-1 rows, and (c m, m, m) leg-2 rows by leg-3 columns."""
+def _unfolding_sum(entries: np.ndarray, fn):
+    """Sum of fn over (4, m, c m^2) stacks tiling the four legs' unfoldings:
+    slice k holds leg k's unfolding restricted to c values of another index
+    (leg 1's for leg 0, leg 0's for the others), with 4 c m^3 at most
+    _RESTART_ELEMENTS, so one stack covers a side up to 16."""
     m = entries.shape[0]
-    step = max(1, min(m // 2, _RESTART_ELEMENTS // m**3))
+    step = max(1, min(m, _RESTART_ELEMENTS // (4 * m**3)))
+    total = 0.0
     for lo in range(0, m, step):
         part = entries[lo:lo + step]
-        yield (entries.reshape(m, -1)[:, lo * m * m:(lo + step) * m * m],
-               part.reshape(len(part), m, -1), part.reshape(-1, m, m))
+        stack = np.empty((4, m, len(part), m, m), dtype=complex)
+        stack[0] = entries[:, lo:lo + step]
+        stack[1] = part.transpose(1, 0, 2, 3)
+        stack[2] = part.transpose(2, 0, 1, 3)
+        stack[3] = part.transpose(3, 0, 1, 2)
+        total = total + fn(stack.reshape(4, m, -1))
+        del stack  # freed before the next chunk's stack is made
+    return total
 
 
 def _leg_bases(t: Tensor4) -> list[np.ndarray] | None:
@@ -200,36 +213,35 @@ def _leg_bases(t: Tensor4) -> list[np.ndarray] | None:
     Pivoted Cholesky of each leg's Gram matrix stops at residual diagonal
     (1e-6 |T|_F)^2, above the Gram's rounding (about 1e-16 |T|_F^2).  A
     basis is kept only if the unfolding's residual off it, computed
-    directly, is at most 1e-13 |T|_F; else that leg keeps the identity.
+    directly in the complementary columns of its QR, is at most
+    1e-13 |T|_F; else that leg keeps the identity.
     """
     m = t.side
-    grams = np.zeros((4, m, m), dtype=complex)
-    for rows, front, back in _unfolding_chunks(t.entries):
-        grams[0] += rows @ rows.conj().T
-        grams[1] += (front @ front.conj().transpose(0, 2, 1)).sum(axis=0)
-        back_conj = back.conj()
-        grams[2] += (back @ back_conj.transpose(0, 2, 1)).sum(axis=0)
-        grams[3] += (back.transpose(0, 2, 1) @ back_conj).sum(axis=0)
-    bases = _range_bases(grams, (1e-6 * t.fro) ** 2)
-    if any(q.shape[1] < m for q in bases):
-        proj = [q @ q.conj().T for q in bases]
-        residual = np.zeros(4)
-        for rows, front, back in _unfolding_chunks(t.entries):
-            residual += [np.linalg.norm(rows - proj[0] @ rows) ** 2,
-                         np.linalg.norm(front - proj[1] @ front) ** 2,
-                         np.linalg.norm(back - proj[2] @ back) ** 2,
-                         np.linalg.norm(back - back @ proj[3].T) ** 2]
-        bases = [q if r <= (1e-13 * t.fro) ** 2 else np.eye(m)
-                 for q, r in zip(bases, residual)]
-    return None if all(q.shape[1] == m for q in bases) else bases
+    grams = _unfolding_sum(t.entries, lambda a: a @ a.conj().transpose(0, 2, 1))
+    cols, ranks = _pivoted_cholesky(grams, (1e-6 * t.fro) ** 2)
+    if (ranks == m).all():
+        return None
+    q = np.linalg.qr(cols)[0]
+    off = (q * (np.arange(m) >= ranks[:, None, None])).conj().transpose(0, 2, 1)
+
+    def sq_norms(a):
+        w = (off @ a).view(float)
+        return np.einsum("kij,kij->k", w, w)
+
+    residual = _unfolding_sum(t.entries, sq_norms)
+    bases = [q[k, :, :r] if res <= (1e-13 * t.fro) ** 2 else np.eye(m)
+             for k, (r, res) in enumerate(zip(ranks, residual))]
+    return None if all(b.shape[1] == m for b in bases) else bases
 
 
-def _range_bases(grams: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Orthonormal bases of the pivot columns of each PSD matrix's Cholesky
-    factor, pivoting on the largest residual diagonal while it exceeds tol."""
+def _pivoted_cholesky(grams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of a stack of PSD matrices and their ranks, pivoting
+    on the largest residual diagonal while it exceeds tol; the columns past
+    a matrix's rank are zero."""
     count, m, _ = grams.shape
     legs = np.arange(count)
-    diag = np.einsum("kii->ki", grams).real.copy()
+    rest = grams.copy()
+    diag = rest.diagonal(axis1=1, axis2=2).real  # a view: it follows rest
     cols = np.zeros((count, m, m), dtype=complex)
     ranks = np.zeros(count, dtype=int)
     for j in range(m):
@@ -238,12 +250,11 @@ def _range_bases(grams: np.ndarray, tol: float) -> list[np.ndarray]:
         live = top > tol
         if not live.any():
             break
-        col = grams[legs, :, pivot] - (cols[:, :, :j] @ cols[legs, pivot, :j, None].conj())[..., 0]
-        cols[:, :, j] = col / np.sqrt(np.maximum(top, tol))[:, None] * live[:, None]
-        diag -= np.abs(cols[:, :, j]) ** 2
+        col = rest[legs, :, pivot] * (live / np.sqrt(np.maximum(top, tol)))[:, None]
+        cols[:, :, j] = col
+        rest -= np.einsum("ki,kj->kij", col, col.conj())
         ranks += live
-    q = np.linalg.qr(cols)[0]
-    return [q[k, :, :r] for k, r in enumerate(ranks)]
+    return cols, ranks
 
 
 def _core(entries: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
@@ -261,15 +272,16 @@ def _alternating_max(unfolded: np.ndarray, legs: list[np.ndarray]) -> tuple[floa
     or the geometric bound, and stopped by the cap."""
     x, y, u, v = (w / np.linalg.norm(w, axis=1, keepdims=True) for w in legs)
     front, back = (x.shape[1], y.shape[1]), (u.shape[1], v.shape[1])
+    to_front = np.ascontiguousarray(unfolded.T)
     value = np.zeros(len(x))
     prev = np.full(len(x), np.inf)
     best = 0.0
     tally = np.zeros(5, dtype=int)
     for step in range(_MAX_STEPS):
         tally[0] += 2
-        pair = (u.conj()[:, :, None] * v.conj()[:, None, :]).reshape(len(u), -1)
-        _, x, y = _leg_steps((pair @ unfolded.T).reshape(-1, *front), x, y)
-        pair = (x.conj()[:, :, None] * y.conj()[:, None, :]).reshape(len(x), -1)
+        pair = np.einsum("bk,bl->bkl", u.conj(), v.conj()).reshape(len(u), -1)
+        _, x, y = _leg_steps((pair @ to_front).reshape(-1, *front), x, y)
+        pair = np.einsum("bk,bl->bkl", x.conj(), y.conj()).reshape(len(x), -1)
         sing, u, v = _leg_steps((pair @ unfolded).reshape(-1, *back), u, v)
         gain = sing - value
         done = gain <= 1e-12 * np.maximum(1.0, value)
@@ -308,21 +320,32 @@ def _leg_steps(mats: np.ndarray, x: np.ndarray, y: np.ndarray
     """Exact updates of x, then y, then x again for the value |x^H M conj(y)|.
 
     With the other leg fixed, each update is the unit vector that maximizes
-    the value, so it never decreases; a row whose image is zero keeps its
-    previous unit vector.  Returns the final value s = ||M conj(y)|| and the
-    unit rows x, y, with x^H M conj(y) = s.
+    the value, so it never decreases.  The first x update stays the raw
+    image M conj(y): y's update M^T conj(x) depends only on x's direction.
+    A row whose image is zero keeps its previous unit vector; where
+    M conj(y) = 0, y's update reads the previous x.  Those are exactly the
+    rows whose y image is zero, as |M^T conj(M conj(y))| >= |M conj(y)|^2
+    for a unit y, so that fallback runs only when a y image is zero.
+    Returns the final value s = ||M conj(y)|| and the unit rows x, y, with
+    x^H M conj(y) = s.
     """
-    x, _ = _unit(np.einsum("bij,bj->bi", mats, y.conj()), x)
-    y, _ = _unit(np.einsum("bij,bi->bj", mats, x.conj()), y)
+    image = np.einsum("bij,bj->bi", mats, y.conj())
+    y, norms = _unit(np.einsum("bij,bi->bj", mats, image.conj()), y)
+    if not norms.all():
+        lost = norms == 0.0
+        y[lost] = _unit(np.einsum("bij,bi->bj", mats[lost], x[lost].conj()), y[lost])[0]
     x, sing = _unit(np.einsum("bij,bj->bi", mats, y.conj()), x)
     return sing, x, y
 
 
 def _unit(rows: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to unit length, and their norms; zero rows take the fallback's."""
-    norms = np.linalg.norm(rows, axis=1)
-    unit = np.divide(rows, norms[:, None], out=fallback.copy(), where=norms[:, None] > 0.0)
-    return unit, norms
+    """Rows scaled in place to unit length, and their norms; zero rows take the fallback's."""
+    flat = rows.view(float)
+    norms = np.sqrt(np.einsum("bk,bk->b", flat, flat))
+    if norms.all():
+        flat /= norms[:, None]
+        return rows, norms
+    return np.divide(rows, norms[:, None], out=fallback.copy(), where=norms[:, None] > 0.0), norms
 
 
 def recover_clique_number(nu: float) -> int:

@@ -5,7 +5,8 @@ the test-only state constructors (GHZ, W, Bell, maximally mixed, diagonal,
 mixtures),
 the dense density-matrix references (`dense_mixed` in, `density` out),
 the sitewise rotation (`apply_sites`) and the single-flip frame read,
-dense test references, the brute-force grid and multistart oracles, the dense
+dense test references, the brute-force grid and multistart oracles, the
+spectral-norm oracle's previous half-step kernel, the dense
 product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
 complex power-row polynomial evaluator and the per-support polynomial search,
 the cover audit, the dense per-root cover cut, the per-member discrete learner, the
@@ -20,6 +21,7 @@ from scipy.optimize import minimize
 
 from prodstate.errors import PromiseViolationError, ResourceBudgetError
 from prodstate.discrete import member_vector
+from prodstate.hardness import _MAX_STEPS, _rise_bounds
 from prodstate.mps import MatrixProductState
 from prodstate.oracle import (
     SHADOW_CHUNK,
@@ -369,6 +371,69 @@ def reference_spectral_norm(t, restarts, seed):
             value = float(sing[0])
         best = max(best, value)
     return best
+
+
+def reference_alternating_max(unfolded, legs):
+    """`hardness._alternating_max` with the half-step kernel it replaced, kept as its reference.
+
+    Each half-step forms the fixed pair by broadcasting and multiplies it
+    into the strided transpose of the unfolding; `_reference_leg_steps`
+    normalizes all three of its updates, each through `np.linalg.norm` and a
+    masked divide into a copy of the previous rows.  The iteration, starts,
+    drop rules and tally are the oracle's, so the two agree to rounding.
+    """
+    x, y, u, v = (w / np.linalg.norm(w, axis=1, keepdims=True) for w in legs)
+    front, back = (x.shape[1], y.shape[1]), (u.shape[1], v.shape[1])
+    value = np.zeros(len(x))
+    prev = np.full(len(x), np.inf)
+    best = 0.0
+    tally = np.zeros(5, dtype=int)
+    for step in range(_MAX_STEPS):
+        tally[0] += 2
+        pair = (u.conj()[:, :, None] * v.conj()[:, None, :]).reshape(len(u), -1)
+        _, x, y = _reference_leg_steps((pair @ unfolded.T).reshape(-1, *front), x, y)
+        pair = (x.conj()[:, :, None] * y.conj()[:, None, :]).reshape(len(x), -1)
+        sing, u, v = _reference_leg_steps((pair @ unfolded).reshape(-1, *back), u, v)
+        gain = sing - value
+        done = gain <= 1e-12 * np.maximum(1.0, value)
+        value = sing
+        if done.any():
+            best = max(best, float(value[done].max()))
+        linear, geometric = _rise_bounds(gain, prev, _MAX_STEPS - 1 - step)
+        floor = best + 1e-12 * max(1.0, best)
+        by_linear = ~done & (value + linear <= floor)
+        by_tail = ~done & ~by_linear & (value + geometric <= floor)
+        tally[1:4] += done.sum(), by_linear.sum(), by_tail.sum()
+        keep = ~(done | by_linear | by_tail)
+        prev = gain
+        if not keep.all():
+            best = max(best, float(value[~keep].max()))
+            x, y, u, v, value, prev = x[keep], y[keep], u[keep], v[keep], value[keep], prev[keep]
+            if not len(value):
+                return best, tally
+    tally[4] += len(value)
+    return max(best, float(value.max())), tally
+
+
+def _reference_leg_steps(mats, x, y):
+    """Exact updates of x, then y, then x again for the value |x^H M conj(y)|.
+
+    With the other leg fixed, each update is the unit vector that maximizes
+    the value, so it never decreases; a row whose image is zero keeps its
+    previous unit vector.  Returns the final value s = ||M conj(y)|| and the
+    unit rows x, y, with x^H M conj(y) = s.
+    """
+    x, _ = _reference_unit(np.einsum("bij,bj->bi", mats, y.conj()), x)
+    y, _ = _reference_unit(np.einsum("bij,bi->bj", mats, x.conj()), y)
+    x, sing = _reference_unit(np.einsum("bij,bj->bi", mats, y.conj()), x)
+    return sing, x, y
+
+
+def _reference_unit(rows, fallback):
+    """Rows scaled to unit length, and their norms; zero rows take the fallback's."""
+    norms = np.linalg.norm(rows, axis=1)
+    unit = np.divide(rows, norms[:, None], out=fallback.copy(), where=norms[:, None] > 0.0)
+    return unit, norms
 
 
 def reference_membership_mask(dom, points, factor):
