@@ -35,10 +35,8 @@ sweep replaces both, and the reduction's solver runs standalone as
 `polyopt.solve_constrained`.  `estimate_opt` wraps the builder in a
 bisection over eta to estimate the best product-state fidelity with a
 witness, and stops once the ceilings it bought and its witness's estimate
-bracket opt within 2 eps.  Its levels share each purchase and the sweeps
-run on it: a root's sweep that no separation check turned down is stored
-beside the purchase and read back by a later level whose members clear its
-steps.
+bracket opt within 2 eps.  Its levels share each purchase and its
+ceiling; each level runs its own sweeps.
 """
 
 from __future__ import annotations
@@ -246,7 +244,7 @@ def _certified_ritz_value(rho: np.ndarray) -> float | None:
 
 
 def _sweep(rho: np.ndarray, root: ProductParams, d: int, far):
-    """(point, score, steps) of the constrained site sweep from `root` on the purchase rho.
+    """(point, score) of the constrained site sweep from `root` on the purchase rho.
 
     The pair of rows at site i is left (x) C_i e_a (x) right, a = 0, 1, on
     the purchase's coordinates, left and right the products of the site
@@ -255,8 +253,6 @@ def _sweep(rho: np.ndarray, root: ProductParams, d: int, far):
     purchase (d = m) C_i = U_i^dagger, U the root's recentring, and every
     coordinate is read; on a root's own (d < m) C_i = I, the weight-<= d
     strings are read and the site vectors map to the point by U^dagger.
-    `steps` holds every point a separation check let through, or is None
-    when a check turned a step down.
     """
     m = root.n
     adjoints = np.array(recenter_unitaries(root)).conj().transpose(0, 2, 1)
@@ -270,7 +266,6 @@ def _sweep(rho: np.ndarray, root: ProductParams, d: int, far):
     sites = cols[:, :, 0].copy()
     row = product_vectors(sites[None])[0, coords]
     score = float(np.real(row.conj() @ rho @ row))
-    steps: list[ProductParams] | None = []
     for _ in range(50):
         start = score
         left, rights = np.ones(1, dtype=complex), [np.ones(1, dtype=complex)]
@@ -282,27 +277,12 @@ def _sweep(rho: np.ndarray, root: ProductParams, d: int, far):
             if val > score:
                 trial = sites.copy()
                 trial[i] = cols[i] @ vec
-                point = params_of(trial)
-                if far(point):
+                if far(params_of(trial)):
                     sites, score = trial, val
-                    if steps is not None:
-                        steps.append(point)
-                else:
-                    steps = None
             left = np.multiply.outer(left, sites[i]).ravel()
         if score - start < 1e-10:
             break
-    return params_of(sites), score, steps
-
-
-class _Sweeps(dict):
-    """Reusable sweeps on one purchase, keyed by root.z (see `_polish`).
-
-    `run` counts the sweeps run on the purchase, `reused` the sweeps read
-    back instead.
-    """
-
-    run = reused = 0
+    return params_of(sites), score
 
 
 def _clears(point: ProductParams, members, b: float) -> bool:
@@ -310,8 +290,8 @@ def _clears(point: ProductParams, members, b: float) -> bool:
     return all(tangent_distance(point, member) >= b for member in members)
 
 
-def _polish(rho: np.ndarray, root: ProductParams, members, params: CoverParams,
-            sweeps: _Sweeps) -> ProductParams | None:
+def _polish(rho: np.ndarray, root: ProductParams, members,
+            params: CoverParams) -> ProductParams | None:
     """The new cover member one constrained site sweep finds from `root`, or None.
 
     The sweep runs in the root's frame, where the root is |0...0>, on site
@@ -324,24 +304,9 @@ def _polish(rho: np.ndarray, root: ProductParams, members, params: CoverParams,
     of `members` (original frame) at least params.b; `_build` turns a root
     closer than that away.  Sweeps stop on a gain below 1e-10, or after 50.
     Returns the point (original frame) if its score reaches eta - eps/2.
-
-    `sweeps` holds, per root.z, the (point, score, steps) of a sweep on rho
-    that no separation check turned down.  That sweep is reused when every
-    one of its steps clears params.b to `members`: each step depends only
-    on rho, the point and its check, so the sweep would take the same steps.
     """
-    def far(point):
-        return _clears(point, members, params.b)
-
-    path = sweeps.get(root.z)
-    if path is not None and all(far(point) for point in path[2]):
-        sweeps.reused += 1
-    else:
-        sweeps.run += 1
-        path = _sweep(rho, root, params.degree(root.n), far)
-        if path[2] is not None:
-            sweeps[root.z] = path
-    point, score, _ = path
+    point, score = _sweep(rho, root, params.degree(root.n),
+                          lambda point: _clears(point, members, params.b))
     if score < params.eta - 0.5 * params.eps - 1e-12:
         return None
     return point
@@ -356,16 +321,16 @@ def _build(o: StateOracle, params: CoverParams,
 
     Purchases are looked up in a dict and a missing one is bought and stored
     by `_purchase`: its Hermitian part and that part's top eigenvalue, the
-    ceiling of every root that reads it, beside a `_Sweeps` dict of the
-    reusable sweeps run on it, which levels sharing the purchase share too
-    (`_polish`).  At degree(m) = m a prefix buys one purchase, keyed (m, m,
-    tomo_eps); below, each root buys its own block in its frame, keyed (m,
-    degree(m), tomo_eps, root.z).  A root that fails the separation bound
-    to the members accepted before it buys nothing, one whose ceiling
-    misses eta - eps/2 proposes nothing, and the others propose at most one
-    member each.  The k-th distinct shared purchase at prefix m gets failure
-    probability prefix_delta * 2^-k, so they sum below prefix_delta however
-    many levels share the dict; a root's own block gets delta_call.
+    ceiling of every root that reads it, which levels sharing the dict share
+    too; every root's sweep runs afresh (`_polish`).  At degree(m) = m a
+    prefix buys one purchase, keyed (m, m, tomo_eps); below, each root buys
+    its own block in its frame, keyed (m, degree(m), tomo_eps, root.z).  A
+    root that fails the separation bound to the members accepted before it
+    buys nothing, one whose ceiling misses eta - eps/2 proposes nothing, and
+    the others propose at most one member each.  The k-th distinct shared
+    purchase at prefix m gets failure probability prefix_delta * 2^-k, so
+    they sum below prefix_delta however many levels share the dict; a
+    root's own block gets delta_call.
     `prefix_cache` is a caller's (dict, prefix_delta) pair; without one a
     fresh dict is used with prefix_delta = 2 * delta_call, so each prefix is
     bought once at the same failure share as every fidelity estimate.
@@ -406,12 +371,12 @@ def _build(o: StateOracle, params: CoverParams,
                 block = subspace_tomography(o, m, d, params.tomo_eps,
                                             delta_call if d < m else purchase_delta(m),
                                             frame=recenter_unitaries(root) if d < m else None)
-                bought[key] = (*_purchase(block), _Sweeps())
-            rho, ceiling, sweeps = bought[key]
+                bought[key] = _purchase(block)
+            rho, ceiling = bought[key]
             # No unit vector beats the ceiling, so neither will any candidate.
             if ceiling < thresh - 1e-12:
                 continue
-            cand = _polish(rho, root, new, params, sweeps)
+            cand = _polish(rho, root, new, params)
             if cand is None:
                 continue
             est = estimate_fidelity(o, m, site_stack([cand]), params.eps / 4.0, delta_call)[0]
@@ -439,12 +404,6 @@ def build_cover(o: StateOracle, params: CoverParams) -> Cover:
     return _build(o, params)
 
 
-def _swept(bought: dict) -> tuple[int, int]:
-    """Sweeps run and reused so far on the purchases in `bought`."""
-    return (sum(sweeps.run for _, _, sweeps in bought.values()),
-            sum(sweeps.reused for _, _, sweeps in bought.values()))
-
-
 def _upper(bought: dict) -> float:
     """The least bound ceiling + tomo_eps on opt among the shared purchases in `bought`.
 
@@ -453,7 +412,7 @@ def _upper(bought: dict) -> float:
     tomo_eps, and no product state beats its prefix's marginal.  A root's
     own block (d < m) bounds only the states inside its cut, not opt.
     """
-    return min(ceiling + key[2] for key, (_, ceiling, _) in bought.items() if key[0] == key[1])
+    return min(ceiling + key[2] for key, (_, ceiling) in bought.items() if key[0] == key[1])
 
 
 def estimate_opt(o: StateOracle, eps: float, delta: float,
@@ -483,13 +442,10 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
 
     Each purchase is made once per call: the levels share one tomography
     per distinct (m, degree(m), tomo_eps), under a cap per root as well, and
-    a level asking for a finer tomo_eps (eta < 4 eps) buys a new one.  They
-    share the sweeps run on each purchase too: a root's sweep is read back,
-    not rerun, while every step it took clears the level's separation bound
-    to the members accepted before it, which leaves every output unchanged.
-    Under PRODSTATE_LOG=INFO each level logs one line: eta, members,
-    purchases held, the sweeps it ran and read back, and the bracket lower
-    <= opt <= upper (hi) it holds.  Failure budget:
+    a level asking for a finer tomo_eps (eta < 4 eps) buys a new one.  Each
+    level sweeps its roots afresh on the shared purchases.  Under
+    PRODSTATE_LOG=INFO each level logs one line: eta, members, purchases
+    held, and the bracket lower <= opt <= upper (hi) it holds.  Failure budget:
     the shared purchases take delta/2, the k-th distinct one at a prefix
     getting delta/(2n) * 2^-k.  The other delta/2 goes to the levels: each
     level's cover estimates, and under a cap its roots' own purchases,
@@ -502,7 +458,7 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
     iterations = math.ceil(math.log2(1.0 / eps)) + 2
     delta_iter = delta / (4 * iterations)
     prefix_delta = delta / (2 * o.n)
-    bought: dict[tuple, tuple[np.ndarray, float, _Sweeps]] = {}
+    bought: dict[tuple, tuple[np.ndarray, float]] = {}
 
     lo, hi = 0.0, 1.0
     eta = 0.5
@@ -513,9 +469,7 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
             break
         level_eps = min(eps, eta / 4.0)
         params = CoverParams(eta, level_eps, delta_iter, overrides)
-        swept = _swept(bought)
         cover = _build(o, params, (bought, prefix_delta))
-        run, reused = np.subtract(_swept(bought), swept)
         if cover.members:
             share = delta_iter / len(cover.members)
             ests = estimate_fidelity(o, o.n, site_stack(cover.members), eps / 4.0, share)
@@ -526,9 +480,8 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
             lo, hi = max(eta, lower), min(hi, _upper(bought))
         else:
             hi = eta
-        logger.info("cover level eta=%.6g: members=%d purchases=%d sweeps run=%d reused=%d "
-                    "lower=%.6g upper=%.6g",
-                    eta, len(cover.members), len(bought), run, reused, lower, hi)
+        logger.info("cover level eta=%.6g: members=%d purchases=%d lower=%.6g upper=%.6g",
+                    eta, len(cover.members), len(bought), lower, hi)
         if hi - lo <= 2.0 * eps:
             break
         eta = 0.5 * (lo + hi)

@@ -51,6 +51,7 @@ from .errors import ResourceBudgetError
 from .states import (
     DEFAULT_ATOL,
     QuantumState,
+    _flip_schedule,
     _frame_rows,
     _mapped,
     _marginal,
@@ -58,7 +59,6 @@ from .states import (
     _overlaps,
     _sandwich,
     check_dense_budget,
-    hamming_weights,
     haar_state,
     product_vectors,
 )
@@ -141,7 +141,7 @@ def weight_leq_indices(m: int, d: int) -> list[int]:
     """Basis indices (ascending) of m-qubit strings with Hamming weight <= d."""
     if not (0 <= d <= m):
         raise ValueError("need 0 <= d <= m")
-    return np.flatnonzero(hamming_weights(m) <= d).tolist()
+    return _flip_schedule(m, d)[2].tolist()
 
 
 # --- oracle handle ---------------------------------------------------------

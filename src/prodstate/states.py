@@ -1,4 +1,4 @@
-"""States, and product-state geometry: parametrization, tangent distance, string weights.
+"""States, and product-state geometry: parametrization, tangent distance, weight-<= d strings.
 
 A `QuantumState` is a normalized state on n qubits: a unit amplitude vector
 or a mixed state, given and held in factored form rho = W W* + c I
@@ -13,7 +13,7 @@ raises ResourceBudgetError above it.
 A pure product state on n qubits is parametrized by a complex vector z, one
 entry per site, as the tensor product of (|0> + z_i |1>)/sqrt(1 + |z_i|^2).
 This module provides that parametrization, the tangent distance between two
-such states, the Hamming weights of basis strings, the single-site unitaries
+such states, the weight-<= d basis strings, the single-site unitaries
 that rotate a product state onto |0...0>, fidelity evaluation, and the small
 closed-form bounds (fidelity sandwiches, weight-tail bounds) that the
 learners rely on.
@@ -29,10 +29,10 @@ again a factor, which an oracle holds as is.
 
 Every module builds product amplitudes with `product_vectors` from (k, n, 2)
 site stacks (`site_stack` gives the stack of parameter tuples), reads
-parameters off site vectors with `vector_to_params`, enumerates string
-weights with `hamming_weights`, draws Haar states with `haar_state`, and
-takes the top eigenpair of a 2x2 Hermitian matrix in closed form with
-`_top_pair`.
+parameters off site vectors with `vector_to_params`, lists the weight-<= d
+strings as `_flip_schedule` builds them (`oracle.weight_leq_indices`), draws
+Haar states with `haar_state`, and takes the top eigenpair of a 2x2
+Hermitian matrix in closed form with `_top_pair`.
 
 Basis convention: index b encodes the bit string x via b = sum_i x_i 2^(n-i),
 i.e. site 1 is the most significant bit.
@@ -305,7 +305,7 @@ def _frame_rows(rho: FactoredDensity, us: np.ndarray, d: int) -> tuple[np.ndarra
     time.  Y[order] lists the rows by basis index, as
     `oracle.weight_leq_indices`; at d = 1 Y lists <0^k| U, <e_1| U, ...
     """
-    flips, order = _flip_schedule(len(us), d)
+    flips, order, _ = _flip_schedule(len(us), d)
     x = rho.factor.reshape(1, -1)
     for u, flip in zip(us, flips):
         x = x.reshape(len(x), 2, -1)
@@ -318,8 +318,10 @@ def _frame_rows(rho: FactoredDensity, us: np.ndarray, d: int) -> tuple[np.ndarra
 
 
 @lru_cache(maxsize=None)
-def _flip_schedule(k: int, d: int) -> tuple[tuple, np.ndarray]:
-    """Per site, the rows of `_frame_rows` that flip there; and its rows' order by basis index.
+def _flip_schedule(k: int, d: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Per site, the rows of `_frame_rows` that flip there; its rows' order by
+    basis index; and the basis indices of the k-site strings of weight <= d,
+    ascending, in O(k W) for W of them.
 
     A leading block of rows, as at d = 1 and at the first d sites, is a
     slice, read as a view.
@@ -331,8 +333,10 @@ def _flip_schedule(k: int, d: int) -> tuple[tuple, np.ndarray]:
         codes = np.concatenate([codes, codes[flip] | 1 << (k - 1 - site)])
         weights = np.concatenate([weights, weights[flip] + 1])
     order = np.argsort(codes)
+    codes = codes[order]
     order.setflags(write=False)
-    return tuple(flips), order
+    codes.setflags(write=False)
+    return tuple(flips), order, codes
 
 
 def _infer_qubits(dim: int) -> int:
@@ -340,17 +344,6 @@ def _infer_qubits(dim: int) -> int:
     if n < 1 or 1 << n != dim:
         raise ValueError(f"dimension {dim} is not a power of 2 above 1")
     return n
-
-
-@lru_cache(maxsize=None)
-def hamming_weights(n: int) -> np.ndarray:
-    """Number of 1 bits of every n-qubit basis index (site 1 most significant)."""
-    idx = np.arange(2**n)
-    weights = np.zeros(2**n, dtype=np.int64)
-    for site in range(n):
-        weights += (idx >> (n - 1 - site)) & 1
-    weights.setflags(write=False)
-    return weights
 
 
 def _site_vector(z: complex) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Shared pytest hooks (acceptance-criteria summary lines), random product parameters,
 the test-only state readers (product fidelity, excitation weights, Schmidt rank,
-partial trace),
+partial trace, Hamming weights of basis strings),
 the test-only state constructors (GHZ, W, Bell, maximally mixed, diagonal,
 mixtures),
 the dense density-matrix references (`dense_mixed` in, `density` out),
@@ -56,7 +56,6 @@ from prodstate.states import (
     haar_isometry,
     haar_product_params,
     haar_state,
-    hamming_weights,
     product_state_vector,
     product_unitary,
     product_vectors,
@@ -104,6 +103,15 @@ def weight_distribution(site_probs) -> np.ndarray:
     for q in np.asarray(site_probs, dtype=float):
         dist = np.convolve(dist, [1.0 - q, q])
     return dist
+
+
+def hamming_weights(n: int) -> np.ndarray:
+    """Number of 1 bits of every n-qubit basis index (site 1 most significant)."""
+    idx = np.arange(2**n)
+    weights = np.zeros(2**n, dtype=np.int64)
+    for site in range(n):
+        weights += (idx >> (n - 1 - site)) & 1
+    return weights
 
 
 def schmidt_rank(s: QuantumState, cut: int, tol: float = 1e-10) -> int:

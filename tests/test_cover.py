@@ -22,7 +22,6 @@ from prodstate.cover import (
     CoverParams,
     DESK_OVERRIDES,
     LOCAL_NET,
-    _Sweeps,
     _clears,
     _pair_rows,
     _polish,
@@ -128,7 +127,7 @@ def polish_candidate(truncation, members, root, params):
         return None
     d = params.degree(root.n)
     rho, _ = _purchase(truncation if d == root.n else own_block(truncation, root, d))
-    return _polish(rho, root, members, params, _Sweeps())
+    return _polish(rho, root, members, params)
 
 
 def site_rows(points):
@@ -310,7 +309,7 @@ def replay_sweeps(monkeypatch, cases):
     for rho, root, d in cases:
         m = root.n
         events.clear()
-        point, _, taken = cover_module._sweep(rho, root, d, far)
+        point, _ = cover_module._sweep(rho, root, d, far)
         adjoints = adjoints_of(root)
         cols = adjoints if d == m else np.broadcast_to(np.eye(2), (m, 2, 2))
         sites = list(cols[:, :, 0])
@@ -328,7 +327,6 @@ def replay_sweeps(monkeypatch, cases):
                 sites[i] = cols[i] @ vec
                 steps += 1
         pairs += visited
-        assert len(taken) == sum(isinstance(event, ProductParams) for event in events)
         assert point == vector_to_params(np.einsum("kab,kb->ka", adjoints, sites)
                                          if d < m else np.array(sites))
     return pairs, steps
@@ -1011,94 +1009,30 @@ def superposition(n, seed, a2=0.5, w=0.95):
     return planted_mixture(psi / np.linalg.norm(psi), w)
 
 
-def test_shared_sweeps_leave_estimate_opt_bit_identical(monkeypatch):
-    # Levels read a root's stored sweep back when all its steps clear the
-    # separation bound.  A run that sweeps every root at every level gives
-    # the same estimate, witness and copies, bit for bit.  A stored sweep
-    # whose steps fail the check is swept afresh (a fallback), and a sweep
-    # that no check turned down runs once per purchase and root in a call.
-    cases = []
-    for n in range(2, 9):
-        payload = generate("planted-product", {"n": n, "w": 0.95, "noise": 0.05}, seed=1000 + n)
-        cases.append((state_from_json(payload["state"]), 1100 + n, None))
-    cases += [(cases[n - 2][0], n, cap) for n in (3, 4, 5) for cap in (1, 2)]
-    cases.append((random_mixed(3, np.random.default_rng(1), rank=2), 3, None))
-    cases += [(superposition(n, seed), seed, None) for n, seed in ((4, 5), (6, 5), (5, 7), (6, 7))]
-    # A plant's bracket closes after one level, so the sweeps shared across
-    # levels, and the fallback, come from instances whose bracket stays wide.
-    cases += [(superposition(n, seed), seed, 1) for n, seed in ((4, 3), (4, 5), (5, 7))]
-    cases += [(random_mixed(n, np.random.default_rng(n), rank=2), n, None) for n in (4, 5)]
-    cases.append((w_state(4), 4, None))
-    sweep, polish = cover_module._sweep, cover_module._polish
-    log = []
-
-    def recording_sweep(rho, root, *rest):
-        path = sweep(rho, root, *rest)
-        log.append(((id(rho), root.z), path[2] is not None))
-        return path
-
-    def unshared_polish(rho, root, members, params, sweeps):
-        return polish(rho, root, members, params, _Sweeps())
-
-    monkeypatch.setattr(cover_module, "_sweep", recording_sweep)
-    fallbacks = saved = 0
-    for state, seed, cap in cases:
-        overrides = CoverOverrides(degree_cap=cap)
-
-        def run():
-            log.clear()
-            o = StateOracle(state, seed=seed)
-            return estimate_opt(o, 0.1, 0.1, overrides=overrides), o.copies_consumed
-
-        shared = run()
-        swept = list(log)
-        with monkeypatch.context() as patch:
-            patch.setattr(cover_module, "_polish", unshared_polish)
-            assert run() == shared
-        saved += len(log) - len(swept)
-        clean = set()
-        for key, kept in swept:
-            if key in clean:
-                fallbacks += 1
-                assert not kept, key
-            if kept:
-                clean.add(key)
-    assert fallbacks >= 1 and saved > 0
-
-
 def test_estimate_opt_logs_one_line_per_level(monkeypatch, caplog):
-    # One INFO line per bisection level: eta, members, purchases held, the
-    # sweeps the level ran and read back, which sum to its sweeps, and the
-    # bracket lower <= opt <= upper.  A plant's bracket closes after one
+    # One INFO line per bisection level: eta, members, purchases held, and
+    # the bracket lower <= opt <= upper.  A plant's bracket closes after one
     # level, so this runs on a capped superposition of two products, whose
     # bracket stays wider than 2 eps for three levels.
-    levels, sweeps = [], []
-    build, sweep = cover_module._build, cover_module._sweep
+    levels = []
+    build = cover_module._build
 
     def recording_build(o, params, *rest):
-        sweeps.append(0)
         cover = build(o, params, *rest)
         levels.append((params.eta, len(cover)))
         return cover
 
-    def counting_sweep(*args):
-        sweeps[-1] += 1
-        return sweep(*args)
-
     monkeypatch.setattr(cover_module, "_build", recording_build)
-    monkeypatch.setattr(cover_module, "_sweep", counting_sweep)
     state = superposition(4, 5)
     with caplog.at_level(logging.INFO, logger="prodstate.cover"):
         _, witness = estimate_opt(StateOracle(state, seed=5), 0.1, 0.1,
                                   overrides=CoverOverrides(degree_cap=1))
     lines = [rec.getMessage() for rec in caplog.records if rec.name == "prodstate.cover"]
-    pattern = (r"cover level eta=(\S+): members=(\d+) purchases=(\d+) sweeps run=(\d+) "
-               r"reused=(\d+) lower=(\S+) upper=(\S+)")
+    pattern = r"cover level eta=(\S+): members=(\d+) purchases=(\d+) lower=(\S+) upper=(\S+)"
     got = [re.fullmatch(pattern, line).groups() for line in lines]
     assert [(eta, int(k)) for eta, k, *_ in got] == [("%.6g" % eta, k) for eta, k in levels]
-    assert [int(run) for _, _, _, run, *_ in got] == sweeps
     assert [int(held) for _, _, held, *_ in got] == [5, 10, 14]
-    assert len(levels) == 3 and sum(int(reused) for *_, reused, _, _ in got) > 0
+    assert len(levels) == 3
     lower, upper = float(got[-1][-2]), float(got[-1][-1])
     opt = best_product_fidelity(state, restarts=8)[0]
     assert lower <= fidelity(state, witness) and opt <= upper and upper - lower > 0.1

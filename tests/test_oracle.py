@@ -427,9 +427,24 @@ def test_weight_leq_indices():
     assert weight_leq_indices(2, 2) == [0, 1, 2, 3]
     with pytest.raises(ValueError):
         weight_leq_indices(2, 3)
-    for m in range(9):
+
+
+def test_weight_leq_indices_match_the_reference_through_twelve_sites():
+    for m in range(13):
         for d in range(m + 1):
             assert weight_leq_indices(m, d) == reference_weight_leq_indices(m, d)
+
+
+def test_weight_leq_indices_enumerate_only_the_kept_strings():
+    # O(W) work and memory for the W = 211 strings of weight <= 2 on 20
+    # sites: a mask over all 2^20 strings alone takes 1 MiB.
+    tracemalloc.start()
+    try:
+        idx = weight_leq_indices(20, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(idx) == 211 and peak < 512 * 1024
 
 
 def test_subspace_zero_state():

@@ -22,7 +22,6 @@ from prodstate.states import (
     fidelity,
     haar_product_params,
     haar_state,
-    hamming_weights,
     product_state_vector,
     product_unitary,
     product_vectors,
@@ -40,6 +39,7 @@ from conftest import (
     density,
     excitation_probs,
     haar_unitary,
+    hamming_weights,
     maximally_mixed,
     mean_excitation,
     partial_trace,
