@@ -15,8 +15,8 @@ estimate of the prefix marginal, in the root's frame, where the root is
 |0...0>.  The score is quadratic in each site, so each step is an exact
 one-site maximisation, the top eigenpair of a 2x2 matrix taken in closed
 form, as in single-site DMRG sweeps (Schollwock, arXiv:1008.3477, sec. 6),
-on two rows built from cached prefix and suffix products of the point's
-site vectors, the sweep's environments.
+on two rows read on the purchase's own coordinates, built there from cached
+prefix and suffix products of the point's site vectors, the sweep's environments.
 A step is taken only when it raises the score and keeps the point at the
 separation bound from every member already accepted at that prefix.
 Uncapped, the roots of a prefix share one purchase and none rotates it: a
@@ -44,17 +44,17 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .errors import PromiseViolationError
-from .oracle import (StateOracle, estimate_fidelity, subspace_tomography, tomography_copy_cost,
-                     weight_leq_indices)
+from .oracle import StateOracle, estimate_fidelity, subspace_tomography, tomography_copy_cost
 from .states import (
     ProductParams,
     Z_MAX,
+    _flip_schedule,
     _top_pair,
-    product_vectors,
     recenter_unitaries,
     site_stack,
     tangent_distance,
@@ -178,12 +178,6 @@ class Cover:
 # --- candidate search internals ---------------------------------------------
 
 
-def _pair_rows(left: np.ndarray, cols: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The (2, L*2*R) rows left (x) cols[:, a] (x) right, a = 0, 1 (site 1 most significant)."""
-    return (left[None, :, None, None] * cols.T[:, None, :, None]
-            * right[None, None, None, :]).reshape(2, -1)
-
-
 def _purchase(est: np.ndarray) -> tuple[np.ndarray, float]:
     """(rho, ceiling) of a bought truncation: est's Hermitian part and its top
     eigenvalue, or a certified bound at most 5e-13 above it (`_top_eigenvalue`)."""
@@ -246,40 +240,44 @@ def _certified_ritz_value(rho: np.ndarray) -> float | None:
 def _sweep(rho: np.ndarray, root: ProductParams, d: int, far):
     """(point, score) of the constrained site sweep from `root` on the purchase rho.
 
-    The pair of rows at site i is left (x) C_i e_a (x) right, a = 0, 1, on
-    the purchase's coordinates, left and right the products of the site
-    vectors before and after i: the prefix products are grown along the
-    sweep, the suffix products rebuilt once per sweep.  On a shared
-    purchase (d = m) C_i = U_i^dagger, U the root's recentring, and every
-    coordinate is read; on a root's own (d < m) C_i = I, the weight-<= d
-    strings are read and the site vectors map to the point by U^dagger.
+    The purchase's coordinates are `_flip_schedule`'s sorted codes, as an
+    (m, W) bit table: every m-bit string on a shared purchase (d = m), the
+    weight-<= d ones on a root's own.  The environments left and right, the
+    products of the site vectors before and after site i, are length-W
+    vectors over them, the prefix grown along the sweep and the suffix
+    rebuilt once per sweep; the pair of rows at site i is (left * C_i[x_i,
+    a]) * right, a = 0, 1, each product in a full Kronecker row's order.  On
+    a shared purchase C_i = U_i^dagger, U the root's recentring; on a root's
+    own C_i = I and the site vectors map to the point by U^dagger.
     """
     m = root.n
     adjoints = np.array(recenter_unitaries(root)).conj().transpose(0, 2, 1)
     own = d < m
     cols = np.broadcast_to(np.eye(2, dtype=complex), adjoints.shape) if own else adjoints
-    coords = weight_leq_indices(m, d) if own else slice(None)
+    bits = _flip_schedule(m, d)[2] >> np.arange(m - 1, -1, -1)[:, None] & 1
 
     def params_of(sites):
         return vector_to_params(np.einsum("kab,kb->ka", adjoints, sites) if own else sites)
 
     sites = cols[:, :, 0].copy()
-    row = product_vectors(sites[None])[0, coords]
+    ones = np.ones(bits.shape[1], dtype=complex)
+    row = reduce(np.multiply, (s[b] for s, b in zip(sites, bits)), ones)
     score = float(np.real(row.conj() @ rho @ row))
     for _ in range(50):
         start = score
-        left, rights = np.ones(1, dtype=complex), [np.ones(1, dtype=complex)]
-        for t in sites[:0:-1]:
-            rights.insert(0, np.multiply.outer(t, rights[0]).ravel())
+        left, rights = ones, [ones]
+        for t, b in zip(sites[:0:-1], bits[:0:-1]):
+            rights.insert(0, t[b] * rights[0])
         for i in range(m):
-            rows = _pair_rows(left, cols[i], rights[i])[:, coords]
+            # np.take gives C-ordered (2, W) rows; a transposed gather would be F-ordered.
+            rows = left * np.take(cols[i].T, bits[i], axis=1) * rights[i]
             val, vec = _top_pair(rows.conj() @ rho @ rows.T)
             if val > score:
                 trial = sites.copy()
                 trial[i] = cols[i] @ vec
                 if far(params_of(trial)):
                     sites, score = trial, val
-            left = np.multiply.outer(left, sites[i]).ravel()
+            left = left * sites[i][bits[i]]
         if score - start < 1e-10:
             break
     return params_of(sites), score
@@ -299,8 +297,8 @@ def _polish(rho: np.ndarray, root: ProductParams, members,
     rho holds it, U the root's recentring and d = params.degree(m).  The
     score is quadratic in each site, so a site's best vector is the top
     eigenvector of the 2x2 matrix of the rows with e_0 or e_1 there
-    (`_top_pair`, on rows from `_sweep`'s cached products).  It is taken
-    when it raises the score and keeps the point's tangent distance to each
+    (`_top_pair`, on `_sweep`'s rows on the purchase's coordinates).  It is
+    taken when it raises the score and keeps the point's tangent distance to each
     of `members` (original frame) at least params.b; `_build` turns a root
     closer than that away.  Sweeps stop on a gain below 1e-10, or after 50.
     Returns the point (original frame) if its score reaches eta - eps/2.

@@ -30,9 +30,9 @@ again a factor, which an oracle holds as is.
 Every module builds product amplitudes with `product_vectors` from (k, n, 2)
 site stacks (`site_stack` gives the stack of parameter tuples), reads
 parameters off site vectors with `vector_to_params`, lists the weight-<= d
-strings as `_flip_schedule` builds them (`oracle.weight_leq_indices`), draws
-Haar states with `haar_state`, and takes the top eigenpair of a 2x2
-Hermitian matrix in closed form with `_top_pair`.
+strings as `_flip_schedule` builds them (`oracle.weight_leq_indices`;
+`cover._sweep`'s coordinates), draws Haar states with `haar_state`, and
+takes the top eigenpair of a 2x2 Hermitian matrix in closed form with `_top_pair`.
 
 Basis convention: index b encodes the bit string x via b = sum_i x_i 2^(n-i),
 i.e. site 1 is the most significant bit.

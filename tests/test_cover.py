@@ -23,7 +23,6 @@ from prodstate.cover import (
     DESK_OVERRIDES,
     LOCAL_NET,
     _clears,
-    _pair_rows,
     _polish,
     _purchase,
     _top_eigenvalue,
@@ -41,7 +40,6 @@ from prodstate.states import (
     haar_product_params,
     product_state_vector,
     product_unitary,
-    product_vectors,
     recenter_unitaries,
     tangent_distance,
     transform_params,
@@ -142,20 +140,17 @@ def adjoints_of(root):
 
 
 def purchase_scores(rho, points, root, d):
-    """Scores of root-frame parameter rows on the purchase rho by the sweep's
-    row builder: site 1's pair of rows `_pair_rows(1, C_1, right)` against the
-    product of the other sites' C_j s_j, contracted with s_1 and read on the
-    purchase's coordinates.  On a shared purchase (d = m) C = U^dagger and
-    every coordinate is read; on a root's own (d < m) C = I and the
+    """Scores of root-frame parameter rows on the purchase rho, read as the
+    sweep reads them: the Kronecker row of the site vectors C_j s_j, read on
+    the purchase's coordinates.  On a shared purchase (d = m) C = U^dagger
+    and every coordinate is read; on a root's own (d < m) C = I and the
     weight-<= d strings are."""
     m = root.n
-    own = d < m
-    cols = np.broadcast_to(np.eye(2), (m, 2, 2)) if own else adjoints_of(root)
-    coords = weight_leq_indices(m, d) if own else slice(None)
+    cols = np.broadcast_to(np.eye(2), (m, 2, 2)) if d < m else adjoints_of(root)
+    coords = weight_leq_indices(m, d)
     scores = []
     for sites in site_rows(points):
-        right = product_vectors((cols[1:] @ sites[1:, :, None])[None, :, :, 0])[0]
-        row = sites[0] @ _pair_rows(np.ones(1), cols[0], right)[:, coords]
+        row = reference_kron((cols @ sites[:, :, None])[:, :, 0])[coords]
         scores.append(np.real(row.conj() @ rho @ row))
     return np.array(scores)
 
@@ -279,8 +274,9 @@ def test_top_eigenvalue_is_certified_from_above(monkeypatch):
 
 
 def replay_sweeps(monkeypatch, cases):
-    """Run `_sweep` on each (rho, root, d) of `cases` and replay its pairs of
-    rows against the Kronecker rows of its current point.
+    """Run `_sweep` on each (rho, root, d) of `cases` and replay each 2x2
+    matrix it hands `_top_pair` against the one of the Kronecker rows of its
+    current point, read on the purchase's coordinates.
 
     On a shared purchase (d = m) the sweep's sites are t = U^dagger s, and
     the pair at site i has U_i^dagger e_a there; on a root's own (d < m) the
@@ -289,13 +285,10 @@ def replay_sweeps(monkeypatch, cases):
     way.  Returns the (pairs, steps) replayed.
     """
     events = []
-    pair_rows, top_pair = cover_module._pair_rows, cover_module._top_pair
-
-    def recording_pair_rows(*args):
-        events.append(pair_rows(*args))
-        return events[-1]
+    top_pair = cover_module._top_pair
 
     def recording_top_pair(mat):
+        events.append(mat)
         events.append(top_pair(mat))
         return events[-1]
 
@@ -303,7 +296,6 @@ def replay_sweeps(monkeypatch, cases):
         events.append(point)
         return True
 
-    monkeypatch.setattr(cover_module, "_pair_rows", recording_pair_rows)
     monkeypatch.setattr(cover_module, "_top_pair", recording_top_pair)
     pairs = steps = 0
     for rho, root, d in cases:
@@ -312,14 +304,15 @@ def replay_sweeps(monkeypatch, cases):
         point, _ = cover_module._sweep(rho, root, d, far)
         adjoints = adjoints_of(root)
         cols = adjoints if d == m else np.broadcast_to(np.eye(2), (m, 2, 2))
+        coords = weight_leq_indices(m, d)
         sites = list(cols[:, :, 0])
         visited = 0
         for event in events:
             if isinstance(event, np.ndarray):
                 i = visited % m
-                want = [reference_kron(sites[:i] + [cols[i][:, a]] + sites[i + 1:])
-                        for a in (0, 1)]
-                assert np.abs(event - np.array(want)).max() <= 1e-14
+                rows = np.array([reference_kron(sites[:i] + [cols[i][:, a]] + sites[i + 1:])
+                                 for a in (0, 1)])[:, coords]
+                assert np.abs(event - rows.conj() @ rho @ rows.T).max() <= 1e-14
                 visited += 1
             elif isinstance(event, tuple):
                 vec = event[1]
@@ -335,8 +328,9 @@ def replay_sweeps(monkeypatch, cases):
 def test_uncapped_sweep_rows_are_the_kron_rows_of_its_point(monkeypatch):
     # Uncut, the sweep builds the pair of rows at site i from cached prefix
     # and suffix products of its purchase-frame sites t = U^dagger s: each
-    # pair is the Kronecker rows of the current point with U_i^dagger e_a at
-    # site i, and the point returned is read off the t's.
+    # 2x2 matrix it steps on is that of the Kronecker rows of the current
+    # point with U_i^dagger e_a at site i, and the point returned is read off
+    # the t's.
     rng = np.random.default_rng(3131)
     cases = []
     for m in range(1, 7):
@@ -348,9 +342,9 @@ def test_uncapped_sweep_rows_are_the_kron_rows_of_its_point(monkeypatch):
 
 def test_capped_sweep_rows_are_the_root_frame_kron_rows_of_its_point(monkeypatch):
     # On a root's own purchase the same row builder runs on the root-frame
-    # sites s with C_i = I: each pair is the Kronecker rows of the current
-    # root-frame point with e_a at site i, read on the weight-<= d strings,
-    # and the point returned is U^dagger s.
+    # sites s with C_i = I: each 2x2 matrix is that of the Kronecker rows of
+    # the current root-frame point with e_a at site i, read on the weight-<= d
+    # strings, and the point returned is U^dagger s.
     rng = np.random.default_rng(3232)
     cases = []
     for m in range(2, 7):
@@ -359,6 +353,27 @@ def test_capped_sweep_rows_are_the_root_frame_kron_rows_of_its_point(monkeypatch
             cases.append((_purchase(own_block(truncation, root, d))[0], root, d))
     pairs, steps = replay_sweeps(monkeypatch, cases)
     assert pairs >= 60 and steps >= 15
+
+
+def test_capped_sweep_memory_follows_the_block_not_the_register():
+    # A root's own block at m = 16, d = 2 has W = 137 coordinates, and the
+    # sweep's environments and rows are vectors over them: a warm sweep
+    # traces under 1 MiB.  Rows built at full length 2^16 and cut to the
+    # block peak at 5.6 MiB.
+    rng = np.random.default_rng(4545)
+    m, d = 16, 2
+    w = len(weight_leq_indices(m, d))
+    g = rng.standard_normal((w, w)) + 1j * rng.standard_normal((w, w))
+    rho = g @ g.conj().T / np.linalg.norm(g) ** 2
+    root = haar_product_params(rng, m)
+    cover_module._sweep(rho, root, d, lambda point: True)
+    tracemalloc.start()
+    try:
+        cover_module._sweep(rho, root, d, lambda point: True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_default_knobs_run_the_desk_nets():

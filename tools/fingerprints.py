@@ -8,8 +8,13 @@ Run from the root of a source checkout; the package is imported from
 reads.  Each task of the three workloads runs once per seed, untimed, and its
 fingerprint is ``workloads.fingerprint``: the sha256 of its output and copy
 count, exact to the last bit.  The file maps ``workload/seed/label`` to that
-digest.  ``--diff`` lists the labels whose digests differ, or that only one
-file holds, and exits 1 if there is any.  A task that raises stops the run.
+digest.  No workload runs a degree cap, so each seed also fingerprints
+capped ``estimate_opt`` runs, labelled ``capped/<seed>/estimate_opt-n<n>-cap<c>``:
+a ``planted-product`` instance (w 0.95, noise 0.05) at n = 6, 8, 12 and 16,
+caps 1 and 2, eps = delta = 0.1, on the exact backend, with instance seed
+1000 seed + n and oracle seed 1000 seed + 100 + n.  ``--diff`` lists the
+labels whose digests differ, or that only one file holds, and exits 1 if
+there is any.  A task that raises stops the run.
 BLAS runs on one thread, as in the benchmark's worker, so a reduction's order
 does not depend on the machine's core count.
 """
@@ -24,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CAPPED = [(n, cap) for n in (6, 8, 12, 16) for cap in (1, 2)]
 
 
 def fingerprints(seeds) -> dict[str, str]:
@@ -38,7 +44,23 @@ def fingerprints(seeds) -> dict[str, str]:
             for task in tasks:
                 output, copies = workloads.run_task(task, insts[task.instance])
                 out[f"{workload}/{seed}/{task.label}"] = workloads.fingerprint(output, copies)
+    for seed in seeds:
+        for n, cap in CAPPED:
+            out[f"capped/{seed}/estimate_opt-n{n}-cap{cap}"] = capped_fingerprint(seed, n, cap)
     return out
+
+
+def capped_fingerprint(seed: int, n: int, cap: int) -> str:
+    """Digest of one capped `estimate_opt` run on a seeded planted product state."""
+    import workloads
+    from prodstate import cli, cover, oracle, serialize
+
+    payload = cli.generate("planted-product", {"n": n, "w": 0.95, "noise": 0.05},
+                           seed=1000 * seed + n)
+    o = oracle.StateOracle(serialize.state_from_json(payload["state"]),
+                           seed=1000 * seed + 100 + n)
+    output = cover.estimate_opt(o, 0.1, 0.1, cover.CoverOverrides(degree_cap=cap))
+    return workloads.fingerprint(output, o.copies_consumed)
 
 
 def moved(a: dict[str, str], b: dict[str, str]) -> list[str]:
