@@ -18,10 +18,12 @@ matrices, then updates the two free legs by three stacked matrix-vector
 products.  Row norms are read off the float view and divided in place; the
 fallback for a zero row runs only when one occurs.  It iterates on the
 tensor's multilinear-rank core (their multilinear SVD, same issue), so an
-isometry lift runs on the core of the tensor it lifts.  A block holds at
-most _RESTART_ELEMENTS / m^2 restarts so memory stays bounded at any count.
-Start vectors are drawn per restart in a fixed order, so a seed names the
-same starts whatever the block size.
+isometry lift runs on the core of the tensor it lifts.  The first block
+holds _FIRST_BLOCK restarts; every later block starts with the best value
+found so far as its drop floor, so most of its restarts are dropped within a
+few steps, and holds at most _RESTART_ELEMENTS / m^2 restarts so memory
+stays bounded at any count.  Start vectors are drawn per restart in a fixed
+order, so a seed names the same starts whatever the block sizes.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ ORACLE_SIDE_BUDGET = 48
 # Largest restarts * side^2 one block of the oracle's restarts may hold; each
 # of the block's (restarts, side, side) complex arrays stays within 4 MiB.
 _RESTART_ELEMENTS = 1 << 18
+# Restarts in the oracle's first block; every later block starts from the
+# best value found so far as its drop floor.
+_FIRST_BLOCK = 16
 # Alternating steps after which a restart stops whatever its gain.
 _MAX_STEPS = 200
 
@@ -146,12 +151,16 @@ def spectral_norm_oracle(t: Tensor4, restarts: int | None = None,
     agree to rounding.  A restart stops once a step gains at most
     1e-12 * max(1, value), or after 200 steps, and is dropped once the
     smaller of its linear and geometric rise bounds (`_rise_bounds`) cannot
-    lift it more than that tolerance above the best value reached.
-    Restarts (default 50 m^2, at least 1) run batched in blocks of at most
-    _RESTART_ELEMENTS / m^2, from the same seeded starts as one at a time:
-    per restart, in order, a (4, m) complex Gaussian draw whose four rows
-    start the legs x, y, u, v, with the first half-step's M formed from u and v.
-    Logs one INFO line per call on a nonzero tensor.
+    lift it more than that tolerance above the best value found so far.
+    Restarts (default 50 m^2, at least 1) run batched: a first block of
+    _FIRST_BLOCK (16), then blocks of at most _RESTART_ELEMENTS / m^2, each
+    starting from the best value found so far, so a later block drops most
+    of its restarts within a few steps.  Their starts are the same seeded
+    starts as one at a time: per restart, in order, a (4, m) complex
+    Gaussian draw whose four rows start the legs x, y, u, v, with the first
+    half-step's M formed from u and v.
+    Logs one INFO line per call on a nonzero tensor; its half-steps sum
+    over the blocks.
     This is a lower-bound heuristic: it is certified only on instances with
     known closed forms, and elsewhere serves as a consistency oracle.
     """
@@ -170,14 +179,15 @@ def spectral_norm_oracle(t: Tensor4, restarts: int | None = None,
     core = t.entries if bases is None else _core(t.entries, bases)
     unfolded = core.reshape(core.shape[0] * core.shape[1], -1)
     block = max(1, _RESTART_ELEMENTS // (m * m))
+    edges = [0, *range(_FIRST_BLOCK, restarts, block), restarts]
     best = 0.0
     tally = np.zeros(5, dtype=int)
-    for first in range(0, restarts, block):
-        z = rng.normal(size=(min(block, restarts - first), 2, 4, m))
+    for lo, hi in zip(edges, edges[1:]):
+        z = rng.normal(size=(hi - lo, 2, 4, m))
         starts = z[:, 0] + 1j * z[:, 1]
         legs = [starts[:, k] if bases is None else starts[:, k] @ bases[k].conj()
                 for k in range(4)]
-        value, counts = _alternating_max(unfolded, legs)
+        value, counts = _alternating_max(unfolded, legs, best)
         best = max(best, value)
         tally += counts
     logger.info("hardness oracle side=%d core=%s restarts=%d half-steps=%d "
@@ -266,16 +276,18 @@ def _core(entries: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
     return core
 
 
-def _alternating_max(unfolded: np.ndarray, legs: list[np.ndarray]) -> tuple[float, np.ndarray]:
+def _alternating_max(unfolded: np.ndarray, legs: list[np.ndarray], best: float = 0.0
+                     ) -> tuple[float, np.ndarray]:
     """Largest value of leg-by-leg maximization from the (x, y, u, v) starts,
-    and the tally: half-steps, then restarts converged, dropped by the linear
-    or the geometric bound, and stopped by the cap."""
+    or the floor best if none beats it, and the tally: half-steps, then
+    restarts converged, dropped by the linear or the geometric bound, and
+    stopped by the cap.  A restart is dropped once its rise bound cannot
+    lift it past the largest of best and the values reached so far."""
     x, y, u, v = (w / np.linalg.norm(w, axis=1, keepdims=True) for w in legs)
     front, back = (x.shape[1], y.shape[1]), (u.shape[1], v.shape[1])
     to_front = np.ascontiguousarray(unfolded.T)
     value = np.zeros(len(x))
     prev = np.full(len(x), np.inf)
-    best = 0.0
     tally = np.zeros(5, dtype=int)
     for step in range(_MAX_STEPS):
         tally[0] += 2

@@ -381,20 +381,19 @@ def reference_spectral_norm(t, restarts, seed):
     return best
 
 
-def reference_alternating_max(unfolded, legs):
+def reference_alternating_max(unfolded, legs, best=0.0):
     """`hardness._alternating_max` with the half-step kernel it replaced, kept as its reference.
 
     Each half-step forms the fixed pair by broadcasting and multiplies it
     into the strided transpose of the unfolding; `_reference_leg_steps`
     normalizes all three of its updates, each through `np.linalg.norm` and a
     masked divide into a copy of the previous rows.  The iteration, starts,
-    drop rules and tally are the oracle's, so the two agree to rounding.
+    floor, drop rules and tally are the oracle's, so the two agree to rounding.
     """
     x, y, u, v = (w / np.linalg.norm(w, axis=1, keepdims=True) for w in legs)
     front, back = (x.shape[1], y.shape[1]), (u.shape[1], v.shape[1])
     value = np.zeros(len(x))
     prev = np.full(len(x), np.inf)
-    best = 0.0
     tally = np.zeros(5, dtype=int)
     for step in range(_MAX_STEPS):
         tally[0] += 2

@@ -141,9 +141,9 @@ def test_half_step_kernel_matches_the_reference_kernel(monkeypatch):
     pairs = []
     kernel = hardness._alternating_max
 
-    def both(unfolded, legs):
-        got = kernel(unfolded, legs)
-        pairs.append((got, reference_alternating_max(unfolded, legs)))
+    def both(unfolded, legs, best):
+        got = kernel(unfolded, legs, best)
+        pairs.append((got, reference_alternating_max(unfolded, legs, best)))
         return got
 
     monkeypatch.setattr(hardness, "_alternating_max", both)
@@ -153,7 +153,8 @@ def test_half_step_kernel_matches_the_reference_kernel(monkeypatch):
         for j in range(2):
             t = random_isometry_embed(clique_tensor(k_n(4)), 6, seed=10 * seed + j)
             spectral_norm_oracle(t, restarts=24 * 6 * 6, seed=seed)
-    assert len(pairs) == 8 * 12
+    # Every call runs a first block and one block from its floor.
+    assert len(pairs) == 8 * 12 * 2
     for (got, tally), (want, want_tally) in pairs:
         assert abs(got - want) <= 1e-13
         assert np.array_equal(tally, want_tally)
@@ -163,7 +164,7 @@ def test_half_step_kernel_matches_the_reference_kernel(monkeypatch):
     for m in range(2, 7):
         for seed in (1, 2):
             spectral_norm_oracle(random_unit_tensor(rng, m), restarts=30, seed=seed)
-    assert len(pairs) == 10
+    assert len(pairs) == 10 * 2
     for (got, _), (want, _) in pairs:
         assert abs(got - want) <= 1e-12
 
@@ -411,6 +412,72 @@ def test_block_size_does_not_change_the_oracle(monkeypatch):
         for (t, restarts), want in zip(tensors, default):
             got = spectral_norm_oracle(t, restarts=restarts, seed=4)
             assert abs(got - want) <= 1e-12
+
+
+def test_later_blocks_start_from_the_best_value_found(monkeypatch):
+    # The benchmark's side-6 K4 lift at 864 restarts: a first block of 16,
+    # then a block whose drop floor is the best value the first one found.
+    calls = []
+    kernel = hardness._alternating_max
+
+    def recorded(unfolded, legs, best):
+        got = kernel(unfolded, legs, best)
+        calls.append((legs, best, got[0]))
+        return got
+
+    monkeypatch.setattr(hardness, "_alternating_max", recorded)
+    t = random_isometry_embed(clique_tensor(k_n(4)), 6, seed=1)
+    nu = spectral_norm_oracle(t, restarts=24 * 36, seed=1)
+    assert len(calls[0][0][0]) == hardness._FIRST_BLOCK == 16
+    assert len(calls) == 2
+    found = 0.0
+    for _, floor, value in calls:
+        assert floor == found
+        found = max(found, value)
+    assert nu == found
+    # Each block's starts are its rows of one draw for all restarts, bit for
+    # bit, projected onto the legs' bases as the oracle projects them.
+    z = np.random.default_rng(1).normal(size=(24 * 36, 2, 4, 6))
+    starts = z[:, 0] + 1j * z[:, 1]
+    bases = hardness._leg_bases(t)
+    lo = 0
+    for legs, _, _ in calls:
+        hi = lo + len(legs[0])
+        for k, q in enumerate(bases):
+            assert np.array_equal(legs[k], starts[lo:hi, k] @ q.conj())
+        lo = hi
+    assert lo == 24 * 36
+
+
+def test_floor_from_the_first_block_cuts_restart_work_and_no_value(monkeypatch):
+    rows = record_leg_steps(monkeypatch)
+    # The benchmark's two K4 lifts: about 19,000 restart rows each, in one
+    # block from floor 0, where every restart runs until the first converges.
+    for seed in (1, 2):
+        rows.clear()
+        t = random_isometry_embed(clique_tensor(k_n(4)), 6, seed=seed)
+        spectral_norm_oracle(t, restarts=24 * 36, seed=seed)
+        assert sum(shape[0] for shape in rows) <= 7000
+    # Against the one-block schedule, all starts in one block from floor 0:
+    # a higher floor can only drop a restart sooner, so no value may fall
+    # by more than rounding, and no clique number may move.
+    catalog = dict(graphs_up_to_4_vertices())
+    cases = [(clique_tensor(g), g, 12 * 4 * 4, seed)
+             for g in catalog.values() for seed in range(1, 9)]
+    cases += [(random_isometry_embed(clique_tensor(catalog[name]), side, seed=seed),
+               catalog[name], 24 * 36, seed)
+              for name in ("complete-4", "paw") for side in (6, 10) for seed in range(1, 9)]
+    rng = np.random.default_rng(46)
+    cases += [(random_unit_tensor(rng, m), None, 50 * m * m, seed)
+              for m in range(2, 6) for seed in range(1, 9)]
+    for t, g, restarts, seed in cases:
+        got = spectral_norm_oracle(t, restarts=restarts, seed=seed)
+        with monkeypatch.context() as one_block:
+            one_block.setattr(hardness, "_FIRST_BLOCK", restarts)
+            want = spectral_norm_oracle(t, restarts=restarts, seed=seed)
+        assert got >= want - 1e-11 * max(1.0, want)
+        if g is not None:
+            assert recover_clique_number(got) == recover_clique_number(want) == clique_number(g)
 
 
 def test_clique_recovery_at_benchmark_restarts():
