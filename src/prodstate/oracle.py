@@ -35,7 +35,9 @@ asks of that mean and why.
 
 The estimators read the oracle's factor `rho` through the `states` readers
 (`_marginal`, `_sandwich`, `_mapped`, `_frame_rows`, `_overlaps`); see that
-module's docstring.
+module's docstring.  The two that rotate, `_mapped` and `_frame_rows`, hold
+a state with a shift to rotations (`states._check_rotations`), so every
+framed read refuses a frame that is not one before any copy is drawn.
 
 Copy-cost formulas are exported as plain functions so tests can assert the
 counter matches them exactly.
@@ -49,7 +51,6 @@ import numpy as np
 
 from .errors import ResourceBudgetError
 from .states import (
-    DEFAULT_ATOL,
     QuantumState,
     _flip_schedule,
     _frame_rows,
@@ -361,6 +362,9 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
     that read; each call still charges its copies and draws its noise or
     shots as a call with a fresh read would.
 
+    A basis that is not one unitary per site on a state with a shift raises
+    ValueError (`states._check_rotations`) before any copy is drawn.
+
     Copies: z_copy_cost(n, eps, delta) on both backends.
     """
     _check_unit_interval(eps, "eps")
@@ -394,8 +398,8 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
     operator-norm eps of the true block w.p. 1 - delta.  `frame`, a stack of
     m single-site unitaries U_i, measures U rho_[m] U* instead, U = (x) U_i;
     None is the identity frame.  A stack of another shape, or not unitary on
-    a state with a shift (see `states._mapped`), raises ValueError, and a
-    block above states.DENSE_BUDGET ResourceBudgetError, before any copy is
+    a state with a shift (`states._check_rotations`), raises ValueError, and
+    a block above states.DENSE_BUDGET ResourceBudgetError, before any copy is
     drawn.  The W rows <b| U are read off the factor site by site
     (`states._frame_rows`); no rotated copy of the marginal is formed.  In
     the identity frame they are rows of the marginal's factor, which the
@@ -419,9 +423,6 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
         us = np.asarray(frame, dtype=complex)
         if us.shape != (prefix_m, 2, 2):
             raise ValueError(f"frame needs shape ({prefix_m}, 2, 2), got {us.shape}")
-        if (o.rho.shift
-                and np.abs(us @ us.conj().swapaxes(-1, -2) - np.eye(2)).max() > DEFAULT_ATOL):
-            raise ValueError("a state with a shift is measured only in a unitary frame")
     idx = weight_leq_indices(prefix_m, d)
     w = len(idx)
     check_dense_budget((w, w))

@@ -25,7 +25,9 @@ row, M rho M* for a chain M of local maps (`_apply_chain`) with orthonormal
 rows, and the factor against the weight-<= d rows of a product frame on the
 leading sites, site by site, with no rotated copy of the factor.  Each
 costs O(dim r k) with no dim x dim matrix, and a mapped or reduced factor is
-again a factor, which an oracle holds as is.
+again a factor, which an oracle holds as is.  The two that rotate hold a
+state with a shift c > 0 to rotations, the one rule `_check_rotations`
+states: only then is the c I part carried as it is.
 
 Every module builds product amplitudes with `product_vectors` from (k, n, 2)
 site stacks (`site_stack` gives the stack of parameter tuples), reads
@@ -282,15 +284,22 @@ def _apply_chain(maps, x) -> np.ndarray:
     return x
 
 
-def _mapped(rho: FactoredDensity, maps) -> FactoredDensity:
-    """M rho M* for the chain M of `maps`: the factor (M W, c).
+def _check_rotations(rho: FactoredDensity, maps) -> None:
+    """The shift rule: a state with a shift is read only through rotations.
 
     M (W W* + c I) M* is (M W)(M W)* + c M M*, so the shift term needs
-    M M* = I: with c > 0 every map's rows must be orthonormal, or ValueError.
+    M M* = I: with c > 0 every map, a matrix or a stack of them, must have
+    orthonormal rows, or ValueError.
     """
-    if rho.shift and any(np.abs(m @ m.conj().T - np.eye(len(m))).max() > DEFAULT_ATOL
-                         for m in maps):
-        raise ValueError("a state with a shift maps only through maps with orthonormal rows")
+    if rho.shift and any(np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-2])).max()
+                         > DEFAULT_ATOL for m in maps):
+        raise ValueError("a state with a shift is read only through rotations: a unitary "
+                         "frame, or maps with orthonormal rows")
+
+
+def _mapped(rho: FactoredDensity, maps) -> FactoredDensity:
+    """M rho M* for the chain M of `maps`: the factor (M W, c), under `_check_rotations`."""
+    _check_rotations(rho, maps)
     return FactoredDensity(_apply_chain(maps, rho.factor), rho.shift)
 
 
@@ -304,7 +313,9 @@ def _frame_rows(rho: FactoredDensity, us: np.ndarray, d: int) -> tuple[np.ndarra
     columns, the rows of the k-site marginal's factor, at O((d+1) 2^n r)
     time.  Y[order] lists the rows by basis index, as
     `oracle.weight_leq_indices`; at d = 1 Y lists <0^k| U, <e_1| U, ...
+    A state with a shift needs unitary us (`_check_rotations`).
     """
+    _check_rotations(rho, [us])
     flips, order, _ = _flip_schedule(len(us), d)
     x = rho.factor.reshape(1, -1)
     for u, flip in zip(us, flips):

@@ -1100,12 +1100,14 @@ def test_shifted_state_refuses_frames_that_are_not_rotations():
     # M (W W* + c I) M* is a factor only when M M* = I, so a state with a
     # shift refuses rows that are not orthonormal, before any copy is
     # charged; the same frames on a state with no shift are read as given.
+    # `estimate_z` reads its frame through the same rule.
     rng = np.random.default_rng(61)
     n, i = 4, 2
     stack = window_stack(n, 3, rng)[:i]
     gauss = 0.3 * (rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape))
     rows = haar_unitary(2**n, rng)[: 2 ** (n - i)]
     rows[0] *= 1.5
+    skew = [np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)] * n
     shifted, unshifted = factored_cases(n, rng)[-1], factored_cases(n, rng)[2]
     for backend in ("exact", "sampling"):
         for frame in (gauss, rows):
@@ -1116,6 +1118,15 @@ def test_shifted_state_refuses_frames_that_are_not_rotations():
             o = StateOracle(unshifted, backend=backend)
             subnormalized_tomography(o, frame, i, 0.8, 0.8)
             assert o.copies_consumed > 0
+        o = StateOracle(shifted, backend=backend)
+        with pytest.raises(ValueError, match="unitary"):
+            estimate_z(o, skew, 0.3, 0.3)
+        assert o.copies_consumed == 0
+        o = StateOracle(unshifted, backend=backend)
+        z = estimate_z(o, skew, 0.3, 0.3)
+        assert o.copies_consumed == z_copy_cost(n, 0.3, 0.3)
+        if backend == "exact":
+            assert np.abs(z - exact_z(unshifted, skew)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 8])
