@@ -11,7 +11,9 @@ blocks, a square random factor, contracted amplitude vectors) checks its
 raises ResourceBudgetError above it.
 
 A pure product state on n qubits is parametrized by a complex vector z, one
-entry per site, as the tensor product of (|0> + z_i |1>)/sqrt(1 + |z_i|^2).
+entry per site, as the tensor product of (|0> + z_i |1>)/sqrt(1 + |z_i|^2),
+so each site vector, and every product amplitude vector built from them, has
+a real, positive |0...0> amplitude; this module fixes no other phase.
 This module provides that parametrization, the tangent distance between two
 such states, the weight-<= d basis strings, the single-site unitaries
 that rotate a product state onto |0...0>, fidelity evaluation, and the small
@@ -362,28 +364,15 @@ def _site_vector(z: complex) -> np.ndarray:
     return v / math.sqrt(1.0 + abs(z) ** 2)
 
 
-def _fix_global_phase(vector: np.ndarray) -> np.ndarray:
-    """`vector`, divided in place by the phase of its first nonzero entry."""
-    mags = np.abs(vector)
-    top = mags.max()
-    if top == 0.0:
-        return vector
-    first = int(np.argmax(mags > top * 1e-12))
-    vector /= vector[first] / abs(vector[first])
-    return vector
-
-
 def product_state_vector(p: ProductParams) -> QuantumState:
     """The pure product state with amplitudes Π_i z_i^{x_i} / Π_i √(1+|z_i|²).
 
-    The global phase is fixed so that the lexicographically-first nonzero
-    amplitude is real positive (which makes the |0...0> amplitude real positive
-    whenever it is nonzero).
+    Its amplitudes are `product_vectors`' row, as built: the |0...0>
+    amplitude 1 / Π_i √(1+|z_i|²) is real and positive, capped sites included.
     """
     if p.n == 0:
         raise ValueError("cannot build a state on zero sites")
-    vec = product_vectors(site_stack([p]))[0]
-    return QuantumState.pure(_fix_global_phase(vec))
+    return QuantumState.pure(product_vectors(site_stack([p]))[0])
 
 
 def site_stack(params) -> np.ndarray:

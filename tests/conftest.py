@@ -50,7 +50,6 @@ from prodstate.states import (
     _marginal,
     _operator,
     check_dense_budget,
-    _fix_global_phase,
     _site_vector,
     fidelity,
     haar_isometry,
@@ -670,7 +669,7 @@ def reference_kron(vectors):
 
 def reference_product_state_vector(p):
     """`product_state_vector` by the np.kron loop it replaced."""
-    return QuantumState.pure(_fix_global_phase(reference_kron(_site_vector(z) for z in p.z)))
+    return QuantumState.pure(reference_kron(_site_vector(z) for z in p.z))
 
 
 def reference_member_vector(cls, member):

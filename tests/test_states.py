@@ -26,6 +26,7 @@ from prodstate.states import (
     product_unitary,
     product_vectors,
     recenter_unitaries,
+    site_stack,
     tangent_distance,
     transform_params,
     vector_fidelity,
@@ -346,10 +347,17 @@ def test_product_vectors_match_kron_reference():
                 assert got.shape == (batch, d**n)
                 for j in range(batch):
                     assert np.array_equal(got[j], reference_kron(sites[j]))
+    # Capped sites (|z| = Z_MAX) leave a |0...0> amplitude near 1e-12 per
+    # site; it stays real and positive, as built.
     for n in range(1, 6):
         p = random_product_params(rng, n, scale=2.0)
-        want = reference_product_state_vector(p).data
-        assert np.array_equal(product_state_vector(p).data, want)
+        capped = ProductParams(tuple(cap_param(cmath.rect(Z_MAX, ph))
+                                     for ph in rng.uniform(-math.pi, math.pi, n)))
+        for q in (p, capped, p.concat(capped)):
+            got = product_state_vector(q).data
+            assert np.array_equal(got, reference_product_state_vector(q).data)
+            assert np.array_equal(got, product_vectors(site_stack([q]))[0])
+            assert got[0].imag == 0.0 and got[0].real > 0.0
 
 
 def test_product_vectors_of_an_empty_batch():
@@ -464,8 +472,8 @@ def test_vector_fidelity_reads_the_factor_once():
 
 def test_product_state_vector_peaks_at_two_amplitude_vectors():
     # At n = 16 a 2^16-long amplitude vector takes 1 MiB: the built vector
-    # and the state's validated copy.  The phase fix divides the built vector
-    # in place; a divided copy peaked at 3 MiB.
+    # and the state's validated copy; a third copy of the vector, such as a
+    # rephased one, would peak at 3 MiB.
     p = haar_product_params(np.random.default_rng(6), 16)
     tracemalloc.start()
     try:
