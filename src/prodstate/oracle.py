@@ -35,9 +35,7 @@ asks of that mean and why.
 
 The estimators read the oracle's factor `rho` through the `states` readers
 (`_marginal`, `_sandwich`, `_mapped`, `_frame_rows`, `_overlaps`); see that
-module's docstring.  The two that rotate, `_mapped` and `_frame_rows`, hold
-a state with a shift to rotations (`states._check_rotations`), so every
-framed read refuses a frame that is not one before any copy is drawn.
+module's docstring, and `states._check_rotations` for the frames they refuse.
 
 Copy-cost formulas are exported as plain functions so tests can assert the
 counter matches them exactly.
@@ -360,10 +358,9 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
     The state is read through its factor, one site at a time, at O(2^n r)
     time and memory (`_frame_read`).  Consecutive calls in one frame share
     that read; each call still charges its copies and draws its noise or
-    shots as a call with a fresh read would.
-
-    A basis that is not one unitary per site on a state with a shift raises
-    ValueError (`states._check_rotations`) before any copy is drawn.
+    shots as a call with a fresh read would.  On a state with a shift, a
+    basis that is not unitary raises ValueError (`states._check_rotations`)
+    before any copy is drawn.
 
     Copies: z_copy_cost(n, eps, delta) on both backends.
     """

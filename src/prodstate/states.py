@@ -12,8 +12,7 @@ raises ResourceBudgetError above it.
 
 A pure product state on n qubits is parametrized by a complex vector z, one
 entry per site, as the tensor product of (|0> + z_i |1>)/sqrt(1 + |z_i|^2),
-so each site vector, and every product amplitude vector built from them, has
-a real, positive |0...0> amplitude; this module fixes no other phase.
+so its |0...0> amplitude is real and positive, with no phase fixed after.
 This module provides that parametrization, the tangent distance between two
 such states, the weight-<= d basis strings, the single-site unitaries
 that rotate a product state onto |0...0>, fidelity evaluation, and the small
@@ -27,9 +26,8 @@ row, M rho M* for a chain M of local maps (`_apply_chain`) with orthonormal
 rows, and the factor against the weight-<= d rows of a product frame on the
 leading sites, site by site, with no rotated copy of the factor.  Each
 costs O(dim r k) with no dim x dim matrix, and a mapped or reduced factor is
-again a factor, which an oracle holds as is.  The two that rotate hold a
-state with a shift c > 0 to rotations, the one rule `_check_rotations`
-states: only then is the c I part carried as it is.
+again a factor, which an oracle holds as is.  On a state with a shift, the
+two that rotate take only rotations (`_check_rotations`).
 
 Every module builds product amplitudes with `product_vectors` from (k, n, 2)
 site stacks (`site_stack` gives the stack of parameter tuples), reads
@@ -137,11 +135,6 @@ class FactoredDensity:
 
     factor: np.ndarray
     shift: float = 0.0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        dim = self.factor.shape[0]
-        return (dim, dim)
 
     def trace(self) -> float:
         """||W||_F^2 + c dim."""
