@@ -33,9 +33,12 @@ register put the shadow mean within operator-norm eps of sigma with
 probability >= 1 - delta.  Each estimator's docstring gives the accuracy it
 asks of that mean and why.
 
-The estimators read the oracle's factor `rho` through the `states` readers
-(`_marginal`, `_sandwich`, `_mapped`, `_frame_rows`, `_overlaps`); see that
-module's docstring, and `states._check_rotations` for the frames they refuse.
+The estimators read the oracle's factor `rho` only through the `states`
+readers: `_marginal`, `_mapped` and `_frame_rows` map it to the factor of
+what is measured, and `_sandwich` and `_overlaps` turn that factor into the
+block or overlaps, so no estimator forms a Gram of rows or touches the
+shift c of rho = W W* + c I.  See that module's docstring, and
+`states._check_rotations` for the frames they refuse.
 
 Copy-cost formulas are exported as plain functions so tests can assert the
 counter matches them exactly.
@@ -49,6 +52,7 @@ import numpy as np
 
 from .errors import ResourceBudgetError
 from .states import (
+    FactoredDensity,
     QuantumState,
     _flip_schedule,
     _frame_rows,
@@ -175,7 +179,7 @@ class StateOracle:
         self._rng = np.random.default_rng(int(seed))
         # estimate_z's last frame read (`_frame_read`) and the key of its frame.
         self._frame_key: bytes | None = None
-        self._frame: np.ndarray | None = None
+        self._frame: FactoredDensity | None = None
 
     def _charge(self, copies: int) -> None:
         self.copies_consumed += int(copies)
@@ -195,25 +199,17 @@ class StateOracle:
 # --- shared internals ------------------------------------------------------
 
 
-def _frame_read(o: StateOracle, us: np.ndarray) -> np.ndarray:
-    """`estimate_z`'s noiseless read in the frame of the (n, 2, 2) stack us: z, or sigma.
+def _frame_read(o: StateOracle, us: np.ndarray) -> FactoredDensity:
+    """`estimate_z`'s read in the frame of the (n, 2, 2) stack us: the factor of its n+1 rows.
 
-    One sitewise pass (`states._frame_rows` at d = 1) gives Y = rows W for
-    the n+1 rows <0^n| U, <e_i| U.  The rows of a unitary are orthonormal, so
-    rows rho rows* = Y Y* + c I: the exact backend takes its column 0 below
-    the diagonal, z = Y[1:] conj(Y[0]), and the sampling backend all of it,
-    with a junk slot (sigma).  The oracle keeps the last read, keyed by the
-    bytes of us, so the rungs of a ladder on one frame read the factor once.
+    One sitewise pass (`states._frame_rows` at d = 1) gives the factor
+    (Y, c) of the rows <0^n| U, <e_i| U.  The oracle keeps the last read,
+    keyed by the bytes of us, so the rungs of a ladder on one frame read the
+    state once.
     """
     key = us.tobytes()
     if key != o._frame_key:
-        y, _ = _frame_rows(o.rho, us, 1)
-        if o.backend == "exact":
-            read = y[1:] @ y[0].conj()
-        else:
-            read = _with_junk_slot(y @ y.conj().T + o.rho.shift * np.eye(len(y)))
-        read.setflags(write=False)
-        o._frame_key, o._frame = key, read
+        o._frame_key, o._frame = key, _frame_rows(o.rho, us, 1)[0]
     return o._frame
 
 
@@ -356,9 +352,12 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
     `bernstein_shots(n + 2, eps, delta)` shots.
 
     The state is read through its factor, one site at a time, at O(2^n r)
-    time and memory (`_frame_read`).  Consecutive calls in one frame share
-    that read; each call still charges its copies and draws its noise or
-    shots as a call with a fresh read would.  On a state with a shift, a
+    time and memory, into the factor (Y, c) of the n+1 frame rows
+    (`_frame_read`).  The rows are orthonormal, so c adds nothing off the
+    diagonal: the exact backend takes z = Y[1:] conj(Y[0]), and the sampling
+    backend measures `_sandwich` of the read with a junk slot.  Consecutive
+    calls in one frame share that read; each call still charges its copies
+    and draws its noise or shots as a call with a fresh read would.  On a state with a shift, a
     basis that is not unitary raises ValueError (`states._check_rotations`)
     before any copy is drawn.
 
@@ -373,15 +372,16 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
     copies = z_copy_cost(n, eps, delta)
 
     if o.backend == "exact":
-        z = _frame_read(o, us)
+        y = _frame_read(o, us).factor
+        z = y[1:] @ y[0].conj()
         o._charge(copies)
         scale = o._noise_scale(eps)
         if scale == 0.0:
-            return z.copy()
+            return z
         return z + scale * haar_state(n, o._rng)
 
     o._check_shots(copies)
-    mean = _shadow_mean(o._rng, _frame_read(o, us), copies)
+    mean = _shadow_mean(o._rng, _with_junk_slot(_sandwich(_frame_read(o, us))), copies)
     o._charge(copies)
     return mean[1: n + 1, 0]
 
@@ -397,10 +397,11 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
     None is the identity frame.  A stack of another shape, or not unitary on
     a state with a shift (`states._check_rotations`), raises ValueError, and
     a block above states.DENSE_BUDGET ResourceBudgetError, before any copy is
-    drawn.  The W rows <b| U are read off the factor site by site
-    (`states._frame_rows`); no rotated copy of the marginal is formed.  In
-    the identity frame they are rows of the marginal's factor, which the
-    whole block (d = m) reads in place.
+    drawn.  The W rows <b| U are read off the marginal's factor site by
+    site (`states._frame_rows`); no rotated copy of the marginal is formed.
+    In the identity frame they are rows of the marginal's factor, which the
+    whole block (d = m) reads in place.  Either way the block is
+    `states._sandwich` of the selected rows, the marginal's shift included.
 
     The sampling backend averages the (W+1)-dim compressed register's
     shadows to operator-norm eps/2 w.p. 1 - delta; their W x W block is as
@@ -424,16 +425,12 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
     w = len(idx)
     check_dense_budget((w, w))
     copies = tomography_copy_cost(w + 1, eps, delta)
+    read = _marginal(o.rho, n, range(prefix_m))
     if frame is None:
-        y = _marginal(o.rho, n, range(prefix_m)).factor
-        if d < prefix_m:
-            y = y[idx]
+        rows = idx if d < prefix_m else slice(None)
     else:
-        y, order = _frame_rows(o.rho, us, d)
-        y = y[order]
-    block = y @ y.conj().T
-    if o.rho.shift:
-        block[np.diag_indices(w)] += o.rho.shift * 2 ** (n - prefix_m)
+        read, rows = _frame_rows(read, us, d)
+    block = _sandwich(FactoredDensity(read.factor[rows], read.shift))
 
     if o.backend == "exact":
         o._charge(copies)

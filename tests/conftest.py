@@ -30,6 +30,7 @@ from prodstate.oracle import (
     _frame_read,
     _shadow_basis,
     _shadow_coord_chunks,
+    _with_junk_slot,
     estimate_fidelity,
     subnormalized_attempts,
     subnormalized_budget,
@@ -49,6 +50,7 @@ from prodstate.states import (
     _mapped,
     _marginal,
     _operator,
+    _sandwich,
     check_dense_budget,
     _site_vector,
     fidelity,
@@ -903,7 +905,7 @@ def raw_z_shadows(o, basis, shots):
         raise ValueError("raw shadows exist only on the sampling backend")
     n = o.n
     o._check_shots(shots)
-    sigma = _frame_read(o, np.array(basis, dtype=complex))
+    sigma = _with_junk_slot(_sandwich(_frame_read(o, np.array(basis, dtype=complex))))
     rows = shadow_rows(o._rng, sigma, shots)
     o._charge(shots)
     return (sigma.shape[0] + 1) * rows[:, 1: n + 1] * rows[:, [0]].conj()

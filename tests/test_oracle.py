@@ -140,7 +140,7 @@ def test_z_columns_match_pick_matrix_reference():
     for n in (1, 2, 5, 9):
         state = product_state_vector(random_product_params(rng, n))
         basis = [haar_unitary(2, rng) for _ in range(n)]
-        got, _ = _frame_rows(_operator(state), np.array(basis), 1)
+        got = _frame_rows(_operator(state), np.array(basis), 1)[0].factor
         want = reference_z_columns(basis).conj().T @ _operator(state).factor
         assert got.shape == want.shape == (n + 1, 1)
         assert np.abs(got - want).max() <= 1e-14
@@ -162,7 +162,8 @@ def test_frame_rows_are_the_rotated_factor_rows():
                     rows = rho.factor.reshape(2**k, -1)
                     rotated = apply_sites(us, rows)
                     for d in range(k + 1):
-                        y, order = _frame_rows(rho, us, d)
+                        read, order = _frame_rows(_marginal(rho, n, range(k)), us, d)
+                        y = read.factor
                         idx = weight_leq_indices(k, d)
                         assert sorted(order.tolist()) == list(range(len(idx)))
                         assert y.shape == (len(idx), rows.shape[1])
@@ -171,6 +172,30 @@ def test_frame_rows_are_the_rotated_factor_rows():
                             assert np.array_equal(y, reference_flip_read(rho, us))
                         if us is identity and d == k:
                             assert np.array_equal(y[order], rows)
+
+
+def test_frame_rows_pass_the_shift_and_sandwich_to_the_dense_block():
+    # On shifted states, every k <= n <= 7 and d <= k, in Haar and identity
+    # frames: the read of the k-site marginal keeps its shift c 2^(n-k), and
+    # `_sandwich` of the rows `order` selects is the dense U rho_[k] U* on the
+    # weight-<= d strings, shift on the diagonal included.
+    rng = np.random.default_rng(11)
+    for n in range(1, 8):
+        for state in factored_cases(n, rng)[3:]:
+            rho = _operator(state)
+            for k in range(1, n + 1):
+                marginal = _marginal(rho, n, range(k))
+                dense = partial_trace(operator_matrix(rho), n, range(k))
+                for us in (np.array([haar_unitary(2, rng) for _ in range(k)]),
+                           np.array(identity_basis(k))):
+                    u = product_unitary(us)
+                    rotated = u @ dense @ u.conj().T
+                    for d in range(k + 1):
+                        read, order = _frame_rows(marginal, us, d)
+                        assert read.shift == marginal.shift == rho.shift * 2 ** (n - k) > 0
+                        idx = weight_leq_indices(k, d)
+                        got = _sandwich(FactoredDensity(read.factor[order], read.shift))
+                        assert np.abs(got - rotated[np.ix_(idx, idx)]).max() <= 1e-12
 
 
 def reference_frame_reads(state, basis):
@@ -187,10 +212,13 @@ def test_sitewise_frame_reads_match_the_product_columns():
         basis = [haar_unitary(2, rng) for _ in range(n)]
         for state in factored_cases(n, rng):
             z, sigma = reference_frame_reads(state, basis)
-            for backend, want in (("exact", z), ("sampling", sigma)):
-                got = oracle._frame_read(StateOracle(state, backend=backend), np.array(basis))
-                assert got.shape == want.shape
-                assert np.abs(got - want).max() <= 1e-13
+            for backend in ("exact", "sampling"):
+                read = oracle._frame_read(StateOracle(state, backend=backend), np.array(basis))
+                y = read.factor
+                for got, want in ((y[1:] @ y[0].conj(), z),
+                                  (_with_junk_slot(_sandwich(read)), sigma)):
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-13
 
 
 def test_a_ladder_on_one_frame_reads_the_factor_once(monkeypatch):
@@ -1051,15 +1079,15 @@ def test_seeded_draws_are_stable_under_rounding_of_sigma(monkeypatch):
     for state in states:
         outs = []
         for order in (np.ascontiguousarray, np.asfortranarray):
-            monkeypatch.setattr(oracle, "_frame_rows",
-                                lambda rho, us, d: (order(read(rho, us, d)[0]), None))
+            monkeypatch.setattr(oracle, "_frame_rows", lambda rho, us, d: (
+                FactoredDensity(order(read(rho, us, d)[0].factor), rho.shift), None))
             outs.append(estimate_z(StateOracle(state, backend="sampling", seed=3), basis,
                                    0.3, 0.1))
         assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12
     # A direct perturbation of sigma by 1e-16 in operator norm, on the same states'
     # compressed registers.
     for state in states:
-        sigma = oracle._frame_read(StateOracle(state, backend="sampling"), np.array(basis))
+        sigma = _with_junk_slot(_sandwich(oracle._frame_read(StateOracle(state), np.array(basis))))
         nudge = 1e-16 * oracle._random_hermitian_unit(rng, n + 2, "op")
         means = [_shadow_mean(np.random.default_rng(5), s, 30_000) for s in (sigma, sigma + nudge)]
         assert np.max(np.abs(means[0] - means[1])) <= 1e-12
