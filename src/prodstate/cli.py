@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bruteforce import best_product_fidelity
-from .cover import CoverOverrides, CoverParams, DESK_OVERRIDES, build_cover, estimate_opt
+from .cover import CoverOverrides, CoverParams, build_cover, estimate_opt
 from .discrete import DiscreteClass, discrete_learn, member_vector
 from .errors import ResourceBudgetError
 from .hardness import (
@@ -116,11 +116,6 @@ class ExperimentConfig:
             raise UsageError("kappa must be a positive integer")
         if self.net_budget is not None and self.net_budget < 1:
             raise UsageError("net_budget must be positive")
-
-
-def _cover_overrides(config: ExperimentConfig) -> CoverOverrides:
-    """DESK_OVERRIDES with the run's --degree-cap applied."""
-    return dataclasses.replace(DESK_OVERRIDES, degree_cap=config.degree_cap)
 
 
 def _polyopt_instance(seed: int, n: int):
@@ -281,15 +276,15 @@ def run(config: ExperimentConfig) -> dict:
             fid = fidelity(state, params)
             result = {"params": params_to_json(params)}
         elif config.algorithm == "cover":
-            cover = build_cover(o, CoverParams(config.eta, config.eps,
-                                               config.delta, _cover_overrides(config)))
+            cover = build_cover(o, CoverParams(config.eta, config.eps, config.delta,
+                                               CoverOverrides(degree_cap=config.degree_cap)))
             member_fids = [fidelity(state, p) for p in cover.members]
             fid = max(member_fids, default=None)
             result = {"cover": cover_to_json(cover),
                       "member_fidelities": member_fids}
         elif config.algorithm == "estimate-opt":
             est, witness = estimate_opt(o, config.eps, config.delta,
-                                        overrides=_cover_overrides(config))
+                                        overrides=CoverOverrides(degree_cap=config.degree_cap))
             if witness is not None:
                 fid = fidelity(state, witness)
             result = {"estimate": est,

@@ -49,7 +49,13 @@ from functools import reduce
 import numpy as np
 
 from .errors import PromiseViolationError
-from .oracle import StateOracle, estimate_fidelity, subspace_tomography, tomography_copy_cost
+from .oracle import (
+    StateOracle,
+    _check_unit_interval,
+    estimate_fidelity,
+    subspace_tomography,
+    tomography_copy_cost,
+)
 from .states import (
     ProductParams,
     Z_MAX,
@@ -102,8 +108,8 @@ class CoverOverrides:
     def __post_init__(self):
         if self.degree_cap is not None and self.degree_cap < 1:
             raise ValueError("degree_cap must be a positive integer")
-        if self.tomo_eps is not None and not 0.0 < self.tomo_eps < 1.0:
-            raise ValueError("tomo_eps must lie in (0, 1)")
+        if self.tomo_eps is not None:
+            _check_unit_interval(self.tomo_eps, "tomo_eps")
 
 
 #: The default knobs, used by the command-line runner and the benchmark.
@@ -125,12 +131,10 @@ class CoverParams:
     overrides: CoverOverrides = field(default_factory=CoverOverrides)
 
     def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie in (0, 1)")
+        _check_unit_interval(self.eta, "eta")
         if not 0.0 < self.eps < self.eta / 3.0:
             raise ValueError("eps must lie in (0, eta/3)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        _check_unit_interval(self.delta, "delta")
 
     # --- radii ---------------------------------------------------------
 
@@ -449,10 +453,8 @@ def estimate_opt(o: StateOracle, eps: float, delta: float,
     level's cover estimates, and under a cap its roots' own purchases,
     share delta/(4 * iterations), and so do its witness estimates.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_unit_interval(eps, "eps")
+    _check_unit_interval(delta, "delta")
     iterations = math.ceil(math.log2(1.0 / eps)) + 2
     delta_iter = delta / (4 * iterations)
     prefix_delta = delta / (2 * o.n)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import PromiseViolationError, ResourceBudgetError
-from .oracle import StateOracle, estimate_fidelity
+from .oracle import StateOracle, _check_unit_interval, estimate_fidelity
 from .states import QuantumState, product_vectors, vector_fidelity
 
 __all__ = [
@@ -133,12 +133,10 @@ def discrete_learn(o: StateOracle, cls: DiscreteClass, eta: float, eps: float,
     probability 1 - delta the output contains every member of fidelity >=
     eta and only members of fidelity >= eta - eps.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
+    _check_unit_interval(eta, "eta")
     if not 0.0 < eps <= eta / 2.0:
         raise ValueError("eps must lie in (0, eta/2]")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_unit_interval(delta, "delta")
     if o.n != cls.n:
         raise ValueError("oracle register size does not match the class")
     if cls.gamma_below_stated_range:

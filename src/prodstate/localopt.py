@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PromiseViolationError
-from .oracle import StateOracle, _random_hermitian_unit, estimate_z, z_copy_cost
+from .oracle import (
+    StateOracle,
+    _check_unit_interval,
+    _random_hermitian_unit,
+    estimate_z,
+    z_copy_cost,
+)
 from .states import (
     ProductParams,
     _marginal,
@@ -58,8 +64,7 @@ class LocalOptConfig:
     def __post_init__(self):
         if not (0.0 < self.eps <= 1.0 / 3.0):
             raise ValueError("eps must lie in (0, 1/3]")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
+        _check_unit_interval(self.delta, "delta")
         if not (0.0 <= self.margin <= 0.5):
             raise ValueError("margin must lie in [0, 1/2]")
 
@@ -149,25 +154,30 @@ def _reduced_oracle(o: StateOracle, sites: list[int]) -> StateOracle:
     return child
 
 
-def single_site_estimate(o: StateOracle, delta: float) -> ProductParams:
-    """Constant-accuracy single-qubit state estimate.
+def single_site_estimate(o: StateOracle, eps: float, delta: float) -> ProductParams:
+    """A single-qubit product state within eps of the best, under the promise opt >= 5/6 + eps.
 
-    Sampling backend: measure each Pauli axis ceil(50 ln(2/delta)) times and
-    return the top eigenvector of the reconstructed density matrix.  Exact
-    backend: top eigenvector of the state (after noise injection), charged at
-    the same copy cost.  The 2x2 eigenvector is taken in closed form
-    (`states._top_pair`).
+    Sampling backend: measure each Pauli axis
+    N = max(ceil(50 ln(2/delta)), ceil(3 ln(6/delta) / (eps (2/3 + 2 eps))))
+    times and take the top eigenvector (in closed form, `states._top_pair`)
+    of the reconstructed density matrix.  Hoeffding at delta/3 per axis puts
+    the Bloch vector's error at e^2 <= 6 ln(6/delta) / N; the top
+    eigenvector then loses at most e^2 / (2|b|), and the promise gives
+    |b| >= 2/3 + 2 eps, so the loss is at most eps.  Exact backend: the
+    state's top eigenvector after noise of operator norm up to e/2, the
+    same Bloch error, charged the same 3N copies.
     """
     if o.n != 1:
         raise ValueError("single-site estimation needs a one-qubit oracle")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    shots = math.ceil(50.0 * math.log(2.0 / delta))
+    _check_unit_interval(eps, "eps")
+    _check_unit_interval(delta, "delta")
+    shots = max(math.ceil(50.0 * math.log(2.0 / delta)),
+                math.ceil(3.0 * math.log(6.0 / delta) / (eps * (2.0 / 3.0 + 2.0 * eps))))
     o._check_shots(3 * shots)
     o._charge(3 * shots)
     rho = _sandwich(o.rho)
     if o.backend == "exact":
-        scale = o._noise_scale(1.0)
+        scale = o._noise_scale(0.5 * math.sqrt(6.0 * math.log(6.0 / delta) / shots))
         if scale != 0.0:
             rho = rho + scale * _random_hermitian_unit(o._rng, 2, "op")
     else:
@@ -197,11 +207,10 @@ def high_fidelity_learn(o: StateOracle, eps: float, delta: float) -> ProductPara
     """
     if not (0.0 < eps <= 1.0 / 6.0):
         raise ValueError("eps must lie in (0, 1/6]")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    _check_unit_interval(delta, "delta")
     n = o.n
     if n == 1:
-        return single_site_estimate(o, delta)
+        return single_site_estimate(o, eps, delta)
     cfg = LocalOptConfig(eps=eps, delta=delta / 2.0, margin=1.0 / 3.0 + eps)
     depth = cfg.ladder_depth
     o._check_shots(z_copy_cost(n, math.exp(-depth), cfg.rung_failure_prob(depth)))

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import PromiseViolationError
-from .oracle import StateOracle, subnormalized_tomography
+from .oracle import StateOracle, _check_unit_interval, subnormalized_tomography
 from .states import QuantumState, _apply_chain, check_dense_budget
 
 __all__ = [
@@ -128,8 +128,8 @@ def state_to_mps(s: QuantumState, max_bond: int | None = None) -> MatrixProductS
 
 
 def _spectrum(o: StateOracle, step: int, kappa: int, sigma: np.ndarray,
-              tau: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """(vals, vecs, heavy): sigma's Hermitian-part eigenpairs and its eigenvalues above tau.
+              tau: float) -> tuple[np.ndarray, int]:
+    """(vecs, heavy): sigma's Hermitian-part eigenvectors, ascending, and its count above tau.
 
     Logs the step's window, its mass mu (the estimate's trace), the heavy
     count and the copies charged so far.
@@ -139,7 +139,7 @@ def _spectrum(o: StateOracle, step: int, kappa: int, sigma: np.ndarray,
     if logger.isEnabledFor(logging.INFO):
         logger.info("mps step %d: kappa=%d mu=%.6g heavy=%d copies=%d", step, kappa,
                     np.trace(sigma).real, heavy, o.copies_consumed)
-    return vals, vecs, heavy
+    return vecs, heavy
 
 
 def _top_eigenvector(vecs: np.ndarray) -> np.ndarray:
@@ -165,10 +165,8 @@ def mps_learn(o: StateOracle, r: int, eps: float, delta: float,
     step, then the final one) of `subnormalized_tomography`'s charge at
     window dimension 2^kappa, eps tau = eps^2 / (9 n^2 r^4) and delta / n.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_unit_interval(eps, "eps")
+    _check_unit_interval(delta, "delta")
     if r < 1:
         raise ValueError("bond dimension parameter must be a positive integer")
     n = o.n
@@ -185,21 +183,21 @@ def mps_learn(o: StateOracle, r: int, eps: float, delta: float,
     block = 2 ** (kappa - 1)
     delta_call = delta / n
 
-    # maps[i-1] is step i's window map, the kept eigenvectors' adjoints: it
-    # takes the leading kappa of the register's n-i+1 live sites to kappa-1.
+    # maps[i-1] is step i's window map, the adjoints of the top `block`
+    # eigenvectors, largest first: it takes the leading kappa of the
+    # register's n-i+1 live sites to kappa-1.
     maps = np.zeros((n - kappa, block, 2 * block), dtype=complex)
     for i in range(1, n - kappa + 1):
         sigma = subnormalized_tomography(o, maps[: i - 1], i - 1, tau, delta_call, keep=kappa)
-        vals, vecs, heavy = _spectrum(o, i, kappa, sigma, tau)
-        order = np.argsort(vals)[::-1]
+        vecs, heavy = _spectrum(o, i, kappa, sigma, tau)
         if heavy > block:
             raise PromiseViolationError(
                 f"step {i} kept {heavy} eigenvalues above {tau}, beyond the "
                 f"{block}-dimensional window; the estimate's trace must have "
                 "failed")
-        maps[i - 1] = vecs[:, order[:block]].conj().T
+        maps[i - 1] = vecs[:, ::-1][:, :block].conj().T
 
     final = subnormalized_tomography(o, maps, n - kappa, tau, delta_call)
-    _, vecs, _ = _spectrum(o, n - kappa + 1, kappa, final, tau)
+    vecs, _ = _spectrum(o, n - kappa + 1, kappa, final, tau)
     vec = _apply_chain([m.conj().T for m in maps[::-1]], _top_eigenvector(vecs))
     return state_to_mps(QuantumState.pure(vec / np.linalg.norm(vec)), max_bond=block)

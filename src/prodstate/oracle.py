@@ -34,11 +34,9 @@ probability >= 1 - delta.  Each estimator's docstring gives the accuracy it
 asks of that mean and why.
 
 The estimators read the oracle's factor `rho` only through the `states`
-readers: `_marginal`, `_mapped` and `_frame_rows` map it to the factor of
-what is measured, and `_sandwich` and `_overlaps` turn that factor into the
-block or overlaps, so no estimator forms a Gram of rows or touches the
-shift c of rho = W W* + c I.  See that module's docstring, and
-`states._check_rotations` for the frames they refuse.
+readers, which map it to the factor measured and turn that into numbers, so
+no estimator forms a Gram of rows or touches a shift; see that module's
+docstring, and `states._check_rotations` for the frames they refuse.
 
 Copy-cost formulas are exported as plain functions so tests can assert the
 counter matches them exactly.
@@ -202,10 +200,9 @@ class StateOracle:
 def _frame_read(o: StateOracle, us: np.ndarray) -> FactoredDensity:
     """`estimate_z`'s read in the frame of the (n, 2, 2) stack us: the factor of its n+1 rows.
 
-    One sitewise pass (`states._frame_rows` at d = 1) gives the factor
-    (Y, c) of the rows <0^n| U, <e_i| U.  The oracle keeps the last read,
-    keyed by the bytes of us, so the rungs of a ladder on one frame read the
-    state once.
+    The rows <0^n| U, <e_i| U are `states._frame_rows` at d = 1.  The oracle
+    keeps the last read, keyed by the bytes of us, so the rungs of a ladder
+    on one frame read the state once.
     """
     key = us.tobytes()
     if key != o._frame_key:
@@ -351,13 +348,12 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
     is at most the mean's operator-norm error, eps w.p. 1 - delta at
     `bernstein_shots(n + 2, eps, delta)` shots.
 
-    The state is read through its factor, one site at a time, at O(2^n r)
-    time and memory, into the factor (Y, c) of the n+1 frame rows
-    (`_frame_read`).  The rows are orthonormal, so c adds nothing off the
-    diagonal: the exact backend takes z = Y[1:] conj(Y[0]), and the sampling
-    backend measures `_sandwich` of the read with a junk slot.  Consecutive
-    calls in one frame share that read; each call still charges its copies
-    and draws its noise or shots as a call with a fresh read would.  On a state with a shift, a
+    The state is read one site at a time, at O(2^n r) time and memory, into
+    the factor (Y, c) of the n+1 frame rows (`_frame_read`): the exact
+    backend takes z = Y[1:] conj(Y[0]) (c adds nothing off the diagonal),
+    and the sampling backend measures its `_sandwich`.  Consecutive calls in
+    one frame share that read; each call still charges its copies and draws
+    its noise or shots as a call with a fresh read would.  On a state with a shift, a
     basis that is not unitary raises ValueError (`states._check_rotations`)
     before any copy is drawn.
 

@@ -20,16 +20,14 @@ closed-form bounds (fidelity sandwiches, weight-tail bounds) that the
 learners rely on.
 
 Every module reads a state's rho as its factor (`_operator`; psi gives
-(psi, 0)) through five readers.  Three map a factor to a factor:
-`_marginal` to the marginal on a site set, `_mapped` to M rho M* for a
-chain M of local maps (`_apply_chain`) with orthonormal rows, and
-`_frame_rows` to the weight-<= d rows of a product frame, read site by site
-with no rotated copy of the factor.  Two turn a factor into numbers:
-`_sandwich` gives rows rho rows*, `_overlaps` <v| rho |v> per row.  Only
-`_marginal` scales a shift, and only `_sandwich` and `_overlaps` add one.
-Each costs O(dim r k) with no dim x dim matrix, and an oracle holds a
-mapped or reduced factor as is.  On a state with a shift, the two that
-rotate take only rotations (`_check_rotations`).
+(psi, 0)).  `_marginal`, `_mapped` and `_frame_rows` map a factor to a
+factor: the marginal on a site set, M rho M* for a chain M of local maps
+(`_apply_chain`) with orthonormal rows, and the weight-<= d rows of a
+product frame, read site by site.  `_sandwich` and `_overlaps` turn one into
+numbers: rows rho rows*, and <v| rho |v> per row.  Only `_marginal` scales a
+shift, and only these two add one.  Each costs O(dim r k) with no dim x dim
+matrix.  On a state with a shift, the two that rotate take only rotations
+(`_check_rotations`).
 
 Every module builds product amplitudes with `product_vectors` from (k, n, 2)
 site stacks (`site_stack` gives the stack of parameter tuples), reads
@@ -304,16 +302,15 @@ def _frame_rows(rho: FactoredDensity, us: np.ndarray,
                 d: int) -> tuple[FactoredDensity, np.ndarray]:
     """(FactoredDensity(Y, c), order): Y = rows W for the rows <b| U, |b| <= d.
 
-    U is the product of the (k, 2, 2) stack us, and rho must have exactly k
-    sites (reduce a prefix with `_marginal` first).  Its shift c passes
-    through unchanged, so rows rho rows* is `_sandwich` of the result.  The
-    rows are product rows, so W is contracted one site at a time, site 1
-    first: every row carries on with the site's row 0, and every row of
-    weight < d also adds one flipped with its row 1, after the carried rows
-    (`_flip_schedule`), at O((d+1) 2^k r) time.  Y[order] lists the rows by
-    basis index, as `oracle.weight_leq_indices`; at d = 1 Y lists
-    <0^k| U, <e_1| U, ...  A state with a shift needs unitary us
-    (`_check_rotations`).
+    U is the product of the (k, 2, 2) us, and rho must have k sites (reduce
+    a prefix with `_marginal` first); its shift c passes through, so rows
+    rho rows* is `_sandwich` of the result.  The rows are product rows, so W
+    is contracted one site at a time, site 1 first: every row carries on
+    with the site's row 0, and every row of weight < d also adds one flipped
+    with its row 1, after the carried rows (`_flip_schedule`), at
+    O((d+1) 2^k r) time.  Y[order] lists the rows by basis index, as
+    `oracle.weight_leq_indices`; at d = 1 Y lists <0^k| U, <e_1| U, ...
+    A state with a shift needs unitary us (`_check_rotations`).
     """
     if rho.factor.shape[0] != 2 ** len(us):
         raise ValueError(f"a frame of {len(us)} sites reads a factor of {2 ** len(us)} rows")

@@ -227,11 +227,11 @@ def test_high_fidelity_charges_halves_that_raise(monkeypatch):
     inner = localopt.single_site_estimate
     calls = []
 
-    def second_raises(o, delta):
+    def second_raises(o, eps, delta):
         calls.append(delta)
         if len(calls) == 2:
             raise ResourceBudgetError("refused")
-        return inner(o, delta)
+        return inner(o, eps, delta)
 
     monkeypatch.setattr(localopt, "single_site_estimate", second_raises)
     o = StateOracle(maximally_mixed(2), backend="exact")
@@ -308,12 +308,39 @@ def test_half_oracles_match_the_state_round_trip(monkeypatch, backend, noise, si
         assert runs[0] == runs[1], n
 
 
+def single_site_shots(eps, delta):
+    """Shots per Pauli axis that `single_site_estimate` charges at eps and delta."""
+    return max(math.ceil(50 * math.log(2 / delta)),
+               math.ceil(3 * math.log(6 / delta) / (eps * (2 / 3 + 2 * eps))))
+
+
 def test_single_site_estimate_copies():
-    delta = 0.2
-    o = StateOracle(diagonal_state([0.8, 0.2]),
-                    backend="sampling", seed=3)
-    single_site_estimate(o, delta)
-    assert o.copies_consumed == 3 * math.ceil(50 * math.log(2 / delta))
+    # The constant term wins at eps 0.1, delta 0.1; the eps term at delta 0.2
+    # and at small eps.
+    for eps, delta, shots in ((0.1, 0.1, 150), (0.1, 0.2, 118), (0.005, 0.1, 3631)):
+        assert single_site_shots(eps, delta) == shots
+        for backend in ("exact", "sampling"):
+            o = StateOracle(diagonal_state([0.8, 0.2]), backend=backend, seed=3)
+            single_site_estimate(o, eps, delta)
+            assert o.copies_consumed == 3 * shots
+
+
+def test_one_qubit_learner_meets_small_eps():
+    # At n = 1 the learner sizes its shots, and the exact backend its noise,
+    # by eps: on planted w 0.95 states at eps 0.005, delta 0.1, seeds 0-39,
+    # no output falls below opt - eps on either backend.  Sized by delta
+    # alone, 5 of 40 sampling runs and 11 of 40 noisy exact runs did.
+    eps, delta = 0.005, 0.1
+    for backend, noise in (("sampling", 0.0), ("exact", 0.2)):
+        misses = 0
+        for seed in range(40):
+            params = haar_product_params(np.random.default_rng(seed), 1)
+            state = planted_mixture(params, 0.95)
+            o = StateOracle(state, backend=backend, seed=seed, noise_opnorm=noise)
+            out = high_fidelity_learn(o, eps, delta)
+            misses += fidelity(state, out) < planted_opt(0.95, 1) - eps
+            assert o.copies_consumed == 3 * single_site_shots(eps, delta) == 10_893
+        assert misses == 0, (backend, misses)
 
 
 def test_single_site_estimate_matches_an_eigh_reference(monkeypatch):
@@ -338,7 +365,7 @@ def test_single_site_estimate_matches_an_eigh_reference(monkeypatch):
             for top_pair in (closed, by_eigh):
                 monkeypatch.setattr(localopt, "_top_pair", top_pair)
                 o = StateOracle(state, backend=backend, seed=6, noise_opnorm=noise)
-                fids.append(fidelity(state, single_site_estimate(o, 0.1)))
+                fids.append(fidelity(state, single_site_estimate(o, 0.1, 0.1)))
             assert abs(fids[0] - fids[1]) <= 1e-12
 
 

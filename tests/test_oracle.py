@@ -940,7 +940,7 @@ def test_shot_budget_enforced(monkeypatch):
         lambda o: subnormalized_tomography(o, None, 0, eps=0.3, delta=0.3),
         lambda o: estimate_fidelity(o, 1, site_stack([ProductParams((0.1,))]), eps=0.05,
                                     delta=0.1),
-        lambda o: single_site_estimate(o, delta=0.1),
+        lambda o: single_site_estimate(o, eps=0.1, delta=0.1),
     ]
     for call in calls:
         o = StateOracle(maximally_mixed(1), backend="sampling", seed=0)
@@ -1166,7 +1166,7 @@ def test_factored_reads_match_dense(n):
 
     def single_site(o, site):
         child = _reduced_oracle(o, [site])
-        return single_site_estimate(child, 0.1), child.copies_consumed
+        return single_site_estimate(child, 0.1, 0.1), child.copies_consumed
 
     for state in factored_cases(n, rng):
         dense = dense_mixed(density(state))
