@@ -353,9 +353,9 @@ def estimate_z(o: StateOracle, basis: list[np.ndarray], eps: float, delta: float
     backend takes z = Y[1:] conj(Y[0]) (c adds nothing off the diagonal),
     and the sampling backend measures its `_sandwich`.  Consecutive calls in
     one frame share that read; each call still charges its copies and draws
-    its noise or shots as a call with a fresh read would.  On a state with a shift, a
-    basis that is not unitary raises ValueError (`states._check_rotations`)
-    before any copy is drawn.
+    its noise or shots as a call with a fresh read would.  On a state with a
+    shift, a basis that is not unitary raises ValueError
+    (`states._check_rotations`) before any copy is drawn.
 
     Copies: z_copy_cost(n, eps, delta) on both backends.
     """

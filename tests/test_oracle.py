@@ -178,7 +178,8 @@ def test_frame_rows_pass_the_shift_and_sandwich_to_the_dense_block():
     # On shifted states, every k <= n <= 7 and d <= k, in Haar and identity
     # frames: the read of the k-site marginal keeps its shift c 2^(n-k), and
     # `_sandwich` of the rows `order` selects is the dense U rho_[k] U* on the
-    # weight-<= d strings, shift on the diagonal included.
+    # weight-<= d strings, shift on the diagonal included.  A factor of more
+    # than k sites is refused.
     rng = np.random.default_rng(11)
     for n in range(1, 8):
         for state in factored_cases(n, rng)[3:]:
@@ -196,6 +197,10 @@ def test_frame_rows_pass_the_shift_and_sandwich_to_the_dense_block():
                         idx = weight_leq_indices(k, d)
                         got = _sandwich(FactoredDensity(read.factor[order], read.shift))
                         assert np.abs(got - rotated[np.ix_(idx, idx)]).max() <= 1e-12
+                    if k < n:
+                        # The whole state is not a k-site factor: its shift is unscaled.
+                        with pytest.raises(ValueError, match="frame of"):
+                            _frame_rows(rho, us, 1)
 
 
 def reference_frame_reads(state, basis):
