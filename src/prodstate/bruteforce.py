@@ -14,6 +14,7 @@ import numpy as np
 from .states import (
     ProductParams,
     QuantumState,
+    _mapped,
     _marginal,
     _operator,
     _sandwich,
@@ -35,8 +36,9 @@ def best_product_fidelity(state: QuantumState, restarts: int = 12,
     eigenvector of its effective 2x2 operator <v_-i, a| rho |v_-i, b>, which
     can only increase the fidelity; multistart guards against local maxima.
     The first restart starts from each site marginal's top eigenvector, the
-    others from seeded Haar sites.  Reliable at desk scale (verified against
-    closed forms); this is a reference oracle.
+    others from seeded Haar sites.  The effective operator is `_sandwich` of
+    the factor mapped by its two orthonormal bras (`_mapped`).  Reliable at
+    desk scale (verified against closed forms); this is a reference oracle.
     """
     rng = np.random.default_rng(seed)
     rho = _operator(state)
@@ -57,7 +59,7 @@ def best_product_fidelity(state: QuantumState, restarts: int = 12,
                 # Rows conj(v_1) ⊗ .. e_a .. ⊗ conj(v_n), a = 0, 1, with e_a at site i.
                 bras = np.repeat(np.stack(sites).conj()[None], 2, axis=0)
                 bras[:, i] = np.eye(2)
-                eff = _sandwich(rho, product_vectors(bras))
+                eff = _sandwich(_mapped(rho, [product_vectors(bras)]))
                 eff = (eff + eff.conj().T) / 2.0
                 _, vecs = np.linalg.eigh(eff)
                 sites[i] = vecs[:, -1]

@@ -183,12 +183,12 @@ def mps_learn(o: StateOracle, r: int, eps: float, delta: float,
     block = 2 ** (kappa - 1)
     delta_call = delta / n
 
-    # maps[i-1] is step i's window map, the adjoints of the top `block`
-    # eigenvectors, largest first: it takes the leading kappa of the
-    # register's n-i+1 live sites to kappa-1.
+    # maps[i-1], step i's window map, is the adjoints of the top `block`
+    # eigenvectors, largest first: it takes the leading kappa of the n-i+1
+    # live sites to kappa-1, and a stack of them names the measured window.
     maps = np.zeros((n - kappa, block, 2 * block), dtype=complex)
     for i in range(1, n - kappa + 1):
-        sigma = subnormalized_tomography(o, maps[: i - 1], i - 1, tau, delta_call, keep=kappa)
+        sigma = subnormalized_tomography(o, maps[: i - 1], i - 1, tau, delta_call)
         vecs, heavy = _spectrum(o, i, kappa, sigma, tau)
         if heavy > block:
             raise PromiseViolationError(

@@ -61,7 +61,6 @@ from .states import (
     _sandwich,
     check_dense_budget,
     haar_state,
-    product_vectors,
 )
 
 # Hard cap on simulated measurement shots per oracle call; beyond this a
@@ -116,7 +115,7 @@ def fidelity_copy_cost(eps: float, delta: float) -> int:
 def subnormalized_budget(dim: int, eps: float, delta: float) -> tuple[int, int]:
     """(prefix-rate shots, wanted window shadows) for subnormalized tomography.
 
-    dim is the dimension of the measured window, 2^keep: the qubits of the
+    dim is the dimension of the measured window, 2^w: the qubits of the
     suffix outside it are traced out, not measured.  The accuracy is split
     evenly: half of eps, at confidence 1 - delta/2, to the prefix success
     rate (Hoeffding), and half to the conditional window state in trace
@@ -441,39 +440,41 @@ def subspace_tomography(o: StateOracle, prefix_m: int, d: int, eps: float,
     return _project_psd(est)
 
 
-def _frame_maps(frame, n: int, zeroed_prefix: int) -> list[np.ndarray]:
-    """The chain of maps (`states._apply_chain`) that `frame` takes the register through.
+def _frame_maps(frame, n: int, zeroed_prefix: int) -> tuple[list[np.ndarray], int]:
+    """(maps, w): the chain of maps (`states._apply_chain`) that `frame` takes the
+    register through, and the w leading sites of the n - i left that it measures.
 
     None projects the first i = zeroed_prefix sites onto zero; a dense row
-    block is one map, its leading 2^(n-i) rows; a stack is its maps in order.
+    block is one map, its leading 2^(n-i) rows; both measure w = n - i.  A
+    stack of k-site window maps is its maps in order, w = min(k, n - i).
     """
+    suffix = n - zeroed_prefix
     if frame is None:
-        return [np.eye(1, 2**zeroed_prefix)] if zeroed_prefix else []
+        return ([np.eye(1, 2**zeroed_prefix)] if zeroed_prefix else []), suffix
     frame = np.asarray(frame)
-    dim, dim_s = 2**n, 2 ** (n - zeroed_prefix)
     if frame.ndim == 3:
         steps, rows, cols = frame.shape
         kappa = cols.bit_length() - 1
         if not (rows >= 1 and cols == 2 * rows == 1 << kappa and steps == zeroed_prefix
-                and kappa <= n - steps + 1):
+                and kappa <= suffix + 1):
             raise ValueError(f"window maps need shape ({zeroed_prefix}, 2^(k-1), 2^k) with "
-                             f"1 <= k <= {n - zeroed_prefix + 1}, got shape {frame.shape}")
-        return list(frame)
-    if frame.ndim != 2 or frame.shape[0] < dim_s or frame.shape[1] != dim:
-        raise ValueError(f"frame needs {dim} columns and at least {dim_s} rows, got shape "
-                         f"{frame.shape}")
-    return [frame[:dim_s]]
+                             f"1 <= k <= {suffix + 1}, got shape {frame.shape}")
+        return list(frame), min(kappa, suffix)
+    if frame.ndim != 2 or frame.shape[0] < 2**suffix or frame.shape[1] != 2**n:
+        raise ValueError(f"frame needs {2**n} columns and at least {2**suffix} rows, got "
+                         f"shape {frame.shape}")
+    return [frame[:2**suffix]], suffix
 
 
 def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_prefix: int,
-                             eps: float, delta: float, keep: int | None = None) -> np.ndarray:
+                             eps: float, delta: float) -> np.ndarray:
     """Estimate the window left after projecting the first sites onto zero.
 
     With rho' the hidden state conjugated by `frame` and i = zeroed_prefix,
     the suffix block is (<0^i| (x) I) rho' (|0^i> (x) I), a PSD matrix on the
     remaining n - i sites with trace mu <= 1.  The target sigma is that block
-    reduced to its first `keep` sites, the window (None keeps all n - i): a
-    PSD matrix of trace mu on d = 2^keep dimensions.  The estimate is within
+    reduced to its first w sites, the window the frame measures: a PSD
+    matrix of trace mu on d = 2^w dimensions.  The estimate is within
     trace-norm eps of sigma with probability >= 1 - delta.
 
     Frame contract: `frame` is None (no rotation) or an ndarray, either
@@ -484,15 +485,16 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     * a stack of i window maps of shape (i, 2^(k-1), 2^k), k <= n - i + 1:
       map j takes the leading k sites of the n - j + 1 sites the maps before
       it left to k - 1 sites, and the composed rows are those maps in order.
+    A stack measures w = min(k, n - i) sites; None and a row block all n - i.
     Either way the frame is rows of a rotation: on a mixed state with a
     shift c > 0, maps whose rows are not orthonormal raise ValueError
     before any copy is drawn (`states._mapped`).  Any other shape raises
     ValueError.  Both backends apply the maps to the state's factor and form
-    only the 2^keep x 2^keep window; a window above states.DENSE_BUDGET
+    only the 2^w x 2^w window; a window above states.DENSE_BUDGET
     raises ResourceBudgetError before any copy is drawn.
 
     Each copy is postselected on the zeroed prefix and only the window's
-    `keep` qubits are measured; the other suffix qubits are traced out at no
+    w qubits are measured; the other suffix qubits are traced out at no
     cost.  The sampling backend estimates mu by the prefix success rate
     mu_hat, and the unit-trace window state tau = sigma / mu by
     `_project_psd` of the mean of `wanted` shadows; the result is
@@ -503,7 +505,7 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     shadows it has.
 
     Copies: n_mu + attempts with (n_mu, wanted) =
-    subnormalized_budget(2^keep, eps, delta) and attempts =
+    subnormalized_budget(2^w, eps, delta) and attempts =
     subnormalized_attempts(wanted, mu_hat); the reported success rate mu_hat
     is the exact mu on the exact backend.  A zero rate returns the zero
     matrix after the n_mu rate-estimation copies.
@@ -513,16 +515,12 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     n = o.n
     if not (0 <= zeroed_prefix < n):
         raise ValueError("zeroed_prefix out of range")
-    suffix = n - zeroed_prefix
-    keep = suffix if keep is None else int(keep)
-    if not 1 <= keep <= suffix:
-        raise ValueError(f"keep must lie in [1, {suffix}], got {keep}")
-    maps = _frame_maps(frame, n, zeroed_prefix)
-    dim = 2**keep
+    maps, w = _frame_maps(frame, n, zeroed_prefix)
+    dim = 2**w
     check_dense_budget((dim, dim))
     n_mu, wanted = subnormalized_budget(dim, eps, delta)
     rho = _mapped(o.rho, maps)
-    block = _sandwich(_marginal(rho, suffix, range(keep)))
+    block = _sandwich(_marginal(rho, n - zeroed_prefix, range(w)))
 
     if o.backend == "exact":
         mu_hat = rho.trace()
@@ -565,7 +563,8 @@ def estimate_fidelity(o: StateOracle, prefix_m: int, sites, eps: float,
     and the estimate is within eps with probability >= 1 - delta.  Rows are
     shot-checked, charged and noised in order, so k rows charge and draw
     exactly what k one-row calls would, and k = 0 charges and draws nothing.
-    The exact overlaps take one read of the marginal's factor (`states._overlaps`).
+    The exact overlaps read the marginal's factor once, site by site
+    (`states._overlaps`), forming no 2^prefix_m product row.
 
     Copies: fidelity_copy_cost(eps, delta) per row, on both backends.
     """
@@ -579,7 +578,7 @@ def estimate_fidelity(o: StateOracle, prefix_m: int, sites, eps: float,
         raise ValueError("site vectors must be a (k, prefix_m, 2) stack covering exactly "
                          "the measured prefix")
     copies = fidelity_copy_cost(eps, delta)
-    f = np.clip(_overlaps(_marginal(o.rho, n, range(prefix_m)), product_vectors(sites)), 0, 1)
+    f = np.clip(_overlaps(_marginal(o.rho, n, range(prefix_m)), sites), 0, 1)
 
     for j, fj in enumerate(f):
         if o.backend == "sampling":

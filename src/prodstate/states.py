@@ -24,17 +24,18 @@ Every module reads a state's rho as its factor (`_operator`; psi gives
 factor: the marginal on a site set, M rho M* for a chain M of local maps
 (`_apply_chain`) with orthonormal rows, and the weight-<= d rows of a
 product frame, read site by site.  `_sandwich` and `_overlaps` turn one into
-numbers: rows rho rows*, and <v| rho |v> per row.  Only `_marginal` scales a
-shift, and only these two add one.  Each costs O(dim r k) with no dim x dim
-matrix.  On a state with a shift, the two that rotate take only rotations
-(`_check_rotations`).
+numbers: W W* + c I, and <v| rho |v> per product row v of a (k, m, d) site
+stack, also read site by site.  Only `_marginal` scales a shift, and only
+these two add one; none forms a state's dim x dim matrix.  On a state with
+a shift, the two that rotate take only rotations (`_check_rotations`).
 
-Every module builds product amplitudes with `product_vectors` from (k, n, 2)
-site stacks (`site_stack` gives the stack of parameter tuples), reads
-parameters off site vectors with `vector_to_params`, lists the weight-<= d
-strings as `_flip_schedule` builds them (`oracle.weight_leq_indices`;
-`cover._sweep`'s coordinates), draws Haar states with `haar_state`, and
-takes the top eigenpair of a 2x2 Hermitian matrix in closed form with `_top_pair`.
+Every module reads product states as (k, n, 2) site stacks (`site_stack`
+gives the stack of parameter tuples; `product_vectors` turns one into
+amplitude rows only to build a state), reads parameters off site vectors
+with `vector_to_params`, lists the weight-<= d strings as `_flip_schedule`
+builds them (`oracle.weight_leq_indices`; `cover._sweep`'s coordinates),
+draws Haar states with `haar_state`, and takes the top eigenpair of a 2x2
+Hermitian matrix in closed form with `_top_pair`.
 
 Basis convention: index b encodes the bit string x via b = sum_i x_i 2^(n-i),
 i.e. site 1 is the most significant bit.
@@ -239,30 +240,30 @@ def _marginal(rho: FactoredDensity, n: int, sites) -> FactoredDensity:
     return FactoredDensity(w.reshape(2 ** len(sites), -1), rho.shift * 2 ** (n - len(sites)))
 
 
-def _sandwich(rho: FactoredDensity, rows: np.ndarray | None = None) -> np.ndarray:
-    """rows rho rows* for a (k, dim) matrix of rows; without rows, the whole matrix rho.
-
-    This is y y* + c rows rows* with y = rows W, at O(k dim r + k^2 dim), or
-    W W* + c I; the shift term is skipped when c = 0.
-    """
-    y = rho.factor if rows is None else rows @ rho.factor
-    out = y @ y.conj().T
-    if not rho.shift:
-        return out
-    if rows is None:
+def _sandwich(rho: FactoredDensity) -> np.ndarray:
+    """The matrix W W* + c I of a factor, at O(dim^2 r); the shift term is skipped when c = 0."""
+    out = rho.factor @ rho.factor.conj().T
+    if rho.shift:
         out[np.diag_indices_from(out)] += rho.shift
-    else:
-        out += rho.shift * (rows @ rows.conj().T)
     return out
 
 
-def _overlaps(rho: FactoredDensity, vecs: np.ndarray) -> np.ndarray:
-    """<v| rho |v> = ||v* W||^2 + c ||v||^2 per row v of the (k, dim) vecs, at O(k dim r)."""
-    rows = vecs.conj()
-    y = rows @ rho.factor
+def _overlaps(rho: FactoredDensity, sites: np.ndarray) -> np.ndarray:
+    """<v| rho |v> = ||v* W||^2 + c prod_i ||s_i||^2 per row v = (x)_i s_i of a site stack.
+
+    The (k, m, d) stack reads a factor of d^m rows at O(k d^m r): W is
+    contracted one site at a time, site 1 first, by batched matmuls, so no
+    (k, d^m) row is formed.  The shift term takes the sites as given.
+    """
+    k, m, d = sites.shape
+    r = rho.factor.shape[1]
+    y = rho.factor[None]
+    for i in range(m):
+        y = sites[:, i, None].conj() @ y.reshape(len(y), d, d ** (m - 1 - i) * r)
+    y = y.reshape(k, r)
     f = np.einsum("ij,ij->i", y, y.conj()).real
     if rho.shift:
-        f += rho.shift * np.einsum("ij,ij->i", rows, vecs).real
+        f += rho.shift * np.einsum("kmd,kmd->km", sites, sites.conj()).real.prod(axis=1)
     return f
 
 
@@ -376,8 +377,7 @@ def site_stack(params) -> np.ndarray:
     """The (k, n, 2) site vectors of k product states of n >= 1 sites given by parameters.
 
     Entry [j, i] is (1, z_i)/√(1+|z_i|²) for params[j]; `product_vectors`
-    turns the stack into amplitude rows, and `oracle.estimate_fidelity`
-    reads it as it is.
+    turns the stack into amplitude rows, and `_overlaps` reads it as it is.
     """
     return np.array([[_site_vector(z) for z in p.z] for p in params], dtype=complex)
 
@@ -466,19 +466,16 @@ def _ratio_param(v0: complex, v1: complex) -> complex:
 
 
 def vector_fidelity(s: QuantumState, vec: np.ndarray) -> float:
-    """⟨v|ρ|v⟩ for mixed s, |⟨v|ψ⟩|² for pure s, without clamping to [0, 1].
-
-    One read of the factor (`_overlaps`): O(dim·r) time, one dim-long copy.
-    """
-    return float(_overlaps(_operator(s), vec[None])[0])
+    """⟨v|ρ|v⟩ for mixed s, |⟨v|ψ⟩|² for pure s, unclamped: one O(dim·r) read (`_overlaps`)."""
+    return float(_overlaps(_operator(s), vec[None, None])[0])
 
 
 def fidelity(s: QuantumState, p: ProductParams) -> float:
-    """⟨π_p|ρ|π_p⟩ for mixed s, |⟨π_p|ψ⟩|² for pure s, clamped to [0, 1]."""
+    """⟨π_p|ρ|π_p⟩ for mixed s, |⟨π_p|ψ⟩|² for pure s, clamped to [0, 1], read site by site."""
     if p.n != s.n:
         raise ValueError("site-count mismatch between state and parameters")
-    val = vector_fidelity(s, product_state_vector(p).data)
-    return float(min(max(val, 0.0), 1.0))
+    val = float(_overlaps(_operator(s), site_stack([p]))[0])
+    return min(max(val, 0.0), 1.0)
 
 
 def weight_tail_bound(mu: float, d: float) -> float:

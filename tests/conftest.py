@@ -269,7 +269,7 @@ def window_charge(state, frame, zeroed_prefix, keep, eps, delta):
     rounding, and once the wanted shadows near 1e15 a rounding-level change
     of mu moves ceil(2 wanted / mu).
     """
-    mu = _mapped(_operator(state), _frame_maps(frame, state.n, zeroed_prefix)).trace()
+    mu = _mapped(_operator(state), _frame_maps(frame, state.n, zeroed_prefix)[0]).trace()
     n_mu, wanted = subnormalized_budget(2**keep, eps, delta)
     return (n_mu + subnormalized_attempts(wanted, mu) if mu > 0.0 else n_mu), mu
 

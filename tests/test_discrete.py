@@ -14,10 +14,10 @@ from prodstate.discrete import (
     member_vector,
 )
 from prodstate.errors import PromiseViolationError, ResourceBudgetError
-from prodstate.instances import random_mixed
+from prodstate.instances import planted_mixture, random_mixed
 from prodstate.oracle import StateOracle
 from prodstate.serialize import class_from_json, state_from_json
-from prodstate.states import QuantumState
+from prodstate.states import QuantumState, _check_rotations, product_vectors
 
 from conftest import (
     diagonal_state,
@@ -180,6 +180,26 @@ def test_learn_sampling_backend_planted(monkeypatch):
     out = discrete_learn(o, cls, 0.8, 0.4, 0.2)
     assert (0, 0) in out
     assert out <= class_fidelity_census(rho, cls, 0.4)
+
+
+def test_learn_menus_at_the_norm_edge_on_a_shifted_state():
+    # A class accepts menu vectors up to 1e-9 off unit norm, so a member of
+    # 8 such sites is about 1.6e-8 off, beyond the rotation check's 1e-9:
+    # the overlaps take c prod ||s_i||^2 as given instead, and the class
+    # learns on a shifted state on both backends.
+    rng = np.random.default_rng(83)
+    n, plant = 8, (1, 0, 1, 1, 0, 0, 1, 0)
+    unit = random_class(rng, n, 2)
+    cls = DiscreteClass([[v * (1.0 + 0.99e-9) for v in menu] for menu in unit.site_states])
+    rho = planted_mixture(member_vector(unit, plant), 0.9)
+    assert rho.data.shift > 0.0
+    sites = np.stack([cls.site_states[site][idx] for site, idx in enumerate(plant)])
+    with pytest.raises(ValueError, match="orthonormal"):
+        _check_rotations(rho.data, [product_vectors(sites[None])])
+    for backend in ("exact", "sampling"):
+        out = discrete_learn(StateOracle(rho, backend=backend, seed=7), cls, 0.8, 0.1, 0.1)
+        assert plant in out
+        assert class_fidelity_census(rho, cls, 0.8) <= out <= class_fidelity_census(rho, cls, 0.7)
 
 
 # --- containment and size-bound audits --------------------------------------------

@@ -58,8 +58,8 @@ def record_tomography(monkeypatch):
     calls = []
     tomography = mps.subnormalized_tomography
 
-    def recorded(o, frame, zeroed_prefix, eps, delta, keep=None):
-        out = tomography(o, frame, zeroed_prefix, eps, delta, keep=keep)
+    def recorded(o, frame, zeroed_prefix, eps, delta):
+        out = tomography(o, frame, zeroed_prefix, eps, delta)
         calls.append((frame.copy(), float(np.real(np.trace(out)))))
         return out
 

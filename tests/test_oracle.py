@@ -206,9 +206,8 @@ def test_frame_rows_pass_the_shift_and_sandwich_to_the_dense_block():
 def reference_frame_reads(state, basis):
     """(z, sigma) from the dense product columns: cols* rho cols, with its junk slot."""
     cols = reference_z_columns(basis)
-    rho = _operator(state)
-    return (cols[:, 1:].conj().T @ (rho @ cols[:, 0]),
-            _with_junk_slot(_sandwich(rho, cols.conj().T)))
+    block = cols.conj().T @ (_operator(state) @ cols)
+    return block[1:, 0], _with_junk_slot(block)
 
 
 def test_sitewise_frame_reads_match_the_product_columns():
@@ -674,10 +673,6 @@ def test_subnormalized_rejects_bad_frame_shapes():
                    (np.zeros((2, 4, 8)), 2)):
         with pytest.raises(ValueError, match="window maps need shape"):
             subnormalized_tomography(o, bad, zeroed_prefix=i, eps=0.4, delta=0.3)
-    for keep in (0, 3):
-        with pytest.raises(ValueError, match="keep must lie"):
-            subnormalized_tomography(o, maps[:1], zeroed_prefix=1, eps=0.4, delta=0.3,
-                                     keep=keep)
     assert o.copies_consumed == 0
 
 
@@ -689,38 +684,41 @@ def window_stack(n, kappa, rng):
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_subnormalized_keep_is_the_partial_trace_of_the_suffix(n):
-    # On the exact backend keep=k is the suffix block reduced to its first k
-    # sites, on a factored state and on its dense copy, for a window stack
-    # and for the dense row block it composes to, and it charges the copies
-    # of the measured 2^k-dim window, not of the whole suffix.
+    # On the exact backend a stack of k-site window maps measures the suffix
+    # block reduced to its first min(k, n - i) sites, and the dense row block
+    # the stack composes to measures the whole suffix; on a factored state
+    # and on its dense copy, each charges the copies of the 2^w-dim window
+    # it measures, not of the whole suffix.
     rng = np.random.default_rng(300 + n)
-    maps = window_stack(n, 3, rng)
     for state in factored_cases(n, rng):
-        for i in range(len(maps) + 1):
-            first = None
-            for s in (state, dense_mixed(density(state))):
-                for frame in (maps[:i], _apply_chain(maps[:i], np.eye(2**n))):
+        for kappa in range(1, n + 1):
+            maps = window_stack(n, kappa, rng)
+            for i in range(min(len(maps) + 1, n)):
+                keep = min(kappa, n - i)
+                first = None
+                for s in (state, dense_mixed(density(state))):
+                    rows = _apply_chain(maps[:i], np.eye(2**n))
                     o = StateOracle(s, backend="exact")
-                    whole = subnormalized_tomography(o, frame, i, 0.3, 0.1)
-                    first = whole if first is None else first
-                    assert np.max(np.abs(whole - first)) <= 1e-12
-                    for keep in range(1, n - i + 1):
-                        o = StateOracle(s, backend="exact")
-                        part = subnormalized_tomography(o, frame, i, 0.3, 0.1, keep=keep)
-                        assert part.shape == (2**keep, 2**keep)
-                        reduced = partial_trace(whole, n - i, range(keep))
-                        assert np.max(np.abs(part - reduced)) <= 1e-12
-                        copies, mu = window_charge(s, frame, i, keep, 0.3, 0.1)
-                        assert abs(mu - np.trace(whole).real) <= 1e-12
-                        assert o.copies_consumed == copies
+                    whole = subnormalized_tomography(o, rows, i, 0.3, 0.1)
+                    assert o.copies_consumed == window_charge(s, rows, i, n - i, 0.3, 0.1)[0]
+                    o = StateOracle(s, backend="exact")
+                    part = subnormalized_tomography(o, maps[:i], i, 0.3, 0.1)
+                    assert part.shape == (2**keep, 2**keep)
+                    first = part if first is None else first
+                    assert np.max(np.abs(part - first)) <= 1e-12
+                    reduced = partial_trace(whole, n - i, range(keep))
+                    assert np.max(np.abs(part - reduced)) <= 1e-12
+                    copies, mu = window_charge(s, maps[:i], i, keep, 0.3, 0.1)
+                    assert abs(mu - np.trace(whole).real) <= 1e-12
+                    assert o.copies_consumed == copies
 
 
 def test_subnormalized_sampling_keep_meets_eps_on_the_window():
-    # The sampling backend measures only the keep-site window behind the
-    # zeroed prefix, at the window's shadow count: over 40 seeds per prefix
-    # every keep=2 estimate lies within trace-norm eps of the exact window,
-    # and the charge is n_mu plus the attempts at some measured rate for
-    # the 2^keep budget.
+    # The sampling backend measures only the kappa-site window of a stack
+    # behind the zeroed prefix, at the window's shadow count: over 40 seeds
+    # per prefix every kappa = 2 estimate lies within trace-norm eps of the
+    # exact window, and the charge is n_mu plus the attempts at some
+    # measured rate for the 2^kappa budget.
     rng = np.random.default_rng(53)
     n, kappa, eps, delta = 5, 2, 0.5, 0.2
     state = QuantumState.pure(haar_state(2**n, rng))
@@ -729,10 +727,10 @@ def test_subnormalized_sampling_keep_meets_eps_on_the_window():
     valid = {n_mu + subnormalized_attempts(wanted, k / n_mu) for k in range(1, n_mu + 1)}
     for i in (1, 2):
         exact = subnormalized_tomography(StateOracle(state, backend="exact"), maps[:i], i,
-                                         eps, delta, keep=kappa)
+                                         eps, delta)
         for seed in range(40):
             o = StateOracle(state, backend="sampling", seed=seed)
-            est = subnormalized_tomography(o, maps[:i], i, eps, delta, keep=kappa)
+            est = subnormalized_tomography(o, maps[:i], i, eps, delta)
             assert est.shape == (2**kappa, 2**kappa)
             diff = est - exact
             assert np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum() <= eps
@@ -742,14 +740,17 @@ def test_subnormalized_sampling_keep_meets_eps_on_the_window():
 def test_subnormalized_sampling_window_past_the_dense_budget():
     # Behind one zeroed site of a 13-qubit register the suffix block is
     # 4096 x 4096 (256 MiB, 4x DENSE_BUDGET); the sampling backend forms
-    # only the 4 x 4 window it measures.
+    # only the 4 x 4 window it measures.  The one 2-site window map <0 a|
+    # zeroes site 1 and keeps site 2, so the window is sites 2 and 3.
     rng = np.random.default_rng(59)
     state = QuantumState.pure(haar_state(2**13, rng))
     eps = 0.5
-    exact = subnormalized_tomography(StateOracle(state, backend="exact"), None, 1, eps, 0.2,
-                                     keep=2)
+    stack = np.eye(4, dtype=complex)[None, :2]
+    exact = subnormalized_tomography(StateOracle(state, backend="exact"), stack, 1, eps, 0.2)
+    window = state.data[:2**12].reshape(4, -1)
+    assert np.abs(exact - window @ window.conj().T).max() <= 1e-12
     o = StateOracle(state, backend="sampling", seed=2)
-    est = subnormalized_tomography(o, None, 1, eps, 0.2, keep=2)
+    est = subnormalized_tomography(o, stack, 1, eps, 0.2)
     assert est.shape == (4, 4)
     diff = est - exact
     assert np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum() <= eps
@@ -836,6 +837,28 @@ def test_fidelity_exact_noise_zero():
     truth = float(np.real(vec.conj() @ density(state) @ vec))
     (est,) = estimate_fidelity(o, 2, site_stack([params]), eps=0.3, delta=0.3)
     assert est == pytest.approx(truth, abs=1e-15)
+
+
+def test_fidelity_forms_no_product_row():
+    # At m = 16 and k = 8 on a rank-1 shifted state, a (k, 2^m) block of
+    # product rows takes 16 k 2^m bytes (8 MiB); `estimate_fidelity` reads
+    # the factor site by site and peaks below one such block.
+    rng = np.random.default_rng(17)
+    m, k = 16, 8
+    psi = haar_state(2**m, rng)
+    state = planted_mixture(psi, 0.9)
+    assert state.data.shift > 0.0
+    sites = np.stack([[haar_state(2, rng) for _ in range(m)] for _ in range(k)])
+    o = StateOracle(state)
+    tracemalloc.start()
+    try:
+        got = estimate_fidelity(o, m, sites, 0.1, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * k * 2**m
+    want = [0.9 * abs(np.vdot(row, psi)) ** 2 + 0.1 / 2**m for row in product_vectors(sites)]
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_fidelity_rows_are_single_calls_in_order():

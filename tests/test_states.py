@@ -16,6 +16,7 @@ from prodstate.states import (
     ProductParams,
     QuantumState,
     Z_MAX,
+    _overlaps,
     _ratio_param,
     _top_pair,
     cap_param,
@@ -43,6 +44,7 @@ from conftest import (
     hamming_weights,
     maximally_mixed,
     mean_excitation,
+    operator_matrix,
     partial_trace,
     product_fidelity,
     random_product_params,
@@ -365,6 +367,38 @@ def test_product_vectors_of_an_empty_batch():
         for n in range(4):
             got = product_vectors(np.zeros((0, n, d), dtype=complex))
             assert got.shape == (0, d**n) and got.dtype == complex
+
+
+def test_overlaps_match_the_kron_reference():
+    # <v| rho |v>, read site by site, is v* rho v on the dense rho and the
+    # kron-built v to 1e-12: on pure, rank-2 and shifted factors at
+    # n = 1..8 and k = 0, 1, 5 rows, with a capped row (|z| = Z_MAX), with
+    # sites off unit norm (the shift term is c prod ||s_i||^2), and with
+    # the same rows as one-site stacks of 2^n-long vectors.
+    rng = np.random.default_rng(79)
+    for n in range(1, 9):
+        dim = 2**n
+        psi = haar_state(dim, rng)
+        g = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+        factors = (FactoredDensity(psi[:, None]), FactoredDensity(g / np.linalg.norm(g)),
+                   FactoredDensity(math.sqrt(0.8) * psi[:, None], 0.2 / dim))
+        capped = ProductParams(tuple(cap_param(cmath.rect(Z_MAX, ph))
+                                     for ph in rng.uniform(-math.pi, math.pi, n)))
+        for rho in factors:
+            dense = operator_matrix(rho)
+            for k in (0, 1, 5):
+                params = [capped] + [random_product_params(rng, n, 2.0) for _ in range(k - 1)]
+                sites = np.zeros((0, n, 2), dtype=complex)
+                if k:
+                    sites = site_stack(params[:k])
+                vecs = [reference_product_state_vector(p).data for p in params[:k]]
+                off = sites * rng.uniform(0.9, 1.1, (k, n, 1))
+                for stack, rows in ((sites, vecs), (off, [reference_kron(v) for v in off])):
+                    want = np.array([np.vdot(v, dense @ v).real for v in rows])
+                    for got in (_overlaps(rho, stack),
+                                _overlaps(rho, np.reshape(rows, (k, 1, dim)))):
+                        assert got.shape == (k,)
+                        assert np.abs(got - want).max(initial=0.0) <= 1e-12
 
 
 def test_quantum_state_validation():
