@@ -695,9 +695,9 @@ def test_subnormalized_keep_is_the_partial_trace_of_the_suffix(n):
             maps = window_stack(n, kappa, rng)
             for i in range(min(len(maps) + 1, n)):
                 keep = min(kappa, n - i)
+                rows = _apply_chain(maps[:i], np.eye(2**n))
                 first = None
                 for s in (state, dense_mixed(density(state))):
-                    rows = _apply_chain(maps[:i], np.eye(2**n))
                     o = StateOracle(s, backend="exact")
                     whole = subnormalized_tomography(o, rows, i, 0.3, 0.1)
                     assert o.copies_consumed == window_charge(s, rows, i, n - i, 0.3, 0.1)[0]

@@ -388,9 +388,7 @@ def test_overlaps_match_the_kron_reference():
             dense = operator_matrix(rho)
             for k in (0, 1, 5):
                 params = [capped] + [random_product_params(rng, n, 2.0) for _ in range(k - 1)]
-                sites = np.zeros((0, n, 2), dtype=complex)
-                if k:
-                    sites = site_stack(params[:k])
+                sites = site_stack(params[:k]) if k else np.zeros((0, n, 2), dtype=complex)
                 vecs = [reference_product_state_vector(p).data for p in params[:k]]
                 off = sites * rng.uniform(0.9, 1.1, (k, n, 1))
                 for stack, rows in ((sites, vecs), (off, [reference_kron(v) for v in off])):
