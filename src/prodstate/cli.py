@@ -312,7 +312,7 @@ def run(config: ExperimentConfig) -> dict:
             result["meets_opt_minus_eps"] = bool(fid >= truth["opt"] - config.eps)
 
     report = {
-        "report_version": 1,
+        "report_version": 2,
         "algorithm": config.algorithm,
         "config": dataclasses.asdict(config),
         "input_digest": input_digest,

@@ -11,9 +11,11 @@ product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
 complex power-row polynomial evaluator and the per-support polynomial search,
 the cover audit, the dense per-root cover cut, the per-member discrete learner, the
 half-register oracle built through a validated state, the whole-chunk shadow
-sampler, and the reference JSON pair codec."""
+sampler, and the reference JSON pair and block codecs."""
 
+import base64
 import math
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -859,10 +861,24 @@ def reference_unpairs(pairs, shape):
     return arr.reshape(shape)
 
 
+def reference_block(values):
+    """The entry-by-entry `struct` block encoder `serialize._block` must match."""
+    arr = np.asarray(values, dtype=complex)
+    raw = b"".join(struct.pack("<dd", v.real, v.imag) for v in arr.reshape(-1))
+    return {"dtype": "complex128-le", "shape": list(arr.shape),
+            "base64": base64.b64encode(raw).decode("ascii")}
+
+
+def reference_unblock(obj):
+    """The entry-by-entry `struct` block decoder `serialize._unblock` must match."""
+    raw = base64.b64decode(obj["base64"], validate=True)
+    arr = np.array([complex(*pair) for pair in struct.iter_unpack("<dd", raw)], dtype=complex)
+    return arr.reshape(obj["shape"])
+
+
 def decode_mps(d):
     """The MatrixProductState of a `serialize.mps_to_json` object."""
-    return MatrixProductState([reference_unpairs(t["data"], tuple(t["shape"]))
-                               for t in d["tensors"]])
+    return MatrixProductState([reference_unblock(t) for t in d["tensors"]])
 
 
 def shadow_rows(rng, sigma, shots):

@@ -19,7 +19,7 @@ from prodstate import oracle, serialize
 from prodstate.bruteforce import best_product_fidelity
 from prodstate.cli import ExperimentConfig, UsageError, generate, main, run
 from prodstate.discrete import DiscreteClass
-from prodstate.hardness import clique_tensor
+from prodstate.hardness import Tensor4, clique_tensor
 from prodstate.instances import Graph, planted_mixture, random_mixed
 from prodstate.mps import mps_to_state, state_to_mps
 from prodstate.serialize import (
@@ -28,6 +28,7 @@ from prodstate.serialize import (
     class_to_json,
     digest,
     load_json,
+    loads_json,
     mps_to_json,
     params_from_json,
     params_to_json,
@@ -45,11 +46,23 @@ from prodstate.states import (
     vector_fidelity,
 )
 
-from conftest import decode_mps, density, ghz_state, reference_pairs, reference_unpairs
+from conftest import (
+    decode_mps,
+    density,
+    ghz_state,
+    reference_block,
+    reference_pairs,
+    reference_unblock,
+    reference_unpairs,
+)
 
 
 # ---------------------------------------------------------------------------
 # serialization round trips
+
+
+SPECIAL_VALUES = np.array([-0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324,
+                           complex(-5e-324, 2.2e-309), complex(1e-310, -0.0)])
 
 
 def test_state_round_trip_pure_and_mixed():
@@ -68,13 +81,17 @@ def test_state_round_trip_pure_and_mixed():
 
 def test_state_files_must_hold_normalized_qubit_registers():
     good = state_to_json(ghz_state(1))
-    assert good["local_dim"] == 2 and good["normalized"] is True
     assert state_from_json(good).n == 1
-    qutrit = {**good, "local_dim": 3, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
-    with pytest.raises(ValueError, match="local_dim"):
+    # A format-1 file: the fixed keys and the amplitudes as [re, im] pairs.
+    old = {**good, "local_dim": 2, "normalized": True, "data": [[0.6, 0.0], [0.8, 0.0]]}
+    with pytest.raises(ValueError, match="format_version 1.*prodstate gen"):
+        loads_json(json.dumps({"format_version": 1, "state": old}).encode())
+    # A block of three amplitudes is no register of n = 1 qubits.
+    qutrit = {**good, "data": reference_block(np.array([1.0, 0.0, 0.0]))}
+    with pytest.raises(ValueError, match="state data block: shape \\[3\\] disagrees with n = 1"):
         state_from_json(qutrit)
-    with pytest.raises(ValueError, match="normalized"):
-        state_from_json({**good, "normalized": False})
+    with pytest.raises(ValueError, match="not normalized"):
+        state_from_json({**good, "data": reference_block(np.array([1.0, 1.0]))})
 
 
 def test_factored_state_round_trip_is_exact():
@@ -82,6 +99,7 @@ def test_factored_state_round_trip_is_exact():
     states = [random_mixed(3, rng, rank=2), planted_mixture(haar_product_params(rng, 4), 0.9)]
     for n in range(1, 13):
         states += [QuantumState.pure(haar_state(2**n, rng)),
+                   random_mixed(n, rng, rank=1),
                    random_mixed(n, rng, rank=2),
                    planted_mixture(haar_product_params(rng, n), 0.9)]
     for state in states:
@@ -95,13 +113,20 @@ def test_factored_state_round_trip_is_exact():
         assert d["factor"]["shape"] == list(state.data.factor.shape)
         assert np.array_equal(back.data.factor, state.data.factor)
         assert back.data.shift == state.data.shift
+    for side in range(1, 7):
+        noise = rng.standard_normal(side**4) + 1j * rng.standard_normal(side**4)
+        t = Tensor4(np.concatenate([SPECIAL_VALUES, noise])[: side**4].reshape((side,) * 4))
+        back = tensor_from_json(json.loads(canonical_dumps(tensor_to_json(t))))
+        assert np.array_equal(back.entries, t.entries)
+    train = state_to_mps(ghz_state(3))
+    back = decode_mps(json.loads(canonical_dumps(mps_to_json(train))))
+    assert all(np.array_equal(a, b) for a, b in zip(back.tensors, train.tensors, strict=True))
 
 
 def test_pair_codec_matches_reference_bytes(monkeypatch):
     rng = np.random.default_rng(6)
-    special = np.array([-0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324,
-                        complex(-5e-324, 2.2e-309), complex(1e-310, -0.0)])
-    values = np.concatenate([special, rng.standard_normal(18) + 1j * rng.standard_normal(18)])
+    values = np.concatenate([SPECIAL_VALUES,
+                             rng.standard_normal(18) + 1j * rng.standard_normal(18)])
     for arr in (values, values.reshape(4, 6), values.reshape(2, 3, 4)):
         text = canonical_dumps(serialize._pairs(arr))
         assert text == canonical_dumps(reference_pairs(arr))
@@ -109,16 +134,51 @@ def test_pair_codec_matches_reference_bytes(monkeypatch):
         assert serialize._unpairs(pairs, arr.shape).tobytes() == arr.tobytes()
         assert reference_unpairs(pairs, arr.shape).tobytes() == arr.tobytes()
     menus = [[np.array([1, -0.0], dtype=complex), np.array([0.6, 0.8j])]] * 2
-    objects = [(state_to_json, random_mixed(2, rng)),
-               (state_to_json, random_mixed(2, rng, rank=1)),
-               (state_to_json, ghz_state(3)),
-               (mps_to_json, state_to_mps(ghz_state(3))),
-               (tensor_to_json, clique_tensor(Graph(3, frozenset({(0, 1)})))),
-               (class_to_json, DiscreteClass(menus)),
+    objects = [(class_to_json, DiscreteClass(menus)),
                (params_to_json, haar_product_params(rng, 3))]
     texts = [canonical_dumps(encode(x)) for encode, x in objects]
     monkeypatch.setattr(serialize, "_pairs", reference_pairs)
     assert [canonical_dumps(encode(x)) for encode, x in objects] == texts
+
+
+def test_block_codec_matches_reference_bytes(monkeypatch):
+    rng = np.random.default_rng(6)
+    values = np.concatenate([SPECIAL_VALUES,
+                             rng.standard_normal(18) + 1j * rng.standard_normal(18)])
+    for arr in (values, values.reshape(4, 6), values.reshape(2, 3, 4), values.reshape(6, 4).T):
+        text = canonical_dumps(serialize._block(arr))
+        assert text == canonical_dumps(reference_block(arr))
+        block = json.loads(text)
+        assert serialize._unblock(block, "test").tobytes() == np.ascontiguousarray(arr).tobytes()
+        assert reference_unblock(block).tobytes() == np.ascontiguousarray(arr).tobytes()
+    objects = [(state_to_json, random_mixed(2, rng)),
+               (state_to_json, random_mixed(2, rng, rank=1)),
+               (state_to_json, ghz_state(3)),
+               (mps_to_json, state_to_mps(ghz_state(3))),
+               (tensor_to_json, clique_tensor(Graph(3, frozenset({(0, 1)}))))]
+    texts = [canonical_dumps(encode(x)) for encode, x in objects]
+    monkeypatch.setattr(serialize, "_block", reference_block)
+    assert [canonical_dumps(encode(x)) for encode, x in objects] == texts
+
+
+def test_malformed_blocks_are_refused_naming_the_object():
+    good = state_to_json(ghz_state(2))
+    block = good["data"]
+    cases = (({**block, "dtype": "complex64-le"}, "dtype 'complex64-le'"),
+             ({**block, "base64": block["base64"][:-2] + "*="}, "invalid base64"),
+             ({**block, "base64": block["base64"][:-24]}, "48 bytes for shape \\[4\\], want 64"),
+             ({**block, "shape": [8]}, "shape \\[8\\] disagrees with n = 2"))
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=f"^state data block: {message}"):
+            state_from_json({**good, "data": bad})
+    mixed = state_to_json(random_mixed(2, np.random.default_rng(3)))
+    with pytest.raises(ValueError, match="^state factor block: shape \\[4\\] disagrees"):
+        state_from_json({**mixed, "factor": {**mixed["factor"], "shape": [4]}})
+    tensor = tensor_to_json(clique_tensor(Graph(2, frozenset({(0, 1)}))))
+    with pytest.raises(ValueError, match="^tensor4 block: invalid base64"):
+        tensor_from_json({**tensor, "data": {**tensor["data"], "base64": "not base64!"}})
+    with pytest.raises(ValueError, match="^tensor4 block: shape .* disagrees with side 3"):
+        tensor_from_json({**tensor, "side": 3})
 
 
 def test_params_round_trip_exact():
@@ -150,7 +210,7 @@ def test_save_load_versioned(tmp_path):
     path = tmp_path / "payload.json"
     save_json(path, {"x": 1})
     data = load_json(path)
-    assert data["format_version"] == 1 and data["x"] == 1
+    assert data["format_version"] == 2 and data["x"] == 1
     path.write_text(json.dumps({"format_version": 999, "x": 1}))
     with pytest.raises(ValueError):
         load_json(path)
@@ -214,6 +274,19 @@ def test_planted_mps_ground_truth_reachable():
     train = decode_mps(payload["ground_truth"]["planted_mps"])
     overlap = abs(np.vdot(mps_to_state(train).data, state.data)) ** 2
     assert overlap == pytest.approx(payload["ground_truth"]["opt"], abs=1e-9)
+
+
+def test_clique_generator_builds_no_object_per_amplitude():
+    edges = [list(e) for e in itertools.combinations(range(4), 2)]
+    tracemalloc.start()
+    try:
+        payload = generate("clique", {"edges": edges}, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert payload["state"]["data"]["shape"] == [2**16]
+    # Pairs lists took about ten times the 16 * 2^16 bytes of the amplitudes.
+    assert peak < 5 * 16 * 2**16
 
 
 def test_planted_product_set_up_stays_factored():
@@ -357,9 +430,9 @@ def test_legacy_dense_instance_files_are_refused(tmp_path, capsys):
                 "--seed", "3")
     data = load_json(inst)
     state = state_from_json(data.pop("state"))
-    # The legacy dense form: the density matrix as the 4^n pairs of "data".
+    # The legacy dense form: the density matrix as a 2^n x 2^n "data" block.
     legacy = {k: v for k, v in state_to_json(state).items() if k not in ("factor", "shift")}
-    legacy["data"] = reference_pairs(density(state))
+    legacy["data"] = reference_block(density(state))
     dense = tmp_path / "dense.json"
     save_json(dense, {**data, "state": legacy})
     capsys.readouterr()
@@ -467,13 +540,19 @@ def test_out_of_range_cover_knobs_exit_one(tmp_path, capsys):
 def test_state_files_outside_the_model_exit_one(tmp_path, capsys):
     inst = _gen(tmp_path, "pp.json", "planted-product", "--n", "1", "--w", "1.0")
     data = load_json(inst)
-    qutrit = {**data["state"], "local_dim": 3, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
-    for key, state in (("local_dim", qutrit),
-                       ("normalized", {**data["state"], "normalized": False})):
-        path = tmp_path / f"{key}.json"
-        save_json(path, {**data, "state": state})
-        assert main(["highfid", str(path)]) == 1
-        assert key in capsys.readouterr().err
+    # A format-1 file: the fixed keys, the amplitudes as [re, im] pairs.
+    old = {**data["state"], "local_dim": 2, "normalized": True,
+           "data": reference_pairs(reference_unblock(data["state"]["data"]))}
+    path = tmp_path / "v1.json"
+    path.write_text(canonical_dumps({**data, "format_version": 1, "state": old}))
+    assert main(["highfid", str(path)]) == 1
+    assert "format_version 1" in capsys.readouterr().err
+    # A block of three amplitudes is no register of n = 1 qubits.
+    three = {**data["state"], "data": reference_block(np.array([1.0, 0.0, 0.0]))}
+    path = tmp_path / "qutrit.json"
+    save_json(path, {**data, "state": three})
+    assert main(["highfid", str(path)]) == 1
+    assert "shape [3] disagrees with n = 1" in capsys.readouterr().err
 
 
 def test_instance_missing_a_key_names_the_object_and_key(tmp_path, capsys):
