@@ -9,9 +9,13 @@ disentangler's first-qubit-|0> rows survive the projection: the kept
 eigenvectors' adjoints, a 2^(kappa-1) x 2^kappa window map on the leading
 kappa live sites.  The sweep keeps those maps as a stack and hands it to the
 oracle, which returns the kappa-site marginal directly, so the sweep's dense
-arrays stay 2^kappa x 2^kappa.  One final kappa-site tomography, mapped back
-through the maps' adjoints in reverse order, reconstructs a matrix product
-state whose fidelity tracks the best bond-r state.
+arrays stay 2^kappa x 2^kappa.  One final kappa-site tomography gives the top
+eigenvector of the last window.  Each map's adjoint is an isometry from
+kappa-1 sites to kappa, so it is one site tensor of a staircase train
+(Schollwoeck, arXiv:1008.3477, sec. 4): the learner emits the maps' adjoints
+as tensors, behind copy tensors on the first kappa-1 sites and ahead of that
+eigenvector on the last, and never forms the 2^n amplitude vector.  Its
+fidelity tracks the best bond-r state.
 
 Each tomography measures only its kappa-site window behind the zeroed
 prefix, so it is charged at dimension 2^kappa, not at the 2^(n-i) sites the
@@ -28,7 +32,7 @@ import numpy as np
 
 from .errors import PromiseViolationError
 from .oracle import StateOracle, _check_unit_interval, subnormalized_tomography
-from .states import QuantumState, _apply_chain, check_dense_budget
+from .states import QuantumState, check_dense_budget
 
 __all__ = [
     "MatrixProductState",
@@ -47,7 +51,8 @@ class MatrixProductState:
 
     The contraction is validated to be a unit-norm state (within 1e-8) using
     transfer matrices, so construction stays cheap even when the dense
-    amplitude vector would not fit in memory.
+    amplitude vector would not fit in memory: each site's transfer step is
+    two matrix products, O(chi^3) at bond dimension chi.
     """
 
     def __init__(self, tensors):
@@ -68,7 +73,9 @@ class MatrixProductState:
         transfer = np.ones((1, 1), dtype=complex)
         for t in tensors:
             # transfer_{b b'} = sum_s (A^s)^dagger transfer A^s
-            transfer = np.einsum("asb,ac,csd->bd", t.conj(), transfer, t)
+            left, _, right = t.shape
+            x = (transfer @ t.reshape(left, -1)).reshape(-1, right)
+            transfer = t.reshape(-1, right).conj().T @ x
         norm_sq = float(np.real(transfer[0, 0]))
         if abs(norm_sq - 1.0) > 1e-8:
             raise ValueError(f"contraction norm^2 is {norm_sq}, not 1")
@@ -161,6 +168,15 @@ def mps_learn(o: StateOracle, r: int, eps: float, delta: float,
     sweeps multi-step; it is sound whenever every postselected marginal
     concentrates on that many dimensions.
 
+    The output is the sweep's staircase: copy tensors
+    eye(2^j).reshape(2^(j-1), 2, 2^j) on sites 1..kappa-1, step i's window
+    map's adjoint, reshaped (2^(kappa-1), 2, 2^(kappa-1)), on site
+    kappa+i-1, and the final window's top eigenvector on site n.  Every
+    tensor but the last is left-canonical, and the bond at cut j is
+    min(2^j, 2^(kappa-1)), not trimmed to the Schmidt rank.  At kappa = n
+    there is no map and that eigenvector is the whole state, which
+    `state_to_mps` factors with bonds capped at 2^(n-1).
+
     Copies: the sum over the n - kappa + 1 tomography calls (one per sweep
     step, then the final one) of `subnormalized_tomography`'s charge at
     window dimension 2^kappa, eps tau = eps^2 / (9 n^2 r^4) and delta / n.
@@ -199,5 +215,11 @@ def mps_learn(o: StateOracle, r: int, eps: float, delta: float,
 
     final = subnormalized_tomography(o, maps, n - kappa, tau, delta_call)
     vecs, _ = _spectrum(o, n - kappa + 1, kappa, final, tau)
-    vec = _apply_chain([m.conj().T for m in maps[::-1]], _top_eigenvector(vecs))
-    return state_to_mps(QuantumState.pure(vec / np.linalg.norm(vec)), max_bond=block)
+    phi = _top_eigenvector(vecs)
+    if kappa == n:
+        return state_to_mps(QuantumState.pure(phi / np.linalg.norm(phi)), max_bond=block)
+    # Sites 1..kappa-1 embed the first window's leading qubits as its bond.
+    embeds = [np.eye(2**j, dtype=complex).reshape(2 ** (j - 1), 2, 2**j)
+              for j in range(1, kappa)]
+    stairs = list(maps.conj().swapaxes(1, 2).reshape(n - kappa, block, 2, block))
+    return MatrixProductState(embeds + stairs + [phi.reshape(block, 2, 1)])

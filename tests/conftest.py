@@ -10,8 +10,9 @@ spectral-norm oracle's previous half-step kernel, the dense
 product-fidelity sweep, the local optimizer's certified fidelity ceiling, the
 complex power-row polynomial evaluator and the per-support polynomial search,
 the cover audit, the dense per-root cover cut, the per-member discrete learner, the
-half-register oracle built through a validated state, the whole-chunk shadow
-sampler, and the reference JSON pair and block codecs."""
+half-register oracle built through a validated state, the MPS learner's output
+through a 2^n vector and the train's norm by the three-operand transfer einsum,
+the whole-chunk shadow sampler, and the reference JSON pair and block codecs."""
 
 import base64
 import math
@@ -24,7 +25,7 @@ from scipy.optimize import minimize
 from prodstate.errors import PromiseViolationError, ResourceBudgetError
 from prodstate.discrete import member_vector
 from prodstate.hardness import _MAX_STEPS, _rise_bounds
-from prodstate.mps import MatrixProductState
+from prodstate.mps import MatrixProductState, state_to_mps
 from prodstate.oracle import (
     SHADOW_CHUNK,
     StateOracle,
@@ -49,6 +50,7 @@ from prodstate.states import (
     FactoredDensity,
     ProductParams,
     QuantumState,
+    _apply_chain,
     _mapped,
     _marginal,
     _operator,
@@ -718,6 +720,25 @@ def reference_reduced_oracle(o, sites):
     hidden = QuantumState.mixed(_marginal(o.rho, o.n, sites))
     return StateOracle(hidden, backend=o.backend, seed=int(o._rng.integers(2**63)),
                        noise_opnorm=o.noise_opnorm)
+
+
+def reference_learned_train(maps, phi, block) -> MatrixProductState:
+    """`mps_learn`'s output as it was built from a 2^n vector.
+
+    The final window's top eigenvector phi, mapped through every window map's
+    adjoint in reverse order into the full register, then factored by
+    `state_to_mps` with bonds capped at block.
+    """
+    vec = _apply_chain([m.conj().T for m in maps[::-1]], phi)
+    return state_to_mps(QuantumState.pure(vec / np.linalg.norm(vec)), max_bond=block)
+
+
+def reference_norm_sq(tensors) -> float:
+    """A tensor train's norm^2 by the three-operand transfer einsum, O(chi^4) per site."""
+    transfer = np.ones((1, 1), dtype=complex)
+    for t in tensors:
+        transfer = np.einsum("asb,ac,csd->bd", t.conj(), transfer, t)
+    return float(np.real(transfer[0, 0]))
 
 
 def reference_weight_leq_indices(m, d):

@@ -1,6 +1,8 @@
 """Tensor trains, disentangling rotations, and the sweep learner."""
 
 import logging
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +27,16 @@ from prodstate.states import (
     vector_fidelity,
 )
 
-from conftest import density, ghz_state, partial_trace, schmidt_rank, w_state, window_charge
+from conftest import (
+    density,
+    ghz_state,
+    partial_trace,
+    reference_learned_train,
+    reference_norm_sq,
+    schmidt_rank,
+    w_state,
+    window_charge,
+)
 
 
 def zero_train(n):
@@ -67,6 +78,19 @@ def record_tomography(monkeypatch):
     return calls
 
 
+def record_top_eigenvector(monkeypatch):
+    """Record each top eigenvector mps_learn picks from a final window."""
+    picked = []
+    top = mps._top_eigenvector
+
+    def recorded(vecs):
+        picked.append(top(vecs))
+        return picked[-1]
+
+    monkeypatch.setattr(mps, "_top_eigenvector", recorded)
+    return picked
+
+
 def test_train_validation():
     good = np.zeros((1, 2, 1), dtype=complex)
     good[0, 0, 0] = 1.0
@@ -92,6 +116,27 @@ def test_train_validation():
     assert m.n == 4
     assert m.bond_dims == (1, 1, 1, 1, 1)
     assert m.max_bond == 1
+
+
+def test_transfer_validation_matches_the_einsum_reference():
+    # Two matrix products per site, O(chi^3), read the same norm^2 as the
+    # three-operand einsum, O(chi^4), and refuse a norm^2 2e-8 off 1.
+    rng = np.random.default_rng(53)
+    shapes = [[1, 64, 1], [1, 2, 4, 8, 16, 32, 64, 32, 16, 1],
+              [1] + [int(b) for b in rng.integers(1, 65, size=6)] + [1]]
+    for bonds in shapes:
+        tensors = [rng.normal(size=(left, 2, right)) + 1j * rng.normal(size=(left, 2, right))
+                   for left, right in zip(bonds, bonds[1:])]
+        expected = reference_norm_sq(tensors)
+        with pytest.raises(ValueError, match="not 1") as info:
+            MatrixProductState(tensors)
+        got = float(re.search(r"norm\^2 is (\S+), not 1", str(info.value)).group(1))
+        assert got == pytest.approx(expected, rel=1e-12)
+        head = tensors[:-1]
+        assert MatrixProductState(head + [tensors[-1] / math.sqrt(expected)]).bond_dims == tuple(bonds)
+        for off in (2e-8, -2e-8):
+            with pytest.raises(ValueError, match="not 1"):
+                MatrixProductState(head + [tensors[-1] * math.sqrt((1.0 + off) / expected)])
 
 
 def test_contraction_of_basis_train():
@@ -211,6 +256,51 @@ def planted_bond_two(n, seed):
     rng = np.random.default_rng(seed)
     train = state_to_mps(QuantumState.pure(haar_state(2**n, rng)), max_bond=2)
     return planted_mixture(mps_to_state(train).data, 1.0)
+
+
+def staircase_targets(n):
+    return {"ghz": ghz_state(n), "w": w_state(n), "bond-two": planted_bond_two(n, 60 + n)}
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("family", ["ghz", "w", "bond-two"])
+def test_learn_emits_the_staircase_of_its_window_maps(monkeypatch, family, noise):
+    # The output is the sweep's own staircase: copy tensors, then the window
+    # maps' adjoints, then the final top eigenvector.  Its amplitudes are
+    # phi mapped through the adjoints into the 2^n register, its bond at cut
+    # j is min(2^j, block), and every tensor but the last is an isometry.
+    calls = record_tomography(monkeypatch)
+    picked = record_top_eigenvector(monkeypatch)
+    for n in range(2, 11):
+        hidden = staircase_targets(n)[family]
+        for kappa in range(2, n):
+            calls.clear()
+            o = StateOracle(hidden, backend="exact", seed=n, noise_opnorm=noise)
+            m = mps_learn(o, 2, 0.1, 0.1, kappa_override=kappa)
+            block = 2 ** (kappa - 1)
+            expected = reference_learned_train(calls[-1][0], picked[-1], block)
+            gap = np.abs(mps_to_state(m).data - mps_to_state(expected).data).max()
+            assert gap <= 1e-12, (n, kappa, gap)
+            assert m.bond_dims == tuple(min(2**j, block) for j in range(n)) + (1,)
+            for t in m.tensors[:-1]:
+                a = t.reshape(-1, t.shape[2])
+                assert np.abs(a.conj().T @ a - np.eye(t.shape[2])).max() <= 1e-12
+
+
+def test_learn_at_the_full_window_factors_its_eigenvector(monkeypatch):
+    # At kappa = n there is no window map: the top eigenvector is the whole
+    # state, and the output is its `state_to_mps` factorization, bit for bit.
+    calls = record_tomography(monkeypatch)
+    picked = record_top_eigenvector(monkeypatch)
+    for n in range(2, 8):
+        for hidden in staircase_targets(n).values():
+            calls.clear()
+            m = mps_learn(StateOracle(hidden, backend="exact", seed=n), 2, 0.1, 0.1,
+                          kappa_override=n)
+            assert calls[-1][0].shape[0] == 0
+            expected = reference_learned_train(calls[-1][0], picked[-1], 2 ** (n - 1))
+            assert len(m.tensors) == len(expected.tensors) == n
+            assert all(np.array_equal(a, b) for a, b in zip(m.tensors, expected.tensors))
 
 
 def test_learn_charges_each_tomography_at_the_window(monkeypatch):
@@ -395,6 +485,21 @@ def test_sweep_first_step_allocates_no_dense_identity():
     finally:
         tracemalloc.stop()
     assert peak <= 2e6
+
+
+def test_learn_at_n16_traces_under_two_amplitude_vectors():
+    # The output is read from the window maps, so the learner's traced peak
+    # stays below two 2^16-amplitude complex vectors (2 MiB); expanding the
+    # final eigenvector to 2^n and factoring it by SVD peaked at 5.3 MB.
+    n = 16
+    o = StateOracle(planted_bond_two(n, 47), backend="exact")
+    tracemalloc.start()
+    try:
+        mps_learn(o, 2, 0.1, 0.1, kappa_override=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * 2**n
 
 
 @pytest.mark.parametrize("n", [12, 14, 16])
