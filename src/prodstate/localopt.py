@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,9 +73,13 @@ class LocalOptConfig:
     def effective_margin(self) -> float:
         return max(self.eps, self.margin)
 
-    @property
+    @cached_property
     def ladder_depth(self) -> int:
-        """Number of accuracy rungs; the finest rung has accuracy e^-depth."""
+        """Number of accuracy rungs; the finest rung has accuracy e^-depth.
+
+        Computed once per config: every rung's failure budget and the outer
+        cap read it.
+        """
         return math.ceil(0.5 * math.log(90.0 / (self.effective_margin * self.eps)))
 
     def rung_failure_prob(self, rung: int) -> float:
@@ -142,14 +147,17 @@ def local_optimize(o: StateOracle, start: ProductParams, cfg: LocalOptConfig,
 
 
 def _reduced_oracle(o: StateOracle, sites: list[int]) -> StateOracle:
-    """o on the marginal of `sites`, sharing o's factor (`states._marginal`; a suffix is moved).
+    """o on the marginal of `sites` (`states._marginal`: a view of o's factor for a
+    prefix, a transposed copy otherwise).
 
     The child is not re-validated, seeds its generator with one draw from
-    o's stream, and keeps its own copy count (the caller charges it to o).
+    o's stream, keeps its own copy count (the caller charges it to o), and
+    starts with both read slots empty, since o's reads are of another rho.
     """
     child = copy.copy(o)
     child.rho, child.n = _marginal(o.rho, o.n, sites), len(sites)
     child.copies_consumed, child._frame_key, child._frame = 0, None, None
+    child._chain_keys, child._chain = None, None
     child._rng = np.random.default_rng(int(o._rng.integers(2**63)))
     return child
 

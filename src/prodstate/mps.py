@@ -9,7 +9,9 @@ disentangler's first-qubit-|0> rows survive the projection: the kept
 eigenvectors' adjoints, a 2^(kappa-1) x 2^kappa window map on the leading
 kappa live sites.  The sweep keeps those maps as a stack and hands it to the
 oracle, which returns the kappa-site marginal directly, so the sweep's dense
-arrays stay 2^kappa x 2^kappa.  One final kappa-site tomography gives the top
+arrays stay 2^kappa x 2^kappa; each stack extends the last by one map, and
+the oracle keeps the factor behind the last, so the sweep maps the state's
+factor once, one map per step.  One final kappa-site tomography gives the top
 eigenvector of the last window.  Each map's adjoint is an isometry from
 kappa-1 sites to kappa, so it is one site tensor of a staircase train
 (Schollwoeck, arXiv:1008.3477, sec. 4): the learner emits the maps' adjoints

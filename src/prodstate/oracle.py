@@ -38,6 +38,15 @@ readers, which map it to the factor measured and turn that into numbers, so
 no estimator forms a Gram of rows or touches a shift; see that module's
 docstring, and `states._check_rotations` for the frames they refuse.
 
+The oracle keeps two single-slot reads, and neither moves an output, a
+charge or a draw: `estimate_z`'s last frame read (`_frame_read`), so the
+rungs of a ladder read the state once, and the factor after
+`subnormalized_tomography`'s last stack of window maps (`_chain_read`),
+keyed by each map's bytes.  A stack that starts with the kept one applies,
+and checks against the shift rule, only its new maps, so the MPS sweep,
+whose stack grows by one map per step, maps the factor once; a repeated
+stack maps nothing, and any other stack reads the factor afresh.
+
 Copy-cost formulas are exported as plain functions so tests can assert the
 counter matches them exactly.
 """
@@ -177,6 +186,10 @@ class StateOracle:
         # estimate_z's last frame read (`_frame_read`) and the key of its frame.
         self._frame_key: bytes | None = None
         self._frame: FactoredDensity | None = None
+        # subnormalized_tomography's last window-map stack (`_chain_read`): the
+        # bytes of each map, and the factor after them.
+        self._chain_keys: list[bytes] | None = None
+        self._chain: FactoredDensity | None = None
 
     def _charge(self, copies: int) -> None:
         self.copies_consumed += int(copies)
@@ -446,7 +459,8 @@ def _frame_maps(frame, n: int, zeroed_prefix: int) -> tuple[list[np.ndarray], in
 
     None projects the first i = zeroed_prefix sites onto zero; a dense row
     block is one map, its leading 2^(n-i) rows; both measure w = n - i.  A
-    stack of k-site window maps is its maps in order, w = min(k, n - i).
+    stack of k-site window maps is its maps in order, as complex arrays
+    (their bytes key the oracle's kept chain), w = min(k, n - i).
     """
     suffix = n - zeroed_prefix
     if frame is None:
@@ -459,11 +473,66 @@ def _frame_maps(frame, n: int, zeroed_prefix: int) -> tuple[list[np.ndarray], in
                 and kappa <= suffix + 1):
             raise ValueError(f"window maps need shape ({zeroed_prefix}, 2^(k-1), 2^k) with "
                              f"1 <= k <= {suffix + 1}, got shape {frame.shape}")
-        return list(frame), min(kappa, suffix)
+        return list(frame.astype(complex, copy=False)), min(kappa, suffix)
     if frame.ndim != 2 or frame.shape[0] < 2**suffix or frame.shape[1] != 2**n:
         raise ValueError(f"frame needs {2**n} columns and at least {2**suffix} rows, got "
                          f"shape {frame.shape}")
     return [frame[:2**suffix]], suffix
+
+
+def _chain_read(o: StateOracle, frame, maps) -> tuple[FactoredDensity, tuple]:
+    """(rho, slot): o's factor mapped through `maps`, and the kept chain
+    (keys, factor) that `subnormalized_tomography` stores once it returns.
+
+    A window-map stack that starts with the kept one maps the kept factor
+    through its new maps alone (`states._mapped`); since `_apply_chain`
+    applies maps one at a time, that is bit for bit the fresh read.  Any
+    other stack maps o.rho and is kept; None and a dense row block map o.rho
+    and keep nothing.
+    """
+    if frame is None or np.ndim(frame) != 3:
+        return _mapped(o.rho, maps), (o._chain_keys, o._chain)
+    keys = [m.tobytes() for m in maps]
+    kept = o._chain_keys
+    if kept is not None and keys[:len(kept)] == kept:
+        rho = _mapped(o._chain, maps[len(kept):])
+    else:
+        rho = _mapped(o.rho, maps)
+    return rho, (keys, rho)
+
+
+def _exact_window(o: StateOracle, block: np.ndarray, mu: float, n_mu: int, wanted: int,
+                  eps: float) -> np.ndarray:
+    """`subnormalized_tomography`'s exact read: `block`, of trace mu, with its charge and noise."""
+    if mu <= 0.0:
+        o._charge(n_mu)
+        return np.zeros_like(block)
+    o._charge(n_mu + subnormalized_attempts(wanted, mu))
+    scale = o._noise_scale(eps)
+    if scale == 0.0:
+        return block
+    noisy = block + scale * _random_hermitian_unit(o._rng, len(block), "tr")
+    return _project_psd(noisy)
+
+
+def _sampled_window(o: StateOracle, block: np.ndarray, n_mu: int, wanted: int) -> np.ndarray:
+    """`subnormalized_tomography`'s sampled read of `block`: a rate, then window shadows."""
+    # The shadows sample block / mu, so mu is the trace of the block itself.
+    mu = float(np.real(np.trace(block)))
+    o._check_shots(n_mu)
+    mu = min(max(mu, 0.0), 1.0)
+    mu_hat = o._rng.binomial(n_mu, mu) / n_mu
+    if mu_hat <= 0.0:
+        o._charge(n_mu)
+        return np.zeros_like(block)
+    attempts = subnormalized_attempts(wanted, mu_hat)
+    o._check_shots(n_mu + attempts)
+    successes = int(o._rng.binomial(attempts, mu))
+    o._charge(n_mu + attempts)
+    shots = min(wanted, successes)
+    if shots == 0 or mu == 0.0:
+        return np.zeros_like(block)
+    return mu_hat * _project_psd(_shadow_mean(o._rng, block / mu, shots))
 
 
 def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_prefix: int,
@@ -493,6 +562,15 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     only the 2^w x 2^w window; a window above states.DENSE_BUDGET
     raises ResourceBudgetError before any copy is drawn.
 
+    The oracle keeps the factor after the last stack's maps
+    (`_chain_read`), keyed by the bytes of each map.  A stack that starts
+    with the kept one maps the kept factor through its new maps alone, and
+    only those meet the shift rule, each the first time it is applied; a
+    repeated stack maps nothing; a shorter or diverging stack reads the
+    factor afresh.  None and a row block always read it afresh and leave
+    the kept stack as it is, and so does a call that raises.  A kept read
+    returns, charges and draws exactly what a fresh one would.
+
     Each copy is postselected on the zeroed prefix and only the window's
     w qubits are measured; the other suffix qubits are traced out at no
     cost.  The sampling backend estimates mu by the prefix success rate
@@ -519,37 +597,14 @@ def subnormalized_tomography(o: StateOracle, frame: np.ndarray | None, zeroed_pr
     dim = 2**w
     check_dense_budget((dim, dim))
     n_mu, wanted = subnormalized_budget(dim, eps, delta)
-    rho = _mapped(o.rho, maps)
+    rho, slot = _chain_read(o, frame, maps)
     block = _sandwich(_marginal(rho, n - zeroed_prefix, range(w)))
-
     if o.backend == "exact":
-        mu_hat = rho.trace()
-        if mu_hat <= 0.0:
-            o._charge(n_mu)
-            return np.zeros((dim, dim), dtype=complex)
-        o._charge(n_mu + subnormalized_attempts(wanted, mu_hat))
-        scale = o._noise_scale(eps)
-        if scale == 0.0:
-            return block
-        noisy = block + scale * _random_hermitian_unit(o._rng, dim, "tr")
-        return _project_psd(noisy)
-
-    # The shadows sample block / mu, so mu is the trace of the block itself.
-    mu = float(np.real(np.trace(block)))
-    o._check_shots(n_mu)
-    mu = min(max(mu, 0.0), 1.0)
-    mu_hat = o._rng.binomial(n_mu, mu) / n_mu
-    if mu_hat <= 0.0:
-        o._charge(n_mu)
-        return np.zeros((dim, dim), dtype=complex)
-    attempts = subnormalized_attempts(wanted, mu_hat)
-    o._check_shots(n_mu + attempts)
-    successes = int(o._rng.binomial(attempts, mu))
-    o._charge(n_mu + attempts)
-    shots = min(wanted, successes)
-    if shots == 0 or mu == 0.0:
-        return np.zeros((dim, dim), dtype=complex)
-    return mu_hat * _project_psd(_shadow_mean(o._rng, block / mu, shots))
+        est = _exact_window(o, block, rho.trace(), n_mu, wanted, eps)
+    else:
+        est = _sampled_window(o, block, n_mu, wanted)
+    o._chain_keys, o._chain = slot
+    return est
 
 
 def estimate_fidelity(o: StateOracle, prefix_m: int, sites, eps: float,

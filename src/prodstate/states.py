@@ -21,13 +21,14 @@ learners rely on.
 
 Every module reads a state's rho as its factor (`_operator`; psi gives
 (psi, 0)).  `_marginal`, `_mapped` and `_frame_rows` map a factor to a
-factor: the marginal on a site set, M rho M* for a chain M of local maps
-(`_apply_chain`) with orthonormal rows, and the weight-<= d rows of a
-product frame, read site by site.  `_sandwich` and `_overlaps` turn one into
-numbers: W W* + c I, and <v| rho |v> per product row v of a (k, m, d) site
-stack, also read site by site.  Only `_marginal` scales a shift, and only
-these two add one; none forms a state's dim x dim matrix.  On a state with
-a shift, the two that rotate take only rotations (`_check_rotations`).
+factor: the marginal on a site set (one transpose of W's axes, a view of W
+for a prefix), M rho M* for a chain M of local maps (`_apply_chain`) with
+orthonormal rows, and the weight-<= d rows of a product frame, read site by
+site.  `_sandwich` and `_overlaps` turn one into numbers: W W* + c I, and
+<v| rho |v> per product row v of a (k, m, d) site stack, also read site by
+site.  Only `_marginal` scales a shift, and only these two add one; none
+forms a state's dim x dim matrix.  On a state with a shift, the two that
+rotate take only rotations (`_check_rotations`).
 
 Every module reads product states as (k, n, 2) site stacks (`site_stack`
 gives the stack of parameter tuples; `product_vectors` turns one into
@@ -230,13 +231,17 @@ def _operator(s: QuantumState) -> FactoredDensity:
 def _marginal(rho: FactoredDensity, n: int, sites) -> FactoredDensity:
     """rho on n qubits reduced to `sites` (0-based, increasing).
 
-    A factor stays a factor: W with the kept sites' axes moved to the front,
-    regrouped as (2^|S|, 2^(n-|S|) r), and the shift c 2^(n-|S|).
+    A factor stays a factor: W with its axes permuted by one transpose, the
+    kept sites, then the rest, then the rank axis, regrouped as
+    (2^|S|, 2^(n-|S|) r), and the shift c 2^(n-|S|).  A prefix's permutation
+    is the identity, so its factor is a view of W and the regrouping copies
+    nothing; any other site set is copied.
     """
     sites = list(sites)
     if len(sites) == n:
         return rho
-    w = np.moveaxis(rho.factor.reshape((2,) * n + (-1,)), sites, range(len(sites)))
+    rest = [i for i in range(n) if i not in sites]
+    w = rho.factor.reshape((2,) * n + (-1,)).transpose(sites + rest + [n])
     return FactoredDensity(w.reshape(2 ** len(sites), -1), rho.shift * 2 ** (n - len(sites)))
 
 

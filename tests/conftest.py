@@ -22,6 +22,7 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import minimize
 
+from prodstate import states
 from prodstate.errors import PromiseViolationError, ResourceBudgetError
 from prodstate.discrete import member_vector
 from prodstate.hardness import _MAX_STEPS, _rise_bounds
@@ -720,6 +721,19 @@ def reference_reduced_oracle(o, sites):
     hidden = QuantumState.mixed(_marginal(o.rho, o.n, sites))
     return StateOracle(hidden, backend=o.backend, seed=int(o._rng.integers(2**63)),
                        noise_opnorm=o.noise_opnorm)
+
+
+def count_map_applications(monkeypatch):
+    """Record how many maps each `states._apply_chain` call applies."""
+    applied = []
+    inner = states._apply_chain
+
+    def counted(maps, x):
+        applied.append(len(maps))
+        return inner(maps, x)
+
+    monkeypatch.setattr(states, "_apply_chain", counted)
+    return applied
 
 
 def reference_learned_train(maps, phi, block) -> MatrixProductState:

@@ -16,11 +16,12 @@ from prodstate.localopt import (
     local_optimize,
     single_site_estimate,
 )
-from prodstate.oracle import StateOracle
+from prodstate.oracle import StateOracle, subnormalized_tomography
 from prodstate.states import (
     ProductParams,
     QuantumState,
     fidelity,
+    haar_isometry,
     haar_product_params,
     product_state_vector,
     recenter_unitaries,
@@ -60,6 +61,21 @@ def test_config_ladder_depth_frozen():
     assert cfg.ladder_depth == 4
     assert cfg.effective_margin == 1 / 3
     assert cfg.max_outer_iters == 59060
+
+
+def test_config_computes_its_ladder_depth_once(monkeypatch):
+    # Every rung's failure budget and the outer cap read the depth; a config
+    # computes it at its first read and keeps it, and stays equal to and
+    # hashed as a config that has not read it yet.
+    logs = []
+    log = math.log
+    monkeypatch.setattr(localopt.math, "log", lambda x: logs.append(x) or log(x))
+    cfg = LocalOptConfig(eps=0.05, delta=0.1, margin=0.4)
+    depths = [cfg.ladder_depth for _ in range(3)]
+    probs = [cfg.rung_failure_prob(rung) for rung in range(1, depths[0] + 1)]
+    assert len(logs) == 1 and depths == [5] * 3 and len(probs) == 5
+    twin = LocalOptConfig(eps=0.05, delta=0.1, margin=0.4)
+    assert cfg == twin and hash(cfg) == hash(twin)
 
 
 def test_config_validation():
@@ -306,6 +322,29 @@ def test_half_oracles_match_the_state_round_trip(monkeypatch, backend, noise, si
             out = high_fidelity_learn(o, eps=eps, delta=0.25)
             runs.append((out, o.copies_consumed, o._rng.bit_generator.state))
         assert runs[0] == runs[1], n
+
+
+def test_half_oracles_keep_no_parent_chain():
+    # A half oracle starts with both read slots empty: after the parent reads
+    # through a window-map stack, each half reads exactly what a fresh oracle
+    # on the half's state reads, with the same copies and draws.
+    rng = np.random.default_rng(71)
+    state = random_mixed(6, rng)
+    window = haar_isometry(4, 2, rng).conj().T[None]
+    for parent_stack in (window[:0], window):
+        for sites in (range(3), range(3, 6)):
+            for stack in (window[:0], window):
+                parent = StateOracle(state, backend="exact", seed=7, noise_opnorm=0.05)
+                subnormalized_tomography(parent, parent_stack, len(parent_stack), 0.3, 0.1)
+                child = localopt._reduced_oracle(parent, list(sites))
+                fresh = StateOracle(QuantumState.mixed(child.rho), backend="exact",
+                                    noise_opnorm=0.05)
+                fresh._rng.bit_generator.state = child._rng.bit_generator.state
+                got = subnormalized_tomography(child, stack, len(stack), 0.3, 0.1)
+                want = subnormalized_tomography(fresh, stack, len(stack), 0.3, 0.1)
+                assert np.array_equal(got, want)
+                assert child.copies_consumed == fresh.copies_consumed
+                assert child._rng.bit_generator.state == fresh._rng.bit_generator.state
 
 
 def single_site_shots(eps, delta):

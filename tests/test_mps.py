@@ -17,7 +17,7 @@ from prodstate.mps import (
     mps_to_state,
     state_to_mps,
 )
-from prodstate.oracle import StateOracle
+from prodstate.oracle import StateOracle, subnormalized_tomography
 from prodstate.states import (
     QuantumState,
     _apply_chain,
@@ -28,6 +28,7 @@ from prodstate.states import (
 )
 
 from conftest import (
+    count_map_applications,
     density,
     ghz_state,
     partial_trace,
@@ -322,6 +323,39 @@ def test_learn_charges_each_tomography_at_the_window(monkeypatch):
         total += copies
     assert o.copies_consumed == total
     assert o.copies_consumed < 1e19
+
+
+def test_the_sweep_applies_each_window_map_once(monkeypatch):
+    # The oracle keeps the factor after the last stack's maps, so the sweep,
+    # whose stack grows by one map per step, makes n - kappa map applications
+    # (21 when every step mapped the factor afresh), and learns the same train
+    # with the same copies as a sweep that clears the kept chain before every
+    # tomography.  The sampling backend refuses the sweep's accuracy at any
+    # size, so it replays the sweep's stacks at eps 0.9.
+    applied = count_map_applications(monkeypatch)
+    n, kappa = 9, 3
+    hidden = planted_bond_two(n, 42)
+    calls = record_tomography(monkeypatch)
+    o = StateOracle(hidden, backend="exact", noise_opnorm=0.05)
+    kept = mps_learn(o, 2, 0.1, 0.1, kappa_override=kappa)
+    assert sum(applied) == n - kappa
+    applied.clear()
+    sampled = StateOracle(hidden, backend="sampling", seed=5)
+    for i, (frame, _) in enumerate(calls):
+        subnormalized_tomography(sampled, frame, i, 0.9, 0.9)
+    assert sum(applied) == n - kappa
+
+    def fresh(o, frame, zeroed_prefix, eps, delta):
+        o._chain_keys = None
+        return subnormalized_tomography(o, frame, zeroed_prefix, eps, delta)
+
+    monkeypatch.setattr(mps, "subnormalized_tomography", fresh)
+    applied.clear()
+    again = StateOracle(hidden, backend="exact", noise_opnorm=0.05)
+    learned = mps_learn(again, 2, 0.1, 0.1, kappa_override=kappa)
+    assert sum(applied) == (n - kappa) * (n - kappa + 1) // 2
+    assert all(np.array_equal(a, b) for a, b in zip(kept.tensors, learned.tensors))
+    assert o.copies_consumed == again.copies_consumed
 
 
 def test_learn_logs_one_line_per_tomography(caplog):

@@ -53,6 +53,7 @@ from prodstate.states import (
 from conftest import (
     apply_sites,
     bell_state,
+    count_map_applications,
     dense_mixed,
     density,
     exact_z,
@@ -754,6 +755,90 @@ def test_subnormalized_sampling_window_past_the_dense_budget():
     assert est.shape == (4, 4)
     diff = est - exact
     assert np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum() <= eps
+
+
+def test_a_growing_stack_applies_each_window_map_once(monkeypatch):
+    # The oracle keeps the factor after the last stack's maps: a stack that
+    # extends it applies its new maps only, a repeat applies none, and a
+    # shorter or diverging stack maps the factor afresh.  None and a row
+    # block are read afresh and leave the kept stack in place.
+    applied = count_map_applications(monkeypatch)
+    rng = np.random.default_rng(62)
+    n, kappa = 6, 2
+    state = factored_cases(n, rng)[-1]
+    maps = window_stack(n, kappa, rng)
+    other = np.concatenate([maps[:1], window_stack(n, kappa, rng)[1:]])
+    rows = _apply_chain(maps[:2], np.eye(2**n))
+    reads = [(maps[:0], 0), (maps[:1], 1), (maps[:2], 2), (maps[:2], 2), (None, 2),
+             (rows, 2), (maps[:4], 4), (maps[:3], 3), (other[:3], 3), (other[:4], 4),
+             (list(other[:4]), 4)]
+    for backend in ("exact", "sampling"):
+        applied.clear()
+        o = StateOracle(state, backend=backend, seed=3)
+        for frame, i in reads:
+            subnormalized_tomography(o, frame, i, 0.8, 0.8)
+        assert applied == [0, 1, 1, 0, 1, 1, 2, 3, 3, 1, 0]
+
+
+def test_kept_chain_reads_leave_every_draw_as_it_was():
+    # Reads that keep the chain return, charge and draw exactly what reads
+    # that clear it before every call do, on stacks that extend, repeat,
+    # shrink and diverge, with noise on the exact backend.
+    rng = np.random.default_rng(63)
+    n, kappa = 5, 2
+    state = factored_cases(n, rng)[-1]
+    maps = window_stack(n, kappa, rng)
+    other = np.concatenate([maps[:2], window_stack(n, kappa, rng)[2:]])
+    reads = [(maps[:0], 0), (maps[:1], 1), (maps[:2], 2), (maps[:2], 2), (None, 2),
+             (maps[:3], 3), (maps[:1], 1), (maps[:3], 3), (other[:3], 3), (other[:4], 4),
+             (maps[:4], 4)]
+    for backend, noise in (("exact", 0.05), ("sampling", 0.0)):
+        runs = []
+        for fresh in (False, True):
+            o = StateOracle(state, backend=backend, seed=9, noise_opnorm=noise)
+            outs = []
+            for frame, i in reads:
+                if fresh:
+                    o._chain_keys = None
+                outs.append(subnormalized_tomography(o, frame, i, 0.6, 0.5))
+            runs.append((outs, o.copies_consumed, o._rng.bit_generator.state))
+        (outs_a, copies_a, rng_a), (outs_b, copies_b, rng_b) = runs
+        assert all(np.array_equal(a, b) for a, b in zip(outs_a, outs_b))
+        assert copies_a == copies_b and rng_a == rng_b
+        assert not np.array_equal(outs_a[2], outs_a[3])  # each repeat draws its own
+
+
+def test_a_kept_chain_checks_each_new_map_before_any_copy(monkeypatch):
+    # On a shifted state a map whose rows are not orthonormal, appended to a
+    # kept chain, is refused before any copy or draw, and the chain stays
+    # kept: the next valid read matches one on a fresh oracle.  A sampling
+    # read refused for its shots after the read keeps the old chain too.
+    rng = np.random.default_rng(64)
+    n, kappa = 5, 2
+    state = factored_cases(n, rng)[-1]
+    maps = window_stack(n, kappa, rng)
+    bad = maps[:3].copy()
+    bad[2] *= 1.5
+    for backend, noise in (("exact", 0.05), ("sampling", 0.0)):
+        o = StateOracle(state, backend=backend, seed=4, noise_opnorm=noise)
+        twin = StateOracle(state, backend=backend, seed=4, noise_opnorm=noise)
+        for i in (1, 2):
+            assert np.array_equal(subnormalized_tomography(o, maps[:i], i, 0.6, 0.5),
+                                  subnormalized_tomography(twin, maps[:i], i, 0.6, 0.5))
+        copies, draws, kept = o.copies_consumed, o._rng.bit_generator.state, o._chain
+        with pytest.raises(ValueError, match="orthonormal"):
+            subnormalized_tomography(o, bad, 3, 0.6, 0.5)
+        assert o.copies_consumed == copies and o._rng.bit_generator.state == draws
+        assert o._chain is kept
+        twin._chain_keys = None
+        assert np.array_equal(subnormalized_tomography(o, maps[:3], 3, 0.6, 0.5),
+                              subnormalized_tomography(twin, maps[:3], 3, 0.6, 0.5))
+        assert o.copies_consumed == twin.copies_consumed
+    kept = o._chain
+    monkeypatch.setattr(oracle, "SHOT_BUDGET", 1)
+    with pytest.raises(ResourceBudgetError):
+        subnormalized_tomography(o, maps[:4], 4, 0.6, 0.5)
+    assert o._chain is kept
 
 
 def test_uncapped_tomography_reads_the_marginal_factor_in_place():

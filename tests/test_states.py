@@ -1,6 +1,7 @@
 """Geometry tests: parametrization, tangent distance, projections, closed-form bounds."""
 
 import cmath
+import itertools
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from prodstate.states import (
     ProductParams,
     QuantumState,
     Z_MAX,
+    _marginal,
     _overlaps,
     _ratio_param,
     _top_pair,
@@ -480,6 +482,25 @@ def test_dense_paths_refuse_matrices_above_the_budget():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert fidelity(factored, ProductParams((0j,) * n)) == pytest.approx(0.9 + 0.1 / dim)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.01])
+@pytest.mark.parametrize("r", [1, 3])
+def test_marginal_is_the_moveaxis_permutation(r, shift):
+    # One transpose, kept sites then the rest then the rank axis, is the
+    # permutation np.moveaxis makes, so every increasing site subset reads the
+    # same factor; a prefix's factor is a view of W.
+    rng = np.random.default_rng(90 + r)
+    for n in range(1, 6):
+        w = rng.standard_normal((2**n, r)) + 1j * rng.standard_normal((2**n, r))
+        rho = FactoredDensity(w, shift)
+        for k in range(n + 1):
+            for sites in itertools.combinations(range(n), k):
+                got = _marginal(rho, n, sites)
+                ref = np.moveaxis(w.reshape((2,) * n + (r,)), sites, range(k))
+                assert np.array_equal(got.factor, ref.reshape(2**k, -1))
+                assert got.shift == shift * 2 ** (n - k)
+            assert np.shares_memory(_marginal(rho, n, range(k)).factor, w)
 
 
 def test_vector_fidelity_reads_the_factor_once():
