@@ -253,6 +253,9 @@ def _sweep(rho: np.ndarray, root: ProductParams, d: int, far):
     a]) * right, a = 0, 1, each product in a full Kronecker row's order.  On
     a shared purchase C_i = U_i^dagger, U the root's recentring; on a root's
     own C_i = I and the site vectors map to the point by U^dagger.
+
+    `far` judges each improving trial point, or is None when there is
+    nothing to keep the point away from, and then no trial is converted.
     """
     m = root.n
     adjoints = np.array(recenter_unitaries(root)).conj().transpose(0, 2, 1)
@@ -279,7 +282,7 @@ def _sweep(rho: np.ndarray, root: ProductParams, d: int, far):
             if val > score:
                 trial = sites.copy()
                 trial[i] = cols[i] @ vec
-                if far(params_of(trial)):
+                if far is None or far(params_of(trial)):
                     sites, score = trial, val
             left = left * sites[i][bits[i]]
         if score - start < 1e-10:
@@ -307,8 +310,8 @@ def _polish(rho: np.ndarray, root: ProductParams, members,
     closer than that away.  Sweeps stop on a gain below 1e-10, or after 50.
     Returns the point (original frame) if its score reaches eta - eps/2.
     """
-    point, score = _sweep(rho, root, params.degree(root.n),
-                          lambda point: _clears(point, members, params.b))
+    far = (lambda point: _clears(point, members, params.b)) if members else None
+    point, score = _sweep(rho, root, params.degree(root.n), far)
     if score < params.eta - 0.5 * params.eps - 1e-12:
         return None
     return point

@@ -12,7 +12,8 @@ complex power-row polynomial evaluator and the per-support polynomial search,
 the cover audit, the dense per-root cover cut, the per-member discrete learner, the
 half-register oracle built through a validated state, the MPS learner's output
 through a 2^n vector and the train's norm by the three-operand transfer einsum,
-the whole-chunk shadow sampler, and the reference JSON pair and block codecs."""
+the whole-chunk shadow sampler, the Frobenius projection onto subnormalized
+states, and the reference JSON pair and block codecs."""
 
 import base64
 import math
@@ -762,6 +763,25 @@ def reference_weight_leq_indices(m, d):
         for ones in combinations(range(m), k):
             idx.append(sum(1 << (m - 1 - i) for i in ones))
     return sorted(idx)
+
+
+def reference_project_psd(mat):
+    """The Frobenius-nearest PSD matrix of trace <= 1 to a Hermitian `mat`.
+
+    Its eigenvalues v go to their Euclidean projection onto {x >= 0, sum x
+    <= 1}: max(v, 0) if that sums to at most 1, else the projection onto the
+    simplex {x >= 0, sum x = 1}, max(v - theta, 0) with theta = (sum of the
+    k largest - 1) / k for the largest k whose k-th largest value exceeds it.
+    """
+    vals, vecs = np.linalg.eigh(mat)
+    x = np.maximum(vals, 0.0)
+    if x.sum() > 1.0:
+        top = sorted(vals, reverse=True)
+        for k in range(1, len(top) + 1):
+            if top[k - 1] > (sum(top[:k]) - 1.0) / k:
+                theta = (sum(top[:k]) - 1.0) / k
+        x = np.maximum(vals - theta, 0.0)
+    return (vecs * x) @ vecs.conj().T
 
 
 def reference_z_columns(basis):

@@ -64,6 +64,7 @@ from conftest import (
     random_product_params,
     raw_z_shadows,
     reference_flip_read,
+    reference_project_psd,
     reference_rotated_cut,
     reference_shadow_rows,
     reference_weight_leq_indices,
@@ -1127,7 +1128,58 @@ def test_bernstein_count_meets_the_tail_bound():
                 assert 2 * dim * math.exp(-exponent) <= delta
     assert z_copy_cost(4, 0.05, 1e-3) == bernstein_shots(6, 0.05, 1e-3)
     assert tomography_copy_cost(9, 0.2, 0.1) == bernstein_shots(9, 0.1, 0.1)
-    assert subnormalized_budget(8, 0.4, 0.2)[1] == bernstein_shots(8, 0.4 / 32, 0.1)
+
+
+def test_subnormalized_count_meets_the_frobenius_tail_bound():
+    # The window's N keeps Tropp's bound on the d^2 x 1 vectorized shadow,
+    # (d^2 + 1) exp(-N e^2 / (2V + 2Re/3)) at e = eps / (2 sqrt(d)), variance
+    # proxy V = d^2 + d - 1 and range R = sqrt(V) + 1, below delta/2; and at
+    # the true variance, at most V - 1/d, it leaves room for a short hunt's
+    # exp(-d A L / 4) (see `subnormalized_budget`).  Past 2^53 shots the
+    # ceiling adds nothing, so the bound holds to rounding (1e-12).
+    for dim in (2, 4, 8, 16, 4096):
+        for eps in (1e-3, 0.05, 0.5, 0.99):
+            for delta in (1e-9, 0.1, 0.9):
+                n_mu, shots = subnormalized_budget(dim, eps, delta)
+                assert 2 * math.exp(-n_mu * eps**2 / 2) <= delta / 2
+                e = eps / (2 * math.sqrt(dim))
+                v = dim**2 + dim - 1
+                a = 2 * v + 2 * (math.sqrt(v) + 1) * e / 3
+                assert (dim**2 + 1) * math.exp(-shots * e**2 / a) <= delta / 2 * (1 + 1e-12)
+                tail = (dim**2 + 1) * math.exp(-shots * e**2 / (a - 2 / dim))
+                log_term = math.log(2 * (dim**2 + 1) / delta)
+                assert tail + math.exp(-dim * a * log_term / 4) <= delta / 2
+
+
+def random_mixed_matrix(rng, dim):
+    """A random unit-trace density matrix of random rank."""
+    shape = (dim, rng.integers(1, dim + 1))
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_project_psd_is_the_frobenius_projection_onto_subnormalized_states():
+    # `subnormalized_budget`'s trace-norm step rests on this: `_project_psd`
+    # takes a Hermitian X to the nearest PSD matrix of trace <= 1 in
+    # Frobenius norm, so it moves X no farther from any tau in that set.
+    # Some X clip to a trace above 1 (the spectrum is lowered), some do not.
+    rng = np.random.default_rng(61)
+    lowered = kept = 0
+    for dim in (2, 3, 4, 8, 16):
+        for _ in range(40):
+            x = rng.uniform(0.2, 4.0) * oracle._random_hermitian_unit(rng, dim, "tr")
+            if rng.uniform() < 0.5:
+                x += random_mixed_matrix(rng, dim)
+            clipped = np.clip(np.linalg.eigvalsh(x), 0.0, None).sum()
+            lowered += clipped > 1.0
+            kept += clipped <= 1.0
+            got = oracle._project_psd(x)
+            assert np.abs(got - reference_project_psd(x)).max() <= 1e-12
+            for _ in range(5):
+                tau = rng.uniform() * random_mixed_matrix(rng, dim)
+                assert np.linalg.norm(got - tau) <= np.linalg.norm(x - tau) + 1e-12
+    assert lowered >= 50 and kept >= 50
 
 
 def _failures(call, exact, norm, eps, runs):
@@ -1148,8 +1200,11 @@ def test_shadow_primitives_fail_below_delta():
     # and a maximally mixed state err beyond eps less often than delta.  The
     # compressed registers span d = 5, 9, 13 (estimate_z on n = d - 2 qubits),
     # d = 5, 9, 17 (subspace_tomography on the weight-<= m strings of m = 2, 3,
-    # 4 sites) and d = 4 (subnormalized_tomography behind one zeroed site of
-    # three; its count at d = 8 is 2.3e5 shots a call, too slow for 600 calls).
+    # 4 sites) and d = 4 and 8 (subnormalized_tomography behind one zeroed
+    # site of three and of four, about 4e4 shots a call at d = 8), and d = 4
+    # once more on a state whose prefix success rate is 0.1, where about a
+    # quarter of the hunts come up short (the rate is read from 10 shots; at
+    # a rate of eps/2 none did in 200 seeds).
     rng = np.random.default_rng(91)
     runs, delta = 200, 0.1
 
@@ -1171,7 +1226,9 @@ def test_shadow_primitives_fail_below_delta():
             exact = subspace_tomography(StateOracle(state), m, m, 0.9, delta)
             call = lambda seed: subspace_tomography(sampling(state, seed), m, m, 0.9, delta)
             assert _failures(call, exact, "op", 0.9, runs) < delta * runs
-    for state in kinds(3):
+    low = np.concatenate([math.sqrt(0.1) * haar_state(4, rng),
+                          math.sqrt(0.9) * haar_state(4, rng)])
+    for state in kinds(3) + kinds(4) + (QuantumState.pure(low),):
         exact = subnormalized_tomography(StateOracle(state), None, 1, 0.9, delta)
         call = lambda seed: subnormalized_tomography(sampling(state, seed), None, 1, 0.9, delta)
         assert _failures(call, exact, "trace", 0.9, runs) < delta * runs
